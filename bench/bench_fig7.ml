@@ -57,8 +57,7 @@ let collect label ~reps runner ~iters =
 (* Per-phase profile: the seminaive workload run in its own telemetry
    region, reporting wall seconds spent in each engine phase. Emitted for
    jobs 1 and a parallel jobs value side by side so the envelope carries
-   the serial-vs-parallel split (and CI can gate on the parallel apply +
-   rebuild tail without rerunning anything). *)
+   the serial-vs-parallel split of each phase (only search fans out). *)
 let phase_names = [ "engine.search"; "engine.apply"; "engine.rebuild" ]
 
 let phase_profile ?compiled_plans ~jobs ~iters () =

@@ -318,8 +318,8 @@ let () =
   let jobs =
     Arg.(value & opt int 1
          & info [ "jobs" ] ~docv:"N"
-             ~doc:"Fan the search, apply and rebuild phases of every run across N domains \
-                   (0 = one per core; per-command :jobs overrides). Results are \
+             ~doc:"Fan the search phase of every run across N domains; apply and rebuild \
+                   stay serial (0 = one per core; per-command :jobs overrides). Results are \
                    byte-identical to --jobs 1 for any N; only wall-clock time changes")
   in
   let journal =
@@ -445,7 +445,7 @@ let () =
     let max_jobs =
       Arg.(value & opt (positive_int ~what:"--max-jobs") 4
            & info [ "max-jobs" ] ~docv:"N"
-             ~doc:"Cap on per-request parallelism (search, apply and rebuild phases)")
+             ~doc:"Cap on per-request parallelism (the search phase)")
     in
     let session_quota =
       Arg.(value & opt (some (positive_int ~what:"--session-quota")) None

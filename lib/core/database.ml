@@ -165,28 +165,16 @@ let remove db table key =
 (* One repair round over a table: pull out all rows whose key or value
    mention a non-canonical id, then re-insert them canonically, letting
    [set] resolve the functional-dependency conflicts that canonicalization
-   reveals (§4.2, §5.1 "Rebuilding Procedure").
-
-   [stale_scan] lets the engine swap in a sharded scan that fans the
-   canonicality checks across worker domains. The scan only finds the
-   stale rows; the remove/re-insert repair — where merges and unions
-   happen — always runs here, serially, so the resulting union-find and
-   table state are identical however the rows were found. A scan
-   returning [None] declines the table (too small to be worth a fan-out)
-   and must produce the same list this serial collection would:
-   rows in {e reverse} [Table.iter] order. *)
-let repair_table ?stale_scan db table =
+   reveals (§4.2, §5.1 "Rebuilding Procedure"). *)
+let repair_table db table =
   let stale =
-    match (match stale_scan with Some f -> f table | None -> None) with
-    | Some rows -> rows
-    | None ->
-      let acc = ref [] in
-      Table.iter
-        (fun key row ->
-          let key_ok = Array.for_all (is_canon db) key in
-          if not (key_ok && is_canon db row.value) then acc := (key, row.value) :: !acc)
-        table;
-      !acc
+    let acc = ref [] in
+    Table.iter
+      (fun key row ->
+        let key_ok = Array.for_all (is_canon db) key in
+        if not (key_ok && is_canon db row.value) then acc := (key, row.value) :: !acc)
+      table;
+    !acc
   in
   Telemetry.bump c_rebuild_canon (List.length stale);
   List.iter (fun (key, _) -> Table.remove table key) stale;
@@ -197,11 +185,9 @@ let total_rows db =
   iter_tables db (fun table -> n := !n + Table.length table);
   !n
 
-let rebuild ?stale_scan db =
+let rebuild db =
   (* Only pay for a span (and emit events) when there is repair work: rebuild
-     is called after every iteration and is usually a no-op. The fixpoint
-     check between rounds is always serial — a round's repairs can dirty the
-     union-find again, and the next round must observe that before scanning. *)
+     is called after every iteration and is usually a no-op. *)
   if Union_find.has_dirty db.uf then begin
     let emit = Telemetry.is_enabled () in
     let rows0 = if emit then total_rows db else 0 in
@@ -210,7 +196,7 @@ let rebuild ?stale_scan db =
         while Union_find.has_dirty db.uf do
           Telemetry.bump c_rebuild_rounds 1;
           Union_find.clear_dirty db.uf;
-          iter_tables db (fun table -> repair_table ?stale_scan db table)
+          iter_tables db (fun table -> repair_table db table)
         done);
     if emit then
       Telemetry.instant "db.rebuild.stat"
@@ -238,8 +224,6 @@ let class_history db v =
 
 let n_ids db = Union_find.size db.uf
 let n_classes db = Union_find.n_classes db.uf
-let is_canonical_id db i = Union_find.is_canonical db.uf i
-let class_size db i = Union_find.root_size db.uf i
 
 let total_log_entries db =
   let n = ref 0 in

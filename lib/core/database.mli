@@ -41,20 +41,6 @@ val canon_key : t -> Value.t array -> Value.t array
 val are_equal : t -> Value.t -> Value.t -> bool
 (** Structural equality modulo the union-find. *)
 
-val is_canon : t -> Value.t -> bool
-(** Is the value already in canonical form? A pure read (no path
-    compression), so worker domains may call it concurrently while the
-    database is frozen — the parallel rebuild scan's per-row check. *)
-
-val is_canonical_id : t -> int -> bool
-(** {!is_canon} specialized to a raw id; same read-only guarantee. *)
-
-val class_size : t -> int -> int
-(** Class size at a canonical id, read without compression. {!union} picks
-    the surviving representative by exactly this size (ties keep the first
-    argument's root), which is what the staged apply path uses to model a
-    union's winner off-thread before the caller validates and commits it. *)
-
 (** {1 Mutation} *)
 
 val timestamp : t -> int
@@ -85,17 +71,9 @@ val class_history : t -> Value.t -> Proof_forest.step list
 
 val remove : t -> Table.t -> Value.t array -> unit
 
-val rebuild : ?stale_scan:(Table.t -> (Value.t array * Value.t) list option) -> t -> unit
+val rebuild : t -> unit
 (** Restore canonicality and functional dependencies; terminates because each
-    round strictly shrinks the database or the number of classes.
-
-    [stale_scan] swaps in an alternative stale-row collector for each
-    repair round (the engine passes a pool-sharded scan at [--jobs] > 1).
-    The scan must be a pure read returning exactly what the serial
-    collection would — the table's stale rows in reverse {!Table.iter}
-    order — or [None] to decline (the serial scan then runs). All repair
-    mutations and the between-rounds fixpoint check stay serial on the
-    caller, so the result is byte-identical with or without a scan. *)
+    round strictly shrinks the database or the number of classes. *)
 
 val n_ids : t -> int
 val n_classes : t -> int

@@ -14,15 +14,6 @@ let c_bans = Telemetry.counter "scheduler.bans"
 let c_domains = Telemetry.counter "search.domains_used"
 let c_pressure_bans = Telemetry.counter "scheduler.pressure_bans"
 
-(* Parallel apply/rebuild gauges and outcome counters. The domains-used
-   gauges mirror [search.domains_used]; the staged-commit split records how
-   often optimistic traces survived validation versus fell back to the
-   serial applier (fallbacks are correct, just slower). *)
-let c_apply_domains = Telemetry.counter "apply.domains_used"
-let c_rebuild_domains = Telemetry.counter "rebuild.domains_used"
-let c_staged_commits = Telemetry.counter "apply.staged_commits"
-let c_staged_fallbacks = Telemetry.counter "apply.staged_fallbacks"
-
 (* Memory gauges (recorded as max-counters so the bench telemetry schema is
    unchanged): the modeled footprint drives budgets; the real heap high-water
    mark is telemetry-only — never a budget input, because it depends on
@@ -80,7 +71,7 @@ type run_report = {
   stop_reason : stop_reason;
   rule_stats : rule_stat list;
   total_seconds : float;
-  jobs : int;  (* resolved domain count (>= 1) used by search/apply/rebuild *)
+  jobs : int;  (* resolved domain count (>= 1) used by the search phase *)
   peak_memory_bytes : int;  (* max modeled database bytes observed during the run *)
 }
 
@@ -727,451 +718,9 @@ let with_rule_context (r : rt_rule) f =
 
 let no_budget_check ~within_iteration:_ = ()
 
-(* ------------------------------------------------------------------ *)
-(* Parallel apply: optimistic staged traces                            *)
-(* ------------------------------------------------------------------ *)
-
-(* The apply phase parallelizes by optimistic staging: worker domains
-   evaluate matches against the frozen post-search database, recording
-   every read performed and every effect that would be applied as an
-   event trace. The caller then replays matches in exactly the serial
-   discovery order: each trace is validated — every recorded read must
-   still produce the recorded value against the live database (plus the
-   trace's own simulated effects), every modeled union winner must still
-   win, and every id the evaluation relied on must still be canonical —
-   and commits through the ordinary [Database] mutators. Any mismatch,
-   or a construct staging cannot model (user merge expressions, panics),
-   falls back to the serial [apply_match] for that match. Either way a
-   match's effects are byte-identical to what the serial loop would have
-   done at that point, so union-find structure, timestamps, fresh ids
-   and interned symbols come out identical at any jobs count. *)
-
-(* Worker-allocated fresh ids are placeholders from a disjoint high range
-   (mirroring Symbol's speculative ids); validation substitutes the ids
-   the serial allocation order will actually produce. *)
-let stage_ph_base = 0x2000_0000
-
-type sev =
-  | SE_lookup of Table.t * Value.t array * Value.t option  (* observed read *)
-  | SE_fresh of Symbol.t * int  (* sort, placeholder (after validation: predicted id) *)
-  | SE_set of Table.t * Value.t array * Value.t * Value.t option * int option
-      (* key, new value, prior row value, modeled merge-union winner *)
-  | SE_union of Value.t * Value.t * int option  (* modeled winner; None = already equal *)
-  | SE_delete of Table.t * Value.t array
-  | SE_prim of Primitives.prim * Value.t array * Value.t
-      (* a primitive call whose arguments or result carried provisional
-         content (placeholder ids / provisional symbols): validation
-         re-runs it with the real values and compares, which both checks
-         that the provisional numbering leaked nothing order-dependent
-         into the result and interns any fresh strings for real at
-         exactly the position the serial evaluation would *)
-
-type staged_match = {
-  sm_evs : sev list;  (* evaluation order *)
-  sm_ids : int list;  (* every snapshot id the evaluation relied on *)
-}
-
-exception Stage_bail
-
-type stage_ctx = {
-  sc_eng : t;
-  mutable sc_evs : sev list;  (* reversed *)
-  sc_overlay : (int, Value.t option Value.Key_tbl.t) Hashtbl.t;  (* Table.uid -> staged rows *)
-  sc_uparent : (int, int) Hashtbl.t;  (* staged unions: loser -> winner *)
-  sc_usize : (int, int) Hashtbl.t;  (* staged class sizes at staged winners *)
-  sc_ids : (int, unit) Hashtbl.t;
-  mutable sc_fresh : int;  (* placeholders handed out *)
-}
-
-let sc_record sc ev = sc.sc_evs <- ev :: sc.sc_evs
-
-let sc_note_id sc i =
-  if i < stage_ph_base && not (Hashtbl.mem sc.sc_ids i) then Hashtbl.replace sc.sc_ids i ()
-
-let rec sc_find sc i =
-  match Hashtbl.find_opt sc.sc_uparent i with Some p -> sc_find sc p | None -> i
-
-(* Worker-side canonicalization: inputs are canonical w.r.t. the frozen
-   union-find (the iteration rebuilt before searching), so only staged
-   unions apply — but every id is noted, because validation must confirm
-   it was not dethroned by an earlier committed match before trusting
-   this trace. Never touches the real union-find (no path compression
-   off-thread). *)
-let rec sc_canon sc (v : Value.t) =
-  match v with
-  | Value.VId i ->
-    sc_note_id sc i;
-    let r = sc_find sc i in
-    sc_note_id sc r;
-    Value.VId r
-  | Value.VSet xs -> Value.mk_set (List.map (sc_canon sc) xs)
-  | Value.VVec xs -> Value.VVec (List.map (sc_canon sc) xs)
-  | Value.VUnit | Value.VBool _ | Value.VInt _ | Value.VRat _ | Value.VStr _ -> v
-
-let sc_size sc i =
-  match Hashtbl.find_opt sc.sc_usize i with
-  | Some s -> s
-  | None -> if i >= stage_ph_base then 1 else Database.class_size sc.sc_eng.db i
-
-(* Mirror Union_find.union's winner rule (larger class wins, ties keep
-   the first argument's root) on the staged view. *)
-let sc_union sc a b =
-  if a = b then None
-  else begin
-    let sa = sc_size sc a and sb = sc_size sc b in
-    let winner, loser = if sa >= sb then (a, b) else (b, a) in
-    Hashtbl.replace sc.sc_uparent loser winner;
-    Hashtbl.replace sc.sc_usize winner (sa + sb);
-    Some winner
-  end
-
-let sc_overlay_tbl sc table =
-  let uid = Table.uid table in
-  match Hashtbl.find_opt sc.sc_overlay uid with
-  | Some t -> t
-  | None ->
-    let t = Value.Key_tbl.create 8 in
-    Hashtbl.replace sc.sc_overlay uid t;
-    t
-
-(* Staged read: the overlay shadows the frozen base table ([Some] =
-   staged row, [None] = staged delete); base rows only need the staged
-   unions applied on the way out. *)
-let sc_get sc table key =
-  match Value.Key_tbl.find_opt (sc_overlay_tbl sc table) key with
-  | Some (Some v) -> Some (sc_canon sc v)
-  | Some None -> None
-  | None -> (
-    match Table.get table key with
-    | Some row -> Some (sc_canon sc row.Table.value)
-    | None -> None)
-
-(* Provisional content: placeholder ids and provisional symbols have
-   nondeterministic numeric values, which a primitive could observe
-   through comparisons or ordering. A primitive call touching any is
-   recorded for a validation-time re-run with the real values. *)
-let rec value_unstable (v : Value.t) =
-  match v with
-  | Value.VId i -> i >= stage_ph_base
-  | Value.VStr s -> Symbol.is_speculative s
-  | Value.VSet xs | Value.VVec xs -> List.exists value_unstable xs
-  | Value.VUnit | Value.VBool _ | Value.VInt _ | Value.VRat _ -> false
-
-(* Staged evaluation: mirrors [eval_expr]/[exec_action] step for step —
-   same evaluation order, same canonicalization points — but records
-   events instead of mutating. *)
-let rec stage_expr sc (slots : Value.t array) (e : Compile.cexpr) : Value.t =
-  match e with
-  | Compile.C_var i -> slots.(i)
-  | Compile.C_const v -> v
-  | Compile.C_func (f, args) -> (
-    let vals = Array.map (stage_expr sc slots) args in
-    let table = table_of sc.sc_eng f in
-    let key = Array.map (sc_canon sc) vals in
-    match sc_get sc table key with
-    | Some v ->
-      sc_record sc (SE_lookup (table, key, Some v));
-      v
-    | None ->
-      sc_record sc (SE_lookup (table, key, None));
-      let v =
-        match f.Schema.default with
-        | Schema.Default_fresh -> (
-          match f.Schema.ret_ty with
-          | Ty.Sort s ->
-            let ph = stage_ph_base + sc.sc_fresh in
-            sc.sc_fresh <- sc.sc_fresh + 1;
-            sc_record sc (SE_fresh (s, ph));
-            Value.VId ph
-          | _ -> raise Stage_bail)
-        | Schema.Default_expr _ ->
-          stage_expr sc [||] (Hashtbl.find sc.sc_eng.default_exprs f.Schema.name)
-        | Schema.Default_panic -> raise Stage_bail
-      in
-      stage_set sc table key v;
-      sc_canon sc v)
-  | Compile.C_prim (p, args) -> (
-    let vals = Array.map (fun a -> sc_canon sc (stage_expr sc slots a)) args in
-    match p.Primitives.impl vals with
-    | Some v ->
-      (* Stable real inputs give a stable result (primitives are pure);
-         anything provisional gets re-checked with real values at
-         validation time. *)
-      if Array.exists value_unstable vals || value_unstable v then
-        sc_record sc (SE_prim (p, vals, v));
-      v
-    | None -> raise Stage_bail)
-
-(* Mirror [Database.set]: canonicalize at write time (a default
-   expression evaluated since the key was built may have staged unions),
-   then model the merge. Only union merges are stageable. *)
-and stage_set sc table key value =
-  let key = Array.map (sc_canon sc) key in
-  let value = sc_canon sc value in
-  let prior = sc_get sc table key in
-  let ov = sc_overlay_tbl sc table in
-  match prior with
-  | None ->
-    sc_record sc (SE_set (table, key, value, None, None));
-    Value.Key_tbl.replace ov key (Some value)
-  | Some old_v ->
-    if Value.equal old_v value then sc_record sc (SE_set (table, key, value, prior, None))
-    else (
-      match (Table.func table).Schema.merge with
-      | Schema.Merge_union -> (
-        match (old_v, value) with
-        | Value.VId x, Value.VId y -> (
-          match sc_union sc x y with
-          | Some w ->
-            sc_record sc (SE_set (table, key, value, prior, Some w));
-            Value.Key_tbl.replace ov key (Some (Value.VId w))
-          | None -> raise Stage_bail)
-        | _ -> raise Stage_bail)
-      | Schema.Merge_panic | Schema.Merge_expr _ -> raise Stage_bail)
-
-and stage_action sc (slots : Value.t array) (a : Compile.caction) =
-  match a with
-  | Compile.C_set (f, args, value) ->
-    let vals = Array.map (stage_expr sc slots) args in
-    let v = stage_expr sc slots value in
-    stage_set sc (table_of sc.sc_eng f) vals v
-  | Compile.C_union (e1, e2) -> (
-    let v1 = stage_expr sc slots e1 and v2 = stage_expr sc slots e2 in
-    match (sc_canon sc v1, sc_canon sc v2) with
-    | Value.VId x, Value.VId y ->
-      sc_record sc (SE_union (Value.VId x, Value.VId y, sc_union sc x y))
-    | va, vb ->
-      if Value.equal va vb then sc_record sc (SE_union (va, vb, None)) else raise Stage_bail)
-  | Compile.C_let (slot, e) -> slots.(slot) <- stage_expr sc slots e
-  | Compile.C_do e -> ignore (stage_expr sc slots e)
-  | Compile.C_panic _ -> raise Stage_bail
-  | Compile.C_delete (f, args) ->
-    let vals = Array.map (stage_expr sc slots) args in
-    let table = table_of sc.sc_eng f in
-    let key = Array.map (sc_canon sc) vals in
-    sc_record sc (SE_delete (table, key));
-    Value.Key_tbl.replace (sc_overlay_tbl sc table) key None
-
-(* Evaluate one match against the frozen database, producing a trace —
-   or [None] when anything it needs cannot be modeled off-thread (the
-   replay then runs the match serially, reproducing the serial effects
-   including any error the actions would raise). *)
-let stage_match eng (r : rt_rule) (binding : Value.t array) : staged_match option =
-  let sc =
-    {
-      sc_eng = eng;
-      sc_evs = [];
-      sc_overlay = Hashtbl.create 4;
-      sc_uparent = Hashtbl.create 4;
-      sc_usize = Hashtbl.create 4;
-      sc_ids = Hashtbl.create 16;
-      sc_fresh = 0;
-    }
-  in
-  match
-    let crule = r.rr_rule in
-    let slots = Array.make crule.Compile.cr_slots Value.VUnit in
-    Array.blit binding 0 slots 0 (Array.length binding);
-    for i = 0 to Array.length binding - 1 do
-      slots.(i) <- sc_canon sc slots.(i)
-    done;
-    Array.iter (stage_action sc slots) crule.Compile.cr_actions
-  with
-  | () ->
-    Some
-      {
-        sm_evs = List.rev sc.sc_evs;
-        sm_ids = Hashtbl.fold (fun i () acc -> i :: acc) sc.sc_ids [];
-      }
-  | exception _ -> None
-
-exception Stage_reject
-
-(* Validate a staged trace against the live database: every id relied on
-   must still be canonical (checked before anything else), every recorded
-   read must come out identical through the trace's own simulated
-   effects, and every modeled union winner must still win given current
-   class sizes. Returns the trace with placeholders substituted by the
-   ids serial allocation will produce and provisional symbols resolved in
-   recorded order — exactly where the serial evaluation would intern them.
-   Raises [Stage_reject] on any mismatch, before any database mutation. *)
-let validate_staged eng (sm : staged_match) : sev list =
-  let db = eng.db in
-  List.iter (fun i -> if not (Database.is_canonical_id db i) then raise Stage_reject) sm.sm_ids;
-  let base_ids = Database.n_ids db in
-  if base_ids >= stage_ph_base then raise Stage_reject;
-  let phmap = Hashtbl.create 4 in
-  List.iter
-    (function
-      | SE_fresh (_, ph) -> Hashtbl.replace phmap ph (base_ids + Hashtbl.length phmap)
-      | _ -> ())
-    sm.sm_evs;
-  let subst_id i = match Hashtbl.find_opt phmap i with Some j -> j | None -> i in
-  let rec subst (v : Value.t) =
-    match v with
-    | Value.VId i -> Value.VId (subst_id i)
-    | Value.VSet xs -> Value.mk_set (List.map subst xs)
-    | Value.VVec xs -> Value.VVec (List.map subst xs)
-    | _ -> v
-  in
-  let resolve_v v = Value.map_symbols Symbol.resolve (subst v) in
-  (* Simulation of this trace's own effects on top of the live database:
-     a local union view and per-table overlays, mirroring the worker's. *)
-  let sparent = Hashtbl.create 4 in
-  let rec sfind i = match Hashtbl.find_opt sparent i with Some p -> sfind p | None -> i in
-  let ssize = Hashtbl.create 4 in
-  let size_of i =
-    match Hashtbl.find_opt ssize i with
-    | Some s -> s
-    | None -> if i >= base_ids then 1 else Database.class_size db i
-  in
-  let sim_union x y =
-    if x = y then None
-    else begin
-      let sx = size_of x and sy = size_of y in
-      let w, l = if sx >= sy then (x, y) else (y, x) in
-      Hashtbl.replace sparent l w;
-      Hashtbl.replace ssize w (sx + sy);
-      Some w
-    end
-  in
-  let rec vcanon (v : Value.t) =
-    match v with
-    | Value.VId i ->
-      let r =
-        if i >= base_ids then i
-        else
-          match Database.canon db (Value.VId i) with
-          | Value.VId r -> r
-          | _ -> raise Stage_reject
-      in
-      Value.VId (sfind r)
-    | Value.VSet xs -> Value.mk_set (List.map vcanon xs)
-    | Value.VVec xs -> Value.VVec (List.map vcanon xs)
-    | _ -> v
-  in
-  let overlays = Hashtbl.create 4 in
-  let overlay_tbl table =
-    let uid = Table.uid table in
-    match Hashtbl.find_opt overlays uid with
-    | Some t -> t
-    | None ->
-      let t = Value.Key_tbl.create 8 in
-      Hashtbl.replace overlays uid t;
-      t
-  in
-  let sim_get table key =
-    match Value.Key_tbl.find_opt (overlay_tbl table) key with
-    | Some (Some v) -> Some (vcanon v)
-    | Some None -> None
-    | None -> (
-      match Table.get table key with
-      | Some row -> Some (vcanon row.Table.value)
-      | None -> None)
-  in
-  let check_opt got expect =
-    match (got, expect) with
-    | None, None -> ()
-    | Some a, Some b when Value.equal a b -> ()
-    | _ -> raise Stage_reject
-  in
-  let out = ref [] in
-  List.iter
-    (fun ev ->
-      let ev' =
-        match ev with
-        | SE_prim (p, vals, result) -> (
-          (* Re-run with the real values: the impl interns any fresh
-             strings for real — exactly where serial evaluation would —
-             and the comparison rejects any result the provisional
-             numbering ordered differently. Resolve the recorded result
-             only after the re-run, so its symbols exist. *)
-          let vals = Array.map resolve_v vals in
-          match p.Primitives.impl vals with
-          | Some v when Value.equal v (resolve_v result) -> SE_prim (p, vals, v)
-          | Some _ | None -> raise Stage_reject)
-        | SE_fresh (sort, ph) -> SE_fresh (sort, subst_id ph)
-        | SE_lookup (table, key, expect) ->
-          let key = Array.map resolve_v key in
-          let expect = Option.map resolve_v expect in
-          check_opt (sim_get table key) expect;
-          SE_lookup (table, key, expect)
-        | SE_set (table, key, value, prior, winner) ->
-          let key = Array.map resolve_v key in
-          let value = resolve_v value in
-          let prior = Option.map resolve_v prior in
-          let winner = Option.map subst_id winner in
-          let cur = sim_get table key in
-          check_opt cur prior;
-          let ov = overlay_tbl table in
-          (match (cur, winner) with
-           | None, None -> Value.Key_tbl.replace ov key (Some value)
-           | Some old_v, None -> if not (Value.equal old_v value) then raise Stage_reject
-           | Some (Value.VId x), Some w -> (
-             match value with
-             | Value.VId y ->
-               if sim_union x y <> Some w then raise Stage_reject;
-               Value.Key_tbl.replace ov key (Some (Value.VId w))
-             | _ -> raise Stage_reject)
-           | None, Some _ | Some _, Some _ -> raise Stage_reject);
-          SE_set (table, key, value, prior, winner)
-        | SE_union (a, b, winner) ->
-          let a = resolve_v a and b = resolve_v b in
-          let winner = Option.map subst_id winner in
-          (match (a, b) with
-           | Value.VId x, Value.VId y -> if sim_union x y <> winner then raise Stage_reject
-           | va, vb -> if winner <> None || not (Value.equal va vb) then raise Stage_reject);
-          SE_union (a, b, winner)
-        | SE_delete (table, key) ->
-          let key = Array.map resolve_v key in
-          Value.Key_tbl.replace (overlay_tbl table) key None;
-          SE_delete (table, key)
-      in
-      out := ev' :: !out)
-    sm.sm_evs;
-  List.rev !out
-
-(* Commit a validated trace through the ordinary mutators, which
-   re-derive change counting, row stamps, proof-forest records and merge
-   resolution natively — validation guaranteed each re-derivation lands
-   exactly where the trace said it would. *)
-let commit_staged eng (evs : sev list) =
-  let db = eng.db in
-  List.iter
-    (fun ev ->
-      match ev with
-      | SE_lookup _ | SE_prim _ -> ()
-      | SE_fresh (sort, predicted) -> (
-        match Database.fresh_id db sort with
-        | Value.VId i when i = predicted -> ()
-        | _ -> error "internal error: staged fresh id diverged from serial allocation order")
-      | SE_set (table, key, value, _, _) -> Database.set db table key value
-      | SE_union (a, b, _) -> ignore (Database.union db ~reason:eng.current_reason a b)
-      | SE_delete (table, key) -> Database.remove db table key)
-    evs
-
-(* Replay one match from its staged trace — or fall back to the serial
-   applier, which re-derives the serial effects from scratch. *)
-let apply_staged_match eng (r : rt_rule) (binding : Value.t array) staged =
-  match staged with
-  | None ->
-    Telemetry.bump c_staged_fallbacks 1;
-    apply_match eng r binding
-  | Some sm -> (
-    match validate_staged eng sm with
-    | evs ->
-      eng.current_reason <- Proof_forest.Rule r.rr_name;
-      Telemetry.bump c_staged_commits 1;
-      commit_staged eng evs
-    | exception Stage_reject ->
-      Telemetry.bump c_staged_fallbacks 1;
-      apply_match eng r binding)
-
-(* One rule's slice of the apply phase — all the accounting the serial
-   loop does, parameterized by how a single match is applied so the
-   serial and staged-replay paths cannot drift apart. *)
-let apply_rule eng ~budget_check ~rule_accs ~t0 (ph : phase_times) (r : rt_rule) matches
-    apply_one =
+(* One rule's slice of the apply phase: every match in search order, with
+   the per-rule and per-match accounting. *)
+let apply_rule eng ~budget_check ~rule_accs ~t0 (ph : phase_times) (r : rt_rule) matches =
   let db = eng.db in
   let rule_t0 = if Telemetry.is_enabled () then Telemetry.now () else 0.0 in
   let n_matches = List.length matches in
@@ -1186,10 +735,10 @@ let apply_rule eng ~budget_check ~rule_accs ~t0 (ph : phase_times) (r : rt_rule)
     | None -> None
   in
   let bytes_before = match acc with Some _ -> Database.modeled_bytes db | None -> 0 in
-  List.iteri
-    (fun mi binding ->
+  List.iter
+    (fun binding ->
       let changes_before = Database.change_counter db in
-      with_rule_context r (fun () -> apply_one mi binding);
+      with_rule_context r (fun () -> apply_match eng r binding);
       let delta = Database.change_counter db - changes_before in
       if delta = 0 then Telemetry.bump c_dup 1 else Telemetry.bump c_new delta;
       (match acc with
@@ -1208,106 +757,6 @@ let apply_rule eng ~budget_check ~rule_accs ~t0 (ph : phase_times) (r : rt_rule)
     Telemetry.hist_record
       (Telemetry.histogram ("rule.apply_s." ^ r.rr_name))
       (Telemetry.now () -. rule_t0)
-  end
-
-(* Minimum total matches before the staging fan-out pays for itself. *)
-let apply_par_min_matches = 8
-
-(* Fan the apply phase across the pool: workers stage traces against the
-   frozen database, then the caller replays every match in discovery
-   order — rules in scheduler order, matches in search order, exactly the
-   serial loop's order. Sharding by hash(rule name, binding) is purely a
-   work partition; it can never affect results, only which domain stages
-   which trace. *)
-let parallel_apply eng ~jobs ~budget_check ~rule_accs ~t0 (ph : phase_times)
-    (to_apply : (rt_rule * Value.t array list) list) =
-  let rules = Array.of_list to_apply in
-  let bindings = Array.map (fun (_, ms) -> Array.of_list ms) rules in
-  let staged = Array.map (fun ms -> Array.make (Array.length ms) None) bindings in
-  let pool = Pool.global ~workers:(jobs - 1) in
-  Telemetry.record_max c_apply_domains (min jobs (1 + Pool.size pool));
-  let n_shards = 8 * jobs in
-  let shards = Array.make n_shards [] in
-  Array.iteri
-    (fun ri (r, _) ->
-      let hr = Hashtbl.hash r.rr_name in
-      Array.iteri
-        (fun mi binding ->
-          let h = Array.fold_left (fun h v -> (h * 31) + Value.hash v) hr binding in
-          let s = h land max_int mod n_shards in
-          shards.(s) <- (ri, mi) :: shards.(s))
-        bindings.(ri))
-    rules;
-  let tasks =
-    Array.of_list
-      (List.filter_map
-         (function [] -> None | cells -> Some (Array.of_list cells))
-         (Array.to_list shards))
-  in
-  (* Primitives may intern fresh strings while staging runs on several
-     domains at once; provisional ids keep the real assignment order out
-     of the race (see Symbol). Replay resolves committed traces' symbols
-     in serial order; fallbacks intern for real directly — both exactly
-     where the serial evaluation would have interned. *)
-  Symbol.begin_speculative ();
-  Fun.protect ~finally:Symbol.clear_speculative (fun () ->
-      ignore
-        (Pool.run ~participants:(jobs - 1) pool
-           (fun cells ->
-             Array.iter
-               (fun (ri, mi) ->
-                 let r, _ = rules.(ri) in
-                 staged.(ri).(mi) <- stage_match eng r bindings.(ri).(mi))
-               cells)
-           tasks);
-      Symbol.pause_speculative ();
-      Array.iteri
-        (fun ri (r, matches) ->
-          (* Durability injection point: crash with some rules' staged
-             effects committed and the rest still pending. *)
-          Fault.hit "engine.apply.staged";
-          apply_rule eng ~budget_check ~rule_accs ~t0 ph r matches (fun mi binding ->
-              apply_staged_match eng r binding staged.(ri).(mi)))
-        rules)
-
-(* ------------------------------------------------------------------ *)
-(* Parallel rebuild: sharded stale-row scans                           *)
-(* ------------------------------------------------------------------ *)
-
-(* Minimum rows before a table's stale scan is worth a fan-out. *)
-let rebuild_par_min_rows = 256
-
-(* Sharded stale-row scan for one repair round (see
-   [Database.repair_table]): snapshot the rows, fan the canonicality
-   checks over the pool into a per-index flag array, then collect flagged
-   rows in reverse iteration order — exactly the list the serial scan
-   builds. The union-find is frozen while workers read; all repairs and
-   the between-rounds fixpoint check stay serial on the caller. *)
-let parallel_stale_scan eng ~jobs table =
-  let n = Table.length table in
-  if n < rebuild_par_min_rows then None
-  else begin
-    let db = eng.db in
-    let rows = Table.rows_array table in
-    let stale = Array.make (Array.length rows) false in
-    let pool = Pool.global ~workers:(jobs - 1) in
-    Telemetry.record_max c_rebuild_domains (min jobs (1 + Pool.size pool));
-    Pool.run_ranges ~participants:(jobs - 1) pool ~n:(Array.length rows) (fun lo hi ->
-        for i = lo to hi - 1 do
-          let key, value = rows.(i) in
-          if not (Array.for_all (Database.is_canon db) key && Database.is_canon db value)
-          then stale.(i) <- true
-        done);
-    let acc = ref [] in
-    Array.iteri (fun i flagged -> if flagged then acc := rows.(i) :: !acc) stale;
-    Some !acc
-  end
-
-let rebuild_database eng ~jobs =
-  if jobs > 1 then Database.rebuild ~stale_scan:(parallel_stale_scan eng ~jobs) eng.db
-  else begin
-    Telemetry.record_max c_rebuild_domains 1;
-    Database.rebuild eng.db
   end
 
 (* Fan one iteration's rule×variant search tasks across [jobs] domains.
@@ -1492,28 +941,17 @@ let run_one_iteration ?ruleset ?(budget_check = no_budget_check)
       searched
   in
   Database.bump_timestamp db;
-  let total_matches = List.fold_left (fun acc (_, ms) -> acc + List.length ms) 0 to_apply in
   let dt_apply, () =
     Telemetry.timed_span "engine.apply" (fun () ->
-        if
-          jobs > 1
-          && total_matches >= apply_par_min_matches
-          && Database.n_ids db < stage_ph_base
-        then parallel_apply eng ~jobs ~budget_check ~rule_accs ~t0 ph to_apply
-        else begin
-          Telemetry.record_max c_apply_domains 1;
-          List.iter
-            (fun (r, matches) ->
-              apply_rule eng ~budget_check ~rule_accs ~t0 ph r matches (fun _ binding ->
-                  apply_match eng r binding))
-            to_apply
-        end)
+        List.iter
+          (fun (r, matches) -> apply_rule eng ~budget_check ~rule_accs ~t0 ph r matches)
+          to_apply)
   in
   eng.current_reason <- Proof_forest.Asserted;
   ph.ph_apply <- ph.ph_apply +. dt_apply;
   Telemetry.hist_record h_apply dt_apply;
   let dt_rebuild, () =
-    Telemetry.timed_span "engine.rebuild" (fun () -> rebuild_database eng ~jobs)
+    Telemetry.timed_span "engine.rebuild" (fun () -> Database.rebuild db)
   in
   ph.ph_rebuild <- ph.ph_rebuild +. dt_rebuild;
   Telemetry.hist_record h_rebuild dt_rebuild;

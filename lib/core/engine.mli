@@ -48,9 +48,9 @@ val create :
     scheduler tightens (match limits shrink, and the backoff policy applies
     even under [Simple]); at tier 2 the rule with the highest modeled byte
     growth is additionally banned each iteration. [jobs] (default 1) is the
-    session default for the number of domains the search, apply and
-    rebuild phases fan out across ([0] = one per core; the CLI's
-    [--jobs]); a per-command [:jobs] overrides it. Results are
+    session default for the number of domains the search phase fans out
+    across ([0] = one per core; the CLI's [--jobs]); a per-command [:jobs]
+    overrides it. Apply and rebuild always run serially. Results are
     bit-identical to [jobs:1] for any value.
     @raise Egglog_error on a negative [jobs] or malformed tiers. *)
 
@@ -143,7 +143,7 @@ type run_report = {
   rule_stats : rule_stat list;  (** in declaration order, searched rules only *)
   total_seconds : float;
   jobs : int;
-      (** resolved domain count the run's search/apply/rebuild phases used
+      (** resolved domain count the run's search phase used
           ([>= 1]; the [0] = one-per-core request resolves before it lands
           here) *)
   peak_memory_bytes : int;
@@ -172,15 +172,12 @@ val run_iterations :
     database footprint ({!Database.modeled_bytes}) exceeds it, degrading
     through the pressure tiers first; [until] stops as soon as all its facts
     are derivable (checked before the first iteration and after each one).
-    [jobs] fans the search, apply and rebuild phases across that many
-    domains ([0] = one per core; default: the engine's session setting).
-    The database is frozen during each fan-out: search merges per-variant
-    match buffers in a fixed (rule, variant, discovery) order; apply
-    stages per-match effect traces off-thread and replays them (validated,
-    with serial fallback) in discovery order; rebuild shards each repair
-    round's stale-row scan and repairs serially. The resulting state and
-    report counts are byte-identical to [jobs:1] regardless of
-    scheduling; only the timings differ. @raise Egglog_error on a
+    [jobs] fans the search phase across that many domains ([0] = one per
+    core; default: the engine's session setting). The database is frozen
+    during the fan-out and per-variant match buffers merge in a fixed
+    (rule, variant, discovery) order; apply and rebuild then run serially.
+    The resulting state and report counts are byte-identical to [jobs:1]
+    regardless of scheduling; only the timings differ. @raise Egglog_error on a
     negative [jobs]. *)
 
 (** {1 Commands (the textual language)} *)

@@ -16,10 +16,6 @@
     - ["checkpoint.renamed"] — checkpoint durable, journal not yet reset
     - ["checkpoint.before-reset"] — alias window before the journal reset
     - ["engine.iteration"] — between rule-application iterations of a run
-    - ["engine.apply.staged"] — mid-apply on the parallel staged path,
-      with some rules' traces committed and the rest still pending (only
-      fires at jobs > 1; staged buffers are plain data dropped on unwind,
-      so transaction rollback must restore the pre-command state)
     - ["engine.top-action"] — before a top-level action executes
 
     Server-side points (the daemon, see [Egglog_server.Serve]):

@@ -158,30 +158,6 @@ let run ?participants pool f tasks =
       results
   end
 
-(* Fan a contiguous index space [0, n) across the pool as balanced range
-   tasks (a few per participant, so stealing can still even out skew).
-   [f lo hi] must be a pure read of shared state over indices [lo, hi);
-   results are side effects into caller-owned disjoint slots, which is why
-   this returns unit — the apply/rebuild staging paths write per-index
-   flags or buffers that the caller then merges in deterministic order. *)
-let run_ranges ?participants pool ~n f =
-  if n > 0 then begin
-    let workers =
-      match participants with
-      | None -> pool.n_workers
-      | Some p -> max 0 (min p pool.n_workers)
-    in
-    let n_tasks = min n (4 * (workers + 1)) in
-    let per = n / n_tasks and rem = n mod n_tasks in
-    let ranges =
-      Array.init n_tasks (fun i ->
-          let lo = (i * per) + min i rem in
-          let hi = lo + per + (if i < rem then 1 else 0) in
-          (lo, hi))
-    in
-    ignore (run ?participants pool (fun (lo, hi) -> f lo hi) ranges)
-  end
-
 let shutdown pool =
   Mutex.lock pool.mutex;
   pool.stop <- true;

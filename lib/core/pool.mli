@@ -44,15 +44,6 @@ val run : ?participants:int -> t -> ('a -> 'b) -> 'a array -> 'b array
 val in_task : unit -> bool
 (** True while the calling domain is executing a pool task. *)
 
-val run_ranges : ?participants:int -> t -> n:int -> (int -> int -> unit) -> unit
-(** [run_ranges pool ~n f] splits the index space [0, n) into balanced
-    contiguous ranges (a few per participant) and runs [f lo hi] for each
-    on the pool. [f] must be a pure read of shared state whose only side
-    effects land in caller-owned, per-index-disjoint slots (e.g. a staged
-    result buffer); the caller merges them afterwards in whatever
-    deterministic order it needs. Same participation, failure and
-    nesting rules as {!run}. *)
-
 val shutdown : t -> unit
 (** Stop and join all worker domains. The pool must not be used
     afterwards. Only needed by tests; a live pool's workers sleep on a

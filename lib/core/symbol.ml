@@ -67,8 +67,6 @@ let intern s =
 
 let name i = if i >= spec_base then !(!spec_names.(i - spec_base)) else !(!names.(i))
 
-let is_speculative i = i >= spec_base
-
 let begin_speculative () =
   Mutex.lock lock;
   if !spec_on then begin
@@ -86,16 +84,6 @@ let resolve i =
     Mutex.unlock lock;
     r
   end
-
-(* Stop assigning provisional ids but keep the pending names so [resolve]
-   still works: the apply phase stages on worker domains under speculation,
-   then replays on the caller, where any serial re-evaluation (a fallback)
-   must intern for real while committed traces still resolve their
-   provisional symbols. *)
-let pause_speculative () =
-  Mutex.lock lock;
-  spec_on := false;
-  Mutex.unlock lock
 
 let clear_speculative () =
   Mutex.lock lock;

@@ -22,21 +22,10 @@ val name : t -> string
 val begin_speculative : unit -> unit
 (** Enter speculative mode. @raise Invalid_argument when already on. *)
 
-val pause_speculative : unit -> unit
-(** Stop assigning provisional ids (fresh misses intern for real again)
-    but keep the pending table alive so {!resolve} still works. Used by
-    the staged apply phase: worker-side evaluation runs speculatively, the
-    caller-side merge resolves committed traces while serial fallback
-    re-evaluation interns directly. {!clear_speculative} still drops
-    everything. *)
-
 val clear_speculative : unit -> unit
 (** Leave speculative mode and drop all provisional ids (idempotent). *)
 
 val speculating : unit -> bool
-
-val is_speculative : t -> bool
-(** True for provisional ids. *)
 
 (** [resolve i] assigns (or looks up) the real id for a provisional
     symbol; identity on real ids. Usable during and after speculative

@@ -165,22 +165,6 @@ let remove t key =
 let iter f t = Value.Key_tbl.iter f t.data
 let fold f t init = Value.Key_tbl.fold f t.data init
 
-(* Materialize (key, value) pairs in exactly [iter] order, so a sharded
-   scan over the array visits — and reports — rows in the same order a
-   serial [iter] would. The array is a point-in-time snapshot of the row
-   pointers; callers must not mutate the table while sharing it across
-   domains. *)
-let rows_array t =
-  let n = length t in
-  let out = Array.make n ([||], Value.VUnit) in
-  let i = ref 0 in
-  iter
-    (fun key row ->
-      out.(!i) <- (key, row.value);
-      incr i)
-    t;
-  out
-
 (* First log index with stamp >= lo (stamps are nondecreasing). *)
 let log_lower_bound t lo =
   let left = ref 0 and right = ref t.log_len in

@@ -69,12 +69,6 @@ val remove : t -> Value.t array -> unit
 val iter : (Value.t array -> row -> unit) -> t -> unit
 val fold : (Value.t array -> row -> 'a -> 'a) -> t -> 'a -> 'a
 
-val rows_array : t -> (Value.t array * Value.t) array
-(** Current (key, output) pairs in exactly {!iter} order — the feed for the
-    sharded rebuild scan, which partitions the index space across domains
-    but must report stale rows in serial-iteration order. A point-in-time
-    snapshot: do not mutate the table while worker domains read it. *)
-
 val iter_range : t -> lo:int -> hi:int -> (Value.t array -> row -> unit) -> unit
 (** Visit rows whose current stamp s satisfies [lo <= s < hi]. When [lo > 0]
     this walks only the stamp-ordered log tail (each surviving row exactly

@@ -301,8 +301,7 @@ let exec_run t (sess : Session.session) ~id ~program ~node_limit ~time_limit_ms 
     | Some m, None -> Some m
     | None, q -> q
   in
-  (* [max_jobs] caps every fan-out phase of the request's runs — search,
-     apply and rebuild all draw from the same domain budget. *)
+  (* [max_jobs] caps the search fan-out of every run in the request. *)
   let jobs =
     match jobs with None -> 1 | Some 0 -> cfg.max_jobs | Some j -> min j cfg.max_jobs
   in

@@ -54,10 +54,6 @@ let union uf a b =
 let equiv uf a b = find uf a = find uf b
 let is_canonical uf i = uf.parent.(i) = i
 
-(* Class size at a root, without path compression: safe to call from
-   reader domains while the structure is frozen. Meaningful only when [i]
-   is canonical (size slots of losers are stale by design). *)
-let root_size uf i = uf.size.(i)
 let dirty uf = uf.dirty
 let has_dirty uf = uf.dirty <> []
 let clear_dirty uf = uf.dirty <- []

@@ -28,13 +28,6 @@ val equiv : t -> int -> int -> bool
 
 val is_canonical : t -> int -> bool
 
-val root_size : t -> int -> int
-(** Class size at a canonical id, read without path compression (safe from
-    reader domains while the structure is frozen). {!union} picks winners
-    by exactly this size — callers modelling a union off-thread must use
-    the same comparison ([size a >= size b] keeps [a]). Stale for
-    non-canonical ids. *)
-
 val dirty : t -> int list
 (** Ids dethroned by unions since the last {!clear_dirty}: every id here was
     a canonical representative that lost a union. *)

@@ -474,15 +474,14 @@ let prop_diff_delta_ranges =
     ~name:"differential: compiled == interpreted == reference (delta stamp windows)" ~count:350
     gen_scenario (fun ds -> check_diff ds ~delta:true)
 
-(* Engine-level differential for the parallel phases: the scenario's
-   query becomes a rule writing its bindings into [out] — and, with two
-   or more variables, unioning sort members through [g2], so the staged
-   apply path sees fresh-id defaults, unions and merge conflicts — then
-   the whole engine runs at jobs 1, 2 and 4 and both the canonical dump
-   and the run-report fingerprint (per-iteration row/class/match counts,
-   stop reason, per-rule stats) must come out byte-identical — the
-   tentpole's determinism contract, exercised over random schemas and
-   primitives. Facts land in two batches with a run between, so the
+(* Engine-level differential for parallel search: the scenario's query
+   becomes a rule writing its bindings into [out] — and, with two or more
+   variables, unioning sort members through [g2], so fresh-id defaults,
+   unions and rebuild rounds follow each parallel search — then the whole
+   engine runs at jobs 1, 2 and 4 and both the canonical dump and the
+   run-report fingerprint (per-iteration row/class/match counts, stop
+   reason, per-rule stats) must come out byte-identical, over random
+   schemas and primitives. Facts land in two batches with a run between, so the
    semi-naïve delta variants fan out across domains too. *)
 let report_fingerprint (r : E.Engine.run_report) =
   ( List.map
@@ -510,8 +509,9 @@ let run_scenario_at_jobs ?node_limit ?memory_limit ?compiled_plans ds ~jobs =
        (String.concat " " (List.init (1 + List.length vars) (fun _ -> "i64"))));
   ignore (E.run_string eng (Buffer.contents decls));
   let union_actions =
-    (* exercise parallel apply's union staging: merge the classes keyed by
-       the first two bound variables (fresh g2 members on first touch) *)
+    (* push unions and rebuilds behind the parallel search: merge the
+       classes keyed by the first two bound variables (fresh g2 members on
+       first touch) *)
     match vars with
     | v1 :: v2 :: _ -> [ E.Ast.Union (E.Ast.Call ("g2", [ v1 ]), E.Ast.Call ("g2", [ v2 ])) ]
     | _ -> []
@@ -547,8 +547,8 @@ let run_scenario_at_jobs ?node_limit ?memory_limit ?compiled_plans ds ~jobs =
 let prop_jobs_differential =
   QCheck2.Test.make
     ~name:
-      "differential: parallel search+apply+rebuild (jobs 2, 4; compiled and interpreted) \
-       dumps+reports == serial"
+      "differential: parallel search (jobs 2, 4; compiled and interpreted) dumps+reports \
+       == serial"
     ~count:60 gen_scenario (fun ds ->
       match run_scenario_at_jobs ds ~jobs:1 with
       | exception E.Engine.Egglog_error _ -> true

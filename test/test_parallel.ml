@@ -254,7 +254,7 @@ let test_fresh_interning_deterministic () =
     [ 2; 4; 0 ]
 
 (* ------------------------------------------------------------------ *)
-(* Merge storm: parallel rebuild vs serial vs a naive reference closure *)
+(* Merge storm: jobs 1/2/4 vs a naive reference closure                *)
 (* ------------------------------------------------------------------ *)
 
 (* A deterministic 48-bit LCG (drawing from the high bits — the low bits
@@ -276,9 +276,8 @@ let storm_links =
       (a, b))
 
 (* One constructor per linked node and a rule that unions across every
-   link: the Mk table ends up with several hundred rows (enough to engage
-   the sharded rebuild scan) and the union storm forces multi-round
-   congruence repair. *)
+   link: the Mk table ends up with several hundred rows, and the union
+   storm forces multi-round congruence repair after the parallel search. *)
 let storm_prog =
   let buf = Buffer.create 8192 in
   Buffer.add_string buf
@@ -292,7 +291,7 @@ let storm_prog =
 
 (* Run the storm and capture everything the differential needs: final
    bytes, the report fingerprint, and the scheduling-independent rebuild
-   round count (plus the gauges, for the jobs-4 assertions). *)
+   round count. *)
 let storm_run ~jobs =
   E.Telemetry.reset ();
   E.Telemetry.enable ();
@@ -304,7 +303,7 @@ let storm_run ~jobs =
   let counter name = List.assoc_opt name snap.E.Telemetry.sn_counters in
   (eng, E.Serialize.dump_string eng, report_fingerprint report, counter)
 
-let test_merge_storm_rebuild () =
+let test_merge_storm () =
   Fun.protect
     ~finally:(fun () ->
       E.Telemetry.disable ();
@@ -361,81 +360,6 @@ let test_merge_storm_rebuild () =
       Alcotest.(check bool) "probed equalities" true (!eq_probes > 10);
       Alcotest.(check bool) "probed inequalities" true (!neq_probes > 10))
 
-let test_apply_rebuild_domains_gauge () =
-  Fun.protect
-    ~finally:(fun () ->
-      E.Telemetry.disable ();
-      E.Telemetry.reset ())
-    (fun () ->
-      let _, _, _, counter = storm_run ~jobs:4 in
-      let get name =
-        match counter name with
-        | Some n -> n
-        | None -> Alcotest.failf "%s missing from snapshot" name
-      in
-      Alcotest.(check int) "apply.domains_used records resolved jobs" 4 (get "apply.domains_used");
-      Alcotest.(check int) "rebuild.domains_used records resolved jobs" 4
-        (get "rebuild.domains_used");
-      Alcotest.(check bool) "staged traces actually committed" true
-        (get "apply.staged_commits" > 0))
-
-(* ------------------------------------------------------------------ *)
-(* Fault injection on the staged path: transaction rollback             *)
-(* ------------------------------------------------------------------ *)
-
-(* Two rules that both match in the first iteration, with enough total
-   matches to engage the staged parallel path. Crashing at the second
-   occurrence of engine.apply.staged dies with rule 1's traces already
-   committed and rule 2's still pending — exactly the mid-apply window the
-   transaction must erase. *)
-let staged_fault_prog =
-  {|
-  (datatype N (Mk i64))
-  (relation edge (i64 i64))
-  (relation back (i64 i64))
-  (rule ((edge x y)) ((union (Mk x) (Mk y))))
-  (rule ((back x y)) ((back y x) (union (Mk x) (Mk y))))
-  (edge 1 2) (edge 2 3) (edge 3 4) (edge 4 5) (edge 5 6) (edge 6 7)
-  (back 10 11) (back 12 13) (back 14 15) (back 16 17)
-  |}
-
-let test_staged_fault_rollback () =
-  Fun.protect
-    ~finally:(fun () -> E.Fault.disarm ())
-    (fun () ->
-      let eng = E.Engine.create ~jobs:4 () in
-      ignore (E.run_string eng staged_fault_prog);
-      let before = E.Serialize.dump_string eng in
-      (* Sanity: the point fires on this workload at all. *)
-      E.Fault.arm_counting ();
-      ignore (E.Engine.with_transaction eng (fun () -> E.Engine.run_iterations eng 2));
-      let hits =
-        Option.value ~default:0 (List.assoc_opt "engine.apply.staged" (E.Fault.hit_counts ()))
-      in
-      Alcotest.(check bool) "staged fault point fires at jobs 4" true (hits >= 2);
-      E.Fault.disarm ();
-      let after_clean = E.Serialize.dump_string eng in
-      Alcotest.(check bool) "counting run committed (not a no-op workload)" true
-        (after_clean <> before);
-      (* Fresh engine, same program: crash mid-apply inside a transaction. *)
-      let eng = E.Engine.create ~jobs:4 () in
-      ignore (E.run_string eng staged_fault_prog);
-      let before = E.Serialize.dump_string eng in
-      E.Fault.arm_nth "engine.apply.staged" 2;
-      (match
-         E.Engine.with_transaction eng (fun () -> E.Engine.run_iterations eng 2)
-       with
-       | _ -> Alcotest.fail "expected the injected crash to propagate"
-       | exception E.Fault.Crash _ -> ());
-      E.Fault.disarm ();
-      Alcotest.(check bool) "rollback restores the pre-command bytes" true
-        (E.Serialize.dump_string eng = before);
-      (* The engine is still usable and converges to the same state a
-         crash-free run reaches. *)
-      ignore (E.Engine.run_iterations eng 2);
-      Alcotest.(check bool) "post-rollback rerun matches the crash-free run" true
-        (E.Serialize.dump_string eng = after_clean))
-
 let test_domains_used_gauge () =
   Fun.protect
     ~finally:(fun () ->
@@ -472,10 +396,8 @@ let () =
             test_jobs_keyword_roundtrip;
           Alcotest.test_case "fresh symbol interning deterministic across jobs" `Quick
             test_fresh_interning_deterministic;
-          Alcotest.test_case "merge storm: parallel rebuild == serial == naive closure" `Slow
-            test_merge_storm_rebuild;
-          Alcotest.test_case "staged-apply fault rolls back byte-identically" `Quick
-            test_staged_fault_rollback;
+          Alcotest.test_case "merge storm: jobs 2/4 == serial == naive closure" `Slow
+            test_merge_storm;
         ] );
       ( "telemetry",
         [
@@ -483,7 +405,5 @@ let () =
           Alcotest.test_case "scheduling-independent counters match serial" `Quick
             test_engine_counters_match_serial;
           Alcotest.test_case "search.domains_used gauge" `Quick test_domains_used_gauge;
-          Alcotest.test_case "apply/rebuild domains_used gauges + staged commits" `Quick
-            test_apply_rebuild_domains_gauge;
         ] );
     ]
