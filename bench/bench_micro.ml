@@ -1,6 +1,7 @@
 (* Bechamel micro-benchmarks for the engine's hot paths: union-find,
    congruence rebuilding, relational e-matching vs backtracking e-matching
-   (the §5.1 query-engine claim), and the bignum substrate. *)
+   (the §5.1 query-engine claim), transaction overhead, and the bignum
+   substrate. *)
 
 open Bechamel
 open Toolkit
@@ -107,6 +108,30 @@ let join_triangle_bench ~compiled () =
     Staged.stage (fun () -> Egglog.Join.search db ~cache q ~ranges (fun _ -> ()))
   end
 
+(* Transaction cost on a ~4k-row database: the saturated points-to
+   analysis of a generated 200-instruction program. [txn.empty] is a no-op
+   [with_transaction]; [txn.fact_command] runs one fact command through
+   [run_command], an allocation of a variable the program never mentions,
+   so every run inserts one new row (and nothing derives from it until
+   the next run, which never comes). *)
+let txn_engine () =
+  let p = Pointsto.Progen.generate ~size:200 ~seed:1 () in
+  let eng, _report = Pointsto.Egglog_enc.analyze p in
+  (eng, p.Pointsto.Ir.n_vars)
+
+let txn_empty_bench () =
+  let eng, _ = txn_engine () in
+  Staged.stage (fun () -> Egglog.Engine.with_transaction eng ignore)
+
+let txn_fact_command_bench () =
+  let eng, n_vars = txn_engine () in
+  let next = ref n_vars in
+  Staged.stage (fun () ->
+      incr next;
+      let lit n = Egglog.Ast.Lit (Egglog.Value.VInt n) in
+      let fact = Egglog.Ast.Call ("allocI", [ lit !next; lit 0 ]) in
+      ignore (Egglog.Engine.run_command eng (Egglog.Ast.Top_action (Egglog.Ast.Do fact))))
+
 let bigint_bench () =
   let a = Bigint.of_string "123456789123456789123456789123456789" in
   let b = Bigint.of_string "987654321987654321987654321" in
@@ -127,6 +152,8 @@ let tests () =
       Test.make ~name:"ematch-backtracking" (backtracking_ematch_bench ());
       Test.make ~name:"join-triangle-compiled" (join_triangle_bench ~compiled:true ());
       Test.make ~name:"join-triangle-interpreted" (join_triangle_bench ~compiled:false ());
+      Test.make ~name:"txn.empty" (txn_empty_bench ());
+      Test.make ~name:"txn.fact_command" (txn_fact_command_bench ());
       Test.make ~name:"bigint-mul-divmod" (bigint_bench ());
       Test.make ~name:"rat-arith" (rat_bench ());
     ]

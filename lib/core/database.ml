@@ -14,28 +14,15 @@ type t = {
   mutable timestamp : int;
   mutable changes : int;
   mutable merge_hook : (Schema.func -> Value.t -> Value.t -> Value.t) option;
-  mutable txn_hook : (unit -> unit) option;
-      (* one-shot: fires just before the first mutation after being armed,
-         letting the engine snapshot the still-clean state (transactions) *)
   proofs : Proof_forest.t;
+  trail : Trail.t;  (* shared with uf, proofs, every table and every copy *)
 }
-
-let set_txn_hook db f = db.txn_hook <- Some f
-let clear_txn_hook db = db.txn_hook <- None
-
-(* Called at the top of every mutator, before anything is written. *)
-let touched db =
-  match db.txn_hook with
-  | Some f ->
-    db.txn_hook <- None;
-    f ()
-  | None -> ()
 
 let dummy_sym = Symbol.intern "<none>"
 
-let create () =
+let create ?(trail = Trail.create ()) () =
   {
-    uf = Union_find.create ();
+    uf = Union_find.create ~trail ();
     sorts = Hashtbl.create 16;
     id_sorts = Array.make 64 dummy_sym;
     funcs = Hashtbl.create 32;
@@ -43,12 +30,24 @@ let create () =
     timestamp = 0;
     changes = 0;
     merge_hook = None;
-    txn_hook = None;
-    proofs = Proof_forest.create ();
+    proofs = Proof_forest.create ~trail ();
+    trail;
   }
 
+(* The writes below record their inverses while a transaction is open;
+   table, union-find and proof-forest writes record their own. *)
+let recording db = Trail.recording db.trail
+
+let bump_changes db =
+  if recording db then begin
+    let changes = db.changes in
+    Trail.push db.trail (fun () -> db.changes <- changes)
+  end;
+  db.changes <- db.changes + 1
+
 let declare_sort db s =
-  touched db;
+  if recording db && not (Hashtbl.mem db.sorts s) then
+    Trail.push db.trail (fun () -> Hashtbl.remove db.sorts s);
   Hashtbl.replace db.sorts s ()
 
 let is_sort db s = Hashtbl.mem db.sorts s
@@ -56,8 +55,13 @@ let is_sort db s = Hashtbl.mem db.sorts s
 let declare_func db (f : Schema.func) =
   if Hashtbl.mem db.funcs f.name then
     invalid_arg (Printf.sprintf "function %s is already declared" (Symbol.name f.name));
-  touched db;
-  Hashtbl.replace db.funcs f.name (Table.create f);
+  if recording db then begin
+    let order = db.func_order in
+    Trail.push db.trail (fun () ->
+        Hashtbl.remove db.funcs f.name;
+        db.func_order <- order)
+  end;
+  Hashtbl.replace db.funcs f.name (Table.create ~trail:db.trail f);
   db.func_order <- f.name :: db.func_order
 
 let find_func db name = Hashtbl.find_opt db.funcs name
@@ -67,8 +71,9 @@ let iter_tables db f =
 
 let set_merge_hook db hook = db.merge_hook <- Some hook
 
+(* [id_sorts] needs no inverse: an undone [make_set] puts the slot back
+   past [n_ids], and the next allocation rewrites it. *)
 let fresh_id db sort =
-  touched db;
   let id = Union_find.make_set db.uf in
   if id >= Array.length db.id_sorts then begin
     let bigger = Array.make (2 * Array.length db.id_sorts) dummy_sym in
@@ -100,7 +105,10 @@ let rec is_canon db (v : Value.t) =
 let timestamp db = db.timestamp
 
 let bump_timestamp db =
-  touched db;
+  if recording db then begin
+    let timestamp = db.timestamp in
+    Trail.push db.trail (fun () -> db.timestamp <- timestamp)
+  end;
   db.timestamp <- db.timestamp + 1
 let change_counter db = db.changes
 
@@ -114,8 +122,7 @@ let union db ?(reason = Proof_forest.Asserted) a b =
   | Value.VId x, Value.VId y ->
     if x = y then Value.VId x
     else begin
-      touched db;
-      db.changes <- db.changes + 1;
+      bump_changes db;
       Telemetry.bump c_unions 1;
       Proof_forest.record db.proofs x y reason;
       Value.VId (Union_find.union db.uf x y)
@@ -138,13 +145,12 @@ let resolve_merge db (func : Schema.func) old_v new_v =
      | None -> raise (Internal_error "merge hook not installed"))
 
 let set db table key value =
-  touched db;
   let key = canon_key db key in
   let value = canon db value in
   match Table.get table key with
   | None ->
     (match Table.set_raw table key value ~stamp:db.timestamp with
-     | `Inserted -> db.changes <- db.changes + 1
+     | `Inserted -> bump_changes db
      | `Updated | `Unchanged -> ())
   | Some row ->
     let old_v = canon db row.value in
@@ -153,13 +159,11 @@ let set db table key value =
       (* The merge expression may itself have modified this row (e.g. via
          recursive sets); re-read before writing. *)
       match Table.set_raw table key merged ~stamp:db.timestamp with
-      | `Updated -> db.changes <- db.changes + 1
-      | `Inserted -> db.changes <- db.changes + 1
+      | `Updated | `Inserted -> bump_changes db
       | `Unchanged -> ()
     end
 
 let remove db table key =
-  touched db;
   Table.remove table (canon_key db key)
 
 (* One repair round over a table: pull out all rows whose key or value
@@ -260,6 +264,6 @@ let copy db =
     timestamp = db.timestamp;
     changes = db.changes;
     merge_hook = db.merge_hook;
-    txn_hook = None;  (* transactions never follow a copy across a swap *)
     proofs = Proof_forest.copy db.proofs;
+    trail = db.trail;
   }

@@ -14,7 +14,10 @@ exception Internal_error of string
 (** An engine invariant was broken (e.g. a [:merge] function whose evaluator
     hook was never installed); indicates a bug, not a user error. *)
 
-val create : unit -> t
+val create : ?trail:Trail.t -> unit -> t
+(** [trail] records the inverse of every write to the database, its tables,
+    union-find and proof forest while a transaction is open on it (default:
+    a private trail on which none is ever opened). *)
 
 (** {1 Declarations} *)
 
@@ -98,16 +101,18 @@ val table_stats : t -> Table.t -> int * int array
 (** {1 Snapshots (push/pop)} *)
 
 val copy : t -> t
+(** Deep copy. The copy shares the original's trail, so writes to it
+    inside a transaction are undone in place like writes to the original. *)
 
 (** {1 Transactions}
 
-    [set_txn_hook db f] arms a one-shot hook that fires immediately {e
-    before} the first subsequent mutation (insert, union, remove, fresh id,
-    declaration, timestamp bump) — at which point the database is still in
-    its pre-mutation state, so [f] can take a {!copy} for rollback. Commands
-    that fail before mutating never pay for a snapshot. The hook disarms
-    itself after firing; {!clear_txn_hook} disarms it explicitly. Copies
-    made by {!copy} carry no hook. *)
-
-val set_txn_hook : t -> (unit -> unit) -> unit
-val clear_txn_hook : t -> unit
+    A transaction is opened with {!Trail.begin_txn} on the trail given to
+    {!create}. While one is open, every mutator — {!declare_sort},
+    {!declare_func}, {!fresh_id}, {!bump_timestamp}, {!set}, {!union},
+    {!remove}, {!rebuild} — pushes the inverse of each write it makes
+    before making it; {!Trail.rollback} replays them newest-first and leaves the database
+    as it was when the transaction began, at a cost proportional to the
+    writes made, not to the database. With no transaction open a mutator
+    pays one branch per write. {!Table.version} keeps growing through a
+    rollback, but the counters an index is patched forward from go back,
+    so a caller must drop such caches when it rolls back. *)

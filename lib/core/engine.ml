@@ -99,6 +99,7 @@ type snapshot = {
 
 type t = {
   mutable db : Database.t;
+  trail : Trail.t;  (* undo trail of every database the engine holds *)
   mutable rules : rt_rule list;  (* in declaration order *)
   mutable merge_exprs : (Symbol.t, Compile.cexpr) Hashtbl.t;
   mutable default_exprs : (Symbol.t, Compile.cexpr) Hashtbl.t;
@@ -301,9 +302,11 @@ let create ?(seminaive = true) ?(scheduler = Simple) ?(fast_paths = true)
   (let t1, t2 = pressure_tiers in
    if not (t1 > 0.0 && t1 <= t2 && t2 <= 1.0) then
      error "pressure tiers must satisfy 0 < tier1 <= tier2 <= 1, got %.2f/%.2f" t1 t2);
+  let trail = Trail.create () in
   let eng =
     {
-      db = Database.create ();
+      db = Database.create ~trail ();
+      trail;
       rules = [];
       merge_exprs = Hashtbl.create 16;
       default_exprs = Hashtbl.create 16;
@@ -1497,14 +1500,12 @@ let rec run_command_inner eng (cmd : Ast.command) : string list =
 (* Transactional command execution                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Everything a failed command could have perturbed. The database copy is
-   the expensive part, so it is taken lazily: Database.set_txn_hook fires
-   just before the first mutation, when the database is still clean —
-   commands that fail before mutating (bad declarations, failed checks,
-   unknown names) pay nothing beyond the cheap scalar capture. *)
+(* Everything a failed command could have perturbed besides the databases.
+   Database writes — to eng.db and to any push/pop snapshot an (include ...)
+   pops into — go on the engine's undo trail, which rollback replays in
+   place; the rest is a handful of engine scalars captured here. *)
 type txn = {
-  tx_db0 : Database.t;  (* the database object at command start *)
-  tx_db_saved : Database.t option ref;  (* pre-mutation copy, filled lazily *)
+  tx_db : Database.t;  (* the database object at transaction start *)
   tx_rules : rt_rule list;
   tx_rule_states : (int * int * int) list;
   tx_iteration : int;
@@ -1516,33 +1517,30 @@ type txn = {
   tx_decl_log : Ast.command list;
 }
 
-(* [deep_stack] additionally copies the databases held by push/pop
-   snapshots: an (include ...) can pop into one of them and then mutate it
-   through the eng.db alias, which would corrupt the restored stack. *)
-let capture_txn ?(deep_stack = false) eng =
+let c_rollbacks = Telemetry.counter "txn.rollbacks"
+let c_undone = Telemetry.counter "txn.undone"
+
+let begin_txn eng =
+  Trail.begin_txn eng.trail;
   {
-    tx_db0 = eng.db;
-    tx_db_saved = ref None;
+    tx_db = eng.db;
     tx_rules = eng.rules;
     tx_rule_states =
       List.map (fun r -> (r.rr_last_stamp, r.rr_times_banned, r.rr_banned_until)) eng.rules;
     tx_iteration = eng.iteration;
     tx_rule_counter = eng.rule_counter;
     tx_rulesets = eng.rulesets;
-    tx_stack =
-      (if deep_stack then
-         List.map (fun sn -> { sn with sn_db = Database.copy sn.sn_db }) eng.stack
-       else eng.stack);
+    tx_stack = eng.stack;
     tx_merge_exprs = Hashtbl.copy eng.merge_exprs;
     tx_default_exprs = Hashtbl.copy eng.default_exprs;
     tx_decl_log = eng.decl_log;
   }
 
 let rollback_txn eng tx =
-  (eng.db <-
-     (match !(tx.tx_db_saved) with
-      | Some saved -> saved  (* the command mutated: restore the clean copy *)
-      | None -> tx.tx_db0 (* fast path: it failed before mutating *)));
+  let undone = Trail.rollback eng.trail in
+  Telemetry.bump c_rollbacks 1;
+  Telemetry.bump c_undone undone;
+  eng.db <- tx.tx_db;
   eng.rules <- tx.tx_rules;
   List.iter2
     (fun r (ls, tb, bu) ->
@@ -1557,6 +1555,9 @@ let rollback_txn eng tx =
   eng.merge_exprs <- tx.tx_merge_exprs;
   eng.default_exprs <- tx.tx_default_exprs;
   eng.decl_log <- tx.tx_decl_log;
+  (* Undone tables keep their uid and grow their version, but the join
+     cache patches indexes forward from logged positions a rollback took
+     back; drop it rather than reason about which entries survive. *)
   Join.clear_all eng.join_cache;
   eng.current_reason <- Proof_forest.Asserted
 
@@ -1582,47 +1583,33 @@ let user_error (e : exn) : exn =
     Egglog_error (Printf.sprintf "internal error%s: %s" where detail)
   | e -> e
 
+(* Run [f] as one transaction: commit on return, roll back and re-raise
+   the normalized error on any exception. Transactions nest on the trail,
+   so the commands of a whole server request can run, commit and fail
+   inside [f] and a failure of [f] still restores the exact entry state. *)
+let with_transaction eng f =
+  let tx = begin_txn eng in
+  match f () with
+  | result ->
+    Trail.commit eng.trail;
+    result
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    rollback_txn eng tx;
+    Printexc.raise_with_backtrace (user_error e) bt
+
 let run_command eng cmd =
   match cmd with
   (* Read-only commands skip the transaction machinery entirely. *)
   | Ast.Print_function _ | Ast.Print_size _ | Ast.Print_stats -> (
     try run_command_inner eng cmd with e -> raise (user_error e))
-  | _ ->
-    let deep_stack = match cmd with Ast.Include _ -> true | _ -> false in
-    let tx = capture_txn ~deep_stack eng in
-    Database.set_txn_hook tx.tx_db0 (fun () ->
-        if !(tx.tx_db_saved) = None then tx.tx_db_saved := Some (Database.copy tx.tx_db0));
-    Fun.protect
-      ~finally:(fun () ->
-        Database.clear_txn_hook tx.tx_db0;
-        Database.clear_txn_hook eng.db)
-      (fun () ->
-        try run_command_inner eng cmd
-        with e ->
-          let bt = Printexc.get_raw_backtrace () in
-          rollback_txn eng tx;
-          Printexc.raise_with_backtrace (user_error e) bt)
+  | _ -> with_transaction eng (fun () -> run_command_inner eng cmd)
 
 let run_program eng cmds = List.concat_map (run_command eng) cmds
 
 (* ------------------------------------------------------------------ *)
 (* Server-side request machinery                                       *)
 (* ------------------------------------------------------------------ *)
-
-(* A whole-request transaction: unlike [run_command]'s lazy snapshot
-   (whose Database.set_txn_hook slot cannot nest — each inner command
-   installs and clears its own), the database copy is taken eagerly, so
-   any number of commands can run and fail inside [f] and the rollback
-   still restores the exact entry state: database, rules, scheduler
-   state, rulesets, push/pop stack (deep-copied) and declaration log. *)
-let with_transaction eng f =
-  let tx = capture_txn ~deep_stack:true eng in
-  tx.tx_db_saved := Some (Database.copy eng.db);
-  try f ()
-  with e ->
-    let bt = Printexc.get_raw_backtrace () in
-    rollback_txn eng tx;
-    Printexc.raise_with_backtrace (user_error e) bt
 
 let collect_reports eng f =
   let sink = ref [] in

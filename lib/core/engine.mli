@@ -190,9 +190,11 @@ val run_command : t -> Ast.command -> string list
     failed check, a mid-run primitive error, a merge conflict, an internal
     invariant violation), the engine is rolled back to its pre-command state
     — database, rules, scheduler state, push/pop stack — before the
-    exception is re-raised as {!Egglog_error}. The database snapshot is
-    taken lazily at the first mutation, so commands that fail before
-    mutating pay no copy. *)
+    exception is re-raised as {!Egglog_error}. The transaction copies
+    nothing: while the command runs, every database write records its
+    inverse on the engine's undo trail (see {!Database}), and a rollback
+    replays those inverses in place, so a command costs O(writes it makes),
+    never O(database). *)
 
 val run_program : t -> Ast.command list -> string list
 
@@ -203,9 +205,14 @@ val with_transaction : t -> (unit -> 'a) -> 'a
     as one atomic unit: if it raises, the engine is restored to its exact
     entry state (database, rules, scheduler state, rulesets, push/pop
     stack, declaration log) and the exception is re-raised (normalized to
-    {!Egglog_error} where applicable). Unlike the per-command transaction
-    the database snapshot is taken eagerly, so even a request that fails
-    after several committed inner commands rolls all of them back. *)
+    {!Egglog_error} where applicable). Transactions nest: the {!run_command}s
+    inside [f] open their own on the same undo trail, and an inner commit
+    keeps its inverses for the enclosing transaction, so even a request
+    that fails after several committed inner commands rolls all of them
+    back. The writes are undone in place wherever they landed, including
+    in a push/pop snapshot an [(include ...)] popped into. Beginning a
+    transaction captures only engine scalars (rule states, merge and
+    default tables), nothing proportional to the database. *)
 
 val collect_reports : t -> (unit -> 'a) -> 'a * run_report list
 (** Run [f] and also return every {!run_report} produced by [run] /

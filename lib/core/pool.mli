@@ -18,6 +18,13 @@
     workers have drained, matching the failure order of a serial loop;
     the pool itself stays usable.
 
+    "Pure reads" includes the union-find: a task must not call
+    [Union_find.find] (or anything that canonicalizes through it, such as
+    [Database.canon]), because path compression writes parent pointers
+    and, inside a transaction, pushes their inverses onto the engine's
+    undo trail ({!Trail}), which is not thread-safe. Search reads table
+    rows as stored and never calls [find]; keep it that way.
+
     Counters: [pool.tasks] (tasks executed) and [pool.steals] (chunk
     grabs beyond a participant's first — a measure of how uneven the
     per-task costs were). *)

@@ -4,11 +4,12 @@ type step = { from_id : int; to_id : int; why : reason }
 
 (* Each id has at most one labelled parent edge; [record] re-roots one
    side's tree so the new edge can be added (Nelson-Oppen style). *)
-type t = { mutable parent : (int * reason) array; mutable n_edges : int }
+type t = { mutable parent : (int * reason) array; mutable n_edges : int; trail : Trail.t }
 
 let no_parent = (-1, Asserted)
 
-let create () = { parent = Array.make 64 no_parent; n_edges = 0 }
+let create ?(trail = Trail.create ()) () =
+  { parent = Array.make 64 no_parent; n_edges = 0; trail }
 
 let ensure t id =
   if id >= Array.length t.parent then begin
@@ -20,6 +21,16 @@ let ensure t id =
 
 let parent_of t id = if id < Array.length t.parent then t.parent.(id) else no_parent
 
+(* Every parent write goes through here. [ensure] needs no inverse: slots
+   it adds hold [no_parent], which is what an unused slot means anyway. *)
+let set_parent t id edge =
+  ensure t id;
+  if Trail.recording t.trail then begin
+    let old = t.parent.(id) in
+    Trail.push t.trail (fun () -> t.parent.(id) <- old)
+  end;
+  t.parent.(id) <- edge
+
 (* Reverse all parent pointers on the path from [id] to its root, making
    [id] the root of its proof tree. *)
 let reroot t id =
@@ -30,13 +41,8 @@ let reroot t id =
   in
   let path = collect [] id in
   (* path is root-first; flip each edge *)
-  List.iter
-    (fun (child, par, why) ->
-      ensure t par;
-      t.parent.(par) <- (child, why))
-    path;
-  ensure t id;
-  t.parent.(id) <- no_parent
+  List.iter (fun (child, par, why) -> set_parent t par (child, why)) path;
+  if path <> [] then set_parent t id no_parent
 
 let record t a b why =
   if a <> b then begin
@@ -45,7 +51,8 @@ let record t a b why =
     reroot t a;
     (* Rerooting flips edges without changing their count, and [a] is a
        root afterwards, so this always adds exactly one edge. *)
-    t.parent.(a) <- (b, why);
+    set_parent t a (b, why);
+    if Trail.recording t.trail then Trail.push t.trail (fun () -> t.n_edges <- t.n_edges - 1);
     t.n_edges <- t.n_edges + 1
   end
 
@@ -94,7 +101,7 @@ let edges_in_class t ~member ~find =
     t.parent;
   List.rev !acc
 
-let copy t = { parent = Array.copy t.parent; n_edges = t.n_edges }
+let copy t = { parent = Array.copy t.parent; n_edges = t.n_edges; trail = t.trail }
 
 let pp_reason fmt = function
   | Asserted -> Format.pp_print_string fmt "asserted"

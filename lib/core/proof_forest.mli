@@ -15,7 +15,9 @@ type step = { from_id : int; to_id : int; why : reason }
 
 type t
 
-val create : unit -> t
+val create : ?trail:Trail.t -> unit -> t
+(** Parent writes and the edge count are recorded on [trail] while a
+    transaction is open there (default: a private, never-opened trail). *)
 
 val record : t -> int -> int -> reason -> unit
 (** Remember that the two ids were made equal for this reason. *)
@@ -33,4 +35,6 @@ val edges_in_class : t -> member:int -> find:(int -> int) -> step list
     the construction trace of the e-class. *)
 
 val copy : t -> t
+(** The copy shares the original's trail. *)
+
 val pp_reason : Format.formatter -> reason -> unit

@@ -27,10 +27,11 @@ type t = {
      re-insert at that same stamp must inherit the removed row's [first_log]
      (and its log slot) to keep delta-walk emission positions identical to
      [iter_range]'s first-occurrence rule. Entries are valid only for
-     [revivals_stamp]; the table is reset when a removal at a newer stamp
-     starts a fresh hazard window. *)
-  revivals : int Value.Key_tbl.t;
+     [revivals_stamp]; a removal at a newer stamp starts a fresh hazard
+     window with a fresh table. *)
+  mutable revivals : int Value.Key_tbl.t;
   mutable revivals_stamp : int;
+  trail : Trail.t;  (* inverses of writes, while a transaction is open *)
 }
 
 (* Shared sentinel for log slots whose entry can never be current again.
@@ -54,7 +55,7 @@ let next_uid =
     incr counter;
     !counter
 
-let create func =
+let create ?(trail = Trail.create ()) func =
   {
     func;
     uid = next_uid ();
@@ -70,6 +71,7 @@ let create func =
     bytes = 0;
     revivals = Value.Key_tbl.create 8;
     revivals_stamp = min_int;
+    trail;
   }
 
 let func t = t.func
@@ -105,6 +107,62 @@ let log_append t key row stamp =
   t.log_len <- t.log_len + 1;
   t.bytes <- t.bytes + log_entry_cost
 
+(* Undo support. An inverse restores the fields its write touched and
+   truncates the log back to where it was; entries past [log_len] are dead
+   (the walks never read them) and are dropped for the collector. [version]
+   is bumped, never restored, so it stays monotone across rollbacks. *)
+let truncate_log t len =
+  for i = len to t.log_len - 1 do
+    t.log_keys.(i) <- [||];
+    t.log_rows.(i) <- dead_row
+  done;
+  t.log_len <- len
+
+let record_insert t key ~revived =
+  let log_len = t.log_len and bytes = t.bytes in
+  Trail.push t.trail (fun () ->
+      Value.Key_tbl.remove t.data key;
+      (match revived with
+       | Some (fl, tombstone) ->
+         t.log_rows.(fl) <- tombstone;
+         Value.Key_tbl.replace t.revivals key fl
+       | None -> ());
+      truncate_log t log_len;
+      t.bytes <- bytes;
+      t.version <- t.version + 1)
+
+let record_update t row =
+  let value = row.value and stamp = row.stamp and first_log = row.first_log in
+  let log_len = t.log_len and bytes = t.bytes in
+  Trail.push t.trail (fun () ->
+      row.value <- value;
+      row.stamp <- stamp;
+      row.first_log <- first_log;
+      truncate_log t log_len;
+      t.bytes <- bytes;
+      t.value_updates <- t.value_updates - 1;
+      t.version <- t.version + 1)
+
+(* When [remove] binds the key in the revival table of the row's own
+   window, the key was unbound there before (a same-stamp re-insert
+   consumes the binding), so unbinding it restores the table; a fresh
+   table for a new window is dropped whole. *)
+let record_remove t key row =
+  let stamp = row.stamp and bytes = t.bytes in
+  let revivals = t.revivals and revivals_stamp = t.revivals_stamp in
+  let bound_in_window =
+    revivals_stamp = stamp && t.log_len > 0 && t.log_stamps.(t.log_len - 1) = stamp
+  in
+  Trail.push t.trail (fun () ->
+      if bound_in_window then Value.Key_tbl.remove revivals key;
+      t.revivals <- revivals;
+      t.revivals_stamp <- revivals_stamp;
+      row.stamp <- stamp;
+      Value.Key_tbl.replace t.data key row;
+      t.bytes <- bytes;
+      t.removals <- t.removals - 1;
+      t.version <- t.version + 1)
+
 let set_raw t key value ~stamp =
   match Value.Key_tbl.find_opt t.data key with
   | None ->
@@ -112,14 +170,20 @@ let set_raw t key value ~stamp =
     (* Same-stamp revival: the key was removed at this stamp after being
        logged; re-attach the fresh record to the original entry so delta
        walks fire it there (where [iter_range]'s dedupe rule fires it). *)
-    if t.revivals_stamp = stamp && Value.Key_tbl.length t.revivals > 0 then begin
-      match Value.Key_tbl.find_opt t.revivals key with
-      | Some fl ->
-        row.first_log <- fl;
-        t.log_rows.(fl) <- row;
-        Value.Key_tbl.remove t.revivals key
-      | None -> ()
-    end;
+    let revived =
+      if t.revivals_stamp = stamp && Value.Key_tbl.length t.revivals > 0 then begin
+        match Value.Key_tbl.find_opt t.revivals key with
+        | Some fl ->
+          let tombstone = t.log_rows.(fl) in
+          row.first_log <- fl;
+          t.log_rows.(fl) <- row;
+          Value.Key_tbl.remove t.revivals key;
+          Some (fl, tombstone)
+        | None -> None
+      end
+      else None
+    in
+    if Trail.recording t.trail then record_insert t key ~revived;
     Value.Key_tbl.replace t.data key row;
     t.bytes <- t.bytes + row_bytes key value;
     log_append t key row stamp;
@@ -128,6 +192,7 @@ let set_raw t key value ~stamp =
   | Some row ->
     if Value.equal row.value value then `Unchanged
     else begin
+      if Trail.recording t.trail then record_update t row;
       let restamped = row.stamp <> stamp in
       t.bytes <- t.bytes + Value.modeled_bytes value - Value.modeled_bytes row.value;
       row.value <- value;
@@ -144,13 +209,15 @@ let set_raw t key value ~stamp =
 let remove t key =
   match Value.Key_tbl.find_opt t.data key with
   | Some row ->
+    if Trail.recording t.trail then record_remove t key row;
     Value.Key_tbl.remove t.data key;
     (* A re-insert at the row's own stamp is still possible only while the
        log's newest stamp equals it; remember where the row was first
-       logged so a revival keeps its emission position. *)
+       logged so a revival keeps its emission position. The old window's
+       table is replaced, not reset, so an inverse can put it back whole. *)
     if t.log_len > 0 && t.log_stamps.(t.log_len - 1) = row.stamp then begin
       if t.revivals_stamp <> row.stamp then begin
-        Value.Key_tbl.reset t.revivals;
+        t.revivals <- Value.Key_tbl.create 8;
         t.revivals_stamp <- row.stamp
       end;
       Value.Key_tbl.replace t.revivals key row.first_log
@@ -324,4 +391,5 @@ let copy t =
     bytes = t.bytes;
     revivals;
     revivals_stamp = t.revivals_stamp;
+    trail = t.trail;
   }

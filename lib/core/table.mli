@@ -6,7 +6,13 @@
     O(delta) instead of O(table) — the point of semi-naïve delta atoms.
 
     Tables are pure storage; merge-aware insertion and canonicalization live
-    in {!Database}, which owns the union-find. *)
+    in {!Database}, which owns the union-find.
+
+    While a transaction is open on the table's {!Trail}, [set_raw] and
+    [remove] push the inverse of each write first (the row's old value,
+    stamp and [first_log], the log length, revival slots and the byte,
+    removal and update counters), so a rollback restores the table in
+    place. *)
 
 type row = {
   mutable value : Value.t;
@@ -19,18 +25,22 @@ type row = {
 
 type t
 
-val create : Schema.func -> t
+val create : ?trail:Trail.t -> Schema.func -> t
+(** [trail] receives the inverses of this table's writes (default: a
+    private trail on which no transaction is ever opened). *)
+
 val func : t -> Schema.func
 val length : t -> int
 
 val version : t -> int
-(** Bumped on every mutation; lets query-side caches validate reuse. *)
+(** Bumped on every mutation and by every inverse a rollback replays, so it
+    never goes back; lets query-side caches validate reuse. *)
 
 val uid : t -> int
 (** Globally unique identity of this table incarnation. Fresh on [create]
     {e and} on [copy], so caches keyed by uid can never confuse two tables
-    for the same function across push/pop or transaction rollback — version
-    counters alone can coincide between incarnations. *)
+    for the same function across push/pop — version counters alone can
+    coincide between incarnations. A rollback keeps the incarnation. *)
 
 val removals : t -> int
 (** Rows ever removed from this incarnation. An unchanged count between two
@@ -92,7 +102,7 @@ val column_distincts : t -> int array
     cardinality estimation. Cached against [version]. *)
 
 val copy : t -> t
-(** Deep copy (for push/pop). *)
+(** Deep copy (for push/pop). The copy shares the original's trail. *)
 
 (** {2 Typed column readers}
 

@@ -696,7 +696,8 @@ let execute t (rq : Protocol.request) =
     | exception (E.Fault.Crash _ as e) -> raise e  (* simulated crash: die loudly *)
     | exception ((Out_of_memory | Stack_overflow) as e) ->
       (* the allocator (or the stack) gave out mid-request. with_transaction
-         already restored the session's pre-request state on the way up;
+         already restored the session's pre-request state on the way up, by
+         replaying the request's undo trail, which then drops its entries;
          compact to actually return freed memory, then answer with a typed
          error — the daemon and every other session live on. *)
       (try Gc.compact () with Out_of_memory -> ());

@@ -5,11 +5,18 @@
     - unions are recorded in a {e merge log} so the rebuilding procedure
       (§4.2) can find ids whose table occurrences may be stale;
     - [union] reports which id won, because egglog keeps databases
-      canonical and callers must re-canonicalize the loser's occurrences. *)
+      canonical and callers must re-canonicalize the loser's occurrences.
+
+    Every write — [make_set], [union], the parent writes of path
+    compression, [clear_dirty] — pushes its inverse onto the structure's
+    {!Trail} while a transaction is open there, so a rollback restores the
+    exact parent array, sizes and dirty list. *)
 
 type t
 
-val create : unit -> t
+val create : ?trail:Trail.t -> unit -> t
+(** [trail] is the undo trail writes are recorded on; by default a private
+    one on which no transaction is ever opened. *)
 
 val make_set : t -> int
 (** Allocate a fresh id, its own canonical representative. *)
@@ -39,4 +46,4 @@ val n_classes : t -> int
 (** Number of distinct equivalence classes among allocated ids. *)
 
 val copy : t -> t
-(** Snapshot for push/pop support. *)
+(** Snapshot for push/pop support. The copy shares the original's trail. *)

@@ -577,6 +577,308 @@ let prop_jobs_differential_limits =
               [ 2; 4 ])
         [ (Some 40, None); (None, Some 30_000) ])
 
+(* ------------------------------------------------------------------ *)
+(* Rollback differential: a failed transaction leaves no trace         *)
+(* ------------------------------------------------------------------ *)
+
+(* Random programs over unions, rewrites, deletes, definitions, runs and
+   push/pop, with a failing command injected at a random point. The failing
+   command is an (include ...) whose file first mutates (possibly popping
+   into an outer push scope) and then fails with a merge conflict, a failed
+   check or a division by zero. Two nesting shapes, both inside
+   [with_transaction] after some committed commands:
+   - the failing [run_command] is caught inside the request, which then
+     commits ([rb_outer = false]);
+   - the failure escapes and rolls the whole request back.
+   The reference is a [Database.copy] taken right before what fails. After
+   the rollback, the raw tables (rows, stamps, counters), every id's
+   representative and proof history, the byte model and the class count
+   must equal the reference's; the dump must equal that of a fresh engine
+   that replayed only the commands that committed, and so must the dump
+   after a random further history and one more (run 3) on both. *)
+let rollback_schema =
+  {|
+    (datatype M (Num i64) (Add M M))
+    (function cost (i64) i64)
+    (relation r (i64 i64))
+    (relation trig (i64))
+    (relation dz (i64))
+    (rewrite (Add a b) (Add b a))
+    (rewrite (Add (Num x) (Num y)) (Num (% (+ x y) 5)))
+    (rule ((r x y) (r y z)) ((r x z)))
+    (rule ((trig x) (= c (cost x))) ((set (cost x) (+ c 1))))
+    (rule ((dz x)) ((set (cost (+ x 100)) (/ x 0))))
+    (let seed (Add (Add (Num 0) (Num 1)) (Add (Num 2) (Add (Num 3) (Num 4)))))
+  |}
+
+type rb_scenario = {
+  rb_pre : (int * int * int) list;  (* committed before the transaction *)
+  rb_inner : (int * int * int) list;  (* committed inside it *)
+  rb_dirty : (int * int) list;  (* typed-API unions right before the reference *)
+  rb_body : (int * int * int) list;  (* the failing include's mutations *)
+  rb_post : (int * int * int) list;  (* run on both engines after the rollback *)
+  rb_failure : int;  (* 0 merge conflict, 1 failed check, 2 division by zero *)
+  rb_key : int;
+  rb_outer : bool;  (* the failure escapes the request *)
+}
+
+let gen_rb_scenario =
+  QCheck2.Gen.(
+    (* unions and runs weigh most: chains of unions are what path
+       compression and congruence repair need to have something to undo *)
+    let code =
+      frequency
+        [ (2, return 0); (2, return 2); (1, return 3); (2, return 4); (4, return 5);
+          (2, return 6); (1, return 7); (1, return 8) ]
+    in
+    let op = triple code (int_bound 4) (int_bound 4) in
+    map
+      (fun ((pre, inner, body), (dirty, post), (failure, key, outer)) ->
+        { rb_pre = pre; rb_inner = inner; rb_dirty = dirty; rb_body = body; rb_post = post;
+          rb_failure = failure; rb_key = key; rb_outer = outer })
+      (triple
+         (triple (list_size (int_bound 10) op) (list_size (int_bound 6) op)
+            (list_size (int_bound 6) op))
+         (pair
+            (list_size (int_bound 4) (pair (int_bound 4) (int_bound 4)))
+            (list_size (int_bound 6) op))
+         (triple (int_bound 2) (int_bound 4) bool)))
+
+(* Op codes to commands. [depth] tracks the push depth so pops stay
+   matched; [tag] makes definition names unique across segments. Facts of
+   [r] range over 3 x 3 pairs, so deletes and re-inserts of one row (the
+   same-stamp revivals of Table) are common. *)
+let rb_commands ~depth ~tag ops =
+  List.mapi
+    (fun i (code, a, b) ->
+      match code with
+      | 0 -> Printf.sprintf "(r %d %d)" (a mod 3) (b mod 3)
+      | 2 -> Printf.sprintf "(delete (r %d %d))" (a mod 3) (b mod 3)
+      | 3 -> Printf.sprintf "(set (cost %d) %d)" a (2 * a)
+      | 4 -> Printf.sprintf "(let t%s%d (Add (Num %d) (Num %d)))" tag i a b
+      | 5 -> Printf.sprintf "(union (Num %d) (Num %d))" a b
+      | 6 -> Printf.sprintf "(run %d)" (1 + (a mod 3))
+      | 7 ->
+        incr depth;
+        "(push)"
+      | _ ->
+        if !depth > 0 then begin
+          decr depth;
+          "(pop)"
+        end
+        else "(run 1)")
+    ops
+
+let run_cmds eng cmds = List.iter (fun src -> ignore (E.run_string eng src)) cmds
+
+(* Everything rollback must restore, read raw: rows with their stamps, the
+   table counters, each id's representative and proof history, and the
+   database scalars. *)
+let raw_state db =
+  let tables = ref [] in
+  E.Database.iter_tables db (fun t ->
+      let rows =
+        E.Table.fold
+          (fun key row acc ->
+            ( Array.to_list (Array.map E.Value.to_string key),
+              E.Value.to_string row.E.Table.value,
+              row.E.Table.stamp )
+            :: acc)
+          t []
+      in
+      tables :=
+        ( E.Symbol.name (E.Table.func t).E.Schema.name,
+          List.sort compare rows,
+          (E.Table.log_length t, E.Table.modeled_bytes t, E.Table.removals t,
+           E.Table.value_updates t) )
+        :: !tables);
+  let finds =
+    List.init (E.Database.n_ids db) (fun i ->
+        let id = E.Value.VId i in
+        ( E.Value.to_string (E.Database.canon db id),
+          List.map
+            (fun (st : E.Proof_forest.step) -> (st.from_id, st.to_id))
+            (E.Database.class_history db id) ))
+  in
+  ( List.rev !tables,
+    finds,
+    (E.Database.timestamp db, E.Database.change_counter db, E.Database.n_classes db,
+     E.Database.modeled_bytes db) )
+
+let check_rollback rb ~jobs =
+  let depth = ref 0 in
+  let pre = rb_commands ~depth ~tag:"p" rb.rb_pre in
+  let after_pre = !depth in
+  let inner = rb_commands ~depth ~tag:"i" rb.rb_inner in
+  (* what fails is undone, so the post segment starts at the depth the
+     reference saw *)
+  let post =
+    rb_commands ~depth:(ref (if rb.rb_outer then after_pre else !depth)) ~tag:"q" rb.rb_post
+  in
+  (* Typed-API unions do not rebuild, so they leave stale rows behind: the
+     failing command's rebuild then compresses paths across the unions it
+     makes, and rollback must undo those parent writes too. *)
+  let dirty eng =
+    List.iter
+      (fun (a, b) ->
+        let num n = E.Engine.eval_call eng "Num" [ E.Value.VInt n ] in
+        ignore (E.Engine.union_values eng (num a) (num b)))
+      rb.rb_dirty
+  in
+  let body = rb_commands ~depth ~tag:"b" rb.rb_body in
+  let k = rb.rb_key in
+  let failure =
+    match rb.rb_failure with
+    | 0 ->
+      [ Printf.sprintf "(set (cost %d) %d)" k (2 * k); Printf.sprintf "(trig %d)" k; "(run 2)" ]
+    | 1 -> [ "(check (r 99 99))" ]
+    | _ -> [ Printf.sprintf "(dz %d)" k; "(run 2)" ]
+  in
+  let file = Filename.temp_file "rollback" ".egg" in
+  Out_channel.with_open_text file (fun oc ->
+      output_string oc (String.concat "\n" (body @ failure)));
+  let failing = Printf.sprintf "(include %S)" file in
+  (* Folding modulo 5 keeps the term space finite; the node limit is a
+     second bound on any one run. *)
+  let eng = E.Engine.create ~jobs ~node_limit:5_000 () in
+  run_cmds eng [ rollback_schema ];
+  run_cmds eng pre;
+  if rb.rb_outer then dirty eng;
+  let reference = ref None in
+  (* no dump here: dumping rebuilds, which would clean the stale rows the
+     failing command is meant to find *)
+  let snap () =
+    reference :=
+      Some
+        ( E.Database.copy (E.Engine.database eng),
+          E.Engine.modeled_bytes eng,
+          E.Engine.n_classes eng,
+          E.Engine.scope_depth eng )
+  in
+  if rb.rb_outer then snap ();
+  let failed =
+    match
+      E.Engine.with_transaction eng (fun () ->
+          run_cmds eng inner;
+          if not rb.rb_outer then begin
+            dirty eng;
+            snap ()
+          end;
+          match E.run_string eng failing with
+          | _ -> false
+          | exception E.Engine.Egglog_error _ when not rb.rb_outer -> true)
+    with
+    | failed -> failed
+    | exception E.Engine.Egglog_error _ -> true
+  in
+  Sys.remove file;
+  let ref_db, ref_bytes, ref_classes, ref_depth = Option.get !reference in
+  let restored =
+    failed
+    && raw_state (E.Engine.database eng) = raw_state ref_db
+    && E.Engine.modeled_bytes eng = ref_bytes
+    && E.Engine.n_classes eng = ref_classes
+    && E.Engine.scope_depth eng = ref_depth
+  in
+  (* the same committed history, replayed without any failure *)
+  let replay = E.Engine.create ~jobs ~node_limit:5_000 () in
+  run_cmds replay [ rollback_schema ];
+  run_cmds replay pre;
+  if not rb.rb_outer then run_cmds replay inner;
+  dirty replay;
+  let dumps_agree () = E.Serialize.dump_string eng = E.Serialize.dump_string replay in
+  let same_now = dumps_agree () in
+  run_cmds eng (post @ [ "(run 3)" ]);
+  run_cmds replay (post @ [ "(run 3)" ]);
+  restored && same_now && dumps_agree ()
+
+let print_rb rb =
+  let ops l = String.concat " " (List.map (fun (c, a, b) -> Printf.sprintf "%d:%d:%d" c a b) l) in
+  Printf.sprintf "pre=[%s] inner=[%s] dirty=[%s] body=[%s] post=[%s] failure=%d key=%d outer=%b"
+    (ops rb.rb_pre) (ops rb.rb_inner)
+    (String.concat " " (List.map (fun (a, b) -> Printf.sprintf "%d~%d" a b) rb.rb_dirty))
+    (ops rb.rb_body) (ops rb.rb_post) rb.rb_failure rb.rb_key rb.rb_outer
+
+let prop_rollback_differential =
+  QCheck2.Test.make
+    ~name:"rollback: a failed transaction restores the exact pre-transaction state (jobs 1, 4)"
+    ~count:300 ~print:print_rb gen_rb_scenario (fun rb ->
+      List.for_all (fun jobs -> check_rollback rb ~jobs) [ 1; 4 ])
+
+(* The same contract one layer down, where the log bookkeeping lives: a
+   table's rolled-back history must leave its delta walks — which read the
+   log positions, [first_log] and the revival slots — exactly as a copy
+   taken before the transaction has them, and must keep them equal under
+   any further history. Keys and stamps repeat often, so same-stamp
+   removes and re-inserts (revivals) and re-stamped updates are common. *)
+let tbl_func =
+  {
+    E.Schema.name = E.Symbol.intern "t";
+    arg_tys = [| E.Ty.Int |];
+    ret_ty = E.Ty.Int;
+    merge = E.Schema.Merge_panic;
+    default = E.Schema.Default_panic;
+    cost = 1;
+    is_relation = false;
+  }
+
+let tbl_apply table stamp ops =
+  List.iter
+    (fun (op, k, v) ->
+      let key = [| E.Value.VInt (k mod 4) |] in
+      match op with
+      | 0 | 1 -> ignore (E.Table.set_raw table key (E.Value.VInt (v mod 3)) ~stamp:!stamp)
+      | 2 -> E.Table.remove table key
+      | _ -> incr stamp)
+    ops
+
+let tbl_observe table ~max_stamp =
+  let walk iter ~lo ~hi =
+    let acc = ref [] in
+    iter table ~lo ~hi (fun key (row : E.Table.row) ->
+        acc := (E.Value.to_string key.(0), E.Value.to_string row.value, row.stamp) :: !acc);
+    List.rev !acc
+  in
+  let windows =
+    List.concat_map
+      (fun lo -> List.init (max_stamp + 2 - lo) (fun d -> (lo, lo + 1 + d)))
+      (List.init (max_stamp + 1) (fun i -> i + 1))
+  in
+  let delta = List.map (fun (lo, hi) -> walk E.Table.iter_delta ~lo ~hi) windows in
+  let range = List.map (fun (lo, hi) -> walk E.Table.iter_range ~lo ~hi) windows in
+  ( delta = range,
+    delta,
+    List.sort compare (walk E.Table.iter_delta ~lo:0 ~hi:max_int),
+    (E.Table.log_length table, E.Table.modeled_bytes table, E.Table.removals table,
+     E.Table.value_updates table) )
+
+let prop_table_rollback =
+  let ops =
+    QCheck2.Gen.(list_size (int_bound 14) (triple (int_bound 3) (int_bound 3) (int_bound 2)))
+  in
+  QCheck2.Test.make ~name:"rollback: a table's delta walks equal a pre-transaction copy's"
+    ~count:500 QCheck2.Gen.(quad ops ops ops ops)
+    (fun (before, body, nested, post) ->
+      let trail = Trail.create () in
+      let table = E.Table.create ~trail tbl_func in
+      let stamp = ref 1 in
+      tbl_apply table stamp before;
+      let reference = E.Table.copy table and stamp0 = !stamp in
+      Trail.begin_txn trail;
+      tbl_apply table stamp body;
+      Trail.begin_txn trail;
+      tbl_apply table stamp nested;
+      Trail.commit trail;
+      ignore (Trail.rollback trail);
+      let max_stamp = stamp0 + 16 in
+      let restored = tbl_observe table ~max_stamp = tbl_observe reference ~max_stamp in
+      (* the same further history on both *)
+      tbl_apply table (ref stamp0) post;
+      tbl_apply reference (ref stamp0) post;
+      let observed = tbl_observe table ~max_stamp in
+      restored && (let agree, _, _, _ = observed in agree)
+      && observed = tbl_observe reference ~max_stamp)
+
 (* Regression for the cache-key representation: two distinct table
    incarnations (original and a pre-mutation snapshot) can reach the same
    version counter with different contents. A key that identified tables by
@@ -675,6 +977,8 @@ let () =
             prop_diff_delta_ranges;
             prop_jobs_differential;
             prop_jobs_differential_limits;
+            prop_rollback_differential;
+            prop_table_rollback;
           ] );
       ( "scheduling",
         [ Alcotest.test_case "backoff unbans" `Quick test_backoff_unbans ] );

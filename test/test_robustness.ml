@@ -356,6 +356,62 @@ let test_rollback_under_nested_push () =
   ignore (expect_ok eng "pop inner" "(pop) (check (p 1)) (fail (check (p 2)))");
   ignore (expect_ok eng "pop outer" "(pop) (fail (check (p 1)))")
 
+(* An (include ...) runs as one command, so its file can (pop) into the
+   outer (push) scope — making a stack snapshot the live database — mutate
+   it in every way a command can, and then fail. Rollback must undo those
+   writes in the snapshot it popped into, and restore the stack with that
+   snapshot still on it. *)
+let test_rollback_include_pops_into_outer_scope () =
+  let setup =
+    {|
+      (datatype M (Num i64) (Add M M))
+      (function cost (i64) i64)
+      (relation p (i64))
+      (rewrite (Add (Num x) (Num y)) (Num (+ x y)))
+      (p 1)
+      (let a (Add (Num 1) (Num 2)))
+      (push)
+      (p 2)
+      (union (Num 3) (Num 4))
+    |}
+  in
+  let file = Filename.temp_file "pop_into_outer" ".egg" in
+  Out_channel.with_open_text file (fun oc ->
+      output_string oc
+        {|
+          (pop)
+          (p 5)
+          (delete (p 1))
+          (union (Num 1) (Num 5))
+          (let b (Add (Num 5) (Num 5)))
+          (function extra (i64) i64)
+          (set (extra 1) 1)
+          (set (cost 1) 1)
+          (run 2)
+          (set (cost 1) 2)
+        |});
+  let eng = E.Engine.create () and reference = E.Engine.create () in
+  ignore (expect_ok eng "setup" setup);
+  ignore (expect_ok reference "reference setup" setup);
+  let err = expect_error eng "include fails" (Printf.sprintf "(include %S)" file) in
+  Sys.remove file;
+  Alcotest.(check bool)
+    "merge conflict surfaced" true
+    (contains err "merge conflict on function cost");
+  Alcotest.(check int) "still one scope deep" 1 (E.Engine.scope_depth eng);
+  Alcotest.(check string) "dump equals a run without the failed command"
+    (E.Serialize.dump_string reference) (E.Serialize.dump_string eng);
+  let pop engine = ignore (expect_ok engine "pop" "(pop)") in
+  pop eng;
+  pop reference;
+  Alcotest.(check string) "dump after the later pop equals the reference"
+    (E.Serialize.dump_string reference) (E.Serialize.dump_string eng);
+  ignore
+    (expect_ok eng "outer scope intact" "(check (p 1)) (fail (check (p 5))) (fail (check (p 2)))");
+  ignore
+    (expect_ok eng "names declared by the include are gone"
+       "(function extra (i64) i64) (let b (Num 0))")
+
 let test_failed_declaration_keeps_schema_clean () =
   let eng = E.Engine.create () in
   ignore (expect_ok eng "setup" "(sort S)");
@@ -476,6 +532,8 @@ let () =
           Alcotest.test_case "merge conflict rolls back" `Quick test_rollback_merge_conflict;
           Alcotest.test_case "primitive failure rolls back" `Quick test_rollback_primitive_failure;
           Alcotest.test_case "rollback under nested push/pop" `Quick test_rollback_under_nested_push;
+          Alcotest.test_case "rollback after an include pops into an outer scope" `Quick
+            test_rollback_include_pops_into_outer_scope;
           Alcotest.test_case "failed declaration unwinds" `Quick
             test_failed_declaration_keeps_schema_clean;
           Alcotest.test_case "pop on empty stack is safe" `Quick test_pop_on_empty_stack_is_safe;

@@ -138,6 +138,36 @@ let test_counters_hand_counted () =
    | _ -> Alcotest.fail "missing engine timing aggregates");
   fresh ()
 
+(* Transaction counters: a committed command replays nothing; a failed one
+   counts one rollback and exactly the inverses its writes recorded. *)
+let test_txn_counters_hand_counted () =
+  fresh ();
+  let eng = E.Engine.create () in
+  ignore
+    (E.run_string eng
+       {|
+  (relation p (i64))
+  (relation q (i64))
+  (relation r (i64))
+  (rule ((p x)) ((q x) (r x) (panic "boom")))
+|});
+  T.enable ();
+  ignore (E.run_string eng "(p 1)");
+  let committed = T.snapshot () in
+  Alcotest.(check int) "commit: no rollback" 0 (counter_value committed "txn.rollbacks");
+  Alcotest.(check int) "commit: nothing undone" 0 (counter_value committed "txn.undone");
+  (match E.run_string eng "(run 1)" with
+   | _ -> Alcotest.fail "the run should panic"
+   | exception E.Engine.Egglog_error _ -> ());
+  T.disable ();
+  let failed = T.snapshot () in
+  Alcotest.(check int) "failure: one rollback" 1 (counter_value failed "txn.rollbacks");
+  (* the iteration's timestamp bump (1), then the match's two inserts
+     before the panic, each inverting its row and the change counter (2 x 2) *)
+  Alcotest.(check int) "failure: hand-counted inverses" 5 (counter_value failed "txn.undone");
+  Alcotest.(check int) "rolled back" 0 (E.Engine.table_size eng "q");
+  fresh ()
+
 (* Duplicate derivations: a second rule re-deriving the same base paths
    must count as matches that deduplicate, not as inserts. *)
 let test_deduplicated_matches () =
@@ -616,6 +646,8 @@ let () =
         [
           Alcotest.test_case "hand-counted program" `Quick test_counters_hand_counted;
           Alcotest.test_case "deduplicated matches" `Quick test_deduplicated_matches;
+          Alcotest.test_case "transaction rollbacks and undone writes" `Quick
+            test_txn_counters_hand_counted;
           Alcotest.test_case "run report printer" `Quick test_report_printer;
         ] );
       ( "json",

@@ -97,8 +97,56 @@ let prop_class_count =
         unions;
       Union_find.n_classes uf = 15 - !effective)
 
+(* Property: rolling back a transaction on the trail restores the structure
+   exactly — size, class count, dirty log and every id's representative —
+   whatever unions, finds (path compression), allocations and dirty-log
+   clears ran inside it, including those of a nested transaction that
+   committed. Unions made before the transaction and never followed by a
+   find leave paths of depth > 1, which finds inside the transaction then
+   compress across the transaction's own unions. *)
+let prop_trail_rollback =
+  let ops =
+    QCheck2.Gen.(list_size (int_range 0 30) (triple (int_bound 3) (int_bound 24) (int_bound 24)))
+  in
+  QCheck2.Test.make ~name:"trail rollback restores the structure exactly" ~count:300
+    QCheck2.Gen.(triple ops ops ops)
+    (fun (before, outer, nested) ->
+      let trail = Trail.create () in
+      let uf = Union_find.create ~trail () in
+      for _ = 1 to 12 do
+        ignore (Union_find.make_set uf)
+      done;
+      let apply =
+        List.iter (fun (op, a, b) ->
+            let n = Union_find.size uf in
+            match op with
+            | 0 -> ignore (Union_find.union uf (a mod n) (b mod n))
+            | 1 -> ignore (Union_find.find uf (a mod n))
+            | 2 -> ignore (Union_find.make_set uf)
+            | _ -> Union_find.clear_dirty uf)
+      in
+      apply before;
+      let state u =
+        ( Union_find.size u,
+          Union_find.n_classes u,
+          Union_find.dirty u,
+          List.init (Union_find.size u) (Union_find.find u) )
+      in
+      let reference = state (Union_find.copy uf) in
+      Trail.begin_txn trail;
+      apply outer;
+      Trail.begin_txn trail;
+      apply nested;
+      Trail.commit trail;
+      apply outer;
+      ignore (Trail.rollback trail);
+      state uf = reference)
+
 let () =
-  let props = List.map QCheck_alcotest.to_alcotest [ prop_matches_naive; prop_class_count ] in
+  let props =
+    List.map QCheck_alcotest.to_alcotest
+      [ prop_matches_naive; prop_class_count; prop_trail_rollback ]
+  in
   Alcotest.run "union_find"
     [
       ( "unit",
