@@ -1,7 +1,7 @@
 (* Bechamel micro-benchmarks for the engine's hot paths: union-find,
    congruence rebuilding, relational e-matching vs backtracking e-matching
-   (the §5.1 query-engine claim), transaction overhead, and the bignum
-   substrate. *)
+   (the §5.1 query-engine claim), transaction overhead, derived structures
+   after a rebuild, and the bignum substrate. *)
 
 open Bechamel
 open Toolkit
@@ -132,6 +132,74 @@ let txn_fact_command_bench () =
       let fact = Egglog.Ast.Call ("allocI", [ lit !next; lit 0 ]) in
       ignore (Egglog.Engine.run_command eng (Egglog.Ast.Top_action (Egglog.Ast.Do fact))))
 
+(* Derived structures after a small rebuild, on a 40k-row table with an
+   id column. Each run unions the id that the previous run gave four rows
+   into id 0, so the rebuild takes those four rows out and re-inserts them
+   under id 0 (where they already exist), gives four rows a fresh id for
+   the next run, and then asks for a structure over the table: the
+   full-table index a two-atom search probes ([join.patch_after_rebuild]),
+   or the planner's column counts ([stats.after_rebuild]). Either one
+   follows the table from the change feed the rebuild left. *)
+let rebuild_churn () =
+  let open Egglog in
+  let eng = Engine.create () in
+  ignore (run_string eng "(datatype N (Mk i64)) (relation edge (i64 N)) (relation probe (i64))");
+  let db = Engine.database eng in
+  let sort = Symbol.intern "N" in
+  let ids = Array.init 1000 (fun _ -> Database.fresh_id db sort) in
+  let edge = Option.get (Database.find_func db (Symbol.intern "edge")) in
+  for i = 0 to 39_999 do
+    Database.set db edge [| Value.VInt i; ids.(i mod 1000) |] Value.VUnit
+  done;
+  for i = 0 to 9 do
+    Engine.set_fact eng "probe" [ Value.VInt (i * 1000) ] Value.VUnit
+  done;
+  let keys = [| 0; 1000; 2000; 3000 |] in
+  let marked = ref (Database.fresh_id db sort) in
+  let give_fresh_id () =
+    marked := Database.fresh_id db sort;
+    Array.iter (fun k -> Database.set db edge [| Value.VInt k; !marked |] Value.VUnit) keys
+  in
+  give_fresh_id ();
+  let churn () =
+    ignore (Database.union db ids.(0) !marked);
+    Database.rebuild db;
+    give_fresh_id ()
+  in
+  (db, edge, churn)
+
+let patch_after_rebuild_bench () =
+  let db, _, churn = rebuild_churn () in
+  let env =
+    {
+      Egglog.Compile.find_func =
+        (fun name ->
+          Option.map Egglog.Table.func (Egglog.Database.find_func db (Egglog.Symbol.intern name)));
+    }
+  in
+  let v s = Egglog.Ast.Var s in
+  let q =
+    Egglog.Compile.compile_query env
+      [
+        Egglog.Ast.Holds (Egglog.Ast.Call ("probe", [ v "i" ]));
+        Egglog.Ast.Holds (Egglog.Ast.Call ("edge", [ v "i"; v "n" ]));
+      ]
+  in
+  let cp = Egglog.Join.compile_plan q in
+  let ranges = Array.make 2 Egglog.Join.all_rows in
+  let cache = Egglog.Join.new_cache () in
+  Egglog.Join.search_compiled db ~cache cp ~ranges (fun _ -> ());
+  Staged.stage (fun () ->
+      churn ();
+      Egglog.Join.search_compiled db ~cache cp ~ranges (fun _ -> ()))
+
+let stats_after_rebuild_bench () =
+  let _, edge, churn = rebuild_churn () in
+  ignore (Egglog.Table.column_distincts edge);
+  Staged.stage (fun () ->
+      churn ();
+      ignore (Egglog.Table.column_distincts edge))
+
 let bigint_bench () =
   let a = Bigint.of_string "123456789123456789123456789123456789" in
   let b = Bigint.of_string "987654321987654321987654321" in
@@ -154,6 +222,8 @@ let tests () =
       Test.make ~name:"join-triangle-interpreted" (join_triangle_bench ~compiled:false ());
       Test.make ~name:"txn.empty" (txn_empty_bench ());
       Test.make ~name:"txn.fact_command" (txn_fact_command_bench ());
+      Test.make ~name:"join.patch_after_rebuild" (patch_after_rebuild_bench ());
+      Test.make ~name:"stats.after_rebuild" (stats_after_rebuild_bench ());
       Test.make ~name:"bigint-mul-divmod" (bigint_bench ());
       Test.make ~name:"rat-arith" (rat_bench ());
     ]

@@ -4,6 +4,7 @@ exception Internal_error of string
 let c_unions = Telemetry.counter "db.unions"
 let c_rebuild_rounds = Telemetry.counter "rebuild.rounds"
 let c_rebuild_canon = Telemetry.counter "rebuild.tuples_canonicalized"
+let c_rebuild_checked = Telemetry.counter "rebuild.rows_checked"
 
 type t = {
   uf : Union_find.t;
@@ -166,23 +167,36 @@ let set db table key value =
 let remove db table key =
   Table.remove table (canon_key db key)
 
+(* Does a row hold only canonical ids in [cols], the table's id columns? *)
+let row_is_canon db cols key (row : Table.row) =
+  let arity = Array.length key in
+  let ok = ref true and k = ref 0 in
+  while !ok && !k < Array.length cols do
+    let i = cols.(!k) in
+    ok := is_canon db (if i < arity then key.(i) else row.value);
+    incr k
+  done;
+  !ok
+
 (* One repair round over a table: pull out all rows whose key or value
    mention a non-canonical id, then re-insert them canonically, letting
    [set] resolve the functional-dependency conflicts that canonicalization
-   reveals (§4.2, §5.1 "Rebuilding Procedure"). *)
+   reveals (§4.2, §5.1 "Rebuilding Procedure"). Only the columns whose type
+   can hold an id ({!Table.id_columns}) are checked; a table without any is
+   skipped whole. *)
 let repair_table db table =
-  let stale =
-    let acc = ref [] in
-    Table.iter
-      (fun key row ->
-        let key_ok = Array.for_all (is_canon db) key in
-        if not (key_ok && is_canon db row.value) then acc := (key, row.value) :: !acc)
-      table;
-    !acc
-  in
-  Telemetry.bump c_rebuild_canon (List.length stale);
-  List.iter (fun (key, _) -> Table.remove table key) stale;
-  List.iter (fun (key, value) -> set db table key value) stale
+  let cols = Table.id_columns table in
+  if Array.length cols > 0 then begin
+    Telemetry.bump c_rebuild_checked (Table.length table);
+    let stale =
+      Table.fold
+        (fun key row acc -> if row_is_canon db cols key row then acc else (key, row.value) :: acc)
+        table []
+    in
+    Telemetry.bump c_rebuild_canon (List.length stale);
+    List.iter (fun (key, _) -> Table.remove table key) stale;
+    List.iter (fun (key, value) -> set db table key value) stale
+  end
 
 let total_rows db =
   let n = ref 0 in

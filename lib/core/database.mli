@@ -76,7 +76,9 @@ val remove : t -> Table.t -> Value.t array -> unit
 
 val rebuild : t -> unit
 (** Restore canonicality and functional dependencies; terminates because each
-    round strictly shrinks the database or the number of classes. *)
+    round strictly shrinks the database or the number of classes. A round's
+    stale scan reads only the columns that can hold an id
+    ({!Table.id_columns}) and skips tables without any. *)
 
 val n_ids : t -> int
 val n_classes : t -> int
@@ -114,5 +116,6 @@ val copy : t -> t
     as it was when the transaction began, at a cost proportional to the
     writes made, not to the database. With no transaction open a mutator
     pays one branch per write. {!Table.version} keeps growing through a
-    rollback, but the counters an index is patched forward from go back,
-    so a caller must drop such caches when it rolls back. *)
+    rollback, and every inverse cuts the tables' change feeds
+    ({!Table.changes_since} answers [None] for older marks), so structures
+    patched from them rebuild. *)

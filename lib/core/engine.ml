@@ -1555,9 +1555,9 @@ let rollback_txn eng tx =
   eng.merge_exprs <- tx.tx_merge_exprs;
   eng.default_exprs <- tx.tx_default_exprs;
   eng.decl_log <- tx.tx_decl_log;
-  (* Undone tables keep their uid and grow their version, but the join
-     cache patches indexes forward from logged positions a rollback took
-     back; drop it rather than reason about which entries survive. *)
+  (* Undone tables keep their uid and grow their version, but an inverse
+     cuts the change feed the join cache patches from, so every entry over
+     an undone table would rebuild anyway; drop them all. *)
   Join.clear_all eng.join_cache;
   eng.current_reason <- Proof_forest.Asserted
 

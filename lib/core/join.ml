@@ -15,6 +15,7 @@ let c_cache_hits = Telemetry.counter "join.cache_hits"
 let c_cache_misses = Telemetry.counter "join.cache_misses"
 let c_cache_lookups = Telemetry.counter "join.cache_lookups"
 let c_index_patched = Telemetry.counter "join.index_patched"
+let c_retracted = Telemetry.counter "join.rows_retracted"
 let c_yielded = Telemetry.counter "join.matches_yielded"
 
 module VTbl = Hashtbl.Make (struct
@@ -63,22 +64,22 @@ let plan_of_shape db (sh : Plan_compile.shape) : atom_plan =
 let plan_atom db (q : Compile.cquery) (atom : Compile.atom) : atom_plan =
   plan_of_shape db (Plan_compile.shape_atom q atom)
 
-let row_passes (plan : atom_plan) key (row : Table.row) =
-  let cell i = if i < Array.length key then key.(i) else row.Table.value in
+(* Cell [i] of a version: key position [i], or the output when i = arity. *)
+let cell key value i = if i < Array.length key then key.(i) else value
+
+let row_passes (plan : atom_plan) key value =
   List.for_all
     (function
-      | Check_const (i, v) -> Value.equal (cell i) v
-      | Check_same (i, j) -> Value.equal (cell i) (cell j))
+      | Check_const (i, v) -> Value.equal (cell key value i) v
+      | Check_same (i, j) -> Value.equal (cell key value i) (cell key value j))
     plan.ap_checks
 
-(* Insert one passing row's path into a trie rooted at [root]. Idempotent:
-   re-inserting a row walks the same path, so the patch path can feed rows
-   it may have seen before. *)
-let trie_add_row (plan : atom_plan) root ~depth key (row : Table.row) =
-  let cell i = if i < Array.length key then key.(i) else row.Table.value in
+(* Insert one passing version's path into a trie rooted at [root].
+   Idempotent: re-inserting walks the same path. *)
+let trie_add_row (plan : atom_plan) root ~depth key value =
   let node = ref root in
   for level = 0 to depth - 1 do
-    let v = cell plan.ap_sources.(level) in
+    let v = cell key value plan.ap_sources.(level) in
     if level = depth - 1 then VTbl.replace !node v Leaf
     else begin
       match VTbl.find_opt !node v with
@@ -91,6 +92,30 @@ let trie_add_row (plan : atom_plan) root ~depth key (row : Table.row) =
     end
   done
 
+(* Remove one version's path, pruning the nodes it leaves empty so node
+   sizes (the join's smallest-cursor choice, the [unsat] test) are what a
+   fresh build would have. Paths are per row — every column is a source or
+   pinned by a check (Plan_compile.shape_atom) — so no other row shares the
+   leaf. Returns whether the path was there. *)
+let trie_remove_row (plan : atom_plan) root ~depth key value =
+  let rec go node level =
+    let v = cell key value plan.ap_sources.(level) in
+    if level = depth - 1 then
+      VTbl.mem node v
+      && begin
+        VTbl.remove node v;
+        true
+      end
+    else
+      match VTbl.find_opt node v with
+      | Some (Node child) ->
+        let removed = go child (level + 1) in
+        if VTbl.length child = 0 then VTbl.remove node v;
+        removed
+      | Some Leaf | None -> false
+  in
+  go root 0
+
 let build_trie ?(scan = Table.iter_range) (plan : atom_plan) (range : stamp_range) : trie =
   let depth = Array.length plan.ap_sources in
   Telemetry.bump c_trie_builds 1;
@@ -102,9 +127,9 @@ let build_trie ?(scan = Table.iter_range) (plan : atom_plan) (range : stamp_rang
     (* Fully ground atom: Leaf iff some row passes the checks. *)
     let found = ref false in
     (try
-       scan plan.ap_table ~lo:range.lo ~hi:range.hi (fun key row ->
+       scan plan.ap_table ~lo:range.lo ~hi:range.hi (fun key (row : Table.row) ->
            incr scanned;
-           if row_passes plan key row then begin
+           if row_passes plan key row.value then begin
              found := true;
              raise Exit
            end)
@@ -113,9 +138,9 @@ let build_trie ?(scan = Table.iter_range) (plan : atom_plan) (range : stamp_rang
   end
   else begin
     let root = VTbl.create 64 in
-    scan plan.ap_table ~lo:range.lo ~hi:range.hi (fun key row ->
+    scan plan.ap_table ~lo:range.lo ~hi:range.hi (fun key (row : Table.row) ->
         incr scanned;
-        if row_passes plan key row then trie_add_row plan root ~depth key row);
+        if row_passes plan key row.value then trie_add_row plan root ~depth key row.value);
     Node root
   end
   in
@@ -125,10 +150,9 @@ let build_trie ?(scan = Table.iter_range) (plan : atom_plan) (range : stamp_rang
 exception Found
 
 (* The memo holds both kinds of built structure. Full-table entries
-   (lo = 0, hi = max_int) live in the persistent tier, validated against
-   the table's version and patched forward when the table only grew.
-   Delta and windowed entries go to the scratch tier, cleared each
-   iteration. *)
+   (lo = 0, hi = max_int) live in the persistent tier and follow their
+   table through its change feed. Delta and windowed entries go to the
+   scratch tier, cleared each iteration. *)
 type built = B_trie of trie | B_index of Value.t array list Value.Key_tbl.t
 
 (* Structured cache key. The old scheme concatenated ints and printed
@@ -179,16 +203,8 @@ module KTbl = Hashtbl.Make (struct
     !h
 end)
 
-(* A persistent entry remembers the mutation counters at build time so a
-   later lookup can tell "the table only grew" (patch the new rows in)
-   apart from "rows were removed or rewritten" (rebuild). *)
-type pentry = {
-  mutable pe_built : built;
-  mutable pe_version : int;
-  mutable pe_log_len : int;
-  mutable pe_removals : int;
-  mutable pe_value_updates : int;
-}
+(* A persistent entry and the feed position of the table it holds. *)
+type pentry = { mutable pe_built : built; mutable pe_mark : Table.mark }
 
 (* [frozen] puts the cache in read-only mode for the parallel search
    phase: lookups still serve valid hits (concurrent hashtable reads with
@@ -227,248 +243,204 @@ let mk_key kind (plan : atom_plan) (range : stamp_range) ~proj ~rest =
 
 let is_full range = range.lo = 0 && range.hi = max_int
 
-(* Does the structure depend on the output column? Sources cover every cell
-   an index projects (proj/rest are drawn from them), so sources + checks
-   are the complete read set. When the answer is no, in-place output
-   overwrites cannot invalidate the structure. *)
-let reads_value (plan : atom_plan) =
-  let vpos = Schema.arity (Table.func plan.ap_table) in
-  Array.exists (fun s -> s = vpos) plan.ap_sources
-  || List.exists
-       (function
-         | Check_const (i, _) -> i = vpos
-         | Check_same (i, j) -> i = vpos || j = vpos)
-       plan.ap_checks
-
-let patchable (pe : pentry) table ~plan =
-  Table.removals table = pe.pe_removals
-  && (Table.value_updates table = pe.pe_value_updates || not (reads_value plan))
-
-let refresh (pe : pentry) table built =
-  pe.pe_built <- built;
-  pe.pe_version <- Table.version table;
-  pe.pe_log_len <- Table.log_length table;
-  pe.pe_removals <- Table.removals table;
-  pe.pe_value_updates <- Table.value_updates table
-
-let store_persistent c key table built =
-  KTbl.replace c.persistent key
-    {
-      pe_built = built;
-      pe_version = Table.version table;
-      pe_log_len = Table.log_length table;
-      pe_removals = Table.removals table;
-      pe_value_updates = Table.value_updates table;
-    }
-
-(* Fold the rows logged since the cached build into an existing trie.
-   Under the patchability conditions the suffix holds only fresh inserts
-   (or re-stamps of rows whose read cells are unchanged), and trie
-   insertion is idempotent, so the result equals a from-scratch build. *)
-let patch_trie (plan : atom_plan) (trie : trie) ~from : trie =
+(* Bring a trie that held the table at some mark up to date: for each
+   touched key, take out the version at the mark, then put in the current
+   one. The result holds the same paths as a fresh build. *)
+let patch_trie (plan : atom_plan) (trie : trie) (changes : Table.change array) : trie =
   let depth = Array.length plan.ap_sources in
-  let scanned = ref 0 in
+  let retracted = ref 0 in
+  (* a change's old and new versions, when they pass the atom's checks *)
+  let old_version (ch : Table.change) =
+    match ch.retracted with
+    | Some v when row_passes plan ch.key v -> Some v
+    | Some _ | None -> None
+  and new_version (ch : Table.change) =
+    match ch.current with
+    | Some row when row_passes plan ch.key row.value -> Some row.value
+    | Some _ | None -> None
+  in
   let result =
-    if depth = 0 then begin
-      match trie with
-      | Leaf -> Leaf  (* already satisfied; growth cannot unsatisfy it *)
-      | Node _ as empty ->
-        let found = ref false in
-        (try
-           Table.iter_log_suffix plan.ap_table ~from (fun key row ->
-               incr scanned;
-               if row_passes plan key row then begin
-                 found := true;
-                 raise Exit
-               end)
-         with Exit -> ());
-        if !found then Leaf else empty
-    end
+    if depth = 0 then
+      (* A ground atom is passed by at most one row: Leaf iff it is present. *)
+      Array.fold_left
+        (fun trie ch ->
+          let trie =
+            match (old_version ch, trie) with
+            | Some _, Leaf ->
+              incr retracted;
+              Node (VTbl.create 0)
+            | _ -> trie
+          in
+          if Option.is_some (new_version ch) then Leaf else trie)
+        trie changes
     else begin
       match trie with
       | Leaf -> assert false
       | Node root ->
-        Table.iter_log_suffix plan.ap_table ~from (fun key row ->
-            incr scanned;
-            if row_passes plan key row then trie_add_row plan root ~depth key row);
+        Array.iter
+          (fun (ch : Table.change) ->
+            Option.iter
+              (fun v -> if trie_remove_row plan root ~depth ch.key v then incr retracted)
+              (old_version ch);
+            Option.iter (trie_add_row plan root ~depth ch.key) (new_version ch))
+          changes;
         trie
     end
   in
-  Telemetry.bump c_scanned !scanned;
+  Telemetry.bump c_scanned (Array.length changes);
+  Telemetry.bump c_retracted !retracted;
   result
-
-let cached_trie ?scan cache plan range =
-  match cache with
-  | None -> build_trie ?scan plan range
-  | Some c when c.frozen ->
-    Telemetry.bump c_cache_lookups 1;
-    let key = mk_key 0 plan range ~proj:[||] ~rest:[||] in
-    let hit =
-      if is_full range then
-        match KTbl.find_opt c.persistent key with
-        | Some { pe_built = B_trie trie; pe_version; _ }
-          when pe_version = Table.version plan.ap_table ->
-          Some trie
-        | _ -> None
-      else
-        match KTbl.find_opt c.scratch key with Some (B_trie trie) -> Some trie | _ -> None
-    in
-    (match hit with
-    | Some trie ->
-      Telemetry.bump c_cache_hits 1;
-      trie
-    | None ->
-      Telemetry.bump c_cache_misses 1;
-      build_trie ?scan plan range)
-  | Some c ->
-    Telemetry.bump c_cache_lookups 1;
-    let table = plan.ap_table in
-    let key = mk_key 0 plan range ~proj:[||] ~rest:[||] in
-    if is_full range then begin
-      let rebuild existing =
-        Telemetry.bump c_cache_misses 1;
-        let trie = build_trie ?scan plan range in
-        (match existing with
-         | Some pe -> refresh pe table (B_trie trie)
-         | None -> store_persistent c key table (B_trie trie));
-        trie
-      in
-      match KTbl.find_opt c.persistent key with
-      | Some ({ pe_built = B_trie trie; _ } as pe) ->
-        if pe.pe_version = Table.version table then begin
-          Telemetry.bump c_cache_hits 1;
-          trie
-        end
-        else if patchable pe table ~plan then begin
-          let trie = patch_trie plan trie ~from:pe.pe_log_len in
-          refresh pe table (B_trie trie);
-          Telemetry.bump c_cache_hits 1;
-          Telemetry.bump c_index_patched 1;
-          trie
-        end
-        else rebuild (Some pe)
-      | Some pe -> rebuild (Some pe)
-      | None -> rebuild None
-    end
-    else begin
-      match KTbl.find_opt c.scratch key with
-      | Some (B_trie trie) ->
-        Telemetry.bump c_cache_hits 1;
-        trie
-      | Some (B_index _) | None ->
-        Telemetry.bump c_cache_misses 1;
-        let trie = build_trie ?scan plan range in
-        KTbl.replace c.scratch key (B_trie trie);
-        trie
-    end
 
 (* Hash index over an atom: projected shared-variable values -> the values
    of the atom's remaining variables, one entry per passing row. *)
-let build_index ?(scan = Table.iter_range) (plan : atom_plan) (range : stamp_range)
+let index_add (plan : atom_plan) index ~proj ~rest key value =
+  if row_passes plan key value then begin
+    let k = Array.map (cell key value) proj in
+    let v = Array.map (cell key value) rest in
+    let existing = try Value.Key_tbl.find index k with Not_found -> [] in
+    Value.Key_tbl.replace index k (v :: existing)
+  end
+
+let build_index ?(scan = Table.iter_range) ?(size = 64) (plan : atom_plan) (range : stamp_range)
     ~(proj : int array) ~(rest : int array) =
   Telemetry.bump c_index_builds 1;
   let scanned = ref 0 in
-  let index : Value.t array list Value.Key_tbl.t = Value.Key_tbl.create 64 in
-  scan plan.ap_table ~lo:range.lo ~hi:range.hi (fun key row ->
+  let index : Value.t array list Value.Key_tbl.t = Value.Key_tbl.create size in
+  scan plan.ap_table ~lo:range.lo ~hi:range.hi (fun key (row : Table.row) ->
       incr scanned;
-      if row_passes plan key row then begin
-        let cell i = if i < Array.length key then key.(i) else row.Table.value in
-        let k = Array.map cell proj in
-        let v = Array.map cell rest in
-        let existing = try Value.Key_tbl.find index k with Not_found -> [] in
-        Value.Key_tbl.replace index k (v :: existing)
-      end);
+      index_add plan index ~proj ~rest key row.value);
   Telemetry.bump c_scanned !scanned;
   index
 
-(* Fold logged-since rows into an existing hash index. Distinct passing
-   rows always produce distinct (k, v) cell vectors (every key column is
-   either a source cell or pinned by a check), so duplicates can only come
-   from re-stamped rows — and those occur only when [dedupe] is set. *)
-let patch_index (plan : atom_plan) index ~from ~(proj : int array) ~(rest : int array) ~dedupe =
-  let scanned = ref 0 in
-  Table.iter_log_suffix plan.ap_table ~from (fun key row ->
-      incr scanned;
-      if row_passes plan key row then begin
-        let cell i = if i < Array.length key then key.(i) else row.Table.value in
-        let k = Array.map cell proj in
-        let v = Array.map cell rest in
-        let existing = try Value.Key_tbl.find index k with Not_found -> [] in
-        let duplicate =
-          dedupe
-          && List.exists
-               (fun e -> Array.length e = Array.length v && Array.for_all2 Value.equal e v)
-               existing
+(* The index counterpart of [patch_trie]. Entries are per row (proj + rest
+   cover every source), so the retracted versions are gathered per
+   projected key and each affected entry list is filtered once — a
+   low-cardinality key costs one pass, not one pass per removal — before
+   the current versions go in. *)
+let patch_index (plan : atom_plan) index (changes : Table.change array) ~proj ~rest =
+  let gone = Value.Key_tbl.create 16 in
+  Array.iter
+    (fun (ch : Table.change) ->
+      match ch.retracted with
+      | Some value when row_passes plan ch.key value ->
+        let k = Array.map (cell ch.key value) proj in
+        let v = Array.map (cell ch.key value) rest in
+        Value.Key_tbl.replace gone k
+          (v :: Option.value ~default:[] (Value.Key_tbl.find_opt gone k))
+      | Some _ | None -> ())
+    changes;
+  let retracted = ref 0 in
+  Value.Key_tbl.iter
+    (fun k vs ->
+      match Value.Key_tbl.find_opt index k with
+      | None -> ()
+      | Some entries ->
+        let is_gone =
+          match vs with
+          | [ v ] -> Array.for_all2 Value.equal v
+          | _ ->
+            let set = Value.Key_tbl.create (List.length vs) in
+            List.iter (fun v -> Value.Key_tbl.replace set v ()) vs;
+            Value.Key_tbl.mem set
         in
-        if not duplicate then Value.Key_tbl.replace index k (v :: existing)
-      end);
-  Telemetry.bump c_scanned !scanned
+        let kept = List.filter (fun e -> not (is_gone e)) entries in
+        retracted := !retracted + List.length entries - List.length kept;
+        if kept = [] then Value.Key_tbl.remove index k else Value.Key_tbl.replace index k kept)
+    gone;
+  Array.iter
+    (fun (ch : Table.change) ->
+      Option.iter (fun (row : Table.row) -> index_add plan index ~proj ~rest ch.key row.value)
+        ch.current)
+    changes;
+  Telemetry.bump c_scanned (Array.length changes);
+  Telemetry.bump c_retracted !retracted
 
-let cached_index ?scan cache plan range ~proj ~rest =
+(* One lookup through the cache. Full-range structures live in the
+   persistent tier: a hit when the table is unchanged since the entry's
+   mark, patched from the change feed when it changed, rebuilt when an
+   inverse cut the feed or the feed touched at least as many keys as the
+   table has rows (patching would cost more than building). Windowed
+   structures live in the scratch tier. A frozen cache serves only hits
+   and builds everything else privately. *)
+let cached cache kind (plan : atom_plan) range ~proj ~rest ~build ~patch =
   match cache with
-  | None -> build_index ?scan plan range ~proj ~rest
-  | Some c when c.frozen ->
-    Telemetry.bump c_cache_lookups 1;
-    let key = mk_key 1 plan range ~proj ~rest in
-    let hit =
-      if is_full range then
-        match KTbl.find_opt c.persistent key with
-        | Some { pe_built = B_index idx; pe_version; _ }
-          when pe_version = Table.version plan.ap_table ->
-          Some idx
-        | _ -> None
-      else
-        match KTbl.find_opt c.scratch key with Some (B_index idx) -> Some idx | _ -> None
-    in
-    (match hit with
-    | Some idx ->
-      Telemetry.bump c_cache_hits 1;
-      idx
-    | None ->
-      Telemetry.bump c_cache_misses 1;
-      build_index ?scan plan range ~proj ~rest)
+  | None -> build ()
   | Some c ->
     Telemetry.bump c_cache_lookups 1;
     let table = plan.ap_table in
-    let key = mk_key 1 plan range ~proj ~rest in
-    if is_full range then begin
-      let rebuild existing =
-        Telemetry.bump c_cache_misses 1;
-        let idx = build_index ?scan plan range ~proj ~rest in
-        (match existing with
-         | Some pe -> refresh pe table (B_index idx)
-         | None -> store_persistent c key table (B_index idx));
-        idx
+    let key = mk_key kind plan range ~proj ~rest in
+    let hit built =
+      Telemetry.bump c_cache_hits 1;
+      built
+    in
+    let miss store =
+      Telemetry.bump c_cache_misses 1;
+      let built = build () in
+      store built;
+      built
+    in
+    if c.frozen then begin
+      let found =
+        if is_full range then
+          match KTbl.find_opt c.persistent key with
+          | Some pe when Table.unchanged_since table pe.pe_mark -> Some pe.pe_built
+          | Some _ | None -> None
+        else KTbl.find_opt c.scratch key
+      in
+      match found with Some built -> hit built | None -> miss ignore
+    end
+    else if is_full range then begin
+      let store built =
+        KTbl.replace c.persistent key { pe_built = built; pe_mark = Table.mark table }
       in
       match KTbl.find_opt c.persistent key with
-      | Some ({ pe_built = B_index idx; _ } as pe) ->
-        if pe.pe_version = Table.version table then begin
-          Telemetry.bump c_cache_hits 1;
-          idx
-        end
-        else if patchable pe table ~plan then begin
-          let dedupe = Table.value_updates table <> pe.pe_value_updates in
-          patch_index plan idx ~from:pe.pe_log_len ~proj ~rest ~dedupe;
-          refresh pe table (B_index idx);
-          Telemetry.bump c_cache_hits 1;
+      | Some pe when Table.unchanged_since table pe.pe_mark -> hit pe.pe_built
+      | Some pe -> (
+        match Table.changes_since table pe.pe_mark with
+        | Some changes when Array.length changes < Table.length table ->
+          pe.pe_built <- patch pe.pe_built changes;
+          pe.pe_mark <- Table.mark table;
           Telemetry.bump c_index_patched 1;
-          idx
-        end
-        else rebuild (Some pe)
-      | Some pe -> rebuild (Some pe)
-      | None -> rebuild None
+          hit pe.pe_built
+        | Some _ | None -> miss store)
+      | None -> miss store
     end
     else begin
       match KTbl.find_opt c.scratch key with
-      | Some (B_index idx) ->
-        Telemetry.bump c_cache_hits 1;
-        idx
-      | Some (B_trie _) | None ->
-        Telemetry.bump c_cache_misses 1;
-        let idx = build_index plan range ~proj ~rest in
-        KTbl.replace c.scratch key (B_index idx);
-        idx
+      | Some built -> hit built
+      | None -> miss (KTbl.replace c.scratch key)
     end
+
+let cached_trie ?scan cache plan range =
+  match
+    cached cache 0 plan range ~proj:[||] ~rest:[||]
+      ~build:(fun () -> B_trie (build_trie ?scan plan range))
+      ~patch:(fun built changes ->
+        match built with
+        | B_trie trie -> B_trie (patch_trie plan trie changes)
+        | B_index _ -> assert false)
+  with
+  | B_trie trie -> trie
+  | B_index _ -> assert false
+
+let cached_index ?scan cache plan range ~proj ~rest =
+  (* A cached full-table index is sized for one key per row, so its build
+     never rehashes; a transient one starts small. *)
+  let size =
+    if Option.is_some cache && is_full range then Some (Table.length plan.ap_table) else None
+  in
+  match
+    cached cache 1 plan range ~proj ~rest
+      ~build:(fun () -> B_index (build_index ?scan ?size plan range ~proj ~rest))
+      ~patch:(fun built changes ->
+        match built with
+        | B_index idx ->
+          patch_index plan idx changes ~proj ~rest;
+          built
+        | B_trie _ -> assert false)
+  with
+  | B_index idx -> idx
+  | B_trie _ -> assert false
 
 (* Prims as a flat, statically classified checklist: every join variable is
    bound before they run, so outputs either bind (computed vars) or check.
@@ -507,11 +479,12 @@ let search_single_atom (q : Compile.cquery) (plan : atom_plan) (range : stamp_ra
      so whether a primitive output checks or binds is static. *)
   let prim_plan = static_prim_plan q [ plan.ap_vars ] in
   let scanned = ref 0 in
-  Table.iter_range plan.ap_table ~lo:range.lo ~hi:range.hi (fun key row ->
+  Table.iter_range plan.ap_table ~lo:range.lo ~hi:range.hi (fun key (row : Table.row) ->
       incr scanned;
-      if row_passes plan key row then begin
-        let cell i = if i < Array.length key then key.(i) else row.Table.value in
-        Array.iteri (fun level src -> env.(plan.ap_vars.(level)) <- cell src) plan.ap_sources;
+      if row_passes plan key row.value then begin
+        Array.iteri
+          (fun level src -> env.(plan.ap_vars.(level)) <- cell key row.value src)
+          plan.ap_sources;
         if run_static_prims env prim_plan then callback env
       end);
   Telemetry.bump c_scanned !scanned
@@ -561,11 +534,12 @@ let search_two_atoms ?cache (q : Compile.cquery) (plans : atom_plan array)
   let probe_key = Array.make (Array.length shared) Value.VUnit in
   let scanned = ref 0 in
   Table.iter_range dplan.ap_table ~lo:ranges.(driver).lo ~hi:ranges.(driver).hi
-    (fun key row ->
+    (fun key (row : Table.row) ->
       incr scanned;
-      if row_passes dplan key row then begin
-        let cell i = if i < Array.length key then key.(i) else row.Table.value in
-        Array.iteri (fun level src -> env.(dplan.ap_vars.(level)) <- cell src) dplan.ap_sources;
+      if row_passes dplan key row.value then begin
+        Array.iteri
+          (fun level src -> env.(dplan.ap_vars.(level)) <- cell key row.value src)
+          dplan.ap_sources;
         Array.iteri (fun i (v, _) -> probe_key.(i) <- env.(v)) shared;
         match Value.Key_tbl.find_opt index probe_key with
         | None -> ()

@@ -27,9 +27,12 @@ val new_cache : unit -> cache
 
 val clear_scratch : cache -> unit
 (** Drop the per-iteration (delta/windowed) entries; persistent full-table
-    entries stay and are revalidated against table versions — and patched
-    forward when the table's log shows append-only growth since the build,
-    instead of being rebuilt from scratch. *)
+    entries stay and follow their tables: on the next lookup after a
+    write, an entry is patched from its table's change feed
+    ({!Table.changes_since}) — each touched key's old version out, its
+    current version in — and rebuilt from scratch only when the feed
+    touched at least as many keys as the table has rows, or a rollback cut
+    it. *)
 
 val clear_all : cache -> unit
 (** Drop both tiers. Called when the engine replaces its database object

@@ -1,4 +1,100 @@
-type row = { mutable value : Value.t; mutable stamp : int; mutable first_log : int }
+type row = {
+  mutable value : Value.t;
+  mutable stamp : int;
+  mutable first_log : int;
+  mutable born : int;
+}
+
+module VTbl = Hashtbl.Make (struct
+  type t = Value.t
+
+  let equal = Value.equal
+  let hash = Value.hash
+end)
+
+(* Int -> count map for the statistics of integer-payload columns: open
+   addressing with linear probing and backward-shift deletion, so counting
+   allocates nothing per cell. A zero count marks a free slot; the arrays
+   double when three quarters full. *)
+module Int_counts = struct
+  type t = { mutable keys : int array; mutable counts : int array; mutable size : int }
+
+  let create () = { keys = Array.make 16 0; counts = Array.make 16 0; size = 0 }
+
+  let home mask x =
+    let h = x * 0x2545F4914F6CDD1D in
+    (h lxor (h lsr 29)) land mask
+
+  let grow t =
+    let keys = t.keys and counts = t.counts in
+    let cap = 2 * Array.length keys in
+    let mask = cap - 1 in
+    t.keys <- Array.make cap 0;
+    t.counts <- Array.make cap 0;
+    Array.iteri
+      (fun i c ->
+        if c <> 0 then begin
+          let j = ref (home mask keys.(i)) in
+          while t.counts.(!j) <> 0 do
+            j := (!j + 1) land mask
+          done;
+          t.keys.(!j) <- keys.(i);
+          t.counts.(!j) <- c
+        end)
+      counts
+
+  (* Slot [hole] was just freed: move later members of its probe run back
+     into it (each one whose home is not cyclically in (hole, j]), so no
+     lookup stops early. *)
+  let close_hole t hole =
+    let mask = Array.length t.keys - 1 in
+    let hole = ref hole and j = ref ((hole + 1) land mask) in
+    while t.counts.(!j) <> 0 do
+      let h = home mask t.keys.(!j) in
+      let stays = if !hole <= !j then !hole < h && h <= !j else !hole < h || h <= !j in
+      if not stays then begin
+        t.keys.(!hole) <- t.keys.(!j);
+        t.counts.(!hole) <- t.counts.(!j);
+        t.counts.(!j) <- 0;
+        hole := !j
+      end;
+      j := (!j + 1) land mask
+    done
+
+  let add t x delta =
+    let mask = Array.length t.keys - 1 in
+    let i = ref (home mask x) in
+    while t.counts.(!i) <> 0 && t.keys.(!i) <> x do
+      i := (!i + 1) land mask
+    done;
+    let i = !i in
+    if t.counts.(i) = 0 then begin
+      t.keys.(i) <- x;
+      t.counts.(i) <- delta;
+      t.size <- t.size + 1;
+      if 4 * t.size > 3 * Array.length t.keys then grow t
+    end
+    else begin
+      t.counts.(i) <- t.counts.(i) + delta;
+      if t.counts.(i) = 0 then begin
+        t.size <- t.size - 1;
+        close_hole t i
+      end
+    end
+end
+
+(* Per-column occurrence counts behind [column_distincts]: cell -> rows
+   holding it. Columns with an integer payload count by the payload. *)
+type counts = Ints of Int_counts.t | Values of int ref VTbl.t
+
+type mark = { m_log : int; m_ret : int; m_seq : int }
+
+type stats = { st_mark : mark; st_counts : counts array; st_distinct : int array }
+
+type change = { key : Value.t array; retracted : Value.t option; current : row option }
+
+(* The newest feed answer: the changes from [f_from] to version [f_to]. *)
+type feed = { f_from : mark; f_to : int; f_changes : change array }
 
 type t = {
   func : Schema.func;
@@ -18,10 +114,22 @@ type t = {
      the hashing walk of [iter_range] fires). *)
   mutable log_rows : row array;
   mutable log_len : int;
-  mutable version : int;  (* bumped on any mutation; index-cache validity *)
-  mutable removals : int;  (* rows ever removed; nonzero delta = not append-only *)
+  (* The retraction log: every version a write took away — a removed row,
+     or the old output of an overwritten one — with its row's [born].
+     Together with the stamp log it is the table's change feed (see
+     [changes_since]). Positions are absolute: entry [i] sits at index
+     [i - ret_base], the older ones having been dropped. *)
+  mutable ret_keys : Value.t array array;
+  mutable ret_values : Value.t array;
+  mutable ret_born : int array;
+  mutable ret_base : int;
+  mutable ret_len : int;
+  mutable version : int;  (* bumped on any write and inverse: the write sequence *)
+  mutable undone_at : int;  (* version right after the newest inverse *)
+  mutable removals : int;  (* rows ever removed *)
   mutable value_updates : int;  (* in-place output overwrites of existing rows *)
-  mutable distinct_cache : (int * int array) option;  (* version, per-column distincts *)
+  mutable stats : stats option;  (* per-column counts, made on first request *)
+  mutable last_feed : feed option;  (* shared by consumers holding one mark *)
   mutable bytes : int;  (* modeled footprint, maintained incrementally *)
   (* Keys removed while the log's newest stamp still equals their row's: a
      re-insert at that same stamp must inherit the removed row's [first_log]
@@ -32,11 +140,12 @@ type t = {
   mutable revivals : int Value.Key_tbl.t;
   mutable revivals_stamp : int;
   trail : Trail.t;  (* inverses of writes, while a transaction is open *)
+  id_columns : int array;  (* columns whose type can hold an id *)
 }
 
 (* Shared sentinel for log slots whose entry can never be current again.
    Never mutated: [remove] tombstones only records that were in [data]. *)
-let dead_row = { value = Value.VUnit; stamp = min_int; first_log = -1 }
+let dead_row = { value = Value.VUnit; stamp = min_int; first_log = -1; born = 0 }
 
 (* Modeled byte accounting. Each row costs a fixed overhead (hashtable
    bucket, record, key array header) plus the modeled size of its key
@@ -55,6 +164,19 @@ let next_uid =
     incr counter;
     !counter
 
+let column_ty (f : Schema.func) i : Ty.t =
+  if i < Schema.arity f then f.Schema.arg_tys.(i) else f.Schema.ret_ty
+
+let rec holds_id : Ty.t -> bool = function
+  | Ty.Sort _ -> true
+  | Ty.Set t | Ty.Vec t -> holds_id t
+  | Ty.Unit | Ty.Bool | Ty.Int | Ty.Rational | Ty.String -> false
+
+let id_columns_of f =
+  List.init (Schema.arity f + 1) Fun.id
+  |> List.filter (fun i -> holds_id (column_ty f i))
+  |> Array.of_list
+
 let create ?(trail = Trail.create ()) func =
   {
     func;
@@ -64,14 +186,22 @@ let create ?(trail = Trail.create ()) func =
     log_stamps = Array.make 16 0;
     log_rows = Array.make 16 dead_row;
     log_len = 0;
+    ret_keys = [||];
+    ret_values = [||];
+    ret_born = [||];
+    ret_base = 0;
+    ret_len = 0;
     version = 0;
+    undone_at = 0;
     removals = 0;
     value_updates = 0;
-    distinct_cache = None;
+    stats = None;
+    last_feed = None;
     bytes = 0;
     revivals = Value.Key_tbl.create 8;
     revivals_stamp = min_int;
     trail;
+    id_columns = id_columns_of func;
   }
 
 let func t = t.func
@@ -80,6 +210,7 @@ let version t = t.version
 let uid t = t.uid
 let removals t = t.removals
 let value_updates t = t.value_updates
+let id_columns t = t.id_columns
 
 (* Entries ever appended to the timestamp log (inserts + re-stamps). The
    growth of this number over an iteration is exactly the frontier the next
@@ -107,16 +238,57 @@ let log_append t key row stamp =
   t.log_len <- t.log_len + 1;
   t.bytes <- t.bytes + log_entry_cost
 
+(* Record that the version [key -> row.value] is being taken away. Called
+   before the write that retracts it. Not part of [bytes]: the feed is
+   bookkeeping for derived structures, not table content. When the arrays
+   are full and hold more than [max 16 rows] entries, only the newest
+   [max 16 rows] are kept: a consumer further behind would read at least
+   as many feed entries as the table has rows, which costs as much as the
+   rebuild it is sent to instead ([changes_since] answers [None]). *)
+let log_retraction t key (row : row) =
+  let n = t.ret_len - t.ret_base in
+  if n >= Array.length t.ret_keys then begin
+    let keep = min n (max 16 (length t)) in
+    let cap = 2 * max keep 8 in
+    let keys = Array.make cap [||] and values = Array.make cap Value.VUnit in
+    let born = Array.make cap 0 in
+    Array.blit t.ret_keys (n - keep) keys 0 keep;
+    Array.blit t.ret_values (n - keep) values 0 keep;
+    Array.blit t.ret_born (n - keep) born 0 keep;
+    t.ret_keys <- keys;
+    t.ret_values <- values;
+    t.ret_born <- born;
+    t.ret_base <- t.ret_len - keep
+  end;
+  let i = t.ret_len - t.ret_base in
+  t.ret_keys.(i) <- key;
+  t.ret_values.(i) <- row.value;
+  t.ret_born.(i) <- row.born;
+  t.ret_len <- t.ret_len + 1
+
 (* Undo support. An inverse restores the fields its write touched and
-   truncates the log back to where it was; entries past [log_len] are dead
-   (the walks never read them) and are dropped for the collector. [version]
-   is bumped, never restored, so it stays monotone across rollbacks. *)
+   truncates the stamp log back to where it was; entries past [log_len]
+   are dead (the walks never read them) and are dropped for the
+   collector. [version] is bumped, never restored, so it stays monotone
+   across rollbacks, and [undone_at] makes every older mark read a cut
+   feed — so the retraction log, which only such marks could read, is
+   dropped whole, and so are the counts behind [column_distincts]. *)
 let truncate_log t len =
   for i = len to t.log_len - 1 do
     t.log_keys.(i) <- [||];
     t.log_rows.(i) <- dead_row
   done;
   t.log_len <- len
+
+let undone t =
+  t.version <- t.version + 1;
+  t.undone_at <- t.version;
+  t.ret_keys <- [||];
+  t.ret_values <- [||];
+  t.ret_born <- [||];
+  t.ret_base <- t.ret_len;
+  t.stats <- None;
+  t.last_feed <- None
 
 let record_insert t key ~revived =
   let log_len = t.log_len and bytes = t.bytes in
@@ -129,7 +301,7 @@ let record_insert t key ~revived =
        | None -> ());
       truncate_log t log_len;
       t.bytes <- bytes;
-      t.version <- t.version + 1)
+      undone t)
 
 let record_update t row =
   let value = row.value and stamp = row.stamp and first_log = row.first_log in
@@ -141,7 +313,7 @@ let record_update t row =
       truncate_log t log_len;
       t.bytes <- bytes;
       t.value_updates <- t.value_updates - 1;
-      t.version <- t.version + 1)
+      undone t)
 
 (* When [remove] binds the key in the revival table of the row's own
    window, the key was unbound there before (a same-stamp re-insert
@@ -161,12 +333,13 @@ let record_remove t key row =
       Value.Key_tbl.replace t.data key row;
       t.bytes <- bytes;
       t.removals <- t.removals - 1;
-      t.version <- t.version + 1)
+      undone t)
 
 let set_raw t key value ~stamp =
   match Value.Key_tbl.find_opt t.data key with
   | None ->
-    let row = { value; stamp; first_log = t.log_len } in
+    t.version <- t.version + 1;
+    let row = { value; stamp; first_log = t.log_len; born = t.version } in
     (* Same-stamp revival: the key was removed at this stamp after being
        logged; re-attach the fresh record to the original entry so delta
        walks fire it there (where [iter_range]'s dedupe rule fires it). *)
@@ -187,21 +360,21 @@ let set_raw t key value ~stamp =
     Value.Key_tbl.replace t.data key row;
     t.bytes <- t.bytes + row_bytes key value;
     log_append t key row stamp;
-    t.version <- t.version + 1;
     `Inserted
   | Some row ->
     if Value.equal row.value value then `Unchanged
     else begin
       if Trail.recording t.trail then record_update t row;
+      log_retraction t key row;
       let restamped = row.stamp <> stamp in
       t.bytes <- t.bytes + Value.modeled_bytes value - Value.modeled_bytes row.value;
+      t.version <- t.version + 1;
       row.value <- value;
       row.stamp <- stamp;
       if restamped then begin
         row.first_log <- t.log_len;
         log_append t key row stamp
       end;
-      t.version <- t.version + 1;
       t.value_updates <- t.value_updates + 1;
       `Updated
     end
@@ -210,6 +383,7 @@ let remove t key =
   match Value.Key_tbl.find_opt t.data key with
   | Some row ->
     if Trail.recording t.trail then record_remove t key row;
+    log_retraction t key row;
     Value.Key_tbl.remove t.data key;
     (* A re-insert at the row's own stamp is still possible only while the
        log's newest stamp equals it; remember where the row was first
@@ -286,52 +460,75 @@ let iter_delta t ~lo ~hi f =
     done
   end
 
-let iter_log_suffix t ~from f =
-  let from = max 0 from in
-  let seen = Value.Key_tbl.create (max 16 (t.log_len - from)) in
-  for i = from to t.log_len - 1 do
+(* ------------------------------------------------------------------ *)
+(* The change feed                                                     *)
+(* ------------------------------------------------------------------ *)
+
+let mark t = { m_log = t.log_len; m_ret = t.ret_len; m_seq = t.version }
+let unchanged_since t m = t.version = m.m_seq
+
+(* Every write reaches one of the two logs: an insert appends a stamp-log
+   entry, a remove or an output overwrite a retraction (a re-stamped
+   overwrite both). So the keys a write touched since [m] are exactly the
+   keys of the two log suffixes, and the version a key had at the mark is
+   the one its first retraction after the mark took away — if the key was
+   present at the mark, i.e. if the retracted row was inserted no later
+   than the mark ([born]; an overwrite after the mark is preceded by its
+   own retraction, so only insertion matters). Log positions cannot tell
+   this: a same-stamp overwrite appends no stamp-log entry, and a
+   same-stamp revival re-attaches to an old one. *)
+let compute_changes t m =
+  let n_ret = t.ret_len - m.m_ret in
+  let changes =
+    Array.make (n_ret + t.log_len - m.m_log) { key = [||]; retracted = None; current = None }
+  in
+  let n = ref 0 in
+  let push change =
+    changes.(!n) <- change;
+    incr n
+  in
+  let retracted = Value.Key_tbl.create (max 16 n_ret) in
+  for j = m.m_ret - t.ret_base to t.ret_len - t.ret_base - 1 do
+    let key = t.ret_keys.(j) in
+    if not (Value.Key_tbl.mem retracted key) then begin
+      Value.Key_tbl.add retracted key ();
+      push
+        {
+          key;
+          retracted = (if t.ret_born.(j) <= m.m_seq then Some t.ret_values.(j) else None);
+          current = Value.Key_tbl.find_opt t.data key;
+        }
+    end
+  done;
+  (* A key with no retraction since the mark was absent at the mark and
+     was inserted once: a second stamp-log entry would have needed a
+     removal or an overwrite first. So its entry is unique, and its logged
+     record is the current one. *)
+  for i = m.m_log to t.log_len - 1 do
     let key = t.log_keys.(i) in
-    match Value.Key_tbl.find_opt t.data key with
-    | Some row when row.stamp = t.log_stamps.(i) ->
-      if not (Value.Key_tbl.mem seen key) then begin
-        Value.Key_tbl.replace seen key ();
-        f key row
-      end
-    | Some _ | None -> ()
-  done
+    if n_ret = 0 || not (Value.Key_tbl.mem retracted key) then
+      push { key; retracted = None; current = Some t.log_rows.(i) }
+  done;
+  Array.sub changes 0 !n
 
-module VTbl = Hashtbl.Make (struct
-  type t = Value.t
+(* Consumers that marked the table at the same moment (the join cache's
+   structures over one table, patched in one search phase) share one
+   answer. *)
+let feed_entries t m = t.ret_len - m.m_ret + t.log_len - m.m_log
 
-  let equal = Value.equal
-  let hash = Value.hash
-end)
-
-(* Per-column distinct-value counts (argument columns then the output),
-   recomputed lazily and cached against the version: the planner asks for
-   them only when a table's size bucket shifts, so the O(rows * columns)
-   scan amortizes to nothing on steady-state workloads. *)
-let column_distincts t =
-  match t.distinct_cache with
-  | Some (v, d) when v = t.version -> d
-  | Some _ | None ->
-    let cols = Schema.arity t.func + 1 in
-    let tbls = Array.init cols (fun _ -> VTbl.create 64) in
-    Value.Key_tbl.iter
-      (fun key row ->
-        Array.iteri (fun i v -> VTbl.replace tbls.(i) v ()) key;
-        VTbl.replace tbls.(cols - 1) row.value ())
-      t.data;
-    let d = Array.map VTbl.length tbls in
-    t.distinct_cache <- Some (t.version, d);
-    d
+let changes_since t m =
+  if t.undone_at > m.m_seq || m.m_ret < t.ret_base then None
+  else
+    match t.last_feed with
+    | Some f when f.f_from = m && f.f_to = t.version -> Some f.f_changes
+    | Some _ | None ->
+      let changes = compute_changes t m in
+      t.last_feed <- Some { f_from = m; f_to = t.version; f_changes = changes };
+      Some changes
 
 (* ------------------------------------------------------------------ *)
 (* Typed column readers (compiled join plans)                          *)
 (* ------------------------------------------------------------------ *)
-
-let column_ty (f : Schema.func) i : Ty.t =
-  if i < Schema.arity f then f.Schema.arg_tys.(i) else f.Schema.ret_ty
 
 (* Column [i] of a row is key position [i] when i < arity and the output
    cell otherwise. The position test is resolved here, once per compiled
@@ -349,20 +546,84 @@ let int_payload = function
   | Value.VUnit | Value.VRat _ | Value.VStr _ | Value.VSet _ | Value.VVec _ ->
     invalid_arg "Table.int_reader: non-integer payload in typed column"
 
+let has_int_payload : Ty.t -> bool = function
+  | Ty.Int | Ty.Bool | Ty.Sort _ -> true
+  | Ty.Unit | Ty.Rational | Ty.String | Ty.Set _ | Ty.Vec _ -> false
+
 let int_reader (f : Schema.func) i : (Value.t array -> row -> int) option =
-  match column_ty f i with
-  | Ty.Int | Ty.Bool | Ty.Sort _ ->
+  if not (has_int_payload (column_ty f i)) then None
+  else
     Some
       (if i < Schema.arity f then fun key _ -> int_payload key.(i)
        else fun _ row -> int_payload row.value)
-  | Ty.Unit | Ty.Rational | Ty.String | Ty.Set _ | Ty.Vec _ -> None
+
+(* ------------------------------------------------------------------ *)
+(* Planner statistics                                                  *)
+(* ------------------------------------------------------------------ *)
+
+let count_cell counts delta (v : Value.t) =
+  match counts with
+  | Ints c -> Int_counts.add c (int_payload v) delta
+  | Values tbl -> (
+    match VTbl.find_opt tbl v with
+    | Some n ->
+      n := !n + delta;
+      if !n = 0 then VTbl.remove tbl v
+    | None -> VTbl.add tbl v (ref delta))
+
+let count_row counts delta key value =
+  let arity = Array.length key in
+  for i = 0 to Array.length counts - 1 do
+    count_cell counts.(i) delta (if i < arity then key.(i) else value)
+  done
+
+let recount t =
+  let counts =
+    Array.init (Schema.arity t.func + 1) (fun i ->
+        if has_int_payload (column_ty t.func i) then Ints (Int_counts.create ())
+        else Values (VTbl.create 64))
+  in
+  Value.Key_tbl.iter (fun key row -> count_row counts 1 key row.value) t.data;
+  counts
+
+(* Per-column distinct counts (argument columns then the output): the
+   number of cells with a nonzero occurrence count. The counts are made on
+   the first request and patched forward from the change feed — a
+   retraction decrements its version's cells, an addition increments —
+   unless the feed since their mark holds at least as many entries as the
+   table has rows: then reading it would cost more than the recount. *)
+let column_distincts t =
+  match t.stats with
+  | Some s when unchanged_since t s.st_mark -> s.st_distinct
+  | stats ->
+    let patched s changes =
+      Array.iter
+        (fun { key; retracted; current } ->
+          Option.iter (count_row s.st_counts (-1) key) retracted;
+          Option.iter (fun row -> count_row s.st_counts 1 key row.value) current)
+        changes;
+      s.st_counts
+    in
+    let counts =
+      match stats with
+      | Some s when feed_entries t s.st_mark < length t -> (
+        match changes_since t s.st_mark with
+        | Some changes -> patched s changes
+        | None -> recount t)
+      | Some _ | None -> recount t
+    in
+    let distinct =
+      Array.map (function Ints c -> c.Int_counts.size | Values c -> VTbl.length c) counts
+    in
+    t.stats <- Some { st_mark = mark t; st_counts = counts; st_distinct = distinct };
+    distinct
 
 let copy t =
   let data = Value.Key_tbl.create (Value.Key_tbl.length t.data) in
   Value.Key_tbl.iter
     (fun k r ->
       Value.Key_tbl.replace data (Array.copy k)
-        { value = r.value; stamp = r.stamp; first_log = r.first_log })
+        { value = r.value; stamp = r.stamp; first_log = r.first_log; born = r.born })
     t.data;
   let log_keys = Array.map Fun.id (Array.sub t.log_keys 0 (max 16 t.log_len)) in
   let log_stamps = Array.sub t.log_stamps 0 (max 16 t.log_len) in
@@ -384,12 +645,21 @@ let copy t =
     log_stamps;
     log_rows;
     log_len = t.log_len;
+    (* a fresh incarnation: feed consumers mark it anew *)
+    ret_keys = [||];
+    ret_values = [||];
+    ret_born = [||];
+    ret_base = 0;
+    ret_len = 0;
     version = t.version;
+    undone_at = t.undone_at;
     removals = t.removals;
     value_updates = t.value_updates;
-    distinct_cache = None;
+    stats = None;
+    last_feed = None;
     bytes = t.bytes;
     revivals;
     revivals_stamp = t.revivals_stamp;
     trail = t.trail;
+    id_columns = t.id_columns;
   }

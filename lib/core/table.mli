@@ -8,11 +8,17 @@
     Tables are pure storage; merge-aware insertion and canonicalization live
     in {!Database}, which owns the union-find.
 
+    Every write also reaches a {e change feed} (the stamp log plus a
+    retraction log of the versions writes took away), from which derived
+    structures — the join cache's tries and indexes, the planner's
+    per-column counts — patch themselves forward instead of rebuilding.
+
     While a transaction is open on the table's {!Trail}, [set_raw] and
     [remove] push the inverse of each write first (the row's old value,
-    stamp and [first_log], the log length, revival slots and the byte,
-    removal and update counters), so a rollback restores the table in
-    place. *)
+    stamp and [first_log], the stamp log's length, revival slots and the
+    byte, removal and update counters), so a rollback restores the table
+    in place. An inverse also cuts the change feed: it drops the
+    retraction log and the column counts, and older marks read [None]. *)
 
 type row = {
   mutable value : Value.t;
@@ -21,6 +27,10 @@ type row = {
       (** Log position of the first entry carrying the row's current stamp —
           the position where range walks report it. Maintained internally;
           [min_int] stamps mark tombstoned (removed) records. *)
+  mutable born : int;
+      (** The table's {!version} right after the row's insert — its place in
+          the write sequence, which the change feed compares against a mark
+          to tell whether the key was present then. Maintained internally. *)
 }
 
 type t
@@ -43,13 +53,18 @@ val uid : t -> int
     coincide between incarnations. A rollback keeps the incarnation. *)
 
 val removals : t -> int
-(** Rows ever removed from this incarnation. An unchanged count between two
-    observations means no row disappeared in between, so an index built at
-    the first observation can be patched forward instead of rebuilt. *)
+(** Rows ever removed from this incarnation (an inverse takes its removal
+    back). A statistic: derived structures follow removals through the
+    change feed, not through this count. *)
 
 val value_updates : t -> int
-(** In-place output overwrites of existing rows. An unchanged count means
-    every surviving row's output is what it was when an index was built. *)
+(** In-place output overwrites of existing rows, re-stamped or not (an
+    inverse takes its overwrite back). A statistic, like {!removals}. *)
+
+val id_columns : t -> int array
+(** Columns (argument positions, then [arity] for the output) whose type can
+    hold an id: sorts, and sets or vectors of them. Computed once from the
+    schema; the only columns a rebuild has to check for stale ids. *)
 
 val entries_since : t -> int -> int
 (** [entries_since t lo] = number of log entries with stamp >= [lo]: an
@@ -92,14 +107,51 @@ val iter_delta : t -> lo:int -> hi:int -> (Value.t array -> row -> unit) -> unit
     kernels use; {!iter_range} stays the hash-validated reference the
     interpreter runs, and the differential suite holds the two equal. *)
 
-val iter_log_suffix : t -> from:int -> (Value.t array -> row -> unit) -> unit
-(** Visit each surviving row that was logged at position >= [from], exactly
-    once. This is the feed for incremental index maintenance: a structure
-    built when the log had length [from] learns exactly these rows. *)
+(** {2 The change feed}
+
+    [remove] and every value-changing [set_raw] append the version they
+    take away (key, old value and its row's [born]) to a retraction log;
+    inserts and re-stamps append to the stamp log as before. A consumer
+    keeps a {!mark} next to the structure it derived from the table and,
+    when {!version} has moved, asks for the {!changes_since} that mark.
+    Once the retraction log fills its arrays it keeps only the newest
+    [max 16 rows] entries: a consumer further behind would read more feed
+    than a rebuild reads rows. *)
+
+type mark
+(** A position in the feed: both log lengths and the {!version}. *)
+
+val mark : t -> mark
+
+val unchanged_since : t -> mark -> bool
+(** No write (and no inverse) since the mark: O(1). *)
+
+type change = {
+  key : Value.t array;
+  retracted : Value.t option;
+      (** The key's output at the mark, if the key was present then. *)
+  current : row option;  (** The key's row now, if it is present. *)
+}
+
+val changes_since : t -> mark -> change array option
+(** Each key a write touched since the mark, exactly once, retracted keys
+    first (in retraction order), then the keys only inserted (in stamp-log
+    order). Applying every change in turn — take out [retracted], put in
+    [current] — turns a structure that held the table at the mark into one
+    that holds the table now. A key written and taken out again in between
+    has neither. [None] when an inverse ran since the mark, or the
+    retraction log no longer reaches back to it: the consumer must
+    rebuild. O(entries since the mark); consumers asking with the same
+    mark at the same version share one answer. *)
 
 val column_distincts : t -> int array
 (** Distinct-value count per column (argument columns, then the output), for
-    cardinality estimation. Cached against [version]. *)
+    cardinality estimation. Backed by per-column occurrence counts (cell ->
+    rows; integer-keyed for the columns {!int_reader} reads) made on the
+    first request and patched from the change feed afterwards; recounted
+    from scratch when the feed since their mark holds at least as many
+    entries as the table has rows, or an inverse dropped them. {!copy}
+    starts without them. The result equals a fresh recount exactly. *)
 
 val copy : t -> t
 (** Deep copy (for push/pop). The copy shares the original's trail. *)

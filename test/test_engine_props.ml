@@ -253,12 +253,14 @@ let join_multiset db ?cache ?(fast_paths = true) q ~ranges =
 
 (* Same multiset through the compiled evaluator (Join.compile_plan +
    search_compiled) — the third corner of the differential triangle. *)
-let compiled_multiset db ?cache ?(fast_paths = true) q ~ranges =
-  let cp = E.Join.compile_plan ~fast_paths q in
+let compiled_multiset_of db ?cache cp ~ranges =
   let acc = ref [] in
   E.Join.search_compiled db ?cache cp ~ranges (fun binding ->
       acc := String.concat "," (Array.to_list (Array.map E.Value.to_string binding)) :: !acc);
   List.sort compare !acc
+
+let compiled_multiset db ?cache ?(fast_paths = true) q ~ranges =
+  compiled_multiset_of db ?cache (E.Join.compile_plan ~fast_paths q) ~ranges
 
 let rec permutations = function
   | [] -> [ [] ]
@@ -879,6 +881,226 @@ let prop_table_rollback =
       restored && (let agree, _, _, _ = observed in agree)
       && observed = tbl_observe reference ~max_stamp)
 
+(* The join cache's persistent structures and the planner's column counts
+   follow their tables through the change feed instead of being rebuilt.
+   A random history of raw writes — inserts, value overwrites at the row's
+   own stamp and re-stamped, removes, same-stamp revivals, unions followed
+   by a rebuild, and transactions that fail partway — is driven through one
+   long-lived cache; after every step each query must give, as a multiset,
+   what a fresh cache and the naive reference give, interpreted and
+   compiled, with fast paths (indexes) and without (tries), and every
+   table's distinct counts must equal a recount. *)
+let patch_schema =
+  {|
+    (datatype N (Mk i64))
+    (relation r (i64 N))
+    (function f (i64) i64 :merge (max old new))
+    (function h (N) i64 :merge (max old new))
+  |}
+
+let patch_queries =
+  let v s = E.Ast.Var s and i n = E.Ast.Lit (E.Value.VInt n) in
+  let r a b = E.Ast.Holds (E.Ast.Call ("r", [ a; b ])) in
+  let f a b = E.Ast.Eq (E.Ast.Call ("f", [ a ]), b) in
+  let h a b = E.Ast.Eq (E.Ast.Call ("h", [ a ]), b) in
+  [
+    [ r (v "x") (v "n") ];
+    [ r (v "x") (v "n"); f (v "x") (v "y") ];
+    [ r (v "x") (v "n"); h (v "n") (v "y") ];
+    [ f (v "x") (v "x"); r (v "x") (v "n") ];
+    [ r (i 1) (v "n"); h (v "n") (v "y"); f (v "y") (v "z") ];
+    [ r (v "x") (v "n"); f (v "x") (v "y"); h (v "n") (v "y") ];
+    [ f (i 1) (i 2); r (v "x") (v "n") ];
+  ]
+
+(* A history step: one write (op codes: 0 insert into r, 1 overwrite f,
+   2 new stamp, 3 remove, 4 same-stamp revival, 5 overwrite h, 6 union
+   then rebuild), or a transaction of writes that fails after them. *)
+type patch_step = Write of (int * int * int) | Failing of (int * int * int) list
+
+let gen_patch_history =
+  QCheck2.Gen.(
+    let write =
+      triple
+        (frequency
+           [ (3, return 0); (3, return 1); (2, return 2); (2, return 3); (2, return 4);
+             (2, return 5); (1, return 6) ])
+        (int_bound 4) (int_bound 4)
+    in
+    list_size (int_range 1 14)
+      (frequency
+         [ (8, map (fun w -> Write w) write);
+           (1, map (fun ws -> Failing ws) (list_size (int_range 1 4) write)) ]))
+
+let print_patch_history steps =
+  let op (c, a, b) = Printf.sprintf "%d:%d:%d" c a b in
+  String.concat " "
+    (List.map
+       (function
+         | Write w -> op w
+         | Failing ws -> "fail[" ^ String.concat " " (List.map op ws) ^ "]")
+       steps)
+
+let check_patch_history steps =
+  let eng = E.Engine.create () in
+  run_cmds eng [ patch_schema ];
+  let db = E.Engine.database eng in
+  let ids = Array.init 5 (fun n -> E.Engine.eval_call eng "Mk" [ E.Value.VInt n ]) in
+  let table name = Option.get (E.Database.find_func db (E.Symbol.intern name)) in
+  let r = table "r" and f = table "f" and h = table "h" in
+  let int n = E.Value.VInt n in
+  let canon key = Array.map (E.Database.canon db) key in
+  let raw_set t key value =
+    ignore (E.Table.set_raw t (canon key) value ~stamp:(E.Database.timestamp db))
+  in
+  let write (code, a, b) =
+    match code with
+    | 0 -> raw_set r [| int (a mod 3); ids.(b) |] E.Value.VUnit
+    | 1 -> raw_set f [| int (a mod 3) |] (int b)
+    | 2 -> E.Database.bump_timestamp db
+    | 3 ->
+      if b mod 2 = 0 then E.Table.remove f [| int (a mod 3) |]
+      else E.Table.remove r (canon [| int (a mod 3); ids.(b) |])
+    | 4 ->
+      let key = [| int (a mod 3) |] in
+      if Option.is_some (E.Table.get f key) then begin
+        E.Table.remove f key;
+        raw_set f key (int b)
+      end
+    | 5 -> raw_set h [| ids.(a) |] (int b)
+    | _ ->
+      ignore (E.Database.union db ids.(a) ids.(b));
+      E.Database.rebuild db
+  in
+  let queries = List.map (E.Compile.compile_query (compile_env db)) patch_queries in
+  let compiled =
+    List.map (fun q -> (E.Join.compile_plan q, E.Join.compile_plan ~fast_paths:false q)) queries
+  in
+  let cache = E.Join.new_cache () in
+  let recount t =
+    let cols = E.Schema.arity (E.Table.func t) + 1 in
+    Array.init cols (fun i ->
+        let seen = Hashtbl.create 16 in
+        E.Table.iter
+          (fun key (row : E.Table.row) ->
+            let v = if i < cols - 1 then key.(i) else row.value in
+            Hashtbl.replace seen (E.Value.to_string v) ())
+          t;
+        Hashtbl.length seen)
+  in
+  let agree () =
+    List.for_all2
+      (fun q (cp, cp_generic) ->
+        let ranges = Array.make (Array.length q.E.Compile.atoms) E.Join.all_rows in
+        let expected = Ref_join.matches_multiset db q ~ranges in
+        let fresh = E.Join.new_cache () in
+        join_multiset db ~cache:fresh q ~ranges = expected
+        && join_multiset db ~cache q ~ranges = expected
+        && join_multiset db ~cache ~fast_paths:false q ~ranges = expected
+        && compiled_multiset_of db ~cache cp ~ranges = expected
+        && compiled_multiset_of db ~cache cp_generic ~ranges = expected)
+      queries compiled
+    && List.for_all (fun t -> E.Table.column_distincts t = recount t) [ r; f; h ]
+  in
+  let ok = ref (agree ()) in
+  List.iter
+    (fun step ->
+      (match step with
+       | Write w -> write w
+       | Failing ws -> (
+         (* the cache also marks the tables inside the transaction; the
+            rollback must not let those marks patch *)
+         try
+           E.Engine.with_transaction eng (fun () ->
+               List.iter (fun w -> write w; ok := !ok && agree ()) ws;
+               failwith "boom")
+         with E.Engine.Egglog_error _ -> ()));
+      ok := !ok && agree ())
+    steps;
+  !ok
+
+let prop_patch_differential =
+  QCheck2.Test.make
+    ~name:"patching: a long-lived join cache and the column counts follow any history"
+    ~count:500 ~print:print_patch_history gen_patch_history check_patch_history
+
+(* The column counts alone, under heavier churn than the join history
+   above: keys and outputs from a wider range, so the integer count maps
+   see probe collisions, and deletions must keep every colliding entry
+   reachable. *)
+let prop_column_counts =
+  QCheck2.Test.make ~name:"patching: column counts equal a recount under random churn" ~count:300
+    QCheck2.Gen.(list_size (int_range 1 80) (triple (int_bound 2) (int_bound 63) (int_bound 63)))
+    (fun ops ->
+      let table = E.Table.create tbl_func in
+      let recount () =
+        let keys = Hashtbl.create 16 and values = Hashtbl.create 16 in
+        E.Table.iter
+          (fun key (row : E.Table.row) ->
+            Hashtbl.replace keys key.(0) ();
+            Hashtbl.replace values row.value ())
+          table;
+        [| Hashtbl.length keys; Hashtbl.length values |]
+      in
+      List.for_all
+        (fun (op, k, v) ->
+          let key = [| E.Value.VInt k |] in
+          (match op with
+           | 0 | 1 -> ignore (E.Table.set_raw table key (E.Value.VInt v) ~stamp:1)
+           | _ -> E.Table.remove table key);
+          E.Table.column_distincts table = recount ())
+        ops)
+
+(* The retraction log keeps only the newest [max 16 rows] entries once it
+   fills up. A mark further back must read a cut feed, so the structures
+   and counts kept at it are rebuilt rather than patched from a partial
+   history; a recent mark still patches. *)
+let test_trimmed_feed () =
+  let eng = E.Engine.create () in
+  run_cmds eng [ "(relation r (i64 i64)) (function f (i64) i64 :merge (max old new))" ];
+  let db = E.Engine.database eng in
+  let table name = Option.get (E.Database.find_func db (E.Symbol.intern name)) in
+  let r = table "r" and f = table "f" in
+  let int n = E.Value.VInt n in
+  let set_f v = ignore (E.Table.set_raw f [| int 1 |] (int v) ~stamp:(E.Database.timestamp db)) in
+  List.iter (fun (a, b) -> ignore (E.Table.set_raw r [| int a; int b |] E.Value.VUnit ~stamp:0))
+    [ (1, 1); (2, 2) ];
+  set_f 0;
+  let q =
+    E.Compile.compile_query (compile_env db)
+      [
+        E.Ast.Holds (E.Ast.Call ("r", [ E.Ast.Var "x"; E.Ast.Var "y" ]));
+        E.Ast.Eq (E.Ast.Call ("f", [ E.Ast.Var "x" ]), E.Ast.Var "z");
+      ]
+  in
+  let ranges = [| E.Join.all_rows; E.Join.all_rows |] in
+  let cache = E.Join.new_cache () in
+  let agree () =
+    let expected = Ref_join.matches_multiset db q ~ranges in
+    Alcotest.(check (list string)) "interpreted" expected (join_multiset db ~cache q ~ranges);
+    Alcotest.(check (list string)) "trie join" expected
+      (join_multiset db ~cache ~fast_paths:false q ~ranges);
+    Alcotest.(check (list string)) "compiled" expected (compiled_multiset db ~cache q ~ranges)
+  in
+  agree ();
+  ignore (E.Table.column_distincts f);
+  let old = E.Table.mark f in
+  (* 40 overwrites of f's one row: far more retractions than rows *)
+  for v = 1 to 40 do
+    set_f v
+  done;
+  Alcotest.(check bool) "a mark 40 retractions back reads a cut feed" true
+    (E.Table.changes_since f old = None);
+  Alcotest.(check (array int)) "counts recounted" [| 1; 1 |] (E.Table.column_distincts f);
+  agree ();
+  let recent = E.Table.mark f in
+  set_f 41;
+  (match E.Table.changes_since f recent with
+   | Some [| { E.Table.retracted = Some (E.Value.VInt 40); current = Some row; _ } |] ->
+     Alcotest.(check bool) "the current version" true (E.Value.equal row.value (int 41))
+   | Some _ | None -> Alcotest.fail "a recent mark sees one overwrite");
+  agree ()
+
 (* Regression for the cache-key representation: two distinct table
    incarnations (original and a pre-mutation snapshot) can reach the same
    version counter with different contents. A key that identified tables by
@@ -979,7 +1201,11 @@ let () =
             prop_jobs_differential_limits;
             prop_rollback_differential;
             prop_table_rollback;
+            prop_patch_differential;
+            prop_column_counts;
           ] );
+      ( "change feed",
+        [ Alcotest.test_case "a trimmed feed rebuilds" `Quick test_trimmed_feed ] );
       ( "scheduling",
         [ Alcotest.test_case "backoff unbans" `Quick test_backoff_unbans ] );
       ( "primitives",

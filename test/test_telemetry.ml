@@ -339,27 +339,39 @@ let test_snapshot_json () =
 (* ---- join cache: stamp windows, patching, and accounting ---- *)
 
 (* Empty deltas are the common case at a fixpoint: the log must report zero
-   entries past the newest stamp and the suffix iterator must visit
-   nothing. *)
+   entries past the newest stamp and the change feed since a fresh mark
+   must be empty. *)
 let test_empty_delta_iteration () =
   fresh ();
   let eng = E.Engine.create () in
-  ignore (E.run_string eng "(relation r (i64)) (r 1) (r 2)");
+  ignore (E.run_string eng "(relation r (i64))");
   let db = E.Engine.database eng in
   let t =
     match E.Database.find_func db (E.Symbol.intern "r") with
     | Some t -> t
     | None -> Alcotest.fail "no table r"
   in
+  let start = E.Table.mark t in
+  ignore (E.run_string eng "(r 1) (r 2)");
   let now = E.Database.timestamp db in
   Alcotest.(check int) "no entries past the newest stamp" 0 (E.Table.entries_since t (now + 1));
   Alcotest.(check bool) "all entries from stamp zero" true (E.Table.entries_since t 0 >= 2);
-  let visited = ref 0 in
-  E.Table.iter_log_suffix t ~from:(E.Table.log_length t) (fun _ _ -> incr visited);
-  Alcotest.(check int) "suffix from the log end is empty" 0 !visited;
-  visited := 0;
-  E.Table.iter_log_suffix t ~from:0 (fun _ _ -> incr visited);
-  Alcotest.(check int) "suffix from zero visits every surviving row" 2 !visited;
+  let changes m =
+    match E.Table.changes_since t m with
+    | Some changes -> Array.to_list changes
+    | None -> Alcotest.fail "no inverse ran, yet the feed was cut"
+  in
+  Alcotest.(check int) "the feed since a fresh mark is empty" 0
+    (List.length (changes (E.Table.mark t)));
+  Alcotest.(check bool) "no write since a fresh mark" true
+    (E.Table.unchanged_since t (E.Table.mark t));
+  let since_start = changes start in
+  Alcotest.(check int) "the feed since the start adds every surviving row" 2
+    (List.length since_start);
+  Alcotest.(check bool) "additions only" true
+    (List.for_all
+       (fun (c : E.Table.change) -> c.retracted = None && Option.is_some c.current)
+       since_start);
   (* a copy is a distinct incarnation even though version is preserved *)
   let t' =
     match E.Database.find_func (E.Database.copy db) (E.Symbol.intern "r") with
@@ -420,6 +432,52 @@ let test_index_patching () =
   (* patched structures answer correctly: both chains contribute their
      two-step pairs and nothing else *)
   Alcotest.(check int) "two-step pairs" 9 (E.Engine.table_size eng "out")
+
+(* A rebuild feeds the join cache, which patches instead of rebuilding.
+   [edge] has 40 rows, ten per id; the union makes the ten rows of the
+   losing id stale. The next search finds the full-table index on [edge]
+   one patch away — ten entries out, ten canonical ones in, no build —
+   and the index on [ok] unchanged. The rebuild's stale scan checks the
+   48 rows of the three tables with an id column (Mk, edge, out) and
+   skips the ten rows of the i64-only [ok]. *)
+let test_patch_after_rebuild () =
+  fresh ();
+  let eng = E.Engine.create () in
+  let facts =
+    String.concat "\n"
+      (List.init 40 (fun i -> Printf.sprintf "(edge %d (Mk %d))" i (i mod 4))
+      @ List.init 10 (fun i -> Printf.sprintf "(ok %d)" i))
+  in
+  ignore
+    (E.run_string eng
+       ({|
+  (datatype N (Mk i64))
+  (relation edge (i64 N))
+  (relation ok (i64))
+  (relation out (N))
+  (rule ((edge i n) (ok i)) ((out n)))
+|}
+       ^ facts));
+  (* the first run builds the index on edge, the second the one on ok *)
+  ignore (E.Engine.run_iterations eng 2);
+  Alcotest.(check int) "out holds the four ids" 4 (E.Engine.table_size eng "out");
+  T.enable ();
+  let v0 = counter_value (T.snapshot ()) in
+  ignore (E.run_string eng "(union (Mk 0) (Mk 1))");
+  let v1 = counter_value (T.snapshot ()) in
+  ignore (E.Engine.run_iterations eng 1);
+  T.disable ();
+  let v2 = counter_value (T.snapshot ()) in
+  Alcotest.(check int) "one rebuild round" 1 (v1 "rebuild.rounds" - v0 "rebuild.rounds");
+  Alcotest.(check int) "stale rows: ten in edge, one in Mk, one in out" 12
+    (v1 "rebuild.tuples_canonicalized" - v0 "rebuild.tuples_canonicalized");
+  Alcotest.(check int) "rows checked: Mk 4 + edge 40 + out 4, not ok" 48
+    (v1 "rebuild.rows_checked" - v0 "rebuild.rows_checked");
+  Alcotest.(check int) "no index built" 0 (v2 "join.index_builds" - v1 "join.index_builds");
+  Alcotest.(check int) "one index patched" 1 (v2 "join.index_patched" - v1 "join.index_patched");
+  Alcotest.(check int) "k entries retracted" 10 (v2 "join.rows_retracted" - v1 "join.rows_retracted");
+  Alcotest.(check int) "out merged two ids" 3 (E.Engine.table_size eng "out");
+  fresh ()
 
 (* Pop replaces the database object: cached structures for the popped
    incarnation must never serve the restored one. *)
@@ -661,6 +719,7 @@ let () =
           Alcotest.test_case "empty delta iteration" `Quick test_empty_delta_iteration;
           Alcotest.test_case "hit/miss accounting" `Quick test_cache_accounting;
           Alcotest.test_case "append-only patching" `Quick test_index_patching;
+          Alcotest.test_case "patch after rebuild" `Quick test_patch_after_rebuild;
           Alcotest.test_case "popped-scope invalidation" `Quick test_popped_scope_invalidation;
         ] );
       ( "histograms",
