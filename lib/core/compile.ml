@@ -7,6 +7,16 @@ type arg = A_var of int | A_const of Value.t
 type atom = { a_func : Schema.func; a_args : arg array }
 type prim_app = { p_prim : Primitives.prim; p_args : arg array; p_out : arg }
 
+(* What the cost-based planner reads of a query's structure, computed once
+   when the query is compiled and shared by all of its plans. *)
+type planning = {
+  pl_const_cols : int array array;  (* per atom: its constant columns *)
+  pl_cover_start : int array;
+      (* variable v's covering atoms sit at [start.(v), start.(v+1)) of: *)
+  pl_cover_atoms : int array;  (* the atoms it occurs in, ascending *)
+  pl_cover_cols : int array;  (* and its first column in each *)
+}
+
 type cquery = {
   n_vars : int;
   var_names : string array;
@@ -18,6 +28,7 @@ type cquery = {
   name_args : (string * arg) list;
       (* user variable name -> surviving variable or constant, after the
          query's equalities are resolved *)
+  planning : planning;
 }
 
 type cexpr =
@@ -157,26 +168,61 @@ let resolve_equalities st =
 (* Planning                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let count_occurrences ~n_vars (atoms : atom array) =
-  let occurrences = Array.make n_vars 0 in
-  Array.iter
-    (fun atom ->
-      let seen = Hashtbl.create 8 in
-      Array.iter
-        (function
-          | A_var v when not (Hashtbl.mem seen v) ->
-            Hashtbl.add seen v ();
-            occurrences.(v) <- occurrences.(v) + 1
-          | A_var _ | A_const _ -> ())
-        atom.a_args)
-    atoms;
-  occurrences
+(* The column of [v]'s first occurrence in [args], or -1. *)
+let first_col (args : arg array) v =
+  let n = Array.length args and p = ref 0 in
+  while !p < n && (match args.(!p) with A_var u -> u <> v | A_const _ -> true) do
+    incr p
+  done;
+  if !p = n then -1 else !p
+
+(* [planning] for a query's atoms: one pass counts each variable's
+   covering atoms to lay out the flat cover arrays, a second fills them. *)
+let planning_of ~n_vars (atoms : atom array) =
+  (* calls [f ai v p] for each variable's first column [p] in each atom [ai] *)
+  let each_first f =
+    for ai = 0 to Array.length atoms - 1 do
+      let args = atoms.(ai).a_args in
+      for p = 0 to Array.length args - 1 do
+        match args.(p) with
+        | A_var v when first_col args v = p -> f ai v p
+        | A_var _ | A_const _ -> ()
+      done
+    done
+  in
+  let start = Array.make (n_vars + 1) 0 in
+  each_first (fun _ v _ -> start.(v + 1) <- start.(v + 1) + 1);
+  for v = 1 to n_vars do
+    start.(v) <- start.(v) + start.(v - 1)
+  done;
+  let cover_atoms = Array.make start.(n_vars) 0 and cover_cols = Array.make start.(n_vars) 0 in
+  let next = Array.sub start 0 n_vars in
+  each_first (fun ai v p ->
+      cover_atoms.(next.(v)) <- ai;
+      cover_cols.(next.(v)) <- p;
+      next.(v) <- next.(v) + 1);
+  let const_cols (atom : atom) =
+    let cols = ref [] in
+    for p = Array.length atom.a_args - 1 downto 0 do
+      match atom.a_args.(p) with A_const _ -> cols := p :: !cols | A_var _ -> ()
+    done;
+    if !cols = [] then [||] else Array.of_list !cols
+  in
+  {
+    pl_const_cols = Array.map const_cols atoms;
+    pl_cover_start = start;
+    pl_cover_atoms = cover_atoms;
+    pl_cover_cols = cover_cols;
+  }
+
+(* The number of atoms [v] occurs in. *)
+let coverage (pl : planning) v = pl.pl_cover_start.(v + 1) - pl.pl_cover_start.(v)
 
 (* Turn a chosen variable [order] into a full plan: per-variable depths plus
-   the primitive schedule. Shared by the initial occurrence-based plan, the
-   runtime cost-based [replan], and the test-only [reorder]. *)
+   the primitive schedule. Shared by the initial occurrence-based plan and
+   [reorder], behind the runtime cost-based [replan]. *)
 let finish_plan ~var_names ~var_tys ~(atoms : atom array) ~(prims : prim_app list) ~name_args
-    ~(occurrences : int array) ~(order : int array) =
+    ~(planning : planning) ~(order : int array) =
   let n_vars = Array.length var_names in
   let var_depth = Array.make n_vars 0 in
   Array.iteri (fun d v -> var_depth.(v) <- d + 1) order;
@@ -221,12 +267,12 @@ let finish_plan ~var_names ~var_tys ~(atoms : atom array) ~(prims : prim_app lis
    | (p : prim_app) :: _ -> error "cannot schedule primitive %s: some argument is unbound" p.p_prim.pname);
   Array.iteri
     (fun v depth ->
-      if depth = 0 && not bound.(v) && occurrences.(v) = 0 then
+      if depth = 0 && not bound.(v) && coverage planning v = 0 then
         error "variable %s is not bound by the query" var_names.(v))
     var_depth;
   (* preserve discovery order inside each depth *)
   let schedule = Array.map List.rev schedule in
-  { n_vars; var_names; var_tys; atoms; order; var_depth; schedule; name_args }
+  { n_vars; var_names; var_tys; atoms; order; var_depth; schedule; name_args; planning }
 
 let join_vars_of ~n_vars (occurrences : int array) =
   let join_vars = ref [] in
@@ -237,7 +283,8 @@ let join_vars_of ~n_vars (occurrences : int array) =
 
 let plan ~var_names ~var_tys ~(atoms : atom array) ~(prims : prim_app list) ~name_args =
   let n_vars = Array.length var_names in
-  let occurrences = count_occurrences ~n_vars atoms in
+  let planning = planning_of ~n_vars atoms in
+  let occurrences = Array.init n_vars (coverage planning) in
   (* Cold-start order, used before any table statistics exist: most shared
      variables first (they constrain the most). The engine replaces this
      with a cost-based [replan] once it can see table cardinalities. *)
@@ -247,7 +294,7 @@ let plan ~var_names ~var_tys ~(atoms : atom array) ~(prims : prim_app list) ~nam
       (join_vars_of ~n_vars occurrences)
     |> Array.of_list
   in
-  finish_plan ~var_names ~var_tys ~atoms ~prims ~name_args ~occurrences ~order
+  finish_plan ~var_names ~var_tys ~atoms ~prims ~name_args ~planning ~order
 
 (* ------------------------------------------------------------------ *)
 (* Cost-based replanning                                               *)
@@ -261,98 +308,98 @@ type atom_card = {
 let prims_of (q : cquery) : prim_app list = List.concat (Array.to_list q.schedule)
 
 let distinct_at (c : atom_card) p =
-  if p < Array.length c.ac_distinct then max 1 c.ac_distinct.(p) else 1
+  if p < Array.length c.ac_distinct then Int.max 1 c.ac_distinct.(p) else 1
 
 (* Estimated number of values the cursor for [v] enumerates in atom [ai],
    given the set of already-bound variables: start from the atom's row
-   count, divide by the distinct count of every bound or constant column
-   (independence assumption), and never exceed the distinct count of the
-   column [v] itself sits in. *)
+   count, divide by the distinct count of every constant column and of the
+   first column of every bound variable (independence assumption), and
+   never exceed the distinct count of [v]'s own first column. *)
 let estimate ~(q : cquery) ~(cards : atom_card array) ~(bound : bool array) ai v =
   let atom = q.atoms.(ai) and c = cards.(ai) in
   let cand = ref (max 1 c.ac_rows) in
-  let seen = Hashtbl.create 8 in
   Array.iteri
     (fun p arg ->
       match arg with
       | A_const _ -> cand := max 1 (!cand / distinct_at c p)
-      | A_var u when u <> v && bound.(u) && not (Hashtbl.mem seen u) ->
-        Hashtbl.add seen u ();
+      | A_var u when u <> v && bound.(u) && first_col atom.a_args u = p ->
         cand := max 1 (!cand / distinct_at c p)
       | A_var _ -> ())
     atom.a_args;
-  let width = ref !cand in
-  (try
-     Array.iteri
-       (fun p arg ->
-         match arg with
-         | A_var u when u = v ->
-           width := distinct_at c p;
-           raise Exit
-         | A_var _ | A_const _ -> ())
-       atom.a_args
-   with Exit -> ());
-  min !cand !width
+  let own = first_col atom.a_args v in
+  if own < 0 then !cand else min !cand (distinct_at c own)
 
 (* Greedy cost-based variable ordering: repeatedly pick the unordered join
    variable whose cheapest covering atom enumerates the fewest values under
    the current bound set; break ties toward higher coverage (intersecting
    more atoms prunes more), then toward the smaller variable index so plans
    are deterministic. *)
-let replan (q : cquery) ~(cards : atom_card array) : cquery =
+let replan_order (q : cquery) ~(cards : atom_card array) : int array =
   if Array.length cards <> Array.length q.atoms then
-    invalid_arg "Compile.replan: cardinality/atom arity mismatch";
-  let n_vars = q.n_vars in
-  if Array.length q.order <= 1 then q
+    invalid_arg "Compile.replan_order: cardinality/atom arity mismatch";
+  let n_steps = Array.length q.order in
+  if n_steps <= 1 then q.order
   else begin
-    let occurrences = count_occurrences ~n_vars q.atoms in
-    let covering = Array.make n_vars [] in
-    Array.iteri
-      (fun ai atom ->
-        let seen = Hashtbl.create 8 in
-        Array.iter
-          (function
-            | A_var v when not (Hashtbl.mem seen v) ->
-              Hashtbl.add seen v ();
-              covering.(v) <- ai :: covering.(v)
-            | A_var _ | A_const _ -> ())
-          atom.a_args)
-      q.atoms;
-    let bound = Array.make n_vars false in
-    let remaining = ref (Array.to_list q.order |> List.sort Stdlib.compare) in
-    let order = Array.make (Array.length q.order) 0 in
-    let next = ref 0 in
-    while !remaining <> [] do
-      let best = ref None in
-      List.iter
+    let pl = q.planning in
+    (* [reduced.(ai)]: the numerator of every estimate in atom [ai] — its
+       row count divided by the distinct counts of its constant columns and
+       of the columns of the variables bound so far. Clamped floor
+       division composes in any order (max 1 (max 1 (x / b) / c) =
+       max 1 (x / (b * c))), so dividing as each variable gets bound gives
+       exactly the column-order quotient of [estimate]. *)
+    let reduced =
+      Array.mapi
+        (fun ai (c : atom_card) ->
+          Array.fold_left
+            (fun r p -> Int.max 1 (r / distinct_at c p))
+            (Int.max 1 c.ac_rows) pl.pl_const_cols.(ai))
+        cards
+    in
+    let bound = Array.make q.n_vars false in
+    let candidates = Array.copy q.order in
+    Array.sort Int.compare candidates;
+    let order = Array.make n_steps 0 in
+    for next = 0 to n_steps - 1 do
+      (* the least key (cost, -coverage, v) over the unbound variables *)
+      let best = ref (-1) and best_cost = ref max_int and best_cov = ref 0 in
+      Array.iter
         (fun v ->
-          let cost =
-            List.fold_left
-              (fun acc ai -> min acc (estimate ~q ~cards ~bound ai v))
-              max_int covering.(v)
-          in
-          let key = (cost, -List.length covering.(v), v) in
-          match !best with
-          | Some (bkey, _) when Stdlib.compare bkey key <= 0 -> ()
-          | Some _ | None -> best := Some (key, v))
-        !remaining;
-      let v = match !best with Some (_, v) -> v | None -> assert false in
-      order.(!next) <- v;
-      incr next;
+          if not bound.(v) then begin
+            let cov = coverage pl v in
+            let cost = ref max_int in
+            for k = pl.pl_cover_start.(v) to pl.pl_cover_start.(v + 1) - 1 do
+              let ai = pl.pl_cover_atoms.(k) in
+              cost := Int.min !cost (Int.min reduced.(ai) (distinct_at cards.(ai) pl.pl_cover_cols.(k)))
+            done;
+            if !best < 0 || !cost < !best_cost || (!cost = !best_cost && cov > !best_cov) then begin
+              best := v;
+              best_cost := !cost;
+              best_cov := cov
+            end
+          end)
+        candidates;
+      let v = !best in
+      order.(next) <- v;
       bound.(v) <- true;
-      remaining := List.filter (fun u -> u <> v) !remaining
+      for k = pl.pl_cover_start.(v) to pl.pl_cover_start.(v + 1) - 1 do
+        let ai = pl.pl_cover_atoms.(k) in
+        reduced.(ai) <- Int.max 1 (reduced.(ai) / distinct_at cards.(ai) pl.pl_cover_cols.(k))
+      done
     done;
-    finish_plan ~var_names:q.var_names ~var_tys:q.var_tys ~atoms:q.atoms ~prims:(prims_of q)
-      ~name_args:q.name_args ~occurrences ~order
+    order
   end
 
 let reorder (q : cquery) ~(order : int array) : cquery =
   let sorted a = List.sort Stdlib.compare (Array.to_list a) in
   if sorted order <> sorted q.order then
     invalid_arg "Compile.reorder: order is not a permutation of the query's join variables";
-  let occurrences = count_occurrences ~n_vars:q.n_vars q.atoms in
-  finish_plan ~var_names:q.var_names ~var_tys:q.var_tys ~atoms:q.atoms ~prims:(prims_of q)
-    ~name_args:q.name_args ~occurrences ~order
+  if order = q.order then q
+  else
+    finish_plan ~var_names:q.var_names ~var_tys:q.var_tys ~atoms:q.atoms ~prims:(prims_of q)
+      ~name_args:q.name_args ~planning:q.planning ~order
+
+let replan (q : cquery) ~(cards : atom_card array) : cquery =
+  reorder q ~order:(replan_order q ~cards)
 
 (* ------------------------------------------------------------------ *)
 (* Plan dumps                                                          *)

@@ -23,6 +23,11 @@ type prim_app = {
   p_out : arg;  (** variable to bind/check, or constant to check *)
 }
 
+type planning
+(** What the cost-based planner reads of a query's structure (constant
+    columns per atom, covering atoms per variable), computed once when the
+    query is compiled and shared by every plan derived from it. *)
+
 type cquery = {
   n_vars : int;
   var_names : string array;  (** names for user variables, "$n" for internals *)
@@ -34,6 +39,7 @@ type cquery = {
   name_args : (string * arg) list;
       (** user variable name -> surviving variable or constant after
           resolving the query's equalities *)
+  planning : planning;
 }
 
 type cexpr =
@@ -68,20 +74,26 @@ type atom_card = {
 (** Per-atom cardinality statistics, supplied by the runtime (see
     {!Database.table_stats}). *)
 
+val replan_order : cquery -> cards:atom_card array -> int array
+(** The join variable order of a greedy cost model: at each step bind the
+    variable whose cheapest covering atom enumerates the fewest values
+    (row count divided by the distinct counts of bound/constant columns,
+    capped by the distinct count of the variable's own column). Ties break
+    toward variables covered by more atoms, then toward the smaller
+    variable index, so the result is deterministic. Builds no plan:
+    callers compare the order with the one they hold and rebuild only
+    when it moved. *)
+
 val replan : cquery -> cards:atom_card array -> cquery
-(** Recompute the join variable order with a greedy cost model: at each step
-    bind the variable whose cheapest covering atom enumerates the fewest
-    values (row count divided by the distinct counts of bound/constant
-    columns, capped by the distinct count of the variable's own column).
-    Ties break toward variables covered by more atoms, then toward the
-    smaller variable index, so the result is deterministic. Atom and
-    variable numbering are preserved — only [order], [var_depth] and
-    [schedule] change — so compiled actions remain valid. *)
+(** [reorder q ~order:(replan_order q ~cards)]. Atom and variable
+    numbering are preserved — only [order], [var_depth] and [schedule]
+    change — so compiled actions remain valid. *)
 
 val reorder : cquery -> order:int array -> cquery
 (** Rebuild the plan with an explicit variable order (must be a permutation
-    of the query's join variables). Used by differential tests to check
-    that every ordering produces the same matches. *)
+    of the query's join variables); [q] itself when [order] is already its
+    order. Used by the engine after {!replan_order}, and by differential
+    tests to check that every ordering produces the same matches. *)
 
 val pp_plan : ?cards:atom_card array -> ?lowering:string -> Format.formatter -> cquery -> unit
 (** Deterministic textual plan dump: atoms, variable order (with cost

@@ -7,6 +7,7 @@ let error fmt = Format.kasprintf (fun s -> raise (Egglog_error s)) fmt
 let c_iterations = Telemetry.counter "engine.iterations"
 let c_plans_built = Telemetry.counter "join.plans_built"
 let c_replans = Telemetry.counter "join.replans"
+let c_variants_skipped = Telemetry.counter "join.variants_skipped"
 let c_matches = Telemetry.counter "engine.matches_applied"
 let c_new = Telemetry.counter "engine.tuples_inserted"
 let c_dup = Telemetry.counter "engine.matches_deduplicated"
@@ -75,6 +76,16 @@ type run_report = {
   peak_memory_bytes : int;  (* max modeled database bytes observed during the run *)
 }
 
+(* One cached plan of a rule: the query with its chosen variable order,
+   its closure-compiled twin ([None] with compiled plans disabled), and
+   the size buckets the order was chosen for ([None] until the slot is
+   first planned). *)
+type plan_slot = {
+  mutable ps_key : int array option;
+  mutable ps_plan : Compile.cquery;
+  mutable ps_compiled : Join.compiled option;
+}
+
 type rt_rule = {
   rr_name : string;
   rr_ruleset : string;  (* "" = the default ruleset *)
@@ -82,11 +93,10 @@ type rt_rule = {
   mutable rr_last_stamp : int;
   mutable rr_times_banned : int;
   mutable rr_banned_until : int;
-  mutable rr_plan_sig : string;  (* size-bucket signature the cached plans were built for *)
-  mutable rr_plans : Compile.cquery array;  (* n_atoms delta variants + the full plan *)
-  mutable rr_compiled : Join.compiled array;
-      (* closure-compiled twin of rr_plans, rebuilt with it; [||] when the
-         engine runs with compiled plans disabled *)
+  rr_fixed_plan : bool;  (* [plan_is_fixed]: one plan serves every slot *)
+  rr_slots : plan_slot array;
+      (* n_atoms delta variants + the full query; a fixed-plan rule's
+         entries are one shared slot *)
 }
 
 type snapshot = {
@@ -164,7 +174,7 @@ let atom_cards eng (q : Compile.cquery) : Compile.atom_card array =
 let delta_card (c : Compile.atom_card) rows =
   { Compile.ac_rows = rows; ac_distinct = Array.map (fun d -> min d (max 1 rows)) c.Compile.ac_distinct }
 
-(* log2 size bucket: statistics "shift" (and plans are recomputed) only
+(* log2 size bucket: statistics "shift" (and a slot is replanned) only
    when a cardinality crosses a power-of-two boundary. *)
 let bucket n =
   if n <= 0 then 0
@@ -177,75 +187,71 @@ let bucket n =
     !b + 1
   end
 
-(* The per-rule plan cache key: for each atom, the size bucket of the full
-   table and of the rule's current delta window. The schema and variable
-   structure are fixed per compiled rule, so buckets are all that can
-   shift. *)
-let plan_signature eng (q : Compile.cquery) ~low =
-  let buf = Buffer.create 32 in
-  Array.iter
-    (fun (atom : Compile.atom) ->
-      let table = table_of eng atom.Compile.a_func in
-      Buffer.add_string buf (string_of_int (bucket (Table.length table)));
-      Buffer.add_char buf '.';
-      Buffer.add_string buf (string_of_int (bucket (Table.entries_since table low)));
-      Buffer.add_char buf ';')
-    q.Compile.atoms;
-  Buffer.contents buf
+(* A slot's cache key: the size bucket of every atom's full table, then,
+   for a delta variant [j < n_atoms], the bucket of atom [j]'s delta — the
+   row counts its cost model reads. The schema and variable structure are
+   fixed per compiled rule. *)
+let slot_key eng (q : Compile.cquery) ~delta j =
+  let atoms = q.Compile.atoms in
+  let n_atoms = Array.length atoms in
+  let key = Array.make (if j = n_atoms then n_atoms else n_atoms + 1) (bucket delta) in
+  Array.iteri
+    (fun i (atom : Compile.atom) ->
+      key.(i) <- bucket (Table.length (table_of eng atom.Compile.a_func)))
+    atoms;
+  key
 
-(* Cached cost-based plans for one rule: slot [j < n_atoms] is the
-   semi-naïve variant whose atom [j] is the delta, slot [n_atoms] the
-   full-range plan. Rebuilt only when the size-bucket signature shifts. *)
-(* Lower freshly (re)planned queries to closures. Runs only in the serial
-   pre-phase (plans_for), so the compiled-plans counters are bumped
-   identically at any jobs count. Slots may share one compiled object —
-   compiled evaluators keep all mutable state per search, so concurrent
-   variants are safe. *)
-let compile_plans eng (plans : Compile.cquery array) : Join.compiled array =
-  if not eng.compiled_plans then [||]
-  else Array.map (Join.compile_plan ~fast_paths:eng.fast_paths) plans
+(* A query whose plan never needs replanning: its lowering never reads
+   the variable order ({!Join.order_free}), or it has at most one join
+   variable. *)
+let plan_is_fixed ~fast_paths (q : Compile.cquery) =
+  Array.length q.Compile.order <= 1 || Join.order_free ~fast_paths q
 
-let plans_for eng (r : rt_rule) : Compile.cquery array =
+(* Build a plan into a slot: count it and, with compiled plans on, lower
+   it to closures. Runs only in the serial pre-phase, so the planner and
+   compiled-plans counters are bumped identically at any jobs count.
+   Compiled evaluators keep all mutable state per search, so one compiled
+   object may serve concurrent variants. *)
+let build_slot eng (slot : plan_slot) ~key (plan : Compile.cquery) =
+  Telemetry.bump c_plans_built 1;
+  slot.ps_key <- Some key;
+  slot.ps_plan <- plan;
+  slot.ps_compiled <-
+    (if eng.compiled_plans then Some (Join.compile_plan ~fast_paths:eng.fast_paths plan)
+     else None)
+
+(* The plan for slot [j] of a rule — semi-naïve variant [j < n_atoms]
+   (atom [j] is the delta), or the full query at [j = n_atoms] — planned
+   only when that slot is about to run. A fixed-plan rule keeps its
+   compile-time plan, built once, and never reads table statistics. Any
+   other slot is replanned when its key has moved since it was last
+   planned: the order is computed first, and the plan and its compiled
+   closure are rebuilt only when the order changed. *)
+let slot_plan eng (r : rt_rule) j : plan_slot =
   let q = r.rr_rule.Compile.cr_query in
-  let n_atoms = Array.length q.Compile.atoms in
-  if n_atoms = 0 || Array.length q.Compile.order <= 1 then begin
-    if Array.length r.rr_plans = 0 then begin
-      r.rr_plans <- Array.make (n_atoms + 1) q;
-      if eng.compiled_plans then
-        r.rr_compiled <-
-          Array.make (n_atoms + 1) (Join.compile_plan ~fast_paths:eng.fast_paths q)
-    end;
-    r.rr_plans
+  let slot = r.rr_slots.(j) in
+  if r.rr_fixed_plan then begin
+    if slot.ps_key = None then build_slot eng slot ~key:[||] q
   end
   else begin
-    let low = r.rr_last_stamp in
-    let signature = plan_signature eng q ~low in
-    if signature <> r.rr_plan_sig || Array.length r.rr_plans = 0 then begin
-      if Array.length r.rr_plans > 0 then Telemetry.bump c_replans 1;
+    let n_atoms = Array.length q.Compile.atoms in
+    let delta =
+      if j = n_atoms then 0
+      else Table.entries_since (table_of eng q.Compile.atoms.(j).Compile.a_func) r.rr_last_stamp
+    in
+    let key = slot_key eng q ~delta j in
+    match slot.ps_key with
+    | Some previous when previous = key -> ()
+    | previous ->
+      let replanned = previous <> None in
+      if replanned then Telemetry.bump c_replans 1;
       let cards = atom_cards eng q in
-      let deltas =
-        Array.map
-          (fun (atom : Compile.atom) ->
-            Table.entries_since (table_of eng atom.Compile.a_func) low)
-          q.Compile.atoms
-      in
-      let plans =
-        Array.init (n_atoms + 1) (fun j ->
-            if j = n_atoms then Compile.replan q ~cards
-            else begin
-              let cards' =
-                Array.mapi (fun i c -> if i = j then delta_card c deltas.(i) else c) cards
-              in
-              Compile.replan q ~cards:cards'
-            end)
-      in
-      Telemetry.bump c_plans_built (n_atoms + 1);
-      r.rr_plans <- plans;
-      r.rr_compiled <- compile_plans eng plans;
-      r.rr_plan_sig <- signature
-    end;
-    r.rr_plans
-  end
+      if j < n_atoms then cards.(j) <- delta_card cards.(j) delta;
+      let order = Compile.replan_order q ~cards in
+      if replanned && order = slot.ps_plan.Compile.order then slot.ps_key <- Some key
+      else build_slot eng slot ~key (Compile.reorder q ~order)
+  end;
+  slot
 
 let rec eval_expr eng (slots : Value.t array) (e : Compile.cexpr) : Value.t =
   match e with
@@ -456,6 +462,14 @@ let add_rule eng (rule : Ast.rule) =
           Printf.sprintf "rule_%d" eng.rule_counter
       in
       let crule = Compile.compile_rule (compile_env eng) ~name rule in
+      let q = crule.Compile.cr_query in
+      let rr_fixed_plan = plan_is_fixed ~fast_paths:eng.fast_paths q in
+      let n_slots = Array.length q.Compile.atoms + 1 in
+      let fresh_slot _ = { ps_key = None; ps_plan = q; ps_compiled = None } in
+      let rr_slots =
+        if rr_fixed_plan then Array.make n_slots (fresh_slot ())
+        else Array.init n_slots fresh_slot
+      in
       let ruleset = Option.value rule.Ast.ruleset ~default:"" in
       if ruleset <> "" && not (List.mem ruleset eng.rulesets) then
         error "unknown ruleset %s (declare it with (ruleset %s))" ruleset ruleset;
@@ -467,9 +481,8 @@ let add_rule eng (rule : Ast.rule) =
           rr_last_stamp = 0;
           rr_times_banned = 0;
           rr_banned_until = 0;
-          rr_plan_sig = "";
-          rr_plans = [||];
-          rr_compiled = [||];
+          rr_fixed_plan;
+          rr_slots;
         }
       in
       eng.rules <- eng.rules @ [ rt ];
@@ -522,9 +535,10 @@ let check_facts eng facts =
       Database.rebuild eng.db;
       match Compile.compile_query (compile_env eng) facts with
       | q ->
-        (* one-shot query: replan against current statistics, no caching *)
+        (* one-shot query: order against current statistics, no caching;
+           a fixed-plan query needs no statistics at all *)
         let q =
-          if Array.length q.Compile.atoms = 0 then q
+          if plan_is_fixed ~fast_paths:true q then q
           else Compile.replan q ~cards:(atom_cards eng q)
         in
         Join.exists eng.db q
@@ -590,32 +604,45 @@ exception Stop_run of stop_reason
 
 (* The search units of one rule: (plan slot, per-atom stamp ranges) pairs,
    in ascending variant order. One full-range unit when semi-naïve doesn't
-   apply; otherwise the m delta variants — atom j sees rows new since the
+   apply; otherwise the delta variants — atom j sees rows new since the
    rule last ran, the others see everything. A match whose rows are new in
    k atoms is found k times; egglog actions are idempotent (set/union), so
    the duplicates are harmless, and the scheme lets every variant reuse
-   the same cached full-table tries (only the tiny delta trie differs). *)
+   the same cached full-table tries (only the tiny delta trie differs).
+   Variant j is dropped when atom j's table logged nothing since the rule
+   last ran: its delta scan reads exactly those log entries, so it could
+   yield nothing, and skipping it also skips planning it and building or
+   patching its full-table structures. *)
 let rule_variants eng (r : rt_rule) : (int * Join.stamp_range array) list =
-  let n_atoms = Array.length r.rr_rule.Compile.cr_query.Compile.atoms in
+  let atoms = r.rr_rule.Compile.cr_query.Compile.atoms in
+  let n_atoms = Array.length atoms in
   let low = r.rr_last_stamp in
   if (not eng.seminaive) || low = 0 || n_atoms = 0 then
     [ (n_atoms, Array.make n_atoms Join.all_rows) ]
   else
-    List.init n_atoms (fun j ->
-        ( j,
-          Array.init n_atoms (fun i ->
-              if i = j then { Join.lo = low; hi = max_int } else Join.all_rows) ))
+    List.filter_map
+      (fun j ->
+        if Table.entries_since (table_of eng atoms.(j).Compile.a_func) low = 0 then begin
+          Telemetry.bump c_variants_skipped 1;
+          None
+        end
+        else
+          Some
+            ( j,
+              Array.init n_atoms (fun i ->
+                  if i = j then { Join.lo = low; hi = max_int } else Join.all_rows) ))
+      (List.init n_atoms Fun.id)
 
 (* Search one variant; matches come back in reversed discovery order (the
    natural cons order). Read-only over the database and the frozen cache,
    so variants can run on worker domains. *)
-let search_variant eng ?cache (plans : Compile.cquery array)
-    (compiled : Join.compiled array) ((j, ranges) : int * Join.stamp_range array) :
+let search_variant eng ?cache (slot : plan_slot) (ranges : Join.stamp_range array) :
     Value.t array list =
   let acc = ref [] in
   let emit b = acc := Array.copy b :: !acc in
-  if j < Array.length compiled then Join.search_compiled eng.db ?cache compiled.(j) ~ranges emit
-  else Join.search eng.db ?cache ~fast_paths:eng.fast_paths plans.(j) ~ranges emit;
+  (match slot.ps_compiled with
+   | Some cp -> Join.search_compiled eng.db ?cache cp ~ranges emit
+   | None -> Join.search eng.db ?cache ~fast_paths:eng.fast_paths slot.ps_plan ~ranges emit);
   !acc
 
 (* Merge per-variant results (ascending variant order, each in reversed
@@ -659,12 +686,11 @@ let resolve_variant_matches (plan : Compile.cquery) (rows : Value.t array list) 
 
 let search_matches eng ?cache (r : rt_rule) : Value.t array list =
   let cache = if eng.index_caching then cache else None in
-  let plans = plans_for eng r in
-  let compiled = r.rr_compiled in
   merge_variant_matches
     (List.map
-       (fun ((j, _) as v) ->
-         resolve_variant_matches plans.(j) (search_variant eng ?cache plans compiled v))
+       (fun (j, ranges) ->
+         let slot = slot_plan eng r j in
+         resolve_variant_matches slot.ps_plan (search_variant eng ?cache slot ranges))
        (rule_variants eng r))
 
 let apply_match eng (r : rt_rule) (binding : Value.t array) =
@@ -763,8 +789,8 @@ let apply_rule eng ~budget_check ~rule_accs ~t0 (ph : phase_times) (r : rt_rule)
   end
 
 (* Fan one iteration's rule×variant search tasks across [jobs] domains.
-   Serial pre-phase: plan selection ([plans_for] mutates the per-rule plan
-   cache and reads Database.table_stats, which memoizes), then
+   Serial pre-phase: variant selection and planning ([slot_plan] mutates
+   the per-rule plan cache and reads Database.table_stats, which memoizes), then
    [Join.prebuild] warms every full-range cache entry the tasks will want.
    The cache is then frozen and the database is read-only for the whole
    fan-out, so tasks are pure; per-variant buffers are merged back in
@@ -777,19 +803,16 @@ let parallel_search eng ~jobs ~budget_check (eligible : rt_rule list) :
   let rules_variants =
     List.map
       (fun r ->
-        let plans = plans_for eng r in
-        (r, plans, r.rr_compiled, rule_variants eng r))
+        (r, List.map (fun (j, ranges) -> (slot_plan eng r j, ranges)) (rule_variants eng r)))
       eligible
   in
   let tasks =
     Array.of_list
-      (List.concat_map
-         (fun (r, plans, compiled, vs) -> List.map (fun v -> (r, plans, compiled, v)) vs)
-         rules_variants)
+      (List.concat_map (fun (r, vs) -> List.map (fun v -> (r, v)) vs) rules_variants)
   in
   Array.iter
-    (fun (_, plans, _, (j, ranges)) ->
-      Join.prebuild eng.db ?cache ~fast_paths:eng.fast_paths plans.(j) ~ranges)
+    (fun (_, ((slot : plan_slot), ranges)) ->
+      Join.prebuild eng.db ?cache ~fast_paths:eng.fast_paths slot.ps_plan ~ranges)
     tasks;
   let pool = Pool.global ~workers:(jobs - 1) in
   Telemetry.record_max c_domains (min jobs (1 + Pool.size pool));
@@ -799,19 +822,19 @@ let parallel_search eng ~jobs ~budget_check (eligible : rt_rule list) :
       ~finally:(fun () -> Option.iter (fun c -> Join.set_frozen c false) cache)
       (fun () ->
         Pool.run ~participants:(jobs - 1) pool
-          (fun (r, plans, compiled, v) ->
-            with_rule_context r (fun () -> search_variant eng ?cache plans compiled v))
+          (fun (r, (slot, ranges)) ->
+            with_rule_context r (fun () -> search_variant eng ?cache slot ranges))
           tasks)
   in
   let idx = ref 0 in
   List.map
-    (fun (r, plans, _, vs) ->
+    (fun (r, vs) ->
       let per_variant =
         List.map
-          (fun (j, _) ->
+          (fun ((slot : plan_slot), _) ->
             let vm = results.(!idx) in
             incr idx;
-            resolve_variant_matches plans.(j) vm)
+            resolve_variant_matches slot.ps_plan vm)
           vs
       in
       let matches = merge_variant_matches per_variant in

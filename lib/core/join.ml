@@ -552,6 +552,25 @@ let search_two_atoms ?cache (q : Compile.cquery) (plans : atom_plan array)
       end);
   Telemetry.bump c_scanned !scanned
 
+(* The lowering class whose search never reads the plan's variable order:
+   a single atom, or two atoms, each binding at least one variable, under
+   [fast_paths]. The single-atom scan binds every variable from one row;
+   the two-atom driver is picked per search and its index is keyed by
+   column position (see [two_atom_layout]). Their primitives all run once
+   every variable is bound, so another order only permutes that
+   checklist: the matches and their order stay the same. Every dispatch
+   below tests this one predicate. *)
+let order_free ?(fast_paths = true) (q : Compile.cquery) =
+  let binds (a : Compile.atom) =
+    Array.exists (function Compile.A_var _ -> true | Compile.A_const _ -> false) a.Compile.a_args
+  in
+  fast_paths
+  &&
+  match q.Compile.atoms with
+  | [| a |] -> binds a
+  | [| a; b |] -> binds a && binds b
+  | _ -> false
+
 (* Count yields only when telemetry is on: the wrapper closure would
    otherwise cost an allocation per search even with everything off. *)
 let count_yields callback =
@@ -567,14 +586,10 @@ let search_dispatch db ?cache ~fast_paths (q : Compile.cquery) ~(ranges : stamp_
     callback =
   let n_atoms = Array.length q.atoms in
   let plans = Array.map (plan_atom db q) q.atoms in
-  if fast_paths && n_atoms = 1 && Array.length plans.(0).ap_sources > 0 then
-    search_single_atom q plans.(0) ranges.(0) callback
-  else if
-    fast_paths
-    && n_atoms = 2
-    && Array.length plans.(0).ap_sources > 0
-    && Array.length plans.(1).ap_sources > 0
-  then search_two_atoms ?cache q plans ranges callback
+  if order_free ~fast_paths q then begin
+    if n_atoms = 1 then search_single_atom q plans.(0) ranges.(0) callback
+    else search_two_atoms ?cache q plans ranges callback
+  end
   else begin
   let tries = Array.init n_atoms (fun i -> cached_trie cache plans.(i) ranges.(i)) in
   let unsat =
@@ -728,18 +743,15 @@ let prebuild db ?cache ?(fast_paths = true) (q : Compile.cquery) ~(ranges : stam
     let n_atoms = Array.length q.atoms in
     if Array.length ranges <> n_atoms then invalid_arg "Join.prebuild: ranges arity mismatch";
     let plans = Array.map (plan_atom db q) q.atoms in
-    if fast_paths && n_atoms = 1 && Array.length plans.(0).ap_sources > 0 then ()
-    else if
-      fast_paths
-      && n_atoms = 2
-      && Array.length plans.(0).ap_sources > 0
-      && Array.length plans.(1).ap_sources > 0
-    then begin
-      let _driver, other, shared, rest = two_atom_layout q plans ranges in
-      if is_full ranges.(other) then
-        ignore
-          (cached_index cache plans.(other) ranges.(other) ~proj:(Array.map snd shared)
-             ~rest:(Array.map snd rest))
+    if order_free ~fast_paths q then begin
+      (* a single-atom scan caches nothing *)
+      if n_atoms = 2 then begin
+        let _driver, other, shared, rest = two_atom_layout q plans ranges in
+        if is_full ranges.(other) then
+          ignore
+            (cached_index cache plans.(other) ranges.(other) ~proj:(Array.map snd shared)
+               ~rest:(Array.map snd rest))
+      end
     end
     else
       Array.iteri
@@ -1050,11 +1062,11 @@ let compile_plan ?(fast_paths = true) (q : Compile.cquery) : compiled =
           search_dispatch db ?cache ~fast_paths q ~ranges callback);
     }
   end
-  else if fast_paths && n_atoms = 1 && arity 0 > 0 then
+  else if order_free ~fast_paths q && n_atoms = 1 then
     mk
       (Printf.sprintf "compiled single-atom (arity %d, %s)" (arity 0) (binder_descr 0))
       (compile_single q shapes.(0))
-  else if fast_paths && n_atoms = 2 && arity 0 > 0 && arity 1 > 0 then
+  else if order_free ~fast_paths q then
     mk
       (Printf.sprintf "compiled two-atom (arities %d+%d, %s/%s)" (arity 0) (arity 1)
          (binder_descr 0) (binder_descr 1))
@@ -1071,9 +1083,9 @@ let describe_lowering ?(fast_paths = true) (q : Compile.cquery) : string =
   let arity i = Array.length (Plan_compile.shape_atom q q.Compile.atoms.(i)).Plan_compile.sh_sources in
   let binder_descr i = if arity i <= 4 then "specialized" else "generic binder" in
   if n_atoms = 0 then "interpreter (no atoms)"
-  else if fast_paths && n_atoms = 1 && arity 0 > 0 then
+  else if order_free ~fast_paths q && n_atoms = 1 then
     Printf.sprintf "compiled single-atom (arity %d, %s)" (arity 0) (binder_descr 0)
-  else if fast_paths && n_atoms = 2 && arity 0 > 0 && arity 1 > 0 then
+  else if order_free ~fast_paths q then
     Printf.sprintf "compiled two-atom (arities %d+%d, %s/%s)" (arity 0) (arity 1)
       (binder_descr 0) (binder_descr 1)
   else Printf.sprintf "compiled generic (%d atoms)" n_atoms

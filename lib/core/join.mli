@@ -47,6 +47,16 @@ val set_frozen : cache -> bool -> unit
     stale persistent entries are rebuilt privately instead of patched in
     place. Freeze after {!prebuild}, unfreeze before the apply phase. *)
 
+val order_free : ?fast_paths:bool -> Compile.cquery -> bool
+(** True for the lowering class whose search never reads the plan's
+    variable order: one atom, or two atoms, each binding at least one
+    variable, with [fast_paths] (the default). The single-atom scan binds
+    every variable from one row, and the two-atom path picks its driver
+    per search and keys its index by column position. Such a query needs
+    one plan for every delta variant, at any table statistics. [search],
+    [prebuild], [compile_plan] and [describe_lowering] dispatch on this
+    predicate. *)
+
 val prebuild :
   Database.t -> ?cache:cache -> ?fast_paths:bool -> Compile.cquery -> ranges:stamp_range array -> unit
 (** Serially warm the full-range cache entries that a {!search} with the

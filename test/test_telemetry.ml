@@ -436,16 +436,18 @@ let test_index_patching () =
 (* A rebuild feeds the join cache, which patches instead of rebuilding.
    [edge] has 40 rows, ten per id; the union makes the ten rows of the
    losing id stale. The next search finds the full-table index on [edge]
-   one patch away — ten entries out, ten canonical ones in, no build —
-   and the index on [ok] unchanged. The rebuild's stale scan checks the
-   48 rows of the three tables with an id column (Mk, edge, out) and
-   skips the ten rows of the i64-only [ok]. *)
+   one patch away — ten entries out, ten canonical ones in, no build.
+   The [ok] fact that comes with the union makes the [ok]-delta variant,
+   which probes that index, run at all (an empty-delta variant is
+   skipped); it also puts one entry into the index on [ok]. The rebuild's
+   stale scan checks the 48 rows of the three tables with an id column
+   (Mk, edge, out) and skips the eleven rows of the i64-only [ok]. *)
 let test_patch_after_rebuild () =
   fresh ();
   let eng = E.Engine.create () in
   let facts =
     String.concat "\n"
-      (List.init 40 (fun i -> Printf.sprintf "(edge %d (Mk %d))" i (i mod 4))
+      (List.init 39 (fun i -> Printf.sprintf "(edge %d (Mk %d))" i (i mod 4))
       @ List.init 10 (fun i -> Printf.sprintf "(ok %d)" i))
   in
   ignore
@@ -458,12 +460,15 @@ let test_patch_after_rebuild () =
   (rule ((edge i n) (ok i)) ((out n)))
 |}
        ^ facts));
-  (* the first run builds the index on edge, the second the one on ok *)
-  ignore (E.Engine.run_iterations eng 2);
+  (* the first run builds the index on edge; the fortieth edge makes the
+     second run search the edge-delta variant, which builds the one on ok *)
+  ignore (E.Engine.run_iterations eng 1);
+  ignore (E.run_string eng "(edge 39 (Mk 3))");
+  ignore (E.Engine.run_iterations eng 1);
   Alcotest.(check int) "out holds the four ids" 4 (E.Engine.table_size eng "out");
   T.enable ();
   let v0 = counter_value (T.snapshot ()) in
-  ignore (E.run_string eng "(union (Mk 0) (Mk 1))");
+  ignore (E.run_string eng "(union (Mk 0) (Mk 1)) (ok 10)");
   let v1 = counter_value (T.snapshot ()) in
   ignore (E.Engine.run_iterations eng 1);
   T.disable ();
@@ -474,9 +479,73 @@ let test_patch_after_rebuild () =
   Alcotest.(check int) "rows checked: Mk 4 + edge 40 + out 4, not ok" 48
     (v1 "rebuild.rows_checked" - v0 "rebuild.rows_checked");
   Alcotest.(check int) "no index built" 0 (v2 "join.index_builds" - v1 "join.index_builds");
-  Alcotest.(check int) "one index patched" 1 (v2 "join.index_patched" - v1 "join.index_patched");
+  Alcotest.(check int) "both indexes patched" 2 (v2 "join.index_patched" - v1 "join.index_patched");
   Alcotest.(check int) "k entries retracted" 10 (v2 "join.rows_retracted" - v1 "join.rows_retracted");
   Alcotest.(check int) "out merged two ids" 3 (E.Engine.table_size eng "out");
+  fresh ()
+
+(* Planning and searching only what can run, counted by hand. [tri] is a
+   three-atom (generic trie) rule and [ab] a two-atom (order-free) rule.
+   Once both ran, [c] alone grows: of the five delta variants only
+   [tri]'s c-delta can match, so the other four are skipped — no plan, no
+   cache lookup — and the one that runs asks for exactly its three tries.
+   The two-atom rule is planned once, when it first runs, and never again,
+   even when its own variants run. *)
+let test_skip_empty_deltas () =
+  fresh ();
+  T.enable ();
+  let eng = E.Engine.create () in
+  ignore
+    (E.run_string eng
+       {|
+  (relation a (i64 i64))
+  (relation b (i64 i64))
+  (relation c (i64 i64))
+  (relation tri (i64 i64 i64))
+  (relation ab (i64 i64))
+  (rule ((a x y) (b y z) (c z x)) ((tri x y z)))
+  (rule ((a x y) (b y z)) ((ab x z)))
+  (a 1 2) (a 2 3) (b 2 3) (b 3 1) (c 3 1)
+|});
+  let v0 = counter_value (T.snapshot ()) in
+  (* the first iteration runs each rule's full query: one plan each *)
+  ignore (E.Engine.run_iterations eng 1);
+  let v1 = counter_value (T.snapshot ()) in
+  Alcotest.(check int) "one full-query plan per rule" 2
+    (v1 "join.plans_built" - v0 "join.plans_built");
+  Alcotest.(check int) "the full query skips nothing" 0
+    (v1 "join.variants_skipped" - v0 "join.variants_skipped");
+  (* nothing the rules read grew: all 3 + 2 delta variants are skipped *)
+  ignore (E.Engine.run_iterations eng 1);
+  let v2 = counter_value (T.snapshot ()) in
+  Alcotest.(check int) "every variant skipped" 5
+    (v2 "join.variants_skipped" - v1 "join.variants_skipped");
+  Alcotest.(check int) "no lookup at all" 0 (v2 "join.cache_lookups" - v1 "join.cache_lookups");
+  Alcotest.(check int) "no plan at all" 0 (v2 "join.plans_built" - v1 "join.plans_built");
+  ignore (E.run_string eng "(c 1 2)");
+  ignore (E.Engine.run_iterations eng 1);
+  let v3 = counter_value (T.snapshot ()) in
+  Alcotest.(check int) "four empty-delta variants skipped" 4
+    (v3 "join.variants_skipped" - v2 "join.variants_skipped");
+  Alcotest.(check int) "only the c-delta slot of tri is planned" 1
+    (v3 "join.plans_built" - v2 "join.plans_built");
+  Alcotest.(check int) "three tries requested, by the one variant that ran" 3
+    (v3 "join.cache_lookups" - v2 "join.cache_lookups");
+  Alcotest.(check int) "no index built" 0 (v3 "join.index_builds" - v2 "join.index_builds");
+  Alcotest.(check bool) "at most one trie per atom of that variant" true
+    (v3 "join.trie_builds" - v2 "join.trie_builds" <= 3);
+  Alcotest.(check int) "the new triangle" 2 (E.Engine.table_size eng "tri");
+  (* now a and b grow: both variants of the two-atom rule run on its one
+     plan, and only tri's c-delta variant is skipped *)
+  ignore (E.run_string eng "(a 3 1) (b 1 2)");
+  ignore (E.Engine.run_iterations eng 1);
+  let v4 = counter_value (T.snapshot ()) in
+  T.disable ();
+  Alcotest.(check int) "one variant skipped" 1
+    (v4 "join.variants_skipped" - v3 "join.variants_skipped");
+  Alcotest.(check int) "tri's a- and b-delta slots planned, the two-atom rule not" 2
+    (v4 "join.plans_built" - v3 "join.plans_built");
+  Alcotest.(check int) "the two-atom rule's pairs" 3 (E.Engine.table_size eng "ab");
   fresh ()
 
 (* Pop replaces the database object: cached structures for the popped
@@ -720,6 +789,7 @@ let () =
           Alcotest.test_case "hit/miss accounting" `Quick test_cache_accounting;
           Alcotest.test_case "append-only patching" `Quick test_index_patching;
           Alcotest.test_case "patch after rebuild" `Quick test_patch_after_rebuild;
+          Alcotest.test_case "empty-delta variants skipped" `Quick test_skip_empty_deltas;
           Alcotest.test_case "popped-scope invalidation" `Quick test_popped_scope_invalidation;
         ] );
       ( "histograms",
