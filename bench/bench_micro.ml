@@ -262,6 +262,20 @@ let rat_bench () =
   let a = Rat.of_ints 355 113 and b = Rat.of_ints 22 7 in
   Staged.stage (fun () -> ignore (Rat.add (Rat.mul a b) (Rat.div a b)))
 
+(* Interval-bound arithmetic as Herbie's analyses do it: operands from
+   [Rat.of_float], so denominators are powers of two and products reach
+   2-8 limbs, through the multi-limb gcd and division paths. *)
+let rat_interval_mixed_bench () =
+  let xs = Array.map Rat.of_float [| 0.1; 1e-7; 3.3e5; -2.75; 0.3333333333333333; -1e-3 |] in
+  let n = Array.length xs in
+  Staged.stage (fun () ->
+      for i = 0 to n - 1 do
+        let a = xs.(i) and b = xs.((i + 1) mod n) in
+        let p = Rat.mul a b in
+        let s = Rat.add p (Rat.mul b b) in
+        ignore (Rat.compare s (Rat.max a p))
+      done)
+
 let tests () =
   Test.make_grouped ~name:"micro" ~fmt:"%s/%s"
     [
@@ -278,6 +292,7 @@ let tests () =
       Test.make ~name:"plan.replan_generic" (replan_generic_bench ());
       Test.make ~name:"bigint-mul-divmod" (bigint_bench ());
       Test.make ~name:"rat-arith" (rat_bench ());
+      Test.make ~name:"rat.interval_mixed" (rat_interval_mixed_bench ());
     ]
 
 let run ?(quota = 0.5) () =

@@ -15,19 +15,19 @@ let check_invariant x =
   (if x.sign = 0 then n = 0 else n > 0 && x.mag.(n - 1) <> 0)
   && Array.for_all (fun l -> 0 <= l && l < base) x.mag
 
+(* Length of limbs [0, n) of [mag] without their zero top limbs. *)
+let rec significant mag n = if n > 0 && mag.(n - 1) = 0 then significant mag (n - 1) else n
+
 let normalize sign mag =
-  let n = ref (Array.length mag) in
-  while !n > 0 && mag.(!n - 1) = 0 do
-    decr n
-  done;
-  if !n = 0 then zero
-  else if !n = Array.length mag then { sign; mag }
-  else { sign; mag = Array.sub mag 0 !n }
+  let n = significant mag (Array.length mag) in
+  if n = 0 then zero
+  else if n = Array.length mag then { sign; mag }
+  else { sign; mag = Array.sub mag 0 n }
 
 (* Magnitude of a strictly positive native int. *)
 let mag_of_pos m =
-  let rec limbs acc m = if m = 0 then acc else limbs ((m land limb_mask) :: acc) (m lsr base_bits) in
-  Array.of_list (List.rev (limbs [] m))
+  let rec count n m = if m = 0 then n else count (n + 1) (m lsr base_bits) in
+  Array.init (count 0 m) (fun i -> (m lsr (i * base_bits)) land limb_mask)
 
 let of_int n =
   if n = 0 then zero
@@ -53,16 +53,17 @@ let is_zero x = x.sign = 0
 let sign x = x.sign
 let neg x = if x.sign = 0 then x else { x with sign = -x.sign }
 let abs x = if x.sign < 0 then neg x else x
-let is_even x = x.sign = 0 || x.mag.(0) land 1 = 0
+
+(* Compares the magnitudes held in limbs [0, nu) of u and [0, nv) of v. *)
+let cmp_prefix u nu v nv =
+  if nu <> nv then compare nu nv
+  else begin
+    let rec go i = if i < 0 then 0 else if u.(i) <> v.(i) then compare u.(i) v.(i) else go (i - 1) in
+    go (nu - 1)
+  end
 
 (* Magnitude comparison: |a| vs |b|. *)
-let cmp_mag a b =
-  let la = Array.length a and lb = Array.length b in
-  if la <> lb then compare la lb
-  else begin
-    let rec go i = if i < 0 then 0 else if a.(i) <> b.(i) then compare a.(i) b.(i) else go (i - 1) in
-    go (la - 1)
-  end
+let cmp_mag a b = cmp_prefix a (Array.length a) b (Array.length b)
 
 let compare a b =
   if a.sign <> b.sign then compare a.sign b.sign
@@ -90,23 +91,20 @@ let add_mag a b =
   assert (!carry = 0);
   r
 
+(* u[0, nu) -= v[0, nv) in place, for u >= v; returns the new length. *)
+let sub_in_place u nu v nv =
+  let borrow = ref 0 in
+  for i = 0 to nu - 1 do
+    let s = u.(i) - (if i < nv then v.(i) else 0) - !borrow in
+    u.(i) <- s land limb_mask;
+    borrow := if s < 0 then 1 else 0
+  done;
+  significant u nu
+
 (* |a| - |b|, requires |a| >= |b| *)
 let sub_mag a b =
-  let la = Array.length a and lb = Array.length b in
-  let r = Array.make la 0 in
-  let borrow = ref 0 in
-  for i = 0 to la - 1 do
-    let s = a.(i) - (if i < lb then b.(i) else 0) - !borrow in
-    if s < 0 then begin
-      r.(i) <- s + base;
-      borrow := 1
-    end
-    else begin
-      r.(i) <- s;
-      borrow := 0
-    end
-  done;
-  assert (!borrow = 0);
+  let r = Array.copy a in
+  ignore (sub_in_place r (Array.length a) b (Array.length b));
   r
 
 let add a b =
@@ -154,19 +152,6 @@ let shift_left x k =
     normalize x.sign r
   end
 
-let num_bits_mag mag =
-  let n = Array.length mag in
-  if n = 0 then 0
-  else begin
-    let top = mag.(n - 1) in
-    let rec width w v = if v = 0 then w else width (w + 1) (v lsr 1) in
-    ((n - 1) * base_bits) + width 0 top
-  end
-
-let nth_bit mag i =
-  let limb = i / base_bits and off = i mod base_bits in
-  if limb >= Array.length mag then 0 else (mag.(limb) lsr off) land 1
-
 (* Fast path: magnitude divided by a single limb. *)
 let divmod_limb mag d =
   let n = Array.length mag in
@@ -179,31 +164,81 @@ let divmod_limb mag d =
   done;
   (q, !r)
 
-(* Binary long division on magnitudes: returns (q, r) with |a| = q*|b| + r.
-   O(bits(a) * limbs(b)); fine at the sizes exact rationals reach here. *)
-let divmod_mag a b =
-  let bits = num_bits_mag a in
-  let q = Array.make (Array.length a) 0 in
-  let r = ref [||] in
-  (* r := 2r + bit, as a mutable small magnitude *)
-  for i = bits - 1 downto 0 do
-    let shifted = (normalize 1 (Array.copy !r)) in
-    let doubled = shift_left shifted 1 in
-    let bit = nth_bit a i in
-    let next =
-      if bit = 1 then add_mag doubled.mag [| 1 |]
-      else if doubled.sign = 0 then [||]
-      else doubled.mag
-    in
-    let next = (normalize 1 next).mag in
-    if cmp_mag next b >= 0 then begin
-      r := sub_mag next b;
-      r := (normalize 1 !r).mag;
-      q.(i / base_bits) <- q.(i / base_bits) lor (1 lsl (i mod base_bits))
-    end
-    else r := next
+(* Leading zero bits of a nonzero limb, within its 30 bits. *)
+let limb_clz l =
+  let rec go k = if l lsl k land (base lsr 1) <> 0 then k else go (k + 1) in
+  go 0
+
+(* [mag] shifted left by [s < base_bits] bits into a fresh array of [len]
+   limbs; the carry out of the top limb lands just above it, if [len]
+   leaves room. *)
+let shifted_left_limbs mag s len =
+  let n = Array.length mag in
+  let r = Array.make len 0 in
+  let carry = ref 0 in
+  for i = 0 to n - 1 do
+    let v = (mag.(i) lsl s) lor !carry in
+    r.(i) <- v land limb_mask;
+    carry := v lsr base_bits
   done;
-  (q, !r)
+  if n < len then r.(n) <- !carry;
+  r
+
+(* Knuth's Algorithm D (TAOCP vol. 2, 4.3.1) in base 2^30, for |a| >= |b|
+   with b at least two limbs: returns (q, r) with |a| = q*|b| + r. Every
+   intermediate fits a 63-bit int: a two-limb numerator is below 2^60 and
+   q̂ starts at most 2^30 + 1, so q̂ times a limb is below 2^61. *)
+let divmod_mag a b =
+  let n = Array.length b and m = Array.length a - Array.length b in
+  (* Normalise so the divisor's top limb has its high bit set; this keeps
+     q̂ at most two above the true quotient digit. *)
+  let s = limb_clz b.(n - 1) in
+  let v = shifted_left_limbs b s n in
+  let u = shifted_left_limbs a s (m + n + 1) in
+  let q = Array.make (m + 1) 0 in
+  let vtop = v.(n - 1) and vnext = v.(n - 2) in
+  for j = m downto 0 do
+    let num = (u.(j + n) lsl base_bits) lor u.(j + n - 1) in
+    let qhat = ref (num / vtop) and rhat = ref (num mod vtop) in
+    while
+      !rhat < base
+      && (!qhat >= base || !qhat * vnext > (!rhat lsl base_bits) lor u.(j + n - 2))
+    do
+      decr qhat;
+      rhat := !rhat + vtop
+    done;
+    (* u[j .. j+n] -= q̂ * v *)
+    let borrow = ref 0 in
+    for i = 0 to n - 1 do
+      let p = !qhat * v.(i) in
+      let t = u.(i + j) - !borrow - (p land limb_mask) in
+      u.(i + j) <- t land limb_mask;
+      borrow := (p lsr base_bits) - (t asr base_bits)
+    done;
+    let t = u.(j + n) - !borrow in
+    if t >= 0 then begin
+      u.(j + n) <- t;
+      q.(j) <- !qhat
+    end
+    else begin
+      (* q̂ was one too large: add v back (rare, probability about 2/base). *)
+      let carry = ref 0 in
+      for i = 0 to n - 1 do
+        let sum = u.(i + j) + v.(i) + !carry in
+        u.(i + j) <- sum land limb_mask;
+        carry := sum lsr base_bits
+      done;
+      u.(j + n) <- (t + !carry) land limb_mask;
+      q.(j) <- !qhat - 1
+    end
+  done;
+  (* Unnormalise the remainder, the low n limbs of u. *)
+  let r = Array.make n 0 in
+  for i = 0 to n - 1 do
+    let hi = if i + 1 < n then (u.(i + 1) lsl (base_bits - s)) land limb_mask else 0 in
+    r.(i) <- (u.(i) lsr s) lor hi
+  done;
+  (q, r)
 
 let divmod a b =
   if b.sign = 0 then raise Division_by_zero
@@ -225,50 +260,82 @@ let divmod a b =
 let div a b = fst (divmod a b)
 let rem a b = snd (divmod a b)
 
-(* Halve a magnitude in place-ish (fresh array). *)
-let half_mag mag =
-  let n = Array.length mag in
-  let r = Array.make n 0 in
-  let carry = ref 0 in
+(* ---- gcd over scratch limb arrays: a magnitude is its first [n] limbs ---- *)
+
+let rec gcd_int a b = if b = 0 then a else gcd_int b (a mod b)
+
+(* Limbs [0, n) mod a single limb, without allocating. *)
+let rem_limb mag n d =
+  let r = ref 0 in
   for i = n - 1 downto 0 do
-    let v = (mag.(i) lor (!carry lsl base_bits)) in
-    r.(i) <- v lsr 1;
-    carry := v land 1
+    r := ((!r lsl base_bits) lor mag.(i)) mod d
   done;
-  r
+  !r
 
-let half x = if x.sign = 0 then x else normalize x.sign (half_mag x.mag)
+let trailing_zeros mag =
+  let i = ref 0 in
+  while mag.(!i) = 0 do
+    incr i
+  done;
+  let l = mag.(!i) in
+  let b = ref 0 in
+  while (l lsr !b) land 1 = 0 do
+    incr b
+  done;
+  (!i * base_bits) + !b
 
-(* Stein's binary gcd: subtraction and halving only — much faster than
-   Euclid here because our long division is bit-by-bit. *)
-let gcd a b =
-  let a = abs a and b = abs b in
-  if is_zero a then b
-  else if is_zero b then a
+(* Shift limbs [0, n) right by [k] bits in place; returns the new length. *)
+let shift_right_in_place mag n k =
+  let ls = k / base_bits and bs = k mod base_bits in
+  let m = n - ls in
+  for i = 0 to m - 1 do
+    let hi = if i + ls + 1 < n then (mag.(i + ls + 1) lsl (base_bits - bs)) land limb_mask else 0 in
+    mag.(i) <- (mag.(i + ls) lsr bs) lor hi
+  done;
+  significant mag m
+
+(* A magnitude of at most two limbs (below 2^60) as a native int. *)
+let to_small mag n = if n = 1 then mag.(0) else mag.(0) lor (mag.(1) lsl base_bits)
+
+let of_pos p = { sign = 1; mag = mag_of_pos p }
+
+(* gcd of limbs [0, n) and the single limb d: one remainder pass, then
+   native Euclid. *)
+let gcd_limb mag n d = of_pos (gcd_int d (rem_limb mag n d))
+
+(* Binary gcd of two odd magnitudes u[0, nu) and v[0, nv), destroying both:
+   subtract the smaller from the larger in place and strip the difference's
+   trailing zeros, until one operand is a single limb or both fit in two,
+   then finish with native Euclid. *)
+let rec gcd_odd u nu v nv =
+  if nv = 1 then gcd_limb u nu v.(0)
+  else if nu = 1 then gcd_limb v nv u.(0)
+  else if nu <= 2 && nv <= 2 then of_pos (gcd_int (to_small u nu) (to_small v nv))
   else begin
-    let shift = ref 0 in
-    let a = ref a and b = ref b in
-    while is_even !a && is_even !b do
-      a := half !a;
-      b := half !b;
-      incr shift
-    done;
-    while is_even !a do
-      a := half !a
-    done;
-    (* invariant: a odd *)
-    while not (is_zero !b) do
-      while is_even !b do
-        b := half !b
-      done;
-      if cmp_mag !a.mag !b.mag > 0 then begin
-        let t = !a in
-        a := !b;
-        b := t
-      end;
-      b := sub !b !a
-    done;
-    shift_left !a !shift
+    let c = cmp_prefix u nu v nv in
+    if c = 0 then { sign = 1; mag = Array.sub u 0 nu }
+    else if c > 0 then begin
+      let nu = sub_in_place u nu v nv in
+      gcd_odd u (shift_right_in_place u nu (trailing_zeros u)) v nv
+    end
+    else begin
+      let nv = sub_in_place v nv u nu in
+      gcd_odd u nu v (shift_right_in_place v nv (trailing_zeros v))
+    end
+  end
+
+(* Allocates only the two scratch copies and the result. *)
+let gcd a b =
+  let la = Array.length a.mag and lb = Array.length b.mag in
+  if a.sign = 0 then abs b
+  else if b.sign = 0 then abs a
+  else if lb = 1 then gcd_limb a.mag la b.mag.(0)
+  else if la = 1 then gcd_limb b.mag lb a.mag.(0)
+  else begin
+    let u = Array.copy a.mag and v = Array.copy b.mag in
+    let tu = trailing_zeros u and tv = trailing_zeros v in
+    let nu = shift_right_in_place u la tu and nv = shift_right_in_place v lb tv in
+    shift_left (gcd_odd u nu v nv) (min tu tv)
   end
 
 let pow x n =
@@ -302,6 +369,7 @@ let to_float x =
   if x.sign < 0 then -.f else f
 
 let chunk_base = 1_000_000_000 (* < 2^30, so it is a valid single limb *)
+let pow10 = [| 1; 10; 100; 1_000; 10_000; 100_000; 1_000_000; 10_000_000; 100_000_000; chunk_base |]
 
 let of_string s =
   let len = String.length s in
@@ -313,8 +381,7 @@ let of_string s =
   let chunk = ref 0 and chunk_len = ref 0 in
   let flush () =
     if !chunk_len > 0 then begin
-      let scale = int_of_float (10.0 ** float_of_int !chunk_len) in
-      acc := add (mul !acc (of_int scale)) (of_int !chunk);
+      acc := add (mul !acc (of_int pow10.(!chunk_len))) (of_int !chunk);
       chunk := 0;
       chunk_len := 0
     end

@@ -3,7 +3,13 @@
     Sign-magnitude representation over base-[2^30] limbs. Implemented in-repo
     because the sealed environment has no zarith; egglog's [Rational] base
     type (and the interval analysis of the Herbie case study) needs exact,
-    overflow-free arithmetic. *)
+    overflow-free arithmetic.
+
+    Costs are in limbs: {!divmod} is Knuth's Algorithm D (one pass for a
+    one-limb divisor), O(m·n) for an (m+n)-limb dividend and an n-limb
+    divisor; {!gcd} is a binary gcd run in place on one copy of each
+    operand, O(limbs) per step without allocating, finishing in native
+    ints. *)
 
 type t
 
@@ -51,7 +57,6 @@ val pow : t -> int -> t
 
 val shift_left : t -> int -> t
 val is_zero : t -> bool
-val is_even : t -> bool
 
 val to_float : t -> float
 (** Nearest-double approximation (may overflow to infinity). *)

@@ -23,16 +23,55 @@ let den x = x.d
 let sign x = B.sign x.n
 let neg x = { x with n = B.neg x.n }
 let abs x = { x with n = B.abs x.n }
-let add a b = make (B.add (B.mul a.n b.d) (B.mul b.n a.d)) (B.mul a.d b.d)
+let is_one x = B.equal x B.one
+let div_exact x g = if is_one g then x else B.div x g
+
+(* [add] and [mul] take gcds of their inputs instead of reducing the
+   product-sized result (Knuth, TAOCP vol. 2, 4.5.1, as GMP's mpq does).
+   The inputs are in lowest terms, so with g = gcd(b, d):
+   a/b + c/d = t / (b/g * d) where t = a*(d/g) + c*(b/g), and the only
+   factors t can share with the denominator are those of g. *)
+let add x y =
+  if B.is_zero x.n then y
+  else if B.is_zero y.n then x
+  else begin
+    let g = B.gcd x.d y.d in
+    if is_one g then { n = B.add (B.mul x.n y.d) (B.mul y.n x.d); d = B.mul x.d y.d }
+    else begin
+      let xd = B.div x.d g and yd = B.div y.d g in
+      let t = B.add (B.mul x.n yd) (B.mul y.n xd) in
+      (* t = 0 only when y = -x: then xd = 1 and g2 = g = y.d, giving 0/1 *)
+      let g2 = B.gcd t g in
+      { n = div_exact t g2; d = B.mul xd (div_exact y.d g2) }
+    end
+  end
+
 let sub a b = add a (neg b)
-let mul a b = make (B.mul a.n b.n) (B.mul a.d b.d)
+
+(* a/b * c/d = (a/g1 * c/g2) / (b/g2 * d/g1) with g1 = gcd(a, d) and
+   g2 = gcd(c, b); the result needs no further reduction. *)
+let mul x y =
+  if B.is_zero x.n || B.is_zero y.n then zero
+  else begin
+    let g1 = B.gcd x.n y.d and g2 = B.gcd y.n x.d in
+    {
+      n = B.mul (div_exact x.n g1) (div_exact y.n g2);
+      d = B.mul (div_exact x.d g2) (div_exact y.d g1);
+    }
+  end
 
 let inv x =
   if B.is_zero x.n then raise Division_by_zero;
   if B.sign x.n < 0 then { n = B.neg x.d; d = B.neg x.n } else { n = x.d; d = x.n }
 
 let div a b = mul a (inv b)
-let compare a b = B.compare (B.mul a.n b.d) (B.mul b.n a.d)
+
+let compare a b =
+  let sa = B.sign a.n and sb = B.sign b.n in
+  if sa <> sb || sa = 0 then Int.compare sa sb
+  else if B.equal a.d b.d then B.compare a.n b.n
+  else B.compare (B.mul a.n b.d) (B.mul b.n a.d)
+
 let equal a b = B.equal a.n b.n && B.equal a.d b.d
 let hash x = (B.hash x.n * 65599) lxor B.hash x.d
 let min a b = if compare a b <= 0 then a else b
@@ -73,15 +112,11 @@ let of_string s =
        make (if negative then B.neg mag else mag) scale)
 
 let of_float f =
-  if Float.is_nan f || Float.is_integer f = false && Float.abs f = Float.infinity then
-    invalid_arg "Rat.of_float: not finite";
-  if Float.is_nan f || f = Float.infinity || f = Float.neg_infinity then
-    invalid_arg "Rat.of_float: not finite";
+  if not (Float.is_finite f) then invalid_arg "Rat.of_float: not finite";
   let mant, exp = Float.frexp f in
-  (* mant * 2^53 is an exact integer for any finite double *)
-  let m = Int64.of_float (Float.ldexp mant 53) in
+  (* mant * 2^53 is an exact integer below 2^53 in magnitude for any finite double *)
+  let mi = B.of_int (Float.to_int (Float.ldexp mant 53)) in
   let e = exp - 53 in
-  let mi = B.of_string (Int64.to_string m) in
   if e >= 0 then make (B.shift_left mi e) B.one else make mi (B.shift_left B.one (-e))
 
 let to_float x = B.to_float x.n /. B.to_float x.d

@@ -60,6 +60,32 @@ let test_gcd () =
   check_b "gcd zero" "7" (B.gcd B.zero (bi 7));
   check_b "gcd big" "1" (B.gcd (B.pow (bi 2) 101) (B.pow (bi 3) 61))
 
+(* Hand-picked Algorithm D inputs, as little-endian base-2^30 limbs. Each
+   must agree with the bit-serial reference divider. *)
+let of_limbs limbs = Ref_bigint.to_bigint 1 (Array.of_list limbs)
+
+let check_against_ref msg a b =
+  let q, r = B.divmod a b and q', r' = Ref_bigint.divmod_signed a b in
+  check_b (msg ^ ": q") (B.to_string q') q;
+  check_b (msg ^ ": r") (B.to_string r') r;
+  Alcotest.(check bool) (msg ^ ": a = q*b + r") true (B.equal a (B.add (B.mul q b) r))
+
+let test_algorithm_d () =
+  let h = 1 lsl 29 and top = (1 lsl 30) - 1 in
+  (* q̂ is one too large even after the two-limb test: the add-back step *)
+  check_against_ref "add-back" (of_limbs [ 0; 0; h; h - 1 ]) (of_limbs [ 1; 0; h ]);
+  (* the two-limb test lowers q̂ once *)
+  check_against_ref "q-hat correction" (of_limbs [ 0; top; 1 ]) (of_limbs [ top; top ]);
+  (* q̂ starts two too large (at 2^30): two corrections, one add-back
+     could not fix it *)
+  check_against_ref "two q-hat corrections" (of_limbs [ 833394453; 0; top ]) (of_limbs [ 493294869; top ]);
+  (* top limb already has its high bit set: no normalising shift *)
+  check_against_ref "no shift" (of_limbs [ 5; 7; 3 ]) (of_limbs [ 9; top ]);
+  (* top limb 1: a 29-bit normalising shift *)
+  check_against_ref "29-bit shift" (of_limbs [ 5; 7; 3 ]) (of_limbs [ 9; 1 ]);
+  check_against_ref "negative operands" (B.neg (of_limbs [ 5; 7; 3; 11 ])) (of_limbs [ 9; 1 ]);
+  check_against_ref "equal magnitudes" (of_limbs [ 3; top; h ]) (B.neg (of_limbs [ 3; top; h ]))
+
 let test_compare () =
   Alcotest.(check bool) "lt" true (B.compare (bi (-5)) (bi 3) < 0);
   Alcotest.(check bool) "big vs small" true (B.compare (B.pow (bi 10) 30) (bi max_int) > 0);
@@ -111,6 +137,59 @@ let prop_gcd_divides =
         B.is_zero (B.rem (bi a) g) && B.is_zero (B.rem (bi b) g)
       end)
 
+(* Multi-limb operands for the differential tests: 1-9 random limbs
+   (biased towards 0, 2^29 and 2^30-1), a random sign, a power-of-two
+   factor, and sometimes a large factor shared by both operands. *)
+let limb_gen =
+  QCheck2.Gen.(
+    frequency
+      [
+        (1, pure 0);
+        (1, pure (1 lsl 29));
+        (1, pure ((1 lsl 30) - 1));
+        (5, int_bound ((1 lsl 30) - 1));
+      ])
+
+let mag_gen =
+  QCheck2.Gen.(
+    let* n = int_range 1 9 in
+    let* limbs = array_size (pure n) limb_gen in
+    let* top = int_range 1 ((1 lsl 30) - 1) in
+    limbs.(n - 1) <- top;
+    pure (Ref_bigint.to_bigint 1 limbs))
+
+let operand_gen =
+  QCheck2.Gen.(
+    let* m = mag_gen and* neg = bool and* shift = oneof [ pure 0; int_bound 70 ] in
+    let x = B.shift_left m shift in
+    pure (if neg then B.neg x else x))
+
+let operand_pair_gen =
+  QCheck2.Gen.(
+    let* a = operand_gen and* b = operand_gen and* shared = option mag_gen in
+    match shared with
+    | None -> pure (a, b)
+    | Some s -> pure (B.mul a s, B.mul b s))
+
+let print_pair (a, b) = Printf.sprintf "(%s, %s)" (B.to_string a) (B.to_string b)
+
+let prop_divmod_matches_ref =
+  QCheck2.Test.make ~name:"bigint divmod matches bit-serial reference" ~count:1000
+    ~print:print_pair operand_pair_gen (fun (a, b) ->
+      let q, r = B.divmod a b and q', r' = Ref_bigint.divmod_signed a b in
+      B.equal q q' && B.equal r r')
+
+let prop_divmod_multiple_matches_ref =
+  QCheck2.Test.make ~name:"bigint divmod of a product matches reference" ~count:300
+    ~print:print_pair operand_pair_gen (fun (a, b) ->
+      let p = B.add (B.mul a b) (B.of_int 1) in
+      let q, r = B.divmod p b and q', r' = Ref_bigint.divmod_signed p b in
+      B.equal q q' && B.equal r r')
+
+let prop_gcd_matches_ref =
+  QCheck2.Test.make ~name:"bigint gcd matches Stein reference" ~count:1000 ~print:print_pair
+    operand_pair_gen (fun (a, b) -> B.equal (B.gcd a b) (Ref_bigint.gcd_signed a b))
+
 let prop_mul_assoc =
   QCheck2.Test.make ~name:"bigint mul associative" ~count:300
     QCheck2.Gen.(triple any_int any_int any_int)
@@ -127,6 +206,9 @@ let () =
         prop_divmod_invariant;
         prop_gcd_divides;
         prop_mul_assoc;
+        prop_divmod_matches_ref;
+        prop_divmod_multiple_matches_ref;
+        prop_gcd_matches_ref;
       ]
   in
   Alcotest.run "bigint"
@@ -138,6 +220,7 @@ let () =
           Alcotest.test_case "of_string" `Quick test_of_string;
           Alcotest.test_case "arith" `Quick test_arith_basics;
           Alcotest.test_case "divmod" `Quick test_divmod;
+          Alcotest.test_case "algorithm D" `Quick test_algorithm_d;
           Alcotest.test_case "gcd" `Quick test_gcd;
           Alcotest.test_case "compare" `Quick test_compare;
           Alcotest.test_case "to_float" `Quick test_to_float;

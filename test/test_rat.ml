@@ -77,10 +77,72 @@ let prop_string_roundtrip =
   QCheck2.Test.make ~name:"rat to_string/of_string roundtrip" ~count:300 rat_gen (fun a ->
       R.equal a (R.of_string (R.to_string a)))
 
+(* Multi-limb and double-derived operands. [rat_gen] stays within one limb;
+   these reach the multi-limb gcd and division paths, and [of_float] gives
+   the power-of-two denominators of Herbie's interval bounds. *)
+let limbs_gen =
+  QCheck2.Gen.(
+    let* n = int_range 1 6 in
+    let* limbs = array_size (pure n) (int_bound ((1 lsl 30) - 1)) in
+    let* top = int_range 1 ((1 lsl 30) - 1) in
+    limbs.(n - 1) <- top;
+    pure (Ref_bigint.to_bigint 1 limbs))
+
+let big_rat_gen =
+  QCheck2.Gen.(
+    let* n = limbs_gen and* d = limbs_gen and* neg = bool and* shift = int_bound 90 in
+    let* d = oneofl [ d; Bigint.shift_left Bigint.one shift; Bigint.shift_left d shift ] in
+    pure (R.make (if neg then Bigint.neg n else n) d))
+
+let float_rat_gen =
+  QCheck2.Gen.(
+    map R.of_float
+      (oneof
+         [
+           oneofl [ 0.1; 1e-7; 3.3e5; -2.5; 1e-300; 6.02e23; 0.0 ];
+           map2 Float.ldexp (float_range (-1.0) 1.0) (int_range (-80) 80);
+         ]))
+
+let mixed_rat_gen = QCheck2.Gen.oneof [ rat_gen; big_rat_gen; float_rat_gen ]
+let print_rat_pair (a, b) = Printf.sprintf "(%s, %s)" (R.to_string a) (R.to_string b)
+
+(* Equal to the [make]-built reference, with the same hash and a positive
+   denominator. *)
+let canonical_as expected actual =
+  R.equal expected actual && R.hash expected = R.hash actual && Bigint.sign (R.den actual) > 0
+
+let prop_ops_match_make =
+  QCheck2.Test.make ~name:"rat add/sub/mul/div/compare match make on multi-limb operands"
+    ~count:1000 ~print:print_rat_pair
+    (QCheck2.Gen.pair mixed_rat_gen mixed_rat_gen)
+    (fun (x, y) ->
+      let module B = Bigint in
+      let a = R.num x and b = R.den x and c = R.num y and d = R.den y in
+      canonical_as (R.make (B.add (B.mul a d) (B.mul c b)) (B.mul b d)) (R.add x y)
+      && canonical_as (R.make (B.sub (B.mul a d) (B.mul c b)) (B.mul b d)) (R.sub x y)
+      && canonical_as (R.make (B.mul a c) (B.mul b d)) (R.mul x y)
+      && (R.sign y = 0 || canonical_as (R.make (B.mul a d) (B.mul b c)) (R.div x y))
+      && R.compare x y = B.compare (B.mul a d) (B.mul c b))
+
+let prop_add_self =
+  QCheck2.Test.make ~name:"rat x + (-x) = 0 and x + x = 2x" ~count:500 ~print:R.to_string
+    mixed_rat_gen (fun x ->
+      canonical_as R.zero (R.add x (R.neg x))
+      && canonical_as R.zero (R.sub x x)
+      && canonical_as (R.mul (R.of_int 2) x) (R.add x x))
+
 let () =
   let props =
     List.map QCheck_alcotest.to_alcotest
-      [ prop_add_comm; prop_field; prop_distrib; prop_compare_consistent; prop_string_roundtrip ]
+      [
+        prop_add_comm;
+        prop_field;
+        prop_distrib;
+        prop_compare_consistent;
+        prop_string_roundtrip;
+        prop_ops_match_make;
+        prop_add_self;
+      ]
   in
   Alcotest.run "rat"
     [
