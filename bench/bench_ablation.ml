@@ -1,8 +1,9 @@
 (* Ablations over the engine's design choices (the knobs DESIGN.md calls
-   out): semi-naïve evaluation, the single/two-atom join fast paths, and
-   cross-iteration index caching. Each configuration runs the Fig. 7 math
-   workload and the Steensgaard workload; times are wall clock for a fixed
-   iteration budget. *)
+   out): semi-naïve evaluation, the single/two-atom join lowerings (off:
+   every plan lowers to the generic trie join), and cross-iteration index
+   caching. Each configuration runs the Fig. 7 math workload and the
+   Steensgaard workload; times are wall clock for a fixed iteration
+   budget. *)
 
 type config = {
   label : string;
@@ -14,10 +15,20 @@ type config = {
 let configs =
   [
     { label = "full engine"; seminaive = true; fast_paths = true; index_caching = true };
-    { label = "no fast paths"; seminaive = true; fast_paths = false; index_caching = true };
+    {
+      label = "generic lowering only";
+      seminaive = true;
+      fast_paths = false;
+      index_caching = true;
+    };
     { label = "no index cache"; seminaive = true; fast_paths = true; index_caching = false };
     { label = "naive (egglogNI)"; seminaive = false; fast_paths = true; index_caching = true };
-    { label = "naive, no fast paths"; seminaive = false; fast_paths = false; index_caching = true };
+    {
+      label = "naive, generic lowering only";
+      seminaive = false;
+      fast_paths = false;
+      index_caching = true;
+    };
   ]
 
 let run_math (c : config) ~iters =
@@ -44,10 +55,10 @@ let run ~full () =
   let iters = if full then 35 else 25 in
   let size = if full then 3000 else 1000 in
   Printf.printf "\n=== Ablations (math: %d iterations; points-to: size %d) ===\n%!" iters size;
-  Printf.printf "%-22s %16s %16s\n" "configuration" "math (s, rows)" "points-to (s)";
+  Printf.printf "%-30s %16s %16s\n" "configuration" "math (s, rows)" "points-to (s)";
   List.iter
     (fun c ->
       let mt, mrows = run_math c ~iters in
       let pt, _ = run_pointsto c ~size in
-      Printf.printf "%-22s %8.3fs %7d %10.3fs\n%!" c.label mt mrows pt)
+      Printf.printf "%-30s %8.3fs %7d %10.3fs\n%!" c.label mt mrows pt)
     configs

@@ -23,11 +23,8 @@ let run_egg ~iters () =
 let math_tables =
   [ "Num"; "Var"; "Add"; "Sub"; "Mul"; "Div"; "Pow"; "Ln"; "Sqrt"; "Diff"; "Integral" ]
 
-let run_egglog ?(compiled_plans = true) ~seminaive ~jobs ~iters () =
-  let eng =
-    Egglog.Engine.create ~seminaive ~scheduler:Egglog.Engine.backoff_default ~compiled_plans ~jobs
-      ()
-  in
+let run_egglog ~seminaive ~jobs ~iters () =
+  let eng = Egglog.Engine.create ~seminaive ~scheduler:Egglog.Engine.backoff_default ~jobs () in
   ignore (Egglog.run_string eng (Math_suite.egglog_program ()));
   let report = Egglog.Engine.run_iterations eng iters in
   (* report sizes as math tuples so they are comparable with egg e-nodes *)
@@ -60,10 +57,10 @@ let collect label ~reps runner ~iters =
    the serial-vs-parallel split of each phase (only search fans out). *)
 let phase_names = [ "engine.search"; "engine.apply"; "engine.rebuild" ]
 
-let phase_profile ?compiled_plans ~jobs ~iters () =
+let phase_profile ~jobs ~iters () =
   Egglog.Telemetry.reset ();
   Egglog.Telemetry.enable ();
-  ignore (run_egglog ?compiled_plans ~seminaive:true ~jobs ~iters ());
+  ignore (run_egglog ~seminaive:true ~jobs ~iters ());
   Egglog.Telemetry.disable ();
   let snap = Egglog.Telemetry.snapshot () in
   List.map
@@ -103,11 +100,10 @@ let time_to_size (s : series) size =
   in
   go 0
 
-let run ?(iters = 40) ?(reps = 3) ?(jobs = 1) ?(compiled_plans = true) () =
+let run ?(iters = 40) ?(reps = 3) ?(jobs = 1) () =
   Printf.printf "=== Fig. 7: egglog vs egglogNI vs egg (math suite, BackOff) ===\n";
   Printf.printf
-    "iterations=%d repetitions=%d jobs=%d compiled-plans=%b (median per-iteration times)\n%!"
-    iters reps jobs compiled_plans;
+    "iterations=%d repetitions=%d jobs=%d (median per-iteration times)\n%!" iters reps jobs;
   (* Collect engine counters over the whole measured region; the snapshot
      lands in BENCH_fig7.json so a regression in e.g. tuples scanned is
      visible without rerunning under --trace. *)
@@ -116,12 +112,12 @@ let run ?(iters = 40) ?(reps = 3) ?(jobs = 1) ?(compiled_plans = true) () =
   let egg = collect "egg" ~reps (fun ~iters () -> run_egg ~iters ()) ~iters in
   let ni =
     collect "egglogNI" ~reps
-      (fun ~iters () -> run_egglog ~compiled_plans ~seminaive:false ~jobs ~iters ())
+      (fun ~iters () -> run_egglog ~seminaive:false ~jobs ~iters ())
       ~iters
   in
   let sn =
     collect "egglog" ~reps
-      (fun ~iters () -> run_egglog ~compiled_plans ~seminaive:true ~jobs ~iters ())
+      (fun ~iters () -> run_egglog ~seminaive:true ~jobs ~iters ())
       ~iters
   in
   Egglog.Telemetry.disable ();
@@ -129,8 +125,8 @@ let run ?(iters = 40) ?(reps = 3) ?(jobs = 1) ?(compiled_plans = true) () =
   (* Serial-vs-parallel phase split, in its own telemetry regions (the main
      snapshot above is already taken). *)
   let parallel_jobs = if jobs > 1 then jobs else 4 in
-  let serial_phases = phase_profile ~compiled_plans ~jobs:1 ~iters () in
-  let parallel_phases = phase_profile ~compiled_plans ~jobs:parallel_jobs ~iters () in
+  let serial_phases = phase_profile ~jobs:1 ~iters () in
+  let parallel_phases = phase_profile ~jobs:parallel_jobs ~iters () in
   Egglog.Telemetry.reset ();
   Printf.printf "%6s  %22s  %22s  %22s\n" "iter" "egg (nodes, cum s)" "egglogNI (tuples, s)"
     "egglog (tuples, s)";
@@ -183,7 +179,6 @@ let run ?(iters = 40) ?(reps = 3) ?(jobs = 1) ?(compiled_plans = true) () =
            ("iters", J.Int iters);
            ("reps", J.Int reps);
            ("jobs", J.Int jobs);
-           ("compiled_plans", J.Bool compiled_plans);
          ])
     ~data:
       (J.Obj

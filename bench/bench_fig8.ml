@@ -23,9 +23,9 @@ let checksum sites =
     (fun acc l -> List.fold_left (fun acc s -> (acc * 31) lxor (s + 1) land 0xFFFFFF) (acc * 7) l)
     17 sites
 
-let run_egglog ?compiled_plans ~seminaive ~jobs p =
+let run_egglog ~seminaive ~jobs p =
   let t0 = Egglog.Telemetry.now () in
-  let eng, _report = P.Egglog_enc.analyze ?compiled_plans ~seminaive ~jobs p in
+  let eng, _report = P.Egglog_enc.analyze ~seminaive ~jobs p in
   let dt = Egglog.Telemetry.now () -. t0 in
   if dt > timeout_s then (Timeout_cell, None)
   else (Time dt, Some (checksum (P.Egglog_enc.var_sites p eng)))
@@ -51,10 +51,9 @@ let cell_json (c, sum) =
       ("checksum", match sum with Some s -> J.Int s | None -> J.Null);
     ]
 
-let run ?sizes ?ni_sizes ?(jobs = 1) ?(compiled_plans = true) ~full () =
+let run ?sizes ?ni_sizes ?(jobs = 1) ~full () =
   Printf.printf
-    "\n=== Fig. 8: Steensgaard points-to (timeout %.0fs, jobs %d, compiled-plans %b) ===\n%!"
-    timeout_s jobs compiled_plans;
+    "\n=== Fig. 8: Steensgaard points-to (timeout %.0fs, jobs %d) ===\n%!" timeout_s jobs;
   let sizes =
     match sizes with
     | Some s -> s
@@ -70,8 +69,8 @@ let run ?sizes ?ni_sizes ?(jobs = 1) ?(compiled_plans = true) ~full () =
       (fun size ->
         let p = P.Progen.generate ~size ~seed:1 () in
         let ref_sum = checksum (P.Reference.var_sites p (P.Reference.analyze p)) in
-        let sn = run_egglog ~compiled_plans ~seminaive:true ~jobs p in
-        let ni = run_egglog ~compiled_plans ~seminaive:false ~jobs p in
+        let sn = run_egglog ~seminaive:true ~jobs p in
+        let ni = run_egglog ~seminaive:false ~jobs p in
         let eq = run_datalog P.Datalog_enc.Eqrel p in
         let cc = run_datalog P.Datalog_enc.Cclyzer p in
         let pa = run_datalog P.Datalog_enc.Patched p in
@@ -137,8 +136,8 @@ let run ?sizes ?ni_sizes ?(jobs = 1) ?(compiled_plans = true) ~full () =
       (fun size ->
         let p = P.Progen.generate ~size ~seed:1 () in
         match
-          ( run_egglog ~compiled_plans ~seminaive:true ~jobs p,
-            run_egglog ~compiled_plans ~seminaive:false ~jobs p )
+          ( run_egglog ~seminaive:true ~jobs p,
+            run_egglog ~seminaive:false ~jobs p )
         with
         | (Time a, _), (Time b, _) ->
           Printf.printf "%6d %7d  egglog %.3fs vs egglogNI %.3fs\n" size
@@ -168,7 +167,7 @@ let run ?sizes ?ni_sizes ?(jobs = 1) ?(compiled_plans = true) ~full () =
   let phase_profile ~jobs =
     Egglog.Telemetry.reset ();
     Egglog.Telemetry.enable ();
-    ignore (P.Egglog_enc.analyze ~compiled_plans ~seminaive:true ~jobs profile_prog);
+    ignore (P.Egglog_enc.analyze ~seminaive:true ~jobs profile_prog);
     Egglog.Telemetry.disable ();
     let snap = Egglog.Telemetry.snapshot () in
     List.map
@@ -200,7 +199,6 @@ let run ?sizes ?ni_sizes ?(jobs = 1) ?(compiled_plans = true) ~full () =
            ("timeout_seconds", J.Float timeout_s);
            ("full", J.Bool full);
            ("jobs", J.Int jobs);
-           ("compiled_plans", J.Bool compiled_plans);
            ("sizes", J.List (List.map (fun s -> J.Int s) sizes));
          ])
     ~data:
@@ -228,5 +226,4 @@ let run ?sizes ?ni_sizes ?(jobs = 1) ?(compiled_plans = true) ~full () =
 
 (* CI smoke: two tiny sizes plus one NI comparison point; exercises every
    reporting path (table, soundness verdicts, JSON) in well under a second. *)
-let run_smoke ?jobs ?compiled_plans () =
-  run ~sizes:[ 4; 8 ] ~ni_sizes:[ 200 ] ?jobs ?compiled_plans ~full:false ()
+let run_smoke ?jobs () = run ~sizes:[ 4; 8 ] ~ni_sizes:[ 200 ] ?jobs ~full:false ()

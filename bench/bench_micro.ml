@@ -66,9 +66,8 @@ let backtracking_ematch_bench () =
   Staged.stage (fun () -> ignore (Egraph.ematch eg pat))
 
 (* The join kernel in isolation: one 3-atom triangle join over a fixed
-   edge relation, run through the compiled closures and through the plan
-   interpreter on a warm structure cache — so the pair measures the
-   per-tuple binding loop, not trie construction. *)
+   edge relation on a warm structure cache — so it measures the per-tuple
+   binding loop, not trie construction. *)
 let triangle_query () =
   let eng = Egglog.Engine.create () in
   ignore (Egglog.run_string eng "(relation e (i64 i64))");
@@ -94,19 +93,13 @@ let triangle_query () =
   let q = Egglog.Compile.compile_query env [ atom "x" "y"; atom "y" "z"; atom "z" "x" ] in
   (db, q)
 
-let join_triangle_bench ~compiled () =
+let join_triangle_bench () =
   let db, q = triangle_query () in
   let ranges = Array.make 3 Egglog.Join.all_rows in
   let cache = Egglog.Join.new_cache () in
-  if compiled then begin
-    let cp = Egglog.Join.compile_plan q in
-    Egglog.Join.search_compiled db ~cache cp ~ranges (fun _ -> ());
-    Staged.stage (fun () -> Egglog.Join.search_compiled db ~cache cp ~ranges (fun _ -> ()))
-  end
-  else begin
-    Egglog.Join.search db ~cache q ~ranges (fun _ -> ());
-    Staged.stage (fun () -> Egglog.Join.search db ~cache q ~ranges (fun _ -> ()))
-  end
+  let cp = Egglog.Join.compile_plan q in
+  Egglog.Join.search_compiled db ~cache cp ~ranges (fun _ -> ());
+  Staged.stage (fun () -> Egglog.Join.search_compiled db ~cache cp ~ranges (fun _ -> ()))
 
 (* Transaction cost on a ~4k-row database: the saturated points-to
    analysis of a generated 200-instruction program. [txn.empty] is a no-op
@@ -283,8 +276,7 @@ let tests () =
       Test.make ~name:"congruence-rebuild-128" (rebuild_bench ());
       Test.make ~name:"ematch-relational" (relational_ematch_bench ());
       Test.make ~name:"ematch-backtracking" (backtracking_ematch_bench ());
-      Test.make ~name:"join-triangle-compiled" (join_triangle_bench ~compiled:true ());
-      Test.make ~name:"join-triangle-interpreted" (join_triangle_bench ~compiled:false ());
+      Test.make ~name:"join-triangle-compiled" (join_triangle_bench ());
       Test.make ~name:"txn.empty" (txn_empty_bench ());
       Test.make ~name:"txn.fact_command" (txn_fact_command_bench ());
       Test.make ~name:"join.patch_after_rebuild" (patch_after_rebuild_bench ());

@@ -10,11 +10,8 @@
 
    [--jobs N] (or --jobs=N) fans the engine benches' search phases across
    N domains (0 = one per core); results are bit-identical to --jobs 1, so
-   the jobs-matrix CI job compares envelopes across values.
-
-   [--no-compiled-plans] runs the engine benches on the plan interpreter
-   instead of the compiled closures (same flag as the CLI); results are
-   byte-identical, so CI benches both modes and compares envelopes. *)
+   the jobs-matrix CI job compares envelopes across values. Any other
+   argument is a usage error (exit 2). *)
 
 let usage_error msg =
   Printf.eprintf "bench: %s\n" msg;
@@ -36,26 +33,33 @@ let rec split_jobs acc = function
      | _ -> usage_error (Printf.sprintf "--jobs wants a non-negative integer, got %S" v))
   | a :: rest -> split_jobs (a :: acc) rest
 
+let figures = [ "micro"; "fig7"; "fig8"; "fig11"; "fig12"; "ablation"; "serve" ]
+
 let () =
   let args, jobs = split_jobs [] (Array.to_list Sys.argv |> List.tl) in
-  let compiled_plans = not (List.mem "--no-compiled-plans" args) in
-  let args = List.filter (fun a -> a <> "--no-compiled-plans") args in
+  List.iter
+    (fun a ->
+      if not (List.mem a ("smoke" :: "full" :: figures)) then
+        usage_error
+          (Printf.sprintf "unknown argument %S (expected smoke, full, --jobs N or one of: %s)" a
+             (String.concat ", " figures)))
+    args;
   let smoke = List.mem "smoke" args in
   let full = List.mem "full" args in
   if smoke then begin
     (* CI gate: exercise every reporting path in seconds, not minutes. *)
     Bench_micro.run ~quota:0.05 ();
-    Bench_fig7.run ~iters:5 ~reps:1 ~jobs ~compiled_plans ();
-    Bench_fig8.run_smoke ~jobs ~compiled_plans ();
+    Bench_fig7.run ~iters:5 ~reps:1 ~jobs ();
+    Bench_fig8.run_smoke ~jobs ();
     Bench_serve.run_smoke ()
   end
   else begin
     let want name = args = [] || List.mem name args || full in
     if want "micro" then Bench_micro.run ();
     if want "fig7" then
-      if full then Bench_fig7.run ~iters:60 ~reps:5 ~jobs ~compiled_plans ()
-      else Bench_fig7.run ~iters:35 ~reps:3 ~jobs ~compiled_plans ();
-    if want "fig8" then Bench_fig8.run ~jobs ~compiled_plans ~full ();
+      if full then Bench_fig7.run ~iters:60 ~reps:5 ~jobs ()
+      else Bench_fig7.run ~iters:35 ~reps:3 ~jobs ();
+    if want "fig8" then Bench_fig8.run ~jobs ~full ();
     if want "fig11" || want "fig12" then Bench_herbie.run ~full ();
     if want "ablation" then Bench_ablation.run ~full ();
     if want "serve" then Bench_serve.run ()

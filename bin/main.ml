@@ -3,10 +3,9 @@
    journal with periodic checkpoints (--journal / --checkpoint-every) and
    crash recovery (--recover). *)
 
-let make_engine ~seminaive ~backoff ~compiled_plans ~node_limit ~time_limit ~memory_limit ~jobs =
+let make_engine ~seminaive ~backoff ~node_limit ~time_limit ~memory_limit ~jobs =
   let scheduler = if backoff then Egglog.Engine.backoff_default else Egglog.Engine.Simple in
-  Egglog.Engine.create ~seminaive ~scheduler ~compiled_plans ?node_limit ?time_limit
-    ?memory_limit ~jobs ()
+  Egglog.Engine.create ~seminaive ~scheduler ?node_limit ?time_limit ?memory_limit ~jobs ()
 
 (* Every mode funnels through one exception ladder so each failure class
    has one message shape and one exit code. A simulated crash (fault
@@ -114,13 +113,10 @@ let print_report (r : Egglog.Durable.recovery_report) =
     r.rc_replayed
     (if r.rc_torn then "; dropped a torn trailing record" else "")
 
-let run_file ~seminaive ~backoff ~compiled_plans ~node_limit ~time_limit ~memory_limit ~jobs
-    ~journal ~checkpoint_every ~load ~dump ~trace ~stats ~explain_plans path =
+let run_file ~seminaive ~backoff ~node_limit ~time_limit ~memory_limit ~jobs ~journal
+    ~checkpoint_every ~load ~dump ~trace ~stats ~explain_plans path =
   with_errors ~where:path (fun () ->
-      let eng =
-        make_engine ~seminaive ~backoff ~compiled_plans ~node_limit ~time_limit ~memory_limit
-          ~jobs
-      in
+      let eng = make_engine ~seminaive ~backoff ~node_limit ~time_limit ~memory_limit ~jobs in
       let src = In_channel.with_open_text path In_channel.input_all in
       let cmds = Egglog.Frontend.parse_program src in
       let outputs =
@@ -184,15 +180,12 @@ let repl ?durable eng =
   in
   loop ""
 
-let repl_mode ~seminaive ~backoff ~compiled_plans ~node_limit ~time_limit ~memory_limit ~jobs
-    ~journal ~checkpoint_every ~recover ~dump ~trace ~stats () =
+let repl_mode ~seminaive ~backoff ~node_limit ~time_limit ~memory_limit ~jobs ~journal
+    ~checkpoint_every ~recover ~dump ~trace ~stats () =
   with_errors
     ~where:(match journal with Some j -> j | None -> "<repl>")
     (fun () ->
-      let eng =
-        make_engine ~seminaive ~backoff ~compiled_plans ~node_limit ~time_limit ~memory_limit
-          ~jobs
-      in
+      let eng = make_engine ~seminaive ~backoff ~node_limit ~time_limit ~memory_limit ~jobs in
       let session f =
         let code = with_telemetry ~trace ~stats f in
         if stats then print_stats ();
@@ -288,12 +281,6 @@ let () =
   let no_seminaive =
     Arg.(value & flag & info [ "no-seminaive" ] ~doc:"Disable semi-naïve evaluation (egglogNI)")
   in
-  let no_compiled_plans =
-    Arg.(value & flag & info [ "no-compiled-plans" ]
-           ~doc:"Run joins on the plan interpreter instead of compiling plans to specialized \
-                 closures. Escape hatch / ablation baseline: results are byte-identical either \
-                 way, only speed changes")
-  in
   let backoff =
     Arg.(value & flag & info [ "backoff" ] ~doc:"Use the BackOff rule scheduler (as in egg)")
   in
@@ -359,10 +346,9 @@ let () =
     Arg.(value & flag & info [ "explain-plans" ]
            ~doc:"After the program finishes, print each rule's cost-based join plan against the final table statistics: atoms with row counts, the chosen variable order with cost estimates, the primitive schedule, and each semi-naive delta variant's order")
   in
-  let main file no_seminaive no_compiled_plans backoff node_limit time_limit memory_limit jobs
+  let main file no_seminaive backoff node_limit time_limit memory_limit jobs
       journal checkpoint_every recover fault load dump trace stats explain_plans =
     let seminaive = not no_seminaive in
-    let compiled_plans = not no_compiled_plans in
     let usage_error msg =
       Printf.eprintf "egglog: %s\n" msg;
       2
@@ -387,17 +373,17 @@ let () =
     else
       match file with
       | Some path ->
-        run_file ~seminaive ~backoff ~compiled_plans ~node_limit ~time_limit ~memory_limit
+        run_file ~seminaive ~backoff ~node_limit ~time_limit ~memory_limit
           ~jobs ~journal ~checkpoint_every ~load ~dump ~trace ~stats ~explain_plans path
       | None ->
         if explain_plans then usage_error "--explain-plans requires FILE"
         else
-          repl_mode ~seminaive ~backoff ~compiled_plans ~node_limit ~time_limit ~memory_limit
+          repl_mode ~seminaive ~backoff ~node_limit ~time_limit ~memory_limit
             ~jobs ~journal ~checkpoint_every ~recover ~dump ~trace ~stats ()
   in
   let term =
     Term.(
-      const main $ file $ no_seminaive $ no_compiled_plans $ backoff $ node_limit
+      const main $ file $ no_seminaive $ backoff $ node_limit
       $ time_limit $ memory_limit $ jobs $ journal $ checkpoint_every $ recover $ fault
       $ load $ dump $ trace $ stats $ explain_plans)
   in

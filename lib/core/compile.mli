@@ -98,8 +98,8 @@ val reorder : cquery -> order:int array -> cquery
 val pp_plan : ?cards:atom_card array -> ?lowering:string -> Format.formatter -> cquery -> unit
 (** Deterministic textual plan dump: atoms, variable order (with cost
     estimates when [cards] is given), the primitive schedule, and — when
-    [lowering] is given — whether the plan compiled to closures or fell
-    back to the interpreter (see {!Join.describe_lowering}). *)
+    [lowering] is given — the closures the plan lowers to (see
+    {!Join.describe_lowering}). *)
 
 val compile_rule : env -> name:string -> Ast.rule -> crule
 

@@ -77,13 +77,12 @@ type run_report = {
 }
 
 (* One cached plan of a rule: the query with its chosen variable order,
-   its closure-compiled twin ([None] with compiled plans disabled), and
-   the size buckets the order was chosen for ([None] until the slot is
-   first planned). *)
+   its lowering to closures, and the size buckets the order was chosen
+   for. *)
 type plan_slot = {
-  mutable ps_key : int array option;
-  mutable ps_plan : Compile.cquery;
-  mutable ps_compiled : Join.compiled option;
+  ps_key : int array;
+  ps_plan : Compile.cquery;
+  ps_compiled : Join.compiled;
 }
 
 type rt_rule = {
@@ -94,9 +93,9 @@ type rt_rule = {
   mutable rr_times_banned : int;
   mutable rr_banned_until : int;
   rr_fixed_plan : bool;  (* [plan_is_fixed]: one plan serves every slot *)
-  rr_slots : plan_slot array;
-      (* n_atoms delta variants + the full query; a fixed-plan rule's
-         entries are one shared slot *)
+  rr_slots : plan_slot option array;
+      (* n_atoms delta variants + the full query, [None] until first
+         planned; a fixed-plan rule has one slot, shared by every variant *)
 }
 
 type snapshot = {
@@ -117,7 +116,6 @@ type t = {
   seminaive : bool;
   fast_paths : bool;
   index_caching : bool;
-  compiled_plans : bool;  (* lower plans to closures (--no-compiled-plans disables) *)
   scheduler : scheduler;
   mutable iteration : int;
   mutable rule_counter : int;
@@ -207,18 +205,17 @@ let slot_key eng (q : Compile.cquery) ~delta j =
 let plan_is_fixed ~fast_paths (q : Compile.cquery) =
   Array.length q.Compile.order <= 1 || Join.order_free ~fast_paths q
 
-(* Build a plan into a slot: count it and, with compiled plans on, lower
-   it to closures. Runs only in the serial pre-phase, so the planner and
-   compiled-plans counters are bumped identically at any jobs count.
-   Compiled evaluators keep all mutable state per search, so one compiled
-   object may serve concurrent variants. *)
-let build_slot eng (slot : plan_slot) ~key (plan : Compile.cquery) =
+(* Build a plan into slot [j]: count it and lower it to closures. Runs
+   only in the serial pre-phase, so the planner counters are bumped
+   identically at any jobs count. Compiled evaluators keep all mutable
+   state per search, so one compiled object may serve concurrent
+   variants. *)
+let build_slot eng (r : rt_rule) j ~key (plan : Compile.cquery) =
   Telemetry.bump c_plans_built 1;
-  slot.ps_key <- Some key;
-  slot.ps_plan <- plan;
-  slot.ps_compiled <-
-    (if eng.compiled_plans then Some (Join.compile_plan ~fast_paths:eng.fast_paths plan)
-     else None)
+  let ps_compiled = Join.compile_plan ~fast_paths:eng.fast_paths plan in
+  let slot = { ps_key = key; ps_plan = plan; ps_compiled } in
+  r.rr_slots.(j) <- Some slot;
+  slot
 
 (* The plan for slot [j] of a rule — semi-naïve variant [j < n_atoms]
    (atom [j] is the delta), or the full query at [j = n_atoms] — planned
@@ -229,9 +226,8 @@ let build_slot eng (slot : plan_slot) ~key (plan : Compile.cquery) =
    closure are rebuilt only when the order changed. *)
 let slot_plan eng (r : rt_rule) j : plan_slot =
   let q = r.rr_rule.Compile.cr_query in
-  let slot = r.rr_slots.(j) in
   if r.rr_fixed_plan then begin
-    if slot.ps_key = None then build_slot eng slot ~key:[||] q
+    match r.rr_slots.(0) with Some slot -> slot | None -> build_slot eng r 0 ~key:[||] q
   end
   else begin
     let n_atoms = Array.length q.Compile.atoms in
@@ -240,18 +236,20 @@ let slot_plan eng (r : rt_rule) j : plan_slot =
       else Table.entries_since (table_of eng q.Compile.atoms.(j).Compile.a_func) r.rr_last_stamp
     in
     let key = slot_key eng q ~delta j in
-    match slot.ps_key with
-    | Some previous when previous = key -> ()
-    | previous ->
-      let replanned = previous <> None in
-      if replanned then Telemetry.bump c_replans 1;
+    match r.rr_slots.(j) with
+    | Some slot when slot.ps_key = key -> slot
+    | previous -> (
+      if Option.is_some previous then Telemetry.bump c_replans 1;
       let cards = atom_cards eng q in
       if j < n_atoms then cards.(j) <- delta_card cards.(j) delta;
       let order = Compile.replan_order q ~cards in
-      if replanned && order = slot.ps_plan.Compile.order then slot.ps_key <- Some key
-      else build_slot eng slot ~key (Compile.reorder q ~order)
-  end;
-  slot
+      match previous with
+      | Some slot when order = slot.ps_plan.Compile.order ->
+        let slot = { slot with ps_key = key } in
+        r.rr_slots.(j) <- Some slot;
+        slot
+      | Some _ | None -> build_slot eng r j ~key (Compile.reorder q ~order))
+  end
 
 let rec eval_expr eng (slots : Value.t array) (e : Compile.cexpr) : Value.t =
   match e with
@@ -302,7 +300,7 @@ let exec_action eng (slots : Value.t array) (a : Compile.caction) =
     Database.remove eng.db (table_of eng f) vals
 
 let create ?(seminaive = true) ?(scheduler = Simple) ?(fast_paths = true)
-    ?(index_caching = true) ?(compiled_plans = true) ?node_limit ?time_limit ?memory_limit
+    ?(index_caching = true) ?node_limit ?time_limit ?memory_limit
     ?(pressure_tiers = (0.7, 0.85)) ?(jobs = 1) () =
   if jobs < 0 then error "jobs must be non-negative (0 = one per core), got %d" jobs;
   (let t1, t2 = pressure_tiers in
@@ -320,7 +318,6 @@ let create ?(seminaive = true) ?(scheduler = Simple) ?(fast_paths = true)
       seminaive;
       fast_paths;
       index_caching;
-      compiled_plans;
       scheduler;
       iteration = 0;
       rule_counter = 0;
@@ -464,11 +461,8 @@ let add_rule eng (rule : Ast.rule) =
       let crule = Compile.compile_rule (compile_env eng) ~name rule in
       let q = crule.Compile.cr_query in
       let rr_fixed_plan = plan_is_fixed ~fast_paths:eng.fast_paths q in
-      let n_slots = Array.length q.Compile.atoms + 1 in
-      let fresh_slot _ = { ps_key = None; ps_plan = q; ps_compiled = None } in
       let rr_slots =
-        if rr_fixed_plan then Array.make n_slots (fresh_slot ())
-        else Array.init n_slots fresh_slot
+        Array.make (if rr_fixed_plan then 1 else Array.length q.Compile.atoms + 1) None
       in
       let ruleset = Option.value rule.Ast.ruleset ~default:"" in
       if ruleset <> "" && not (List.mem ruleset eng.rulesets) then
@@ -555,10 +549,7 @@ let explain_plans eng : string =
       let n_atoms = Array.length q.Compile.atoms in
       let ruleset = if r.rr_ruleset = "" then "default" else r.rr_ruleset in
       Buffer.add_string buf (Printf.sprintf "rule %s (ruleset %s)\n" r.rr_name ruleset);
-      let lowering_of plan =
-        if eng.compiled_plans then Join.describe_lowering ~fast_paths:eng.fast_paths plan
-        else "interpreter (compiled plans disabled)"
-      in
+      let lowering_of = Join.describe_lowering ~fast_paths:eng.fast_paths in
       if n_atoms = 0 then Buffer.add_string buf "  (no atoms)\n"
       else begin
         let cards = atom_cards eng q in
@@ -640,9 +631,7 @@ let search_variant eng ?cache (slot : plan_slot) (ranges : Join.stamp_range arra
     Value.t array list =
   let acc = ref [] in
   let emit b = acc := Array.copy b :: !acc in
-  (match slot.ps_compiled with
-   | Some cp -> Join.search_compiled eng.db ?cache cp ~ranges emit
-   | None -> Join.search eng.db ?cache ~fast_paths:eng.fast_paths slot.ps_plan ~ranges emit);
+  Join.search_compiled eng.db ?cache slot.ps_compiled ~ranges emit;
   !acc
 
 (* Merge per-variant results (ascending variant order, each in reversed
@@ -812,7 +801,7 @@ let parallel_search eng ~jobs ~budget_check (eligible : rt_rule list) :
   in
   Array.iter
     (fun (_, ((slot : plan_slot), ranges)) ->
-      Join.prebuild eng.db ?cache ~fast_paths:eng.fast_paths slot.ps_plan ~ranges)
+      Join.prebuild eng.db ?cache slot.ps_compiled ~ranges)
     tasks;
   let pool = Pool.global ~workers:(jobs - 1) in
   Telemetry.record_max c_domains (min jobs (1 + Pool.size pool));

@@ -23,7 +23,6 @@ val create :
   ?scheduler:scheduler ->
   ?fast_paths:bool ->
   ?index_caching:bool ->
-  ?compiled_plans:bool ->
   ?node_limit:int ->
   ?time_limit:float ->
   ?memory_limit:int ->
@@ -32,10 +31,8 @@ val create :
   unit ->
   t
 (** [seminaive:false] gives the paper's egglogNI baseline; [fast_paths] and
-    [index_caching] exist for the ablation benchmarks. [compiled_plans]
-    (default true) lowers every cached plan to specialized closures
-    ({!Join.compile_plan}); [false] — the CLI's [--no-compiled-plans] —
-    keeps the interpreter, with byte-identical results either way. [node_limit] /
+    [index_caching] exist for the ablation benchmarks ([fast_paths:false]
+    lowers every plan to the generic trie join). [node_limit] /
     [time_limit] / [memory_limit] install session-wide budgets applied to
     every [(run ...)] and [(run-schedule ...)] command (the CLI's
     [--node-limit] / [--time-limit] / [--memory-limit]); per-command

@@ -32,9 +32,9 @@ type stamp_range = { lo : int; hi : int }
 let all_rows = { lo = 0; hi = max_int }
 
 (* Per-position row checks derived from an atom's argument pattern. The
-   analysis itself lives in {!Plan_compile.shape_atom}, shared with the
-   plan compiler so the two evaluators (and the cache keys derived from
-   checks + sources) can never disagree on an atom's read set. *)
+   analysis itself lives in {!Plan_compile.shape_atom}, so the lowered
+   kernels and the cache keys derived from checks + sources read one
+   description of an atom. *)
 type check = Plan_compile.check =
   | Check_const of int * Value.t  (* position must equal the literal *)
   | Check_same of int * int  (* position must equal an earlier position *)
@@ -53,16 +53,16 @@ let resolve_table db (f : Schema.func) : Table.t =
     internal ~in_func:f.Schema.name "no table for function %s (popped scope?)"
       (Symbol.name f.Schema.name)
 
-let plan_of_shape db (sh : Plan_compile.shape) : atom_plan =
+let plan_over table (sh : Plan_compile.shape) : atom_plan =
   {
-    ap_table = resolve_table db sh.Plan_compile.sh_func;
+    ap_table = table;
     ap_checks = sh.Plan_compile.sh_checks;
     ap_sources = sh.Plan_compile.sh_sources;
     ap_vars = sh.Plan_compile.sh_vars;
   }
 
-let plan_atom db (q : Compile.cquery) (atom : Compile.atom) : atom_plan =
-  plan_of_shape db (Plan_compile.shape_atom q atom)
+let plan_of_shape db (sh : Plan_compile.shape) =
+  plan_over (resolve_table db sh.Plan_compile.sh_func) sh
 
 (* Cell [i] of a version: key position [i], or the output when i = arity. *)
 let cell key value i = if i < Array.length key then key.(i) else value
@@ -116,7 +116,7 @@ let trie_remove_row (plan : atom_plan) root ~depth key value =
   in
   go root 0
 
-let build_trie ?(scan = Table.iter_range) (plan : atom_plan) (range : stamp_range) : trie =
+let build_trie (plan : atom_plan) (range : stamp_range) : trie =
   let depth = Array.length plan.ap_sources in
   Telemetry.bump c_trie_builds 1;
   Telemetry.observe "join.trie_depth" (float_of_int depth);
@@ -127,7 +127,7 @@ let build_trie ?(scan = Table.iter_range) (plan : atom_plan) (range : stamp_rang
     (* Fully ground atom: Leaf iff some row passes the checks. *)
     let found = ref false in
     (try
-       scan plan.ap_table ~lo:range.lo ~hi:range.hi (fun key (row : Table.row) ->
+       Table.iter_delta plan.ap_table ~lo:range.lo ~hi:range.hi (fun key (row : Table.row) ->
            incr scanned;
            if row_passes plan key row.value then begin
              found := true;
@@ -138,7 +138,7 @@ let build_trie ?(scan = Table.iter_range) (plan : atom_plan) (range : stamp_rang
   end
   else begin
     let root = VTbl.create 64 in
-    scan plan.ap_table ~lo:range.lo ~hi:range.hi (fun key (row : Table.row) ->
+    Table.iter_delta plan.ap_table ~lo:range.lo ~hi:range.hi (fun key (row : Table.row) ->
         incr scanned;
         if row_passes plan key row.value then trie_add_row plan root ~depth key row.value);
     Node root
@@ -146,8 +146,6 @@ let build_trie ?(scan = Table.iter_range) (plan : atom_plan) (range : stamp_rang
   in
   Telemetry.bump c_scanned !scanned;
   result
-
-exception Found
 
 (* The memo holds both kinds of built structure. Full-table entries
    (lo = 0, hi = max_int) live in the persistent tier and follow their
@@ -301,12 +299,12 @@ let index_add (plan : atom_plan) index ~proj ~rest key value =
     Value.Key_tbl.replace index k (v :: existing)
   end
 
-let build_index ?(scan = Table.iter_range) ?(size = 64) (plan : atom_plan) (range : stamp_range)
+let build_index ?(size = 64) (plan : atom_plan) (range : stamp_range)
     ~(proj : int array) ~(rest : int array) =
   Telemetry.bump c_index_builds 1;
   let scanned = ref 0 in
   let index : Value.t array list Value.Key_tbl.t = Value.Key_tbl.create size in
-  scan plan.ap_table ~lo:range.lo ~hi:range.hi (fun key (row : Table.row) ->
+  Table.iter_delta plan.ap_table ~lo:range.lo ~hi:range.hi (fun key (row : Table.row) ->
       incr scanned;
       index_add plan index ~proj ~rest key row.value);
   Telemetry.bump c_scanned !scanned;
@@ -411,10 +409,10 @@ let cached cache kind (plan : atom_plan) range ~proj ~rest ~build ~patch =
       | None -> miss (KTbl.replace c.scratch key)
     end
 
-let cached_trie ?scan cache plan range =
+let cached_trie cache plan range =
   match
     cached cache 0 plan range ~proj:[||] ~rest:[||]
-      ~build:(fun () -> B_trie (build_trie ?scan plan range))
+      ~build:(fun () -> B_trie (build_trie plan range))
       ~patch:(fun built changes ->
         match built with
         | B_trie trie -> B_trie (patch_trie plan trie changes)
@@ -423,7 +421,7 @@ let cached_trie ?scan cache plan range =
   | B_trie trie -> trie
   | B_index _ -> assert false
 
-let cached_index ?scan cache plan range ~proj ~rest =
+let cached_index cache plan range ~proj ~rest =
   (* A cached full-table index is sized for one key per row, so its build
      never rehashes; a transient one starts small. *)
   let size =
@@ -431,7 +429,7 @@ let cached_index ?scan cache plan range ~proj ~rest =
   in
   match
     cached cache 1 plan range ~proj ~rest
-      ~build:(fun () -> B_index (build_index ?scan ?size plan range ~proj ~rest))
+      ~build:(fun () -> B_index (build_index ?size plan range ~proj ~rest))
       ~patch:(fun built changes ->
         match built with
         | B_index idx ->
@@ -442,124 +440,13 @@ let cached_index ?scan cache plan range ~proj ~rest =
   | B_index idx -> idx
   | B_trie _ -> assert false
 
-(* Prims as a flat, statically classified checklist: every join variable is
-   bound before they run, so outputs either bind (computed vars) or check.
-   Shared with the plan compiler so both evaluators classify identically. *)
-let static_prim_plan = Plan_compile.classify_prims
-
-let run_static_prims (env : Value.t array) prim_plan =
-  List.for_all
-    (fun ((p : Compile.prim_app), binds) ->
-      let args =
-        Array.map (function Compile.A_const v -> v | Compile.A_var v -> env.(v)) p.p_args
-      in
-      match p.p_prim.Primitives.impl args with
-      | None -> false
-      | Some result ->
-        if binds then begin
-          (match p.p_out with
-           | Compile.A_var v -> env.(v) <- result
-           | Compile.A_const _ -> assert false);
-          true
-        end
-        else begin
-          match p.p_out with
-          | Compile.A_const c -> Value.equal c result
-          | Compile.A_var v -> Value.equal env.(v) result
-        end)
-    prim_plan
-
-(* Fast path: a single-atom query needs no trie at all — scan the table
-   (or just the log tail for delta ranges), filter, bind, run the primitive
-   schedule. This covers the bulk of rewrite rules (single-pattern
-   left-hand sides). *)
-let search_single_atom (q : Compile.cquery) (plan : atom_plan) (range : stamp_range) callback =
-  let env : Value.t array = Array.make q.Compile.n_vars Value.VUnit in
-  (* Every join variable is bound from the row before the primitives run,
-     so whether a primitive output checks or binds is static. *)
-  let prim_plan = static_prim_plan q [ plan.ap_vars ] in
-  let scanned = ref 0 in
-  Table.iter_range plan.ap_table ~lo:range.lo ~hi:range.hi (fun key (row : Table.row) ->
-      incr scanned;
-      if row_passes plan key row.value then begin
-        Array.iteri
-          (fun level src -> env.(plan.ap_vars.(level)) <- cell key row.value src)
-          plan.ap_sources;
-        if run_static_prims env prim_plan then callback env
-      end);
-  Telemetry.bump c_scanned !scanned
-
-(* Driver choice and index layout for the two-atom fast path, factored
-   out so [prebuild] computes exactly the layout [search_two_atoms] will
-   ask for. Depends only on the plans, ranges and table lengths — all
-   stable while the database is frozen. *)
-let two_atom_layout (q : Compile.cquery) (plans : atom_plan array) (ranges : stamp_range array) =
-  let driver =
-    if ranges.(0).lo > ranges.(1).lo then 0
-    else if ranges.(1).lo > ranges.(0).lo then 1
-    else if Table.length plans.(0).ap_table <= Table.length plans.(1).ap_table then 0
-    else 1
-  in
-  let other = 1 - driver in
-  let dplan = plans.(driver) and oplan = plans.(other) in
-  let in_driver = Array.make q.Compile.n_vars false in
-  Array.iter (fun v -> in_driver.(v) <- true) dplan.ap_vars;
-  (* positions in the *other* atom's row for shared and private vars *)
-  let shared = ref [] and rest = ref [] in
-  Array.iteri
-    (fun level v ->
-      let src = oplan.ap_sources.(level) in
-      if in_driver.(v) then shared := (v, src) :: !shared else rest := (v, src) :: !rest)
-    oplan.ap_vars;
-  (* canonicalize by column position: the index layout then depends only on
-     which variables are shared, not on the current plan's variable order,
-     so one cached index survives replans and serves every ordering *)
-  let by_src (_, s1) (_, s2) = Int.compare s1 s2 in
-  let shared = Array.of_list (List.sort by_src !shared)
-  and rest = Array.of_list (List.sort by_src !rest) in
-  (driver, other, shared, rest)
-
-(* Fast path for two-atom queries: scan a driver atom (prefer the delta
-   side), probe a hash index on the other atom keyed by the shared
-   variables. Cheaper constants than the generic trie join, and the index
-   is shared across rules/variants via the cache. *)
-let search_two_atoms ?cache (q : Compile.cquery) (plans : atom_plan array)
-    (ranges : stamp_range array) callback =
-  let driver, other, shared, rest = two_atom_layout q plans ranges in
-  let dplan = plans.(driver) and oplan = plans.(other) in
-  let proj = Array.map snd shared and rest_pos = Array.map snd rest in
-  let index = cached_index cache oplan ranges.(other) ~proj ~rest:rest_pos in
-  let prim_plan = static_prim_plan q [ dplan.ap_vars; oplan.ap_vars ] in
-  let env = Array.make q.Compile.n_vars Value.VUnit in
-  let probe_key = Array.make (Array.length shared) Value.VUnit in
-  let scanned = ref 0 in
-  Table.iter_range dplan.ap_table ~lo:ranges.(driver).lo ~hi:ranges.(driver).hi
-    (fun key (row : Table.row) ->
-      incr scanned;
-      if row_passes dplan key row.value then begin
-        Array.iteri
-          (fun level src -> env.(dplan.ap_vars.(level)) <- cell key row.value src)
-          dplan.ap_sources;
-        Array.iteri (fun i (v, _) -> probe_key.(i) <- env.(v)) shared;
-        match Value.Key_tbl.find_opt index probe_key with
-        | None -> ()
-        | Some entries ->
-          List.iter
-            (fun (rest_vals : Value.t array) ->
-              Array.iteri (fun i (v, _) -> env.(v) <- rest_vals.(i)) rest;
-              if run_static_prims env prim_plan then callback env)
-            entries
-      end);
-  Telemetry.bump c_scanned !scanned
-
 (* The lowering class whose search never reads the plan's variable order:
    a single atom, or two atoms, each binding at least one variable, under
    [fast_paths]. The single-atom scan binds every variable from one row;
    the two-atom driver is picked per search and its index is keyed by
-   column position (see [two_atom_layout]). Their primitives all run once
-   every variable is bound, so another order only permutes that
-   checklist: the matches and their order stay the same. Every dispatch
-   below tests this one predicate. *)
+   column position (see [compile_two_orient]). Their primitives all run
+   once every variable is bound, so another order only permutes that
+   checklist: the matches and their order stay the same. *)
 let order_free ?(fast_paths = true) (q : Compile.cquery) =
   let binds (a : Compile.atom) =
     Array.exists (function Compile.A_var _ -> true | Compile.A_const _ -> false) a.Compile.a_args
@@ -579,209 +466,20 @@ let count_yields callback =
     callback env)
   else callback
 
-(* Dispatch with the yield counter already applied: shared between the
-   interpreter entry point [search] and the compiled-plan interpreter
-   fallback (which must not re-wrap the callback). *)
-let search_dispatch db ?cache ~fast_paths (q : Compile.cquery) ~(ranges : stamp_range array)
-    callback =
-  let n_atoms = Array.length q.atoms in
-  let plans = Array.map (plan_atom db q) q.atoms in
-  if order_free ~fast_paths q then begin
-    if n_atoms = 1 then search_single_atom q plans.(0) ranges.(0) callback
-    else search_two_atoms ?cache q plans ranges callback
-  end
-  else begin
-  let tries = Array.init n_atoms (fun i -> cached_trie cache plans.(i) ranges.(i)) in
-  let unsat =
-    Array.exists (function Node t -> VTbl.length t = 0 | Leaf -> false) tries
-  in
-  if not unsat then begin
-    let n_steps = Array.length q.order in
-    (* Atoms participating at each depth (their cursor is intersected). *)
-    let parts_for_depth =
-      Array.init n_steps (fun d ->
-          let v = q.order.(d) in
-          let acc = ref [] in
-          for ai = n_atoms - 1 downto 0 do
-            if Array.exists (Int.equal v) plans.(ai).ap_vars then acc := ai :: !acc
-          done;
-          !acc)
-    in
-    let cursors = Array.copy tries in
-    let env : Value.t option array = Array.make q.n_vars None in
-    let eval_arg = function
-      | Compile.A_const v -> v
-      | Compile.A_var v -> (
-        match env.(v) with
-        | Some x -> x
-        | None -> internal "unbound variable in primitive argument")
-    in
-    (* Run the primitives scheduled at a depth. Returns the computed vars to
-       undo, or None on guard failure (partial bindings already undone). *)
-    let run_prims prims =
-      let rec go acc = function
-        | [] -> Some acc
-        | (p : Compile.prim_app) :: rest -> (
-          let args = Array.map eval_arg p.p_args in
-          match p.p_prim.Primitives.impl args with
-          | None ->
-            List.iter (fun v -> env.(v) <- None) acc;
-            None
-          | Some result -> (
-            match p.p_out with
-            | Compile.A_const c ->
-              if Value.equal c result then go acc rest
-              else begin
-                List.iter (fun v -> env.(v) <- None) acc;
-                None
-              end
-            | Compile.A_var v -> (
-              match env.(v) with
-              | Some existing ->
-                if Value.equal existing result then go acc rest
-                else begin
-                  List.iter (fun u -> env.(u) <- None) acc;
-                  None
-                end
-              | None ->
-                env.(v) <- Some result;
-                go (v :: acc) rest)))
-      in
-      go [] prims
-    in
-    let emit () =
-      let binding =
-        Array.mapi
-          (fun i o ->
-            match o with
-            | Some v -> v
-            | None -> internal "unbound variable %s at emit" q.var_names.(i))
-          env
-      in
-      callback binding
-    in
-    let rec solve d =
-      match run_prims q.schedule.(d) with
-      | None -> ()
-      | Some undo ->
-        (if d = n_steps then emit ()
-         else begin
-           let v = q.order.(d) in
-           let parts = parts_for_depth.(d) in
-           match parts with
-           | [] -> internal "join variable %s covered by no atom" q.var_names.(v)
-           | _ ->
-             (* Iterate the smallest candidate set, probe the others. *)
-             let node_table ai =
-               match cursors.(ai) with
-               | Node t -> t
-               | Leaf ->
-                 internal ~in_func:q.atoms.(ai).a_func.Schema.name "trie cursor exhausted"
-             in
-             let smallest =
-               List.fold_left
-                 (fun best ai ->
-                   match best with
-                   | None -> Some ai
-                   | Some b ->
-                     if VTbl.length (node_table ai) < VTbl.length (node_table b) then Some ai
-                     else best)
-                 None parts
-             in
-             let smallest = Option.get smallest in
-             let saved = List.map (fun ai -> (ai, cursors.(ai))) parts in
-             VTbl.iter
-               (fun value _child ->
-                 let ok =
-                   List.for_all
-                     (fun ai ->
-                       ai = smallest
-                       ||
-                       match VTbl.find_opt (node_table ai) value with
-                       | Some _ -> true
-                       | None -> false)
-                     parts
-                 in
-                 if ok then begin
-                   List.iter
-                     (fun ai ->
-                       match VTbl.find_opt (node_table ai) value with
-                       | Some child -> cursors.(ai) <- child
-                       | None -> assert false)
-                     parts;
-                   (* restore cursors before the next candidate *)
-                   env.(v) <- Some value;
-                   solve (d + 1);
-                   env.(v) <- None;
-                   List.iter (fun (ai, c) -> cursors.(ai) <- c) saved
-                 end)
-               (node_table smallest)
-         end);
-        List.iter (fun u -> env.(u) <- None) undo
-    in
-    solve 0
-  end
-  end
-
-let search db ?cache ?(fast_paths = true) (q : Compile.cquery) ~(ranges : stamp_range array)
-    callback =
-  if Array.length ranges <> Array.length q.atoms then
-    invalid_arg "Join.search: ranges arity mismatch";
-  search_dispatch db ?cache ~fast_paths q ~ranges (count_yields callback)
-
-(* Serially warm the cache entries a subsequent [search] with the same
-   query/ranges would want, so that a frozen (parallel) search finds them
-   as read-only hits. Only full-range entries are warmed: they go to the
-   persistent tier and are the expensive ones; windowed/delta structures
-   are cheap and built privately by each task. Mirrors the dispatch in
-   [search] exactly. *)
-let prebuild db ?cache ?(fast_paths = true) (q : Compile.cquery) ~(ranges : stamp_range array) =
-  match cache with
-  | None -> ()
-  | Some c when c.frozen -> ()
-  | Some _ ->
-    let n_atoms = Array.length q.atoms in
-    if Array.length ranges <> n_atoms then invalid_arg "Join.prebuild: ranges arity mismatch";
-    let plans = Array.map (plan_atom db q) q.atoms in
-    if order_free ~fast_paths q then begin
-      (* a single-atom scan caches nothing *)
-      if n_atoms = 2 then begin
-        let _driver, other, shared, rest = two_atom_layout q plans ranges in
-        if is_full ranges.(other) then
-          ignore
-            (cached_index cache plans.(other) ranges.(other) ~proj:(Array.map snd shared)
-               ~rest:(Array.map snd rest))
-      end
-    end
-    else
-      Array.iteri
-        (fun i plan -> if is_full ranges.(i) then ignore (cached_trie cache plan ranges.(i)))
-        plans
-
-let exists db (q : Compile.cquery) =
-  let ranges = Array.make (Array.length q.atoms) all_rows in
-  try
-    search db q ~ranges (fun _ -> raise Found);
-    false
-  with Found -> true
-
 (* ------------------------------------------------------------------ *)
-(* Compiled plans                                                      *)
+(* Lowering                                                            *)
 (* ------------------------------------------------------------------ *)
 
 (* A plan lowered to a tree of specialized closures (see {!Plan_compile}).
-   Compilation resolves everything that depends only on the plan — column
+   Lowering resolves everything that depends only on the plan — column
    readers, hoisted checks, binding loops, primitive impl pointers, the
    per-depth atom participation of the generic join — and leaves only
-   table resolution, cache probes and per-search state to run time. The
-   lowering mirrors [search_dispatch]'s fast-path conditions exactly, and
-   every compiled evaluator requests the same cache entries, bumps the
-   same counters and emits matches in the same order as the interpreter,
-   so output stays byte-identical between the two modes (and at any
-   --jobs count: compilation happens in the engine's serial pre-phase). *)
-
-let c_compiled_plans = Telemetry.counter "join.compiled_plans"
-let c_interp_fallbacks = Telemetry.counter "join.interp_fallbacks"
+   table resolution, cache probes and per-search state to run time. Every
+   search, [check] query and cache warm-up goes through one of these, so
+   the cache entries [prebuild] warms are exactly the ones the search
+   asks for. Lowering happens in the engine's serial pre-phase; each
+   search instantiates its own mutable state, so one compiled plan may
+   serve several domains at once. *)
 
 type compiled_run =
   Database.t -> cache option -> stamp_range array -> (Value.t array -> unit) -> unit
@@ -789,13 +487,16 @@ type compiled_run =
 type compiled = {
   cp_n_atoms : int;
   cp_descr : string;
-  cp_compiled : bool;  (* false: interpreter fallback *)
   cp_run : compiled_run;
+  cp_prebuild : Database.t -> cache -> stamp_range array -> unit;
+      (* build the full-range entries [cp_run] would ask the cache for *)
 }
+
+let no_prebuild _ _ _ = ()
 
 (* Single-atom scan: filter, binder and primitive checklist all compiled;
    per-search state is just the environment and the prim runner's private
-   argument buffers. *)
+   argument buffers. Caches nothing. *)
 let compile_single (q : Compile.cquery) (sh : Plan_compile.shape) : compiled_run =
   let f = sh.Plan_compile.sh_func in
   let filter = Plan_compile.compile_filter f sh.Plan_compile.sh_checks in
@@ -821,14 +522,12 @@ let compile_single (q : Compile.cquery) (sh : Plan_compile.shape) : compiled_run
         end);
     Telemetry.bump c_scanned !scanned
 
-(* One orientation (driver choice) of the two-atom fast path, fully
-   compiled. The driver itself is picked per search — it depends on the
-   delta windows and current table lengths — by the exact rule of
-   [two_atom_layout], so both orientations are compiled up front. *)
+(* One orientation (driver choice) of the two-atom path: scan the driver
+   atom, probe a hash index on the other atom keyed by the shared
+   variables. The driver is picked per search ([two_driver]), so both
+   orientations are compiled up front. *)
 type two_orient = {
-  to_dfunc : Schema.func;
-  to_ofunc : Schema.func;
-  to_oshape : Plan_compile.shape;  (* rebuilt into an atom_plan for the cache *)
+  to_oshape : Plan_compile.shape;  (* the indexed atom, for its cache entry *)
   to_filter_d : Plan_compile.filter;
   to_bind_d : Value.t array -> Value.t array -> Table.row -> unit;
   to_proj : int array;  (* other-row positions of shared vars, sorted *)
@@ -840,16 +539,19 @@ type two_orient = {
 
 let compile_two_orient (q : Compile.cquery) (shapes : Plan_compile.shape array) ~driver :
     two_orient =
-  let other = 1 - driver in
-  let dsh = shapes.(driver) and osh = shapes.(other) in
+  let dsh = shapes.(driver) and osh = shapes.(1 - driver) in
   let in_driver = Array.make q.Compile.n_vars false in
   Array.iter (fun v -> in_driver.(v) <- true) dsh.Plan_compile.sh_vars;
+  (* positions in the other atom's row for shared and private vars *)
   let shared = ref [] and rest = ref [] in
   Array.iteri
     (fun level v ->
       let src = osh.Plan_compile.sh_sources.(level) in
       if in_driver.(v) then shared := (v, src) :: !shared else rest := (v, src) :: !rest)
     osh.Plan_compile.sh_vars;
+  (* canonicalize by column position: the index layout then depends only on
+     which variables are shared, not on the plan's variable order, so one
+     cached index survives replans and serves every ordering *)
   let by_src (_, s1) (_, s2) = Int.compare s1 s2 in
   let shared = Array.of_list (List.sort by_src !shared)
   and rest = Array.of_list (List.sort by_src !rest) in
@@ -858,8 +560,6 @@ let compile_two_orient (q : Compile.cquery) (shapes : Plan_compile.shape array) 
       ~sources:dsh.Plan_compile.sh_sources
   in
   {
-    to_dfunc = dsh.Plan_compile.sh_func;
-    to_ofunc = osh.Plan_compile.sh_func;
     to_oshape = osh;
     to_filter_d = Plan_compile.compile_filter dsh.Plan_compile.sh_func dsh.Plan_compile.sh_checks;
     to_bind_d = binder.Plan_compile.bind;
@@ -873,39 +573,37 @@ let compile_two_orient (q : Compile.cquery) (shapes : Plan_compile.shape array) 
            [ dsh.Plan_compile.sh_vars; osh.Plan_compile.sh_vars ]);
   }
 
-let compile_two (q : Compile.cquery) (shapes : Plan_compile.shape array) : compiled_run =
-  let orients = [| compile_two_orient q shapes ~driver:0; compile_two_orient q shapes ~driver:1 |] in
+(* The driver of a two-atom search: the delta side (the later window
+   start), else the smaller table. *)
+let two_driver ranges t0 t1 =
+  if ranges.(0).lo > ranges.(1).lo then 0
+  else if ranges.(1).lo > ranges.(0).lo then 1
+  else if Table.length t0 <= Table.length t1 then 0
+  else 1
+
+let compile_two (q : Compile.cquery) (shapes : Plan_compile.shape array) =
+  let orients = Array.init 2 (fun driver -> compile_two_orient q shapes ~driver) in
   let n_vars = q.Compile.n_vars in
-  fun db cache ranges callback ->
+  (* this search's orientation, its driver table, and the indexed atom's
+     plan and window *)
+  let orient db ranges =
     let t0 = resolve_table db shapes.(0).Plan_compile.sh_func
     and t1 = resolve_table db shapes.(1).Plan_compile.sh_func in
-    (* the driver rule of [two_atom_layout], verbatim *)
-    let driver =
-      if ranges.(0).lo > ranges.(1).lo then 0
-      else if ranges.(1).lo > ranges.(0).lo then 1
-      else if Table.length t0 <= Table.length t1 then 0
-      else 1
-    in
+    let driver = two_driver ranges t0 t1 in
     let o = orients.(driver) in
-    let dtable = if driver = 0 then t0 else t1 and otable = if driver = 0 then t1 else t0 in
-    let oplan =
-      {
-        ap_table = otable;
-        ap_checks = o.to_oshape.Plan_compile.sh_checks;
-        ap_sources = o.to_oshape.Plan_compile.sh_sources;
-        ap_vars = o.to_oshape.Plan_compile.sh_vars;
-      }
-    in
-    let index =
-      cached_index ~scan:Table.iter_delta cache oplan ranges.(1 - driver) ~proj:o.to_proj
-        ~rest:o.to_rest_pos
-    in
+    let dtable, otable = if driver = 0 then (t0, t1) else (t1, t0) in
+    let oplan = plan_over otable o.to_oshape in
+    (o, dtable, ranges.(driver), oplan, ranges.(1 - driver))
+  in
+  let run db cache ranges callback =
+    let o, dtable, drange, oplan, orange = orient db ranges in
+    let index = cached_index cache oplan orange ~proj:o.to_proj ~rest:o.to_rest_pos in
     let env = Array.make n_vars Value.VUnit in
     let probe_key = Array.make (Array.length o.to_proj) Value.VUnit in
     let run_prims = o.to_prims () in
     let nshared = Array.length o.to_shared_vars and nrest = Array.length o.to_rest_vars in
     let scanned = ref 0 in
-    Table.iter_delta dtable ~lo:ranges.(driver).lo ~hi:ranges.(driver).hi (fun key row ->
+    Table.iter_delta dtable ~lo:drange.lo ~hi:drange.hi (fun key row ->
         incr scanned;
         if o.to_filter_d key row then begin
           o.to_bind_d env key row;
@@ -924,22 +622,26 @@ let compile_two (q : Compile.cquery) (shapes : Plan_compile.shape array) : compi
               entries
         end);
     Telemetry.bump c_scanned !scanned
+  and prebuild db cache ranges =
+    let o, _, _, oplan, orange = orient db ranges in
+    if is_full orange then
+      ignore (cached_index (Some cache) oplan orange ~proj:o.to_proj ~rest:o.to_rest_pos)
+  in
+  (run, prebuild)
 
 (* Generic trie join as a chain of per-depth closures built once: depth d's
    step captures its variable, participating-atom array, compiled primitive
    runner and the next step. Per-search state (cursors, environment, the
    emit target) travels in a state record, so one compiled plan is safe to
-   search concurrently. Candidate iteration, smallest-cursor choice and
-   cursor save/restore replicate the interpreter exactly — including
-   hashtable iteration order, since both modes draw tries from the same
-   cache (or build them by the same insertion sequence). *)
+   search concurrently. With no atoms the chain is step 0 alone: it runs
+   the primitives and emits. *)
 type gstate = {
   gs_cursors : trie array;
   gs_env : Value.t option array;
   gs_emit : Value.t array -> unit;
 }
 
-let compile_generic (q : Compile.cquery) (shapes : Plan_compile.shape array) : compiled_run =
+let compile_generic (q : Compile.cquery) (shapes : Plan_compile.shape array) =
   let n_atoms = Array.length q.Compile.atoms in
   let n_steps = Array.length q.Compile.order in
   let parts_for_depth =
@@ -984,7 +686,8 @@ let compile_generic (q : Compile.cquery) (shapes : Plan_compile.shape array) : c
             | Node t -> t
             | Leaf -> internal ~in_func "trie cursor exhausted"
           in
-          (* first strictly-smallest candidate set, as the interpreter *)
+          (* iterate the first strictly-smallest candidate set, probe the
+             others *)
           let smallest = ref parts.(0) in
           for k = 1 to np - 1 do
             if VTbl.length (node_table parts.(k)) < VTbl.length (node_table !smallest) then
@@ -1010,6 +713,7 @@ let compile_generic (q : Compile.cquery) (shapes : Plan_compile.shape array) : c
                 st.gs_env.(v) <- Some value;
                 next st;
                 st.gs_env.(v) <- None;
+                (* restore cursors before the next candidate *)
                 for k = 0 to np - 1 do
                   cursors.(parts.(k)) <- saved.(k)
                 done
@@ -1026,71 +730,88 @@ let compile_generic (q : Compile.cquery) (shapes : Plan_compile.shape array) : c
           List.iter (fun u -> st.gs_env.(u) <- None) undo)
   done;
   let step0 = steps.(0) in
-  fun db cache ranges callback ->
-    let plans = Array.map (plan_of_shape db) shapes in
+  let run db cache ranges callback =
     let tries =
-      Array.init n_atoms (fun i -> cached_trie ~scan:Table.iter_delta cache plans.(i) ranges.(i))
+      Array.mapi (fun i sh -> cached_trie cache (plan_of_shape db sh) ranges.(i)) shapes
     in
     let unsat = Array.exists (function Node t -> VTbl.length t = 0 | Leaf -> false) tries in
     if not unsat then
-      step0
-        {
-          gs_cursors = Array.copy tries;
-          gs_env = Array.make q.Compile.n_vars None;
-          gs_emit = callback;
-        }
+      step0 { gs_cursors = tries; gs_env = Array.make q.Compile.n_vars None; gs_emit = callback }
+  and prebuild db cache ranges =
+    Array.iteri
+      (fun i sh ->
+        if is_full ranges.(i) then
+          ignore (cached_trie (Some cache) (plan_of_shape db sh) ranges.(i)))
+      shapes
+  in
+  (run, prebuild)
+
+(* The lowering a plan takes, decided in one place for [compile_plan] and
+   [describe_lowering]. *)
+type lowering = Single | Two | Generic
+
+let classify ~fast_paths (q : Compile.cquery) =
+  if not (order_free ~fast_paths q) then Generic
+  else if Array.length q.Compile.atoms = 1 then Single
+  else Two
+
+let describe (shapes : Plan_compile.shape array) lowering =
+  let arity i = Array.length shapes.(i).Plan_compile.sh_sources in
+  let binder i = if arity i <= 4 then "specialized" else "generic binder" in
+  match lowering with
+  | Single -> Printf.sprintf "compiled single-atom (arity %d, %s)" (arity 0) (binder 0)
+  | Two ->
+    Printf.sprintf "compiled two-atom (arities %d+%d, %s/%s)" (arity 0) (arity 1) (binder 0)
+      (binder 1)
+  | Generic -> Printf.sprintf "compiled generic (%d atoms)" (Array.length shapes)
+
+let shapes_of (q : Compile.cquery) = Array.map (Plan_compile.shape_atom q) q.Compile.atoms
 
 let compile_plan ?(fast_paths = true) (q : Compile.cquery) : compiled =
-  let n_atoms = Array.length q.Compile.atoms in
-  let shapes = Array.map (Plan_compile.shape_atom q) q.Compile.atoms in
-  let arity i = Array.length shapes.(i).Plan_compile.sh_sources in
-  let binder_descr i = if arity i <= 4 then "specialized" else "generic binder" in
-  let mk descr run =
-    Telemetry.bump c_compiled_plans 1;
-    { cp_n_atoms = n_atoms; cp_descr = descr; cp_compiled = true; cp_run = run }
+  let shapes = shapes_of q in
+  let lowering = classify ~fast_paths q in
+  let run, prebuild =
+    match lowering with
+    | Single -> (compile_single q shapes.(0), no_prebuild)
+    | Two -> compile_two q shapes
+    | Generic -> compile_generic q shapes
   in
-  if n_atoms = 0 then begin
-    (* Atomless (pure primitive) queries stay on the interpreter: there is
-       no per-tuple loop to specialize. *)
-    Telemetry.bump c_interp_fallbacks 1;
-    {
-      cp_n_atoms = 0;
-      cp_descr = "interpreter (no atoms)";
-      cp_compiled = false;
-      cp_run =
-        (fun db cache ranges callback ->
-          search_dispatch db ?cache ~fast_paths q ~ranges callback);
-    }
-  end
-  else if order_free ~fast_paths q && n_atoms = 1 then
-    mk
-      (Printf.sprintf "compiled single-atom (arity %d, %s)" (arity 0) (binder_descr 0))
-      (compile_single q shapes.(0))
-  else if order_free ~fast_paths q then
-    mk
-      (Printf.sprintf "compiled two-atom (arities %d+%d, %s/%s)" (arity 0) (arity 1)
-         (binder_descr 0) (binder_descr 1))
-      (compile_two q shapes)
-  else mk (Printf.sprintf "compiled generic (%d atoms)" n_atoms) (compile_generic q shapes)
+  {
+    cp_n_atoms = Array.length shapes;
+    cp_descr = describe shapes lowering;
+    cp_run = run;
+    cp_prebuild = prebuild;
+  }
 
 let compiled_descr cp = cp.cp_descr
-let is_compiled cp = cp.cp_compiled
 
-(* Lowering class without building closures (and without touching the
-   compiled-plans counters): what [--explain-plans] prints. *)
 let describe_lowering ?(fast_paths = true) (q : Compile.cquery) : string =
-  let n_atoms = Array.length q.Compile.atoms in
-  let arity i = Array.length (Plan_compile.shape_atom q q.Compile.atoms.(i)).Plan_compile.sh_sources in
-  let binder_descr i = if arity i <= 4 then "specialized" else "generic binder" in
-  if n_atoms = 0 then "interpreter (no atoms)"
-  else if order_free ~fast_paths q && n_atoms = 1 then
-    Printf.sprintf "compiled single-atom (arity %d, %s)" (arity 0) (binder_descr 0)
-  else if order_free ~fast_paths q then
-    Printf.sprintf "compiled two-atom (arities %d+%d, %s/%s)" (arity 0) (arity 1)
-      (binder_descr 0) (binder_descr 1)
-  else Printf.sprintf "compiled generic (%d atoms)" n_atoms
+  describe (shapes_of q) (classify ~fast_paths q)
+
+let check_arity name cp ranges =
+  if Array.length ranges <> cp.cp_n_atoms then
+    invalid_arg (Printf.sprintf "Join.%s: ranges arity mismatch" name)
 
 let search_compiled db ?cache (cp : compiled) ~(ranges : stamp_range array) callback =
-  if Array.length ranges <> cp.cp_n_atoms then
-    invalid_arg "Join.search_compiled: ranges arity mismatch";
+  check_arity "search_compiled" cp ranges;
   cp.cp_run db cache ranges (count_yields callback)
+
+(* Serially warm the full-range cache entries a search of [cp] over
+   [ranges] will want, so a subsequent frozen (parallel) search finds them
+   as read-only hits. Windowed/delta structures are cheap and left to the
+   tasks, which build them privately. *)
+let prebuild db ?cache (cp : compiled) ~(ranges : stamp_range array) =
+  match cache with
+  | Some c when not c.frozen ->
+    check_arity "prebuild" cp ranges;
+    cp.cp_prebuild db c ranges
+  | Some _ | None -> ()
+
+exception Found
+
+let exists db (q : Compile.cquery) =
+  let ranges = Array.make (Array.length q.Compile.atoms) all_rows in
+  try
+    search_compiled db (compile_plan q) ~ranges (fun _ -> raise Found);
+    false
+  with Found -> true

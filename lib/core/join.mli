@@ -53,53 +53,26 @@ val order_free : ?fast_paths:bool -> Compile.cquery -> bool
     variable, with [fast_paths] (the default). The single-atom scan binds
     every variable from one row, and the two-atom path picks its driver
     per search and keys its index by column position. Such a query needs
-    one plan for every delta variant, at any table statistics. [search],
-    [prebuild], [compile_plan] and [describe_lowering] dispatch on this
-    predicate. *)
-
-val prebuild :
-  Database.t -> ?cache:cache -> ?fast_paths:bool -> Compile.cquery -> ranges:stamp_range array -> unit
-(** Serially warm the full-range cache entries that a {!search} with the
-    same arguments would use, so a subsequent frozen parallel search
-    services them as hits. No-op without a cache or while frozen.
-    Windowed/delta entries are left to the tasks (cheap, private). *)
-
-val search :
-  Database.t ->
-  ?cache:cache ->
-  ?fast_paths:bool ->
-  Compile.cquery ->
-  ranges:stamp_range array ->
-  (Value.t array -> unit) ->
-  unit
-(** Invoke the callback once per match with the variable binding (indexed
-    like [cquery.var_names]; the array is reused, callers must copy).
-    [fast_paths:false] forces the generic trie join even for one- and
-    two-atom queries (ablation). *)
-
-val exists : Database.t -> Compile.cquery -> bool
-(** Any match at all (all rows considered)? *)
+    one plan for every delta variant, at any table statistics. *)
 
 (** {2 Compiled plans}
 
-    A plan lowered once to a tree of specialized OCaml closures (see
-    {!Plan_compile}): typed column readers, hoisted constant checks,
-    per-arity binding loops, pre-resolved primitive guards. A compiled
-    plan requests exactly the cache entries, bumps exactly the counters
-    and emits matches in exactly the order of the interpreted [search]
-    with the same arguments — byte-identical output in both modes, at any
-    [--jobs] count. Compile in the engine's serial pre-phase (plan cache);
-    one compiled plan may then be searched from several domains (each
-    search instantiates its own mutable state). *)
+    Every search runs a plan lowered once to a tree of specialized OCaml
+    closures (see {!Plan_compile}): typed column readers, hoisted constant
+    checks, per-arity binding loops, pre-resolved primitive guards. Lower
+    in the engine's serial pre-phase (plan cache); one compiled plan may
+    then be searched from several domains (each search instantiates its
+    own mutable state). Matches come out in the same order at any
+    [--jobs] count. *)
 
 type compiled
 
 val compile_plan : ?fast_paths:bool -> Compile.cquery -> compiled
-(** Lower a plan. The lowering mirrors [search]'s dispatch: single-atom
-    and two-atom fast paths (when [fast_paths], the default, and every
-    atom binds at least one variable), the generic trie join otherwise.
-    Atomless queries stay on the interpreter. Bumps the
-    [join.compiled_plans] / [join.interp_fallbacks] counter pair. *)
+(** Lower a plan: a single-atom scan or a two-atom hash join when
+    {!order_free} holds, the generic trie join otherwise — including
+    atomless (pure primitive) queries, whose only step runs the
+    primitives and emits. [fast_paths:false] forces the generic trie join
+    for every query (ablation). *)
 
 val search_compiled :
   Database.t ->
@@ -108,11 +81,18 @@ val search_compiled :
   ranges:stamp_range array ->
   (Value.t array -> unit) ->
   unit
-(** Like {!search}, driving the compiled evaluator. The binding array is
-    reused; callers must copy. *)
+(** Invoke the callback once per match with the variable binding (indexed
+    like [cquery.var_names]; the array is reused, callers must copy). *)
 
-val is_compiled : compiled -> bool
-(** False only for the interpreter fallback (atomless queries). *)
+val prebuild : Database.t -> ?cache:cache -> compiled -> ranges:stamp_range array -> unit
+(** Serially warm the full-range cache entries that {!search_compiled}
+    with the same arguments would use, so a subsequent frozen parallel
+    search services them as hits. No-op without a cache or while frozen.
+    Windowed/delta entries are left to the tasks (cheap, private). *)
+
+val exists : Database.t -> Compile.cquery -> bool
+(** Any match at all (all rows considered, no cache)? Lowers the query
+    once for this one search. *)
 
 val compiled_descr : compiled -> string
 (** One-line description of the chosen lowering, e.g.
@@ -120,4 +100,4 @@ val compiled_descr : compiled -> string
 
 val describe_lowering : ?fast_paths:bool -> Compile.cquery -> string
 (** The description {!compile_plan} would produce, without building
-    closures or touching counters — what [--explain-plans] prints. *)
+    closures — what [--explain-plans] prints. *)

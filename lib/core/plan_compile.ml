@@ -1,9 +1,8 @@
 (* Plan compilation: lower a cost-ordered query plan (a {!Compile.cquery})
    to specialized OCaml closures, built once per (plan, delta-variant) and
-   reused across iterations. The interpreter in {!Join} re-dispatches on
-   plan structure per tuple — every row pays a checks-list traversal, a
-   position test per cell read, and a symbol-table-resolved primitive call.
-   Here all of that is resolved at construction time:
+   reused across iterations, so no row pays for a checks-list traversal, a
+   position test per cell read, or a symbol-table-resolved primitive call.
+   All of that is resolved at construction time:
 
    - cell reads go through {!Table.reader}/{!Table.int_reader}, which fix
      the key-vs-output branch and (for i64/bool/sort columns) the unboxed
@@ -17,9 +16,7 @@
      front.
 
    This module holds the table-level toolkit; the lowered evaluators that
-   tie these kernels to tries, indexes and the cache live in {!Join}
-   (which also keeps the interpreter as reference semantics and as the
-   [--no-compiled-plans] escape hatch). *)
+   tie these kernels to tries, indexes and the cache live in {!Join}. *)
 
 type check =
   | Check_const of int * Value.t  (* position must equal the literal *)
@@ -32,10 +29,10 @@ type shape = {
   sh_vars : int array;  (* the query var bound at each path level *)
 }
 
-(* The per-atom analysis shared by the interpreter and the compiler: which
-   row positions must pass checks, and which feed variable bindings, in the
-   plan's variable-depth order. One implementation so the two evaluators
-   can never disagree on an atom's read set (the join cache keys on it). *)
+(* The per-atom analysis behind every lowering: which row positions must
+   pass checks, and which feed variable bindings, in the plan's
+   variable-depth order. The join cache keys on it, so every lowering
+   that reads an atom asks for the same entry. *)
 let shape_atom (q : Compile.cquery) (atom : Compile.atom) : shape =
   let n = Array.length atom.Compile.a_args in
   let first_pos : (int, int) Hashtbl.t = Hashtbl.create 8 in
@@ -178,9 +175,7 @@ let compile_binder (f : Schema.func) ~(vars : int array) ~(sources : int array) 
 (* ------------------------------------------------------------------ *)
 
 (* Classify each scheduled primitive's output as a bind (first time its
-   variable is seen after the atom vars) or a check, in schedule order.
-   Shared with the interpreter's fast paths (same classification, so the
-   two evaluators agree bit-for-bit on guard semantics). *)
+   variable is seen after the atom vars) or a check, in schedule order. *)
 let classify_prims (q : Compile.cquery) (atom_vars : int array list) :
     (Compile.prim_app * bool) list =
   let bound = Array.make q.Compile.n_vars false in
@@ -207,9 +202,9 @@ let always_true : Value.t array -> bool = fun _ -> true
 (* Compile a flat (fully-bound-env) primitive checklist. Returns a maker:
    each instantiation owns private argument buffers, so one compiled plan
    can be searched from several domains concurrently (each search
-   instantiates its own runner). The interpreter allocates a fresh args
-   array per primitive per row; here the buffer is reused — safe because
-   primitive impls never retain their argument array. *)
+   instantiates its own runner). The argument buffer is reused from row to
+   row — safe because primitive impls never retain their argument
+   array. *)
 let compile_prims (prims : (Compile.prim_app * bool) list) : unit -> Value.t array -> bool =
   match prims with
   | [] -> fun () -> always_true
@@ -260,10 +255,10 @@ exception Unbound_prim_arg
 
 (* Compile one depth's primitive schedule for the generic trie join, whose
    environment is an option array with undo on guard failure. Pure closures
-   (no construction-time scratch), so the result is reentrant; the win over
-   the interpreter is the pre-fetched impl pointer and pre-resolved output
-   mode. Returns the bound-variable undo list, or None on failure with
-   partial bindings already undone — exactly the interpreter's contract. *)
+   (no construction-time scratch), so the result is reentrant, with the
+   impl pointer pre-fetched and the output mode pre-resolved. Returns the
+   bound-variable undo list, or None on failure with partial bindings
+   already undone. *)
 let compile_depth_prims (prims : Compile.prim_app list) :
     Value.t option array -> int list option =
   match prims with

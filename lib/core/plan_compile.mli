@@ -1,6 +1,6 @@
 (** Plan compilation: lower cost-ordered query plans to specialized OCaml
-    closures, replacing the interpreter's per-tuple dispatch with work done
-    once per (plan, delta-variant). This module is the table-level toolkit
+    closures, doing the per-plan dispatch once per (plan, delta-variant)
+    instead of once per tuple. This module is the table-level toolkit
     — typed cell readers, hoisted constant checks, per-arity binding loops,
     pre-resolved primitive guards; the lowered evaluators that tie the
     kernels to tries, indexes and the join cache live in {!Join}. *)
@@ -18,9 +18,9 @@ type shape = {
 }
 
 val shape_atom : Compile.cquery -> Compile.atom -> shape
-(** The per-atom analysis shared by the interpreter and the compiler:
-    checks, binding sources and bound variables. One implementation, so
-    both evaluators — and the join cache keys derived from it — agree. *)
+(** The per-atom analysis behind every lowering: checks, binding sources
+    and bound variables. The join cache keys derive from it, so every
+    lowering that reads an atom asks for the same entry. *)
 
 type filter = Value.t array -> Table.row -> bool
 
@@ -57,5 +57,5 @@ exception Unbound_prim_arg
 val compile_depth_prims : Compile.prim_app list -> Value.t option array -> int list option
 (** Compile one depth's schedule for the generic trie join: option-array
     environment, returns the bound-variable undo list or [None] on guard
-    failure (partial bindings already undone) — the interpreter's exact
-    contract. Reentrant (no construction-time scratch). *)
+    failure (partial bindings already undone). Reentrant (no
+    construction-time scratch). *)

@@ -110,8 +110,8 @@ type t = {
      to min_int), so a log walk can test currency with two loads and no
      hashing: entry [i] is current iff [log_rows.(i).stamp = log_stamps.(i)]
      and [log_rows.(i).first_log = i] (the latter collapses the entries a
-     same-stamp remove/re-insert leaves behind to the first one — the one
-     the hashing walk of [iter_range] fires). *)
+     same-stamp remove/re-insert leaves behind to the first one, so each
+     surviving row is visited once). *)
   mutable log_rows : row array;
   mutable log_len : int;
   (* The retraction log: every version a write took away — a removed row,
@@ -132,9 +132,9 @@ type t = {
   mutable last_feed : feed option;  (* shared by consumers holding one mark *)
   mutable bytes : int;  (* modeled footprint, maintained incrementally *)
   (* Keys removed while the log's newest stamp still equals their row's: a
-     re-insert at that same stamp must inherit the removed row's [first_log]
-     (and its log slot) to keep delta-walk emission positions identical to
-     [iter_range]'s first-occurrence rule. Entries are valid only for
+     re-insert at that same stamp inherits the removed row's [first_log]
+     (and its log slot), so a delta walk fires the revived row at the key's
+     first entry of that stamp. Entries are valid only for
      [revivals_stamp]; a removal at a newer stamp starts a fresh hazard
      window with a fresh table. *)
   mutable revivals : int Value.Key_tbl.t;
@@ -342,7 +342,7 @@ let set_raw t key value ~stamp =
     let row = { value; stamp; first_log = t.log_len; born = t.version } in
     (* Same-stamp revival: the key was removed at this stamp after being
        logged; re-attach the fresh record to the original entry so delta
-       walks fire it there (where [iter_range]'s dedupe rule fires it). *)
+       walks fire it there, once. *)
     let revived =
       if t.revivals_stamp = stamp && Value.Key_tbl.length t.revivals > 0 then begin
         match Value.Key_tbl.find_opt t.revivals key with
@@ -417,35 +417,12 @@ let log_lower_bound t lo =
 
 let entries_since t lo = t.log_len - log_lower_bound t lo
 
-let iter_range t ~lo ~hi f =
-  if lo <= 0 then
-    Value.Key_tbl.iter (fun key row -> if row.stamp < hi then f key row) t.data
-  else begin
-    let start = log_lower_bound t lo in
-    (* A key removed and re-inserted within one timestamp (rebuild rounds)
-       appears twice in the log with the same stamp; dedupe so every
-       surviving row is visited exactly once. *)
-    let seen = Value.Key_tbl.create (max 16 (t.log_len - start)) in
-    for i = start to t.log_len - 1 do
-      let s = t.log_stamps.(i) in
-      if s < hi then begin
-        let key = t.log_keys.(i) in
-        match Value.Key_tbl.find_opt t.data key with
-        | Some row when row.stamp = s ->
-          if not (Value.Key_tbl.mem seen key) then begin
-            Value.Key_tbl.replace seen key ();
-            f key row
-          end
-        | Some _ | None -> ()
-      end
-    done
-  end
-
-(* Same visible behaviour as {!iter_range} — same rows, same values, same
-   order — but the log walk tests entry currency through the logged row
-   pointer instead of hashing every key into [data] and a dedupe table.
-   [first_log] pins a same-stamp revival to its original entry, which is
-   exactly where [iter_range]'s first-occurrence dedupe fires it. *)
+(* A full window scans [data]; a delta window walks the log tail and
+   tests each entry's currency through the logged row pointer, with no
+   hashing. A key removed and re-inserted within one timestamp (rebuild
+   rounds) appears twice in the log with the same stamp; [first_log]
+   keeps only its first entry, so every surviving row is visited exactly
+   once. *)
 let iter_delta t ~lo ~hi f =
   if lo <= 0 then
     Value.Key_tbl.iter (fun key row -> if row.stamp < hi then f key row) t.data

@@ -94,18 +94,12 @@ val remove : t -> Value.t array -> unit
 val iter : (Value.t array -> row -> unit) -> t -> unit
 val fold : (Value.t array -> row -> 'a -> 'a) -> t -> 'a -> 'a
 
-val iter_range : t -> lo:int -> hi:int -> (Value.t array -> row -> unit) -> unit
-(** Visit rows whose current stamp s satisfies [lo <= s < hi]. When [lo > 0]
-    this walks only the stamp-ordered log tail (each surviving row exactly
-    once); [lo = 0] falls back to a full scan filtered by [hi]. *)
-
 val iter_delta : t -> lo:int -> hi:int -> (Value.t array -> row -> unit) -> unit
-(** Exactly {!iter_range} — same rows, same values, same order — but the
-    log walk checks entry currency through the logged row pointer (two
-    loads and two compares per entry) instead of hashing every key into
-    the data map plus a dedupe table. This is the scan the compiled join
-    kernels use; {!iter_range} stays the hash-validated reference the
-    interpreter runs, and the differential suite holds the two equal. *)
+(** Visit rows whose current stamp s satisfies [lo <= s < hi], each
+    exactly once. When [lo > 0] this walks only the stamp-ordered log tail,
+    checking each entry's currency through the logged row pointer (two
+    loads and two compares per entry, no hashing); [lo <= 0] is a full scan
+    filtered by [hi]. The join scans every table through this walk. *)
 
 (** {2 The change feed}
 

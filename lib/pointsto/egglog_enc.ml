@@ -63,9 +63,8 @@ let direct_program_text =
   (rule ((fieldI d p f)) ((union (target (varLoc d)) (fieldOf (target (varLoc p)) f))))
   |}
 
-let load ?(seminaive = true) ?fast_paths ?index_caching ?compiled_plans ?jobs ?(direct = false)
-    (p : Ir.program) =
-  let eng = Egglog.Engine.create ~seminaive ?fast_paths ?index_caching ?compiled_plans ?jobs () in
+let load ?(seminaive = true) ?fast_paths ?index_caching ?jobs ?(direct = false) (p : Ir.program) =
+  let eng = Egglog.Engine.create ~seminaive ?fast_paths ?index_caching ?jobs () in
   ignore (Egglog.run_string eng (if direct then direct_program_text else program_text));
   let i n = Egglog.Value.VInt n in
   Array.iter
@@ -80,9 +79,9 @@ let load ?(seminaive = true) ?fast_paths ?index_caching ?compiled_plans ?jobs ?(
     p.Ir.insts;
   eng
 
-let analyze ?seminaive ?compiled_plans ?jobs ?direct (p : Ir.program) =
+let analyze ?seminaive ?jobs ?direct (p : Ir.program) =
   Egglog.Telemetry.span "pointsto.egglog.run" @@ fun () ->
-  let eng = load ?seminaive ?compiled_plans ?jobs ?direct p in
+  let eng = load ?seminaive ?jobs ?direct p in
   let report = Egglog.Engine.run_iterations eng 1000 in
   (eng, report)
 

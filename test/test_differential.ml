@@ -136,7 +136,7 @@ let join_results eng (facts : E.Ast.fact list) (vars : string list) : string lis
       | None -> `Slot (name_slot name)
     in
     let ranges = Array.make (Array.length q.E.Compile.atoms) E.Join.all_rows in
-    E.Join.search db q ~ranges (fun binding ->
+    E.Join.search_compiled db (E.Join.compile_plan q) ~ranges (fun binding ->
         let line =
           String.concat ","
             (List.map

@@ -245,14 +245,8 @@ let compile_env db =
       (fun name -> Option.map E.Table.func (E.Database.find_func db (E.Symbol.intern name)));
   }
 
-let join_multiset db ?cache ?(fast_paths = true) q ~ranges =
-  let acc = ref [] in
-  E.Join.search db ?cache ~fast_paths q ~ranges (fun binding ->
-      acc := String.concat "," (Array.to_list (Array.map E.Value.to_string binding)) :: !acc);
-  List.sort compare !acc
-
-(* Same multiset through the compiled evaluator (Join.compile_plan +
-   search_compiled) — the third corner of the differential triangle. *)
+(* The sorted matches of a compiled plan, one comma-joined binding each —
+   the multiset [Ref_join.matches_multiset] gives. *)
 let compiled_multiset_of db ?cache cp ~ranges =
   let acc = ref [] in
   E.Join.search_compiled db ?cache cp ~ranges (fun binding ->
@@ -399,12 +393,11 @@ let scenario_query ds db =
   E.Compile.compile_query (compile_env db) (fst (scenario_facts ds))
 
 (* One differential case: reference output vs the production join under
-   every configuration we ship — interpreted and compiled, cached and
-   uncached, fast paths on and off, the cost-model replan, and every
-   variable ordering (sampled once the order grows past 4 variables).
-   Interpreter and compiled evaluator share one cache, which doubles as a
-   regression for the cache-key identity invariant: both sides must
-   request (and correctly answer from) the same entries. *)
+   every configuration we ship — cached and uncached, fast paths on and
+   off, the cost-model replan, and every variable ordering (sampled once
+   the order grows past 4 variables). The plans share one cache, which
+   doubles as a regression for the cache-key identity invariant: every
+   lowering must request (and correctly answer from) the right entries. *)
 let check_diff ds ~delta =
   let db, stamps = build_scenario ds in
   match scenario_query ds db with
@@ -412,68 +405,60 @@ let check_diff ds ~delta =
   | exception E.Compile.Error _ -> true
   | q ->
     let n_atoms = Array.length q.E.Compile.atoms in
-    if n_atoms = 0 then true
-    else begin
-      let ranges =
-        if not delta then Array.make n_atoms E.Join.all_rows
-        else
-          Array.init n_atoms (fun i ->
-              match List.nth ds.ds_ranges (i mod List.length ds.ds_ranges) with
-              | 3 -> { E.Join.lo = stamps.(1); hi = max_int }
-              | 4 -> { E.Join.lo = stamps.(0); hi = stamps.(1) }
-              | 5 -> { E.Join.lo = stamps.(1); hi = stamps.(2) }
-              | _ -> E.Join.all_rows)
-      in
-      let expected = Ref_join.matches_multiset db q ~ranges in
-      let agree ?cache ?fast_paths q' = join_multiset db ?cache ?fast_paths q' ~ranges = expected in
-      let agree_compiled ?cache ?fast_paths q' =
-        compiled_multiset db ?cache ?fast_paths q' ~ranges = expected
-      in
-      let cache = E.Join.new_cache () in
-      let ok = ref (agree ~cache q) in
-      (* a second pass answers from the cached structures *)
-      ok := !ok && agree ~cache q;
-      ok := !ok && agree ~fast_paths:false q;
-      (* compiled evaluator, warming and then reusing the same cache *)
-      ok := !ok && agree_compiled ~cache q;
-      ok := !ok && agree_compiled ~cache q;
-      ok := !ok && agree_compiled q;
-      ok := !ok && agree_compiled ~fast_paths:false q;
-      let cards =
-        Array.map
-          (fun (a : E.Compile.atom) ->
-            match E.Database.find_func db a.E.Compile.a_func.E.Schema.name with
-            | Some t ->
-              let rows, distinct = E.Database.table_stats db t in
-              { E.Compile.ac_rows = rows; ac_distinct = distinct }
-            | None -> assert false)
-          q.E.Compile.atoms
-      in
-      let replanned = E.Compile.replan q ~cards in
-      ok := !ok && agree ~cache replanned;
-      ok := !ok && agree_compiled ~cache replanned;
-      (* past 4 join variables full enumeration explodes (120+ orders);
-         reversing the chosen order still exercises a worst-case plan *)
-      let orders =
-        let base = Array.to_list q.E.Compile.order in
-        if List.length base <= 4 then permutations base else [ base; List.rev base ]
-      in
-      List.iter
-        (fun perm ->
-          let q' = E.Compile.reorder q ~order:(Array.of_list perm) in
-          ok := !ok && agree q' && agree ~fast_paths:false q' && agree_compiled q')
-        orders;
-      !ok
-    end
+    let ranges =
+      if not delta then Array.make n_atoms E.Join.all_rows
+      else
+        Array.init n_atoms (fun i ->
+            match List.nth ds.ds_ranges (i mod List.length ds.ds_ranges) with
+            | 3 -> { E.Join.lo = stamps.(1); hi = max_int }
+            | 4 -> { E.Join.lo = stamps.(0); hi = stamps.(1) }
+            | 5 -> { E.Join.lo = stamps.(1); hi = stamps.(2) }
+            | _ -> E.Join.all_rows)
+    in
+    let expected = Ref_join.matches_multiset db q ~ranges in
+    let agree ?cache ?fast_paths q' =
+      compiled_multiset db ?cache ?fast_paths q' ~ranges = expected
+    in
+    let cache = E.Join.new_cache () in
+    let ok = ref (agree ~cache q) in
+    (* a second pass answers from the cached structures *)
+    ok := !ok && agree ~cache q;
+    ok := !ok && agree q;
+    ok := !ok && agree ~fast_paths:false q;
+    ok := !ok && agree ~cache ~fast_paths:false q;
+    let cards =
+      Array.map
+        (fun (a : E.Compile.atom) ->
+          match E.Database.find_func db a.E.Compile.a_func.E.Schema.name with
+          | Some t ->
+            let rows, distinct = E.Database.table_stats db t in
+            { E.Compile.ac_rows = rows; ac_distinct = distinct }
+          | None -> assert false)
+        q.E.Compile.atoms
+    in
+    let replanned = E.Compile.replan q ~cards in
+    ok := !ok && agree ~cache replanned;
+    (* past 4 join variables full enumeration explodes (120+ orders);
+       reversing the chosen order still exercises a worst-case plan *)
+    let orders =
+      let base = Array.to_list q.E.Compile.order in
+      if List.length base <= 4 then permutations base else [ base; List.rev base ]
+    in
+    List.iter
+      (fun perm ->
+        let q' = E.Compile.reorder q ~order:(Array.of_list perm) in
+        ok := !ok && agree q' && agree ~fast_paths:false q')
+      orders;
+    !ok
 
 let prop_diff_full_ranges =
   QCheck2.Test.make
-    ~name:"differential: compiled == interpreted == reference (full ranges, all orderings)"
+    ~name:"differential: compiled join == reference (full ranges, all orderings)"
     ~count:350 gen_scenario (fun ds -> check_diff ds ~delta:false)
 
 let prop_diff_delta_ranges =
   QCheck2.Test.make
-    ~name:"differential: compiled == interpreted == reference (delta stamp windows)" ~count:350
+    ~name:"differential: compiled join == reference (delta stamp windows)" ~count:350
     gen_scenario (fun ds -> check_diff ds ~delta:true)
 
 (* Engine-level differential for parallel search: the scenario's query
@@ -493,10 +478,10 @@ let report_fingerprint (r : E.Engine.run_report) =
     r.stop_reason,
     r.rule_stats )
 
-let run_scenario_at_jobs ?node_limit ?memory_limit ?compiled_plans ds ~jobs =
+let run_scenario_at_jobs ?node_limit ?memory_limit ds ~jobs =
   let n_rels = List.length ds.ds_arities in
   let facts, vars = scenario_facts ds in
-  let eng = E.Engine.create ?compiled_plans () in
+  let eng = E.Engine.create () in
   let decls = Buffer.create 64 in
   List.iteri
     (fun i a ->
@@ -548,19 +533,11 @@ let run_scenario_at_jobs ?node_limit ?memory_limit ?compiled_plans ds ~jobs =
 
 let prop_jobs_differential =
   QCheck2.Test.make
-    ~name:
-      "differential: parallel search (jobs 2, 4; compiled and interpreted) dumps+reports \
-       == serial"
-    ~count:60 gen_scenario (fun ds ->
+    ~name:"differential: parallel search (jobs 2, 4) dumps+reports == serial" ~count:60
+    gen_scenario (fun ds ->
       match run_scenario_at_jobs ds ~jobs:1 with
       | exception E.Engine.Egglog_error _ -> true
-      | serial ->
-        List.for_all (fun jobs -> run_scenario_at_jobs ds ~jobs = serial) [ 2; 4 ]
-        (* the interpreter (--no-compiled-plans) must reproduce the same
-           dump and report fingerprints, serial and parallel *)
-        && List.for_all
-             (fun jobs -> run_scenario_at_jobs ~compiled_plans:false ds ~jobs = serial)
-             [ 1; 4 ])
+      | serial -> List.for_all (fun jobs -> run_scenario_at_jobs ds ~jobs = serial) [ 2; 4 ])
 
 (* Same contract when a budget stops the run mid-way: node and memory
    limits are modeled deterministically, so the stop reason, the stopped
@@ -834,23 +811,45 @@ let tbl_apply table stamp ops =
       | _ -> incr stamp)
     ops
 
+(* What a table shows its readers: its delta walks over a grid of stamp
+   windows (in walk order), its full walk, and its modeled counters. The
+   first component checks every delta walk against a reference walk —
+   [Table.iter] filtered by the window, the filter [Ref_join] applies — as
+   a multiset, and that the walk visits each key at most once. *)
 let tbl_observe table ~max_stamp =
-  let walk iter ~lo ~hi =
+  let cells key (row : E.Table.row) =
+    (E.Value.to_string key.(0), E.Value.to_string row.value, row.stamp)
+  in
+  let walk ~lo ~hi =
     let acc = ref [] in
-    iter table ~lo ~hi (fun key (row : E.Table.row) ->
-        acc := (E.Value.to_string key.(0), E.Value.to_string row.value, row.stamp) :: !acc);
+    E.Table.iter_delta table ~lo ~hi (fun key row -> acc := cells key row :: !acc);
     List.rev !acc
+  in
+  let reference ~lo ~hi =
+    let acc = ref [] in
+    E.Table.iter
+      (fun key (row : E.Table.row) ->
+        if Ref_join.in_range { E.Join.lo; hi } row.stamp then acc := cells key row :: !acc)
+      table;
+    List.sort compare !acc
   in
   let windows =
     List.concat_map
       (fun lo -> List.init (max_stamp + 2 - lo) (fun d -> (lo, lo + 1 + d)))
       (List.init (max_stamp + 1) (fun i -> i + 1))
   in
-  let delta = List.map (fun (lo, hi) -> walk E.Table.iter_delta ~lo ~hi) windows in
-  let range = List.map (fun (lo, hi) -> walk E.Table.iter_range ~lo ~hi) windows in
-  ( delta = range,
+  let delta = List.map (fun (lo, hi) -> walk ~lo ~hi) windows in
+  let agree =
+    List.for_all2
+      (fun (lo, hi) visited ->
+        let keys = List.map (fun (k, _, _) -> k) visited in
+        List.sort compare visited = reference ~lo ~hi
+        && List.length (List.sort_uniq compare keys) = List.length keys)
+      windows delta
+  in
+  ( agree,
     delta,
-    List.sort compare (walk E.Table.iter_delta ~lo:0 ~hi:max_int),
+    List.sort compare (walk ~lo:0 ~hi:max_int),
     (E.Table.log_length table, E.Table.modeled_bytes table, E.Table.removals table,
      E.Table.value_updates table) )
 
@@ -887,8 +886,8 @@ let prop_table_rollback =
    own stamp and re-stamped, removes, same-stamp revivals, unions followed
    by a rebuild, and transactions that fail partway — is driven through one
    long-lived cache; after every step each query must give, as a multiset,
-   what a fresh cache and the naive reference give, interpreted and
-   compiled, with fast paths (indexes) and without (tries), and every
+   what a fresh cache and the naive reference give, with fast paths
+   (indexes) and without (tries), and every
    table's distinct counts must equal a recount. *)
 let patch_schema =
   {|
@@ -994,9 +993,7 @@ let check_patch_history steps =
         let ranges = Array.make (Array.length q.E.Compile.atoms) E.Join.all_rows in
         let expected = Ref_join.matches_multiset db q ~ranges in
         let fresh = E.Join.new_cache () in
-        join_multiset db ~cache:fresh q ~ranges = expected
-        && join_multiset db ~cache q ~ranges = expected
-        && join_multiset db ~cache ~fast_paths:false q ~ranges = expected
+        compiled_multiset_of db ~cache:fresh cp ~ranges = expected
         && compiled_multiset_of db ~cache cp ~ranges = expected
         && compiled_multiset_of db ~cache cp_generic ~ranges = expected)
       queries compiled
@@ -1077,10 +1074,11 @@ let test_trimmed_feed () =
   let cache = E.Join.new_cache () in
   let agree () =
     let expected = Ref_join.matches_multiset db q ~ranges in
-    Alcotest.(check (list string)) "interpreted" expected (join_multiset db ~cache q ~ranges);
+    Alcotest.(check (list string))
+      "two-atom join" expected
+      (compiled_multiset db ~cache q ~ranges);
     Alcotest.(check (list string)) "trie join" expected
-      (join_multiset db ~cache ~fast_paths:false q ~ranges);
-    Alcotest.(check (list string)) "compiled" expected (compiled_multiset db ~cache q ~ranges)
+      (compiled_multiset db ~cache ~fast_paths:false q ~ranges)
   in
   agree ();
   ignore (E.Table.column_distincts f);
@@ -1131,9 +1129,9 @@ let test_cache_key_incarnations () =
   let expect1 = Ref_join.matches_multiset db q ~ranges in
   Alcotest.(check int) "incarnation 1 has two matches" 2 (List.length expect1);
   Alcotest.(check (list string))
-    "incarnation 1, fast path" expect1 (join_multiset db ~cache q ~ranges);
+    "incarnation 1, fast path" expect1 (compiled_multiset db ~cache q ~ranges);
   Alcotest.(check (list string))
-    "incarnation 1, trie join" expect1 (join_multiset db ~cache ~fast_paths:false q ~ranges);
+    "incarnation 1, trie join" expect1 (compiled_multiset db ~cache ~fast_paths:false q ~ranges);
   (* incarnation 2: the snapshot's s also reaches version 2, but with rows
      {(2,3),(2,5)} — the same cache must not resurrect incarnation 1 *)
   let s_snap =
@@ -1146,10 +1144,10 @@ let test_cache_key_incarnations () =
   Alcotest.(check int) "incarnation 2 has two matches" 2 (List.length expect2);
   Alcotest.(check bool) "incarnations differ" true (expect1 <> expect2);
   Alcotest.(check (list string))
-    "incarnation 2, fast path" expect2 (join_multiset snapshot ~cache q ~ranges);
+    "incarnation 2, fast path" expect2 (compiled_multiset snapshot ~cache q ~ranges);
   Alcotest.(check (list string))
     "incarnation 2, trie join" expect2
-    (join_multiset snapshot ~cache ~fast_paths:false q ~ranges)
+    (compiled_multiset snapshot ~cache ~fast_paths:false q ~ranges)
 
 (* Companion regression: constants containing the old key format's
    delimiter characters must still produce distinct cache entries for
@@ -1171,11 +1169,13 @@ let test_cache_key_structured_consts () =
   in
   let ranges = [| E.Join.all_rows; E.Join.all_rows |] in
   let cache = E.Join.new_cache () in
-  Alcotest.(check (list string)) "quoted const" [ "1" ] (join_multiset db ~cache (query "a;1=b") ~ranges);
-  Alcotest.(check (list string)) "plain const" [ "2" ] (join_multiset db ~cache (query "a") ~ranges);
+  Alcotest.(check (list string))
+    "quoted const" [ "1" ]
+    (compiled_multiset db ~cache (query "a;1=b") ~ranges);
+  Alcotest.(check (list string)) "plain const" [ "2" ] (compiled_multiset db ~cache (query "a") ~ranges);
   (* answered from the now-warm cache *)
   Alcotest.(check (list string)) "quoted const again" [ "1" ]
-    (join_multiset db ~cache (query "a;1=b") ~ranges)
+    (compiled_multiset db ~cache (query "a;1=b") ~ranges)
 
 let () =
   Printf.printf "property-test seed: %d (override with EGGLOG_TEST_SEED=<n>)\n%!" test_seed;

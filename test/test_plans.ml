@@ -76,27 +76,6 @@ let test_triangle_with_guard () =
     \  delta[1] (0 rows) order: z x y  [compiled generic (3 atoms)]\n\
     \  delta[2] (0 rows) order: z x y  [compiled generic (3 atoms)]\n"
 
-let test_compiled_plans_disabled () =
-  (* with --no-compiled-plans every lowering line reports the interpreter *)
-  let eng = E.Engine.create ~compiled_plans:false () in
-  ignore
-    (E.run_string eng
-       {|
-      (relation edge (i64 i64))
-      (rule ((edge x y)) ((edge y x)))
-      (edge 1 2)
-      (run 1)
-    |});
-  Alcotest.(check string)
-    "interpreter lowering"
-    "rule rule_1 (ruleset default)\n\
-    \  atoms:\n\
-    \    [0] (edge x y) -> ()  rows=2\n\
-    \  order: x(est=2) y(est=1)\n\
-    \  lowering: interpreter (compiled plans disabled)\n\
-    \  delta[0] (1 rows) order: x y  [interpreter (compiled plans disabled)]\n"
-    (E.Engine.explain_plans eng)
-
 let test_atomless_rule () =
   check_plans "rule with no atoms"
     {|
@@ -203,7 +182,6 @@ let () =
           Alcotest.test_case "transitive closure" `Quick test_transitive_closure;
           Alcotest.test_case "rewrite rule" `Quick test_rewrite_rule;
           Alcotest.test_case "triangle with guard" `Quick test_triangle_with_guard;
-          Alcotest.test_case "compiled plans disabled" `Quick test_compiled_plans_disabled;
           Alcotest.test_case "atomless rule" `Quick test_atomless_rule;
           Alcotest.test_case "no rules" `Quick test_no_rules;
         ] );
