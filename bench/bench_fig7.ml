@@ -52,7 +52,8 @@ let collect label ~reps runner ~iters =
   { label; sizes; cum_seconds }
 
 (* Per-phase profile: the seminaive workload run in its own telemetry
-   region, reporting wall seconds spent in each engine phase. Emitted for
+   region, reporting wall seconds spent in each engine phase: the sum of
+   the phase span's [<name>_s] histogram, keyed by the span name. Emitted for
    jobs 1 and a parallel jobs value side by side so the envelope carries
    the serial-vs-parallel split of each phase (only search fans out). *)
 let phase_names = [ "engine.search"; "engine.apply"; "engine.rebuild" ]
@@ -66,8 +67,8 @@ let phase_profile ~jobs ~iters () =
   List.map
     (fun name ->
       ( name,
-        match List.assoc_opt name snap.Egglog.Telemetry.sn_timings with
-        | Some t -> t.Egglog.Telemetry.t_total
+        match List.assoc_opt (name ^ "_s") snap.Egglog.Telemetry.sn_hists with
+        | Some h -> h.Egglog.Telemetry.hs_sum
         | None -> 0.0 ))
     phase_names
 

@@ -173,8 +173,8 @@ let run ?sizes ?ni_sizes ?(jobs = 1) ~full () =
     List.map
       (fun name ->
         ( name,
-          match List.assoc_opt name snap.Egglog.Telemetry.sn_timings with
-          | Some t -> t.Egglog.Telemetry.t_total
+          match List.assoc_opt (name ^ "_s") snap.Egglog.Telemetry.sn_hists with
+          | Some h -> h.Egglog.Telemetry.hs_sum
           | None -> 0.0 ))
       [ "engine.search"; "engine.apply"; "engine.rebuild" ]
   in

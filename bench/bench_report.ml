@@ -3,20 +3,22 @@
    never scrape stdout. The envelope is schema-stable:
 
    {v
-   { "schema": "egglog-bench", "version": 2,
+   { "schema": "egglog-bench", "version": 3,
      "bench": "<name>", "params": {...}, "data": ...,
-     "telemetry": { "counters": {...}, "timings": {...}, "hists": {...} } }
+     "telemetry": { "counters": {...}, "hists": {...} } }
    v}
 
    [data]'s shape is per-bench, but the envelope keys, their types and the
    telemetry snapshot layout are a contract: bump [schema_version] when any
    of them change. v2 added the "hists" key (log-bucketed histograms with
-   bucket-derived p50/p90/p99) to the telemetry snapshot; v1 consumers
-   keying on {"counters","timings"} must allow it. *)
+   bucket-derived p50/p90/p99) to the telemetry snapshot. v3 dropped the
+   timing aggregates: a span named X records its duration into the
+   histogram "X_s" (e.g. the search phase total is
+   hists["engine.search_s"].sum). *)
 
 module J = Egglog.Telemetry.Json
 
-let schema_version = 2
+let schema_version = 3
 
 let envelope ~bench ~params ~data ~telemetry =
   J.Obj

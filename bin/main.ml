@@ -52,22 +52,22 @@ let with_errors ~where f =
 
 (* --stats: the engine phase split first — "other" is the iteration time not
    attributed to search/apply/rebuild, so the four lines sum to the total by
-   construction — then the generic counter/timing tables. *)
+   construction — then the generic histogram/counter tables. *)
 let print_stats () =
   let snap = Egglog.Telemetry.snapshot () in
-  let timing name = List.assoc_opt name snap.Egglog.Telemetry.sn_timings in
-  (match timing "engine.iteration" with
+  let hist name = List.assoc_opt name snap.Egglog.Telemetry.sn_hists in
+  (match hist "engine.iteration_s" with
    | Some it ->
      let phase n =
-       match timing n with Some t -> t.Egglog.Telemetry.t_total | None -> 0.0
+       match hist n with Some h -> h.Egglog.Telemetry.hs_sum | None -> 0.0
      in
-     let search = phase "engine.search"
-     and apply = phase "engine.apply"
-     and rebuild = phase "engine.rebuild" in
-     let total = it.Egglog.Telemetry.t_total in
+     let search = phase "engine.search_s"
+     and apply = phase "engine.apply_s"
+     and rebuild = phase "engine.rebuild_s" in
+     let total = it.Egglog.Telemetry.hs_sum in
      let other = Float.max 0.0 (total -. (search +. apply +. rebuild)) in
      Printf.printf "run phases (%d iteration(s), %.6fs total):\n"
-       it.Egglog.Telemetry.t_count total;
+       it.Egglog.Telemetry.hs_count total;
      Printf.printf "  search   %9.6fs\n" search;
      Printf.printf "  apply    %9.6fs\n" apply;
      Printf.printf "  rebuild  %9.6fs\n" rebuild;
@@ -340,7 +340,7 @@ let () =
   in
   let stats =
     Arg.(value & flag & info [ "stats" ]
-           ~doc:"After the program finishes, print the engine phase split (search/apply/rebuild/other) and all telemetry counters and timings")
+           ~doc:"After the program finishes, print the engine phase split (search/apply/rebuild/other) and all telemetry histograms and counters")
   in
   let explain_plans =
     Arg.(value & flag & info [ "explain-plans" ]

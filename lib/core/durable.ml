@@ -25,18 +25,14 @@ let journal_worthy (cmd : Ast.command) =
   | _ -> true
 
 let c_checkpoints = Telemetry.counter "checkpoint.writes"
-let h_checkpoint = Telemetry.histogram "checkpoint.write_s"
 
 let do_checkpoint t =
   let seq = t.seq + 1 in
   let base = Journal.path t.journal in
   Telemetry.bump c_checkpoints 1;
-  let dt, () =
-    Telemetry.timed_span "checkpoint.write" (fun () ->
-        Serialize.write_checkpoint t.engine ~path:(checkpoint_path base seq) ~seq
-          ~committed:t.committed)
-  in
-  Telemetry.hist_record h_checkpoint dt;
+  Telemetry.span "checkpoint.write" (fun () ->
+      Serialize.write_checkpoint t.engine ~path:(checkpoint_path base seq) ~seq
+        ~committed:t.committed);
   (* keep the previous checkpoint as a backup for manual recovery; prune
      anything older *)
   let stale = checkpoint_path base (seq - 2) in

@@ -23,14 +23,12 @@ let c_mem_modeled = Telemetry.counter "memory.modeled_bytes_peak"
 let c_mem_top_heap = Telemetry.counter "memory.top_heap_bytes"
 
 (* Distribution sketches for the evaluation's where-does-time-go story:
-   per-iteration phase durations and per-rule apply behaviour land in
-   log-bucketed histograms (see Telemetry), giving deterministic
-   quantiles in bench envelopes. [engine.rule_matches] is value-based
-   (match-list lengths), so its buckets are byte-identical at any
-   --jobs count. *)
-let h_search = Telemetry.histogram "engine.search_s"
-let h_apply = Telemetry.histogram "engine.apply_s"
-let h_rebuild = Telemetry.histogram "engine.rebuild_s"
+   the phase spans record their durations into [engine.search_s],
+   [engine.apply_s] and [engine.rebuild_s] (see Telemetry.span), and
+   per-rule apply behaviour lands in log-bucketed histograms here, giving
+   deterministic quantiles in bench envelopes. [engine.rule_matches] is
+   value-based (match-list lengths), so its buckets are byte-identical at
+   any --jobs count. *)
 let h_rule_matches = Telemetry.histogram "engine.rule_matches"
 
 type scheduler = Simple | Backoff of { match_limit : int; ban_length : int }
@@ -911,7 +909,6 @@ let run_one_iteration ?ruleset ?(budget_check = no_budget_check)
             else parallel_search eng ~jobs ~budget_check eligible))
   in
   ph.ph_search <- ph.ph_search +. dt_search;
-  Telemetry.hist_record h_search dt_search;
   let to_apply =
     (* Under memory pressure the backoff policy tightens — match limits
        shrink 8x per tier — and applies even when the configured scheduler
@@ -964,12 +961,10 @@ let run_one_iteration ?ruleset ?(budget_check = no_budget_check)
   in
   eng.current_reason <- Proof_forest.Asserted;
   ph.ph_apply <- ph.ph_apply +. dt_apply;
-  Telemetry.hist_record h_apply dt_apply;
   let dt_rebuild, () =
     Telemetry.timed_span "engine.rebuild" (fun () -> Database.rebuild db)
   in
   ph.ph_rebuild <- ph.ph_rebuild +. dt_rebuild;
-  Telemetry.hist_record h_rebuild dt_rebuild;
   ph.ph_delta <- ph.ph_delta + (Database.total_log_entries db - log0);
   Database.change_counter db > changes0
 
@@ -1266,7 +1261,7 @@ let rec run_command_inner eng (cmd : Ast.command) : string list =
       | Ast.Sched_run (rs, n) ->
         (* Session-wide budgets also bound schedules; once a budget trips,
            each sub-run stops at its entry check with zero iterations, so
-           saturate loops observe "no change" and terminate. *)
+           saturate loops see "no change" and terminate. *)
         let report =
           run_iterations ?ruleset:(resolve_rs rs) ?node_limit:eng.default_node_limit
             ?time_limit:eng.default_time_limit ?memory_limit:eng.default_memory_limit eng n

@@ -119,7 +119,6 @@ let trie_remove_row (plan : atom_plan) root ~depth key value =
 let build_trie (plan : atom_plan) (range : stamp_range) : trie =
   let depth = Array.length plan.ap_sources in
   Telemetry.bump c_trie_builds 1;
-  Telemetry.observe "join.trie_depth" (float_of_int depth);
   Telemetry.hist_record h_trie_depth (float_of_int depth);
   let scanned = ref 0 in
   let result =

@@ -152,14 +152,12 @@ let check_open t = if t.closed then error "%s: journal handle is closed" t.path
 let c_appends = Telemetry.counter "journal.appends"
 let c_append_bytes = Telemetry.counter "journal.append_bytes"
 let c_resets = Telemetry.counter "journal.resets"
-let h_append = Telemetry.histogram "journal.append_s"
 
 let append t payload =
   check_open t;
   Telemetry.bump c_appends 1;
   Telemetry.bump c_append_bytes (String.length payload);
-  let dt, () =
-    Telemetry.timed_span "journal.append" @@ fun () ->
+  Telemetry.span "journal.append" @@ fun () ->
   Fault.hit "journal.append.before";
   let hdr =
     Printf.sprintf "r %d %s\n" (String.length payload)
@@ -174,13 +172,11 @@ let append t payload =
     (try Unix.fsync t.fd with Unix.Unix_error _ -> ());
     Fault.crash "journal.append.torn"
   end;
-    write_all t.fd hdr;
-    write_all t.fd payload;
-    write_all t.fd "\n";
-    Unix.fsync t.fd;
-    Fault.hit "journal.append.synced"
-  in
-  Telemetry.hist_record h_append dt
+  write_all t.fd hdr;
+  write_all t.fd payload;
+  write_all t.fd "\n";
+  Unix.fsync t.fd;
+  Fault.hit "journal.append.synced"
 
 let reset t ~ckpt_seq =
   check_open t;

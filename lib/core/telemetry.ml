@@ -5,6 +5,17 @@
 (* JSON                                                                *)
 (* ------------------------------------------------------------------ *)
 
+(* The shortest of %.15g/%.16g/%.17g that parses back to [x] (%.17g
+   always does). Integral values print without a '.'; no form has a bare
+   leading or trailing '.', so the result is also a valid JSON number. *)
+let round_trip_decimal x =
+  let at p = Printf.sprintf "%.*g" p x in
+  let s = at 15 in
+  if float_of_string s = x then s
+  else
+    let s = at 16 in
+    if float_of_string s = x then s else at 17
+
 module Json = struct
   type t =
     | Null
@@ -37,13 +48,7 @@ module Json = struct
     | Bool b -> Buffer.add_string buf (if b then "true" else "false")
     | Int n -> Buffer.add_string buf (string_of_int n)
     | Float x ->
-      if Float.is_finite x then begin
-        (* shortest decimal that round-trips; JSON forbids a bare leading
-           '.' or trailing '.', which %.17g never produces *)
-        let s = Printf.sprintf "%.12g" x in
-        Buffer.add_string buf s
-      end
-      else Buffer.add_string buf "null"
+      Buffer.add_string buf (if Float.is_finite x then round_trip_decimal x else "null")
     | Str s -> escape_string buf s
     | List xs ->
       Buffer.add_char buf '[';
@@ -279,20 +284,21 @@ type counter = { c_name : string; c_slots : int array }
    module-init or report time); a mutex keeps stray worker-side [add]
    calls from racing table resizes. *)
 let registry_lock = Mutex.create ()
+
+let find_or_add tbl name make =
+  match Hashtbl.find_opt tbl name with
+  | Some v -> v
+  | None ->
+    let v = make () in
+    Hashtbl.replace tbl name v;
+    v
+
+let interned tbl name make = Mutex.protect registry_lock (fun () -> find_or_add tbl name make)
+
 let counters : (string, counter) Hashtbl.t = Hashtbl.create 64
 
 let counter name =
-  Mutex.lock registry_lock;
-  let c =
-    match Hashtbl.find_opt counters name with
-    | Some c -> c
-    | None ->
-      let c = { c_name = name; c_slots = Array.make (n_shards * stride) 0 } in
-      Hashtbl.replace counters name c;
-      c
-  in
-  Mutex.unlock registry_lock;
-  c
+  interned counters name (fun () -> { c_name = name; c_slots = Array.make (n_shards * stride) 0 })
 
 let bump c n =
   if !enabled then begin
@@ -313,54 +319,6 @@ let counter_value c =
     total := !total + c.c_slots.(i * stride)
   done;
   !total
-
-type timing_acc = {
-  mutable a_count : int;
-  mutable a_total : float;
-  mutable a_min : float;
-  mutable a_max : float;
-}
-
-let timings : (string, timing_acc) Hashtbl.t = Hashtbl.create 64
-
-(* Worker-domain observations can't touch the [timings] hashtable (it
-   resizes); they buffer under a lock — observe is off the per-tuple hot
-   path — and drain into the table on the main domain at snapshot time.
-   The aggregate (count/total/min/max) is order-independent, so deferred
-   merging is invisible. *)
-let pending_lock = Mutex.create ()
-let pending_observes : (string * float) list ref = ref []
-
-let observe_main name dt =
-  let acc =
-    match Hashtbl.find_opt timings name with
-    | Some acc -> acc
-    | None ->
-      let acc = { a_count = 0; a_total = 0.0; a_min = infinity; a_max = neg_infinity } in
-      Hashtbl.replace timings name acc;
-      acc
-  in
-  acc.a_count <- acc.a_count + 1;
-  acc.a_total <- acc.a_total +. dt;
-  if dt < acc.a_min then acc.a_min <- dt;
-  if dt > acc.a_max then acc.a_max <- dt
-
-let observe name dt =
-  if !enabled then begin
-    if current_shard () = 0 then observe_main name dt
-    else begin
-      Mutex.lock pending_lock;
-      pending_observes := (name, dt) :: !pending_observes;
-      Mutex.unlock pending_lock
-    end
-  end
-
-let drain_pending_observes () =
-  Mutex.lock pending_lock;
-  let pending = !pending_observes in
-  pending_observes := [];
-  Mutex.unlock pending_lock;
-  List.iter (fun (name, dt) -> observe_main name dt) (List.rev pending)
 
 (* ------------------------------------------------------------------ *)
 (* Log-bucketed histograms                                             *)
@@ -401,18 +359,7 @@ let hist_create () =
 
 let hists : (string, histogram) Hashtbl.t = Hashtbl.create 16
 
-let histogram name =
-  Mutex.lock registry_lock;
-  let h =
-    match Hashtbl.find_opt hists name with
-    | Some h -> h
-    | None ->
-      let h = hist_create () in
-      Hashtbl.replace hists name h;
-      h
-  in
-  Mutex.unlock registry_lock;
-  h
+let histogram name = interned hists name hist_create
 
 let hist_record h v =
   (* NaN observations are dropped at the recording boundary so no
@@ -475,38 +422,41 @@ let hist_snap_quantile hs p =
     go 0 hs.hs_buckets
   end
 
-let hist_quantile h p = hist_snap_quantile (hist_snap_of h) p
-
-let hist_clear h =
-  Array.fill h.h_rows 0 (Array.length h.h_rows) None;
-  Array.fill h.h_sums 0 (Array.length h.h_sums) 0.0
-
-let hist_snap_to_json hs =
+let hist_snap_fields hs =
   let quantile name p acc = (name, Json.Float (hist_snap_quantile hs p)) :: acc in
-  Json.Obj
-    (("count", Json.Int hs.hs_count)
-    :: ("sum", Json.Float hs.hs_sum)
-    ::
-    (if hs.hs_count = 0 then []
-     else
-       quantile "p50" 0.5
-         (quantile "p90" 0.9
-            (quantile "p99" 0.99
-               [
-                 ( "buckets",
-                   Json.List
-                     (List.map
-                        (fun (b, n) -> Json.List [ Json.Float (hist_bucket_le b); Json.Int n ])
-                        hs.hs_buckets) );
-               ]))))
+  ("count", Json.Int hs.hs_count)
+  :: ("sum", Json.Float hs.hs_sum)
+  ::
+  (if hs.hs_count = 0 then []
+   else
+     quantile "p50" 0.5
+       (quantile "p90" 0.9
+          (quantile "p99" 0.99
+             [
+               ( "buckets",
+                 Json.List
+                   (List.map
+                      (fun (b, n) -> Json.List [ Json.Float (hist_bucket_le b); Json.Int n ])
+                      hs.hs_buckets) );
+             ])))
+
+let hist_snap_to_json hs = Json.Obj (hist_snap_fields hs)
+
+(* A span named [X] records its duration into the registered histogram
+   [X_s]. The handle is interned once per span name, keyed on the name
+   itself so a span does not build the ["_s"] string on every call. *)
+let span_hists : (string, histogram) Hashtbl.t = Hashtbl.create 32
+
+let span_hist name =
+  interned span_hists name (fun () -> find_or_add hists (name ^ "_s") hist_create)
 
 let reset () =
   Hashtbl.iter (fun _ c -> Array.fill c.c_slots 0 (Array.length c.c_slots) 0) counters;
-  Hashtbl.iter (fun _ h -> hist_clear h) hists;
-  Hashtbl.reset timings;
-  Mutex.lock pending_lock;
-  pending_observes := [];
-  Mutex.unlock pending_lock;
+  Hashtbl.iter
+    (fun _ h ->
+      Array.fill h.h_rows 0 n_shards None;
+      Array.fill h.h_sums 0 (Array.length h.h_sums) 0.0)
+    hists;
   depth := 0
 
 let enable ?sink:s () =
@@ -599,7 +549,7 @@ let flightrec_dump ~path =
 let rel t = t -. !origin
 
 let emit_event t kind name fields =
-  (* Render whenever anything will observe the line: the sink, or the
+  (* Render whenever anything will read the line: the sink, or the
      always-on flight recorder (capacity 0 turns the recorder off). When
      telemetry is disabled we never get here at all, so the fully
      disabled path stays one branch at each span/instant call site. *)
@@ -630,49 +580,35 @@ let emit_event t kind name fields =
     Mutex.unlock emit_lock
   end
 
-let span name f =
-  if not !enabled then f ()
-  else begin
-    let t0 = now () in
-    emit_event t0 "b" name [ ("depth", Json.Int !depth) ];
-    incr depth;
-    let finish () =
-      decr depth;
-      let t1 = now () in
-      observe name (t1 -. t0);
-      emit_event t1 "e" name [ ("dur", Json.Float (t1 -. t0)); ("depth", Json.Int !depth) ]
-    in
-    match f () with
-    | v ->
-      finish ();
-      v
-    | exception e ->
-      finish ();
-      raise e
-  end
+(* The enabled path of [span] and [timed_span]: begin and end events,
+   balanced even on exceptions, and one observation of the duration. *)
+let traced name f =
+  let h = span_hist name in
+  let t0 = now () in
+  emit_event t0 "b" name [ ("depth", Json.Int !depth) ];
+  incr depth;
+  let finish () =
+    decr depth;
+    let t1 = now () in
+    let dt = t1 -. t0 in
+    hist_record h dt;
+    emit_event t1 "e" name [ ("dur", Json.Float dt); ("depth", Json.Int !depth) ];
+    dt
+  in
+  match f () with
+  | v -> (finish (), v)
+  | exception e ->
+    ignore (finish ());
+    raise e
+
+let span name f = if not !enabled then f () else snd (traced name f)
 
 let timed_span name f =
-  if not !enabled then begin
+  if !enabled then traced name f
+  else begin
     let t0 = now () in
     let v = f () in
     (now () -. t0, v)
-  end
-  else begin
-    let t0 = now () in
-    emit_event t0 "b" name [ ("depth", Json.Int !depth) ];
-    incr depth;
-    let finish () =
-      decr depth;
-      let t1 = now () in
-      observe name (t1 -. t0);
-      emit_event t1 "e" name [ ("dur", Json.Float (t1 -. t0)); ("depth", Json.Int !depth) ];
-      t1 -. t0
-    in
-    match f () with
-    | v -> (finish (), v)
-    | exception e ->
-      ignore (finish ());
-      raise e
   end
 
 let instant name fields = if !enabled then emit_event (now ()) "i" name fields
@@ -681,31 +617,17 @@ let instant name fields = if !enabled then emit_event (now ()) "i" name fields
 (* Reports                                                             *)
 (* ------------------------------------------------------------------ *)
 
-type timing = { t_count : int; t_total : float; t_min : float; t_max : float }
+type snapshot = { sn_counters : (string * int) list; sn_hists : (string * hist_snap) list }
 
-type snapshot = {
-  sn_counters : (string * int) list;
-  sn_timings : (string * timing) list;
-  sn_hists : (string * hist_snap) list;
-}
+let sorted_by_name l = List.sort (fun (a, _) (b, _) -> String.compare a b) l
 
 let snapshot () =
-  drain_pending_observes ();
   let cs =
     Hashtbl.fold
       (fun name c acc ->
         let v = counter_value c in
         if v = 0 then acc else (name, v) :: acc)
       counters []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  in
-  let ts =
-    Hashtbl.fold
-      (fun name a acc ->
-        (name, { t_count = a.a_count; t_total = a.a_total; t_min = a.a_min; t_max = a.a_max })
-        :: acc)
-      timings []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in
   let hs =
     Hashtbl.fold
@@ -713,57 +635,23 @@ let snapshot () =
         let s = hist_snap_of h in
         if s.hs_count = 0 then acc else (name, s) :: acc)
       hists []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in
-  { sn_counters = cs; sn_timings = ts; sn_hists = hs }
+  { sn_counters = sorted_by_name cs; sn_hists = sorted_by_name hs }
 
 let flush_counters () =
-  match !sink with
-  | None -> ()
-  | Some _ ->
+  if !sink <> None then begin
     let t = now () in
     let snap = snapshot () in
-    List.iter
-      (fun (name, v) -> emit_event t "c" name [ ("value", Json.Int v) ])
-      snap.sn_counters;
-    List.iter
-      (fun (name, tm) ->
-        emit_event t "h" name
-          [
-            ("count", Json.Int tm.t_count);
-            ("total", Json.Float tm.t_total);
-            ("min", Json.Float tm.t_min);
-            ("max", Json.Float tm.t_max);
-          ])
-      snap.sn_timings
-
-(* Timing aggregates are created on the first observation, so count >= 1
-   and min/max are finite — but clamp anyway so no emitter can ever print
-   a JSON [null] where a number is expected (downstream consumers parse
-   these fields as floats). *)
-let json_finite x = Json.Float (if Float.is_finite x then x else 0.0)
+    List.iter (fun (name, v) -> emit_event t "c" name [ ("value", Json.Int v) ]) snap.sn_counters;
+    List.iter (fun (name, hs) -> emit_event t "h" name (hist_snap_fields hs)) snap.sn_hists
+  end
 
 let snapshot_to_json snap =
   Json.Obj
     [
       ("counters", Json.Obj (List.map (fun (name, v) -> (name, Json.Int v)) snap.sn_counters));
-      ( "timings",
-        Json.Obj
-          (List.map
-             (fun (name, t) ->
-               ( name,
-                 Json.Obj
-                   [
-                     ("count", Json.Int t.t_count);
-                     ("total_s", json_finite t.t_total);
-                     ("min_s", json_finite t.t_min);
-                     ("max_s", json_finite t.t_max);
-                   ] ))
-             snap.sn_timings) );
       ("hists", Json.Obj (List.map (fun (name, h) -> (name, hist_snap_to_json h)) snap.sn_hists));
     ]
-
-let report_to_json snap = Json.to_string (snapshot_to_json snap)
 
 (* ------------------------------------------------------------------ *)
 (* Prometheus text exposition                                          *)
@@ -784,7 +672,7 @@ let prom_float x =
   if Float.is_nan x then "NaN"
   else if x = infinity then "+Inf"
   else if x = neg_infinity then "-Inf"
-  else Printf.sprintf "%.12g" x
+  else round_trip_decimal x
 
 let prometheus_of_snapshot snap =
   let buf = Buffer.create 1024 in
@@ -795,13 +683,6 @@ let prometheus_of_snapshot snap =
       line "# TYPE %s_total counter" m;
       line "%s_total %d" m v)
     snap.sn_counters;
-  List.iter
-    (fun (name, t) ->
-      let m = prom_name name ^ "_seconds" in
-      line "# TYPE %s summary" m;
-      line "%s_count %d" m t.t_count;
-      line "%s_sum %s" m (prom_float (if Float.is_finite t.t_total then t.t_total else 0.0)))
-    snap.sn_timings;
   List.iter
     (fun (name, h) ->
       let m = prom_name name in
@@ -819,24 +700,18 @@ let prometheus_of_snapshot snap =
   Buffer.contents buf
 
 let pp_table fmt snap =
-  let name_width =
-    List.fold_left
-      (fun w (name, _) -> max w (String.length name))
-      0
-      (List.map (fun (n, _) -> (n, ())) snap.sn_counters
-      @ List.map (fun (n, _) -> (n, ())) snap.sn_timings)
-  in
-  let w = max 24 name_width in
-  if snap.sn_timings <> [] then begin
-    Format.fprintf fmt "%-*s %10s %12s %12s %12s@\n" w "timing" "count" "total" "min" "max";
+  let w = List.fold_left (fun w (name, _) -> max w (String.length name)) 24 snap.sn_hists in
+  let w = List.fold_left (fun w (name, _) -> max w (String.length name)) w snap.sn_counters in
+  if snap.sn_hists <> [] then begin
+    Format.fprintf fmt "%-*s %10s %12s %12s %12s@\n" w "histogram" "count" "total" "p50" "p99";
     List.iter
-      (fun (name, t) ->
-        Format.fprintf fmt "%-*s %10d %11.6fs %11.6fs %11.6fs@\n" w name t.t_count t.t_total
-          t.t_min t.t_max)
-      snap.sn_timings
+      (fun (name, hs) ->
+        Format.fprintf fmt "%-*s %10d %12.6g %12.6g %12.6g@\n" w name hs.hs_count hs.hs_sum
+          (hist_snap_quantile hs 0.5) (hist_snap_quantile hs 0.99))
+      snap.sn_hists
   end;
   if snap.sn_counters <> [] then begin
-    if snap.sn_timings <> [] then Format.fprintf fmt "@\n";
+    if snap.sn_hists <> [] then Format.fprintf fmt "@\n";
     Format.fprintf fmt "%-*s %12s@\n" w "counter" "value";
     List.iter (fun (name, v) -> Format.fprintf fmt "%-*s %12d@\n" w name v) snap.sn_counters
   end

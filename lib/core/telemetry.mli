@@ -1,5 +1,5 @@
-(** Engine telemetry: monotonic-clock spans, named counters and timing
-    histograms, and an optional JSONL trace-event sink.
+(** Engine telemetry: monotonic-clock spans, named counters and
+    log-bucketed histograms, and an optional JSONL trace-event sink.
 
     The paper's whole evaluation (§6) is about {e where time goes} —
     e-matching vs rebuilding vs apply, per-rule match counts, database
@@ -8,6 +8,9 @@
     the semi-naïve loop (per-phase split, delta sizes, scheduler bans),
     rebuilding (congruence rounds, unions, canonicalized tuples) and the
     durability layer (journal append latency, checkpoint timings).
+    There is one aggregate kind for values: a span named [X] records its
+    duration into the histogram [X_s], next to the histograms that call
+    sites record directly.
 
     Design constraints, mirroring {!Fault}'s injection style:
 
@@ -37,8 +40,10 @@ module Json : sig
   exception Parse_error of string
 
   val to_string : t -> string
-  (** Compact single-line rendering. Non-finite floats print as [null]
-      (JSON has no representation for them). *)
+  (** Compact single-line rendering. A finite float prints as the
+      shortest decimal that parses back to it (integral ones without a
+      ['.']); non-finite floats print as [null] (JSON has no
+      representation for them). *)
 
   val parse : string -> t
   (** Parse one JSON document. @raise Parse_error on malformed input or
@@ -68,8 +73,8 @@ val use_default_clock : unit -> unit
 
 val enable : ?sink:(string -> unit) -> unit -> unit
 (** Turn recording on. [sink], when given, receives one JSON line per
-    trace event (no trailing newline); without it only the aggregate
-    counters and timings are maintained. The event-time origin is set to
+    trace event (no trailing newline); without it only the counters and
+    histograms are maintained. The event-time origin is set to
     [now ()] at each call. *)
 
 val disable : unit -> unit
@@ -79,10 +84,10 @@ val disable : unit -> unit
 val is_enabled : unit -> bool
 
 val reset : unit -> unit
-(** Zero all counters and timing aggregates. Existing {!counter} handles
-    stay valid. *)
+(** Zero all counters and registered histograms. Existing {!counter} and
+    {!histogram} handles stay valid. *)
 
-(** {1 Counters and timings} *)
+(** {1 Counters} *)
 
 type counter
 (** A named monotone counter. Handles are interned by name: create them
@@ -105,15 +110,9 @@ val set_shard : int -> unit
     main domain (the default for every domain that never calls this), and
     {!Pool} workers register shard [index + 1] once at domain start.
     {!snapshot} sums the shards; it must only run on the main domain while
-    no parallel phase is in flight. Worker-side {!observe} calls are
-    buffered and merged at the next {!snapshot}; {!span}/{!instant} and
-    the trace sink remain main-domain constructs except that worker
-    events, if any, are tagged with a ["dom"] field. *)
-
-val observe : string -> float -> unit
-(** Record one observation into the named timing/histogram aggregate
-    (count, total, min, max). Spans observe their duration automatically
-    under their own name. *)
+    no parallel phase is in flight. Histograms are sharded the same way;
+    {!span}/{!instant} and the trace sink remain main-domain constructs
+    except that worker events, if any, are tagged with a ["dom"] field. *)
 
 (** {1 Log-bucketed histograms}
 
@@ -158,12 +157,6 @@ val hist_snap_quantile : hist_snap -> float -> float
     the [ceil (p * count)]-th smallest observation — a power of two, so
     it prints exactly. [0.0] on an empty histogram. *)
 
-val hist_quantile : histogram -> float -> float
-
-val hist_clear : histogram -> unit
-(** Zero all shards of one histogram (for unregistered instances;
-    registered ones are cleared by {!reset}). *)
-
 val hist_bucket_le : int -> float
 (** Upper bound of a bucket index: [2^(b-64)], or [0.0] for bucket 0. *)
 
@@ -205,9 +198,10 @@ val current_trace_id : unit -> string option
 
 val span : string -> (unit -> 'a) -> 'a
 (** Run the thunk inside a named span: when enabled, emits a begin event
-    and an end event (balanced even on exceptions) around it and observes
-    the duration; when disabled, calls the thunk directly with zero
-    overhead (the clock is not even read). *)
+    and an end event (balanced even on exceptions) around it and records
+    the duration, once, into the registered histogram [name ^ "_s"]; when
+    disabled, calls the thunk directly with zero overhead (the clock is
+    not even read). *)
 
 val timed_span : string -> (unit -> 'a) -> float * 'a
 (** Like {!span} but always measures and returns the duration, enabled or
@@ -221,36 +215,31 @@ val instant : string -> (string * Json.t) list -> unit
     call sites on {!is_enabled} when building the field list costs. *)
 
 val flush_counters : unit -> unit
-(** Emit every counter (["ev":"c"]) and timing aggregate (["ev":"h"]) to
-    the sink, e.g. just before closing a trace file. *)
+(** Emit every counter (["ev":"c"], with ["value"]) and every non-empty
+    registered histogram (["ev":"h"], with the {!hist_snap_to_json}
+    fields) to the sink, e.g. just before closing a trace file. *)
 
 (** {1 Reports} *)
 
-type timing = { t_count : int; t_total : float; t_min : float; t_max : float }
-
 type snapshot = {
   sn_counters : (string * int) list;  (** sorted by name; zero entries omitted *)
-  sn_timings : (string * timing) list;  (** sorted by name *)
   sn_hists : (string * hist_snap) list;  (** sorted by name; empty ones omitted *)
 }
 
 val snapshot : unit -> snapshot
 
 val snapshot_to_json : snapshot -> Json.t
-(** Stable schema: [{"counters": {...}, "timings": {name: {"count": ...,
-    "total_s": ..., "min_s": ..., "max_s": ...}}, "hists": {name:
-    {...}}}]. Every numeric field is finite: non-finite aggregates are
-    clamped (and NaN observations were already dropped at the recording
-    boundary), so no emitter downstream ever sees a JSON [null]. *)
-
-val report_to_json : snapshot -> string
+(** Stable schema: [{"counters": {name: n}, "hists": {name: {...}}}],
+    each histogram as {!hist_snap_to_json}. Every numeric field is finite
+    (NaN observations are dropped at the recording boundary and a
+    non-finite sum is clamped), so no emitter downstream ever sees a JSON
+    [null]. *)
 
 val prometheus_of_snapshot : snapshot -> string
 (** Prometheus text exposition: counters as [egglog_<name>_total],
-    timings as [egglog_<name>_seconds] summaries (count/sum), histograms
-    as cumulative [egglog_<name>_bucket{le="..."}] series with [+Inf],
-    [_sum] and [_count]. Dots in names become underscores. *)
+    histograms as cumulative [egglog_<name>_bucket{le="..."}] series
+    with [+Inf], [_sum] and [_count]. Dots in names become underscores. *)
 
 val pp_table : Format.formatter -> snapshot -> unit
-(** Human-readable end-of-run table: timings then counters; prints
-    nothing at all for an empty snapshot. *)
+(** Human-readable end-of-run table: histograms (count, total, p50, p99)
+    then counters; prints nothing at all for an empty snapshot. *)

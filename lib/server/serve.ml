@@ -79,7 +79,6 @@ let c_sheds = E.Telemetry.counter "server.sheds"
 let c_slow_drops = E.Telemetry.counter "server.slow_client_drops"
 let c_slow_requests = E.Telemetry.counter "server.slow_requests"
 let c_flightrec_dumps = E.Telemetry.counter "server.flightrec_dumps"
-let h_request = E.Telemetry.histogram "server.request_s"
 
 (* ---- flight recorder dumps ----
 
@@ -520,17 +519,20 @@ let prometheus_text t =
       line "egglog_session_evictions_total{session=%S} %d" name st.Session.st_evictions)
     stats;
   line "# TYPE egglog_session_request_seconds summary";
+  (* quantiles and sums are finite, so the JSON rendering (the shortest
+     decimal that parses back exactly) is a valid sample value *)
+  let num x = Json.to_string (Json.Float x) in
   List.iter
     (fun (name, (st : Session.session_stat)) ->
       let hs = st.Session.st_latency in
       if hs.E.Telemetry.hs_count > 0 then begin
-        line "egglog_session_request_seconds{session=%S,quantile=\"0.5\"} %.12g" name
-          (E.Telemetry.hist_snap_quantile hs 0.5);
-        line "egglog_session_request_seconds{session=%S,quantile=\"0.99\"} %.12g" name
-          (E.Telemetry.hist_snap_quantile hs 0.99)
+        line "egglog_session_request_seconds{session=%S,quantile=\"0.5\"} %s" name
+          (num (E.Telemetry.hist_snap_quantile hs 0.5));
+        line "egglog_session_request_seconds{session=%S,quantile=\"0.99\"} %s" name
+          (num (E.Telemetry.hist_snap_quantile hs 0.99))
       end;
       line "egglog_session_request_seconds_count{session=%S} %d" name hs.E.Telemetry.hs_count;
-      line "egglog_session_request_seconds_sum{session=%S} %.12g" name hs.E.Telemetry.hs_sum)
+      line "egglog_session_request_seconds_sum{session=%S} %s" name (num hs.E.Telemetry.hs_sum))
     stats;
   Buffer.contents buf
 
@@ -731,7 +733,6 @@ let execute t (rq : Protocol.request) =
       Protocol.reject_reply ~id e)
   in
   let dur_s = now () -. t_start in
-  E.Telemetry.hist_record h_request dur_s;
   (match rq.Protocol.rq_session with
   | Some name -> Session.note_latency t.sessions ~name dur_s
   | None -> ());

@@ -8,7 +8,7 @@
       (client limits are clamped to the server caps, never trusted): a
       failed, malformed or over-budget request is rolled back and answered
       with a typed error reply — it can neither corrupt its session nor
-      kill the connection, and other sessions never observe it.
+      kill the connection, and other sessions never see it.
     - {b Admission control.} Framed requests pass a bounded queue; when it
       is full they are shed immediately with an [overload] reply carrying
       [retry_after_ms] — the daemon never stalls a connection to hide

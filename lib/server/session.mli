@@ -2,7 +2,7 @@
 
     Each session owns its {!Egglog.Engine.t} (and optionally a
     {!Egglog.Durable.t} journal under the daemon's data directory), so no
-    request can observe or corrupt another session's state. Sessions are
+    request can see or corrupt another session's state. Sessions are
     created on first use; a session whose name has a journal file in the
     data directory is {e always} recovered as durable, whatever the
     request said — a name with durable history can never be silently

@@ -1,5 +1,5 @@
 (* Database snapshots: dump a saturated database, reload into a fresh
-   engine with the same schema, and observe identical behaviour. *)
+   engine with the same schema, and see identical behaviour. *)
 
 module E = Egglog
 

@@ -796,6 +796,12 @@ let test_metrics_prometheus () =
             (contains "egglog_session_requests_total{session=\"a\"} 1");
           Alcotest.(check bool) "request histogram present" true
             (contains "egglog_server_request_s_bucket");
+          (* the request span is the histogram's only recorder: one
+             finished request, one observation *)
+          Alcotest.(check bool) "one request observation" true
+            (contains "egglog_server_request_s_count 1\n");
+          Alcotest.(check bool) "no request summary" false
+            (contains "egglog_server_request_seconds summary");
           (* unknown format is a typed error, not a dead connection *)
           check_err "bad format" "malformed-frame"
             (rpc c

@@ -129,13 +129,53 @@ let test_counters_hand_counted () =
   check "engine.matches_deduplicated" 0;
   check "db.unions" 0;
   check "scheduler.bans" 0;
-  (* the timing aggregates exist and phase times sum inside the total *)
-  let timing name = List.assoc_opt name snap.T.sn_timings in
-  (match (timing "engine.iteration", timing "engine.search") with
+  (* the span histograms exist: one iteration observation per iteration,
+     and search time fits inside iteration time *)
+  let hist name = List.assoc_opt name snap.T.sn_hists in
+  (match (hist "engine.iteration_s", hist "engine.search_s") with
    | Some it, Some se ->
-     Alcotest.(check int) "iteration count" 4 it.T.t_count;
-     Alcotest.(check bool) "search fits in iteration" true (se.T.t_total <= it.T.t_total)
-   | _ -> Alcotest.fail "missing engine timing aggregates");
+     Alcotest.(check int) "iteration count" 4 it.T.hs_count;
+     Alcotest.(check int) "iteration count = engine.iterations"
+       (counter_value snap "engine.iterations") it.T.hs_count;
+     Alcotest.(check bool) "search fits in iteration" true (se.T.hs_sum <= it.T.hs_sum)
+   | _ -> Alcotest.fail "missing engine span histograms");
+  fresh ()
+
+(* ---- one observation per span ---- *)
+
+let span_hist name = T.hist_snap_of (T.histogram (name ^ "_s"))
+
+(* Each span adds exactly one observation, its own duration, to the
+   histogram named after it: a second recorder of the same duration
+   would show up as a doubled count. Under the ticker every span lasts
+   one tick per clock read inside it, plus one. *)
+let test_one_observation_per_span () =
+  fresh ();
+  install_ticker ();
+  T.enable ();
+  T.span "test.plain" (fun () -> ());
+  let dt, () = T.timed_span "test.timed" (fun () -> ignore (T.now ())) in
+  (try T.span "test.raising" (fun () -> raise Exit) with Exit -> ());
+  T.disable ();
+  List.iter
+    (fun (name, expected) ->
+      let hs = span_hist name in
+      Alcotest.(check int) (name ^ " count") 1 hs.T.hs_count;
+      Alcotest.(check (float 0.0)) (name ^ " sum") expected hs.T.hs_sum)
+    [ ("test.plain", 1.0); ("test.timed", 2.0); ("test.raising", 1.0) ];
+  Alcotest.(check (float 0.0)) "timed_span returns the recorded duration" 2.0 dt;
+  (* at any --jobs, one search span per iteration *)
+  List.iter
+    (fun jobs ->
+      fresh ();
+      T.enable ();
+      ignore (E.run_string (E.Engine.create ~jobs ()) path_program);
+      T.disable ();
+      let snap = T.snapshot () in
+      Alcotest.(check int)
+        (Printf.sprintf "jobs %d: engine.search_s count = engine.iterations" jobs)
+        (counter_value snap "engine.iterations") (span_hist "engine.search").T.hs_count)
+    [ 1; 4 ];
   fresh ()
 
 (* Transaction counters: a committed command replays nothing; a failed one
@@ -274,6 +314,42 @@ let test_json_parser () =
     [ "{"; "[1,]"; "tru"; "\"unterminated"; "1 2"; "{\"a\" 1}" ];
   fresh ()
 
+(* A finite float prints as a decimal that parses back to the same float:
+   as [Float], or as [Int] when the printed form is integral. *)
+let json_float_round_trips x =
+  match J.parse (J.to_string (J.Float x)) with
+  | J.Float y -> y = x
+  | J.Int n -> float_of_int n = x
+  | _ -> false
+
+let prop_json_float_round_trip =
+  let gen =
+    QCheck2.Gen.(
+      oneof
+        [
+          float;
+          map (fun (a, b) -> float_of_int a /. float_of_int b) (pair int (int_range 1 1000));
+          map (fun e -> Float.ldexp 1.0 e) (int_range (-1074) 1023);
+          map float_of_int int;
+        ])
+  in
+  QCheck2.Test.make ~name:"finite floats round-trip through Json.to_string/parse" ~count:2000
+    ~print:(Printf.sprintf "%h") gen (fun x ->
+      QCheck2.assume (Float.is_finite x);
+      json_float_round_trips x)
+
+let test_json_float_exact () =
+  List.iter
+    (fun x -> Alcotest.(check bool) (Printf.sprintf "%h round-trips" x) true (json_float_round_trips x))
+    [ Float.ldexp 1.0 (-20); 1.0 /. 3.0; Float.ldexp 1.0 40; 0.1; -0.0; Float.max_float; Float.min_float ];
+  for b = 0 to 127 do
+    let le = T.hist_bucket_le b in
+    Alcotest.(check bool) (Printf.sprintf "bucket %d bound round-trips" b) true
+      (json_float_round_trips le)
+  done;
+  Alcotest.(check string) "integral floats print without a point" "3" (J.to_string (J.Float 3.0));
+  Alcotest.(check string) "non-finite prints as null" "null" (J.to_string (J.Float infinity))
+
 (* ---- disabled path ---- *)
 
 let test_disabled_records_nothing () =
@@ -291,7 +367,6 @@ let test_disabled_records_nothing () =
   let c = T.counter "test.disabled" in
   T.bump c 5;
   T.add "test.disabled2" 7;
-  T.observe "test.timing" 1.0;
   T.hist_record (T.histogram "test.hist") 1.0;
   T.instant "test.instant" [ ("x", J.Int 1) ];
   T.span "test.span" (fun () -> ());
@@ -300,7 +375,6 @@ let test_disabled_records_nothing () =
   Alcotest.(check int) "no events after disable" while_enabled !live;
   let snap = T.snapshot () in
   Alcotest.(check int) "no counters" 0 (List.length snap.T.sn_counters);
-  Alcotest.(check int) "no timings" 0 (List.length snap.T.sn_timings);
   Alcotest.(check bool) "no hist observations" true
     (List.for_all (fun (_, h) -> h.T.hs_count = 0) snap.T.sn_hists);
   Alcotest.(check int) "flight recorder stays empty" 0
@@ -316,24 +390,25 @@ let test_snapshot_json () =
   fresh ();
   T.enable ();
   T.add "alpha" 2;
-  T.observe "beta" 0.5;
+  T.span "beta" (fun () -> ());
   T.disable ();
   let j = T.snapshot_to_json (T.snapshot ()) in
+  (match j with
+   | J.Obj fields ->
+     Alcotest.(check (list string)) "top-level keys" [ "counters"; "hists" ] (List.map fst fields)
+   | _ -> Alcotest.fail "snapshot JSON is not an object");
   (match J.member "counters" j with
    | Some (J.Obj [ ("alpha", J.Int 2) ]) -> ()
    | other ->
      Alcotest.failf "unexpected counters: %s"
        (match other with Some o -> J.to_string o | None -> "<missing>"));
-  (match J.member "timings" j with
-   | Some (J.Obj [ ("beta", obj) ]) ->
-     Alcotest.(check int) "count" 1 (int_field "count" obj)
+  (match J.member "hists" j with
+   | Some (J.Obj [ ("beta_s", obj) ]) -> Alcotest.(check int) "count" 1 (int_field "count" obj)
    | other ->
-     Alcotest.failf "unexpected timings: %s"
+     Alcotest.failf "unexpected hists: %s"
        (match other with Some o -> J.to_string o | None -> "<missing>"));
-  (* report_to_json is parseable *)
-  (match J.parse (T.report_to_json (T.snapshot ())) with
-   | J.Obj _ -> ()
-   | _ -> Alcotest.fail "report_to_json not an object");
+  (* the rendered snapshot parses back to the same value *)
+  Alcotest.(check bool) "snapshot JSON round-trips" true (J.parse (J.to_string j) = j);
   fresh ()
 
 (* ---- join cache: stamp windows, patching, and accounting ---- *)
@@ -746,9 +821,6 @@ let test_trace_id_scoping () =
 let test_nonfinite_json () =
   fresh ();
   T.enable ();
-  T.observe "bad.timing" infinity;
-  T.observe "bad.timing" nan;
-  T.observe "good.timing" 1.0;
   let h = T.histogram "bad.hist" in
   T.hist_record h infinity;
   T.hist_record h nan;
@@ -768,6 +840,7 @@ let () =
       ( "spans",
         [
           Alcotest.test_case "nesting, balance, exceptions" `Quick test_span_balance;
+          Alcotest.test_case "one observation per span" `Quick test_one_observation_per_span;
         ] );
       ( "counters",
         [
@@ -782,6 +855,8 @@ let () =
           Alcotest.test_case "trace JSONL round-trip" `Quick test_jsonl_roundtrip;
           Alcotest.test_case "parser accepts/rejects" `Quick test_json_parser;
           Alcotest.test_case "snapshot schema" `Quick test_snapshot_json;
+          QCheck_alcotest.to_alcotest prop_json_float_round_trip;
+          Alcotest.test_case "exact floats and bucket bounds" `Quick test_json_float_exact;
         ] );
       ( "join cache",
         [
