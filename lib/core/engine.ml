@@ -1378,13 +1378,13 @@ let rec run_command_inner eng (cmd : Ast.command) : string list =
         if variants <= 1 then begin
           match extract_value eng v with
           | Some { Extract.term; cost } ->
-            [ Printf.sprintf "%s : cost %d" (Sexpr.to_string (Extract.term_to_sexp term)) cost ]
+            [ Printf.sprintf "%s : cost %d" (Format.asprintf "%a" Extract.pp_term term) cost ]
           | None -> error "nothing to extract for %s" (Value.to_string v)
         end
         else begin
           match extract_candidates eng v ~max:variants with
           | [] -> error "nothing to extract for %s" (Value.to_string v)
-          | terms -> List.map (fun t -> Sexpr.to_string (Extract.term_to_sexp t)) terms
+          | terms -> List.map (fun t -> Format.asprintf "%a" Extract.pp_term t) terms
         end)
   | Ast.Explain (e1, e2) ->
     wrap_compile (fun () ->
@@ -1397,7 +1397,7 @@ let rec run_command_inner eng (cmd : Ast.command) : string list =
         else begin
           let describe v =
             match extract_value eng v with
-            | Some { Extract.term; _ } -> Sexpr.to_string (Extract.term_to_sexp term)
+            | Some { Extract.term; _ } -> Format.asprintf "%a" Extract.pp_term term
             | None -> Value.to_string v
           in
           (* Render each endpoint as its extracted term next to the raw id:
@@ -1491,7 +1491,7 @@ let rec run_command_inner eng (cmd : Ast.command) : string list =
                  eng n);
             match extract_value eng v with
             | Some { Extract.term; cost } ->
-              [ Printf.sprintf "%s : cost %d" (Sexpr.to_string (Extract.term_to_sexp term)) cost ]
+              [ Printf.sprintf "%s : cost %d" (Format.asprintf "%a" Extract.pp_term term) cost ]
             | None -> error "nothing to extract for %s" (Value.to_string v)))
   | Ast.Include path ->
     let src =

@@ -10,13 +10,12 @@ let header_line seq = Printf.sprintf "%s %d %d\n" magic format_version seq
 
 let write_all fd s =
   let n = String.length s in
-  let b = Bytes.of_string s in
-  let rec go off = if off < n then go (off + Unix.write fd b off (n - off)) in
+  let rec go off = if off < n then go (off + Unix.write_substring fd s off (n - off)) in
   go 0
 
 let fsync_dir path =
-  (* make renames durable; directory fsync failing only weakens durability,
-     never corrupts, so errors are ignored *)
+  (* make renames durable; directory fsync is not supported everywhere, and
+     failing only weakens durability, never corrupts, so errors are ignored *)
   match Unix.openfile (Filename.dirname path) [ Unix.O_RDONLY ] 0 with
   | fd ->
     (try Unix.fsync fd with Unix.Unix_error _ -> ());

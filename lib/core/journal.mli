@@ -61,3 +61,15 @@ val reset : t -> ckpt_seq:int -> unit
 
 val path : t -> string
 val close : t -> unit
+
+(** {1 File plumbing}
+
+    Shared with {!Serialize}'s snapshot and checkpoint containers. *)
+
+val write_all : Unix.file_descr -> string -> unit
+(** Write the whole string, looping over short writes. *)
+
+val fsync_dir : string -> unit
+(** fsync the directory holding the path, so a rename into it is durable.
+    Errors are ignored: a directory that cannot be synced only weakens
+    durability. *)

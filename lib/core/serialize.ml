@@ -4,8 +4,7 @@ let error fmt = Format.kasprintf (fun s -> raise (Load_error s)) fmt
 
 (* ---- values <-> s-expressions ---- *)
 
-let rec sexp_of_value ?(id = fun i -> Sexpr.List [ Sexpr.Atom "id"; Sexpr.Int i ])
-    (v : Value.t) : Sexpr.t =
+let rec sexp_of_value (v : Value.t) : Sexpr.t =
   match v with
   | Value.VUnit -> Sexpr.List [ Sexpr.Atom "unit" ]
   | Value.VBool b -> Sexpr.Atom (string_of_bool b)
@@ -13,9 +12,9 @@ let rec sexp_of_value ?(id = fun i -> Sexpr.List [ Sexpr.Atom "id"; Sexpr.Int i 
   | Value.VRat r ->
     Sexpr.List [ Sexpr.Atom "rat"; Sexpr.String (Rat.to_string r) ]
   | Value.VStr s -> Sexpr.String (Symbol.name s)
-  | Value.VId i -> id i
-  | Value.VSet xs -> Sexpr.List (Sexpr.Atom "set" :: List.map (sexp_of_value ~id) xs)
-  | Value.VVec xs -> Sexpr.List (Sexpr.Atom "vec" :: List.map (sexp_of_value ~id) xs)
+  | Value.VId i -> Sexpr.List [ Sexpr.Atom "id"; Sexpr.Int i ]
+  | Value.VSet xs -> Sexpr.List (Sexpr.Atom "set" :: List.map sexp_of_value xs)
+  | Value.VVec xs -> Sexpr.List (Sexpr.Atom "vec" :: List.map sexp_of_value xs)
 
 let rec value_of_sexp ~remap (s : Sexpr.t) : Value.t =
   match s with
@@ -206,10 +205,11 @@ let canonical_numbering (rows : (string * Value.t array * Value.t) list)
 
 (* ---- dump ---- *)
 
-let dump (eng : Engine.t) : Sexpr.t =
+(* Rebuild, then collect the rows of every non-empty table, in table order,
+   and the sort of every id they mention. *)
+let collect (eng : Engine.t) =
   Engine.rebuild eng;
   let db = Engine.database eng in
-  (* collect every row and every id that appears in one, with its sort *)
   let sorts : (int, string) Hashtbl.t = Hashtbl.create 64 in
   let rec note (v : Value.t) =
     match v with
@@ -222,20 +222,39 @@ let dump (eng : Engine.t) : Sexpr.t =
     | Value.VSet xs | Value.VVec xs -> List.iter note xs
     | Value.VUnit | Value.VBool _ | Value.VInt _ | Value.VRat _ | Value.VStr _ -> ()
   in
-  let by_table : (string * (Value.t array * Value.t) list) list ref = ref [] in
-  let all_rows : (string * Value.t array * Value.t) list ref = ref [] in
+  let tables = ref [] in
   Database.iter_tables db (fun table ->
-      let func = Table.func table in
-      let fname = Symbol.name func.Schema.name in
       let rows = ref [] in
       Table.iter
         (fun key row ->
           Array.iter note key;
           note row.Table.value;
-          rows := (key, row.Table.value) :: !rows;
-          all_rows := (fname, key, row.Table.value) :: !all_rows)
+          rows := (key, row.Table.value) :: !rows)
         table;
-      if !rows <> [] then by_table := (fname, !rows) :: !by_table);
+      if !rows <> [] then
+        tables := (Symbol.name (Table.func table).Schema.name, List.rev !rows) :: !tables);
+  (sorts, List.rev !tables)
+
+let database_sexp ~(ids : (int * string) list)
+    ~(tables : (string * (Value.t array * Value.t) list) list) : Sexpr.t =
+  let row_sexp (key, value) =
+    Sexpr.List
+      [ Sexpr.List (Array.to_list (Array.map sexp_of_value key)); sexp_of_value value ]
+  in
+  Sexpr.List
+    (Sexpr.Atom "database"
+     :: Sexpr.List
+          (Sexpr.Atom "ids"
+           :: List.map (fun (id, sort) -> Sexpr.List [ Sexpr.Int id; Sexpr.Atom sort ]) ids)
+     :: List.map
+          (fun (fname, rows) ->
+            Sexpr.List (Sexpr.Atom "table" :: Sexpr.Atom fname :: List.map row_sexp rows))
+          tables)
+
+let by_id (a, _) (b, _) = Int.compare a b
+
+let dump (eng : Engine.t) : Sexpr.t =
+  let sorts, tables = collect eng in
   (* The dump is canonical — rows, tables and ids are sorted, and ids are
      renumbered by content — so two databases with the same contents
      serialize identically regardless of hash-table iteration order,
@@ -243,7 +262,9 @@ let dump (eng : Engine.t) : Sexpr.t =
      allocation. Rollback/equivalence tests, snapshot diffing and crash
      recovery rely on this. *)
   let numbering =
-    canonical_numbering !all_rows ~sort_of:(fun i -> Hashtbl.find sorts i)
+    canonical_numbering
+      (List.concat_map (fun (fname, rows) -> List.map (fun (k, v) -> (fname, k, v)) rows) tables)
+      ~sort_of:(Hashtbl.find sorts)
   in
   let rec renumber (v : Value.t) : Value.t =
     match v with
@@ -261,38 +282,29 @@ let dump (eng : Engine.t) : Sexpr.t =
     in
     match arrays 0 with 0 -> Value.compare v1 v2 | c -> c
   in
-  let plain_id i = Sexpr.List [ Sexpr.Atom "id"; Sexpr.Int i ] in
-  let table_sexps =
+  let tables =
     List.map
       (fun (fname, rows) ->
-        let rows =
+        ( fname,
           List.map (fun (key, v) -> (Array.map renumber key, renumber v)) rows
-          |> List.sort compare_row
-        in
-        let row_sexps =
-          List.map
-            (fun (key, value) ->
-              Sexpr.List
-                [
-                  Sexpr.List (Array.to_list (Array.map (sexp_of_value ~id:plain_id) key));
-                  sexp_of_value ~id:plain_id value;
-                ])
-            rows
-        in
-        (fname, Sexpr.List (Sexpr.Atom "table" :: Sexpr.Atom fname :: row_sexps)))
-      !by_table
+          |> List.sort compare_row ))
+      tables
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-    |> List.map snd
   in
-  let id_entries =
+  let ids =
     Hashtbl.fold (fun old_id sort acc -> (Hashtbl.find numbering old_id, sort) :: acc) sorts []
-    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-    |> List.map (fun (id, sort) -> Sexpr.List [ Sexpr.Int id; Sexpr.Atom sort ])
+    |> List.sort by_id
   in
-  Sexpr.List
-    (Sexpr.Atom "database"
-     :: Sexpr.List (Sexpr.Atom "ids" :: id_entries)
-     :: table_sexps)
+  database_sexp ~ids ~tables
+
+(* A checkpoint is read back only by {!load}, which gives every dumped id a
+   fresh one. So it needs neither the canonical numbering nor the row sort:
+   it carries the rebuilt database's own ids (canonical representatives), in
+   table order. *)
+let raw_dump (eng : Engine.t) : Sexpr.t =
+  let sorts, tables = collect eng in
+  let ids = Hashtbl.fold (fun id sort acc -> (id, sort) :: acc) sorts [] |> List.sort by_id in
+  database_sexp ~ids ~tables
 
 let dump_string eng = Sexpr.to_string (dump eng)
 
@@ -312,8 +324,9 @@ let load (eng : Engine.t) (s : Sexpr.t) : unit =
       (Database.n_ids db) (Database.total_rows db);
   match s with
   | Sexpr.List (Sexpr.Atom "database" :: Sexpr.List (Sexpr.Atom "ids" :: id_entries) :: tables) ->
-    (* allocate a fresh id per dumped id; the dump is canonical, so the
-       partition is implicit in row sharing *)
+    (* allocate a fresh id per dumped id; a dump (canonical or a
+       checkpoint's raw one) names each e-class by one id, so the partition
+       is implicit in row sharing *)
     let remap_tbl : (int, Value.t) Hashtbl.t = Hashtbl.create 64 in
     List.iter
       (fun entry ->
@@ -373,22 +386,6 @@ let format_version = 1
 let snapshot_magic = "egglog-snapshot"
 let checkpoint_magic = "egglog-checkpoint"
 
-let write_all fd s =
-  let n = String.length s in
-  let b = Bytes.of_string s in
-  let rec go off = if off < n then go (off + Unix.write fd b off (n - off)) in
-  go 0
-
-let fsync_dir path =
-  (* Make the rename itself durable. Directory fsync is not supported
-     everywhere; failure to sync the directory only weakens durability, it
-     never corrupts, so errors are ignored. *)
-  match Unix.openfile (Filename.dirname path) [ Unix.O_RDONLY ] 0 with
-  | fd ->
-    (try Unix.fsync fd with Unix.Unix_error _ -> ());
-    Unix.close fd
-  | exception Unix.Unix_error _ -> ()
-
 let write_versioned ~kind ~magic ~extra ~path payload =
   Fault.hit (kind ^ ".before");
   let tmp = path ^ ".tmp" in
@@ -402,12 +399,12 @@ let write_versioned ~kind ~magic ~extra ~path payload =
   Fun.protect
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->
-      write_all fd header;
-      write_all fd payload;
+      Journal.write_all fd header;
+      Journal.write_all fd payload;
       Unix.fsync fd);
   Fault.hit (kind ^ ".unrenamed");
   Sys.rename tmp path;
-  fsync_dir path;
+  Journal.fsync_dir path;
   Fault.hit (kind ^ ".renamed")
 
 let read_file path =
@@ -487,7 +484,7 @@ let write_checkpoint eng ~path ~seq ~committed =
            Sexpr.Atom "checkpoint";
            Sexpr.List [ Sexpr.Atom "committed"; Sexpr.Int committed ];
            Sexpr.List (Sexpr.Atom "program" :: program);
-           dump eng;
+           raw_dump eng;
          ])
     ^ "\n"
   in

@@ -32,6 +32,7 @@ val dump : Engine.t -> Sexpr.t
     or push/pop stack) in canonical form. *)
 
 val dump_string : Engine.t -> string
+(** {!dump}, printed flat on one line ({!Sexpr.to_string}). *)
 
 val load : Engine.t -> Sexpr.t -> unit
 (** Load a dump into an engine whose schema (sorts and functions) is
@@ -59,8 +60,13 @@ val load_snapshot : Engine.t -> string -> unit
 
     A checkpoint persists everything needed to reconstruct an engine:
     the committed schema-shaping command history ({!Engine.decl_commands}),
-    the canonical data dump, the count of commands committed so far, and a
-    sequence number tying it to the journal generation that follows it. *)
+    the data, the count of commands committed so far, and a sequence number
+    tying it to the journal generation that follows it. The data is in
+    {!dump}'s grammar but not canonical: {!load} gives every dumped id a
+    fresh one anyway, so a checkpoint carries the rebuilt database's own ids
+    in table order and skips the renumbering and the sort. The payload is
+    printed flat ({!Sexpr.to_string}); the reader ignores layout, so
+    checkpoints printed with line breaks load too. *)
 
 type checkpoint = {
   ck_seq : int;
@@ -69,7 +75,7 @@ type checkpoint = {
   ck_committed : int;
       (** journal-worthy commands committed before this checkpoint *)
   ck_program : Ast.command list;  (** replayable declarations, in order *)
-  ck_database : Sexpr.t;  (** canonical {!dump} *)
+  ck_database : Sexpr.t;  (** a [(database ...)] for {!load} *)
 }
 
 val write_checkpoint : Engine.t -> path:string -> seq:int -> committed:int -> unit

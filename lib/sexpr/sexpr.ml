@@ -185,8 +185,8 @@ let parse_one src =
       (Parse_error
          { line = 1; col = 1; message = Printf.sprintf "expected 1 expression, found %d" (List.length es) })
 
-let needs_quoting s = s = "" || String.exists is_delim s
-
+(* Human-facing layout: every list in a [Format] hov box, broken at the
+   margin. Only extraction output goes through it. *)
 let rec pp fmt e =
   match e with
   | Atom s -> Format.pp_print_string fmt s
@@ -198,7 +198,31 @@ let rec pp fmt e =
       (Format.pp_print_list ~pp_sep:Format.pp_print_space pp)
       items
 
-let to_string e = Format.asprintf "%a" pp e
+(* Machine formats (checkpoints, snapshots, journal records, the daemon's
+   replies, error messages): one line, single spaces, the same tokens as
+   [pp]. [String.escaped] is what [%S] prints, so no raw newline survives. *)
+let rec add_flat buf e =
+  match e with
+  | Atom s -> Buffer.add_string buf s
+  | String s ->
+    Buffer.add_char buf '"';
+    Buffer.add_string buf (String.escaped s);
+    Buffer.add_char buf '"'
+  | Int i -> Buffer.add_string buf (Int.to_string i)
+  | Rational r -> Buffer.add_string buf (Rat.to_string r)
+  | List items ->
+    Buffer.add_char buf '(';
+    List.iteri
+      (fun k x ->
+        if k > 0 then Buffer.add_char buf ' ';
+        add_flat buf x)
+      items;
+    Buffer.add_char buf ')'
+
+let to_string e =
+  let buf = Buffer.create 256 in
+  add_flat buf e;
+  Buffer.contents buf
 
 let rec equal a b =
   match (a, b) with
@@ -208,5 +232,3 @@ let rec equal a b =
   | Rational x, Rational y -> Rat.equal x y
   | List xs, List ys -> (try List.for_all2 equal xs ys with Invalid_argument _ -> false)
   | (Atom _ | String _ | Int _ | Rational _ | List _), _ -> false
-
-let () = ignore needs_quoting

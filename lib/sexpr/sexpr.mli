@@ -20,6 +20,12 @@ val parse_one : string -> t
 (** Exactly one toplevel expression. @raise Parse_error otherwise. *)
 
 val to_string : t -> string
+(** Flat rendering for machine formats: one line, tokens separated by
+    single spaces, strings escaped as OCaml's [%S] does (so the output
+    holds no raw newline). [parse_one (to_string e)] is [equal] to [e]. *)
+
 val pp : Format.formatter -> t -> unit
+(** The same tokens as {!to_string}, laid out in [Format] boxes that break
+    at the margin: for terms a person reads, such as extraction output. *)
 
 val equal : t -> t -> bool

@@ -277,6 +277,83 @@ let test_load_requires_empty () =
   let snapshot = E.Serialize.dump_string (populated_engine ()) in
   expect_load_error ~substr:"non-empty" (fun () -> E.Serialize.load_string eng snapshot)
 
+(* ---- checkpoint files ---- *)
+
+(* An engine rebuilt from a checkpoint as recovery does it: replay the
+   declarations into a fresh engine, then load the data. *)
+let engine_of_checkpoint (ck : E.Serialize.checkpoint) =
+  let eng = E.Engine.create () in
+  List.iter (fun cmd -> ignore (E.Engine.run_command eng cmd)) ck.E.Serialize.ck_program;
+  E.Serialize.load eng ck.E.Serialize.ck_database;
+  eng
+
+(* value_schema plus a rule, so the checkpoint's program carries more than
+   declarations and congruence merges ids before the write *)
+let program_with ops =
+  let eng = engine_with ops Fun.id in
+  ignore (E.run_string eng "(rewrite (link a b) (link b a)) (run 2)");
+  eng
+
+let prop_checkpoint_roundtrip =
+  QCheck2.Test.make ~name:"checkpoint -> read -> load gives the same dump" ~count:100
+    ~print:show_ops
+    QCheck2.Gen.(list_size (int_range 1 25) gen_op)
+    (fun ops ->
+      let eng = program_with ops in
+      with_temp (fun path ->
+          E.Serialize.write_checkpoint eng ~path ~seq:3 ~committed:(List.length ops);
+          let ck = E.Serialize.read_checkpoint path in
+          ck.E.Serialize.ck_seq = 3
+          && ck.E.Serialize.ck_committed = List.length ops
+          && String.equal (E.Serialize.dump_string eng)
+               (E.Serialize.dump_string (engine_of_checkpoint ck))))
+
+(* Files written before machine formats printed flat: the payload is the
+   [Format] layout, line breaks included, of a canonically numbered dump.
+   The container header is built by hand. *)
+let write_container path ~header payload =
+  Out_channel.with_open_bin path (fun oc ->
+      Printf.fprintf oc "%s\n%d %s\n%s" header (String.length payload)
+        (E.Checksum.to_hex (E.Checksum.crc32 payload))
+        payload)
+
+let laid_out e = Format.asprintf "%a" Sexpr.pp e ^ "\n"
+
+let test_old_layout_loads () =
+  let eng =
+    program_with
+      (List.init 12 (fun k -> OLink (k mod 8, k * 3 mod 8))
+      @ [ OUnion (1, 2); OStr ("a\nb", "\"q\""); ORat ((-3, 7), (5, 2)); OInt (4, -9) ])
+  in
+  let expected = E.Serialize.dump_string eng in
+  let database = E.Serialize.dump eng in
+  let snapshot = laid_out database in
+  Alcotest.(check bool) "old layout breaks lines" true
+    (String.contains (String.trim snapshot) '\n');
+  with_temp (fun path ->
+      write_container path ~header:"egglog-snapshot 1" snapshot;
+      let eng2 = E.Engine.create () in
+      ignore (E.run_string eng2 value_schema);
+      E.Serialize.load_snapshot eng2 path;
+      Alcotest.(check string) "snapshot loads to the same dump" expected
+        (E.Serialize.dump_string eng2));
+  with_temp (fun path ->
+      let program = List.map E.Frontend.sexp_of_command (E.Engine.decl_commands eng) in
+      write_container path ~header:"egglog-checkpoint 1 2"
+        (laid_out
+           (Sexpr.List
+              [
+                Sexpr.Atom "checkpoint";
+                Sexpr.List [ Sexpr.Atom "committed"; Sexpr.Int 7 ];
+                Sexpr.List (Sexpr.Atom "program" :: program);
+                database;
+              ]));
+      let ck = E.Serialize.read_checkpoint path in
+      Alcotest.(check int) "seq" 2 ck.E.Serialize.ck_seq;
+      Alcotest.(check int) "committed" 7 ck.E.Serialize.ck_committed;
+      Alcotest.(check string) "checkpoint loads to the same dump" expected
+        (E.Serialize.dump_string (engine_of_checkpoint ck)))
+
 let () =
   Alcotest.run "serialize"
     [
@@ -294,11 +371,13 @@ let () =
           Alcotest.test_case "future version rejected" `Quick test_snapshot_rejects_future_version;
           Alcotest.test_case "corruption rejected" `Quick test_snapshot_rejects_corruption;
           Alcotest.test_case "load requires empty db" `Quick test_load_requires_empty;
+          Alcotest.test_case "old layout still loads" `Quick test_old_layout_loads;
         ] );
       ( "properties",
         [
           QCheck_alcotest.to_alcotest prop_roundtrip_random;
           QCheck_alcotest.to_alcotest prop_dump_load_dump_bytes;
           QCheck_alcotest.to_alcotest prop_dump_order_independent;
+          QCheck_alcotest.to_alcotest prop_checkpoint_roundtrip;
         ] );
     ]

@@ -64,18 +64,42 @@ let test_print_roundtrip () =
       Alcotest.(check bool) ("roundtrip " ^ p) true (Sexpr.equal e e'))
     progs
 
-(* Random sexpr generator for print/parse roundtripping. *)
+(* The flat printer: single spaces, no layout, strings escaped as [%S]. *)
+let test_flat_golden () =
+  let check name expected e = Alcotest.(check string) name expected (Sexpr.to_string e) in
+  check "empty list" "()" (Sexpr.List []);
+  check "nested empty list" "(())" (Sexpr.List [ Sexpr.List [] ]);
+  check "negative int" "-42" (Sexpr.Int (-42));
+  check "rational" "-22/7" (Sexpr.Rational (Rat.of_ints (-22) 7));
+  check "newline" {|"a\nb"|} (Sexpr.String "a\nb");
+  check "quote" {|"say \"hi\""|} (Sexpr.String {|say "hi"|});
+  check "backslash" {|"a\\b"|} (Sexpr.String {|a\b|});
+  check "byte 200" {|"\200"|} (Sexpr.String (String.make 1 (Char.chr 200)));
+  check "single spaces" {|(f (g 1 "x y") () 3/2 :k)|}
+    (Sexpr.List
+       [
+         Sexpr.Atom "f";
+         Sexpr.List [ Sexpr.Atom "g"; Sexpr.Int 1; Sexpr.String "x y" ];
+         Sexpr.List [];
+         Sexpr.Rational (Rat.of_ints 3 2);
+         Sexpr.Atom ":k";
+       ])
+
+(* Random sexpr generator for print/parse roundtripping: lists wide enough
+   to run far past any layout margin, and strings of arbitrary bytes
+   (newlines, quotes, backslashes, bytes above 127). *)
 let gen_sexpr =
   QCheck2.Gen.(
+    let bytes = string_size (int_range 0 8) ~gen:(map Char.chr (int_range 0 255)) in
     sized (fun n ->
         fix
           (fun self n ->
             if n <= 0 then
               oneof
                 [
-                  map (fun i -> Sexpr.Int i) (int_range (-1000) 1000);
+                  map (fun i -> Sexpr.Int i) int;
                   map (fun s -> Sexpr.Atom ("s" ^ string_of_int s)) (int_range 0 50);
-                  map (fun s -> Sexpr.String ("str" ^ string_of_int s)) (int_range 0 50);
+                  map (fun s -> Sexpr.String s) bytes;
                   map2
                     (fun n d ->
                       (* an integer-valued rational prints as an int token *)
@@ -83,12 +107,14 @@ let gen_sexpr =
                       if Rat.is_integer r then Sexpr.Int n else Sexpr.Rational r)
                     (int_range (-50) 50) (int_range 1 50);
                 ]
-            else map (fun xs -> Sexpr.List xs) (list_size (int_range 0 4) (self (n / 2))))
+            else map (fun xs -> Sexpr.List xs) (list_size (int_range 0 12) (self (n / 2))))
           (min n 6)))
 
 let prop_print_parse_roundtrip =
-  QCheck2.Test.make ~name:"print/parse roundtrip" ~count:300 gen_sexpr (fun e ->
-      Sexpr.equal e (Sexpr.parse_one (Sexpr.to_string e)))
+  QCheck2.Test.make ~name:"print/parse roundtrip" ~count:300 ~print:Sexpr.to_string gen_sexpr
+    (fun e ->
+      let printed = Sexpr.to_string e in
+      (not (String.contains printed '\n')) && Sexpr.equal e (Sexpr.parse_one printed))
 
 let () =
   Alcotest.run "sexpr"
@@ -102,6 +128,7 @@ let () =
           Alcotest.test_case "errors" `Quick test_errors;
           Alcotest.test_case "positions" `Quick test_positions;
           Alcotest.test_case "roundtrip" `Quick test_print_roundtrip;
+          Alcotest.test_case "flat printer" `Quick test_flat_golden;
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest prop_print_parse_roundtrip ]);
     ]
