@@ -125,6 +125,29 @@ let txn_fact_command_bench () =
       let fact = Egglog.Ast.Call ("allocI", [ lit !next; lit 0 ]) in
       ignore (Egglog.Engine.run_command eng (Egglog.Ast.Top_action (Egglog.Ast.Do fact))))
 
+(* Scope cost on the ~4k-row engine above and on a ~40k-row one (a
+   2000-instruction program). [scope.push_pop] runs [(push)], the fact
+   command of [txn.fact_command] and [(pop)] through [run_command];
+   [scope.simplify] runs [(simplify 2 (siteAlloc 0))]. Both leave the
+   engine as they found it, so every run does the same work. A scope costs
+   what it writes, so a 40k row should stay close to its 4k row. *)
+let scope_engine size =
+  let p = Pointsto.Progen.generate ~size ~seed:1 () in
+  let eng, _report = Pointsto.Egglog_enc.analyze p in
+  (eng, p.Pointsto.Ir.n_vars)
+
+let scope_push_pop_bench (eng, n_vars) =
+  let lit n = Egglog.Ast.Lit (Egglog.Value.VInt n) in
+  let fact = Egglog.Ast.Call ("allocI", [ lit (n_vars + 1); lit 0 ]) in
+  let cmds = Egglog.Ast.[ Push; Top_action (Do fact); Pop ] in
+  Staged.stage (fun () -> List.iter (fun c -> ignore (Egglog.Engine.run_command eng c)) cmds)
+
+let scope_simplify_bench (eng, _) =
+  let cmd =
+    Egglog.Ast.Simplify (2, Egglog.Ast.Call ("siteAlloc", [ Egglog.Ast.Lit (Egglog.Value.VInt 0) ]))
+  in
+  Staged.stage (fun () -> ignore (Egglog.Engine.run_command eng cmd))
+
 (* Derived structures after a small rebuild, on a 40k-row table with an
    id column. Each run unions the id that the previous run gave four rows
    into id 0, so the rebuild takes those four rows out and re-inserts them
@@ -270,6 +293,7 @@ let rat_interval_mixed_bench () =
       done)
 
 let tests () =
+  let small = scope_engine 200 and large = scope_engine 2000 in
   Test.make_grouped ~name:"micro" ~fmt:"%s/%s"
     [
       Test.make ~name:"union-find-4k" (uf_bench ());
@@ -279,6 +303,10 @@ let tests () =
       Test.make ~name:"join-triangle-compiled" (join_triangle_bench ());
       Test.make ~name:"txn.empty" (txn_empty_bench ());
       Test.make ~name:"txn.fact_command" (txn_fact_command_bench ());
+      Test.make ~name:"scope.push_pop" (scope_push_pop_bench small);
+      Test.make ~name:"scope.push_pop_40k" (scope_push_pop_bench large);
+      Test.make ~name:"scope.simplify" (scope_simplify_bench small);
+      Test.make ~name:"scope.simplify_40k" (scope_simplify_bench large);
       Test.make ~name:"join.patch_after_rebuild" (patch_after_rebuild_bench ());
       Test.make ~name:"stats.after_rebuild" (stats_after_rebuild_bench ());
       Test.make ~name:"plan.replan_generic" (replan_generic_bench ());

@@ -16,7 +16,7 @@ type t = {
   mutable changes : int;
   mutable merge_hook : (Schema.func -> Value.t -> Value.t -> Value.t) option;
   proofs : Proof_forest.t;
-  trail : Trail.t;  (* shared with uf, proofs, every table and every copy *)
+  trail : Trail.t;  (* shared with uf, proofs and every table *)
 }
 
 let dummy_sym = Symbol.intern "<none>"
@@ -35,20 +35,38 @@ let create ?(trail = Trail.create ()) () =
     trail;
   }
 
-(* The writes below record their inverses while a transaction is open;
-   table, union-find and proof-forest writes record their own. *)
+(* The writes below record their inverses while a transaction or scope is
+   open; table, union-find and proof-forest writes record their own. *)
 let recording db = Trail.recording db.trail
+
+let rec restore_changes db changes () =
+  let now = db.changes in
+  db.changes <- changes;
+  Trail.Entry (restore_changes db now)
+
+let rec restore_timestamp db timestamp () =
+  let now = db.timestamp in
+  db.timestamp <- timestamp;
+  Trail.Entry (restore_timestamp db now)
 
 let bump_changes db =
   if recording db then begin
     let changes = db.changes in
-    Trail.push db.trail (fun () -> db.changes <- changes)
+    Trail.push db.trail (fun () -> restore_changes db changes ())
   end;
   db.changes <- db.changes + 1
 
+let rec undeclare_sort db s () =
+  Hashtbl.remove db.sorts s;
+  Trail.Entry (redeclare_sort db s)
+
+and redeclare_sort db s () =
+  Hashtbl.replace db.sorts s ();
+  Trail.Entry (undeclare_sort db s)
+
 let declare_sort db s =
   if recording db && not (Hashtbl.mem db.sorts s) then
-    Trail.push db.trail (fun () -> Hashtbl.remove db.sorts s);
+    Trail.push db.trail (fun () -> undeclare_sort db s ());
   Hashtbl.replace db.sorts s ()
 
 let is_sort db s = Hashtbl.mem db.sorts s
@@ -58,9 +76,17 @@ let declare_func db (f : Schema.func) =
     invalid_arg (Printf.sprintf "function %s is already declared" (Symbol.name f.name));
   if recording db then begin
     let order = db.func_order in
-    Trail.push db.trail (fun () ->
-        Hashtbl.remove db.funcs f.name;
-        db.func_order <- order)
+    let rec undo () =
+      let table = Hashtbl.find db.funcs f.name and order' = db.func_order in
+      Hashtbl.remove db.funcs f.name;
+      db.func_order <- order;
+      Trail.Entry
+        (fun () ->
+          Hashtbl.replace db.funcs f.name table;
+          db.func_order <- order';
+          Trail.Entry undo)
+    in
+    Trail.push db.trail undo
   end;
   Hashtbl.replace db.funcs f.name (Table.create ~trail:db.trail f);
   db.func_order <- f.name :: db.func_order
@@ -108,7 +134,7 @@ let timestamp db = db.timestamp
 let bump_timestamp db =
   if recording db then begin
     let timestamp = db.timestamp in
-    Trail.push db.trail (fun () -> db.timestamp <- timestamp)
+    Trail.push db.trail (fun () -> restore_timestamp db timestamp ())
   end;
   db.timestamp <- db.timestamp + 1
 let change_counter db = db.changes
@@ -266,18 +292,3 @@ let modeled_bytes db =
    per-column distinct counts (the latter cached inside the table). *)
 let table_stats (_db : t) table = (Table.length table, Table.column_distincts table)
 
-let copy db =
-  let funcs = Hashtbl.create (Hashtbl.length db.funcs) in
-  Hashtbl.iter (fun name table -> Hashtbl.replace funcs name (Table.copy table)) db.funcs;
-  {
-    uf = Union_find.copy db.uf;
-    sorts = Hashtbl.copy db.sorts;
-    id_sorts = Array.copy db.id_sorts;
-    funcs;
-    func_order = db.func_order;
-    timestamp = db.timestamp;
-    changes = db.changes;
-    merge_hook = db.merge_hook;
-    proofs = Proof_forest.copy db.proofs;
-    trail = db.trail;
-  }

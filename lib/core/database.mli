@@ -16,8 +16,8 @@ exception Internal_error of string
 
 val create : ?trail:Trail.t -> unit -> t
 (** [trail] records the inverse of every write to the database, its tables,
-    union-find and proof forest while a transaction is open on it (default:
-    a private trail on which none is ever opened). *)
+    union-find and proof forest while a transaction or scope is open on it
+    (default: a private trail on which none is ever opened). *)
 
 (** {1 Declarations} *)
 
@@ -100,22 +100,17 @@ val table_stats : t -> Table.t -> int * int array
     counts cover argument columns then the output and are cached against
     the table version. *)
 
-(** {1 Snapshots (push/pop)} *)
+(** {1 Transactions and scopes}
 
-val copy : t -> t
-(** Deep copy. The copy shares the original's trail, so writes to it
-    inside a transaction are undone in place like writes to the original. *)
-
-(** {1 Transactions}
-
-    A transaction is opened with {!Trail.begin_txn} on the trail given to
-    {!create}. While one is open, every mutator — {!declare_sort},
-    {!declare_func}, {!fresh_id}, {!bump_timestamp}, {!set}, {!union},
-    {!remove}, {!rebuild} — pushes the inverse of each write it makes
-    before making it; {!Trail.rollback} replays them newest-first and leaves the database
-    as it was when the transaction began, at a cost proportional to the
-    writes made, not to the database. With no transaction open a mutator
-    pays one branch per write. {!Table.version} keeps growing through a
+    A transaction is opened with {!Trail.begin_txn}, a scope (push/pop)
+    with {!Trail.push_scope}, on the trail given to {!create}. While either
+    is open, every mutator — {!declare_sort}, {!declare_func}, {!fresh_id},
+    {!bump_timestamp}, {!set}, {!union}, {!remove}, {!rebuild} — pushes the
+    inverse of each write it makes before making it; {!Trail.rollback} and
+    {!Trail.pop_scope} replay them newest-first and leave the database as
+    it was when the transaction or scope began, at a cost proportional to
+    the writes made, not to the database. With nothing open a mutator pays
+    one branch per write. {!Table.version} keeps growing through a
     rollback, and every inverse cuts the tables' change feeds
     ({!Table.changes_since} answers [None] for older marks), so structures
     patched from them rebuild. *)

@@ -96,21 +96,27 @@ type rt_rule = {
          planned; a fixed-plan rule has one slot, shared by every variant *)
 }
 
-type snapshot = {
-  sn_db : Database.t;
-  sn_rules : rt_rule list;
-  sn_rule_states : (int * int * int) list;  (* last_stamp, times_banned, banned_until *)
-  sn_iteration : int;
-  sn_decl_log : Ast.command list;
+(* What a transaction or a scope restores besides the database, whose
+   writes the undo trail replays: captured when it opens. *)
+type saved = {
+  sv_rules : rt_rule list;
+  sv_rule_states : (int * int * int) list;  (* last_stamp, times_banned, banned_until *)
+  sv_iteration : int;
+  sv_rule_counter : int;
+  sv_rulesets : string list;
+  sv_stack : saved list;  (* the scopes open, innermost first *)
+  sv_merge_exprs : (Symbol.t, Compile.cexpr) Hashtbl.t;
+  sv_default_exprs : (Symbol.t, Compile.cexpr) Hashtbl.t;
+  sv_decl_log : Ast.command list;
 }
 
 type t = {
-  mutable db : Database.t;
+  db : Database.t;
   trail : Trail.t;  (* undo trail of every database the engine holds *)
   mutable rules : rt_rule list;  (* in declaration order *)
   mutable merge_exprs : (Symbol.t, Compile.cexpr) Hashtbl.t;
   mutable default_exprs : (Symbol.t, Compile.cexpr) Hashtbl.t;
-  mutable stack : snapshot list;
+  mutable stack : saved list;  (* one per open push scope, innermost first *)
   seminaive : bool;
   fast_paths : bool;
   index_caching : bool;
@@ -133,6 +139,43 @@ type t = {
 }
 
 let database eng = eng.db
+
+let save eng =
+  {
+    sv_rules = eng.rules;
+    sv_rule_states =
+      List.map (fun r -> (r.rr_last_stamp, r.rr_times_banned, r.rr_banned_until)) eng.rules;
+    sv_iteration = eng.iteration;
+    sv_rule_counter = eng.rule_counter;
+    sv_rulesets = eng.rulesets;
+    sv_stack = eng.stack;
+    sv_merge_exprs = Hashtbl.copy eng.merge_exprs;
+    sv_default_exprs = Hashtbl.copy eng.default_exprs;
+    sv_decl_log = eng.decl_log;
+  }
+
+(* Put back what [save] captured, once the trail has replayed the writes
+   made since. The tables are copied again: a popped scope's record stays
+   in the stack a crossed transaction saved, which may restore it. Undone
+   tables cut the change feeds the join cache patches from, so its entries
+   could only be rebuilt; drop them all. *)
+let restore eng sv =
+  eng.rules <- sv.sv_rules;
+  List.iter2
+    (fun r (ls, tb, bu) ->
+      r.rr_last_stamp <- ls;
+      r.rr_times_banned <- tb;
+      r.rr_banned_until <- bu)
+    sv.sv_rules sv.sv_rule_states;
+  eng.iteration <- sv.sv_iteration;
+  eng.rule_counter <- sv.sv_rule_counter;
+  eng.rulesets <- sv.sv_rulesets;
+  eng.stack <- sv.sv_stack;
+  eng.merge_exprs <- Hashtbl.copy sv.sv_merge_exprs;
+  eng.default_exprs <- Hashtbl.copy sv.sv_default_exprs;
+  eng.decl_log <- sv.sv_decl_log;
+  Join.clear_all eng.join_cache;
+  eng.current_reason <- Proof_forest.Asserted
 
 let compile_env eng : Compile.env =
   {
@@ -1427,35 +1470,16 @@ let rec run_command_inner eng (cmd : Ast.command) : string list =
               :: render steps)
         end)
   | Ast.Push ->
-    eng.stack <-
-      {
-        sn_db = Database.copy eng.db;
-        sn_rules = eng.rules;
-        sn_rule_states =
-          List.map (fun r -> (r.rr_last_stamp, r.rr_times_banned, r.rr_banned_until)) eng.rules;
-        sn_iteration = eng.iteration;
-        sn_decl_log = eng.decl_log;
-      }
-      :: eng.stack;
+    let sv = save eng in
+    Trail.push_scope eng.trail;
+    eng.stack <- sv :: eng.stack;
     []
   | Ast.Pop -> (
     match eng.stack with
     | [] -> error "pop: no matching push"
-    | snap :: rest ->
-      eng.stack <- rest;
-      eng.db <- snap.sn_db;
-      eng.rules <- snap.sn_rules;
-      List.iter2
-        (fun r (ls, tb, bu) ->
-          r.rr_last_stamp <- ls;
-          r.rr_times_banned <- tb;
-          r.rr_banned_until <- bu)
-        snap.sn_rules snap.sn_rule_states;
-      eng.iteration <- snap.sn_iteration;
-      eng.decl_log <- snap.sn_decl_log;
-      (* The restored tables are fresh incarnations (new uids): cached join
-         structures can never hit again, so drop them rather than leak. *)
-      Join.clear_all eng.join_cache;
+    | sv :: _ ->
+      ignore (Trail.pop_scope eng.trail);
+      restore eng sv;
       [])
   | Ast.Print_function (name, n) ->
     let table = find_table_exn eng name in
@@ -1507,66 +1531,8 @@ let rec run_command_inner eng (cmd : Ast.command) : string list =
 (* Transactional command execution                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Everything a failed command could have perturbed besides the databases.
-   Database writes — to eng.db and to any push/pop snapshot an (include ...)
-   pops into — go on the engine's undo trail, which rollback replays in
-   place; the rest is a handful of engine scalars captured here. *)
-type txn = {
-  tx_db : Database.t;  (* the database object at transaction start *)
-  tx_rules : rt_rule list;
-  tx_rule_states : (int * int * int) list;
-  tx_iteration : int;
-  tx_rule_counter : int;
-  tx_rulesets : string list;
-  tx_stack : snapshot list;
-  tx_merge_exprs : (Symbol.t, Compile.cexpr) Hashtbl.t;
-  tx_default_exprs : (Symbol.t, Compile.cexpr) Hashtbl.t;
-  tx_decl_log : Ast.command list;
-}
-
 let c_rollbacks = Telemetry.counter "txn.rollbacks"
 let c_undone = Telemetry.counter "txn.undone"
-
-let begin_txn eng =
-  Trail.begin_txn eng.trail;
-  {
-    tx_db = eng.db;
-    tx_rules = eng.rules;
-    tx_rule_states =
-      List.map (fun r -> (r.rr_last_stamp, r.rr_times_banned, r.rr_banned_until)) eng.rules;
-    tx_iteration = eng.iteration;
-    tx_rule_counter = eng.rule_counter;
-    tx_rulesets = eng.rulesets;
-    tx_stack = eng.stack;
-    tx_merge_exprs = Hashtbl.copy eng.merge_exprs;
-    tx_default_exprs = Hashtbl.copy eng.default_exprs;
-    tx_decl_log = eng.decl_log;
-  }
-
-let rollback_txn eng tx =
-  let undone = Trail.rollback eng.trail in
-  Telemetry.bump c_rollbacks 1;
-  Telemetry.bump c_undone undone;
-  eng.db <- tx.tx_db;
-  eng.rules <- tx.tx_rules;
-  List.iter2
-    (fun r (ls, tb, bu) ->
-      r.rr_last_stamp <- ls;
-      r.rr_times_banned <- tb;
-      r.rr_banned_until <- bu)
-    tx.tx_rules tx.tx_rule_states;
-  eng.iteration <- tx.tx_iteration;
-  eng.rule_counter <- tx.tx_rule_counter;
-  eng.rulesets <- tx.tx_rulesets;
-  eng.stack <- tx.tx_stack;
-  eng.merge_exprs <- tx.tx_merge_exprs;
-  eng.default_exprs <- tx.tx_default_exprs;
-  eng.decl_log <- tx.tx_decl_log;
-  (* Undone tables keep their uid and grow their version, but an inverse
-     cuts the change feed the join cache patches from, so every entry over
-     an undone table would rebuild anyway; drop them all. *)
-  Join.clear_all eng.join_cache;
-  eng.current_reason <- Proof_forest.Asserted
 
 (* Normalize internal failures (merge conflicts, bad unions, primitive
    division by zero, broken join invariants) into the single user-facing
@@ -1595,14 +1561,18 @@ let user_error (e : exn) : exn =
    so the commands of a whole server request can run, commit and fail
    inside [f] and a failure of [f] still restores the exact entry state. *)
 let with_transaction eng f =
-  let tx = begin_txn eng in
+  Trail.begin_txn eng.trail;
+  let sv = save eng in
   match f () with
   | result ->
     Trail.commit eng.trail;
     result
   | exception e ->
     let bt = Printexc.get_raw_backtrace () in
-    rollback_txn eng tx;
+    let undone = Trail.rollback eng.trail in
+    Telemetry.bump c_rollbacks 1;
+    Telemetry.bump c_undone undone;
+    restore eng sv;
     Printexc.raise_with_backtrace (user_error e) bt
 
 let run_command eng cmd =

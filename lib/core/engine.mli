@@ -206,8 +206,8 @@ val with_transaction : t -> (unit -> 'a) -> 'a
     inside [f] open their own on the same undo trail, and an inner commit
     keeps its inverses for the enclosing transaction, so even a request
     that fails after several committed inner commands rolls all of them
-    back. The writes are undone in place wherever they landed, including
-    in a push/pop snapshot an [(include ...)] popped into. Beginning a
+    back, and a request that pops a scope an earlier request opened and
+    then fails reopens that scope with its contents. Beginning a
     transaction captures only engine scalars (rule states, merge and
     default tables), nothing proportional to the database. *)
 

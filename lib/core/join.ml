@@ -155,13 +155,13 @@ type built = B_trie of trie | B_index of Value.t array list Value.Key_tbl.t
 (* Structured cache key. The old scheme concatenated ints and printed
    values with ad-hoc delimiters into one string, which both allowed
    collisions (values may contain any delimiter) and could not tell two
-   incarnations of a table apart (push/pop restores an older table whose
-   version counter may coincide with the cached one). Comparing fields —
+   tables for one function apart (two engines sharing a cache, whose
+   version counters may coincide). Comparing fields —
    with [Value.equal] for check constants and the table's globally unique
    [uid] for identity — removes both failure modes. *)
 type cache_key = {
   k_kind : int;  (* 0 = trie, 1 = index *)
-  k_table : int;  (* Table.uid of the incarnation the entry was built over *)
+  k_table : int;  (* Table.uid of the table the entry was built over *)
   k_sources : int array;
   k_checks : check list;
   k_lo : int;

@@ -35,10 +35,9 @@ val clear_scratch : cache -> unit
     it. *)
 
 val clear_all : cache -> unit
-(** Drop both tiers. Called when the engine replaces its database object
-    (pop, transaction rollback): entries for the dead table incarnations
-    can never hit again (keys carry {!Table.uid}), so this is memory
-    hygiene, not a correctness requirement. *)
+(** Drop both tiers. Called after a pop or a transaction rollback: the
+    inverses cut the change feeds of the tables they touched, so entries
+    over them could only be rebuilt, never patched. *)
 
 val set_frozen : cache -> bool -> unit
 (** Put the cache in read-only mode for the parallel search phase: valid

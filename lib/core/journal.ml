@@ -162,18 +162,16 @@ let append t payload =
     Printf.sprintf "r %d %s\n" (String.length payload)
       (Checksum.to_hex (Checksum.crc32 payload))
   in
+  (* the whole record in one string: a healthy append is one write *)
+  let record = String.concat "" [ hdr; payload; "\n" ] in
   if Fault.would_crash "journal.append.torn" then begin
     (* simulate a torn write: part of the record reaches the disk, then the
        process dies mid-append *)
-    let full = hdr ^ payload ^ "\n" in
-    let cut = String.length hdr + (String.length payload / 2) in
-    write_all t.fd (String.sub full 0 cut);
+    write_all t.fd (String.sub record 0 (String.length hdr + (String.length payload / 2)));
     (try Unix.fsync t.fd with Unix.Unix_error _ -> ());
     Fault.crash "journal.append.torn"
   end;
-  write_all t.fd hdr;
-  write_all t.fd payload;
-  write_all t.fd "\n";
+  write_all t.fd record;
   Unix.fsync t.fd;
   Fault.hit "journal.append.synced"
 

@@ -21,13 +21,18 @@ let ensure t id =
 
 let parent_of t id = if id < Array.length t.parent then t.parent.(id) else no_parent
 
+let rec restore_parent t id edge () =
+  let now = t.parent.(id) in
+  t.parent.(id) <- edge;
+  Trail.Entry (restore_parent t id now)
+
 (* Every parent write goes through here. [ensure] needs no inverse: slots
    it adds hold [no_parent], which is what an unused slot means anyway. *)
 let set_parent t id edge =
   ensure t id;
   if Trail.recording t.trail then begin
     let old = t.parent.(id) in
-    Trail.push t.trail (fun () -> t.parent.(id) <- old)
+    Trail.push t.trail (fun () -> restore_parent t id old ())
   end;
   t.parent.(id) <- edge
 
@@ -44,6 +49,14 @@ let reroot t id =
   List.iter (fun (child, par, why) -> set_parent t par (child, why)) path;
   if path <> [] then set_parent t id no_parent
 
+let rec drop_edge t () =
+  t.n_edges <- t.n_edges - 1;
+  Trail.Entry (add_edge t)
+
+and add_edge t () =
+  t.n_edges <- t.n_edges + 1;
+  Trail.Entry (drop_edge t)
+
 let record t a b why =
   if a <> b then begin
     ensure t a;
@@ -52,7 +65,7 @@ let record t a b why =
     (* Rerooting flips edges without changing their count, and [a] is a
        root afterwards, so this always adds exactly one edge. *)
     set_parent t a (b, why);
-    if Trail.recording t.trail then Trail.push t.trail (fun () -> t.n_edges <- t.n_edges - 1);
+    if Trail.recording t.trail then Trail.push t.trail (fun () -> drop_edge t ());
     t.n_edges <- t.n_edges + 1
   end
 
@@ -100,8 +113,6 @@ let edges_in_class t ~member ~find =
       if p >= 0 && find i = root then acc := { from_id = i; to_id = p; why } :: !acc)
     t.parent;
   List.rev !acc
-
-let copy t = { parent = Array.copy t.parent; n_edges = t.n_edges; trail = t.trail }
 
 let pp_reason fmt = function
   | Asserted -> Format.pp_print_string fmt "asserted"

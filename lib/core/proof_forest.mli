@@ -17,7 +17,8 @@ type t
 
 val create : ?trail:Trail.t -> unit -> t
 (** Parent writes and the edge count are recorded on [trail] while a
-    transaction is open there (default: a private, never-opened trail). *)
+    transaction or scope is open there (default: a private, never-opened
+    trail). *)
 
 val record : t -> int -> int -> reason -> unit
 (** Remember that the two ids were made equal for this reason. *)
@@ -33,8 +34,5 @@ val n_edges : t -> int
 val edges_in_class : t -> member:int -> find:(int -> int) -> step list
 (** All recorded union events whose endpoints are in the given class —
     the construction trace of the e-class. *)
-
-val copy : t -> t
-(** The copy shares the original's trail. *)
 
 val pp_reason : Format.formatter -> reason -> unit

@@ -98,7 +98,7 @@ type feed = { f_from : mark; f_to : int; f_changes : change array }
 
 type t = {
   func : Schema.func;
-  uid : int;  (* identity of this incarnation; fresh on create and copy *)
+  uid : int;  (* identity of this table, fresh on create *)
   data : row Value.Key_tbl.t;
   (* Append-only log of (key, stamp-at-append), nondecreasing in stamp.
      A log entry is current iff the row still exists and its stamp equals
@@ -272,7 +272,9 @@ let log_retraction t key (row : row) =
    collector. [version] is bumped, never restored, so it stays monotone
    across rollbacks, and [undone_at] makes every older mark read a cut
    feed — so the retraction log, which only such marks could read, is
-   dropped whole, and so are the counts behind [column_distincts]. *)
+   dropped whole, and so are the counts behind [column_distincts]. An
+   inverse's reverse puts back what the inverse read before restoring,
+   and re-appends the one log entry the write appended, if any. *)
 let truncate_log t len =
   for i = len to t.log_len - 1 do
     t.log_keys.(i) <- [||];
@@ -292,48 +294,93 @@ let undone t =
 
 let record_insert t key ~revived =
   let log_len = t.log_len and bytes = t.bytes in
-  Trail.push t.trail (fun () ->
-      Value.Key_tbl.remove t.data key;
-      (match revived with
-       | Some (fl, tombstone) ->
-         t.log_rows.(fl) <- tombstone;
-         Value.Key_tbl.replace t.revivals key fl
-       | None -> ());
-      truncate_log t log_len;
-      t.bytes <- bytes;
-      undone t)
+  let rec undo () =
+    let row = Value.Key_tbl.find t.data key and bytes' = t.bytes in
+    Value.Key_tbl.remove t.data key;
+    (match revived with
+     | Some (fl, tombstone) ->
+       t.log_rows.(fl) <- tombstone;
+       Value.Key_tbl.replace t.revivals key fl
+     | None -> ());
+    truncate_log t log_len;
+    t.bytes <- bytes;
+    undone t;
+    Trail.Entry
+      (fun () ->
+        Value.Key_tbl.replace t.data key row;
+        (match revived with
+         | Some (fl, _) ->
+           t.log_rows.(fl) <- row;
+           Value.Key_tbl.remove t.revivals key
+         | None -> ());
+        log_append t key row row.stamp;
+        t.bytes <- bytes';
+        undone t;
+        Trail.Entry undo)
+  in
+  Trail.push t.trail undo
 
 let record_update t row =
   let value = row.value and stamp = row.stamp and first_log = row.first_log in
   let log_len = t.log_len and bytes = t.bytes in
-  Trail.push t.trail (fun () ->
-      row.value <- value;
-      row.stamp <- stamp;
-      row.first_log <- first_log;
-      truncate_log t log_len;
-      t.bytes <- bytes;
-      t.value_updates <- t.value_updates - 1;
-      undone t)
+  let rec undo () =
+    let value' = row.value and stamp' = row.stamp and first_log' = row.first_log in
+    let bytes' = t.bytes and key = if t.log_len > log_len then Some t.log_keys.(log_len) else None in
+    row.value <- value;
+    row.stamp <- stamp;
+    row.first_log <- first_log;
+    truncate_log t log_len;
+    t.bytes <- bytes;
+    t.value_updates <- t.value_updates - 1;
+    undone t;
+    Trail.Entry
+      (fun () ->
+        row.value <- value';
+        row.stamp <- stamp';
+        row.first_log <- first_log';
+        Option.iter (fun key -> log_append t key row stamp') key;
+        t.bytes <- bytes';
+        t.value_updates <- t.value_updates + 1;
+        undone t;
+        Trail.Entry undo)
+  in
+  Trail.push t.trail undo
 
 (* When [remove] binds the key in the revival table of the row's own
    window, the key was unbound there before (a same-stamp re-insert
    consumes the binding), so unbinding it restores the table; a fresh
-   table for a new window is dropped whole. *)
+   table for a new window is dropped whole. The reverse rebinds the key in
+   whichever table [remove] left current. *)
 let record_remove t key row =
   let stamp = row.stamp and bytes = t.bytes in
   let revivals = t.revivals and revivals_stamp = t.revivals_stamp in
   let bound_in_window =
     revivals_stamp = stamp && t.log_len > 0 && t.log_stamps.(t.log_len - 1) = stamp
   in
-  Trail.push t.trail (fun () ->
-      if bound_in_window then Value.Key_tbl.remove revivals key;
-      t.revivals <- revivals;
-      t.revivals_stamp <- revivals_stamp;
-      row.stamp <- stamp;
-      Value.Key_tbl.replace t.data key row;
-      t.bytes <- bytes;
-      t.removals <- t.removals - 1;
-      undone t)
+  let rec undo () =
+    let revivals' = t.revivals and revivals_stamp' = t.revivals_stamp and bytes' = t.bytes in
+    let binding = Value.Key_tbl.find_opt revivals' key in
+    if bound_in_window then Value.Key_tbl.remove revivals key;
+    t.revivals <- revivals;
+    t.revivals_stamp <- revivals_stamp;
+    row.stamp <- stamp;
+    Value.Key_tbl.replace t.data key row;
+    t.bytes <- bytes;
+    t.removals <- t.removals - 1;
+    undone t;
+    Trail.Entry
+      (fun () ->
+        Value.Key_tbl.remove t.data key;
+        Option.iter (Value.Key_tbl.replace revivals' key) binding;
+        t.revivals <- revivals';
+        t.revivals_stamp <- revivals_stamp';
+        row.stamp <- min_int;
+        t.bytes <- bytes';
+        t.removals <- t.removals + 1;
+        undone t;
+        Trail.Entry undo)
+  in
+  Trail.push t.trail undo
 
 let set_raw t key value ~stamp =
   match Value.Key_tbl.find_opt t.data key with
@@ -594,49 +641,3 @@ let column_distincts t =
     in
     t.stats <- Some { st_mark = mark t; st_counts = counts; st_distinct = distinct };
     distinct
-
-let copy t =
-  let data = Value.Key_tbl.create (Value.Key_tbl.length t.data) in
-  Value.Key_tbl.iter
-    (fun k r ->
-      Value.Key_tbl.replace data (Array.copy k)
-        { value = r.value; stamp = r.stamp; first_log = r.first_log; born = r.born })
-    t.data;
-  let log_keys = Array.map Fun.id (Array.sub t.log_keys 0 (max 16 t.log_len)) in
-  let log_stamps = Array.sub t.log_stamps 0 (max 16 t.log_len) in
-  (* Re-point log entries at the copy's row records: entry [i] is live iff
-     the copied row for its key says so (same currency rule as the walks). *)
-  let log_rows = Array.make (max 16 t.log_len) dead_row in
-  for i = 0 to t.log_len - 1 do
-    match Value.Key_tbl.find_opt data t.log_keys.(i) with
-    | Some r when r.stamp = t.log_stamps.(i) && r.first_log = i -> log_rows.(i) <- r
-    | Some _ | None -> ()
-  done;
-  let revivals = Value.Key_tbl.create (max 8 (Value.Key_tbl.length t.revivals)) in
-  Value.Key_tbl.iter (fun k fl -> Value.Key_tbl.replace revivals k fl) t.revivals;
-  {
-    func = t.func;
-    uid = next_uid ();
-    data;
-    log_keys;
-    log_stamps;
-    log_rows;
-    log_len = t.log_len;
-    (* a fresh incarnation: feed consumers mark it anew *)
-    ret_keys = [||];
-    ret_values = [||];
-    ret_born = [||];
-    ret_base = 0;
-    ret_len = 0;
-    version = t.version;
-    undone_at = t.undone_at;
-    removals = t.removals;
-    value_updates = t.value_updates;
-    stats = None;
-    last_feed = None;
-    bytes = t.bytes;
-    revivals;
-    revivals_stamp = t.revivals_stamp;
-    trail = t.trail;
-    id_columns = t.id_columns;
-  }

@@ -13,11 +13,11 @@
     structures — the join cache's tries and indexes, the planner's
     per-column counts — patch themselves forward instead of rebuilding.
 
-    While a transaction is open on the table's {!Trail}, [set_raw] and
-    [remove] push the inverse of each write first (the row's old value,
+    While a transaction or scope is open on the table's {!Trail}, [set_raw]
+    and [remove] push the inverse of each write first (the row's old value,
     stamp and [first_log], the stamp log's length, revival slots and the
-    byte, removal and update counters), so a rollback restores the table
-    in place. An inverse also cuts the change feed: it drops the
+    byte, removal and update counters), so a rollback or pop restores the
+    table in place. An inverse also cuts the change feed: it drops the
     retraction log and the column counts, and older marks read [None]. *)
 
 type row = {
@@ -47,10 +47,10 @@ val version : t -> int
     never goes back; lets query-side caches validate reuse. *)
 
 val uid : t -> int
-(** Globally unique identity of this table incarnation. Fresh on [create]
-    {e and} on [copy], so caches keyed by uid can never confuse two tables
-    for the same function across push/pop — version counters alone can
-    coincide between incarnations. A rollback keeps the incarnation. *)
+(** Globally unique identity of this table, fresh on every [create], so
+    caches keyed by uid can never confuse two tables for the same function
+    (say, in two engines) whose version counters coincide. A rollback or a
+    pop restores a table in place and keeps its uid. *)
 
 val removals : t -> int
 (** Rows ever removed from this incarnation (an inverse takes its removal
@@ -144,11 +144,8 @@ val column_distincts : t -> int array
     rows; integer-keyed for the columns {!int_reader} reads) made on the
     first request and patched from the change feed afterwards; recounted
     from scratch when the feed since their mark holds at least as many
-    entries as the table has rows, or an inverse dropped them. {!copy}
-    starts without them. The result equals a fresh recount exactly. *)
-
-val copy : t -> t
-(** Deep copy (for push/pop). The copy shares the original's trail. *)
+    entries as the table has rows, or an inverse dropped them. The result
+    equals a fresh recount exactly. *)
 
 (** {2 Typed column readers}
 

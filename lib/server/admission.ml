@@ -18,6 +18,7 @@ let drain t =
   Queue.clear t.q;
   xs
 
+let exists f t = Seq.exists f (Queue.to_seq t.q)
 let length t = Queue.length t.q
 let is_empty t = Queue.is_empty t.q
 let limit t = t.limit

@@ -17,6 +17,9 @@ val take : 'a t -> 'a option
 val drain : 'a t -> 'a list
 (** Empty the queue, FIFO order (graceful shutdown: shed the backlog). *)
 
+val exists : ('a -> bool) -> 'a t -> bool
+(** Some queued request satisfies the predicate. *)
+
 val length : 'a t -> int
 val is_empty : 'a t -> bool
 val limit : 'a t -> int

@@ -877,10 +877,14 @@ let tick t =
       if (not c.c_gone) && (List.memq c.c_out w || (c.c_dribble && pending c > 0)) then
         try_flush t c)
     conns;
-  (* reap connections that are done *)
+  (* reap connections that are done: read to EOF, every reply flushed and
+     none of their requests still waiting in the queue *)
   List.iter
     (fun c ->
-      if (not c.c_gone) && c.c_eof && pending c = 0 && Buffer.length c.c_rbuf = 0 then begin
+      if
+        (not c.c_gone) && c.c_eof && pending c = 0 && Buffer.length c.c_rbuf = 0
+        && not (Admission.exists (fun (conn_id, _) -> conn_id = c.c_id) t.queue)
+      then begin
         (* stdin EOF in pipe mode means "that was the whole job": drain *)
         if c.c_keep_fds && t.listener = None then request_drain t;
         close_conn t c

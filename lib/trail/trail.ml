@@ -1,12 +1,20 @@
+type entry = Entry of (unit -> entry) [@@unboxed]
+
+(* The open marks, innermost first. A transaction keeps the marks that
+   were open when it began: its rollback reopens them, a scope popped
+   since included. *)
+type marks = Bottom | Txn of int * marks * marks | Scope of int * marks
+
 type t = {
-  mutable undo : (unit -> unit) array;
+  mutable undo : (unit -> entry) array;
   mutable len : int;
-  mutable marks : int list;  (* trail length at each open begin, innermost first *)
+  mutable marks : marks;
+  mutable crossed : (int * int) list;  (* spans crossing pops left, newest first *)
 }
 
-let noop () = ()
-let create () = { undo = [||]; len = 0; marks = [] }
-let[@inline] recording t = match t.marks with [] -> false | _ :: _ -> true
+let rec noop () = Entry noop
+let create () = { undo = [||]; len = 0; marks = Bottom; crossed = [] }
+let[@inline] recording t = match t.marks with Bottom -> false | Txn _ | Scope _ -> true
 
 let push t f =
   if t.len = Array.length t.undo then begin
@@ -17,36 +25,102 @@ let push t f =
   t.undo.(t.len) <- f;
   t.len <- t.len + 1
 
-let begin_txn t = t.marks <- t.len :: t.marks
+let begin_txn t = t.marks <- Txn (t.len, t.marks, t.marks)
+let push_scope t = t.marks <- Scope (t.len, t.marks)
 
-(* Forget every entry once no transaction can undo them: small arrays are
-   cleared for reuse, large ones released so a big transaction's closures
-   (and the rows they hold) do not outlive it. *)
+(* Forget every entry once nothing can undo them: small arrays are cleared
+   for reuse, large ones released so a big transaction's closures (and the
+   rows they hold) do not outlive it. *)
 let drop t =
   if Array.length t.undo <= 4096 then Array.fill t.undo 0 t.len noop else t.undo <- [||];
-  t.len <- 0
+  t.len <- 0;
+  t.crossed <- []
+
+let spans_below t mark = List.filter (fun (_, upto) -> upto <= mark) t.crossed
+
+(* Replay down to [mark] and forget the entries, with recording off (an
+   inverse that recorded would grow the trail under the loop); then leave
+   [marks] open. *)
+let undo_to t mark marks =
+  t.marks <- Bottom;
+  for i = t.len - 1 downto mark do
+    let f = t.undo.(i) in
+    t.undo.(i) <- noop;
+    ignore (f ())
+  done;
+  let undone = t.len - mark in
+  t.len <- mark;
+  t.marks <- marks;
+  (match marks with
+   | Bottom -> drop t
+   | Txn _ | Scope _ -> t.crossed <- spans_below t mark);
+  undone
+
+(* With no transaction open, nothing can redo what a crossing pop undid,
+   and the span it left replays to no change: its reverses (on top) redo
+   the pop, then the entries it ran undo it again. So each span is cut out
+   and the scope marks above it move down. Spans are disjoint, highest
+   first. *)
+let cut_crossed t =
+  List.iter
+    (fun (from, upto) ->
+      let width = upto - from in
+      Array.blit t.undo upto t.undo from (t.len - upto);
+      Array.fill t.undo (t.len - width) width noop;
+      t.len <- t.len - width;
+      let rec shift = function
+        | Scope (at, below) when at >= upto -> Scope (at - width, shift below)
+        | m -> m
+      in
+      t.marks <- shift t.marks)
+    t.crossed;
+  t.crossed <- []
+
+let rec has_txn = function Bottom -> false | Txn _ -> true | Scope (_, below) -> has_txn below
 
 let commit t =
-  match t.marks with
-  | [] -> invalid_arg "Trail.commit: no open transaction"
-  | _ :: rest ->
-    t.marks <- rest;
-    if rest = [] then drop t
+  let rec close = function
+    | Bottom -> invalid_arg "Trail.commit: no open transaction"
+    | Txn (_, below, _) -> below
+    | Scope (at, below) -> Scope (at, close below)
+  in
+  match close t.marks with
+  | Bottom ->
+    t.marks <- Bottom;
+    drop t
+  | marks ->
+    t.marks <- marks;
+    if not (has_txn marks) then cut_crossed t
 
-let rollback t =
-  match t.marks with
-  | [] -> invalid_arg "Trail.rollback: no open transaction"
-  | mark :: rest ->
-    (* Replay with recording off: an inverse that recorded would grow the
-       trail under the loop. *)
-    t.marks <- [];
-    for i = t.len - 1 downto mark do
-      let f = t.undo.(i) in
-      t.undo.(i) <- noop;
-      f ()
+let rec rollback_in t = function
+  | Bottom -> invalid_arg "Trail.rollback: no open transaction"
+  | Txn (at, _, outer) -> undo_to t at outer
+  | Scope (_, below) -> rollback_in t below
+
+let rollback t = rollback_in t t.marks
+
+(* Take the innermost scope out of [marks]: its position, the marks left,
+   and whether a transaction was opened since. *)
+let rec split = function
+  | Bottom -> invalid_arg "Trail.pop_scope: no open scope"
+  | Scope (at, below) -> (at, below, false)
+  | Txn (t_at, below, outer) ->
+    let at, below, _ = split below in
+    (at, Txn (t_at, below, outer), true)
+
+(* A pop that crosses transactions records each reverse as a write of the
+   innermost one: a crossed rollback runs them first, oldest write first,
+   back to the state the pop found. *)
+let pop_scope t =
+  match split t.marks with
+  | at, marks, false -> undo_to t at marks
+  | at, marks, true ->
+    let top = t.len in
+    t.marks <- marks;
+    for i = top - 1 downto at do
+      let (Entry reverse) = t.undo.(i) () in
+      push t reverse
     done;
-    let undone = t.len - mark in
-    t.len <- mark;
-    t.marks <- rest;
-    if rest = [] then drop t;
-    undone
+    (* the new span holds every older one above [at] *)
+    if top > at then t.crossed <- (at, t.len) :: spans_below t at;
+    top - at

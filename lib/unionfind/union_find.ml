@@ -23,19 +23,40 @@ let grow uf =
 
 (* Inverses read the arrays through [uf] when they run, not when they are
    recorded: a later [grow] may have replaced them. Slots past [n] need no
-   inverse, because [make_set] rewrites them before they are reachable. *)
+   inverse, because [make_set] (or its reverse) rewrites them before they
+   are reachable. *)
 let make_set uf =
   grow uf;
-  if Trail.recording uf.trail then
-    Trail.push uf.trail (fun () ->
-        uf.n <- uf.n - 1;
-        uf.n_classes <- uf.n_classes - 1);
+  if Trail.recording uf.trail then begin
+    let rec undo () =
+      uf.n <- uf.n - 1;
+      uf.n_classes <- uf.n_classes - 1;
+      Trail.Entry
+        (fun () ->
+          uf.parent.(uf.n) <- uf.n;
+          uf.size.(uf.n) <- 1;
+          uf.n <- uf.n + 1;
+          uf.n_classes <- uf.n_classes + 1;
+          Trail.Entry undo)
+    in
+    Trail.push uf.trail undo
+  end;
   let id = uf.n in
   uf.parent.(id) <- id;
   uf.size.(id) <- 1;
   uf.n <- uf.n + 1;
   uf.n_classes <- uf.n_classes + 1;
   id
+
+let rec restore_parent uf i p () =
+  let q = uf.parent.(i) in
+  uf.parent.(i) <- p;
+  Trail.Entry (restore_parent uf i q)
+
+let rec restore_dirty uf dirty () =
+  let now = uf.dirty in
+  uf.dirty <- dirty;
+  Trail.Entry (restore_dirty uf now)
 
 let size uf = uf.n
 
@@ -47,7 +68,7 @@ let rec find uf i =
   else begin
     let root = find uf p in
     if root <> p then begin
-      if Trail.recording uf.trail then Trail.push uf.trail (fun () -> uf.parent.(i) <- p);
+      if Trail.recording uf.trail then Trail.push uf.trail (fun () -> restore_parent uf i p ());
       uf.parent.(i) <- root
     end;
     root
@@ -60,11 +81,21 @@ let union uf a b =
     let winner, loser = if uf.size.(ra) >= uf.size.(rb) then (ra, rb) else (rb, ra) in
     if Trail.recording uf.trail then begin
       let size0 = uf.size.(winner) and dirty0 = uf.dirty in
-      Trail.push uf.trail (fun () ->
-          uf.parent.(loser) <- loser;
-          uf.size.(winner) <- size0;
-          uf.dirty <- dirty0;
-          uf.n_classes <- uf.n_classes + 1)
+      let rec undo () =
+        let size1 = uf.size.(winner) and dirty1 = uf.dirty in
+        uf.parent.(loser) <- loser;
+        uf.size.(winner) <- size0;
+        uf.dirty <- dirty0;
+        uf.n_classes <- uf.n_classes + 1;
+        Trail.Entry
+          (fun () ->
+            uf.parent.(loser) <- winner;
+            uf.size.(winner) <- size1;
+            uf.dirty <- dirty1;
+            uf.n_classes <- uf.n_classes - 1;
+            Trail.Entry undo)
+      in
+      Trail.push uf.trail undo
     end;
     uf.parent.(loser) <- winner;
     uf.size.(winner) <- uf.size.(winner) + uf.size.(loser);
@@ -82,18 +113,9 @@ let has_dirty uf = uf.dirty <> []
 let clear_dirty uf =
   if Trail.recording uf.trail && uf.dirty <> [] then begin
     let dirty0 = uf.dirty in
-    Trail.push uf.trail (fun () -> uf.dirty <- dirty0)
+    Trail.push uf.trail (fun () -> restore_dirty uf dirty0 ())
   end;
   uf.dirty <- []
 
 let n_classes uf = uf.n_classes
 
-let copy uf =
-  {
-    parent = Array.copy uf.parent;
-    size = Array.copy uf.size;
-    n = uf.n;
-    dirty = uf.dirty;
-    n_classes = uf.n_classes;
-    trail = uf.trail;
-  }

@@ -9,8 +9,8 @@
 
     Every write — [make_set], [union], the parent writes of path
     compression, [clear_dirty] — pushes its inverse onto the structure's
-    {!Trail} while a transaction is open there, so a rollback restores the
-    exact parent array, sizes and dirty list. *)
+    {!Trail} while a transaction or scope is open there, so a rollback or
+    pop restores the exact parent array, sizes and dirty list. *)
 
 type t
 
@@ -44,6 +44,3 @@ val clear_dirty : t -> unit
 
 val n_classes : t -> int
 (** Number of distinct equivalence classes among allocated ids. *)
-
-val copy : t -> t
-(** Snapshot for push/pop support. The copy shares the original's trail. *)

@@ -569,12 +569,18 @@ let prop_jobs_differential_limits =
    - the failing [run_command] is caught inside the request, which then
      commits ([rb_outer = false]);
    - the failure escapes and rolls the whole request back.
-   The reference is a [Database.copy] taken right before what fails. After
-   the rollback, the raw tables (rows, stamps, counters), every id's
-   representative and proof history, the byte model and the class count
-   must equal the reference's; the dump must equal that of a fresh engine
-   that replayed only the commands that committed, and so must the dump
-   after a random further history and one more (run 3) on both. *)
+   Up to two scopes, each opened by an earlier committed (push) and
+   written in, are popped by the request's first commands: those pops
+   cross the request's transaction (and their own commands'), so a
+   rollback of the request must redo what they undid and reopen the
+   scopes. The reference is [raw_state] and the scalars, captured right
+   before what fails. After the rollback, the raw tables (rows, stamps,
+   counters), every id's representative and proof history, the byte model,
+   the class count and the scope depth must equal the reference's; the
+   dump must equal that of a fresh engine that replayed only the commands
+   that committed, and so must the dump after the reopened scopes are
+   popped again, and after a random further history and one more (run 3)
+   on both. *)
 let rollback_schema =
   {|
     (datatype M (Num i64) (Add M M))
@@ -594,6 +600,7 @@ type rb_scenario = {
   rb_pre : (int * int * int) list;  (* committed before the transaction *)
   rb_inner : (int * int * int) list;  (* committed inside it *)
   rb_dirty : (int * int) list;  (* typed-API unions right before the reference *)
+  rb_scoped : (int * int * int) list list;  (* scopes the request pops, and their writes *)
   rb_body : (int * int * int) list;  (* the failing include's mutations *)
   rb_post : (int * int * int) list;  (* run on both engines after the rollback *)
   rb_failure : int;  (* 0 merge conflict, 1 failed check, 2 division by zero *)
@@ -611,15 +618,18 @@ let gen_rb_scenario =
           (2, return 6); (1, return 7); (1, return 8) ]
     in
     let op = triple code (int_bound 4) (int_bound 4) in
+    (* a scope's own writes open and close no scope *)
+    let write = triple (oneofl [ 0; 2; 3; 4; 5; 5; 6 ]) (int_bound 4) (int_bound 4) in
     map
-      (fun ((pre, inner, body), (dirty, post), (failure, key, outer)) ->
-        { rb_pre = pre; rb_inner = inner; rb_dirty = dirty; rb_body = body; rb_post = post;
-          rb_failure = failure; rb_key = key; rb_outer = outer })
+      (fun ((pre, inner, body), (dirty, scoped, post), (failure, key, outer)) ->
+        { rb_pre = pre; rb_inner = inner; rb_dirty = dirty; rb_scoped = scoped; rb_body = body;
+          rb_post = post; rb_failure = failure; rb_key = key; rb_outer = outer })
       (triple
          (triple (list_size (int_bound 10) op) (list_size (int_bound 6) op)
             (list_size (int_bound 6) op))
-         (pair
+         (triple
             (list_size (int_bound 4) (pair (int_bound 4) (int_bound 4)))
+            (list_size (int_bound 2) (list_size (int_bound 4) write))
             (list_size (int_bound 6) op))
          (triple (int_bound 2) (int_bound 4) bool)))
 
@@ -688,7 +698,14 @@ let check_rollback rb ~jobs =
   let depth = ref 0 in
   let pre = rb_commands ~depth ~tag:"p" rb.rb_pre in
   let after_pre = !depth in
-  let inner = rb_commands ~depth ~tag:"i" rb.rb_inner in
+  let scoped =
+    List.concat
+      (List.mapi
+         (fun i ops -> "(push)" :: rb_commands ~depth ~tag:(Printf.sprintf "s%d" i) ops)
+         rb.rb_scoped)
+  in
+  let pops = List.map (fun _ -> "(pop)") rb.rb_scoped in
+  let inner = pops @ rb_commands ~depth ~tag:"i" rb.rb_inner in
   (* what fails is undone, so the post segment starts at the depth the
      reference saw *)
   let post =
@@ -721,7 +738,7 @@ let check_rollback rb ~jobs =
      second bound on any one run. *)
   let eng = E.Engine.create ~jobs ~node_limit:5_000 () in
   run_cmds eng [ rollback_schema ];
-  run_cmds eng pre;
+  run_cmds eng (pre @ scoped);
   if rb.rb_outer then dirty eng;
   let reference = ref None in
   (* no dump here: dumping rebuilds, which would clean the stale rows the
@@ -729,7 +746,7 @@ let check_rollback rb ~jobs =
   let snap () =
     reference :=
       Some
-        ( E.Database.copy (E.Engine.database eng),
+        ( raw_state (E.Engine.database eng),
           E.Engine.modeled_bytes eng,
           E.Engine.n_classes eng,
           E.Engine.scope_depth eng )
@@ -751,10 +768,10 @@ let check_rollback rb ~jobs =
     | exception E.Engine.Egglog_error _ -> true
   in
   Sys.remove file;
-  let ref_db, ref_bytes, ref_classes, ref_depth = Option.get !reference in
+  let ref_state, ref_bytes, ref_classes, ref_depth = Option.get !reference in
   let restored =
     failed
-    && raw_state (E.Engine.database eng) = raw_state ref_db
+    && raw_state (E.Engine.database eng) = ref_state
     && E.Engine.modeled_bytes eng = ref_bytes
     && E.Engine.n_classes eng = ref_classes
     && E.Engine.scope_depth eng = ref_depth
@@ -762,20 +779,27 @@ let check_rollback rb ~jobs =
   (* the same committed history, replayed without any failure *)
   let replay = E.Engine.create ~jobs ~node_limit:5_000 () in
   run_cmds replay [ rollback_schema ];
-  run_cmds replay pre;
+  run_cmds replay (pre @ scoped);
   if not rb.rb_outer then run_cmds replay inner;
   dirty replay;
   let dumps_agree () = E.Serialize.dump_string eng = E.Serialize.dump_string replay in
   let same_now = dumps_agree () in
+  (* the scopes the rolled-back request popped are open again *)
+  let reopened = if rb.rb_outer then pops else [] in
+  run_cmds eng reopened;
+  run_cmds replay reopened;
+  let same_popped = dumps_agree () in
   run_cmds eng (post @ [ "(run 3)" ]);
   run_cmds replay (post @ [ "(run 3)" ]);
-  restored && same_now && dumps_agree ()
+  restored && same_now && same_popped && dumps_agree ()
 
 let print_rb rb =
   let ops l = String.concat " " (List.map (fun (c, a, b) -> Printf.sprintf "%d:%d:%d" c a b) l) in
-  Printf.sprintf "pre=[%s] inner=[%s] dirty=[%s] body=[%s] post=[%s] failure=%d key=%d outer=%b"
+  Printf.sprintf
+    "pre=[%s] inner=[%s] dirty=[%s] scoped=[%s] body=[%s] post=[%s] failure=%d key=%d outer=%b"
     (ops rb.rb_pre) (ops rb.rb_inner)
     (String.concat " " (List.map (fun (a, b) -> Printf.sprintf "%d~%d" a b) rb.rb_dirty))
+    (String.concat " | " (List.map ops rb.rb_scoped))
     (ops rb.rb_body) (ops rb.rb_post) rb.rb_failure rb.rb_key rb.rb_outer
 
 let prop_rollback_differential =
@@ -786,10 +810,11 @@ let prop_rollback_differential =
 
 (* The same contract one layer down, where the log bookkeeping lives: a
    table's rolled-back history must leave its delta walks — which read the
-   log positions, [first_log] and the revival slots — exactly as a copy
-   taken before the transaction has them, and must keep them equal under
-   any further history. Keys and stamps repeat often, so same-stamp
-   removes and re-inserts (revivals) and re-stamped updates are common. *)
+   log positions, [first_log] and the revival slots — exactly as a fresh
+   table that replayed only the history before the transaction has them,
+   and must keep them equal under any further history. Keys and stamps
+   repeat often, so same-stamp removes and re-inserts (revivals) and
+   re-stamped updates are common. *)
 let tbl_func =
   {
     E.Schema.name = E.Symbol.intern "t";
@@ -857,15 +882,31 @@ let prop_table_rollback =
   let ops =
     QCheck2.Gen.(list_size (int_bound 14) (triple (int_bound 3) (int_bound 3) (int_bound 2)))
   in
-  QCheck2.Test.make ~name:"rollback: a table's delta walks equal a pre-transaction copy's"
-    ~count:500 QCheck2.Gen.(quad ops ops ops ops)
-    (fun (before, body, nested, post) ->
+  QCheck2.Test.make ~name:"rollback: a table's delta walks equal a replay without the transaction"
+    ~count:1000
+    QCheck2.Gen.(pair (quad ops ops ops ops) (option ops))
+    (fun ((before, body, nested, post), scoped) ->
       let trail = Trail.create () in
       let table = E.Table.create ~trail tbl_func in
       let stamp = ref 1 in
+      let replay segments =
+        let replayed = E.Table.create tbl_func and stamp = ref 1 in
+        List.iter (tbl_apply replayed stamp) segments;
+        replayed
+      in
       tbl_apply table stamp before;
-      let reference = E.Table.copy table and stamp0 = !stamp in
+      (* with [scoped], a scope opened outside the transaction holds those
+         writes, and the transaction pops it first: the rollback must redo
+         what that crossing pop undid, and reopen the scope *)
+      Option.iter
+        (fun ops ->
+          Trail.push_scope trail;
+          tbl_apply table stamp ops)
+        scoped;
+      let committed = before :: Option.to_list scoped and stamp0 = !stamp in
+      let reference = replay committed in
       Trail.begin_txn trail;
+      if Option.is_some scoped then ignore (Trail.pop_scope trail);
       tbl_apply table stamp body;
       Trail.begin_txn trail;
       tbl_apply table stamp nested;
@@ -877,8 +918,17 @@ let prop_table_rollback =
       tbl_apply table (ref stamp0) post;
       tbl_apply reference (ref stamp0) post;
       let observed = tbl_observe table ~max_stamp in
+      (* the reopened scope still pops back to [before] *)
+      let popped =
+        Option.is_none scoped
+        || begin
+          ignore (Trail.pop_scope trail);
+          tbl_observe table ~max_stamp = tbl_observe (replay [ before ]) ~max_stamp
+        end
+      in
       restored && (let agree, _, _, _ = observed in agree)
-      && observed = tbl_observe reference ~max_stamp)
+      && observed = tbl_observe reference ~max_stamp
+      && popped)
 
 (* The join cache's persistent structures and the planner's column counts
    follow their tables through the change feed instead of being rebuilt.
@@ -1099,55 +1149,57 @@ let test_trimmed_feed () =
    | Some _ | None -> Alcotest.fail "a recent mark sees one overwrite");
   agree ()
 
-(* Regression for the cache-key representation: two distinct table
-   incarnations (original and a pre-mutation snapshot) can reach the same
-   version counter with different contents. A key that identified tables by
-   name+version — as the old concatenated-string key did — would serve the
-   first incarnation's index for the second and return stale rows; the
-   structured key carries Table.uid, so each incarnation gets its own
-   entry. *)
+(* Regression for the cache-key representation: two distinct tables for
+   one function (here, in two engines built separately) can reach the same
+   version counter with different contents. A key that identified tables
+   by name+version — as the old concatenated-string key did — would serve
+   the first table's index for the second and return stale rows; the
+   structured key carries Table.uid, so each table gets its own entry. *)
 let test_cache_key_incarnations () =
-  let eng = E.Engine.create () in
-  ignore (E.run_string eng "(relation r (i64 i64)) (relation s (i64 i64))");
-  let db = E.Engine.database eng in
-  let set tbl a b = E.Engine.set_fact eng tbl [ E.Value.VInt a; E.Value.VInt b ] E.Value.VUnit in
-  set "r" 1 2;
-  set "s" 2 3;
+  let build last =
+    let eng = E.Engine.create () in
+    ignore (E.run_string eng "(relation r (i64 i64)) (relation s (i64 i64))");
+    let set tbl a b = E.Engine.set_fact eng tbl [ E.Value.VInt a; E.Value.VInt b ] E.Value.VUnit in
+    set "r" 1 2;
+    set "s" 2 3;
+    set "s" 2 last;
+    E.Engine.database eng
+  in
+  (* incarnation 1: s reaches version 2 with rows {(2,3),(2,4)} and the
+     shared cache builds its structures against it *)
+  let db1 = build 4 and db2 = build 5 in
   let q =
-    E.Compile.compile_query (compile_env db)
+    E.Compile.compile_query (compile_env db1)
       [
         E.Ast.Holds (E.Ast.Call ("r", [ E.Ast.Var "x"; E.Ast.Var "y" ]));
         E.Ast.Holds (E.Ast.Call ("s", [ E.Ast.Var "y"; E.Ast.Var "z" ]));
       ]
   in
   let ranges = [| E.Join.all_rows; E.Join.all_rows |] in
-  let snapshot = E.Database.copy db in
-  (* incarnation 1: s advances to version 2 with rows {(2,3),(2,4)} and the
-     shared cache builds its structures against it *)
-  set "s" 2 4;
+  let s_of db =
+    match E.Database.find_func db (E.Symbol.intern "s") with
+    | Some t -> t
+    | None -> Alcotest.fail "no table s"
+  in
+  Alcotest.(check int) "both tables at one version" (E.Table.version (s_of db1))
+    (E.Table.version (s_of db2));
   let cache = E.Join.new_cache () in
-  let expect1 = Ref_join.matches_multiset db q ~ranges in
+  let expect1 = Ref_join.matches_multiset db1 q ~ranges in
   Alcotest.(check int) "incarnation 1 has two matches" 2 (List.length expect1);
   Alcotest.(check (list string))
-    "incarnation 1, fast path" expect1 (compiled_multiset db ~cache q ~ranges);
+    "incarnation 1, fast path" expect1 (compiled_multiset db1 ~cache q ~ranges);
   Alcotest.(check (list string))
-    "incarnation 1, trie join" expect1 (compiled_multiset db ~cache ~fast_paths:false q ~ranges);
-  (* incarnation 2: the snapshot's s also reaches version 2, but with rows
-     {(2,3),(2,5)} — the same cache must not resurrect incarnation 1 *)
-  let s_snap =
-    match E.Database.find_func snapshot (E.Symbol.intern "s") with
-    | Some t -> t
-    | None -> Alcotest.fail "no table s in snapshot"
-  in
-  E.Database.set snapshot s_snap [| E.Value.VInt 2; E.Value.VInt 5 |] E.Value.VUnit;
-  let expect2 = Ref_join.matches_multiset snapshot q ~ranges in
+    "incarnation 1, trie join" expect1 (compiled_multiset db1 ~cache ~fast_paths:false q ~ranges);
+  (* incarnation 2: the other engine's s, rows {(2,3),(2,5)} — the same
+     cache must not resurrect incarnation 1 *)
+  let expect2 = Ref_join.matches_multiset db2 q ~ranges in
   Alcotest.(check int) "incarnation 2 has two matches" 2 (List.length expect2);
   Alcotest.(check bool) "incarnations differ" true (expect1 <> expect2);
   Alcotest.(check (list string))
-    "incarnation 2, fast path" expect2 (compiled_multiset snapshot ~cache q ~ranges);
+    "incarnation 2, fast path" expect2 (compiled_multiset db2 ~cache q ~ranges);
   Alcotest.(check (list string))
     "incarnation 2, trie join" expect2
-    (compiled_multiset snapshot ~cache ~fast_paths:false q ~ranges)
+    (compiled_multiset db2 ~cache ~fast_paths:false q ~ranges)
 
 (* Companion regression: constants containing the old key format's
    delimiter characters must still produce distinct cache entries for

@@ -428,6 +428,27 @@ let test_pop_on_empty_stack_is_safe () =
   Alcotest.(check string) "unchanged" before (fingerprint eng [ "(print-size p)" ]);
   ignore (expect_ok eng "usable" "(check (p 1))")
 
+(* A pop undoes the declarations made in its scope, rulesets included. *)
+let test_pop_forgets_scoped_ruleset () =
+  List.iter
+    (fun jobs ->
+      let eng = E.Engine.create ~jobs () in
+      ignore (expect_ok eng "declare again after the pop" "(push) (ruleset r) (pop) (ruleset r)"))
+    [ 1; 4 ]
+
+let test_pop_forgets_scoped_rules () =
+  List.iter
+    (fun jobs ->
+      let eng = E.Engine.create ~jobs () in
+      ignore
+        (expect_ok eng "setup"
+           "(relation p (i64)) (p 1) (push) (ruleset r) (rule ((p x)) ((p (+ x 1))) :ruleset r) \
+            (pop)");
+      let err = expect_error eng "the popped ruleset is gone" "(run-schedule (run r 3))" in
+      Alcotest.(check bool) "unknown ruleset" true (contains err "unknown ruleset r");
+      Alcotest.(check int) "no rule ran" 1 (E.Engine.table_size eng "p"))
+    [ 1; 4 ]
+
 let test_failed_check_rolls_back_side_effects () =
   (* a check on a get-or-default function would otherwise insert fresh ids *)
   let eng = E.Engine.create () in
@@ -537,6 +558,9 @@ let () =
           Alcotest.test_case "failed declaration unwinds" `Quick
             test_failed_declaration_keeps_schema_clean;
           Alcotest.test_case "pop on empty stack is safe" `Quick test_pop_on_empty_stack_is_safe;
+          Alcotest.test_case "pop forgets a scoped ruleset" `Quick test_pop_forgets_scoped_ruleset;
+          Alcotest.test_case "pop forgets a scoped ruleset's rules" `Quick
+            test_pop_forgets_scoped_rules;
           Alcotest.test_case "failed check leaves no residue" `Quick
             test_failed_check_rolls_back_side_effects;
         ] );

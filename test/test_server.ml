@@ -526,6 +526,46 @@ let test_graceful_drain () =
       close_client c2);
   cleanup_dir dir
 
+(* Pipe mode, in-process: the daemon's stdin and stdout are swapped for
+   pipes around one [run]. The five requests are read in one go and the
+   EOF arrives while the two runs still wait in the admission queue; the
+   EOF ends the job only once every one of them is answered. *)
+let test_stdio_eof_answers_queued () =
+  let requests =
+    [
+      obj [ ("id", Json.Int 1); ("op", Json.Str "ping") ];
+      obj [ ("id", Json.Int 2); ("op", Json.Str "open-session"); ("session", Json.Str "p") ];
+      obj (run_req ~id:3 ~session:"p" prog_base);
+      obj (run_req ~id:4 ~session:"p" prog_more);
+      obj [ ("id", Json.Int 5); ("op", Json.Str "ping") ];
+    ]
+  in
+  let in_r, in_w = Unix.pipe ~cloexec:true () and out_r, out_w = Unix.pipe ~cloexec:true () in
+  let input = String.concat "" (List.map (fun l -> l ^ "\n") requests) in
+  ignore (Unix.write_substring in_w input 0 (String.length input));
+  Unix.close in_w;
+  flush stdout;
+  let saved_in = Unix.dup ~cloexec:true Unix.stdin and saved_out = Unix.dup ~cloexec:true Unix.stdout in
+  Unix.dup2 in_r Unix.stdin;
+  Unix.dup2 out_w Unix.stdout;
+  List.iter Unix.close [ in_r; out_w ];
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.dup2 saved_in Unix.stdin;
+      Unix.dup2 saved_out Unix.stdout;
+      List.iter Unix.close [ saved_in; saved_out ])
+    (fun () -> S.Serve.run (S.Serve.create { S.Serve.default_config with use_stdio = true }));
+  let ic = Unix.in_channel_of_descr out_r in
+  let replies = List.map Json.parse (In_channel.input_lines ic) in
+  close_in ic;
+  Alcotest.(check int) "one reply per request" 5 (List.length replies);
+  List.iter (check_ok "piped request") replies;
+  Alcotest.(check (list int)) "one reply per id" [ 1; 2; 3; 4; 5 ]
+    (List.sort compare
+       (List.map
+          (fun r -> match Json.member "id" r with Some (Json.Int i) -> i | _ -> -1)
+          replies))
+
 let test_durable_upgrade_and_restart () =
   let dir = fresh_dir () in
   let sv = start dir in
@@ -967,6 +1007,8 @@ let () =
       ( "durability",
         [
           Alcotest.test_case "graceful drain" `Quick test_graceful_drain;
+          Alcotest.test_case "pipe-mode EOF answers queued requests" `Quick
+            test_stdio_eof_answers_queued;
           Alcotest.test_case "durable upgrade and restart" `Quick
             test_durable_upgrade_and_restart;
           Alcotest.test_case "crash before journal loses the request" `Quick

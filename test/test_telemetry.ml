@@ -447,14 +447,6 @@ let test_empty_delta_iteration () =
     (List.for_all
        (fun (c : E.Table.change) -> c.retracted = None && Option.is_some c.current)
        since_start);
-  (* a copy is a distinct incarnation even though version is preserved *)
-  let t' =
-    match E.Database.find_func (E.Database.copy db) (E.Symbol.intern "r") with
-    | Some t' -> t'
-    | None -> Alcotest.fail "no table r in copy"
-  in
-  Alcotest.(check int) "copy preserves version" (E.Table.version t) (E.Table.version t');
-  Alcotest.(check bool) "copy gets a fresh uid" true (E.Table.uid t <> E.Table.uid t');
   fresh ()
 
 (* Every cached structure request resolves to exactly one hit or one miss,

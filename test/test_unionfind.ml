@@ -37,14 +37,6 @@ let test_dirty_log () =
   ignore (U.union uf a b);
   Alcotest.(check bool) "no-op union logs nothing" false (U.has_dirty uf)
 
-let test_copy_isolation () =
-  let uf = U.create () in
-  let a = U.make_set uf and b = U.make_set uf in
-  let snapshot = U.copy uf in
-  ignore (U.union uf a b);
-  Alcotest.(check bool) "original merged" true (U.equiv uf a b);
-  Alcotest.(check bool) "snapshot untouched" false (U.equiv snapshot a b)
-
 let test_growth () =
   let uf = U.create () in
   let ids = Array.init 10_000 (fun _ -> U.make_set uf) in
@@ -104,6 +96,12 @@ let prop_class_count =
    committed. Unions made before the transaction and never followed by a
    find leave paths of depth > 1, which finds inside the transaction then
    compress across the transaction's own unions. *)
+let state u =
+  ( Union_find.size u,
+    Union_find.n_classes u,
+    Union_find.dirty u,
+    List.init (Union_find.size u) (Union_find.find u) )
+
 let prop_trail_rollback =
   let ops =
     QCheck2.Gen.(list_size (int_range 0 30) (triple (int_bound 3) (int_bound 24) (int_bound 24)))
@@ -112,11 +110,14 @@ let prop_trail_rollback =
     QCheck2.Gen.(triple ops ops ops)
     (fun (before, outer, nested) ->
       let trail = Trail.create () in
-      let uf = Union_find.create ~trail () in
-      for _ = 1 to 12 do
-        ignore (Union_find.make_set uf)
-      done;
-      let apply =
+      let fresh trail =
+        let uf = Union_find.create ~trail () in
+        for _ = 1 to 12 do
+          ignore (Union_find.make_set uf)
+        done;
+        uf
+      in
+      let apply uf =
         List.iter (fun (op, a, b) ->
             let n = Union_find.size uf in
             match op with
@@ -125,27 +126,101 @@ let prop_trail_rollback =
             | 2 -> ignore (Union_find.make_set uf)
             | _ -> Union_find.clear_dirty uf)
       in
-      apply before;
-      let state u =
-        ( Union_find.size u,
-          Union_find.n_classes u,
-          Union_find.dirty u,
-          List.init (Union_find.size u) (Union_find.find u) )
+      let uf = fresh trail in
+      apply uf before;
+      (* the reference replays [before] on its own structure: reading
+         [uf] here would compress the paths the transaction must find *)
+      let reference =
+        let replayed = fresh (Trail.create ()) in
+        apply replayed before;
+        state replayed
       in
-      let reference = state (Union_find.copy uf) in
       Trail.begin_txn trail;
-      apply outer;
+      apply uf outer;
       Trail.begin_txn trail;
-      apply nested;
+      apply uf nested;
       Trail.commit trail;
-      apply outer;
+      apply uf outer;
       ignore (Trail.rollback trail);
       state uf = reference)
+
+(* Transactions and scopes interleave on one trail: a scope may outlive
+   the transaction that opened it, and a pop may cross transactions opened
+   since its push, which may then commit or roll back (and redo the pop).
+   A random program of writes, begins, commits, rollbacks, pushes and pops
+   runs against a model that holds the state each mark opened on: every
+   rollback and pop must give back exactly that state. *)
+type frame = F_txn of snapshot * frame list | F_scope of snapshot
+and snapshot = int * int * int list * int list
+
+let prop_trail_interleaving =
+  let op = QCheck2.Gen.(triple (int_bound 9) (int_bound 24) (int_bound 24)) in
+  QCheck2.Test.make ~name:"trail: scopes and transactions interleave exactly" ~count:2000
+    QCheck2.Gen.(list_size (int_range 0 60) op)
+    (fun ops ->
+      let trail = Trail.create () in
+      let uf = Union_find.create ~trail () in
+      for _ = 1 to 12 do
+        ignore (Union_find.make_set uf)
+      done;
+      let frames = ref [] and ok = ref true in
+      let expect snap = if state uf <> snap then ok := false in
+      let rec close_txn = function
+        | [] -> None
+        | F_txn (_, _) :: rest -> Some rest
+        | f :: rest -> Option.map (fun rest -> f :: rest) (close_txn rest)
+      in
+      let rec innermost_txn = function
+        | [] -> None
+        | F_txn (snap, outer) :: _ -> Some (snap, outer)
+        | F_scope _ :: rest -> innermost_txn rest
+      in
+      let rec pop = function
+        | [] -> None
+        | F_scope snap :: rest -> Some (snap, rest)
+        | f :: rest -> Option.map (fun (snap, rest) -> (snap, f :: rest)) (pop rest)
+      in
+      List.iter
+        (fun (code, a, b) ->
+          let n = Union_find.size uf in
+          match code with
+          | 0 | 1 -> ignore (Union_find.union uf (a mod n) (b mod n))
+          | 2 -> ignore (Union_find.find uf (a mod n))
+          | 3 -> ignore (Union_find.make_set uf)
+          | 4 -> Union_find.clear_dirty uf
+          | 5 ->
+            frames := F_txn (state uf, !frames) :: !frames;
+            Trail.begin_txn trail
+          | 6 ->
+            frames := F_scope (state uf) :: !frames;
+            Trail.push_scope trail
+          | 7 ->
+            Option.iter
+              (fun rest ->
+                Trail.commit trail;
+                frames := rest)
+              (close_txn !frames)
+          | 8 ->
+            Option.iter
+              (fun (snap, outer) ->
+                ignore (Trail.rollback trail);
+                expect snap;
+                frames := outer)
+              (innermost_txn !frames)
+          | _ ->
+            Option.iter
+              (fun (snap, rest) ->
+                ignore (Trail.pop_scope trail);
+                expect snap;
+                frames := rest)
+              (pop !frames))
+        ops;
+      !ok)
 
 let () =
   let props =
     List.map QCheck_alcotest.to_alcotest
-      [ prop_matches_naive; prop_class_count; prop_trail_rollback ]
+      [ prop_matches_naive; prop_class_count; prop_trail_rollback; prop_trail_interleaving ]
   in
   Alcotest.run "union_find"
     [
@@ -154,7 +229,6 @@ let () =
           Alcotest.test_case "basic" `Quick test_basic;
           Alcotest.test_case "winner" `Quick test_union_returns_winner;
           Alcotest.test_case "dirty log" `Quick test_dirty_log;
-          Alcotest.test_case "copy isolation" `Quick test_copy_isolation;
           Alcotest.test_case "growth" `Quick test_growth;
         ] );
       ("properties", props);
