@@ -98,16 +98,29 @@ let iter_tables db f =
 
 let set_merge_hook db hook = db.merge_hook <- Some hook
 
-(* [id_sorts] needs no inverse: an undone [make_set] puts the slot back
-   past [n_ids], and the next allocation rewrites it. *)
-let fresh_id db sort =
-  let id = Union_find.make_set db.uf in
+let set_sort db id sort =
   if id >= Array.length db.id_sorts then begin
     let bigger = Array.make (2 * Array.length db.id_sorts) dummy_sym in
     Array.blit db.id_sorts 0 bigger 0 (Array.length db.id_sorts);
     db.id_sorts <- bigger
   end;
-  db.id_sorts.(id) <- sort;
+  db.id_sorts.(id) <- sort
+
+(* One entry covers the union-find slot and the id's sort. The sort needs
+   restoring on redo: after a crossing pop undid an allocation, a later one
+   may reuse the slot for another sort before a rollback redoes the first. *)
+let rec unmake_id db () =
+  let sort = db.id_sorts.(Union_find.size db.uf - 1) in
+  Union_find.pop_set db.uf;
+  Trail.Entry
+    (fun () ->
+      set_sort db (Union_find.push_set db.uf) sort;
+      Trail.Entry (unmake_id db))
+
+let fresh_id db sort =
+  if recording db then Trail.push db.trail (fun () -> unmake_id db ());
+  let id = Union_find.push_set db.uf in
+  set_sort db id sort;
   Value.VId id
 
 let sort_of_id db id = Ty.Sort db.id_sorts.(id)

@@ -1577,8 +1577,10 @@ let with_transaction eng f =
 
 let run_command eng cmd =
   match cmd with
-  (* Read-only commands skip the transaction machinery entirely. *)
-  | Ast.Print_function _ | Ast.Print_size _ | Ast.Print_stats -> (
+  (* Read-only commands skip the transaction machinery entirely, and so do
+     push and pop: neither can fail once it writes, and a pop inside its
+     own transaction would cross that transaction's mark. *)
+  | Ast.Print_function _ | Ast.Print_size _ | Ast.Print_stats | Ast.Push | Ast.Pop -> (
     try run_command_inner eng cmd with e -> raise (user_error e))
   | _ -> with_transaction eng (fun () -> run_command_inner eng cmd)
 
@@ -1606,4 +1608,8 @@ let set_session_limits ?node_limit ?time_limit ?memory_limit ?jobs eng () =
   eng.default_memory_limit <- memory_limit;
   Option.iter (fun j -> eng.default_jobs <- j) jobs
 
-let modeled_bytes eng = Database.modeled_bytes eng.db
+(* While a scope is open the trail keeps every inverse until the pop, past
+   the commit of the request that recorded it, so the quotas count each at
+   a fixed cost: the closure with its captures and its trail slot. *)
+let trail_entry_cost = 64
+let modeled_bytes eng = Database.modeled_bytes eng.db + (Trail.held eng.trail * trail_entry_cost)

@@ -226,9 +226,10 @@ val set_session_limits :
     [jobs]. *)
 
 val modeled_bytes : t -> int
-(** {!Database.modeled_bytes} of the engine's current database: the
-    deterministic modeled footprint the server's quotas are accounted
-    against. O(#tables). *)
+(** {!Database.modeled_bytes} of the engine's database, plus a fixed cost
+    per undo-trail entry while a push scope is open (the trail keeps them
+    until the pop): the deterministic modeled footprint the server's quotas
+    are accounted against. O(#tables + scope depth). *)
 
 (** {1 Introspection} *)
 

@@ -38,6 +38,18 @@ let drop t =
 
 let spans_below t mark = List.filter (fun (_, upto) -> upto <= mark) t.crossed
 
+(* Two spans are disjoint, or the newer holds the older (a pop that crossed
+   the older span's entries again). The older one is kept: a rollback of
+   the newer pop's transaction gives it back. These are the spans inside no
+   newer one, highest first. *)
+let outermost spans =
+  let rec go floor = function
+    | [] -> []
+    | (from, upto) :: rest ->
+      if upto <= floor then (from, upto) :: go from rest else go floor rest
+  in
+  go max_int spans
+
 (* Replay down to [mark] and forget the entries, with recording off (an
    inverse that recorded would grow the trail under the loop); then leave
    [marks] open. *)
@@ -59,8 +71,7 @@ let undo_to t mark marks =
 (* With no transaction open, nothing can redo what a crossing pop undid,
    and the span it left replays to no change: its reverses (on top) redo
    the pop, then the entries it ran undo it again. So each span is cut out
-   and the scope marks above it move down. Spans are disjoint, highest
-   first. *)
+   and the scope marks above it move down. *)
 let cut_crossed t =
   List.iter
     (fun (from, upto) ->
@@ -73,10 +84,18 @@ let cut_crossed t =
         | m -> m
       in
       t.marks <- shift t.marks)
-    t.crossed;
+    (outermost t.crossed);
   t.crossed <- []
 
 let rec has_txn = function Bottom -> false | Txn _ -> true | Scope (_, below) -> has_txn below
+let rec has_scope = function Bottom -> false | Scope _ -> true | Txn (_, below, _) -> has_scope below
+
+(* The spans crossing pops left are cut out at the last commit, so they
+   are not counted as kept. *)
+let held t =
+  if has_scope t.marks then
+    List.fold_left (fun n (from, upto) -> n - (upto - from)) t.len (outermost t.crossed)
+  else 0
 
 let commit t =
   let rec close = function
@@ -121,6 +140,5 @@ let pop_scope t =
       let (Entry reverse) = t.undo.(i) () in
       push t reverse
     done;
-    (* the new span holds every older one above [at] *)
-    if top > at then t.crossed <- (at, t.len) :: spans_below t at;
+    if top > at then t.crossed <- (at, t.len) :: t.crossed;
     top - at

@@ -40,6 +40,11 @@ val push : t -> (unit -> entry) -> unit
     [fun () -> ...] literal: a partial application of a named function also
     holds the function, one word more per write. *)
 
+val held : t -> int
+(** The entries an open scope keeps once every open transaction commits:
+    while a scope is open, all of them but the spans crossing pops left
+    (see {!commit}); else 0. *)
+
 val begin_txn : t -> unit
 (** Open a (possibly nested) transaction. *)
 

@@ -23,30 +23,32 @@ let grow uf =
 
 (* Inverses read the arrays through [uf] when they run, not when they are
    recorded: a later [grow] may have replaced them. Slots past [n] need no
-   inverse, because [make_set] (or its reverse) rewrites them before they
-   are reachable. *)
-let make_set uf =
+   inverse, because [push_set] rewrites them before they are reachable. *)
+let push_set uf =
   grow uf;
-  if Trail.recording uf.trail then begin
-    let rec undo () =
-      uf.n <- uf.n - 1;
-      uf.n_classes <- uf.n_classes - 1;
-      Trail.Entry
-        (fun () ->
-          uf.parent.(uf.n) <- uf.n;
-          uf.size.(uf.n) <- 1;
-          uf.n <- uf.n + 1;
-          uf.n_classes <- uf.n_classes + 1;
-          Trail.Entry undo)
-    in
-    Trail.push uf.trail undo
-  end;
   let id = uf.n in
   uf.parent.(id) <- id;
   uf.size.(id) <- 1;
   uf.n <- uf.n + 1;
   uf.n_classes <- uf.n_classes + 1;
   id
+
+let pop_set uf =
+  uf.n <- uf.n - 1;
+  uf.n_classes <- uf.n_classes - 1
+
+let make_set uf =
+  if Trail.recording uf.trail then begin
+    let rec undo () =
+      pop_set uf;
+      Trail.Entry
+        (fun () ->
+          ignore (push_set uf);
+          Trail.Entry undo)
+    in
+    Trail.push uf.trail undo
+  end;
+  push_set uf
 
 let rec restore_parent uf i p () =
   let q = uf.parent.(i) in

@@ -21,6 +21,14 @@ val create : ?trail:Trail.t -> unit -> t
 val make_set : t -> int
 (** Allocate a fresh id, its own canonical representative. *)
 
+val push_set : t -> int
+(** {!make_set} without recording its inverse, for a caller that records
+    one entry covering this write and its own: that entry undoes it with
+    {!pop_set} and redoes it with [push_set]. *)
+
+val pop_set : t -> unit
+(** Forget the newest id; it must be a singleton class. Records nothing. *)
+
 val size : t -> int
 (** Number of ids ever allocated. *)
 

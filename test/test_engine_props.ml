@@ -571,9 +571,9 @@ let prop_jobs_differential_limits =
    - the failure escapes and rolls the whole request back.
    Up to two scopes, each opened by an earlier committed (push) and
    written in, are popped by the request's first commands: those pops
-   cross the request's transaction (and their own commands'), so a
-   rollback of the request must redo what they undid and reopen the
-   scopes. The reference is [raw_state] and the scalars, captured right
+   cross the request's transaction, so a rollback of the request must redo
+   what they undid and reopen the scopes. Ids come in two sorts, so an id
+   a pop freed may be reallocated for the other sort before the rollback. The reference is [raw_state] and the scalars, captured right
    before what fails. After the rollback, the raw tables (rows, stamps,
    counters), every id's representative and proof history, the byte model,
    the class count and the scope depth must equal the reference's; the
@@ -584,6 +584,7 @@ let prop_jobs_differential_limits =
 let rollback_schema =
   {|
     (datatype M (Num i64) (Add M M))
+    (datatype N (Lit i64))
     (function cost (i64) i64)
     (relation r (i64 i64))
     (relation trig (i64))
@@ -614,12 +615,12 @@ let gen_rb_scenario =
        compression and congruence repair need to have something to undo *)
     let code =
       frequency
-        [ (2, return 0); (2, return 2); (1, return 3); (2, return 4); (4, return 5);
+        [ (2, return 0); (1, return 1); (2, return 2); (1, return 3); (2, return 4); (4, return 5);
           (2, return 6); (1, return 7); (1, return 8) ]
     in
     let op = triple code (int_bound 4) (int_bound 4) in
     (* a scope's own writes open and close no scope *)
-    let write = triple (oneofl [ 0; 2; 3; 4; 5; 5; 6 ]) (int_bound 4) (int_bound 4) in
+    let write = triple (oneofl [ 0; 1; 2; 3; 4; 5; 5; 6 ]) (int_bound 4) (int_bound 4) in
     map
       (fun ((pre, inner, body), (dirty, scoped, post), (failure, key, outer)) ->
         { rb_pre = pre; rb_inner = inner; rb_dirty = dirty; rb_scoped = scoped; rb_body = body;
@@ -642,6 +643,7 @@ let rb_commands ~depth ~tag ops =
     (fun i (code, a, b) ->
       match code with
       | 0 -> Printf.sprintf "(r %d %d)" (a mod 3) (b mod 3)
+      | 1 -> Printf.sprintf "(let u%s%d (Lit %d))" tag i (a + b)
       | 2 -> Printf.sprintf "(delete (r %d %d))" (a mod 3) (b mod 3)
       | 3 -> Printf.sprintf "(set (cost %d) %d)" a (2 * a)
       | 4 -> Printf.sprintf "(let t%s%d (Add (Num %d) (Num %d)))" tag i a b
@@ -661,8 +663,8 @@ let rb_commands ~depth ~tag ops =
 let run_cmds eng cmds = List.iter (fun src -> ignore (E.run_string eng src)) cmds
 
 (* Everything rollback must restore, read raw: rows with their stamps, the
-   table counters, each id's representative and proof history, and the
-   database scalars. *)
+   table counters, each id's sort, representative and proof history, and
+   the database scalars. *)
 let raw_state db =
   let tables = ref [] in
   E.Database.iter_tables db (fun t ->
@@ -684,7 +686,8 @@ let raw_state db =
   let finds =
     List.init (E.Database.n_ids db) (fun i ->
         let id = E.Value.VId i in
-        ( E.Value.to_string (E.Database.canon db id),
+        ( E.Ty.to_string (E.Database.sort_of_id db i),
+          E.Value.to_string (E.Database.canon db id),
           List.map
             (fun (st : E.Proof_forest.step) -> (st.from_id, st.to_id))
             (E.Database.class_history db id) ))
@@ -744,9 +747,12 @@ let check_rollback rb ~jobs =
   (* no dump here: dumping rebuilds, which would clean the stale rows the
      failing command is meant to find *)
   let snap () =
+    (* read the raw state first: its finds compress paths, and while a
+       scope is open the byte model counts the trail entries they record *)
+    let state = raw_state (E.Engine.database eng) in
     reference :=
       Some
-        ( raw_state (E.Engine.database eng),
+        ( state,
           E.Engine.modeled_bytes eng,
           E.Engine.n_classes eng,
           E.Engine.scope_depth eng )

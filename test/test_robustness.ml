@@ -449,6 +449,33 @@ let test_pop_forgets_scoped_rules () =
       Alcotest.(check int) "no rule ran" 1 (E.Engine.table_size eng "p"))
     [ 1; 4 ]
 
+(* A request pops a scope an earlier request opened, so the pop undoes the
+   allocation of x's id; the request's next allocation reuses that id for
+   another sort, then the request fails. The rollback must give the id its
+   old sort back: the dump must equal one of an engine that never ran the
+   request, before and after the reopened scope is popped. *)
+let test_rollback_restores_reused_id_sort () =
+  List.iter
+    (fun jobs ->
+      let setup = "(datatype A (a)) (datatype B (b)) (push) (let x (a))" in
+      let request = [ "(pop)"; "(let y (b))"; "(panic \"fail\")" ] in
+      let eng = E.Engine.create ~jobs () and replay = E.Engine.create ~jobs () in
+      E.Engine.with_transaction eng (fun () -> ignore (expect_ok eng "setup" setup));
+      ignore (expect_ok replay "setup" setup);
+      (match
+         E.Engine.with_transaction eng (fun () ->
+             List.iter (fun c -> ignore (E.run_string eng c)) request)
+       with
+       | () -> Alcotest.fail "the request should fail"
+       | exception E.Egglog_error _ -> ());
+      Alcotest.(check string) "dump after the rollback" (E.Serialize.dump_string replay)
+        (E.Serialize.dump_string eng);
+      ignore (expect_ok eng "pop" "(pop)");
+      ignore (expect_ok replay "pop" "(pop)");
+      Alcotest.(check string) "dump after the pop" (E.Serialize.dump_string replay)
+        (E.Serialize.dump_string eng))
+    [ 1; 4 ]
+
 let test_failed_check_rolls_back_side_effects () =
   (* a check on a get-or-default function would otherwise insert fresh ids *)
   let eng = E.Engine.create () in
@@ -561,6 +588,8 @@ let () =
           Alcotest.test_case "pop forgets a scoped ruleset" `Quick test_pop_forgets_scoped_ruleset;
           Alcotest.test_case "pop forgets a scoped ruleset's rules" `Quick
             test_pop_forgets_scoped_rules;
+          Alcotest.test_case "rollback restores a reused id's sort" `Quick
+            test_rollback_restores_reused_id_sort;
           Alcotest.test_case "failed check leaves no residue" `Quick
             test_failed_check_rolls_back_side_effects;
         ] );

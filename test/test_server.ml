@@ -318,6 +318,38 @@ let test_memory_quota_rejection () =
       close_client c);
   cleanup_dir dir
 
+(* While a (push) scope is open, every write's inverse stays on the undo
+   trail until the pop, past its request's commit. Requests that set a
+   value and set it back leave the database's modeled bytes as they were,
+   so only the trail grows: the memory quota must see it, and a pop must
+   give it back. *)
+let test_memory_quota_counts_open_scope () =
+  let dir = fresh_dir () in
+  with_server ~tune:(fun c -> { c with S.Serve.session_memory_quota = Some 3_000 }) dir
+    (fun sv ->
+      let c = connect sv in
+      check_ok "open a scope"
+        (rpc c (run_req ~id:1 ~session:"a" "(function f () i64 :merge new) (set (f) 0) (push)"));
+      let churn id = rpc c (run_req ~id ~session:"a" "(set (f) 1) (set (f) 0)") in
+      let rec until_rejected id =
+        if id > 200 then Alcotest.fail "the open scope's trail never met the quota"
+        else
+          let before = dump_of c "a" in
+          let reply = churn id in
+          if is_ok reply then until_rejected (id + 1)
+          else begin
+            check_err "over quota" "quota" reply;
+            Alcotest.(check string) "quota breach rolled back" before (dump_of c "a")
+          end
+      in
+      until_rejected 2;
+      check_ok "pop" (rpc c (run_req ~id:300 ~session:"a" "(pop)"));
+      for id = 301 to 400 do
+        check_ok "no scope open, nothing kept" (churn id)
+      done;
+      close_client c);
+  cleanup_dir dir
+
 (* Satellite: a real allocation failure mid-request must be a typed reply
    and a rollback, never a dead daemon. Injected via the server.oom fault
    point (raises Out_of_memory inside the request transaction). *)
@@ -996,6 +1028,8 @@ let () =
           Alcotest.test_case "memory limit stops as a budget reject" `Quick
             test_memory_limit_budget_stop;
           Alcotest.test_case "memory quota rejection" `Quick test_memory_quota_rejection;
+          Alcotest.test_case "memory quota counts an open scope's trail" `Quick
+            test_memory_quota_counts_open_scope;
           Alcotest.test_case "mid-request oom is survivable" `Quick test_oom_is_survivable;
           Alcotest.test_case "headroom evicts largest, then sheds" `Quick
             test_headroom_evicts_then_sheds;

@@ -149,9 +149,10 @@ let prop_trail_rollback =
    since its push, which may then commit or roll back (and redo the pop).
    A random program of writes, begins, commits, rollbacks, pushes and pops
    runs against a model that holds the state each mark opened on: every
-   rollback and pop must give back exactly that state. *)
+   rollback and pop must give back exactly that state, and the count of
+   entries an open scope keeps ([Trail.held]) that it had then. *)
 type frame = F_txn of snapshot * frame list | F_scope of snapshot
-and snapshot = int * int * int list * int list
+and snapshot = (int * int * int list * int list) * int
 
 let prop_trail_interleaving =
   let op = QCheck2.Gen.(triple (int_bound 9) (int_bound 24) (int_bound 24)) in
@@ -164,7 +165,13 @@ let prop_trail_interleaving =
         ignore (Union_find.make_set uf)
       done;
       let frames = ref [] and ok = ref true in
-      let expect snap = if state uf <> snap then ok := false in
+      (* [state] compresses paths, which records: count the trail after it,
+         and check the count before it *)
+      let capture () =
+        let st = state uf in
+        (st, Trail.held trail)
+      in
+      let expect (st, held) = if Trail.held trail <> held || state uf <> st then ok := false in
       let rec close_txn = function
         | [] -> None
         | F_txn (_, _) :: rest -> Some rest
@@ -189,10 +196,10 @@ let prop_trail_interleaving =
           | 3 -> ignore (Union_find.make_set uf)
           | 4 -> Union_find.clear_dirty uf
           | 5 ->
-            frames := F_txn (state uf, !frames) :: !frames;
+            frames := F_txn (capture (), !frames) :: !frames;
             Trail.begin_txn trail
           | 6 ->
-            frames := F_scope (state uf) :: !frames;
+            frames := F_scope (capture ()) :: !frames;
             Trail.push_scope trail
           | 7 ->
             Option.iter
