@@ -105,13 +105,22 @@ let write_dump eng = function
 
 let print_report (r : Egglog.Durable.recovery_report) =
   List.iter (fun w -> Printf.eprintf "warning: %s\n" w) r.rc_warnings;
-  Printf.printf "recovered %d committed command(s): %s, %d replayed from the journal%s\n"
+  Printf.printf "recovered %d committed request(s): %s, %d replayed from the journal%s\n"
     r.rc_committed
     (match r.rc_checkpoint with
      | Some seq -> Printf.sprintf "checkpoint generation %d" seq
      | None -> "no checkpoint")
     r.rc_replayed
     (if r.rc_torn then "; dropped a torn trailing record" else "")
+
+(* Under a journal every command is its own one-command request. *)
+let run_commands ?durable eng cmds =
+  match durable with
+  | Some d ->
+    List.concat_map
+      (fun c -> Egglog.Durable.run_request d [ c ] (fun () -> Egglog.Engine.run_command eng c))
+      cmds
+  | None -> Egglog.Engine.run_program eng cmds
 
 let run_file ~seminaive ~backoff ~node_limit ~time_limit ~memory_limit ~jobs ~journal
     ~checkpoint_every ~load ~dump ~trace ~stats ~explain_plans path =
@@ -126,8 +135,8 @@ let run_file ~seminaive ~backoff ~node_limit ~time_limit ~memory_limit ~jobs ~jo
               let d = Egglog.Durable.attach eng ~journal_path ~checkpoint_every in
               Fun.protect
                 ~finally:(fun () -> Egglog.Durable.close d)
-                (fun () -> Egglog.Durable.run_program d cmds)
-            | None -> Egglog.Engine.run_program eng cmds)
+                (fun () -> run_commands ~durable:d eng cmds)
+            | None -> run_commands eng cmds)
       in
       (* Snapshots carry data, not declarations: FILE must (re)declare the
          schema — and add no data of its own — before the snapshot loads. *)
@@ -142,12 +151,7 @@ let run_file ~seminaive ~backoff ~node_limit ~time_limit ~memory_limit ~jobs ~jo
 
 let repl ?durable eng =
   Printf.printf "egglog repl — enter commands, ctrl-d to exit\n%!";
-  let exec src =
-    let cmds = Egglog.Frontend.parse_program src in
-    match durable with
-    | Some d -> Egglog.Durable.run_program d cmds
-    | None -> Egglog.Engine.run_program eng cmds
-  in
+  let exec src = run_commands ?durable eng (Egglog.Frontend.parse_program src) in
   let rec loop buffer =
     Printf.printf "%s %!" (if buffer = "" then ">" else "...");
     match In_channel.input_line stdin with
@@ -311,12 +315,12 @@ let () =
   in
   let journal =
     Arg.(value & opt (some string) None & info [ "journal" ] ~docv:"JOURNAL"
-           ~doc:"Record every committed command to this write-ahead journal (fsync'd per command); recover after a crash with $(b,--recover)")
+           ~doc:"Record every committed command that can change state to this write-ahead journal, one fsync'd record each ($(b,check) and $(b,print-*) are not recorded); recover after a crash with $(b,--recover)")
   in
   let checkpoint_every =
     Arg.(value & opt (some (positive_int ~what:"--checkpoint-every")) None
          & info [ "checkpoint-every" ] ~docv:"N"
-             ~doc:"With $(b,--journal): write an atomic checkpoint and truncate the journal after every N committed commands")
+             ~doc:"With $(b,--journal): write an atomic checkpoint and truncate the journal after every N records")
   in
   let recover =
     Arg.(value & flag & info [ "recover" ]
@@ -459,7 +463,7 @@ let () =
     let serve_checkpoint_every =
       Arg.(value & opt (some (positive_int ~what:"--checkpoint-every")) (Some 64)
            & info [ "checkpoint-every" ] ~docv:"N"
-               ~doc:"Checkpoint a durable session's journal after every N committed commands")
+               ~doc:"Checkpoint a durable session's journal after every N journaled requests (one record each)")
     in
     let serve_fault =
       Arg.(value & opt (some fault_point) None & info [ "fault" ] ~docv:"POINT:N"

@@ -9,20 +9,16 @@ type t = {
   mutable since_ckpt : int;
 }
 
-let engine t = t.engine
-let committed t = t.committed
-
 let checkpoint_path base seq = Printf.sprintf "%s.ckpt.%d" base seq
 
-(* Read-only commands leave no mark on the database, so recording them
-   would only bloat the journal and slow replay. Everything else — even
-   commands that happen not to change anything this run, like a [check] —
-   is journaled, because replay must reproduce the uninterrupted run's
-   command count exactly. *)
-let journal_worthy (cmd : Ast.command) =
+(* The commands that only read: a replay can skip them, so a request made
+   of nothing else appends no record. A [check] that fails raises, and its
+   request rolls back with it. *)
+let read_only (cmd : Ast.command) =
   match cmd with
-  | Ast.Print_function _ | Ast.Print_size _ | Ast.Print_stats -> false
-  | _ -> true
+  | Ast.Check _ | Ast.Check_fail _ | Ast.Print_function _ | Ast.Print_size _ | Ast.Print_stats ->
+    true
+  | _ -> false
 
 let c_checkpoints = Telemetry.counter "checkpoint.writes"
 
@@ -52,38 +48,27 @@ let maybe_checkpoint t =
   | Some n when t.since_ckpt >= n && Engine.scope_depth t.engine = 0 -> do_checkpoint t
   | _ -> ()
 
-let run_command t (cmd : Ast.command) : string list =
-  if not (journal_worthy cmd) then Engine.run_command t.engine cmd
-  else begin
-    (* Render the journal record up front: a command that cannot be printed
-       back to concrete syntax (only constructible through the typed API)
-       must be rejected before execution, or the journal would silently
-       diverge from the state it claims to reproduce. *)
-    let text = Frontend.command_to_string cmd in
-    (* [Engine.run_command] is transactional — if it raises, the engine
-       rolled back and we journal nothing, so the journal records exactly
-       the committed history. *)
-    let outputs = Engine.run_command t.engine cmd in
-    Journal.append t.journal text;
-    t.committed <- t.committed + 1;
-    t.since_ckpt <- t.since_ckpt + 1;
-    maybe_checkpoint t;
-    outputs
-  end
-
-let run_program t cmds = List.concat_map (run_command t) cmds
-
-(* The server's request path: the request body already executed (inside one
-   whole-request transaction) and committed; journal its commands after the
-   fact. Must only be called with commands that actually committed on
-   [engine t] — journaling anything else would make replay diverge. *)
-let append_committed t (cmd : Ast.command) =
-  if journal_worthy cmd then begin
-    Journal.append t.journal (Frontend.command_to_string cmd);
-    t.committed <- t.committed + 1;
-    t.since_ckpt <- t.since_ckpt + 1;
-    maybe_checkpoint t
-  end
+let run_request t cmds exec =
+  (* Render the record up front: a command that cannot be printed back to
+     concrete syntax (only constructible through the typed API) must be
+     rejected before execution, or the journal would silently diverge from
+     the state it claims to reproduce. *)
+  let record =
+    match List.filter (fun c -> not (read_only c)) cmds with
+    | [] -> None
+    | cmds -> Some (String.concat " " (List.map Frontend.command_to_string cmds))
+  in
+  (* [exec] is transactional — if it raises, the engine rolled back and we
+     journal nothing, so the journal records exactly the committed history. *)
+  let result = exec () in
+  Option.iter
+    (fun text ->
+      Journal.append t.journal text;
+      t.committed <- t.committed + 1;
+      t.since_ckpt <- t.since_ckpt + 1;
+      maybe_checkpoint t)
+    record;
+  result
 
 let attach engine ~journal_path ~checkpoint_every =
   if Sys.file_exists journal_path then
@@ -103,14 +88,10 @@ type recovery_report = {
   rc_warnings : string list;
 }
 
-let command_of_entry entry =
-  match Frontend.command_of_sexp (Sexpr.parse_one entry) with
-  | [ cmd ] -> cmd
-  | _ -> error "journal entry does not encode exactly one command: %s" entry
-  | exception Sexpr.Parse_error { message; _ } ->
-    error "unparsable journal entry (%s): %s" message entry
-  | exception Frontend.Syntax_error msg ->
-    error "malformed journal entry (%s): %s" msg entry
+let commands_of_record record =
+  try Frontend.parse_program record with
+  | Sexpr.Parse_error { message; _ } -> error "unparsable journal record (%s): %s" message record
+  | Frontend.Syntax_error msg -> error "malformed journal record (%s): %s" msg record
 
 let load_checkpoint engine (ck : Serialize.checkpoint) =
   Telemetry.span "recover.load_checkpoint" (fun () ->
@@ -176,33 +157,22 @@ let recover engine ~journal_path ~checkpoint_every =
               journal_path j_seq msg
         end
       in
-      let replayed = ref 0 in
+      let replayed = List.length contents.Journal.entries in
       Telemetry.span "recover.replay" (fun () ->
           List.iter
-            (fun entry ->
-              ignore (Engine.run_command engine (command_of_entry entry));
-              incr replayed)
+            (fun record -> ignore (Engine.run_program engine (commands_of_record record)))
             contents.Journal.entries);
-      Telemetry.add "recover.replayed" !replayed;
+      Telemetry.add "recover.replayed" replayed;
       {
         rc_checkpoint = used;
-        rc_replayed = !replayed;
-        rc_committed = base_committed + !replayed;
+        rc_replayed = replayed;
+        rc_committed = base_committed + replayed;
         rc_torn = contents.Journal.torn;
         rc_warnings = List.rev !warnings;
       }
   in
-  let seq = match report.rc_checkpoint with Some s -> s | None -> 0 in
-  let t =
-    {
-      engine;
-      journal;
-      checkpoint_every;
-      seq;
-      committed = report.rc_committed;
-      since_ckpt = report.rc_replayed;
-    }
-  in
-  (t, report)
+  let seq = Option.value report.rc_checkpoint ~default:0 in
+  let committed = report.rc_committed and since_ckpt = report.rc_replayed in
+  ({ engine; journal; checkpoint_every; seq; committed; since_ckpt }, report)
 
 let close t = Journal.close t.journal

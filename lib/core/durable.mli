@@ -4,26 +4,32 @@
 
     {2 Protocol}
 
-    Every journal-worthy command goes through {!run_command}: it executes
-    (transactionally — see {!Engine.run_command}), and only once it has
-    {e committed} is its concrete syntax appended to the journal and
-    fsync'd. A command that fails is rolled back and never journaled; a
-    crash between commit and append loses at most that one command (it was
-    never acknowledged as durable). After [checkpoint_every] committed
-    commands, a checkpoint lands atomically and the journal is reset to a
-    new, empty generation.
+    The unit of durability is the {e request}: a list of commands that
+    executes as one transaction ({!run_request}). A CLI command is a
+    one-command request; a daemon request is a whole [run] program. Its
+    commands are rendered to concrete syntax first; once the request has
+    {e committed}, those that are not {!read_only} are appended to the
+    journal as one record of flat program text and fsync'd. A request that
+    fails is rolled back and never journaled, and one made only of
+    read-only commands appends nothing. A crash between commit and append
+    loses at most that one request (it was never acknowledged as durable).
+    After [checkpoint_every] records, a checkpoint lands atomically and the
+    journal is reset to a new, empty generation, so a checkpoint always
+    sits on a request boundary.
 
     {2 Recovery guarantee}
 
     {!recover} on a fresh engine — newest valid checkpoint, then journal
-    replay — reproduces a state whose {!Serialize.dump} is byte-identical
-    to an uninterrupted run of the same committed command prefix. A torn
-    trailing journal record (crash mid-append) is dropped with a warning,
-    never an error. Caveats: [(include ...)] is journaled by name, so the
-    file must still exist at recovery; runs under a wall-clock [:time-limit]
-    or the Backoff scheduler stop at a time-dependent point, so their
-    replayed prefix is only guaranteed equivalent when the run saturates or
-    hits a deterministic limit. *)
+    replay, each record parsed as a list of commands — reproduces a state
+    whose {!Serialize.dump} is byte-identical to an uninterrupted run of
+    the same committed request prefix. Journals written one command per
+    record read the same way. A torn trailing journal record (crash
+    mid-append) is dropped with a warning, never an error, and with it the
+    whole request it held. Caveats: [(include ...)] is journaled by name,
+    so the file must still exist at recovery; runs under a wall-clock
+    [:time-limit] or the Backoff scheduler stop at a time-dependent point,
+    so their replayed prefix is only guaranteed equivalent when the run
+    saturates or hits a deterministic limit. *)
 
 type t
 
@@ -34,8 +40,8 @@ val attach : Engine.t -> journal_path:string -> checkpoint_every:int option -> t
 
 type recovery_report = {
   rc_checkpoint : int option;  (** checkpoint generation restored, if any *)
-  rc_replayed : int;  (** journal entries replayed on top of it *)
-  rc_committed : int;  (** total committed commands after recovery *)
+  rc_replayed : int;  (** journal records replayed on top of it *)
+  rc_committed : int;  (** total journaled requests after recovery *)
   rc_torn : bool;  (** a torn trailing record was dropped *)
   rc_warnings : string list;  (** human-readable recovery notes *)
 }
@@ -53,29 +59,22 @@ val recover :
     checkpoint generation is missing/corrupt (the journal alone cannot
     reproduce state that was folded into a checkpoint). *)
 
-val run_command : t -> Ast.command -> string list
-(** Execute, then journal on commit (read-only print commands are executed
-    but not journaled). May trigger a checkpoint; checkpointing is deferred
-    while a [(push)] scope is open. *)
+val run_request : t -> Ast.command list -> (unit -> 'a) -> 'a
+(** [run_request t cmds exec] is the one journaling entry point. [exec]
+    must execute exactly [cmds] on the attached engine as one transaction
+    (see {!Engine.with_transaction}; a single {!Engine.run_command} is
+    one). Once it returns, the non-{!read_only} commands of [cmds] are
+    appended as one record; if it raises, nothing is journaled. May
+    trigger a checkpoint; checkpointing is deferred while a [(push)] scope
+    is open. *)
 
-val run_program : t -> Ast.command list -> string list
-
-val append_committed : t -> Ast.command -> unit
-(** Journal a command the caller has {e already executed and committed} on
-    [engine t] — the server's request path, where atomicity spans a whole
-    request: every command of a request is journaled only once the request
-    as a unit commits, so a rolled-back request leaves no journal trace.
-    Read-only commands are skipped as in {!run_command}; may trigger a
-    checkpoint. *)
+val read_only : Ast.command -> bool
+(** [check], [fail] and [print-*]: commands whose replay is skipped, since
+    they leave the database dump and the engine's state as they found
+    them. *)
 
 val checkpoint : t -> unit
 (** Force a checkpoint now. @raise Journal.Journal_error inside an open
     [(push)] scope. *)
 
-val engine : t -> Engine.t
-val committed : t -> int
-(** Journal-worthy commands committed since the journal's genesis. *)
-
 val close : t -> unit
-
-val journal_worthy : Ast.command -> bool

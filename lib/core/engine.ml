@@ -127,7 +127,6 @@ type t = {
   mutable default_node_limit : int option;  (* session-wide budget (CLI --node-limit) *)
   mutable default_time_limit : float option;  (* session-wide budget (CLI --time-limit) *)
   mutable default_memory_limit : int option;  (* session-wide budget (CLI --memory-limit) *)
-  pressure_tiers : float * float;  (* fractions of the memory limit that trigger tier 1/2 *)
   mutable default_jobs : int;  (* search-phase domains (CLI --jobs); 0 = one per core *)
   join_cache : Join.cache;
   mutable current_reason : Proof_forest.reason;  (* justification for unions *)
@@ -341,12 +340,8 @@ let exec_action eng (slots : Value.t array) (a : Compile.caction) =
     Database.remove eng.db (table_of eng f) vals
 
 let create ?(seminaive = true) ?(scheduler = Simple) ?(fast_paths = true)
-    ?(index_caching = true) ?node_limit ?time_limit ?memory_limit
-    ?(pressure_tiers = (0.7, 0.85)) ?(jobs = 1) () =
+    ?(index_caching = true) ?node_limit ?time_limit ?memory_limit ?(jobs = 1) () =
   if jobs < 0 then error "jobs must be non-negative (0 = one per core), got %d" jobs;
-  (let t1, t2 = pressure_tiers in
-   if not (t1 > 0.0 && t1 <= t2 && t2 <= 1.0) then
-     error "pressure tiers must satisfy 0 < tier1 <= tier2 <= 1, got %.2f/%.2f" t1 t2);
   let trail = Trail.create () in
   let eng =
     {
@@ -366,7 +361,6 @@ let create ?(seminaive = true) ?(scheduler = Simple) ?(fast_paths = true)
       default_node_limit = node_limit;
       default_time_limit = time_limit;
       default_memory_limit = memory_limit;
-      pressure_tiers;
       default_jobs = jobs;
       join_cache = Join.new_cache ();
       current_reason = Proof_forest.Asserted;
@@ -777,6 +771,18 @@ let with_rule_context (r : rt_rule) f =
 
 let no_budget_check ~within_iteration:_ = ()
 
+(* While a scope is open the trail keeps every inverse until the pop, past
+   the commit of the command that recorded it, so the footprint counts each
+   at a fixed cost: the closure with its captures and its trail slot. Run
+   budgets and the daemon's quotas all read this one figure. *)
+let trail_entry_cost = 64
+let modeled_bytes eng = Database.modeled_bytes eng.db + (Trail.held eng.trail * trail_entry_cost)
+
+(* The fractions of a run's memory limit at which pressure tiers 1 and 2
+   begin. *)
+let pressure_tier1 = 0.7
+let pressure_tier2 = 0.85
+
 (* One rule's slice of the apply phase: every match in search order, with
    the per-rule and per-match accounting. *)
 let apply_rule eng ~budget_check ~rule_accs ~t0 (ph : phase_times) (r : rt_rule) matches =
@@ -793,7 +799,7 @@ let apply_rule eng ~budget_check ~rule_accs ~t0 (ph : phase_times) (r : rt_rule)
       Some acc
     | None -> None
   in
-  let bytes_before = match acc with Some _ -> Database.modeled_bytes db | None -> 0 in
+  let bytes_before = match acc with Some _ -> modeled_bytes eng | None -> 0 in
   List.iter
     (fun binding ->
       let changes_before = Database.change_counter db in
@@ -808,7 +814,7 @@ let apply_rule eng ~budget_check ~rule_accs ~t0 (ph : phase_times) (r : rt_rule)
       budget_check ~within_iteration:true)
     matches;
   (match acc with
-   | Some acc -> acc.ra_bytes <- acc.ra_bytes + (Database.modeled_bytes db - bytes_before)
+   | Some acc -> acc.ra_bytes <- acc.ra_bytes + (modeled_bytes eng - bytes_before)
    | None -> ());
   r.rr_last_stamp <- t0 + 1;
   if Telemetry.is_enabled () then begin
@@ -1036,7 +1042,7 @@ let run_iterations ?ruleset ?node_limit ?time_limit ?memory_limit ?(until = []) 
      it trips at the same tick at any jobs count. *)
   let peak_bytes = ref 0 in
   let note_bytes () =
-    let b = Database.modeled_bytes eng.db in
+    let b = modeled_bytes eng in
     if b > !peak_bytes then peak_bytes := b;
     b
   in
@@ -1047,9 +1053,8 @@ let run_iterations ?ruleset ?node_limit ?time_limit ?memory_limit ?(until = []) 
     match memory_limit with
     | None -> 0
     | Some m ->
-      let t1, t2 = eng.pressure_tiers in
       let fb = float_of_int bytes and fm = float_of_int m in
-      if fb >= t2 *. fm then 2 else if fb >= t1 *. fm then 1 else 0
+      if fb >= pressure_tier2 *. fm then 2 else if fb >= pressure_tier1 *. fm then 1 else 0
   in
   let tick = ref 0 in
   let budget_check ~within_iteration =
@@ -1607,9 +1612,3 @@ let set_session_limits ?node_limit ?time_limit ?memory_limit ?jobs eng () =
   eng.default_time_limit <- time_limit;
   eng.default_memory_limit <- memory_limit;
   Option.iter (fun j -> eng.default_jobs <- j) jobs
-
-(* While a scope is open the trail keeps every inverse until the pop, past
-   the commit of the request that recorded it, so the quotas count each at
-   a fixed cost: the closure with its captures and its trail slot. *)
-let trail_entry_cost = 64
-let modeled_bytes eng = Database.modeled_bytes eng.db + (Trail.held eng.trail * trail_entry_cost)

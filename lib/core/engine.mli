@@ -26,7 +26,6 @@ val create :
   ?node_limit:int ->
   ?time_limit:float ->
   ?memory_limit:int ->
-  ?pressure_tiers:float * float ->
   ?jobs:int ->
   unit ->
   t
@@ -37,19 +36,19 @@ val create :
     every [(run ...)] and [(run-schedule ...)] command (the CLI's
     [--node-limit] / [--time-limit] / [--memory-limit]); per-command
     [:node-limit] / [:time-limit] / [:memory-limit] override them. The
-    memory budget is enforced against {!Database.modeled_bytes} — the
+    memory budget is enforced against {!modeled_bytes} — the
     deterministic modeled footprint, never [Gc] statistics — so the same
-    program stops at the same iteration on every run. [pressure_tiers]
-    (default [(0.7, 0.85)]) are the fractions of the memory limit at which
-    the engine starts degrading before the hard stop: at tier 1 the backoff
-    scheduler tightens (match limits shrink, and the backoff policy applies
-    even under [Simple]); at tier 2 the rule with the highest modeled byte
-    growth is additionally banned each iteration. [jobs] (default 1) is the
+    program stops at the same iteration on every run. At 70% and 85% of
+    the memory limit the engine starts degrading before the hard stop: at
+    tier 1 the backoff scheduler tightens (match limits shrink, and the
+    backoff policy applies even under [Simple]); at tier 2 the rule with
+    the highest modeled byte growth is additionally banned each
+    iteration. [jobs] (default 1) is the
     session default for the number of domains the search phase fans out
     across ([0] = one per core; the CLI's [--jobs]); a per-command [:jobs]
     overrides it. Apply and rebuild always run serially. Results are
     bit-identical to [jobs:1] for any value.
-    @raise Egglog_error on a negative [jobs] or malformed tiers. *)
+    @raise Egglog_error on a negative [jobs]. *)
 
 val database : t -> Database.t
 
@@ -110,7 +109,7 @@ type stop_reason =
   | Node_limit of int  (** tuple budget tripped; payload = tuples at stop *)
   | Time_limit of float  (** wall-clock budget tripped; payload = elapsed seconds *)
   | Memory_limit of int
-      (** modeled byte budget tripped; payload = {!Database.modeled_bytes} at
+      (** modeled byte budget tripped; payload = {!modeled_bytes} at
           stop. Deterministic: the same program trips at the same iteration
           at any jobs count, with byte-identical database state. *)
   | Until_satisfied  (** the [until] facts became derivable *)
@@ -144,8 +143,8 @@ type run_report = {
           ([>= 1]; the [0] = one-per-core request resolves before it lands
           here) *)
   peak_memory_bytes : int;
-      (** maximum modeled database footprint observed during the run (at
-          iteration boundaries and throttled budget checks) *)
+      (** maximum {!modeled_bytes} observed during the run (at iteration
+          boundaries and throttled budget checks) *)
 }
 
 val pp_run_report : Format.formatter -> run_report -> unit
@@ -166,7 +165,7 @@ val run_iterations :
 (** Run up to [n] iterations, restricted to one named ruleset when given.
     [node_limit] stops once total tuples exceed it; [time_limit] stops after
     that many wall-clock seconds; [memory_limit] stops once the modeled
-    database footprint ({!Database.modeled_bytes}) exceeds it, degrading
+    footprint ({!modeled_bytes}) exceeds it, degrading
     through the pressure tiers first; [until] stops as soon as all its facts
     are derivable (checked before the first iteration and after each one).
     [jobs] fans the search phase across that many domains ([0] = one per
@@ -228,8 +227,9 @@ val set_session_limits :
 val modeled_bytes : t -> int
 (** {!Database.modeled_bytes} of the engine's database, plus a fixed cost
     per undo-trail entry while a push scope is open (the trail keeps them
-    until the pop): the deterministic modeled footprint the server's quotas
-    are accounted against. O(#tables + scope depth). *)
+    until the pop): the deterministic modeled footprint that run memory
+    budgets, pressure tiers, per-rule byte attribution and the server's
+    quotas are all accounted against. O(#tables + scope depth). *)
 
 (** {1 Introspection} *)
 

@@ -331,7 +331,7 @@ let exec_run t (sess : Session.session) ~id ~program ~node_limit ~time_limit_ms 
          | Some j -> Some (min j jobs));
     }
   in
-  let outputs, reports =
+  let execute () =
     E.Engine.with_transaction eng (fun () ->
       (* injected allocation failure: must roll back and reply, never die *)
       if E.Fault.would_crash "server.oom" then raise Out_of_memory;
@@ -382,13 +382,21 @@ let exec_run t (sess : Session.session) ~id ~program ~node_limit ~time_limit_ms 
       | _ -> ());
       result)
   in
-  (* committed — journal the request before acknowledging it *)
-  (match sess.Session.s_durable with
-  | Some d ->
-    E.Fault.hit "server.request.executed";
-    List.iter (E.Durable.append_committed d) cmds;
-    E.Fault.hit "server.request.journaled"
-  | None -> ());
+  (* a durable session journals the request as one record before it is
+     acknowledged *)
+  let outputs, reports =
+    match sess.Session.s_durable with
+    | Some d ->
+      let result =
+        E.Durable.run_request d cmds (fun () ->
+            let result = execute () in
+            E.Fault.hit "server.request.executed";
+            result)
+      in
+      E.Fault.hit "server.request.journaled";
+      result
+    | None -> execute ()
+  in
   sess.Session.s_requests <- sess.Session.s_requests + 1;
   t.last_phases <-
     Some
@@ -804,7 +812,10 @@ let extract_frames t conn =
 let read_conn t conn =
   let buf = Bytes.create 65536 in
   (match Unix.read conn.c_in buf 0 (Bytes.length buf) with
-  | 0 -> conn.c_eof <- true
+  | 0 ->
+    conn.c_eof <- true;
+    (* at EOF an unterminated tail is the last frame: end it *)
+    if Buffer.length conn.c_rbuf > 0 then Buffer.add_char conn.c_rbuf '\n'
   | n -> Buffer.add_subbytes conn.c_rbuf buf 0 n
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
   | exception Unix.Unix_error _ -> conn.c_eof <- true);

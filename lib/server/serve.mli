@@ -23,9 +23,9 @@
       durable session, closes connections and removes the socket file;
       {!run} then returns so the process can exit 0.
     - {b Durability.} Sessions opened with [durable] journal each
-      committed request (after commit, fsync'd before the reply — a
-      crash loses at most unacknowledged work) and are recovered on the
-      next start. See {!Session}.
+      committed request as one record (after commit, fsync'd before the
+      reply — a crash loses at most unacknowledged work) and are
+      recovered on the next start. See {!Egglog.Durable}.
 
     - {b Memory governance.} Budgets are enforced against the engine's
       deterministic modeled byte count ({!Egglog.Engine.modeled_bytes}),

@@ -4,6 +4,8 @@
    to an uninterrupted run. *)
 
 module E = Egglog
+module S = Egglog_server
+module Json = E.Telemetry.Json
 
 let all_points =
   [
@@ -36,14 +38,18 @@ let cleanup_dir d =
   Array.iter (fun f -> try Sys.remove (Filename.concat d f) with Sys_error _ -> ()) (Sys.readdir d);
   try Unix.rmdir d with Unix.Unix_error _ -> ()
 
+(* The CLI's journaled path: every command is a one-command request. *)
+let durable_run d eng c =
+  ignore (E.Durable.run_request d [ c ] (fun () -> E.Engine.run_command eng c))
+
 (* ---- random program generation ----
 
    Deterministic programs drawn from a grammar that exercises everything
    the journal must reproduce: relations and ground facts (Datalog),
    datatype terms and unions (e-graph), rules and rewrites added mid-run,
-   saturation runs, push/pop, and passing checks. All commands are
-   journal-worthy and always succeed, so the journal records the whole
-   program in order. *)
+   saturation runs, push/pop, and passing checks. All commands always
+   succeed, so the journal records the whole program in order, less the
+   read-only checks. *)
 
 let gen_program (rng : Random.State.t) : E.Ast.command list =
   let n_cmds = 8 + Random.State.int rng 8 in
@@ -101,8 +107,8 @@ let gen_program (rng : Random.State.t) : E.Ast.command list =
 
 (* ---- reference runs ---- *)
 
-(* State after the first [k] journal-worthy commands, straight-line (no
-   journal involved). *)
+(* State after the first [k] journaled (not read-only) commands,
+   straight-line (no journal involved). *)
 let reference_dump cmds k =
   let eng = E.Engine.create () in
   let count = ref 0 in
@@ -110,7 +116,7 @@ let reference_dump cmds k =
     (fun c ->
       if !count < k then begin
         ignore (E.Engine.run_command eng c);
-        if E.Durable.journal_worthy c then incr count
+        if not (E.Durable.read_only c) then incr count
       end)
     cmds;
   E.Serialize.dump_string eng
@@ -121,7 +127,7 @@ let remaining_after cmds k =
     else
       match cmds with
       | [] -> []
-      | c :: rest -> go (n + if E.Durable.journal_worthy c then 1 else 0) rest
+      | c :: rest -> go (n + if E.Durable.read_only c then 0 else 1) rest
   in
   go 0 cmds
 
@@ -144,7 +150,7 @@ let count_hits cmds =
       let d =
         E.Durable.attach eng ~journal_path:(Filename.concat dir "journal") ~checkpoint_every
       in
-      List.iter (fun c -> ignore (E.Durable.run_command d c)) cmds;
+      List.iter (durable_run d eng) cmds;
       E.Durable.close d;
       E.Fault.hit_counts ())
 
@@ -162,7 +168,7 @@ let crash_recover_finish ~label cmds ~full_dump point occ =
       E.Fault.arm_nth point occ;
       let crashed =
         try
-          List.iter (fun c -> ignore (E.Durable.run_command d c)) cmds;
+          List.iter (durable_run d eng) cmds;
           false
         with E.Fault.Crash _ -> true
       in
@@ -180,7 +186,7 @@ let crash_recover_finish ~label cmds ~full_dump point occ =
       (* phase 3: finish the program on the recovered engine; the final
          state must equal the uninterrupted run *)
       let rest = remaining_after cmds report.E.Durable.rc_committed in
-      List.iter (fun c -> ignore (E.Durable.run_command d2 c)) rest;
+      List.iter (durable_run d2 eng2) rest;
       Alcotest.(check string)
         (label ^ ": finished dump = uninterrupted run")
         full_dump
@@ -238,20 +244,20 @@ let test_two_sessions_independent seed () =
       let a2 = List.filteri (fun i _ -> i >= half) cmds_a in
       let ea = E.Engine.create () in
       let da = E.Durable.attach ea ~journal_path:ja ~checkpoint_every in
-      List.iter (fun c -> ignore (E.Durable.run_command da c)) a1;
+      List.iter (durable_run da ea) a1;
       let eb = E.Engine.create () in
       let db = E.Durable.attach eb ~journal_path:jb ~checkpoint_every in
       E.Fault.arm_nth "journal.append.torn" 2;
       let crashed =
         try
-          List.iter (fun c -> ignore (E.Durable.run_command db c)) cmds_b;
+          List.iter (durable_run db eb) cmds_b;
           false
         with E.Fault.Crash _ -> true
       in
       E.Fault.disarm ();
       E.Durable.close db;
       Alcotest.(check bool) "B crashed mid-journal" true crashed;
-      List.iter (fun c -> ignore (E.Durable.run_command da c)) a2;
+      List.iter (durable_run da ea) a2;
       E.Durable.close da;
       (* recover each independently *)
       let ea2 = E.Engine.create () in
@@ -267,10 +273,259 @@ let test_two_sessions_independent seed () =
         (E.Serialize.dump_string eb2);
       (* and B can finish its program from where it left off *)
       let rest = remaining_after cmds_b report_b.E.Durable.rc_committed in
-      List.iter (fun c -> ignore (E.Durable.run_command db2 c)) rest;
+      List.iter (durable_run db2 eb2) rest;
       Alcotest.(check string) "B finishes to the uninterrupted result" full_b
         (E.Serialize.dump_string eb2);
       E.Durable.close db2)
+
+(* ---- the daemon crash matrix ----
+
+   A durable daemon session commits whole requests: one journal record per
+   request, checkpoints only between records. Random multi-command requests
+   that bump [:merge (+ old new)] counters (so replaying any command twice
+   shows in the dump) run against an in-process daemon, which crashes at a
+   server or journal fault point. Recovering its journal must give the
+   dump after the last acknowledged request, or after the in-flight one
+   when the crash came after its record was fsync'd. *)
+
+let daemon_schema =
+  "(datatype E (N i64)) (function cnt () i64 :merge (+ old new)) (function w (i64) i64 :merge \
+   (+ old new)) (relation edge (i64 i64)) (relation path (i64 i64)) (rule ((edge x y)) ((path x \
+   y))) (rule ((path x y) (edge y z)) ((path x z)))"
+
+(* Request programs. A check names an edge added before it, so every
+   request commits; some requests are only checks and journal nothing. *)
+let gen_requests rng =
+  let edges = ref [] in
+  let command () =
+    match Random.State.int rng 7 with
+    | 0 | 1 -> Printf.sprintf "(set (cnt) %d)" (1 + Random.State.int rng 100)
+    | 2 -> Printf.sprintf "(set (w %d) %d)" (Random.State.int rng 3) (1 + Random.State.int rng 100)
+    | 3 ->
+      let a = Random.State.int rng 4 and b = Random.State.int rng 4 in
+      edges := (a, b) :: !edges;
+      Printf.sprintf "(edge %d %d)" a b
+    | 4 -> "(run 2)"
+    | _ -> (
+      match !edges with
+      | (a, b) :: _ -> Printf.sprintf "(check (edge %d %d))" a b
+      | [] -> "(print-size edge)")
+  in
+  let request () = String.concat " " (List.init (1 + Random.State.int rng 4) (fun _ -> command ())) in
+  daemon_schema :: List.init (8 + Random.State.int rng 4) (fun _ -> request ())
+
+(* [dumps.(k)]: the state after the first [k] requests, each run as one
+   transaction on a plain engine. *)
+let request_dumps requests =
+  let eng = E.Engine.create () in
+  let dumps =
+    List.map
+      (fun src ->
+        let cmds = E.Frontend.parse_program src in
+        ignore (E.Engine.with_transaction eng (fun () -> E.Engine.run_program eng cmds));
+        E.Serialize.dump_string eng)
+      requests
+  in
+  Array.of_list (E.Serialize.dump_string (E.Engine.create ()) :: dumps)
+
+(* Serve [requests] one at a time on a durable session in [dir], with
+   [arm] called once the session is open. Returns how many requests were
+   acknowledged, whether the daemon crashed, and the fault points' hit
+   counts. *)
+let daemon_session ~dir ~checkpoint_every ~arm requests =
+  let sock = Filename.concat dir "s.sock" in
+  let srv =
+    S.Serve.create
+      {
+        S.Serve.default_config with
+        socket_path = Some sock;
+        data_dir = Some dir;
+        checkpoint_every = Some checkpoint_every;
+      }
+  in
+  let finished = Atomic.make false in
+  let dom =
+    Domain.spawn (fun () ->
+        Fun.protect
+          ~finally:(fun () -> Atomic.set finished true)
+          (fun () -> try S.Serve.run srv with E.Fault.Crash _ -> ()))
+  in
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX sock);
+  let ic = Unix.in_channel_of_descr fd and oc = Unix.out_channel_of_descr fd in
+  let id = ref 0 in
+  (* whether the daemon answered ok, or [None] once it is gone *)
+  let send fields =
+    incr id;
+    output_string oc (Json.to_string (Json.Obj (("id", Json.Int !id) :: fields)));
+    output_char oc '\n';
+    flush oc;
+    let rec await () =
+      match Unix.select [ fd ] [] [] 0.01 with
+      | _ :: _, _, _ -> Some (Json.member "ok" (Json.parse (input_line ic)) = Some (Json.Bool true))
+      | [], _, _ -> if Atomic.get finished then None else await ()
+    in
+    await ()
+  in
+  let session = ("session", Json.Str "s") in
+  if send [ ("op", Json.Str "open-session"); session; ("durable", Json.Bool true) ] <> Some true
+  then Alcotest.fail "open-session failed";
+  arm ();
+  let rec go acked = function
+    | [] -> (acked, false)
+    | program :: rest -> (
+      match send [ ("op", Json.Str "run"); session; ("program", Json.Str program) ] with
+      | Some true -> go (acked + 1) rest
+      | Some false -> Alcotest.failf "request %d failed" (acked + 1)
+      | None -> (acked, true))
+  in
+  let acked, crashed = go 0 requests in
+  if not crashed then S.Serve.request_drain srv;
+  Domain.join dom;
+  let hits = E.Fault.hit_counts () in
+  E.Fault.disarm ();
+  Unix.close fd;
+  (acked, crashed, hits)
+
+let recovered_dump dir =
+  let eng = E.Engine.create () in
+  let d, _ =
+    E.Durable.recover eng ~journal_path:(Filename.concat dir "s.journal") ~checkpoint_every:None
+  in
+  E.Durable.close d;
+  E.Serialize.dump_string eng
+
+let daemon_points = [ "server.request.executed"; "server.request.journaled"; "journal.append.torn" ]
+
+let test_daemon_crash_matrix seed () =
+  let requests = gen_requests (Random.State.make [| seed |]) in
+  let dumps = request_dumps requests in
+  let n = List.length requests in
+  let cases = ref 0 in
+  List.iter
+    (fun checkpoint_every ->
+      let in_dir f =
+        let dir = fresh_dir () in
+        Fun.protect ~finally:(fun () -> cleanup_dir dir) (fun () -> f dir)
+      in
+      let hits =
+        in_dir (fun dir ->
+            let acked, crashed, hits =
+              daemon_session ~dir ~checkpoint_every ~arm:E.Fault.arm_counting requests
+            in
+            Alcotest.(check (pair int bool)) "every request acknowledged" (n, false)
+              (acked, crashed);
+            Alcotest.(check string)
+              (Printf.sprintf "seed %d every %d: clean restart" seed checkpoint_every)
+              dumps.(n) (recovered_dump dir);
+            hits)
+      in
+      List.iter
+        (fun point ->
+          let h = Option.value (List.assoc_opt point hits) ~default:0 in
+          List.iter
+            (fun occ ->
+              in_dir (fun dir ->
+                  let label = Printf.sprintf "seed %d every %d %s:%d" seed checkpoint_every point occ in
+                  let acked, crashed, _ =
+                    daemon_session ~dir ~checkpoint_every
+                      ~arm:(fun () -> E.Fault.arm_nth point occ)
+                      requests
+                  in
+                  incr cases;
+                  Alcotest.(check bool) (label ^ ": crashed") true crashed;
+                  (* only a crash after the fsync keeps the in-flight request *)
+                  let expected =
+                    if point = "server.request.journaled" then acked + 1 else acked
+                  in
+                  Alcotest.(check string) label dumps.(expected) (recovered_dump dir)))
+            (List.sort_uniq Int.compare
+               (List.filter (fun o -> o >= 1) [ 1; (h + 2) / 3; ((2 * h) + 2) / 3; h ])))
+        daemon_points)
+    [ 1; 2; 3 ];
+  (* each point fires at least once per cadence *)
+  Alcotest.(check bool) "crash cases ran" true (!cases >= 9)
+
+(* A journal written one command per record, as the CLI always has, reads
+   as a list of one-command requests: it recovers to the same dump as the
+   journal of the same commands sent as a single request. *)
+let test_one_command_records_recover () =
+  let cmds = gen_program (Random.State.make [| 7 |]) in
+  let full = reference_dump cmds max_int in
+  let dir = fresh_dir () in
+  Fun.protect
+    ~finally:(fun () -> cleanup_dir dir)
+    (fun () ->
+      let recover path =
+        let eng = E.Engine.create () in
+        let d, report = E.Durable.recover eng ~journal_path:path ~checkpoint_every:None in
+        E.Durable.close d;
+        (E.Serialize.dump_string eng, report.E.Durable.rc_replayed)
+      in
+      let old_path = Filename.concat dir "old.journal" in
+      let j = E.Journal.create old_path ~ckpt_seq:0 in
+      List.iter (fun c -> E.Journal.append j (E.Frontend.command_to_string c)) cmds;
+      E.Journal.close j;
+      Alcotest.(check (pair string int))
+        "one record per command" (full, List.length cmds) (recover old_path);
+      let new_path = Filename.concat dir "new.journal" in
+      let eng = E.Engine.create () in
+      let d = E.Durable.attach eng ~journal_path:new_path ~checkpoint_every:None in
+      E.Durable.run_request d cmds (fun () ->
+          E.Engine.with_transaction eng (fun () -> ignore (E.Engine.run_program eng cmds)));
+      E.Durable.close d;
+      Alcotest.(check (pair string int)) "one record per request" (full, 1) (recover new_path))
+
+(* Every command that replay skips must leave the state as it found it:
+   the dump and the engine scalars, on random states, whether the command
+   passes or fails. String literals in a check intern symbols, which must
+   not show either. *)
+let test_read_only_changes_nothing seed () =
+  let rng = Random.State.make [| seed * 31 |] in
+  let cmds = gen_program rng in
+  let cut = Random.State.int rng (List.length cmds + 1) in
+  let eng = E.Engine.create () in
+  ignore (E.Engine.run_program eng (E.Frontend.parse_program "(relation tag (String))"));
+  ignore (E.Engine.run_program eng (List.filteri (fun i _ -> i < cut) cmds));
+  if Random.State.bool rng then
+    ignore (E.Engine.run_program eng (E.Frontend.parse_program "(tag \"seen\")"));
+  let state () =
+    ( E.Serialize.dump_string eng,
+      [
+        E.Engine.total_rows eng;
+        E.Engine.n_classes eng;
+        E.Engine.scope_depth eng;
+        E.Engine.modeled_bytes eng;
+        List.length (E.Engine.decl_commands eng);
+      ] )
+  in
+  let i () = Random.State.int rng 5 in
+  let probes =
+    [
+      Printf.sprintf "(check (edge %d %d))" (i ()) (i ());
+      Printf.sprintf "(fail (check (edge %d %d)))" (i ()) (i ());
+      Printf.sprintf "(check (= (Num %d) (Num %d)))" (i ()) (i ());
+      Printf.sprintf "(check (path %d %d) (edge %d %d))" (i ()) (i ()) (i ()) (i ());
+      "(check (tag \"seen\"))";
+      Printf.sprintf "(check (tag \"fresh-%d-%d\"))" seed (i ());
+      Printf.sprintf "(fail (check (tag \"other-%d\")))" seed;
+      "(print-function edge 3)";
+      "(print-size path)";
+      "(print-stats)";
+    ]
+  in
+  List.iter
+    (fun src ->
+      let cmd =
+        match E.Frontend.parse_program src with
+        | [ c ] -> c
+        | _ -> Alcotest.failf "%s: expected one command" src
+      in
+      Alcotest.(check bool) (src ^ " is read-only") true (E.Durable.read_only cmd);
+      let before = state () in
+      (try ignore (E.Engine.run_command eng cmd) with E.Engine.Egglog_error _ -> ());
+      Alcotest.(check (pair string (list int))) (src ^ " leaves the state alone") before (state ()))
+    probes
 
 (* ---- targeted scenarios ---- *)
 
@@ -332,7 +587,7 @@ let test_corrupt_checkpoint_is_clear_error () =
         E.Frontend.parse_program
           "(relation edge (i64 i64)) (edge 1 2) (edge 2 3) (edge 3 4)"
       in
-      List.iter (fun c -> ignore (E.Durable.run_command d c)) cmds;
+      List.iter (durable_run d eng) cmds;
       E.Durable.close d;
       (* destroy the checkpoint generation the journal depends on *)
       let ckpt =
@@ -365,9 +620,7 @@ let test_checkpoint_deferred_inside_push () =
       let eng = E.Engine.create () in
       let d = E.Durable.attach eng ~journal_path:path ~checkpoint_every:(Some 3) in
       let run src =
-        List.iter
-          (fun c -> ignore (E.Durable.run_command d c))
-          (E.Frontend.parse_program src)
+        List.iter (durable_run d eng) (E.Frontend.parse_program src)
       in
       let ckpts () =
         Sys.readdir dir |> Array.to_list
@@ -476,6 +729,18 @@ let () =
           Alcotest.test_case "independent crash/recovery, seed 2" `Quick
             (test_two_sessions_independent 2);
         ] );
+      ( "daemon-crash-matrix",
+        [
+          Alcotest.test_case "seed 1" `Quick (test_daemon_crash_matrix 1);
+          Alcotest.test_case "seed 2" `Quick (test_daemon_crash_matrix 2);
+          Alcotest.test_case "seed 3" `Quick (test_daemon_crash_matrix 3);
+        ] );
+      ( "read-only",
+        List.init 12 (fun i ->
+            Alcotest.test_case
+              (Printf.sprintf "leaves the state alone, seed %d" (i + 1))
+              `Quick
+              (test_read_only_changes_nothing (i + 1))) );
       ( "scenarios",
         [
           Alcotest.test_case "torn tail truncated" `Quick test_torn_tail_truncated;
@@ -489,5 +754,7 @@ let () =
             test_journal_version_rejected;
           Alcotest.test_case "command print/parse fixpoint" `Quick
             test_command_print_roundtrip;
+          Alcotest.test_case "one-command records recover" `Quick
+            test_one_command_records_recover;
         ] );
     ]

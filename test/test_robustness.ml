@@ -247,18 +247,52 @@ let test_memory_limit_roundtrip () =
       (E.Frontend.command_of_sexp (E.Frontend.sexp_of_command cmd) = [ cmd ])
   | _ -> Alcotest.fail "expected one command"
 
-(* Pressure tiers fire before the hard stop: with tiers set low, the
-   scheduler starts banning the biggest byte-growers (visible as rs_bans
-   with per-rule rs_bytes attribution) while the run keeps going. *)
+(* Pressure tiers fire before the hard stop: past 70% and 85% of the limit
+   the scheduler starts banning the biggest byte-growers (visible as
+   rs_bans with per-rule rs_bytes attribution) while the run keeps going. *)
 let test_memory_pressure_degrades () =
-  let eng = E.Engine.create ~pressure_tiers:(0.05, 0.1) () in
+  let eng = E.Engine.create () in
   ignore (expect_ok eng "setup" explosive_header);
-  let report = E.Engine.run_iterations ~memory_limit:500_000 eng 40 in
+  let report = E.Engine.run_iterations ~memory_limit:120_000 eng 40 in
   let bans = List.fold_left (fun acc s -> acc + s.E.Engine.rs_bans) 0 report.E.Engine.rule_stats in
   let bytes = List.fold_left (fun acc s -> acc + s.E.Engine.rs_bytes) 0 report.E.Engine.rule_stats in
   Alcotest.(check bool) "pressure banned at least one rule" true (bans > 0);
   Alcotest.(check bool) "byte growth attributed to rules" true (bytes > 0);
-  Alcotest.(check bool) "peak tracked" true (report.E.Engine.peak_memory_bytes > 0)
+  Alcotest.(check bool) "peak tracked" true (report.E.Engine.peak_memory_bytes > 0);
+  Alcotest.(check bool) "the bans kept the run under its hard stop" true
+    (report.E.Engine.stop_reason = E.Engine.Iteration_limit)
+
+(* Inside an open (push) scope the undo trail keeps every write's inverse
+   until the pop, and the run budget counts them: a counter bumped once per
+   iteration barely grows the database, yet the same limit that the run
+   fits without a scope stops it with one. *)
+let test_memory_limit_counts_scope_trail () =
+  let counter () =
+    let eng = E.Engine.create () in
+    ignore
+      (expect_ok eng "setup"
+         {|
+           (function cnt () i64 :merge (+ old new))
+           (set (cnt) 0)
+           (rule ((= x (cnt))) ((set (cnt) 1)))
+         |});
+    eng
+  in
+  let free = counter () in
+  let before = E.Engine.modeled_bytes free in
+  let grown = (E.Engine.run_iterations free 30).E.Engine.peak_memory_bytes - before in
+  let limit = before + grown in
+  let stop eng = (E.Engine.run_iterations ~memory_limit:limit eng 30).E.Engine.stop_reason in
+  Alcotest.(check bool) "no scope: the run fits its limit" true
+    (stop (counter ()) = E.Engine.Iteration_limit);
+  let scoped = counter () in
+  ignore (expect_ok scoped "push" "(push)");
+  (match stop scoped with
+   | E.Engine.Memory_limit b ->
+     Alcotest.(check bool) "trail entries counted past the limit" true (b > limit)
+   | r -> Alcotest.failf "expected Memory_limit, got %s" (E.Engine.describe_stop_reason r));
+  ignore (expect_ok scoped "pop" "(pop)");
+  Alcotest.(check int) "pop drops the kept trail" before (E.Engine.modeled_bytes scoped)
 
 let test_modeled_bytes_exact_after_rollback () =
   let eng = E.Engine.create () in
@@ -573,6 +607,8 @@ let () =
             test_memory_pressure_degrades;
           Alcotest.test_case "rollback restores the byte model exactly" `Quick
             test_modeled_bytes_exact_after_rollback;
+          Alcotest.test_case "run budget counts an open scope's trail" `Quick
+            test_memory_limit_counts_scope_trail;
         ] );
       ( "transactions",
         [

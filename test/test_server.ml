@@ -559,21 +559,10 @@ let test_graceful_drain () =
   cleanup_dir dir
 
 (* Pipe mode, in-process: the daemon's stdin and stdout are swapped for
-   pipes around one [run]. The five requests are read in one go and the
-   EOF arrives while the two runs still wait in the admission queue; the
-   EOF ends the job only once every one of them is answered. *)
-let test_stdio_eof_answers_queued () =
-  let requests =
-    [
-      obj [ ("id", Json.Int 1); ("op", Json.Str "ping") ];
-      obj [ ("id", Json.Int 2); ("op", Json.Str "open-session"); ("session", Json.Str "p") ];
-      obj (run_req ~id:3 ~session:"p" prog_base);
-      obj (run_req ~id:4 ~session:"p" prog_more);
-      obj [ ("id", Json.Int 5); ("op", Json.Str "ping") ];
-    ]
-  in
+   pipes around one [run] that reads [input] to its EOF; returns the
+   replies. *)
+let serve_piped input =
   let in_r, in_w = Unix.pipe ~cloexec:true () and out_r, out_w = Unix.pipe ~cloexec:true () in
-  let input = String.concat "" (List.map (fun l -> l ^ "\n") requests) in
   ignore (Unix.write_substring in_w input 0 (String.length input));
   Unix.close in_w;
   flush stdout;
@@ -590,13 +579,40 @@ let test_stdio_eof_answers_queued () =
   let ic = Unix.in_channel_of_descr out_r in
   let replies = List.map Json.parse (In_channel.input_lines ic) in
   close_in ic;
+  replies
+
+let reply_ids replies =
+  List.sort compare
+    (List.map (fun r -> match Json.member "id" r with Some (Json.Int i) -> i | _ -> -1) replies)
+
+(* The five requests are read in one go and the EOF arrives while the two
+   runs still wait in the admission queue; the EOF ends the job only once
+   every one of them is answered. *)
+let test_stdio_eof_answers_queued () =
+  let requests =
+    [
+      obj [ ("id", Json.Int 1); ("op", Json.Str "ping") ];
+      obj [ ("id", Json.Int 2); ("op", Json.Str "open-session"); ("session", Json.Str "p") ];
+      obj (run_req ~id:3 ~session:"p" prog_base);
+      obj (run_req ~id:4 ~session:"p" prog_more);
+      obj [ ("id", Json.Int 5); ("op", Json.Str "ping") ];
+    ]
+  in
+  let replies = serve_piped (String.concat "" (List.map (fun l -> l ^ "\n") requests)) in
   Alcotest.(check int) "one reply per request" 5 (List.length replies);
   List.iter (check_ok "piped request") replies;
-  Alcotest.(check (list int)) "one reply per id" [ 1; 2; 3; 4; 5 ]
-    (List.sort compare
-       (List.map
-          (fun r -> match Json.member "id" r with Some (Json.Int i) -> i | _ -> -1)
-          replies))
+  Alcotest.(check (list int)) "one reply per id" [ 1; 2; 3; 4; 5 ] (reply_ids replies)
+
+(* A last frame with no newline is still a frame: the EOF ends it. *)
+let test_stdio_unterminated_last_frame () =
+  let replies =
+    serve_piped
+      (obj [ ("id", Json.Int 1); ("op", Json.Str "ping") ]
+      ^ "\n"
+      ^ obj [ ("id", Json.Int 2); ("op", Json.Str "ping") ])
+  in
+  List.iter (check_ok "piped ping") replies;
+  Alcotest.(check (list int)) "both pings answered" [ 1; 2 ] (reply_ids replies)
 
 let test_durable_upgrade_and_restart () =
   let dir = fresh_dir () in
@@ -1043,6 +1059,8 @@ let () =
           Alcotest.test_case "graceful drain" `Quick test_graceful_drain;
           Alcotest.test_case "pipe-mode EOF answers queued requests" `Quick
             test_stdio_eof_answers_queued;
+          Alcotest.test_case "pipe-mode EOF ends an unterminated frame" `Quick
+            test_stdio_unterminated_last_frame;
           Alcotest.test_case "durable upgrade and restart" `Quick
             test_durable_upgrade_and_restart;
           Alcotest.test_case "crash before journal loses the request" `Quick
