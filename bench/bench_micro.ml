@@ -148,14 +148,13 @@ let scope_simplify_bench (eng, _) =
   in
   Staged.stage (fun () -> ignore (Egglog.Engine.run_command eng cmd))
 
-(* Derived structures after a small rebuild, on a 40k-row table with an
+(* A derived structure after a small rebuild, on a 40k-row table with an
    id column. Each run unions the id that the previous run gave four rows
    into id 0, so the rebuild takes those four rows out and re-inserts them
    under id 0 (where they already exist), gives four rows a fresh id for
-   the next run, and then asks for a structure over the table: the
-   full-table index a two-atom search probes ([join.patch_after_rebuild]),
-   or the planner's column counts ([stats.after_rebuild]). Either one
-   follows the table from the change feed the rebuild left. *)
+   the next run, and then asks for the full-table index a two-atom search
+   probes, which follows the table from the change feed the rebuild
+   left. *)
 let rebuild_churn () =
   let open Egglog in
   let eng = Engine.create () in
@@ -182,10 +181,10 @@ let rebuild_churn () =
     Database.rebuild db;
     give_fresh_id ()
   in
-  (db, edge, churn)
+  (db, churn)
 
 let patch_after_rebuild_bench () =
-  let db, _, churn = rebuild_churn () in
+  let db, churn = rebuild_churn () in
   let env =
     {
       Egglog.Compile.find_func =
@@ -208,64 +207,6 @@ let patch_after_rebuild_bench () =
   Staged.stage (fun () ->
       churn ();
       Egglog.Join.search_compiled db ~cache cp ~ranges (fun _ -> ()))
-
-let stats_after_rebuild_bench () =
-  let _, edge, churn = rebuild_churn () in
-  ignore (Egglog.Table.column_distincts edge);
-  Staged.stage (fun () ->
-      churn ();
-      ignore (Egglog.Table.column_distincts edge))
-
-(* The planner alone: replan every slot (five delta variants and the full
-   query) of Herbie's five-atom interval rule for [RMul], against the
-   statistics of a Herbie e-graph after a few iterations — the work the
-   engine does for a generic rule whose size buckets all shifted. *)
-let replan_generic_bench () =
-  let open Egglog in
-  let bench = List.hd Herbie.Suite.benches in
-  let eng = Engine.create ~scheduler:Engine.backoff_default () in
-  ignore (run_string eng (Herbie.Rules.sound_program ()));
-  ignore (run_string eng (Herbie.Rules.range_facts bench.Herbie.Suite.ranges));
-  ignore
-    (run_string eng
-       (Printf.sprintf "(define root %s)" (Herbie.Rules.expr_to_egglog bench.Herbie.Suite.expr)));
-  ignore (Engine.run_iterations eng 4);
-  let rmul =
-    List.find_map
-      (function
-        | Ast.Add_rule ({ Ast.query = Ast.Eq (_, Ast.Call ("RMul", _)) :: _ :: _; _ } as r) ->
-          Some r
-        | _ -> None)
-      (Frontend.parse_program Herbie.Rules.analyses)
-    |> Option.get
-  in
-  let db = Engine.database eng in
-  let table (atom : Compile.atom) = Option.get (Database.find_func db atom.Compile.a_func.Schema.name) in
-  let env =
-    { Compile.find_func = (fun name -> Option.map Table.func (Database.find_func db (Symbol.intern name))) }
-  in
-  let q = Compile.compile_query env rmul.Ast.query in
-  assert (Array.length q.Compile.atoms = 5);
-  let cards =
-    Array.map
-      (fun atom ->
-        let rows, distinct = Database.table_stats db (table atom) in
-        { Compile.ac_rows = rows; ac_distinct = distinct })
-      q.Compile.atoms
-  in
-  (* slot j < 5: atom j restricted to a delta of an eighth of its rows *)
-  let slots =
-    Array.init (Array.length cards + 1) (fun j ->
-        Array.mapi
-          (fun i (c : Compile.atom_card) ->
-            if i <> j then c
-            else begin
-              let rows = max 1 (c.Compile.ac_rows / 8) in
-              { Compile.ac_rows = rows; ac_distinct = Array.map (min rows) c.Compile.ac_distinct }
-            end)
-          cards)
-  in
-  Staged.stage (fun () -> Array.iter (fun cards -> ignore (Compile.replan q ~cards)) slots)
 
 let bigint_bench () =
   let a = Bigint.of_string "123456789123456789123456789123456789" in
@@ -308,8 +249,6 @@ let tests () =
       Test.make ~name:"scope.simplify" (scope_simplify_bench small);
       Test.make ~name:"scope.simplify_40k" (scope_simplify_bench large);
       Test.make ~name:"join.patch_after_rebuild" (patch_after_rebuild_bench ());
-      Test.make ~name:"stats.after_rebuild" (stats_after_rebuild_bench ());
-      Test.make ~name:"plan.replan_generic" (replan_generic_bench ());
       Test.make ~name:"bigint-mul-divmod" (bigint_bench ());
       Test.make ~name:"rat-arith" (rat_bench ());
       Test.make ~name:"rat.interval_mixed" (rat_interval_mixed_bench ());

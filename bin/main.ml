@@ -348,7 +348,7 @@ let () =
   in
   let explain_plans =
     Arg.(value & flag & info [ "explain-plans" ]
-           ~doc:"After the program finishes, print each rule's cost-based join plan against the final table statistics: atoms with row counts, the chosen variable order with cost estimates, the primitive schedule, and each semi-naive delta variant's order")
+           ~doc:"After the program finishes, print each rule's join plan, the one its full query and every semi-naive delta variant run: atoms, the variable order (most-shared variables first), the primitive schedule, and the lowering")
   in
   let main file no_seminaive backoff node_limit time_limit memory_limit jobs
       journal checkpoint_every recover fault load dump trace stats explain_plans =

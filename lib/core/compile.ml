@@ -7,16 +7,6 @@ type arg = A_var of int | A_const of Value.t
 type atom = { a_func : Schema.func; a_args : arg array }
 type prim_app = { p_prim : Primitives.prim; p_args : arg array; p_out : arg }
 
-(* What the cost-based planner reads of a query's structure, computed once
-   when the query is compiled and shared by all of its plans. *)
-type planning = {
-  pl_const_cols : int array array;  (* per atom: its constant columns *)
-  pl_cover_start : int array;
-      (* variable v's covering atoms sit at [start.(v), start.(v+1)) of: *)
-  pl_cover_atoms : int array;  (* the atoms it occurs in, ascending *)
-  pl_cover_cols : int array;  (* and its first column in each *)
-}
-
 type cquery = {
   n_vars : int;
   var_names : string array;
@@ -28,7 +18,6 @@ type cquery = {
   name_args : (string * arg) list;
       (* user variable name -> surviving variable or constant, after the
          query's equalities are resolved *)
-  planning : planning;
 }
 
 type cexpr =
@@ -168,61 +157,26 @@ let resolve_equalities st =
 (* Planning                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* The column of [v]'s first occurrence in [args], or -1. *)
-let first_col (args : arg array) v =
-  let n = Array.length args and p = ref 0 in
-  while !p < n && (match args.(!p) with A_var u -> u <> v | A_const _ -> true) do
-    incr p
-  done;
-  if !p = n then -1 else !p
+(* The number of atoms each variable occurs in. *)
+let occurrences ~n_vars (atoms : atom array) =
+  let occ = Array.make n_vars 0 and last_atom = Array.make n_vars (-1) in
+  Array.iteri
+    (fun ai atom ->
+      Array.iter
+        (function
+          | A_var v when last_atom.(v) <> ai ->
+            last_atom.(v) <- ai;
+            occ.(v) <- occ.(v) + 1
+          | A_var _ | A_const _ -> ())
+        atom.a_args)
+    atoms;
+  occ
 
-(* [planning] for a query's atoms: one pass counts each variable's
-   covering atoms to lay out the flat cover arrays, a second fills them. *)
-let planning_of ~n_vars (atoms : atom array) =
-  (* calls [f ai v p] for each variable's first column [p] in each atom [ai] *)
-  let each_first f =
-    for ai = 0 to Array.length atoms - 1 do
-      let args = atoms.(ai).a_args in
-      for p = 0 to Array.length args - 1 do
-        match args.(p) with
-        | A_var v when first_col args v = p -> f ai v p
-        | A_var _ | A_const _ -> ()
-      done
-    done
-  in
-  let start = Array.make (n_vars + 1) 0 in
-  each_first (fun _ v _ -> start.(v + 1) <- start.(v + 1) + 1);
-  for v = 1 to n_vars do
-    start.(v) <- start.(v) + start.(v - 1)
-  done;
-  let cover_atoms = Array.make start.(n_vars) 0 and cover_cols = Array.make start.(n_vars) 0 in
-  let next = Array.sub start 0 n_vars in
-  each_first (fun ai v p ->
-      cover_atoms.(next.(v)) <- ai;
-      cover_cols.(next.(v)) <- p;
-      next.(v) <- next.(v) + 1);
-  let const_cols (atom : atom) =
-    let cols = ref [] in
-    for p = Array.length atom.a_args - 1 downto 0 do
-      match atom.a_args.(p) with A_const _ -> cols := p :: !cols | A_var _ -> ()
-    done;
-    if !cols = [] then [||] else Array.of_list !cols
-  in
-  {
-    pl_const_cols = Array.map const_cols atoms;
-    pl_cover_start = start;
-    pl_cover_atoms = cover_atoms;
-    pl_cover_cols = cover_cols;
-  }
-
-(* The number of atoms [v] occurs in. *)
-let coverage (pl : planning) v = pl.pl_cover_start.(v + 1) - pl.pl_cover_start.(v)
-
-(* Turn a chosen variable [order] into a full plan: per-variable depths plus
-   the primitive schedule. Shared by the initial occurrence-based plan and
-   [reorder], behind the runtime cost-based [replan]. *)
+(* Turn a chosen variable [order] — every variable some atom covers —
+   into a full plan: per-variable depths plus the primitive schedule.
+   Shared by the compile-time plan and [reorder]. *)
 let finish_plan ~var_names ~var_tys ~(atoms : atom array) ~(prims : prim_app list) ~name_args
-    ~(planning : planning) ~(order : int array) =
+    ~(order : int array) =
   let n_vars = Array.length var_names in
   let var_depth = Array.make n_vars 0 in
   Array.iteri (fun d v -> var_depth.(v) <- d + 1) order;
@@ -265,147 +219,44 @@ let finish_plan ~var_names ~var_tys ~(atoms : atom array) ~(prims : prim_app lis
   (match !remaining with
    | [] -> ()
    | (p : prim_app) :: _ -> error "cannot schedule primitive %s: some argument is unbound" p.p_prim.pname);
+  (* [order] holds every variable an atom covers, so any other variable no
+     primitive computes is bound by nothing *)
   Array.iteri
     (fun v depth ->
-      if depth = 0 && not bound.(v) && coverage planning v = 0 then
-        error "variable %s is not bound by the query" var_names.(v))
+      if depth = 0 && not bound.(v) then error "variable %s is not bound by the query" var_names.(v))
     var_depth;
   (* preserve discovery order inside each depth *)
   let schedule = Array.map List.rev schedule in
-  { n_vars; var_names; var_tys; atoms; order; var_depth; schedule; name_args; planning }
+  { n_vars; var_names; var_tys; atoms; order; var_depth; schedule; name_args }
 
-let join_vars_of ~n_vars (occurrences : int array) =
-  let join_vars = ref [] in
-  for v = n_vars - 1 downto 0 do
-    if occurrences.(v) > 0 then join_vars := v :: !join_vars
-  done;
-  !join_vars
-
+(* The rule's one plan: most shared variables first (they constrain the
+   most), ties in variable order. Generic join intersects every covering
+   atom's cursor at each depth and iterates the smallest, so it needs no
+   data-driven order. *)
 let plan ~var_names ~var_tys ~(atoms : atom array) ~(prims : prim_app list) ~name_args =
   let n_vars = Array.length var_names in
-  let planning = planning_of ~n_vars atoms in
-  let occurrences = Array.init n_vars (coverage planning) in
-  (* Cold-start order, used before any table statistics exist: most shared
-     variables first (they constrain the most). The engine replaces this
-     with a cost-based [replan] once it can see table cardinalities. *)
+  let occ = occurrences ~n_vars atoms in
+  let join_vars = List.filter (fun v -> occ.(v) > 0) (List.init n_vars Fun.id) in
   let order =
-    List.stable_sort
-      (fun a b -> Stdlib.compare occurrences.(b) occurrences.(a))
-      (join_vars_of ~n_vars occurrences)
-    |> Array.of_list
+    List.stable_sort (fun a b -> Int.compare occ.(b) occ.(a)) join_vars |> Array.of_list
   in
-  finish_plan ~var_names ~var_tys ~atoms ~prims ~name_args ~planning ~order
-
-(* ------------------------------------------------------------------ *)
-(* Cost-based replanning                                               *)
-(* ------------------------------------------------------------------ *)
-
-type atom_card = {
-  ac_rows : int;
-  ac_distinct : int array;  (* per column: argument columns, then output *)
-}
-
-let prims_of (q : cquery) : prim_app list = List.concat (Array.to_list q.schedule)
-
-let distinct_at (c : atom_card) p =
-  if p < Array.length c.ac_distinct then Int.max 1 c.ac_distinct.(p) else 1
-
-(* Estimated number of values the cursor for [v] enumerates in atom [ai],
-   given the set of already-bound variables: start from the atom's row
-   count, divide by the distinct count of every constant column and of the
-   first column of every bound variable (independence assumption), and
-   never exceed the distinct count of [v]'s own first column. *)
-let estimate ~(q : cquery) ~(cards : atom_card array) ~(bound : bool array) ai v =
-  let atom = q.atoms.(ai) and c = cards.(ai) in
-  let cand = ref (max 1 c.ac_rows) in
-  Array.iteri
-    (fun p arg ->
-      match arg with
-      | A_const _ -> cand := max 1 (!cand / distinct_at c p)
-      | A_var u when u <> v && bound.(u) && first_col atom.a_args u = p ->
-        cand := max 1 (!cand / distinct_at c p)
-      | A_var _ -> ())
-    atom.a_args;
-  let own = first_col atom.a_args v in
-  if own < 0 then !cand else min !cand (distinct_at c own)
-
-(* Greedy cost-based variable ordering: repeatedly pick the unordered join
-   variable whose cheapest covering atom enumerates the fewest values under
-   the current bound set; break ties toward higher coverage (intersecting
-   more atoms prunes more), then toward the smaller variable index so plans
-   are deterministic. *)
-let replan_order (q : cquery) ~(cards : atom_card array) : int array =
-  if Array.length cards <> Array.length q.atoms then
-    invalid_arg "Compile.replan_order: cardinality/atom arity mismatch";
-  let n_steps = Array.length q.order in
-  if n_steps <= 1 then q.order
-  else begin
-    let pl = q.planning in
-    (* [reduced.(ai)]: the numerator of every estimate in atom [ai] — its
-       row count divided by the distinct counts of its constant columns and
-       of the columns of the variables bound so far. Clamped floor
-       division composes in any order (max 1 (max 1 (x / b) / c) =
-       max 1 (x / (b * c))), so dividing as each variable gets bound gives
-       exactly the column-order quotient of [estimate]. *)
-    let reduced =
-      Array.mapi
-        (fun ai (c : atom_card) ->
-          Array.fold_left
-            (fun r p -> Int.max 1 (r / distinct_at c p))
-            (Int.max 1 c.ac_rows) pl.pl_const_cols.(ai))
-        cards
-    in
-    let bound = Array.make q.n_vars false in
-    let candidates = Array.copy q.order in
-    Array.sort Int.compare candidates;
-    let order = Array.make n_steps 0 in
-    for next = 0 to n_steps - 1 do
-      (* the least key (cost, -coverage, v) over the unbound variables *)
-      let best = ref (-1) and best_cost = ref max_int and best_cov = ref 0 in
-      Array.iter
-        (fun v ->
-          if not bound.(v) then begin
-            let cov = coverage pl v in
-            let cost = ref max_int in
-            for k = pl.pl_cover_start.(v) to pl.pl_cover_start.(v + 1) - 1 do
-              let ai = pl.pl_cover_atoms.(k) in
-              cost := Int.min !cost (Int.min reduced.(ai) (distinct_at cards.(ai) pl.pl_cover_cols.(k)))
-            done;
-            if !best < 0 || !cost < !best_cost || (!cost = !best_cost && cov > !best_cov) then begin
-              best := v;
-              best_cost := !cost;
-              best_cov := cov
-            end
-          end)
-        candidates;
-      let v = !best in
-      order.(next) <- v;
-      bound.(v) <- true;
-      for k = pl.pl_cover_start.(v) to pl.pl_cover_start.(v + 1) - 1 do
-        let ai = pl.pl_cover_atoms.(k) in
-        reduced.(ai) <- Int.max 1 (reduced.(ai) / distinct_at cards.(ai) pl.pl_cover_cols.(k))
-      done
-    done;
-    order
-  end
+  finish_plan ~var_names ~var_tys ~atoms ~prims ~name_args ~order
 
 let reorder (q : cquery) ~(order : int array) : cquery =
-  let sorted a = List.sort Stdlib.compare (Array.to_list a) in
+  let sorted a = List.sort Int.compare (Array.to_list a) in
   if sorted order <> sorted q.order then
     invalid_arg "Compile.reorder: order is not a permutation of the query's join variables";
   if order = q.order then q
   else
-    finish_plan ~var_names:q.var_names ~var_tys:q.var_tys ~atoms:q.atoms ~prims:(prims_of q)
-      ~name_args:q.name_args ~planning:q.planning ~order
-
-let replan (q : cquery) ~(cards : atom_card array) : cquery =
-  reorder q ~order:(replan_order q ~cards)
+    finish_plan ~var_names:q.var_names ~var_tys:q.var_tys ~atoms:q.atoms
+      ~prims:(List.concat (Array.to_list q.schedule))
+      ~name_args:q.name_args ~order
 
 (* ------------------------------------------------------------------ *)
 (* Plan dumps                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let pp_plan ?cards ?lowering fmt (q : cquery) =
+let pp_plan ?lowering fmt (q : cquery) =
   let arg_str = function A_var v -> q.var_names.(v) | A_const c -> Value.to_string c in
   Format.fprintf fmt "@[<v>";
   if Array.length q.atoms = 0 then Format.fprintf fmt "atoms: (none)"
@@ -418,34 +269,12 @@ let pp_plan ?cards ?lowering fmt (q : cquery) =
         Format.fprintf fmt "@,  [%d] (%s%s) -> %s" i
           (Symbol.name atom.a_func.Schema.name)
           (String.concat "" (List.map (fun a -> " " ^ a) args))
-          (arg_str atom.a_args.(n - 1));
-        match cards with
-        | Some (cs : atom_card array) -> Format.fprintf fmt "  rows=%d" cs.(i).ac_rows
-        | None -> ())
+          (arg_str atom.a_args.(n - 1)))
       q.atoms
   end;
   Format.fprintf fmt "@,order:";
   if Array.length q.order = 0 then Format.fprintf fmt " (none)"
-  else begin
-    match cards with
-    | None ->
-      Array.iter (fun v -> Format.fprintf fmt " %s" q.var_names.(v)) q.order
-    | Some cards ->
-      (* Annotate each step with its estimated cursor width under the bound
-         set accumulated so far — the quantity the planner minimized. *)
-      let bound = Array.make q.n_vars false in
-      Array.iter
-        (fun v ->
-          let cost = ref max_int in
-          Array.iteri
-            (fun ai atom ->
-              if Array.exists (function A_var u -> u = v | A_const _ -> false) atom.a_args
-              then cost := min !cost (estimate ~q ~cards ~bound ai v))
-            q.atoms;
-          Format.fprintf fmt " %s(est=%d)" q.var_names.(v) !cost;
-          bound.(v) <- true)
-        q.order
-  end;
+  else Array.iter (fun v -> Format.fprintf fmt " %s" q.var_names.(v)) q.order;
   Array.iteri
     (fun d prims ->
       List.iter

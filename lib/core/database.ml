@@ -301,7 +301,3 @@ let modeled_bytes db =
   iter_tables db (fun table -> n := !n + Table.modeled_bytes table);
   !n
 
-(* Cardinality statistics for the cost-based planner: current row count and
-   per-column distinct counts (the latter cached inside the table). *)
-let table_stats (_db : t) table = (Table.length table, Table.column_distincts table)
-

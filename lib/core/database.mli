@@ -95,11 +95,6 @@ val modeled_bytes : t -> int
     budgets are enforced against, so the same program hits the same budget
     at the same iteration regardless of jobs count or allocator state. *)
 
-val table_stats : t -> Table.t -> int * int array
-(** [(rows, distinct-per-column)] for cost-based join planning; distinct
-    counts cover argument columns then the output and are cached against
-    the table version. *)
-
 (** {1 Transactions and scopes}
 
     A transaction is opened with {!Trail.begin_txn}, a scope (push/pop)

@@ -6,7 +6,6 @@ let error fmt = Format.kasprintf (fun s -> raise (Egglog_error s)) fmt
    disabled), snapshotted by --stats and the bench harness. *)
 let c_iterations = Telemetry.counter "engine.iterations"
 let c_plans_built = Telemetry.counter "join.plans_built"
-let c_replans = Telemetry.counter "join.replans"
 let c_variants_skipped = Telemetry.counter "join.variants_skipped"
 let c_matches = Telemetry.counter "engine.matches_applied"
 let c_new = Telemetry.counter "engine.tuples_inserted"
@@ -74,15 +73,6 @@ type run_report = {
   peak_memory_bytes : int;  (* max modeled database bytes observed during the run *)
 }
 
-(* One cached plan of a rule: the query with its chosen variable order,
-   its lowering to closures, and the size buckets the order was chosen
-   for. *)
-type plan_slot = {
-  ps_key : int array;
-  ps_plan : Compile.cquery;
-  ps_compiled : Join.compiled;
-}
-
 type rt_rule = {
   rr_name : string;
   rr_ruleset : string;  (* "" = the default ruleset *)
@@ -90,10 +80,9 @@ type rt_rule = {
   mutable rr_last_stamp : int;
   mutable rr_times_banned : int;
   mutable rr_banned_until : int;
-  rr_fixed_plan : bool;  (* [plan_is_fixed]: one plan serves every slot *)
-  rr_slots : plan_slot option array;
-      (* n_atoms delta variants + the full query, [None] until first
-         planned; a fixed-plan rule has one slot, shared by every variant *)
+  mutable rr_plan : Join.compiled option;
+      (* the rule's one plan, lowered when the rule first runs (see
+         [rule_plan]) *)
 }
 
 (* What a transaction or a scope restores besides the database, whose
@@ -195,101 +184,23 @@ let table_of eng (f : Schema.func) =
   | None -> error "function %s is not declared (popped scope?)" (Symbol.name f.Schema.name)
 
 (* ------------------------------------------------------------------ *)
-(* Cost-based plan cache                                               *)
+(* Rule plans                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let atom_cards eng (q : Compile.cquery) : Compile.atom_card array =
-  Array.map
-    (fun (atom : Compile.atom) ->
-      let table = table_of eng atom.Compile.a_func in
-      let rows, distinct = Database.table_stats eng.db table in
-      { Compile.ac_rows = rows; ac_distinct = distinct })
-    q.Compile.atoms
-
-(* Replace an atom's statistics with its semi-naïve delta: [rows] becomes
-   the frontier size and every distinct count is capped by it (a window of
-   k rows cannot hold more than k distinct values in any column). *)
-let delta_card (c : Compile.atom_card) rows =
-  { Compile.ac_rows = rows; ac_distinct = Array.map (fun d -> min d (max 1 rows)) c.Compile.ac_distinct }
-
-(* log2 size bucket: statistics "shift" (and a slot is replanned) only
-   when a cardinality crosses a power-of-two boundary. *)
-let bucket n =
-  if n <= 0 then 0
-  else begin
-    let b = ref 0 and m = ref n in
-    while !m > 1 do
-      incr b;
-      m := !m lsr 1
-    done;
-    !b + 1
-  end
-
-(* A slot's cache key: the size bucket of every atom's full table, then,
-   for a delta variant [j < n_atoms], the bucket of atom [j]'s delta — the
-   row counts its cost model reads. The schema and variable structure are
-   fixed per compiled rule. *)
-let slot_key eng (q : Compile.cquery) ~delta j =
-  let atoms = q.Compile.atoms in
-  let n_atoms = Array.length atoms in
-  let key = Array.make (if j = n_atoms then n_atoms else n_atoms + 1) (bucket delta) in
-  Array.iteri
-    (fun i (atom : Compile.atom) ->
-      key.(i) <- bucket (Table.length (table_of eng atom.Compile.a_func)))
-    atoms;
-  key
-
-(* A query whose plan never needs replanning: its lowering never reads
-   the variable order ({!Join.order_free}), or it has at most one join
-   variable. *)
-let plan_is_fixed ~fast_paths (q : Compile.cquery) =
-  Array.length q.Compile.order <= 1 || Join.order_free ~fast_paths q
-
-(* Build a plan into slot [j]: count it and lower it to closures. Runs
-   only in the serial pre-phase, so the planner counters are bumped
-   identically at any jobs count. Compiled evaluators keep all mutable
-   state per search, so one compiled object may serve concurrent
-   variants. *)
-let build_slot eng (r : rt_rule) j ~key (plan : Compile.cquery) =
-  Telemetry.bump c_plans_built 1;
-  let ps_compiled = Join.compile_plan ~fast_paths:eng.fast_paths plan in
-  let slot = { ps_key = key; ps_plan = plan; ps_compiled } in
-  r.rr_slots.(j) <- Some slot;
-  slot
-
-(* The plan for slot [j] of a rule — semi-naïve variant [j < n_atoms]
-   (atom [j] is the delta), or the full query at [j = n_atoms] — planned
-   only when that slot is about to run. A fixed-plan rule keeps its
-   compile-time plan, built once, and never reads table statistics. Any
-   other slot is replanned when its key has moved since it was last
-   planned: the order is computed first, and the plan and its compiled
-   closure are rebuilt only when the order changed. *)
-let slot_plan eng (r : rt_rule) j : plan_slot =
-  let q = r.rr_rule.Compile.cr_query in
-  if r.rr_fixed_plan then begin
-    match r.rr_slots.(0) with Some slot -> slot | None -> build_slot eng r 0 ~key:[||] q
-  end
-  else begin
-    let n_atoms = Array.length q.Compile.atoms in
-    let delta =
-      if j = n_atoms then 0
-      else Table.entries_since (table_of eng q.Compile.atoms.(j).Compile.a_func) r.rr_last_stamp
-    in
-    let key = slot_key eng q ~delta j in
-    match r.rr_slots.(j) with
-    | Some slot when slot.ps_key = key -> slot
-    | previous -> (
-      if Option.is_some previous then Telemetry.bump c_replans 1;
-      let cards = atom_cards eng q in
-      if j < n_atoms then cards.(j) <- delta_card cards.(j) delta;
-      let order = Compile.replan_order q ~cards in
-      match previous with
-      | Some slot when order = slot.ps_plan.Compile.order ->
-        let slot = { slot with ps_key = key } in
-        r.rr_slots.(j) <- Some slot;
-        slot
-      | Some _ | None -> build_slot eng r j ~key (Compile.reorder q ~order))
-  end
+(* A rule's one plan: its compile-time variable order, lowered to
+   closures the first time the rule runs and reused by the full query and
+   every delta variant after. Called only in the serial pre-phase, so
+   [join.plans_built] counts the same at any jobs count. Compiled
+   evaluators keep all mutable state per search, so one compiled plan may
+   serve concurrent variants. *)
+let rule_plan eng (r : rt_rule) : Join.compiled =
+  match r.rr_plan with
+  | Some cp -> cp
+  | None ->
+    Telemetry.bump c_plans_built 1;
+    let cp = Join.compile_plan ~fast_paths:eng.fast_paths r.rr_rule.Compile.cr_query in
+    r.rr_plan <- Some cp;
+    cp
 
 let rec eval_expr eng (slots : Value.t array) (e : Compile.cexpr) : Value.t =
   match e with
@@ -494,11 +405,6 @@ let add_rule eng (rule : Ast.rule) =
           Printf.sprintf "rule_%d" eng.rule_counter
       in
       let crule = Compile.compile_rule (compile_env eng) ~name rule in
-      let q = crule.Compile.cr_query in
-      let rr_fixed_plan = plan_is_fixed ~fast_paths:eng.fast_paths q in
-      let rr_slots =
-        Array.make (if rr_fixed_plan then 1 else Array.length q.Compile.atoms + 1) None
-      in
       let ruleset = Option.value rule.Ast.ruleset ~default:"" in
       if ruleset <> "" && not (List.mem ruleset eng.rulesets) then
         error "unknown ruleset %s (declare it with (ruleset %s))" ruleset ruleset;
@@ -510,8 +416,7 @@ let add_rule eng (rule : Ast.rule) =
           rr_last_stamp = 0;
           rr_times_banned = 0;
           rr_banned_until = 0;
-          rr_fixed_plan;
-          rr_slots;
+          rr_plan = None;
         }
       in
       eng.rules <- eng.rules @ [ rt ];
@@ -563,51 +468,26 @@ let check_facts eng facts =
   wrap_compile (fun () ->
       Database.rebuild eng.db;
       match Compile.compile_query (compile_env eng) facts with
-      | q ->
-        (* one-shot query: order against current statistics, no caching;
-           a fixed-plan query needs no statistics at all *)
-        let q =
-          if plan_is_fixed ~fast_paths:true q then q
-          else Compile.replan q ~cards:(atom_cards eng q)
-        in
-        Join.exists eng.db q
+      | q -> Join.exists eng.db q
       | exception Compile.Unsat -> false)
 
-(* Deterministic dump of every rule's cost-based plan against current table
-   statistics: the full-range plan in detail plus the chosen variable order
-   of each semi-naïve delta variant. Read-only (statistics queries only). *)
+(* Deterministic dump of every rule's plan: atoms, variable order,
+   primitive schedule and lowering. A plan is fixed when its rule is
+   compiled, so the dump reads no table. *)
 let explain_plans eng : string =
   let buf = Buffer.create 256 in
   List.iter
     (fun r ->
       let q = r.rr_rule.Compile.cr_query in
-      let n_atoms = Array.length q.Compile.atoms in
       let ruleset = if r.rr_ruleset = "" then "default" else r.rr_ruleset in
       Buffer.add_string buf (Printf.sprintf "rule %s (ruleset %s)\n" r.rr_name ruleset);
-      let lowering_of = Join.describe_lowering ~fast_paths:eng.fast_paths in
-      if n_atoms = 0 then Buffer.add_string buf "  (no atoms)\n"
+      if Array.length q.Compile.atoms = 0 then Buffer.add_string buf "  (no atoms)\n"
       else begin
-        let cards = atom_cards eng q in
-        let full = Compile.replan q ~cards in
-        let dump =
-          Format.asprintf "%a" (Compile.pp_plan ~cards ~lowering:(lowering_of full)) full
-        in
+        let lowering = Join.describe_lowering ~fast_paths:eng.fast_paths q in
+        let dump = Format.asprintf "%a" (Compile.pp_plan ~lowering) q in
         List.iter
           (fun line -> Buffer.add_string buf ("  " ^ line ^ "\n"))
-          (String.split_on_char '\n' dump);
-        let low = r.rr_last_stamp in
-        for j = 0 to n_atoms - 1 do
-          let delta = Table.entries_since (table_of eng q.Compile.atoms.(j).Compile.a_func) low in
-          let cards' = Array.mapi (fun i c -> if i = j then delta_card c delta else c) cards in
-          let variant = Compile.replan q ~cards:cards' in
-          Buffer.add_string buf
-            (Printf.sprintf "  delta[%d] (%d rows) order:%s  [%s]\n" j delta
-               (String.concat ""
-                  (List.map
-                     (fun v -> " " ^ q.Compile.var_names.(v))
-                     (Array.to_list variant.Compile.order)))
-               (lowering_of variant))
-        done
+          (String.split_on_char '\n' dump)
       end)
     eng.rules;
   Buffer.contents buf
@@ -628,23 +508,23 @@ let describe_stop_reason = function
    escapes run_iterations. *)
 exception Stop_run of stop_reason
 
-(* The search units of one rule: (plan slot, per-atom stamp ranges) pairs,
-   in ascending variant order. One full-range unit when semi-naïve doesn't
-   apply; otherwise the delta variants — atom j sees rows new since the
-   rule last ran, the others see everything. A match whose rows are new in
-   k atoms is found k times; egglog actions are idempotent (set/union), so
-   the duplicates are harmless, and the scheme lets every variant reuse
-   the same cached full-table tries (only the tiny delta trie differs).
-   Variant j is dropped when atom j's table logged nothing since the rule
-   last ran: its delta scan reads exactly those log entries, so it could
-   yield nothing, and skipping it also skips planning it and building or
-   patching its full-table structures. *)
-let rule_variants eng (r : rt_rule) : (int * Join.stamp_range array) list =
+(* The search units of one rule: per-atom stamp ranges, one array per
+   variant, in ascending variant order. One full-range unit when
+   semi-naïve doesn't apply; otherwise the delta variants — atom j sees
+   rows new since the rule last ran, the others see everything. A match
+   whose rows are new in k atoms is found k times; egglog actions are
+   idempotent (set/union), so the duplicates are harmless, and the scheme
+   lets every variant reuse the same cached full-table tries (only the
+   tiny delta trie differs). Variant j is dropped when atom j's table
+   logged nothing since the rule last ran: its delta scan reads exactly
+   those log entries, so it could yield nothing, and skipping it also
+   skips building or patching its full-table structures. *)
+let rule_variants eng (r : rt_rule) : Join.stamp_range array list =
   let atoms = r.rr_rule.Compile.cr_query.Compile.atoms in
   let n_atoms = Array.length atoms in
   let low = r.rr_last_stamp in
   if (not eng.seminaive) || low = 0 || n_atoms = 0 then
-    [ (n_atoms, Array.make n_atoms Join.all_rows) ]
+    [ Array.make n_atoms Join.all_rows ]
   else
     List.filter_map
       (fun j ->
@@ -654,19 +534,18 @@ let rule_variants eng (r : rt_rule) : (int * Join.stamp_range array) list =
         end
         else
           Some
-            ( j,
-              Array.init n_atoms (fun i ->
-                  if i = j then { Join.lo = low; hi = max_int } else Join.all_rows) ))
+            (Array.init n_atoms (fun i ->
+                 if i = j then { Join.lo = low; hi = max_int } else Join.all_rows)))
       (List.init n_atoms Fun.id)
 
 (* Search one variant; matches come back in reversed discovery order (the
    natural cons order). Read-only over the database and the frozen cache,
    so variants can run on worker domains. *)
-let search_variant eng ?cache (slot : plan_slot) (ranges : Join.stamp_range array) :
+let search_variant eng ?cache (cp : Join.compiled) (ranges : Join.stamp_range array) :
     Value.t array list =
   let acc = ref [] in
   let emit b = acc := Array.copy b :: !acc in
-  Join.search_compiled eng.db ?cache slot.ps_compiled ~ranges emit;
+  Join.search_compiled eng.db ?cache cp ~ranges emit;
   !acc
 
 (* Merge per-variant results (ascending variant order, each in reversed
@@ -710,11 +589,10 @@ let resolve_variant_matches (plan : Compile.cquery) (rows : Value.t array list) 
 
 let search_matches eng ?cache (r : rt_rule) : Value.t array list =
   let cache = if eng.index_caching then cache else None in
+  let q = r.rr_rule.Compile.cr_query in
   merge_variant_matches
     (List.map
-       (fun (j, ranges) ->
-         let slot = slot_plan eng r j in
-         resolve_variant_matches slot.ps_plan (search_variant eng ?cache slot ranges))
+       (fun ranges -> resolve_variant_matches q (search_variant eng ?cache (rule_plan eng r) ranges))
        (rule_variants eng r))
 
 let apply_match eng (r : rt_rule) (binding : Value.t array) =
@@ -825,8 +703,8 @@ let apply_rule eng ~budget_check ~rule_accs ~t0 (ph : phase_times) (r : rt_rule)
   end
 
 (* Fan one iteration's rule×variant search tasks across [jobs] domains.
-   Serial pre-phase: variant selection and planning ([slot_plan] mutates
-   the per-rule plan cache and reads Database.table_stats, which memoizes), then
+   Serial pre-phase: variant selection and lowering each rule's plan on
+   its first run ([rule_plan] mutates the rule), then
    [Join.prebuild] warms every full-range cache entry the tasks will want.
    The cache is then frozen and the database is read-only for the whole
    fan-out, so tasks are pure; per-variant buffers are merged back in
@@ -839,7 +717,7 @@ let parallel_search eng ~jobs ~budget_check (eligible : rt_rule list) :
   let rules_variants =
     List.map
       (fun r ->
-        (r, List.map (fun (j, ranges) -> (slot_plan eng r j, ranges)) (rule_variants eng r)))
+        (r, List.map (fun ranges -> (rule_plan eng r, ranges)) (rule_variants eng r)))
       eligible
   in
   let tasks =
@@ -847,8 +725,7 @@ let parallel_search eng ~jobs ~budget_check (eligible : rt_rule list) :
       (List.concat_map (fun (r, vs) -> List.map (fun v -> (r, v)) vs) rules_variants)
   in
   Array.iter
-    (fun (_, ((slot : plan_slot), ranges)) ->
-      Join.prebuild eng.db ?cache slot.ps_compiled ~ranges)
+    (fun (_, (cp, ranges)) -> Join.prebuild eng.db ?cache cp ~ranges)
     tasks;
   let pool = Pool.global ~workers:(jobs - 1) in
   Telemetry.record_max c_domains (min jobs (1 + Pool.size pool));
@@ -858,8 +735,8 @@ let parallel_search eng ~jobs ~budget_check (eligible : rt_rule list) :
       ~finally:(fun () -> Option.iter (fun c -> Join.set_frozen c false) cache)
       (fun () ->
         Pool.run ~participants:(jobs - 1) pool
-          (fun (r, (slot, ranges)) ->
-            with_rule_context r (fun () -> search_variant eng ?cache slot ranges))
+          (fun (r, (cp, ranges)) ->
+            with_rule_context r (fun () -> search_variant eng ?cache cp ranges))
           tasks)
   in
   let idx = ref 0 in
@@ -867,10 +744,10 @@ let parallel_search eng ~jobs ~budget_check (eligible : rt_rule list) :
     (fun (r, vs) ->
       let per_variant =
         List.map
-          (fun ((slot : plan_slot), _) ->
+          (fun _ ->
             let vm = results.(!idx) in
             incr idx;
-            resolve_variant_matches slot.ps_plan vm)
+            resolve_variant_matches r.rr_rule.Compile.cr_query vm)
           vs
       in
       let matches = merge_variant_matches per_variant in

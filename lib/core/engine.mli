@@ -76,10 +76,10 @@ val lookup_fact : t -> string -> Value.t list -> Value.t option
 val rebuild : t -> unit
 
 val explain_plans : t -> string
-(** Deterministic textual dump of every rule's cost-based join plan against
-    the current table statistics: atoms with row counts, the chosen
-    variable order with cost estimates, the primitive schedule, and the
-    order of each semi-naïve delta variant (CLI [--explain-plans]). *)
+(** Deterministic textual dump of every rule's join plan — the one plan
+    its full query and every semi-naïve delta variant run: atoms, the
+    compile-time variable order, the primitive schedule and the lowering
+    (CLI [--explain-plans]). Reads no table. *)
 
 (** {1 Running} *)
 

@@ -229,7 +229,7 @@ let mk_key kind (plan : atom_plan) (range : stamp_range) ~proj ~rest =
     k_table = Table.uid plan.ap_table;
     (* an index is fully determined by proj + rest + checks + window; its
        source layout varies with the plan's variable order, so keying on it
-       would needlessly duplicate identical indexes across replans *)
+       would needlessly duplicate identical indexes across rules *)
     k_sources = (if kind = 1 then [||] else plan.ap_sources);
     k_checks = plan.ap_checks;
     k_lo = range.lo;
@@ -457,6 +457,17 @@ let order_free ?(fast_paths = true) (q : Compile.cquery) =
   | [| a; b |] -> binds a && binds b
   | _ -> false
 
+(* Run a driver scan that counts its rows into [scanned], then record the
+   count in [join.tuples_scanned] — also when the callback stops the scan
+   by raising, as {!exists} does at its first match. One handler per
+   search, nothing per row. *)
+let counted_scan scanned scan =
+  match scan () with
+  | () -> Telemetry.bump c_scanned !scanned
+  | exception e ->
+    Telemetry.bump c_scanned !scanned;
+    raise e
+
 (* Count yields only when telemetry is on: the wrapper closure would
    otherwise cost an allocation per search even with everything off. *)
 let count_yields callback =
@@ -513,13 +524,13 @@ let compile_single (q : Compile.cquery) (sh : Plan_compile.shape) : compiled_run
     let env = Array.make n_vars Value.VUnit in
     let run_prims = prims () in
     let scanned = ref 0 in
-    Table.iter_delta table ~lo:ranges.(0).lo ~hi:ranges.(0).hi (fun key row ->
-        incr scanned;
-        if filter key row then begin
-          bind env key row;
-          if run_prims env then callback env
-        end);
-    Telemetry.bump c_scanned !scanned
+    counted_scan scanned (fun () ->
+        Table.iter_delta table ~lo:ranges.(0).lo ~hi:ranges.(0).hi (fun key row ->
+            incr scanned;
+            if filter key row then begin
+              bind env key row;
+              if run_prims env then callback env
+            end))
 
 (* One orientation (driver choice) of the two-atom path: scan the driver
    atom, probe a hash index on the other atom keyed by the shared
@@ -550,7 +561,7 @@ let compile_two_orient (q : Compile.cquery) (shapes : Plan_compile.shape array) 
     osh.Plan_compile.sh_vars;
   (* canonicalize by column position: the index layout then depends only on
      which variables are shared, not on the plan's variable order, so one
-     cached index survives replans and serves every ordering *)
+     cached index serves every rule and ordering over the same atom *)
   let by_src (_, s1) (_, s2) = Int.compare s1 s2 in
   let shared = Array.of_list (List.sort by_src !shared)
   and rest = Array.of_list (List.sort by_src !rest) in
@@ -602,25 +613,25 @@ let compile_two (q : Compile.cquery) (shapes : Plan_compile.shape array) =
     let run_prims = o.to_prims () in
     let nshared = Array.length o.to_shared_vars and nrest = Array.length o.to_rest_vars in
     let scanned = ref 0 in
-    Table.iter_delta dtable ~lo:drange.lo ~hi:drange.hi (fun key row ->
-        incr scanned;
-        if o.to_filter_d key row then begin
-          o.to_bind_d env key row;
-          for i = 0 to nshared - 1 do
-            probe_key.(i) <- env.(o.to_shared_vars.(i))
-          done;
-          match Value.Key_tbl.find_opt index probe_key with
-          | None -> ()
-          | Some entries ->
-            List.iter
-              (fun (rest_vals : Value.t array) ->
-                for i = 0 to nrest - 1 do
-                  env.(o.to_rest_vars.(i)) <- rest_vals.(i)
-                done;
-                if run_prims env then callback env)
-              entries
-        end);
-    Telemetry.bump c_scanned !scanned
+    counted_scan scanned (fun () ->
+        Table.iter_delta dtable ~lo:drange.lo ~hi:drange.hi (fun key row ->
+            incr scanned;
+            if o.to_filter_d key row then begin
+              o.to_bind_d env key row;
+              for i = 0 to nshared - 1 do
+                probe_key.(i) <- env.(o.to_shared_vars.(i))
+              done;
+              match Value.Key_tbl.find_opt index probe_key with
+              | None -> ()
+              | Some entries ->
+                List.iter
+                  (fun (rest_vals : Value.t array) ->
+                    for i = 0 to nrest - 1 do
+                      env.(o.to_rest_vars.(i)) <- rest_vals.(i)
+                    done;
+                    if run_prims env then callback env)
+                  entries
+            end))
   and prebuild db cache ranges =
     let o, _, _, oplan, orange = orient db ranges in
     if is_full orange then

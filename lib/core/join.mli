@@ -46,20 +46,12 @@ val set_frozen : cache -> bool -> unit
     stale persistent entries are rebuilt privately instead of patched in
     place. Freeze after {!prebuild}, unfreeze before the apply phase. *)
 
-val order_free : ?fast_paths:bool -> Compile.cquery -> bool
-(** True for the lowering class whose search never reads the plan's
-    variable order: one atom, or two atoms, each binding at least one
-    variable, with [fast_paths] (the default). The single-atom scan binds
-    every variable from one row, and the two-atom path picks its driver
-    per search and keys its index by column position. Such a query needs
-    one plan for every delta variant, at any table statistics. *)
-
 (** {2 Compiled plans}
 
     Every search runs a plan lowered once to a tree of specialized OCaml
     closures (see {!Plan_compile}): typed column readers, hoisted constant
     checks, per-arity binding loops, pre-resolved primitive guards. Lower
-    in the engine's serial pre-phase (plan cache); one compiled plan may
+    in the engine's serial pre-phase, once per rule; one compiled plan may
     then be searched from several domains (each search instantiates its
     own mutable state). Matches come out in the same order at any
     [--jobs] count. *)
@@ -67,8 +59,9 @@ val order_free : ?fast_paths:bool -> Compile.cquery -> bool
 type compiled
 
 val compile_plan : ?fast_paths:bool -> Compile.cquery -> compiled
-(** Lower a plan: a single-atom scan or a two-atom hash join when
-    {!order_free} holds, the generic trie join otherwise — including
+(** Lower a plan: a single-atom scan, or a two-atom hash join, when
+    every atom binds at least one variable and [fast_paths] holds (the
+    default); the generic trie join otherwise — including
     atomless (pure primitive) queries, whose only step runs the
     primitives and emits. [fast_paths:false] forces the generic trie join
     for every query (ablation). *)

@@ -1,7 +1,8 @@
-(* Plan compilation: lower a cost-ordered query plan (a {!Compile.cquery})
-   to specialized OCaml closures, built once per (plan, delta-variant) and
-   reused across iterations, so no row pays for a checks-list traversal, a
-   position test per cell read, or a symbol-table-resolved primitive call.
+(* Plan compilation: lower a query plan (a {!Compile.cquery}) to
+   specialized OCaml closures, built once per rule and reused by every
+   delta variant and iteration, so no row pays for a checks-list
+   traversal, a position test per cell read, or a symbol-table-resolved
+   primitive call.
    All of that is resolved at construction time:
 
    - cell reads go through {!Table.reader}/{!Table.int_reader}, which fix

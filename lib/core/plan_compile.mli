@@ -1,9 +1,9 @@
-(** Plan compilation: lower cost-ordered query plans to specialized OCaml
-    closures, doing the per-plan dispatch once per (plan, delta-variant)
-    instead of once per tuple. This module is the table-level toolkit
-    — typed cell readers, hoisted constant checks, per-arity binding loops,
-    pre-resolved primitive guards; the lowered evaluators that tie the
-    kernels to tries, indexes and the join cache live in {!Join}. *)
+(** Plan compilation: lower query plans to specialized OCaml closures,
+    doing the per-plan dispatch once per rule instead of once per tuple.
+    This module is the table-level toolkit — typed cell readers, hoisted
+    constant checks, per-arity binding loops, pre-resolved primitive
+    guards; the lowered evaluators that tie the kernels to tries, indexes
+    and the join cache live in {!Join}. *)
 
 type check =
   | Check_const of int * Value.t  (** position must equal the literal *)
@@ -52,7 +52,7 @@ val compile_prims : (Compile.prim_app * bool) list -> unit -> Value.t array -> b
 
 exception Unbound_prim_arg
 (** A primitive argument was unbound — a scheduling bug, never reachable
-    through {!Compile.replan}-produced plans. *)
+    through plans {!Compile} produced. *)
 
 val compile_depth_prims : Compile.prim_app list -> Value.t option array -> int list option
 (** Compile one depth's schedule for the generic trie join: option-array

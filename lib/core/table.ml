@@ -5,91 +5,7 @@ type row = {
   mutable born : int;
 }
 
-module VTbl = Hashtbl.Make (struct
-  type t = Value.t
-
-  let equal = Value.equal
-  let hash = Value.hash
-end)
-
-(* Int -> count map for the statistics of integer-payload columns: open
-   addressing with linear probing and backward-shift deletion, so counting
-   allocates nothing per cell. A zero count marks a free slot; the arrays
-   double when three quarters full. *)
-module Int_counts = struct
-  type t = { mutable keys : int array; mutable counts : int array; mutable size : int }
-
-  let create () = { keys = Array.make 16 0; counts = Array.make 16 0; size = 0 }
-
-  let home mask x =
-    let h = x * 0x2545F4914F6CDD1D in
-    (h lxor (h lsr 29)) land mask
-
-  let grow t =
-    let keys = t.keys and counts = t.counts in
-    let cap = 2 * Array.length keys in
-    let mask = cap - 1 in
-    t.keys <- Array.make cap 0;
-    t.counts <- Array.make cap 0;
-    Array.iteri
-      (fun i c ->
-        if c <> 0 then begin
-          let j = ref (home mask keys.(i)) in
-          while t.counts.(!j) <> 0 do
-            j := (!j + 1) land mask
-          done;
-          t.keys.(!j) <- keys.(i);
-          t.counts.(!j) <- c
-        end)
-      counts
-
-  (* Slot [hole] was just freed: move later members of its probe run back
-     into it (each one whose home is not cyclically in (hole, j]), so no
-     lookup stops early. *)
-  let close_hole t hole =
-    let mask = Array.length t.keys - 1 in
-    let hole = ref hole and j = ref ((hole + 1) land mask) in
-    while t.counts.(!j) <> 0 do
-      let h = home mask t.keys.(!j) in
-      let stays = if !hole <= !j then !hole < h && h <= !j else !hole < h || h <= !j in
-      if not stays then begin
-        t.keys.(!hole) <- t.keys.(!j);
-        t.counts.(!hole) <- t.counts.(!j);
-        t.counts.(!j) <- 0;
-        hole := !j
-      end;
-      j := (!j + 1) land mask
-    done
-
-  let add t x delta =
-    let mask = Array.length t.keys - 1 in
-    let i = ref (home mask x) in
-    while t.counts.(!i) <> 0 && t.keys.(!i) <> x do
-      i := (!i + 1) land mask
-    done;
-    let i = !i in
-    if t.counts.(i) = 0 then begin
-      t.keys.(i) <- x;
-      t.counts.(i) <- delta;
-      t.size <- t.size + 1;
-      if 4 * t.size > 3 * Array.length t.keys then grow t
-    end
-    else begin
-      t.counts.(i) <- t.counts.(i) + delta;
-      if t.counts.(i) = 0 then begin
-        t.size <- t.size - 1;
-        close_hole t i
-      end
-    end
-end
-
-(* Per-column occurrence counts behind [column_distincts]: cell -> rows
-   holding it. Columns with an integer payload count by the payload. *)
-type counts = Ints of Int_counts.t | Values of int ref VTbl.t
-
 type mark = { m_log : int; m_ret : int; m_seq : int }
-
-type stats = { st_mark : mark; st_counts : counts array; st_distinct : int array }
 
 type change = { key : Value.t array; retracted : Value.t option; current : row option }
 
@@ -128,7 +44,6 @@ type t = {
   mutable undone_at : int;  (* version right after the newest inverse *)
   mutable removals : int;  (* rows ever removed *)
   mutable value_updates : int;  (* in-place output overwrites of existing rows *)
-  mutable stats : stats option;  (* per-column counts, made on first request *)
   mutable last_feed : feed option;  (* shared by consumers holding one mark *)
   mutable bytes : int;  (* modeled footprint, maintained incrementally *)
   (* Keys removed while the log's newest stamp still equals their row's: a
@@ -195,7 +110,6 @@ let create ?(trail = Trail.create ()) func =
     undone_at = 0;
     removals = 0;
     value_updates = 0;
-    stats = None;
     last_feed = None;
     bytes = 0;
     revivals = Value.Key_tbl.create 8;
@@ -272,9 +186,9 @@ let log_retraction t key (row : row) =
    collector. [version] is bumped, never restored, so it stays monotone
    across rollbacks, and [undone_at] makes every older mark read a cut
    feed — so the retraction log, which only such marks could read, is
-   dropped whole, and so are the counts behind [column_distincts]. An
-   inverse's reverse puts back what the inverse read before restoring,
-   and re-appends the one log entry the write appended, if any. *)
+   dropped whole. An inverse's reverse puts back what the inverse read
+   before restoring, and re-appends the one log entry the write appended,
+   if any. *)
 let truncate_log t len =
   for i = len to t.log_len - 1 do
     t.log_keys.(i) <- [||];
@@ -289,7 +203,6 @@ let undone t =
   t.ret_values <- [||];
   t.ret_born <- [||];
   t.ret_base <- t.ret_len;
-  t.stats <- None;
   t.last_feed <- None
 
 let record_insert t key ~revived =
@@ -538,8 +451,6 @@ let compute_changes t m =
 (* Consumers that marked the table at the same moment (the join cache's
    structures over one table, patched in one search phase) share one
    answer. *)
-let feed_entries t m = t.ret_len - m.m_ret + t.log_len - m.m_log
-
 let changes_since t m =
   if t.undone_at > m.m_seq || m.m_ret < t.ret_base then None
   else
@@ -580,64 +491,3 @@ let int_reader (f : Schema.func) i : (Value.t array -> row -> int) option =
     Some
       (if i < Schema.arity f then fun key _ -> int_payload key.(i)
        else fun _ row -> int_payload row.value)
-
-(* ------------------------------------------------------------------ *)
-(* Planner statistics                                                  *)
-(* ------------------------------------------------------------------ *)
-
-let count_cell counts delta (v : Value.t) =
-  match counts with
-  | Ints c -> Int_counts.add c (int_payload v) delta
-  | Values tbl -> (
-    match VTbl.find_opt tbl v with
-    | Some n ->
-      n := !n + delta;
-      if !n = 0 then VTbl.remove tbl v
-    | None -> VTbl.add tbl v (ref delta))
-
-let count_row counts delta key value =
-  let arity = Array.length key in
-  for i = 0 to Array.length counts - 1 do
-    count_cell counts.(i) delta (if i < arity then key.(i) else value)
-  done
-
-let recount t =
-  let counts =
-    Array.init (Schema.arity t.func + 1) (fun i ->
-        if has_int_payload (column_ty t.func i) then Ints (Int_counts.create ())
-        else Values (VTbl.create 64))
-  in
-  Value.Key_tbl.iter (fun key row -> count_row counts 1 key row.value) t.data;
-  counts
-
-(* Per-column distinct counts (argument columns then the output): the
-   number of cells with a nonzero occurrence count. The counts are made on
-   the first request and patched forward from the change feed — a
-   retraction decrements its version's cells, an addition increments —
-   unless the feed since their mark holds at least as many entries as the
-   table has rows: then reading it would cost more than the recount. *)
-let column_distincts t =
-  match t.stats with
-  | Some s when unchanged_since t s.st_mark -> s.st_distinct
-  | stats ->
-    let patched s changes =
-      Array.iter
-        (fun { key; retracted; current } ->
-          Option.iter (count_row s.st_counts (-1) key) retracted;
-          Option.iter (fun row -> count_row s.st_counts 1 key row.value) current)
-        changes;
-      s.st_counts
-    in
-    let counts =
-      match stats with
-      | Some s when feed_entries t s.st_mark < length t -> (
-        match changes_since t s.st_mark with
-        | Some changes -> patched s changes
-        | None -> recount t)
-      | Some _ | None -> recount t
-    in
-    let distinct =
-      Array.map (function Ints c -> c.Int_counts.size | Values c -> VTbl.length c) counts
-    in
-    t.stats <- Some { st_mark = mark t; st_counts = counts; st_distinct = distinct };
-    distinct

@@ -10,15 +10,15 @@
 
     Every write also reaches a {e change feed} (the stamp log plus a
     retraction log of the versions writes took away), from which derived
-    structures — the join cache's tries and indexes, the planner's
-    per-column counts — patch themselves forward instead of rebuilding.
+    structures — the join cache's tries and indexes — patch themselves
+    forward instead of rebuilding.
 
     While a transaction or scope is open on the table's {!Trail}, [set_raw]
     and [remove] push the inverse of each write first (the row's old value,
     stamp and [first_log], the stamp log's length, revival slots and the
     byte, removal and update counters), so a rollback or pop restores the
     table in place. An inverse also cuts the change feed: it drops the
-    retraction log and the column counts, and older marks read [None]. *)
+    retraction log, and older marks read [None]. *)
 
 type row = {
   mutable value : Value.t;
@@ -137,15 +137,6 @@ val changes_since : t -> mark -> change array option
     retraction log no longer reaches back to it: the consumer must
     rebuild. O(entries since the mark); consumers asking with the same
     mark at the same version share one answer. *)
-
-val column_distincts : t -> int array
-(** Distinct-value count per column (argument columns, then the output), for
-    cardinality estimation. Backed by per-column occurrence counts (cell ->
-    rows; integer-keyed for the columns {!int_reader} reads) made on the
-    first request and patched from the change feed afterwards; recounted
-    from scratch when the feed since their mark holds at least as many
-    entries as the table has rows, or an inverse dropped them. The result
-    equals a fresh recount exactly. *)
 
 (** {2 Typed column readers}
 

@@ -442,7 +442,7 @@ let prop_seminaive_equals_naive_datalog =
 
 (* Rewrites plus an interval analysis in the style of the Herbie case
    study: [lo]/[hi] merge with max/min, and the product rule joins five
-   atoms, so delta variants, skipped empty deltas and replanned trie joins
+   atoms, so delta variants, skipped empty deltas and generic trie joins
    all take part. *)
 let eqsat_program seeds =
   let buf = Buffer.create 256 in

@@ -552,12 +552,12 @@ let test_patch_after_rebuild () =
   fresh ()
 
 (* Planning and searching only what can run, counted by hand. [tri] is a
-   three-atom (generic trie) rule and [ab] a two-atom (order-free) rule.
-   Once both ran, [c] alone grows: of the five delta variants only
-   [tri]'s c-delta can match, so the other four are skipped — no plan, no
-   cache lookup — and the one that runs asks for exactly its three tries.
-   The two-atom rule is planned once, when it first runs, and never again,
-   even when its own variants run. *)
+   three-atom (generic trie) rule and [ab] a two-atom rule. Each rule has
+   one plan, lowered when it first runs and reused by every delta variant
+   after, whatever the tables grow to. Once both ran, [c] alone grows: of
+   the five delta variants only [tri]'s c-delta can match, so the other
+   four are skipped — no cache lookup — and the one that runs asks for
+   exactly its three tries. *)
 let test_skip_empty_deltas () =
   fresh ();
   T.enable ();
@@ -575,11 +575,13 @@ let test_skip_empty_deltas () =
   (a 1 2) (a 2 3) (b 2 3) (b 3 1) (c 3 1)
 |});
   let v0 = counter_value (T.snapshot ()) in
-  (* the first iteration runs each rule's full query: one plan each *)
+  let one_plan_per_rule step v =
+    Alcotest.(check int) (step ^ ": one plan per rule") 2 (v "join.plans_built" - v0 "join.plans_built")
+  in
+  (* the first iteration runs each rule's full query *)
   ignore (E.Engine.run_iterations eng 1);
   let v1 = counter_value (T.snapshot ()) in
-  Alcotest.(check int) "one full-query plan per rule" 2
-    (v1 "join.plans_built" - v0 "join.plans_built");
+  one_plan_per_rule "first run" v1;
   Alcotest.(check int) "the full query skips nothing" 0
     (v1 "join.variants_skipped" - v0 "join.variants_skipped");
   (* nothing the rules read grew: all 3 + 2 delta variants are skipped *)
@@ -588,31 +590,65 @@ let test_skip_empty_deltas () =
   Alcotest.(check int) "every variant skipped" 5
     (v2 "join.variants_skipped" - v1 "join.variants_skipped");
   Alcotest.(check int) "no lookup at all" 0 (v2 "join.cache_lookups" - v1 "join.cache_lookups");
-  Alcotest.(check int) "no plan at all" 0 (v2 "join.plans_built" - v1 "join.plans_built");
+  one_plan_per_rule "all skipped" v2;
   ignore (E.run_string eng "(c 1 2)");
   ignore (E.Engine.run_iterations eng 1);
   let v3 = counter_value (T.snapshot ()) in
   Alcotest.(check int) "four empty-delta variants skipped" 4
     (v3 "join.variants_skipped" - v2 "join.variants_skipped");
-  Alcotest.(check int) "only the c-delta slot of tri is planned" 1
-    (v3 "join.plans_built" - v2 "join.plans_built");
+  one_plan_per_rule "c grew" v3;
   Alcotest.(check int) "three tries requested, by the one variant that ran" 3
     (v3 "join.cache_lookups" - v2 "join.cache_lookups");
   Alcotest.(check int) "no index built" 0 (v3 "join.index_builds" - v2 "join.index_builds");
   Alcotest.(check bool) "at most one trie per atom of that variant" true
     (v3 "join.trie_builds" - v2 "join.trie_builds" <= 3);
   Alcotest.(check int) "the new triangle" 2 (E.Engine.table_size eng "tri");
-  (* now a and b grow: both variants of the two-atom rule run on its one
-     plan, and only tri's c-delta variant is skipped *)
+  (* now a and b grow: both variants of the two-atom rule run, and only
+     tri's c-delta variant is skipped *)
   ignore (E.run_string eng "(a 3 1) (b 1 2)");
   ignore (E.Engine.run_iterations eng 1);
   let v4 = counter_value (T.snapshot ()) in
-  T.disable ();
   Alcotest.(check int) "one variant skipped" 1
     (v4 "join.variants_skipped" - v3 "join.variants_skipped");
-  Alcotest.(check int) "tri's a- and b-delta slots planned, the two-atom rule not" 2
-    (v4 "join.plans_built" - v3 "join.plans_built");
+  one_plan_per_rule "a and b grew" v4;
   Alcotest.(check int) "the two-atom rule's pairs" 3 (E.Engine.table_size eng "ab");
+  (* a, b and c each grow from at most four rows past eight: no variant
+     is skipped, and the plans stay *)
+  for i = 0 to 9 do
+    ignore
+      (E.run_string eng
+         (Printf.sprintf "(a %d %d) (b %d %d) (c %d %d)" (100 + i) (200 + i) (200 + i) (300 + i)
+            (300 + i) (100 + i)))
+  done;
+  ignore (E.Engine.run_iterations eng 1);
+  let v5 = counter_value (T.snapshot ()) in
+  T.disable ();
+  Alcotest.(check int) "no variant skipped" 0
+    (v5 "join.variants_skipped" - v4 "join.variants_skipped");
+  one_plan_per_rule "a, b and c grew past eight rows" v5;
+  Alcotest.(check int) "ten more triangles" 12 (E.Engine.table_size eng "tri");
+  fresh ()
+
+(* A [check] stops its search at the first match by raising; the rows
+   its driver scanned up to there still count. [(r 7 x)] holds at the
+   third of r's five rows. The two-atom [(r a b) (s b)] builds the index
+   on r (five rows) and drives from the smaller s, whose one row
+   matches. *)
+let test_check_counts_early_exit () =
+  fresh ();
+  let eng = E.Engine.create () in
+  ignore
+    (E.run_string eng "(relation r (i64 i64)) (relation s (i64)) (r 5 1) (r 6 2) (r 7 3) (r 8 4) (r 9 5) (s 3)");
+  T.enable ();
+  let scanned program =
+    let before = counter_value (T.snapshot ()) "join.tuples_scanned" in
+    ignore (E.run_string eng program);
+    counter_value (T.snapshot ()) "join.tuples_scanned" - before
+  in
+  Alcotest.(check int) "single atom: scanned to the third row" 3 (scanned "(check (r 7 x))");
+  Alcotest.(check int) "two atoms: index on r, then one driver row" 6
+    (scanned "(check (r a b) (s b))");
+  T.disable ();
   fresh ()
 
 (* Pop replaces the database object: cached structures for the popped
@@ -857,6 +893,8 @@ let () =
           Alcotest.test_case "append-only patching" `Quick test_index_patching;
           Alcotest.test_case "patch after rebuild" `Quick test_patch_after_rebuild;
           Alcotest.test_case "empty-delta variants skipped" `Quick test_skip_empty_deltas;
+          Alcotest.test_case "check counts rows scanned to its match" `Quick
+            test_check_counts_early_exit;
           Alcotest.test_case "popped-scope invalidation" `Quick test_popped_scope_invalidation;
         ] );
       ( "histograms",
