@@ -80,7 +80,101 @@ let test_atomless_rule () =
 
 let test_no_rules () = check_plans "no rules, empty dump" "(relation r (i64))" ""
 
+(* ---- the compile-time order against its reference ---- *)
+
+let test_seed =
+  match Sys.getenv_opt "EGGLOG_TEST_SEED" with
+  | None -> Random.self_init (); Random.bits ()
+  | Some s -> (
+    match int_of_string_opt s with
+    | Some n -> n
+    | None -> failwith (Printf.sprintf "EGGLOG_TEST_SEED must be an integer, got %S" s))
+
+(* Functions of arity 1-3 over i64, so random atoms always type-check. *)
+let planner_env =
+  lazy
+    (let eng = E.Engine.create () in
+     ignore
+       (E.run_string eng
+          "(function f1 (i64) i64) (function f2 (i64 i64) i64) (function f3 (i64 i64 i64) i64)");
+     let db = E.Engine.database eng in
+     {
+       E.Compile.find_func =
+         (fun name ->
+           Option.map E.Table.func (E.Database.find_func db (E.Symbol.intern name)));
+     })
+
+(* A random query of 1-6 atoms over up to six shared variables, with
+   literal arguments mixed in and each output either bound to a variable
+   or left fresh. *)
+let gen_query =
+  let open QCheck2.Gen in
+  let arg = frequency [ (4, map (fun v -> `Var v) (int_range 0 5)); (1, map (fun n -> `Lit n) (int_range 0 3)) ] in
+  let atom =
+    let* arity = int_range 1 3 in
+    let* args = list_repeat arity arg in
+    let* out = opt (int_range 0 5) in
+    return (arity, args, out)
+  in
+  list_size (int_range 1 6) atom
+
+let query_of_case atoms =
+  let to_expr = function
+    | `Var v -> E.Ast.Var (Printf.sprintf "v%d" v)
+    | `Lit n -> E.Ast.Lit (E.Value.VInt n)
+  in
+  let facts =
+    List.map
+      (fun (arity, args, out) ->
+        let call = E.Ast.Call (Printf.sprintf "f%d" arity, List.map to_expr args) in
+        match out with
+        | Some v -> E.Ast.Eq (E.Ast.Var (Printf.sprintf "v%d" v), call)
+        | None -> E.Ast.Holds call)
+      atoms
+  in
+  E.Compile.compile_query (Lazy.force planner_env) facts
+
+let print_case case =
+  match query_of_case case with
+  | q -> Format.asprintf "%a" (fun fmt q -> E.Compile.pp_plan fmt q) q
+  | exception E.Compile.Unsat -> "(unsatisfiable)"
+
+(* The reference order, straight from the definition: every variable that
+   some atom covers, those covered by more atoms first, ties by variable
+   index. A variable repeated within one atom counts once for it. *)
+let reference_order (q : E.Compile.cquery) =
+  let covers v (atom : E.Compile.atom) =
+    Array.exists (function E.Compile.A_var w -> w = v | E.Compile.A_const _ -> false) atom.a_args
+  in
+  let count v = Array.fold_left (fun n a -> if covers v a then n + 1 else n) 0 q.atoms in
+  List.init q.n_vars (fun v -> (count v, v))
+  |> List.filter (fun (n, _) -> n > 0)
+  |> List.sort (fun (n1, v1) (n2, v2) -> if n1 <> n2 then Int.compare n2 n1 else Int.compare v1 v2)
+  |> List.map snd |> Array.of_list
+
+let prop_order_matches_reference =
+  QCheck2.Test.make ~name:"compile-time order = reference most-shared order" ~count:600
+    ~print:print_case gen_query (fun case ->
+      match query_of_case case with
+      | exception E.Compile.Unsat -> true
+      | q ->
+        let expected = reference_order q in
+        if q.order <> expected then
+          QCheck2.Test.fail_reportf "order [%s], reference [%s]"
+            (String.concat " " (Array.to_list (Array.map string_of_int q.order)))
+            (String.concat " " (Array.to_list (Array.map string_of_int expected)));
+        (* every join variable sits at its position in the order; no other
+           variable has a depth *)
+        Array.for_all Fun.id
+          (Array.mapi
+             (fun v depth ->
+               match Array.find_index (( = ) v) q.order with
+               | Some d -> depth = d + 1
+               | None -> depth = 0)
+             q.var_depth))
+
 let () =
+  Printf.printf "property-test seed: %d (override with EGGLOG_TEST_SEED=<n>)\n%!" test_seed;
   Alcotest.run "plans"
     [
       ( "explain-plans goldens",
@@ -90,5 +184,10 @@ let () =
           Alcotest.test_case "triangle with guard" `Quick test_triangle_with_guard;
           Alcotest.test_case "atomless rule" `Quick test_atomless_rule;
           Alcotest.test_case "no rules" `Quick test_no_rules;
+        ] );
+      ( "planner",
+        [
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| test_seed |])
+            prop_order_matches_reference;
         ] );
     ]
