@@ -33,7 +33,7 @@ let rec split_jobs acc = function
      | _ -> usage_error (Printf.sprintf "--jobs wants a non-negative integer, got %S" v))
   | a :: rest -> split_jobs (a :: acc) rest
 
-let figures = [ "micro"; "fig7"; "fig8"; "fig11"; "fig12"; "ablation"; "serve" ]
+let figures = [ "micro"; "fig7"; "fig8"; "fig11"; "fig12"; "serve" ]
 
 let () =
   let args, jobs = split_jobs [] (Array.to_list Sys.argv |> List.tl) in
@@ -61,7 +61,6 @@ let () =
       else Bench_fig7.run ~iters:35 ~reps:3 ~jobs ();
     if want "fig8" then Bench_fig8.run ~jobs ~full ();
     if want "fig11" || want "fig12" then Bench_herbie.run ~full ();
-    if want "ablation" then Bench_ablation.run ~full ();
     if want "serve" then Bench_serve.run ()
   end;
   print_endline "\nAll requested benchmarks finished."

@@ -5,7 +5,12 @@ let error fmt = Format.kasprintf (fun s -> raise (Error s)) fmt
 
 type arg = A_var of int | A_const of Value.t
 type atom = { a_func : Schema.func; a_args : arg array }
-type prim_app = { p_prim : Primitives.prim; p_args : arg array; p_out : arg }
+type prim_app = {
+  p_prim : Primitives.prim;
+  p_args : arg array;
+  p_out : arg;
+  p_binds : bool;  (* fixed by [finish_plan]: first write of a prim-computed var *)
+}
 
 type cquery = {
   n_vars : int;
@@ -173,8 +178,9 @@ let occurrences ~n_vars (atoms : atom array) =
   occ
 
 (* Turn a chosen variable [order] — every variable some atom covers —
-   into a full plan: per-variable depths plus the primitive schedule.
-   Shared by the compile-time plan and [reorder]. *)
+   into a full plan: per-variable depths plus the primitive schedule,
+   each scheduled primitive marked bind or check. Shared by the
+   compile-time plan and [reorder]. *)
 let finish_plan ~var_names ~var_tys ~(atoms : atom array) ~(prims : prim_app list) ~name_args
     ~(order : int array) =
   let n_vars = Array.length var_names in
@@ -200,7 +206,10 @@ let finish_plan ~var_names ~var_tys ~(atoms : atom array) ~(prims : prim_app lis
               | A_var v -> bound.(v) || var_depth.(v) = 0 (* computed: will bind now *)
             in
             if inputs_ready && out_ready then begin
-              schedule.(depth) <- p :: schedule.(depth);
+              (* the first write of a computed variable binds it; every
+                 other output is checked against a bound value *)
+              let binds = match p.p_out with A_var v -> not bound.(v) | A_const _ -> false in
+              schedule.(depth) <- { p with p_binds = binds } :: schedule.(depth);
               (match p.p_out with A_var v -> bound.(v) <- true | A_const _ -> ());
               progress := true;
               false
@@ -406,7 +415,7 @@ let compile_query env (facts : Ast.fact list) : cquery =
   let prims =
     List.rev_map
       (fun (p, args, out) ->
-        { p_prim = p; p_args = Array.map final_arg args; p_out = final_arg out })
+        { p_prim = p; p_args = Array.map final_arg args; p_out = final_arg out; p_binds = false })
       st.rprims
   in
   let name_args =

@@ -21,6 +21,11 @@ type prim_app = {
   p_prim : Primitives.prim;
   p_args : arg array;
   p_out : arg;  (** variable to bind/check, or constant to check *)
+  p_binds : bool;
+      (** in a scheduled plan: [p_out] is a primitive-computed variable
+          written here for the first time, so this application binds it;
+          [false] means it checks [p_out] against a bound value. Fixed
+          when the plan is scheduled, read by every lowering. *)
 }
 
 type cquery = {
@@ -32,7 +37,9 @@ type cquery = {
       (** join variable order: every variable an atom covers, those in more
           atoms first, ties by variable index — the rule's one plan *)
   var_depth : int array;  (** var -> 1+position in [order]; 0 when prim-computed *)
-  schedule : prim_app list array;  (** length [Array.length order + 1] *)
+  schedule : prim_app list array;
+      (** length [Array.length order + 1]; entry [d] runs once the first
+          [d] variables of [order] are bound *)
   name_args : (string * arg) list;
       (** user variable name -> surviving variable or constant after
           resolving the query's equalities *)

@@ -46,10 +46,7 @@ let run_string (eng : Engine.t) (src : string) : string list =
   Engine.run_program eng (Frontend.parse_program src)
 
 (** Convenience: fresh engine, run a program, return outputs. *)
-let run_program_string ?seminaive ?scheduler ?fast_paths ?index_caching ?node_limit
-    ?time_limit ?memory_limit ?jobs (src : string) : string list =
-  let eng =
-    Engine.create ?seminaive ?scheduler ?fast_paths ?index_caching ?node_limit ?time_limit
-      ?memory_limit ?jobs ()
-  in
+let run_program_string ?seminaive ?scheduler ?node_limit ?time_limit ?memory_limit ?jobs
+    (src : string) : string list =
+  let eng = Engine.create ?seminaive ?scheduler ?node_limit ?time_limit ?memory_limit ?jobs () in
   run_string eng src

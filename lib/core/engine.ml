@@ -34,6 +34,9 @@ type scheduler = Simple | Backoff of { match_limit : int; ban_length : int }
 
 let backoff_default = Backoff { match_limit = 1000; ban_length = 5 }
 
+(* Iteration bound for a (run) without a limit, and for one saturate. *)
+let run_cap = 1000
+
 type iteration_stat = {
   it_index : int;
   it_seconds : float;
@@ -107,12 +110,9 @@ type t = {
   mutable default_exprs : (Symbol.t, Compile.cexpr) Hashtbl.t;
   mutable stack : saved list;  (* one per open push scope, innermost first *)
   seminaive : bool;
-  fast_paths : bool;
-  index_caching : bool;
   scheduler : scheduler;
   mutable iteration : int;
   mutable rule_counter : int;
-  run_cap : int;  (* iteration bound for (run) without a limit *)
   mutable default_node_limit : int option;  (* session-wide budget (CLI --node-limit) *)
   mutable default_time_limit : float option;  (* session-wide budget (CLI --time-limit) *)
   mutable default_memory_limit : int option;  (* session-wide budget (CLI --memory-limit) *)
@@ -193,12 +193,12 @@ let table_of eng (f : Schema.func) =
    [join.plans_built] counts the same at any jobs count. Compiled
    evaluators keep all mutable state per search, so one compiled plan may
    serve concurrent variants. *)
-let rule_plan eng (r : rt_rule) : Join.compiled =
+let rule_plan (r : rt_rule) : Join.compiled =
   match r.rr_plan with
   | Some cp -> cp
   | None ->
     Telemetry.bump c_plans_built 1;
-    let cp = Join.compile_plan ~fast_paths:eng.fast_paths r.rr_rule.Compile.cr_query in
+    let cp = Join.compile_plan r.rr_rule.Compile.cr_query in
     r.rr_plan <- Some cp;
     cp
 
@@ -250,8 +250,8 @@ let exec_action eng (slots : Value.t array) (a : Compile.caction) =
     let vals = Array.map (eval_expr eng slots) args in
     Database.remove eng.db (table_of eng f) vals
 
-let create ?(seminaive = true) ?(scheduler = Simple) ?(fast_paths = true)
-    ?(index_caching = true) ?node_limit ?time_limit ?memory_limit ?(jobs = 1) () =
+let create ?(seminaive = true) ?(scheduler = Simple) ?node_limit ?time_limit ?memory_limit
+    ?(jobs = 1) () =
   if jobs < 0 then error "jobs must be non-negative (0 = one per core), got %d" jobs;
   let trail = Trail.create () in
   let eng =
@@ -263,12 +263,9 @@ let create ?(seminaive = true) ?(scheduler = Simple) ?(fast_paths = true)
       default_exprs = Hashtbl.create 16;
       stack = [];
       seminaive;
-      fast_paths;
-      index_caching;
       scheduler;
       iteration = 0;
       rule_counter = 0;
-      run_cap = 1000;
       default_node_limit = node_limit;
       default_time_limit = time_limit;
       default_memory_limit = memory_limit;
@@ -483,7 +480,7 @@ let explain_plans eng : string =
       Buffer.add_string buf (Printf.sprintf "rule %s (ruleset %s)\n" r.rr_name ruleset);
       if Array.length q.Compile.atoms = 0 then Buffer.add_string buf "  (no atoms)\n"
       else begin
-        let lowering = Join.describe_lowering ~fast_paths:eng.fast_paths q in
+        let lowering = Join.describe_lowering q in
         let dump = Format.asprintf "%a" (Compile.pp_plan ~lowering) q in
         List.iter
           (fun line -> Buffer.add_string buf ("  " ^ line ^ "\n"))
@@ -541,11 +538,11 @@ let rule_variants eng (r : rt_rule) : Join.stamp_range array list =
 (* Search one variant; matches come back in reversed discovery order (the
    natural cons order). Read-only over the database and the frozen cache,
    so variants can run on worker domains. *)
-let search_variant eng ?cache (cp : Join.compiled) (ranges : Join.stamp_range array) :
+let search_variant eng (cp : Join.compiled) (ranges : Join.stamp_range array) :
     Value.t array list =
   let acc = ref [] in
   let emit b = acc := Array.copy b :: !acc in
-  Join.search_compiled eng.db ?cache cp ~ranges emit;
+  Join.search_compiled eng.db ~cache:eng.join_cache cp ~ranges emit;
   !acc
 
 (* Merge per-variant results (ascending variant order, each in reversed
@@ -587,12 +584,11 @@ let resolve_variant_matches (plan : Compile.cquery) (rows : Value.t array list) 
     rows
   end
 
-let search_matches eng ?cache (r : rt_rule) : Value.t array list =
-  let cache = if eng.index_caching then cache else None in
+let search_matches eng (r : rt_rule) : Value.t array list =
   let q = r.rr_rule.Compile.cr_query in
   merge_variant_matches
     (List.map
-       (fun ranges -> resolve_variant_matches q (search_variant eng ?cache (rule_plan eng r) ranges))
+       (fun ranges -> resolve_variant_matches q (search_variant eng (rule_plan r) ranges))
        (rule_variants eng r))
 
 let apply_match eng (r : rt_rule) (binding : Value.t array) =
@@ -713,11 +709,11 @@ let apply_rule eng ~budget_check ~rule_accs ~t0 (ph : phase_times) (r : rt_rule)
    [budget_check] fires once per rule, like the serial loop. *)
 let parallel_search eng ~jobs ~budget_check (eligible : rt_rule list) :
     (rt_rule * Value.t array list) list =
-  let cache = if eng.index_caching then Some eng.join_cache else None in
+  let cache = eng.join_cache in
   let rules_variants =
     List.map
       (fun r ->
-        (r, List.map (fun ranges -> (rule_plan eng r, ranges)) (rule_variants eng r)))
+        (r, List.map (fun ranges -> (rule_plan r, ranges)) (rule_variants eng r)))
       eligible
   in
   let tasks =
@@ -725,18 +721,18 @@ let parallel_search eng ~jobs ~budget_check (eligible : rt_rule list) :
       (List.concat_map (fun (r, vs) -> List.map (fun v -> (r, v)) vs) rules_variants)
   in
   Array.iter
-    (fun (_, (cp, ranges)) -> Join.prebuild eng.db ?cache cp ~ranges)
+    (fun (_, (cp, ranges)) -> Join.prebuild eng.db cache cp ~ranges)
     tasks;
   let pool = Pool.global ~workers:(jobs - 1) in
   Telemetry.record_max c_domains (min jobs (1 + Pool.size pool));
-  Option.iter (fun c -> Join.set_frozen c true) cache;
+  Join.set_frozen cache true;
   let results =
     Fun.protect
-      ~finally:(fun () -> Option.iter (fun c -> Join.set_frozen c false) cache)
+      ~finally:(fun () -> Join.set_frozen cache false)
       (fun () ->
         Pool.run ~participants:(jobs - 1) pool
           (fun (r, (cp, ranges)) ->
-            with_rule_context r (fun () -> search_variant eng ?cache cp ranges))
+            with_rule_context r (fun () -> search_variant eng cp ranges))
           tasks)
   in
   let idx = ref 0 in
@@ -806,8 +802,7 @@ let run_one_iteration ?ruleset ?(budget_check = no_budget_check)
   let t0 = Database.timestamp db in
   let changes0 = Database.change_counter db in
   let log0 = Database.total_log_entries db in
-  let cache = eng.join_cache in
-  Join.clear_scratch cache;
+  Join.clear_scratch eng.join_cache;
   let dt_search, searched =
     Telemetry.timed_span "engine.search" (fun () ->
         let eligible =
@@ -827,7 +822,7 @@ let run_one_iteration ?ruleset ?(budget_check = no_budget_check)
               Telemetry.record_max c_domains 1;
               List.map
                 (fun r ->
-                  let matches = with_rule_context r (fun () -> search_matches eng ~cache r) in
+                  let matches = with_rule_context r (fun () -> search_matches eng r) in
                   budget_check ~within_iteration:true;
                   (r, matches))
                 eligible
@@ -1204,7 +1199,7 @@ let rec run_command_inner eng (cmd : Ast.command) : string list =
       | Ast.Sched_saturate scheds ->
         let changed = ref false in
         let continue_ = ref true in
-        let fuel = ref eng.run_cap in
+        let fuel = ref run_cap in
         while !continue_ && !fuel > 0 do
           decr fuel;
           let round = List.fold_left (fun acc s -> exec s || acc) false scheds in
@@ -1259,7 +1254,7 @@ let rec run_command_inner eng (cmd : Ast.command) : string list =
     (* As in egglog, (run n) runs the default ruleset; named rulesets run
        through (run-schedule ...). Budgets from the command override the
        session-wide defaults (CLI --node-limit / --time-limit). *)
-    let n = Option.value spec.Ast.run_limit ~default:eng.run_cap in
+    let n = Option.value spec.Ast.run_limit ~default:run_cap in
     let first_some a b = match a with Some _ -> a | None -> b in
     let node_limit = first_some spec.Ast.run_node_limit eng.default_node_limit in
     let time_limit = first_some spec.Ast.run_time_limit eng.default_time_limit in

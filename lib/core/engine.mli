@@ -21,17 +21,13 @@ type t
 val create :
   ?seminaive:bool ->
   ?scheduler:scheduler ->
-  ?fast_paths:bool ->
-  ?index_caching:bool ->
   ?node_limit:int ->
   ?time_limit:float ->
   ?memory_limit:int ->
   ?jobs:int ->
   unit ->
   t
-(** [seminaive:false] gives the paper's egglogNI baseline; [fast_paths] and
-    [index_caching] exist for the ablation benchmarks ([fast_paths:false]
-    lowers every plan to the generic trie join). [node_limit] /
+(** [seminaive:false] gives the paper's egglogNI baseline. [node_limit] /
     [time_limit] / [memory_limit] install session-wide budgets applied to
     every [(run ...)] and [(run-schedule ...)] command (the CLI's
     [--node-limit] / [--time-limit] / [--memory-limit]); per-command

@@ -39,12 +39,6 @@ let action_of_sexp (s : Sexpr.t) : Ast.action =
 
 (* Keyword arguments at the tail of a declaration: :merge e, :default e,
    :cost n, :when (facts), :name "s". *)
-let rec split_keywords acc (items : Sexpr.t list) =
-  match items with
-  | [] -> (List.rev acc, [])
-  | Sexpr.Atom kw :: _ when String.length kw > 0 && kw.[0] = ':' -> (List.rev acc, items)
-  | item :: rest -> split_keywords (item :: acc) rest
-
 let rec keywords_of (items : Sexpr.t list) : (string * Sexpr.t) list =
   match items with
   | [] -> []
@@ -441,5 +435,3 @@ let paren_balance src =
   if !unbalanced then Unbalanced
   else if !depth > 0 || !state = `Str || !state = `Esc then Incomplete
   else Balanced
-
-let () = ignore split_keywords

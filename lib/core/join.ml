@@ -440,18 +440,16 @@ let cached_index cache plan range ~proj ~rest =
   | B_trie _ -> assert false
 
 (* The lowering class whose search never reads the plan's variable order:
-   a single atom, or two atoms, each binding at least one variable, under
-   [fast_paths]. The single-atom scan binds every variable from one row;
+   a single atom, or two atoms, each binding at least one variable. The
+   single-atom scan binds every variable from one row;
    the two-atom driver is picked per search and its index is keyed by
    column position (see [compile_two_orient]). Their primitives all run
    once every variable is bound, so another order only permutes that
    checklist: the matches and their order stay the same. *)
-let order_free ?(fast_paths = true) (q : Compile.cquery) =
+let order_free (q : Compile.cquery) =
   let binds (a : Compile.atom) =
     Array.exists (function Compile.A_var _ -> true | Compile.A_const _ -> false) a.Compile.a_args
   in
-  fast_paths
-  &&
   match q.Compile.atoms with
   | [| a |] -> binds a
   | [| a; b |] -> binds a && binds b
@@ -504,6 +502,10 @@ type compiled = {
 
 let no_prebuild _ _ _ = ()
 
+(* The whole primitive schedule as one checklist, for the kernels that
+   bind every join variable before any primitive runs. *)
+let flat_schedule (q : Compile.cquery) = List.concat (Array.to_list q.Compile.schedule)
+
 (* Single-atom scan: filter, binder and primitive checklist all compiled;
    per-search state is just the environment and the prim runner's private
    argument buffers. Caches nothing. *)
@@ -515,9 +517,7 @@ let compile_single (q : Compile.cquery) (sh : Plan_compile.shape) : compiled_run
       ~sources:sh.Plan_compile.sh_sources
   in
   let bind = binder.Plan_compile.bind in
-  let prims =
-    Plan_compile.compile_prims (Plan_compile.classify_prims q [ sh.Plan_compile.sh_vars ])
-  in
+  let prims = Plan_compile.compile_prims (flat_schedule q) in
   let n_vars = q.Compile.n_vars in
   fun db _cache ranges callback ->
     let table = resolve_table db f in
@@ -544,7 +544,6 @@ type two_orient = {
   to_rest_pos : int array;
   to_shared_vars : int array;  (* env slot feeding each probe-key cell *)
   to_rest_vars : int array;  (* env slot written from each index entry cell *)
-  to_prims : unit -> Value.t array -> bool;
 }
 
 let compile_two_orient (q : Compile.cquery) (shapes : Plan_compile.shape array) ~driver :
@@ -577,10 +576,6 @@ let compile_two_orient (q : Compile.cquery) (shapes : Plan_compile.shape array) 
     to_rest_pos = Array.map snd rest;
     to_shared_vars = Array.map fst shared;
     to_rest_vars = Array.map fst rest;
-    to_prims =
-      Plan_compile.compile_prims
-        (Plan_compile.classify_prims q
-           [ dsh.Plan_compile.sh_vars; osh.Plan_compile.sh_vars ]);
   }
 
 (* The driver of a two-atom search: the delta side (the later window
@@ -593,6 +588,7 @@ let two_driver ranges t0 t1 =
 
 let compile_two (q : Compile.cquery) (shapes : Plan_compile.shape array) =
   let orients = Array.init 2 (fun driver -> compile_two_orient q shapes ~driver) in
+  let prims = Plan_compile.compile_prims (flat_schedule q) in
   let n_vars = q.Compile.n_vars in
   (* this search's orientation, its driver table, and the indexed atom's
      plan and window *)
@@ -610,7 +606,7 @@ let compile_two (q : Compile.cquery) (shapes : Plan_compile.shape array) =
     let index = cached_index cache oplan orange ~proj:o.to_proj ~rest:o.to_rest_pos in
     let env = Array.make n_vars Value.VUnit in
     let probe_key = Array.make (Array.length o.to_proj) Value.VUnit in
-    let run_prims = o.to_prims () in
+    let run_prims = prims () in
     let nshared = Array.length o.to_shared_vars and nrest = Array.length o.to_rest_vars in
     let scanned = ref 0 in
     counted_scan scanned (fun () ->
@@ -640,14 +636,18 @@ let compile_two (q : Compile.cquery) (shapes : Plan_compile.shape array) =
   (run, prebuild)
 
 (* Generic trie join as a chain of per-depth closures built once: depth d's
-   step captures its variable, participating-atom array, compiled primitive
-   runner and the next step. Per-search state (cursors, environment, the
-   emit target) travels in a state record, so one compiled plan is safe to
-   search concurrently. With no atoms the chain is step 0 alone: it runs
-   the primitives and emits. *)
+   step captures its variable, participating-atom array and the next
+   step. Per-search state (cursors, environment, the per-depth primitive
+   runners, the emit target) travels in a state record, so one compiled
+   plan is safe to search concurrently. The environment is the same
+   reused array the single- and two-atom kernels bind into: the plan
+   fixed which variables each depth has bound, so a slot is never read
+   before it is written and a candidate's binding needs no undo. With no
+   atoms the chain is step 0 alone: it runs the primitives and emits. *)
 type gstate = {
   gs_cursors : trie array;
-  gs_env : Value.t option array;
+  gs_env : Value.t array;
+  gs_prims : (Value.t array -> bool) array;  (* this search's runner per depth *)
   gs_emit : Value.t array -> unit;
 }
 
@@ -663,24 +663,12 @@ let compile_generic (q : Compile.cquery) (shapes : Plan_compile.shape array) =
         done;
         Array.of_list !acc)
   in
-  let depth_prims = Array.map Plan_compile.compile_depth_prims q.Compile.schedule in
-  let emit st =
-    let binding =
-      Array.mapi
-        (fun i o ->
-          match o with
-          | Some v -> v
-          | None -> internal "unbound variable %s at emit" q.Compile.var_names.(i))
-        st.gs_env
-    in
-    st.gs_emit binding
-  in
+  let depth_prims = Array.map Plan_compile.compile_prims q.Compile.schedule in
   (* Build the step chain bottom-up so step d can capture step (d+1). *)
   let steps = Array.make (n_steps + 1) (fun (_ : gstate) -> ()) in
   for d = n_steps downto 0 do
-    let prims = depth_prims.(d) in
     let body =
-      if d = n_steps then emit
+      if d = n_steps then fun st -> st.gs_emit st.gs_env
       else begin
         let v = q.Compile.order.(d) in
         let parts = parts_for_depth.(d) in
@@ -720,9 +708,8 @@ let compile_generic (q : Compile.cquery) (shapes : Plan_compile.shape array) =
                   | Some child -> cursors.(ai) <- child
                   | None -> assert false
                 done;
-                st.gs_env.(v) <- Some value;
+                st.gs_env.(v) <- value;
                 next st;
-                st.gs_env.(v) <- None;
                 (* restore cursors before the next candidate *)
                 for k = 0 to np - 1 do
                   cursors.(parts.(k)) <- saved.(k)
@@ -732,12 +719,9 @@ let compile_generic (q : Compile.cquery) (shapes : Plan_compile.shape array) =
       end
     in
     steps.(d) <-
-      (fun st ->
-        match prims st.gs_env with
-        | None -> ()
-        | Some undo ->
-          body st;
-          List.iter (fun u -> st.gs_env.(u) <- None) undo)
+      (match q.Compile.schedule.(d) with
+      | [] -> body
+      | _ :: _ -> fun st -> if st.gs_prims.(d) st.gs_env then body st)
   done;
   let step0 = steps.(0) in
   let run db cache ranges callback =
@@ -746,7 +730,13 @@ let compile_generic (q : Compile.cquery) (shapes : Plan_compile.shape array) =
     in
     let unsat = Array.exists (function Node t -> VTbl.length t = 0 | Leaf -> false) tries in
     if not unsat then
-      step0 { gs_cursors = tries; gs_env = Array.make q.Compile.n_vars None; gs_emit = callback }
+      step0
+        {
+          gs_cursors = tries;
+          gs_env = Array.make q.Compile.n_vars Value.VUnit;
+          gs_prims = Array.map (fun make -> make ()) depth_prims;
+          gs_emit = callback;
+        }
   and prebuild db cache ranges =
     Array.iteri
       (fun i sh ->
@@ -760,8 +750,8 @@ let compile_generic (q : Compile.cquery) (shapes : Plan_compile.shape array) =
    [describe_lowering]. *)
 type lowering = Single | Two | Generic
 
-let classify ~fast_paths (q : Compile.cquery) =
-  if not (order_free ~fast_paths q) then Generic
+let classify (q : Compile.cquery) =
+  if not (order_free q) then Generic
   else if Array.length q.Compile.atoms = 1 then Single
   else Two
 
@@ -777,9 +767,9 @@ let describe (shapes : Plan_compile.shape array) lowering =
 
 let shapes_of (q : Compile.cquery) = Array.map (Plan_compile.shape_atom q) q.Compile.atoms
 
-let compile_plan ?(fast_paths = true) (q : Compile.cquery) : compiled =
+let compile_plan (q : Compile.cquery) : compiled =
   let shapes = shapes_of q in
-  let lowering = classify ~fast_paths q in
+  let lowering = classify q in
   let run, prebuild =
     match lowering with
     | Single -> (compile_single q shapes.(0), no_prebuild)
@@ -795,8 +785,8 @@ let compile_plan ?(fast_paths = true) (q : Compile.cquery) : compiled =
 
 let compiled_descr cp = cp.cp_descr
 
-let describe_lowering ?(fast_paths = true) (q : Compile.cquery) : string =
-  describe (shapes_of q) (classify ~fast_paths q)
+let describe_lowering (q : Compile.cquery) : string =
+  describe (shapes_of q) (classify q)
 
 let check_arity name cp ranges =
   if Array.length ranges <> cp.cp_n_atoms then
@@ -810,12 +800,11 @@ let search_compiled db ?cache (cp : compiled) ~(ranges : stamp_range array) call
    [ranges] will want, so a subsequent frozen (parallel) search finds them
    as read-only hits. Windowed/delta structures are cheap and left to the
    tasks, which build them privately. *)
-let prebuild db ?cache (cp : compiled) ~(ranges : stamp_range array) =
-  match cache with
-  | Some c when not c.frozen ->
+let prebuild db cache (cp : compiled) ~(ranges : stamp_range array) =
+  if not cache.frozen then begin
     check_arity "prebuild" cp ranges;
-    cp.cp_prebuild db c ranges
-  | Some _ | None -> ()
+    cp.cp_prebuild db cache ranges
+  end
 
 exception Found
 

@@ -7,8 +7,8 @@
     everything. *)
 
 exception Internal_error of { in_func : Symbol.t option; detail : string }
-(** A join invariant was broken (missing table, unbound variable, exhausted
-    trie cursor) — a bug in query planning or scope management, not a user
+(** A join invariant was broken (missing table, a join variable no atom
+    covers, exhausted trie cursor) — a bug in query planning or scope management, not a user
     error. [in_func] names the function symbol involved when known; the
     engine adds the rule name before surfacing it. *)
 
@@ -58,13 +58,13 @@ val set_frozen : cache -> bool -> unit
 
 type compiled
 
-val compile_plan : ?fast_paths:bool -> Compile.cquery -> compiled
-(** Lower a plan: a single-atom scan, or a two-atom hash join, when
-    every atom binds at least one variable and [fast_paths] holds (the
-    default); the generic trie join otherwise — including
-    atomless (pure primitive) queries, whose only step runs the
-    primitives and emits. [fast_paths:false] forces the generic trie join
-    for every query (ablation). *)
+val compile_plan : Compile.cquery -> compiled
+(** Lower a plan; its shape alone picks the lowering: a single-atom scan,
+    or a two-atom hash join, when every atom binds at least one variable;
+    the generic trie join otherwise — including atomless (pure primitive)
+    queries, whose only step runs the primitives and emits. All three
+    bind into one reused environment and run the primitive checklist of
+    {!Plan_compile.compile_prims}. *)
 
 val search_compiled :
   Database.t ->
@@ -76,10 +76,10 @@ val search_compiled :
 (** Invoke the callback once per match with the variable binding (indexed
     like [cquery.var_names]; the array is reused, callers must copy). *)
 
-val prebuild : Database.t -> ?cache:cache -> compiled -> ranges:stamp_range array -> unit
+val prebuild : Database.t -> cache -> compiled -> ranges:stamp_range array -> unit
 (** Serially warm the full-range cache entries that {!search_compiled}
     with the same arguments would use, so a subsequent frozen parallel
-    search services them as hits. No-op without a cache or while frozen.
+    search services them as hits. No-op while frozen.
     Windowed/delta entries are left to the tasks (cheap, private). *)
 
 val exists : Database.t -> Compile.cquery -> bool
@@ -90,6 +90,6 @@ val compiled_descr : compiled -> string
 (** One-line description of the chosen lowering, e.g.
     ["compiled single-atom (arity 2, specialized)"]. *)
 
-val describe_lowering : ?fast_paths:bool -> Compile.cquery -> string
+val describe_lowering : Compile.cquery -> string
 (** The description {!compile_plan} would produce, without building
     closures — what [--explain-plans] prints. *)

@@ -13,8 +13,8 @@
    - binding loops are hand-specialized per source arity (1-4), with a
      generic readers-array fallback above;
    - primitive guards are pre-resolved to their [impl] function pointers
-     with argument evaluators and bind-vs-check classification fixed up
-     front.
+     with argument evaluators, and read the bind-or-check decision the
+     plan fixed when it scheduled them.
 
    This module holds the table-level toolkit; the lowered evaluators that
    tie these kernels to tries, indexes and the cache live in {!Join}. *)
@@ -172,23 +172,8 @@ let compile_binder (f : Schema.func) ~(vars : int array) ~(sources : int array) 
     }
 
 (* ------------------------------------------------------------------ *)
-(* Primitive guards: impl pointers and classification pre-resolved     *)
+(* Primitive guards: impl pointers and bind-or-check pre-resolved      *)
 (* ------------------------------------------------------------------ *)
-
-(* Classify each scheduled primitive's output as a bind (first time its
-   variable is seen after the atom vars) or a check, in schedule order. *)
-let classify_prims (q : Compile.cquery) (atom_vars : int array list) :
-    (Compile.prim_app * bool) list =
-  let bound = Array.make q.Compile.n_vars false in
-  List.iter (fun vars -> Array.iter (fun v -> bound.(v) <- true) vars) atom_vars;
-  List.map
-    (fun (p : Compile.prim_app) ->
-      match p.Compile.p_out with
-      | Compile.A_var v when not bound.(v) ->
-        bound.(v) <- true;
-        (p, true)
-      | Compile.A_var _ | Compile.A_const _ -> (p, false))
-    (Array.to_list q.Compile.schedule |> List.concat)
 
 type prim_out = Out_bind of int | Out_check_var of int | Out_check_const of Value.t
 
@@ -200,20 +185,25 @@ type prim_step = {
 
 let always_true : Value.t array -> bool = fun _ -> true
 
-(* Compile a flat (fully-bound-env) primitive checklist. Returns a maker:
-   each instantiation owns private argument buffers, so one compiled plan
-   can be searched from several domains concurrently (each search
-   instantiates its own runner). The argument buffer is reused from row to
-   row — safe because primitive impls never retain their argument
-   array. *)
-let compile_prims (prims : (Compile.prim_app * bool) list) : unit -> Value.t array -> bool =
+(* Compile a primitive checklist, in schedule order, over an environment
+   holding every variable the plan has bound when it runs. Whether a step
+   binds its output or checks it is the plan's [p_binds], fixed when
+   {!Compile} scheduled it, so one checklist serves every lowering: the
+   whole schedule after a single- or two-atom kernel has bound its atoms'
+   variables, one depth's entry inside the generic trie join. Returns a
+   maker: each instantiation owns private argument buffers, so one
+   compiled plan can be searched from several domains concurrently (each
+   search instantiates its own runner). The argument buffer is reused
+   from row to row — safe because primitive impls never retain their
+   argument array. *)
+let compile_prims (prims : Compile.prim_app list) : unit -> Value.t array -> bool =
   match prims with
   | [] -> fun () -> always_true
   | _ ->
     let steps =
       Array.of_list
         (List.map
-           (fun ((p : Compile.prim_app), binds) ->
+           (fun (p : Compile.prim_app) ->
              {
                st_impl = p.Compile.p_prim.Primitives.impl;
                st_args =
@@ -223,10 +213,10 @@ let compile_prims (prims : (Compile.prim_app * bool) list) : unit -> Value.t arr
                      | Compile.A_var v -> fun (env : Value.t array) -> env.(v))
                    p.Compile.p_args;
                st_out =
-                 (match (p.Compile.p_out, binds) with
-                 | Compile.A_var v, true -> Out_bind v
-                 | Compile.A_var v, false -> Out_check_var v
-                 | Compile.A_const c, _ -> Out_check_const c);
+                 (match p.Compile.p_out with
+                 | Compile.A_var v when p.Compile.p_binds -> Out_bind v
+                 | Compile.A_var v -> Out_check_var v
+                 | Compile.A_const c -> Out_check_const c);
              })
            prims)
     in
@@ -251,66 +241,3 @@ let compile_prims (prims : (Compile.prim_app * bool) list) : unit -> Value.t arr
           incr i
         done;
         !ok
-
-exception Unbound_prim_arg
-
-(* Compile one depth's primitive schedule for the generic trie join, whose
-   environment is an option array with undo on guard failure. Pure closures
-   (no construction-time scratch), so the result is reentrant, with the
-   impl pointer pre-fetched and the output mode pre-resolved. Returns the
-   bound-variable undo list, or None on failure with partial bindings
-   already undone. *)
-let compile_depth_prims (prims : Compile.prim_app list) :
-    Value.t option array -> int list option =
-  match prims with
-  | [] -> fun _ -> Some []
-  | _ ->
-    let steps =
-      Array.of_list
-        (List.map
-           (fun (p : Compile.prim_app) ->
-             let arg_of =
-               Array.map
-                 (function
-                   | Compile.A_const v -> fun (_ : Value.t option array) -> v
-                   | Compile.A_var v -> (
-                     fun env ->
-                       match env.(v) with Some x -> x | None -> raise Unbound_prim_arg))
-                 p.Compile.p_args
-             in
-             (p.Compile.p_prim.Primitives.impl, arg_of, p.Compile.p_out))
-           prims)
-    in
-    let n = Array.length steps in
-    fun env ->
-      let rec go acc i =
-        if i = n then Some acc
-        else begin
-          let impl, arg_of, out = steps.(i) in
-          let args = Array.map (fun f -> f env) arg_of in
-          match impl args with
-          | None ->
-            List.iter (fun v -> env.(v) <- None) acc;
-            None
-          | Some result -> (
-            match out with
-            | Compile.A_const c ->
-              if Value.equal c result then go acc (i + 1)
-              else begin
-                List.iter (fun v -> env.(v) <- None) acc;
-                None
-              end
-            | Compile.A_var v -> (
-              match env.(v) with
-              | Some existing ->
-                if Value.equal existing result then go acc (i + 1)
-                else begin
-                  List.iter (fun u -> env.(u) <- None) acc;
-                  None
-                end
-              | None ->
-                env.(v) <- Some result;
-                go (v :: acc) (i + 1)))
-        end
-      in
-      go [] 0

@@ -40,22 +40,11 @@ val compile_binder : Schema.func -> vars:int array -> sources:int array -> binde
     column reader resolved at construction; arities above fall back to a
     readers-array loop ([bind_specialized = false]). *)
 
-val classify_prims :
-  Compile.cquery -> int array list -> (Compile.prim_app * bool) list
-(** Flatten the schedule and classify each primitive's output as bind
-    ([true]) or check, given the variables the listed atoms bind. *)
-
-val compile_prims : (Compile.prim_app * bool) list -> unit -> Value.t array -> bool
-(** Compile a classified checklist for fully-bound environments. The outer
-    [unit ->] instantiates private argument buffers: instantiate once per
-    search so concurrent searches of one compiled plan never share state. *)
-
-exception Unbound_prim_arg
-(** A primitive argument was unbound — a scheduling bug, never reachable
-    through plans {!Compile} produced. *)
-
-val compile_depth_prims : Compile.prim_app list -> Value.t option array -> int list option
-(** Compile one depth's schedule for the generic trie join: option-array
-    environment, returns the bound-variable undo list or [None] on guard
-    failure (partial bindings already undone). Reentrant (no
-    construction-time scratch). *)
+val compile_prims : Compile.prim_app list -> unit -> Value.t array -> bool
+(** Compile a primitive checklist, in schedule order, for an environment
+    that holds every variable bound before it runs; each step binds or
+    checks its output as its [p_binds] says. One checklist serves every
+    lowering: a single- or two-atom kernel runs the whole schedule, the
+    generic trie join one depth's entry. The outer [unit ->] instantiates
+    private argument buffers: instantiate once per search so concurrent
+    searches of one compiled plan never share state. *)

@@ -39,9 +39,9 @@ let program_text =
   (rule ((fieldI d p f) (= a (vpt d))) ((union (fieldAlloc (vpt p) f) a)))
   |}
 
-(* Ablation: the even more direct encoding where all flow happens through
+(* The even more direct encoding where all flow happens through
    get-or-default in actions and a single rebuild does the whole analysis.
-   Used by the bench's ablation mode and the examples. *)
+   Selected by [load ~direct:true]. *)
 let direct_program_text =
   {|
   (sort Loc)
@@ -63,8 +63,8 @@ let direct_program_text =
   (rule ((fieldI d p f)) ((union (target (varLoc d)) (fieldOf (target (varLoc p)) f))))
   |}
 
-let load ?(seminaive = true) ?fast_paths ?index_caching ?jobs ?(direct = false) (p : Ir.program) =
-  let eng = Egglog.Engine.create ~seminaive ?fast_paths ?index_caching ?jobs () in
+let load ?(seminaive = true) ?jobs ?(direct = false) (p : Ir.program) =
+  let eng = Egglog.Engine.create ~seminaive ?jobs () in
   ignore (Egglog.run_string eng (if direct then direct_program_text else program_text));
   let i n = Egglog.Value.VInt n in
   Array.iter

@@ -1,7 +1,7 @@
 (* Unit and fuzz coverage for compiled join plans (Join.compile_plan /
    Plan_compile): the specialization boundaries (per-arity binders vs the
-   generic fallback, fast paths vs the trie join, atomless queries on the
-   generic join), hoisted constant/same-column checks, pre-resolved
+   generic fallback, the query shapes that take the trie join, atomless
+   queries on the generic join), hoisted constant/same-column checks, pre-resolved
    primitive guards, a plan-shape fuzzer pinning every lowering to the
    naive reference evaluator ([Ref_join]) on random databases, and a
    regression that a real workload (the fig7 math suite) plans and
@@ -25,8 +25,8 @@ let compile_env db =
       (fun name -> Option.map E.Table.func (E.Database.find_func db (E.Symbol.intern name)));
   }
 
-let compiled_multiset db ?cache ?(fast_paths = true) q ~ranges =
-  let cp = E.Join.compile_plan ~fast_paths q in
+let compiled_multiset db ?cache q ~ranges =
+  let cp = E.Join.compile_plan q in
   let acc = ref [] in
   E.Join.search_compiled db ?cache cp ~ranges (fun binding ->
       acc := String.concat "," (Array.to_list (Array.map E.Value.to_string binding)) :: !acc);
@@ -109,10 +109,11 @@ let test_two_atom_and_generic_lowering () =
   in
   Alcotest.(check string)
     "three atoms go generic" "compiled generic (3 atoms)" (E.Join.describe_lowering three);
-  let one = query db [ holds "r0" [ v "a"; v "b" ] ] in
+  (* an atom that binds no variable has no row to drive a scan *)
+  let ground = query db [ holds "r0" [ lit 1; lit 2 ] ] in
   Alcotest.(check string)
-    "fast paths off forces the generic lowering" "compiled generic (1 atoms)"
-    (E.Join.describe_lowering ~fast_paths:false one)
+    "a one-atom query binding no variable goes generic" "compiled generic (1 atoms)"
+    (E.Join.describe_lowering ground)
 
 (* Atomless (pure primitive) queries lower to the generic join, whose
    only step runs the primitives and emits: a binding primitive yields its
@@ -274,15 +275,11 @@ let check_shape sp =
     let expected = Ref_join.matches_multiset db q ~ranges in
     let cache = E.Join.new_cache () in
     E.Join.compiled_descr (E.Join.compile_plan q) = E.Join.describe_lowering q
-    (* fast paths on and off, each fresh, then twice through one cache (the
-       second pass answers from it) *)
+    (* fresh, then twice through one cache (the second pass answers from
+       it); three atoms, or an atom that binds nothing, take the trie join *)
     && compiled_multiset db q ~ranges = expected
-    && compiled_multiset db ~fast_paths:false q ~ranges = expected
-    && List.for_all
-         (fun fast_paths ->
-           compiled_multiset db ~cache ~fast_paths q ~ranges = expected
-           && compiled_multiset db ~cache ~fast_paths q ~ranges = expected)
-         [ true; false ]
+    && compiled_multiset db ~cache q ~ranges = expected
+    && compiled_multiset db ~cache q ~ranges = expected
 
 let prop_shape_fuzz =
   QCheck2.Test.make

@@ -253,8 +253,8 @@ let compiled_multiset_of db ?cache cp ~ranges =
       acc := String.concat "," (Array.to_list (Array.map E.Value.to_string binding)) :: !acc);
   List.sort compare !acc
 
-let compiled_multiset db ?cache ?(fast_paths = true) q ~ranges =
-  compiled_multiset_of db ?cache (E.Join.compile_plan ~fast_paths q) ~ranges
+let compiled_multiset db ?cache q ~ranges =
+  compiled_multiset_of db ?cache (E.Join.compile_plan q) ~ranges
 
 let rec permutations = function
   | [] -> [ [] ]
@@ -393,8 +393,8 @@ let scenario_query ds db =
   E.Compile.compile_query (compile_env db) (fst (scenario_facts ds))
 
 (* One differential case: reference output vs the production join under
-   every configuration we ship — cached and uncached, fast paths on and
-   off, and every variable ordering (sampled once the order grows past 4
+   every configuration we ship — cached and uncached, and every variable
+   ordering (sampled once the order grows past 4
    variables). The plans share one cache, which doubles as a regression
    for the cache-key identity invariant: every lowering and every
    ordering must request (and correctly answer from) the right
@@ -417,16 +417,12 @@ let check_diff ds ~delta =
             | _ -> E.Join.all_rows)
     in
     let expected = Ref_join.matches_multiset db q ~ranges in
-    let agree ?cache ?fast_paths q' =
-      compiled_multiset db ?cache ?fast_paths q' ~ranges = expected
-    in
+    let agree ?cache q' = compiled_multiset db ?cache q' ~ranges = expected in
     let cache = E.Join.new_cache () in
     let ok = ref (agree ~cache q) in
     (* a second pass answers from the cached structures *)
     ok := !ok && agree ~cache q;
     ok := !ok && agree q;
-    ok := !ok && agree ~fast_paths:false q;
-    ok := !ok && agree ~cache ~fast_paths:false q;
     (* past 4 join variables full enumeration explodes (120+ orders);
        reversing the chosen order still exercises a worst-case plan *)
     let orders =
@@ -436,7 +432,7 @@ let check_diff ds ~delta =
     List.iter
       (fun perm ->
         let q' = E.Compile.reorder q ~order:(Array.of_list perm) in
-        ok := !ok && agree q' && agree ~cache q' && agree ~fast_paths:false q')
+        ok := !ok && agree q' && agree ~cache q')
       orders;
     !ok
 
@@ -931,8 +927,9 @@ let prop_table_rollback =
    removes, same-stamp revivals, unions followed by a rebuild, and
    transactions that fail partway — is driven through one long-lived
    cache; after every step each query must give, as a multiset, what a
-   fresh cache and the naive reference give, with fast paths (indexes) and
-   without (tries). *)
+   fresh cache and the naive reference give. Two-atom queries patch
+   indexes; three-atom queries, and those with a ground atom, patch
+   tries. *)
 let patch_schema =
   {|
     (datatype N (Mk i64))
@@ -953,6 +950,7 @@ let patch_queries =
     [ f (v "x") (v "x"); r (v "x") (v "n") ];
     [ r (i 1) (v "n"); h (v "n") (v "y"); f (v "y") (v "z") ];
     [ r (v "x") (v "n"); f (v "x") (v "y"); h (v "n") (v "y") ];
+    [ r (v "x") (v "n"); r (v "y") (v "n"); f (v "y") (v "x") ];
     [ f (i 1) (i 2); r (v "x") (v "n") ];
   ]
 
@@ -1016,19 +1014,16 @@ let check_patch_history steps =
       E.Database.rebuild db
   in
   let queries = List.map (E.Compile.compile_query (compile_env db)) patch_queries in
-  let compiled =
-    List.map (fun q -> (E.Join.compile_plan q, E.Join.compile_plan ~fast_paths:false q)) queries
-  in
+  let compiled = List.map E.Join.compile_plan queries in
   let cache = E.Join.new_cache () in
   let agree () =
     List.for_all2
-      (fun q (cp, cp_generic) ->
+      (fun q cp ->
         let ranges = Array.make (Array.length q.E.Compile.atoms) E.Join.all_rows in
         let expected = Ref_join.matches_multiset db q ~ranges in
         let fresh = E.Join.new_cache () in
         compiled_multiset_of db ~cache:fresh cp ~ranges = expected
-        && compiled_multiset_of db ~cache cp ~ranges = expected
-        && compiled_multiset_of db ~cache cp_generic ~ranges = expected)
+        && compiled_multiset_of db ~cache cp ~ranges = expected)
       queries compiled
   in
   let ok = ref (agree ()) in
@@ -1075,15 +1070,26 @@ let test_trimmed_feed () =
         E.Ast.Eq (E.Ast.Call ("f", [ E.Ast.Var "x" ]), E.Ast.Var "z");
       ]
   in
-  let ranges = [| E.Join.all_rows; E.Join.all_rows |] in
+  (* a third atom sends the same f atom through the trie join *)
+  let q3 =
+    E.Compile.compile_query (compile_env db)
+      [
+        E.Ast.Holds (E.Ast.Call ("r", [ E.Ast.Var "x"; E.Ast.Var "y" ]));
+        E.Ast.Eq (E.Ast.Call ("f", [ E.Ast.Var "x" ]), E.Ast.Var "z");
+        E.Ast.Holds (E.Ast.Call ("r", [ E.Ast.Var "y"; E.Ast.Var "w" ]));
+      ]
+  in
   let cache = E.Join.new_cache () in
   let agree () =
-    let expected = Ref_join.matches_multiset db q ~ranges in
-    Alcotest.(check (list string))
-      "two-atom join" expected
-      (compiled_multiset db ~cache q ~ranges);
-    Alcotest.(check (list string)) "trie join" expected
-      (compiled_multiset db ~cache ~fast_paths:false q ~ranges)
+    let check name q =
+      let ranges = Array.make (Array.length q.E.Compile.atoms) E.Join.all_rows in
+      Alcotest.(check (list string))
+        name
+        (Ref_join.matches_multiset db q ~ranges)
+        (compiled_multiset db ~cache q ~ranges)
+    in
+    check "two-atom join" q;
+    check "trie join" q3
   in
   agree ();
   let old = E.Table.mark f in
@@ -1128,7 +1134,17 @@ let test_cache_key_incarnations () =
         E.Ast.Holds (E.Ast.Call ("s", [ E.Ast.Var "y"; E.Ast.Var "z" ]));
       ]
   in
+  (* a third atom sends the same s atom through the trie join *)
+  let q3 =
+    E.Compile.compile_query (compile_env db1)
+      [
+        E.Ast.Holds (E.Ast.Call ("r", [ E.Ast.Var "x"; E.Ast.Var "y" ]));
+        E.Ast.Holds (E.Ast.Call ("s", [ E.Ast.Var "y"; E.Ast.Var "z" ]));
+        E.Ast.Holds (E.Ast.Call ("r", [ E.Ast.Var "x"; E.Ast.Var "w" ]));
+      ]
+  in
   let ranges = [| E.Join.all_rows; E.Join.all_rows |] in
+  let ranges3 = Array.make 3 E.Join.all_rows in
   let s_of db =
     match E.Database.find_func db (E.Symbol.intern "s") with
     | Some t -> t
@@ -1140,19 +1156,22 @@ let test_cache_key_incarnations () =
   let expect1 = Ref_join.matches_multiset db1 q ~ranges in
   Alcotest.(check int) "incarnation 1 has two matches" 2 (List.length expect1);
   Alcotest.(check (list string))
-    "incarnation 1, fast path" expect1 (compiled_multiset db1 ~cache q ~ranges);
+    "incarnation 1, two-atom join" expect1 (compiled_multiset db1 ~cache q ~ranges);
   Alcotest.(check (list string))
-    "incarnation 1, trie join" expect1 (compiled_multiset db1 ~cache ~fast_paths:false q ~ranges);
+    "incarnation 1, trie join"
+    (Ref_join.matches_multiset db1 q3 ~ranges:ranges3)
+    (compiled_multiset db1 ~cache q3 ~ranges:ranges3);
   (* incarnation 2: the other engine's s, rows {(2,3),(2,5)} — the same
      cache must not resurrect incarnation 1 *)
   let expect2 = Ref_join.matches_multiset db2 q ~ranges in
   Alcotest.(check int) "incarnation 2 has two matches" 2 (List.length expect2);
   Alcotest.(check bool) "incarnations differ" true (expect1 <> expect2);
   Alcotest.(check (list string))
-    "incarnation 2, fast path" expect2 (compiled_multiset db2 ~cache q ~ranges);
+    "incarnation 2, two-atom join" expect2 (compiled_multiset db2 ~cache q ~ranges);
   Alcotest.(check (list string))
-    "incarnation 2, trie join" expect2
-    (compiled_multiset db2 ~cache ~fast_paths:false q ~ranges)
+    "incarnation 2, trie join"
+    (Ref_join.matches_multiset db2 q3 ~ranges:ranges3)
+    (compiled_multiset db2 ~cache q3 ~ranges:ranges3)
 
 (* Companion regression: constants containing the old key format's
    delimiter characters must still produce distinct cache entries for

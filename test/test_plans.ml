@@ -118,12 +118,13 @@ let gen_query =
   in
   list_size (int_range 1 6) atom
 
-let query_of_case atoms =
+(* The case's atoms, then its primitive facts (see [gen_prim_query]). *)
+let query_of_case ?(prims = []) atoms =
   let to_expr = function
     | `Var v -> E.Ast.Var (Printf.sprintf "v%d" v)
     | `Lit n -> E.Ast.Lit (E.Value.VInt n)
   in
-  let facts =
+  let atom_facts =
     List.map
       (fun (arity, args, out) ->
         let call = E.Ast.Call (Printf.sprintf "f%d" arity, List.map to_expr args) in
@@ -132,12 +133,20 @@ let query_of_case atoms =
         | None -> E.Ast.Holds call)
       atoms
   in
-  E.Compile.compile_query (Lazy.force planner_env) facts
+  let prim_facts =
+    List.map
+      (fun (op, a, b, out) ->
+        let call = E.Ast.Call (op, [ to_expr a; to_expr b ]) in
+        if op = "<" then E.Ast.Holds call else E.Ast.Eq (to_expr out, call))
+      prims
+  in
+  E.Compile.compile_query (Lazy.force planner_env) (atom_facts @ prim_facts)
 
-let print_case case =
-  match query_of_case case with
+let print_case ?prims atoms =
+  match query_of_case ?prims atoms with
   | q -> Format.asprintf "%a" (fun fmt q -> E.Compile.pp_plan fmt q) q
   | exception E.Compile.Unsat -> "(unsatisfiable)"
+  | exception E.Compile.Error msg -> "(rejected: " ^ msg ^ ")"
 
 (* The reference order, straight from the definition: every variable that
    some atom covers, those covered by more atoms first, ties by variable
@@ -154,7 +163,7 @@ let reference_order (q : E.Compile.cquery) =
 
 let prop_order_matches_reference =
   QCheck2.Test.make ~name:"compile-time order = reference most-shared order" ~count:600
-    ~print:print_case gen_query (fun case ->
+    ~print:(fun atoms -> print_case atoms) gen_query (fun case ->
       match query_of_case case with
       | exception E.Compile.Unsat -> true
       | q ->
@@ -173,6 +182,85 @@ let prop_order_matches_reference =
                | None -> depth = 0)
              q.var_depth))
 
+(* A random query with primitives: the atoms of [gen_query] plus 0-4
+   primitive facts over v0..v7. v6 and v7 occur in no atom, so a
+   primitive writing one computes it; writing v0..v5 checks a join
+   variable, unless no atom covers it; a literal output checks a
+   constant; [<] is a guard whose output is an internal variable. *)
+let gen_prim_query =
+  let open QCheck2.Gen in
+  let var lo hi = map (fun v -> `Var v) (int_range lo hi) in
+  let lit = map (fun n -> `Lit n) (int_range 0 3) in
+  let prim =
+    let* op = oneofl [ "+"; "max"; "<" ] in
+    let input = frequency [ (6, var 0 5); (1, var 6 7); (1, lit) ] in
+    let* a = input in
+    let* b = input in
+    let* out = frequency [ (2, var 0 5); (2, var 6 7); (1, lit) ] in
+    return (op, a, b, out)
+  in
+  pair gen_query (list_size (int_range 0 4) prim)
+
+(* Walk the schedule the way every lowering runs it: the first [d]
+   variables of the order are bound before depth [d]'s primitives, and
+   each primitive binds or checks its output as [p_binds] says. The walk
+   checks that no primitive reads an unbound variable, that [p_binds]
+   holds exactly on the first write of a primitive-computed variable, and
+   that the last depth leaves every variable bound — the plan-time
+   guarantees that let the joins bind into one array with no run-time
+   checks. *)
+let check_prim_flags (q : E.Compile.cquery) =
+  let bound = Array.make q.n_vars false in
+  let name v = q.var_names.(v) in
+  Array.iteri
+    (fun d prims ->
+      if d > 0 then bound.(q.order.(d - 1)) <- true;
+      List.iter
+        (fun (p : E.Compile.prim_app) ->
+          let pname = p.p_prim.E.Primitives.pname in
+          Array.iter
+            (function
+              | E.Compile.A_var v when not bound.(v) ->
+                QCheck2.Test.fail_reportf "prim@%d %s reads unbound %s" d pname (name v)
+              | E.Compile.A_var _ | E.Compile.A_const _ -> ())
+            p.p_args;
+          match p.p_out with
+          | E.Compile.A_var v ->
+            if (not bound.(v)) && q.var_depth.(v) <> 0 then
+              QCheck2.Test.fail_reportf "prim@%d %s writes join variable %s before its depth" d
+                pname (name v);
+            let first_write = not bound.(v) in
+            if p.p_binds <> first_write then
+              QCheck2.Test.fail_reportf "prim@%d %s -> %s: p_binds = %b on a %s" d pname (name v)
+                p.p_binds
+                (if first_write then "first write" else "bound variable");
+            bound.(v) <- true
+          | E.Compile.A_const _ ->
+            if p.p_binds then
+              QCheck2.Test.fail_reportf "prim@%d %s binds a constant output" d pname)
+        prims)
+    q.schedule;
+  Array.iteri
+    (fun v b ->
+      if not b then QCheck2.Test.fail_reportf "%s unbound after the last depth" (name v))
+    bound;
+  true
+
+let prop_prim_flags =
+  QCheck2.Test.make ~name:"scheduled primitives read bound variables; p_binds = first write"
+    ~count:1000
+    ~print:(fun (atoms, prims) -> print_case ~prims atoms)
+    gen_prim_query
+    (fun (atoms, prims) ->
+      match query_of_case ~prims atoms with
+      | exception E.Compile.Unsat -> true
+      | exception E.Compile.Error _ -> true
+      | q ->
+        check_prim_flags q
+        (* reordering re-schedules, and must fix the flags again *)
+        && check_prim_flags
+             (E.Compile.reorder q ~order:(Array.of_list (List.rev (Array.to_list q.order)))))
+
 let () =
   Printf.printf "property-test seed: %d (override with EGGLOG_TEST_SEED=<n>)\n%!" test_seed;
   Alcotest.run "plans"
@@ -189,5 +277,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| test_seed |])
             prop_order_matches_reference;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| test_seed |])
+            prop_prim_flags;
         ] );
     ]
