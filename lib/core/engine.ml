@@ -536,8 +536,8 @@ let rule_variants eng (r : rt_rule) : Join.stamp_range array list =
       (List.init n_atoms Fun.id)
 
 (* Search one variant; matches come back in reversed discovery order (the
-   natural cons order). Read-only over the database and the frozen cache,
-   so variants can run on worker domains. *)
+   natural cons order). Read-only over the database, and the join cache
+   serializes its own lookups, so variants can run on worker domains. *)
 let search_variant eng (cp : Join.compiled) (ranges : Join.stamp_range array) :
     Value.t array list =
   let acc = ref [] in
@@ -553,7 +553,7 @@ let search_variant eng (cp : Join.compiled) (ranges : Join.stamp_range array) :
 let merge_variant_matches per_variant =
   List.fold_left (fun acc vm -> vm @ acc) [] per_variant
 
-(* Fresh symbols interned by primitives during the (frozen-database) search
+(* Fresh symbols interned by primitives during the (read-only-database) search
    phase carry provisional ids (see {!Symbol.begin_speculative}); rewrite
    them to real ids in a canonical order — ascending variant, then row
    discovery order, then within a row the primitive schedule order (the
@@ -700,16 +700,15 @@ let apply_rule eng ~budget_check ~rule_accs ~t0 (ph : phase_times) (r : rt_rule)
 
 (* Fan one iteration's rule×variant search tasks across [jobs] domains.
    Serial pre-phase: variant selection and lowering each rule's plan on
-   its first run ([rule_plan] mutates the rule), then
-   [Join.prebuild] warms every full-range cache entry the tasks will want.
-   The cache is then frozen and the database is read-only for the whole
-   fan-out, so tasks are pure; per-variant buffers are merged back in
-   (rule, ascending variant) order, making the result — including match
-   order — bit-identical to the serial path regardless of scheduling.
-   [budget_check] fires once per rule, like the serial loop. *)
+   its first run ([rule_plan] mutates the rule). The database is then
+   read-only for the whole fan-out and the tasks share the join cache
+   through its lock, taking the same path as the serial search; per-variant
+   buffers are merged back in (rule, ascending variant) order, making the
+   result — including match order — bit-identical to the serial path
+   regardless of scheduling. [budget_check] fires once per rule, like the
+   serial loop. *)
 let parallel_search eng ~jobs ~budget_check (eligible : rt_rule list) :
     (rt_rule * Value.t array list) list =
-  let cache = eng.join_cache in
   let rules_variants =
     List.map
       (fun r ->
@@ -720,20 +719,12 @@ let parallel_search eng ~jobs ~budget_check (eligible : rt_rule list) :
     Array.of_list
       (List.concat_map (fun (r, vs) -> List.map (fun v -> (r, v)) vs) rules_variants)
   in
-  Array.iter
-    (fun (_, (cp, ranges)) -> Join.prebuild eng.db cache cp ~ranges)
-    tasks;
   let pool = Pool.global ~workers:(jobs - 1) in
   Telemetry.record_max c_domains (min jobs (1 + Pool.size pool));
-  Join.set_frozen cache true;
   let results =
-    Fun.protect
-      ~finally:(fun () -> Join.set_frozen cache false)
-      (fun () ->
-        Pool.run ~participants:(jobs - 1) pool
-          (fun (r, (cp, ranges)) ->
-            with_rule_context r (fun () -> search_variant eng cp ranges))
-          tasks)
+    Pool.run ~participants:(jobs - 1) pool
+      (fun (r, (cp, ranges)) -> with_rule_context r (fun () -> search_variant eng cp ranges))
+      tasks
   in
   let idx = ref 0 in
   List.map

@@ -165,12 +165,14 @@ val run_iterations :
     through the pressure tiers first; [until] stops as soon as all its facts
     are derivable (checked before the first iteration and after each one).
     [jobs] fans the search phase across that many domains ([0] = one per
-    core; default: the engine's session setting). The database is frozen
-    during the fan-out and per-variant match buffers merge in a fixed
+    core; default: the engine's session setting). The database is
+    read-only during the fan-out, the tasks share the engine's join cache
+    through its lock, and per-variant match buffers merge in a fixed
     (rule, variant, discovery) order; apply and rebuild then run serially.
-    The resulting state and report counts are byte-identical to [jobs:1]
-    regardless of scheduling; only the timings differ. @raise Egglog_error on a
-    negative [jobs]. *)
+    The resulting state, report counts and [join.*] work counters are
+    identical to [jobs:1] regardless of scheduling; only the timings and
+    the [pool.*] counters differ. @raise Egglog_error on a negative
+    [jobs]. *)
 
 (** {1 Commands (the textual language)} *)
 

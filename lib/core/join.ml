@@ -203,20 +203,19 @@ end)
 (* A persistent entry and the feed position of the table it holds. *)
 type pentry = { mutable pe_built : built; mutable pe_mark : Table.mark }
 
-(* [frozen] puts the cache in read-only mode for the parallel search
-   phase: lookups still serve valid hits (concurrent hashtable reads with
-   no writer are safe), but misses and stale entries build privately and
-   are NOT stored or patched — storing would race other domains, and
-   [patch_trie]/[patch_index] mutate the shared structure in place. The
-   engine pre-builds the full-range entries serially before fanning out,
-   so frozen misses are normally just the small per-variant delta
-   structures. *)
-type cache = { persistent : pentry KTbl.t; scratch : built KTbl.t; mutable frozen : bool }
+(* One lock guards both tiers and every entry in them: a lookup takes it
+   for the whole probe, patch, build and store, so searches on several
+   domains share one path with the serial search. The change-feed memo
+   that [Table.changes_since] keeps on a table is written under it too.
+   Handing out an entry that another domain may then read without the
+   lock is safe because entries go stale only between phases: the
+   database is read-only while any search runs, so no entry is patched
+   while a search holds it. *)
+type cache = { lock : Mutex.t; persistent : pentry KTbl.t; scratch : built KTbl.t }
 
 let new_cache () : cache =
-  { persistent = KTbl.create 64; scratch = KTbl.create 64; frozen = false }
+  { lock = Mutex.create (); persistent = KTbl.create 64; scratch = KTbl.create 64 }
 
-let set_frozen cache frozen = cache.frozen <- frozen
 let clear_scratch cache = KTbl.reset cache.scratch
 
 let clear_all cache =
@@ -352,17 +351,17 @@ let patch_index (plan : atom_plan) index (changes : Table.change array) ~proj ~r
   Telemetry.bump c_scanned (Array.length changes);
   Telemetry.bump c_retracted !retracted
 
-(* One lookup through the cache. Full-range structures live in the
-   persistent tier: a hit when the table is unchanged since the entry's
-   mark, patched from the change feed when it changed, rebuilt when an
-   inverse cut the feed or the feed touched at least as many keys as the
-   table has rows (patching would cost more than building). Windowed
-   structures live in the scratch tier. A frozen cache serves only hits
-   and builds everything else privately. *)
+(* One lookup through the cache, under its lock. Full-range structures
+   live in the persistent tier: a hit when the table is unchanged since
+   the entry's mark, patched from the change feed when it changed, rebuilt
+   when an inverse cut the feed or the feed touched at least as many keys
+   as the table has rows (patching would cost more than building).
+   Windowed structures live in the scratch tier. *)
 let cached cache kind (plan : atom_plan) range ~proj ~rest ~build ~patch =
   match cache with
   | None -> build ()
   | Some c ->
+    Mutex.protect c.lock @@ fun () ->
     Telemetry.bump c_cache_lookups 1;
     let table = plan.ap_table in
     let key = mk_key kind plan range ~proj ~rest in
@@ -376,17 +375,7 @@ let cached cache kind (plan : atom_plan) range ~proj ~rest ~build ~patch =
       store built;
       built
     in
-    if c.frozen then begin
-      let found =
-        if is_full range then
-          match KTbl.find_opt c.persistent key with
-          | Some pe when Table.unchanged_since table pe.pe_mark -> Some pe.pe_built
-          | Some _ | None -> None
-        else KTbl.find_opt c.scratch key
-      in
-      match found with Some built -> hit built | None -> miss ignore
-    end
-    else if is_full range then begin
+    if is_full range then begin
       let store built =
         KTbl.replace c.persistent key { pe_built = built; pe_mark = Table.mark table }
       in
@@ -483,11 +472,9 @@ let count_yields callback =
    readers, hoisted checks, binding loops, primitive impl pointers, the
    per-depth atom participation of the generic join — and leaves only
    table resolution, cache probes and per-search state to run time. Every
-   search, [check] query and cache warm-up goes through one of these, so
-   the cache entries [prebuild] warms are exactly the ones the search
-   asks for. Lowering happens in the engine's serial pre-phase; each
-   search instantiates its own mutable state, so one compiled plan may
-   serve several domains at once. *)
+   search and [check] query goes through one of these. Lowering happens
+   in the engine's serial pre-phase; each search instantiates its own
+   mutable state, so one compiled plan may serve several domains at once. *)
 
 type compiled_run =
   Database.t -> cache option -> stamp_range array -> (Value.t array -> unit) -> unit
@@ -496,11 +483,7 @@ type compiled = {
   cp_n_atoms : int;
   cp_descr : string;
   cp_run : compiled_run;
-  cp_prebuild : Database.t -> cache -> stamp_range array -> unit;
-      (* build the full-range entries [cp_run] would ask the cache for *)
 }
-
-let no_prebuild _ _ _ = ()
 
 (* The whole primitive schedule as one checklist, for the kernels that
    bind every join variable before any primitive runs. *)
@@ -586,24 +569,21 @@ let two_driver ranges t0 t1 =
   else if Table.length t0 <= Table.length t1 then 0
   else 1
 
-let compile_two (q : Compile.cquery) (shapes : Plan_compile.shape array) =
+let compile_two (q : Compile.cquery) (shapes : Plan_compile.shape array) : compiled_run =
   let orients = Array.init 2 (fun driver -> compile_two_orient q shapes ~driver) in
   let prims = Plan_compile.compile_prims (flat_schedule q) in
   let n_vars = q.Compile.n_vars in
-  (* this search's orientation, its driver table, and the indexed atom's
-     plan and window *)
-  let orient db ranges =
+  fun db cache ranges callback ->
     let t0 = resolve_table db shapes.(0).Plan_compile.sh_func
     and t1 = resolve_table db shapes.(1).Plan_compile.sh_func in
     let driver = two_driver ranges t0 t1 in
     let o = orients.(driver) in
     let dtable, otable = if driver = 0 then (t0, t1) else (t1, t0) in
-    let oplan = plan_over otable o.to_oshape in
-    (o, dtable, ranges.(driver), oplan, ranges.(1 - driver))
-  in
-  let run db cache ranges callback =
-    let o, dtable, drange, oplan, orange = orient db ranges in
-    let index = cached_index cache oplan orange ~proj:o.to_proj ~rest:o.to_rest_pos in
+    let drange = ranges.(driver) in
+    let index =
+      cached_index cache (plan_over otable o.to_oshape) ranges.(1 - driver) ~proj:o.to_proj
+        ~rest:o.to_rest_pos
+    in
     let env = Array.make n_vars Value.VUnit in
     let probe_key = Array.make (Array.length o.to_proj) Value.VUnit in
     let run_prims = prims () in
@@ -628,12 +608,6 @@ let compile_two (q : Compile.cquery) (shapes : Plan_compile.shape array) =
                     if run_prims env then callback env)
                   entries
             end))
-  and prebuild db cache ranges =
-    let o, _, _, oplan, orange = orient db ranges in
-    if is_full orange then
-      ignore (cached_index (Some cache) oplan orange ~proj:o.to_proj ~rest:o.to_rest_pos)
-  in
-  (run, prebuild)
 
 (* Generic trie join as a chain of per-depth closures built once: depth d's
    step captures its variable, participating-atom array and the next
@@ -651,7 +625,7 @@ type gstate = {
   gs_emit : Value.t array -> unit;
 }
 
-let compile_generic (q : Compile.cquery) (shapes : Plan_compile.shape array) =
+let compile_generic (q : Compile.cquery) (shapes : Plan_compile.shape array) : compiled_run =
   let n_atoms = Array.length q.Compile.atoms in
   let n_steps = Array.length q.Compile.order in
   let parts_for_depth =
@@ -724,7 +698,7 @@ let compile_generic (q : Compile.cquery) (shapes : Plan_compile.shape array) =
       | _ :: _ -> fun st -> if st.gs_prims.(d) st.gs_env then body st)
   done;
   let step0 = steps.(0) in
-  let run db cache ranges callback =
+  fun db cache ranges callback ->
     let tries =
       Array.mapi (fun i sh -> cached_trie cache (plan_of_shape db sh) ranges.(i)) shapes
     in
@@ -737,14 +711,6 @@ let compile_generic (q : Compile.cquery) (shapes : Plan_compile.shape array) =
           gs_prims = Array.map (fun make -> make ()) depth_prims;
           gs_emit = callback;
         }
-  and prebuild db cache ranges =
-    Array.iteri
-      (fun i sh ->
-        if is_full ranges.(i) then
-          ignore (cached_trie (Some cache) (plan_of_shape db sh) ranges.(i)))
-      shapes
-  in
-  (run, prebuild)
 
 (* The lowering a plan takes, decided in one place for [compile_plan] and
    [describe_lowering]. *)
@@ -770,41 +736,23 @@ let shapes_of (q : Compile.cquery) = Array.map (Plan_compile.shape_atom q) q.Com
 let compile_plan (q : Compile.cquery) : compiled =
   let shapes = shapes_of q in
   let lowering = classify q in
-  let run, prebuild =
+  let run =
     match lowering with
-    | Single -> (compile_single q shapes.(0), no_prebuild)
+    | Single -> compile_single q shapes.(0)
     | Two -> compile_two q shapes
     | Generic -> compile_generic q shapes
   in
-  {
-    cp_n_atoms = Array.length shapes;
-    cp_descr = describe shapes lowering;
-    cp_run = run;
-    cp_prebuild = prebuild;
-  }
+  { cp_n_atoms = Array.length shapes; cp_descr = describe shapes lowering; cp_run = run }
 
 let compiled_descr cp = cp.cp_descr
 
 let describe_lowering (q : Compile.cquery) : string =
   describe (shapes_of q) (classify q)
 
-let check_arity name cp ranges =
-  if Array.length ranges <> cp.cp_n_atoms then
-    invalid_arg (Printf.sprintf "Join.%s: ranges arity mismatch" name)
-
 let search_compiled db ?cache (cp : compiled) ~(ranges : stamp_range array) callback =
-  check_arity "search_compiled" cp ranges;
+  if Array.length ranges <> cp.cp_n_atoms then
+    invalid_arg "Join.search_compiled: ranges arity mismatch";
   cp.cp_run db cache ranges (count_yields callback)
-
-(* Serially warm the full-range cache entries a search of [cp] over
-   [ranges] will want, so a subsequent frozen (parallel) search finds them
-   as read-only hits. Windowed/delta structures are cheap and left to the
-   tasks, which build them privately. *)
-let prebuild db cache (cp : compiled) ~(ranges : stamp_range array) =
-  if not cache.frozen then begin
-    check_arity "prebuild" cp ranges;
-    cp.cp_prebuild db cache ranges
-  end
 
 exception Found
 

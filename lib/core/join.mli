@@ -18,10 +18,15 @@ type stamp_range = { lo : int; hi : int }
 val all_rows : stamp_range
 
 type cache
-(** Memo for per-atom tries, shared by every rule searched against one
-    database snapshot (create one per engine iteration). Keyed by
-    (function, projection signature, stamp window), so e.g. every rule whose
-    pattern scans [Add] with the same variable shape reuses one trie. *)
+(** Memo for per-atom tries and indexes, shared by every rule an engine
+    searches: the engine keeps one for its lifetime and clears its scratch
+    tier each iteration. Keyed by (function, projection signature, stamp
+    window), so e.g. every rule whose pattern scans [Add] with the same
+    variable shape reuses one trie. One lock guards every lookup — probe,
+    patch, build and store — so searches on several domains take the same
+    path as a serial one, and each entry is built or patched once, by
+    whichever search asks first. The database must not change while any
+    search runs: an entry handed out is then read without the lock. *)
 
 val new_cache : unit -> cache
 
@@ -38,13 +43,6 @@ val clear_all : cache -> unit
 (** Drop both tiers. Called after a pop or a transaction rollback: the
     inverses cut the change feeds of the tables they touched, so entries
     over them could only be rebuilt, never patched. *)
-
-val set_frozen : cache -> bool -> unit
-(** Put the cache in read-only mode for the parallel search phase: valid
-    entries still hit (concurrent hashtable reads are safe with no
-    writer), but misses build private structures without storing, and
-    stale persistent entries are rebuilt privately instead of patched in
-    place. Freeze after {!prebuild}, unfreeze before the apply phase. *)
 
 (** {2 Compiled plans}
 
@@ -75,12 +73,6 @@ val search_compiled :
   unit
 (** Invoke the callback once per match with the variable binding (indexed
     like [cquery.var_names]; the array is reused, callers must copy). *)
-
-val prebuild : Database.t -> cache -> compiled -> ranges:stamp_range array -> unit
-(** Serially warm the full-range cache entries that {!search_compiled}
-    with the same arguments would use, so a subsequent frozen parallel
-    search services them as hits. No-op while frozen.
-    Windowed/delta entries are left to the tasks (cheap, private). *)
 
 val exists : Database.t -> Compile.cquery -> bool
 (** Any match at all (all rows considered, no cache)? Lowers the query

@@ -12,8 +12,10 @@
     Determinism contract: {!run} returns results indexed exactly like its
     input array — scheduling affects only {e which domain} computes a
     slot, never where the result lands. Tasks must therefore be pure
-    reads of shared state (the engine freezes the database for the
-    duration). If any task raises, the exception for the {e lowest} task
+    reads of shared state, or write it under a lock in a way whose
+    outcome does not depend on the order (the engine keeps the database
+    read-only for the duration, and its join cache locks each lookup). If
+    any task raises, the exception for the {e lowest} task
     index is re-raised on the caller (with its backtrace) after all
     workers have drained, matching the failure order of a serial loop;
     the pool itself stays usable.

@@ -7,8 +7,6 @@ type prim = {
 let registry : (string, prim) Hashtbl.t = Hashtbl.create 64
 let register p = Hashtbl.replace registry p.pname p
 let find name = Hashtbl.find_opt registry name
-let is_primitive name = Hashtbl.mem registry name
-let all_names () = Hashtbl.fold (fun k _ acc -> k :: acc) registry []
 
 (* Downward expectation propagation for container-polymorphic primitives:
    without this, (set-insert (set-empty) x) cannot type its inner call. *)

@@ -15,8 +15,6 @@ type prim = {
 }
 
 val find : string -> prim option
-val is_primitive : string -> bool
-val all_names : unit -> string list
 
 val arg_hints : string -> ret:Ty.t option -> nargs:int -> Ty.t option list
 (** Expected argument types given the expected result type, used when

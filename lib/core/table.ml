@@ -42,8 +42,6 @@ type t = {
   mutable ret_len : int;
   mutable version : int;  (* bumped on any write and inverse: the write sequence *)
   mutable undone_at : int;  (* version right after the newest inverse *)
-  mutable removals : int;  (* rows ever removed *)
-  mutable value_updates : int;  (* in-place output overwrites of existing rows *)
   mutable last_feed : feed option;  (* shared by consumers holding one mark *)
   mutable bytes : int;  (* modeled footprint, maintained incrementally *)
   (* Keys removed while the log's newest stamp still equals their row's: a
@@ -108,8 +106,6 @@ let create ?(trail = Trail.create ()) func =
     ret_len = 0;
     version = 0;
     undone_at = 0;
-    removals = 0;
-    value_updates = 0;
     last_feed = None;
     bytes = 0;
     revivals = Value.Key_tbl.create 8;
@@ -122,8 +118,6 @@ let func t = t.func
 let length t = Value.Key_tbl.length t.data
 let version t = t.version
 let uid t = t.uid
-let removals t = t.removals
-let value_updates t = t.value_updates
 let id_columns t = t.id_columns
 
 (* Entries ever appended to the timestamp log (inserts + re-stamps). The
@@ -244,7 +238,6 @@ let record_update t row =
     row.first_log <- first_log;
     truncate_log t log_len;
     t.bytes <- bytes;
-    t.value_updates <- t.value_updates - 1;
     undone t;
     Trail.Entry
       (fun () ->
@@ -253,7 +246,6 @@ let record_update t row =
         row.first_log <- first_log';
         Option.iter (fun key -> log_append t key row stamp') key;
         t.bytes <- bytes';
-        t.value_updates <- t.value_updates + 1;
         undone t;
         Trail.Entry undo)
   in
@@ -279,7 +271,6 @@ let record_remove t key row =
     row.stamp <- stamp;
     Value.Key_tbl.replace t.data key row;
     t.bytes <- bytes;
-    t.removals <- t.removals - 1;
     undone t;
     Trail.Entry
       (fun () ->
@@ -289,7 +280,6 @@ let record_remove t key row =
         t.revivals_stamp <- revivals_stamp';
         row.stamp <- min_int;
         t.bytes <- bytes';
-        t.removals <- t.removals + 1;
         undone t;
         Trail.Entry undo)
   in
@@ -335,7 +325,6 @@ let set_raw t key value ~stamp =
         row.first_log <- t.log_len;
         log_append t key row stamp
       end;
-      t.value_updates <- t.value_updates + 1;
       `Updated
     end
 
@@ -360,8 +349,7 @@ let remove t key =
     (* The log entries the row left behind stay allocated, so only the row
        itself is subtracted; log cost is reclaimed never, like the arrays. *)
     t.bytes <- t.bytes - row_bytes key row.value;
-    t.version <- t.version + 1;
-    t.removals <- t.removals + 1
+    t.version <- t.version + 1
   | None -> ()
 let iter f t = Value.Key_tbl.iter f t.data
 let fold f t init = Value.Key_tbl.fold f t.data init

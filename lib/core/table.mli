@@ -52,15 +52,6 @@ val uid : t -> int
     (say, in two engines) whose version counters coincide. A rollback or a
     pop restores a table in place and keeps its uid. *)
 
-val removals : t -> int
-(** Rows ever removed from this incarnation (an inverse takes its removal
-    back). A statistic: derived structures follow removals through the
-    change feed, not through this count. *)
-
-val value_updates : t -> int
-(** In-place output overwrites of existing rows, re-stamped or not (an
-    inverse takes its overwrite back). A statistic, like {!removals}. *)
-
 val id_columns : t -> int array
 (** Columns (argument positions, then [arity] for the output) whose type can
     hold an id: sorts, and sets or vectors of them. Computed once from the

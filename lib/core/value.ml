@@ -73,11 +73,6 @@ let rec modeled_bytes = function
   | VSet xs | VVec xs ->
     List.fold_left (fun acc x -> acc + 16 + modeled_bytes x) 24 xs
 
-let set_elements = function
-  | VSet xs -> xs
-  | VUnit | VBool _ | VInt _ | VRat _ | VStr _ | VId _ | VVec _ ->
-    invalid_arg "Value.set_elements"
-
 let rec type_of ~sort_of_id = function
   | VUnit -> Ty.Unit
   | VBool _ -> Ty.Bool

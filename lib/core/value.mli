@@ -25,9 +25,6 @@ val map_symbols : (Symbol.t -> Symbol.t) -> t -> t
     elements changed (the mapping may reorder ids). Returns the argument
     physically unchanged when nothing maps. *)
 
-val set_elements : t -> t list
-(** @raise Invalid_argument when not a [VSet]. *)
-
 val modeled_bytes : t -> int
 (** Deterministic modeled size of the value in bytes. A pure function of the
     value's structure (never of allocator or GC state), so byte budgets built

@@ -4,10 +4,9 @@
    that, and the engine's canonicalization does all the unification and
    congruence.
 
-   This is the measured encoding: rules query the vpt/pts tables (so
-   canonicalized rows re-fire rules and semi-naïve evaluation has real
-   work to skip), mirroring how the paper's artifact reimplements the
-   cclyzer++ rules. *)
+   Rules query the vpt/pts tables (so canonicalized rows re-fire rules
+   and semi-naïve evaluation has real work to skip), mirroring how the
+   paper's artifact reimplements the cclyzer++ rules. *)
 
 let program_text =
   {|
@@ -39,33 +38,9 @@ let program_text =
   (rule ((fieldI d p f) (= a (vpt d))) ((union (fieldAlloc (vpt p) f) a)))
   |}
 
-(* The even more direct encoding where all flow happens through
-   get-or-default in actions and a single rebuild does the whole analysis.
-   Selected by [load ~direct:true]. *)
-let direct_program_text =
-  {|
-  (sort Loc)
-  (function varLoc (i64) Loc)
-  (function siteLoc (i64) Loc)
-  (function target (Loc) Loc)
-  (function fieldOf (Loc i64) Loc)
-
-  (relation allocI (i64 i64))
-  (relation copyI (i64 i64))
-  (relation storeI (i64 i64))
-  (relation loadI (i64 i64))
-  (relation fieldI (i64 i64 i64))
-
-  (rule ((allocI v s)) ((union (target (varLoc v)) (siteLoc s))))
-  (rule ((copyI d s)) ((union (target (varLoc d)) (target (varLoc s)))))
-  (rule ((storeI p q)) ((union (target (target (varLoc p))) (target (varLoc q)))))
-  (rule ((loadI d p)) ((union (target (varLoc d)) (target (target (varLoc p))))))
-  (rule ((fieldI d p f)) ((union (target (varLoc d)) (fieldOf (target (varLoc p)) f))))
-  |}
-
-let load ?(seminaive = true) ?jobs ?(direct = false) (p : Ir.program) =
+let load ?(seminaive = true) ?jobs (p : Ir.program) =
   let eng = Egglog.Engine.create ~seminaive ?jobs () in
-  ignore (Egglog.run_string eng (if direct then direct_program_text else program_text));
+  ignore (Egglog.run_string eng program_text);
   let i n = Egglog.Value.VInt n in
   Array.iter
     (fun inst ->
@@ -79,29 +54,17 @@ let load ?(seminaive = true) ?jobs ?(direct = false) (p : Ir.program) =
     p.Ir.insts;
   eng
 
-let analyze ?seminaive ?jobs ?direct (p : Ir.program) =
+let analyze ?seminaive ?jobs (p : Ir.program) =
   Egglog.Telemetry.span "pointsto.egglog.run" @@ fun () ->
-  let eng = load ?seminaive ?jobs ?direct p in
+  let eng = load ?seminaive ?jobs p in
   let report = Egglog.Engine.run_iterations eng 1000 in
   (eng, report)
 
-let try_lookup eng name args =
-  try Egglog.Engine.lookup_fact eng name args with Egglog.Engine.Egglog_error _ -> None
+(* The pointee class of a variable. *)
+let pointee_class eng v = Egglog.Engine.lookup_fact eng "vpt" [ Egglog.Value.VInt v ]
 
-(* The pointee class of a variable, under either encoding. *)
-let pointee_class eng v =
-  match try_lookup eng "vpt" [ Egglog.Value.VInt v ] with
-  | Some cls -> Some cls
-  | None -> (
-    (* direct encoding: target (varLoc v) *)
-    match try_lookup eng "varLoc" [ Egglog.Value.VInt v ] with
-    | None -> None
-    | Some loc -> try_lookup eng "target" [ loc ])
-
-let site_class eng s =
-  match try_lookup eng "siteAlloc" [ Egglog.Value.VInt s ] with
-  | Some cls -> Some cls
-  | None -> try_lookup eng "siteLoc" [ Egglog.Value.VInt s ]
+(* The allocation class of a site. *)
+let site_class eng s = Egglog.Engine.lookup_fact eng "siteAlloc" [ Egglog.Value.VInt s ]
 
 (* Per-variable site sets, for comparison with {!Reference}. *)
 let var_sites (p : Ir.program) eng : int list array =

@@ -665,8 +665,7 @@ let raw_state db =
       tables :=
         ( E.Symbol.name (E.Table.func t).E.Schema.name,
           List.sort compare rows,
-          (E.Table.log_length t, E.Table.modeled_bytes t, E.Table.removals t,
-           E.Table.value_updates t) )
+          (E.Table.log_length t, E.Table.modeled_bytes t) )
         :: !tables);
   let finds =
     List.init (E.Database.n_ids db) (fun i ->
@@ -866,8 +865,7 @@ let tbl_observe table ~max_stamp =
   ( agree,
     delta,
     List.sort compare (walk ~lo:0 ~hi:max_int),
-    (E.Table.log_length table, E.Table.modeled_bytes table, E.Table.removals table,
-     E.Table.value_updates table) )
+    (E.Table.log_length table, E.Table.modeled_bytes table) )
 
 let prop_table_rollback =
   let ops =

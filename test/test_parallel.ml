@@ -180,13 +180,14 @@ let test_sharded_counter_sum () =
       Alcotest.(check int) "pool.tasks counted every task" n_tasks (value "pool.tasks"))
 
 (* Counters whose totals are scheduling-independent: the engine does the
-   same logical work at any jobs value, so these must match serial runs
-   exactly. (Cache hit/miss/build counters legitimately differ — parallel
-   variants build window structures privately instead of reusing a shared
-   scratch entry.) *)
+   same logical work at any jobs value, and every join-cache entry is
+   built or patched once, by whichever search asks first, so these must
+   match serial runs exactly. Each is non-zero on this workload. *)
 let stable_counters =
   [ "engine.iterations"; "engine.matches_applied"; "engine.tuples_inserted";
-    "join.matches_yielded"; "db.unions"; "rebuild.rounds" ]
+    "join.matches_yielded"; "db.unions"; "rebuild.rounds"; "join.tuples_scanned";
+    "join.index_builds"; "join.trie_builds"; "join.cache_lookups"; "join.cache_hits";
+    "join.cache_misses"; "join.index_patched"; "join.rows_retracted" ]
 
 let test_engine_counters_match_serial () =
   let measure ~jobs =
