@@ -266,23 +266,10 @@ let run ?(quota = 0.5) () =
   let results = Analyze.all ols Instance.monotonic_clock raw in
   let rows = Hashtbl.fold (fun name ols_result acc -> (name, ols_result) :: acc) results [] in
   let rows = List.sort compare rows in
-  let module J = Egglog.Telemetry.Json in
-  let data_rows =
-    List.map
-      (fun (name, ols_result) ->
-        let est =
-          match Analyze.OLS.estimates ols_result with
-          | Some [ est ] ->
-            Printf.printf "  %-34s %12.1f ns/run\n" name est;
-            J.Float est
-          | _ ->
-            Printf.printf "  %-34s (no estimate)\n" name;
-            J.Null
-        in
-        J.Obj [ ("name", J.Str name); ("ns_per_run", est) ])
-      rows
-  in
-  print_newline ();
-  Bench_report.write ~bench:"micro"
-    ~params:(J.Obj [ ("quota_seconds", J.Float quota) ])
-    ~data:(J.List data_rows) ()
+  List.iter
+    (fun (name, ols_result) ->
+      match Analyze.OLS.estimates ols_result with
+      | Some [ est ] -> Printf.printf "  %-34s %12.1f ns/run\n" name est
+      | _ -> Printf.printf "  %-34s (no estimate)\n" name)
+    rows;
+  print_newline ()

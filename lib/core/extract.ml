@@ -57,34 +57,39 @@ let compute_best db =
   done;
   best
 
+(* The terms [f] builds for [args], or [None] as soon as one has none. *)
+let map_args f args =
+  Array.fold_right
+    (fun arg acc ->
+      match acc with
+      | None -> None
+      | Some rest -> ( match f arg with Some t -> Some (t :: rest) | None -> None))
+    args (Some [])
+
+(* The cheapest term of a value by [best]; [None] when some class on the
+   way has no construction. *)
+let builder best =
+  let rec build v =
+    match v with
+    | Value.VId id -> (
+      match Hashtbl.find_opt best id with
+      | None -> None
+      | Some b -> (
+        match map_args build b.b_key with
+        | Some args -> Some (T_app (b.b_func.Schema.name, args))
+        | None -> None))
+    | other -> Some (T_const other)
+  in
+  build
+
 let extract db value =
   match Database.canon db value with
   | Value.VId id ->
     let best = compute_best db in
-    let rec build v =
-      match v with
-      | Value.VId id -> (
-        match Hashtbl.find_opt best id with
-        | None -> None
-        | Some b -> (
-          let args =
-            Array.fold_right
-              (fun arg acc ->
-                match acc with
-                | None -> None
-                | Some rest -> (
-                  match build arg with Some t -> Some (t :: rest) | None -> None))
-              b.b_key (Some [])
-          in
-          match args with
-          | Some args -> Some (T_app (b.b_func.Schema.name, args))
-          | None -> None))
-      | other -> Some (T_const other)
-    in
     (match Hashtbl.find_opt best id with
      | None -> None
      | Some b -> (
-       match build (Value.VId id) with
+       match builder best (Value.VId id) with
        | Some term -> Some { term; cost = b.b_cost }
        | None -> None))
   | other -> Some { term = T_const other; cost = 0 }
@@ -93,26 +98,7 @@ let candidates db value ~max:max_candidates =
   match Database.canon db value with
   | Value.VId id ->
     let best = compute_best db in
-    let rec build v =
-      match v with
-      | Value.VId id -> (
-        match Hashtbl.find_opt best id with
-        | None -> None
-        | Some b -> (
-          let args =
-            Array.fold_right
-              (fun arg acc ->
-                match acc with
-                | None -> None
-                | Some rest -> (
-                  match build arg with Some t -> Some (t :: rest) | None -> None))
-              b.b_key (Some [])
-          in
-          match args with
-          | Some args -> Some (T_app (b.b_func.Schema.name, args))
-          | None -> None))
-      | other -> Some (T_const other)
-    in
+    let build = builder best in
     let acc = ref [] in
     Database.iter_tables db (fun table ->
         let func = Table.func table in
@@ -121,18 +107,7 @@ let candidates db value ~max:max_candidates =
             (fun key row ->
               match Database.canon db row.Table.value with
               | Value.VId out when out = id -> (
-                let args =
-                  Array.fold_right
-                    (fun arg rest ->
-                      match rest with
-                      | None -> None
-                      | Some rest -> (
-                        match build (Database.canon db arg) with
-                        | Some t -> Some (t :: rest)
-                        | None -> None))
-                    key (Some [])
-                in
-                match args with
+                match map_args (fun arg -> build (Database.canon db arg)) key with
                 | Some args ->
                   let cost =
                     Array.fold_left

@@ -38,8 +38,8 @@ let program_text =
   (rule ((fieldI d p f) (= a (vpt d))) ((union (fieldAlloc (vpt p) f) a)))
   |}
 
-let load ?(seminaive = true) ?jobs (p : Ir.program) =
-  let eng = Egglog.Engine.create ~seminaive ?jobs () in
+let load ?(seminaive = true) (p : Ir.program) =
+  let eng = Egglog.Engine.create ~seminaive () in
   ignore (Egglog.run_string eng program_text);
   let i n = Egglog.Value.VInt n in
   Array.iter
@@ -54,9 +54,9 @@ let load ?(seminaive = true) ?jobs (p : Ir.program) =
     p.Ir.insts;
   eng
 
-let analyze ?seminaive ?jobs (p : Ir.program) =
+let analyze ?seminaive (p : Ir.program) =
   Egglog.Telemetry.span "pointsto.egglog.run" @@ fun () ->
-  let eng = load ?seminaive ?jobs p in
+  let eng = load ?seminaive p in
   let report = Egglog.Engine.run_iterations eng 1000 in
   (eng, report)
 

@@ -73,7 +73,7 @@ let err_kind r =
   | Some e -> (match Json.member "kind" e with Some (Json.Str s) -> s | _ -> "?")
   | None -> "?"
 
-(* Per-request parallelism (the jobs-matrix CI job sets this to 4 via the
+(* Per-request parallelism (the jobs-4 CI job sets this to 4 via the
    optional JOBS argv): every well-formed run request asks the daemon for
    this fan-out, and every byte-identity check below still compares against
    serial in-process reference runs — the determinism contract end to end
