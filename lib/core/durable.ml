@@ -21,6 +21,7 @@ let read_only (cmd : Ast.command) =
   | _ -> false
 
 let c_checkpoints = Telemetry.counter "checkpoint.writes"
+let c_replayed = Telemetry.counter "recover.replayed"
 
 let do_checkpoint t =
   let seq = t.seq + 1 in
@@ -162,7 +163,7 @@ let recover engine ~journal_path ~checkpoint_every =
           List.iter
             (fun record -> ignore (Engine.run_program engine (commands_of_record record)))
             contents.Journal.entries);
-      Telemetry.add "recover.replayed" replayed;
+      Telemetry.bump c_replayed replayed;
       {
         rc_checkpoint = used;
         rc_replayed = replayed;

@@ -495,11 +495,10 @@ let flat_schedule (q : Compile.cquery) = List.concat (Array.to_list q.Compile.sc
 let compile_single (q : Compile.cquery) (sh : Plan_compile.shape) : compiled_run =
   let f = sh.Plan_compile.sh_func in
   let filter = Plan_compile.compile_filter f sh.Plan_compile.sh_checks in
-  let binder =
+  let bind =
     Plan_compile.compile_binder f ~vars:sh.Plan_compile.sh_vars
       ~sources:sh.Plan_compile.sh_sources
   in
-  let bind = binder.Plan_compile.bind in
   let prims = Plan_compile.compile_prims (flat_schedule q) in
   let n_vars = q.Compile.n_vars in
   fun db _cache ranges callback ->
@@ -547,14 +546,12 @@ let compile_two_orient (q : Compile.cquery) (shapes : Plan_compile.shape array) 
   let by_src (_, s1) (_, s2) = Int.compare s1 s2 in
   let shared = Array.of_list (List.sort by_src !shared)
   and rest = Array.of_list (List.sort by_src !rest) in
-  let binder =
-    Plan_compile.compile_binder dsh.Plan_compile.sh_func ~vars:dsh.Plan_compile.sh_vars
-      ~sources:dsh.Plan_compile.sh_sources
-  in
   {
     to_oshape = osh;
     to_filter_d = Plan_compile.compile_filter dsh.Plan_compile.sh_func dsh.Plan_compile.sh_checks;
-    to_bind_d = binder.Plan_compile.bind;
+    to_bind_d =
+      Plan_compile.compile_binder dsh.Plan_compile.sh_func ~vars:dsh.Plan_compile.sh_vars
+        ~sources:dsh.Plan_compile.sh_sources;
     to_proj = Array.map snd shared;
     to_rest_pos = Array.map snd rest;
     to_shared_vars = Array.map fst shared;

@@ -115,61 +115,41 @@ let compile_filter (f : Schema.func) (checks : check list) : filter =
 (* Binding loops: monomorphic per arity 1-4, generic above             *)
 (* ------------------------------------------------------------------ *)
 
-type binder = {
-  bind : Value.t array -> Value.t array -> Table.row -> unit;
-      (* [bind env key row] writes the atom's variables into [env] *)
-  bind_specialized : bool;  (* false on the arity-5+ generic fallback *)
-}
-
-let compile_binder (f : Schema.func) ~(vars : int array) ~(sources : int array) : binder =
+(* [bind env key row] writes the atom's variables into [env]. *)
+let compile_binder (f : Schema.func) ~(vars : int array) ~(sources : int array) :
+    Value.t array -> Value.t array -> Table.row -> unit =
   let r l = Table.reader f sources.(l) in
   match Array.length sources with
-  | 0 -> { bind = (fun _ _ _ -> ()); bind_specialized = true }
+  | 0 -> fun _ _ _ -> ()
   | 1 ->
     let v0 = vars.(0) and r0 = r 0 in
-    { bind = (fun env key row -> env.(v0) <- r0 key row); bind_specialized = true }
+    fun env key row -> env.(v0) <- r0 key row
   | 2 ->
     let v0 = vars.(0) and v1 = vars.(1) and r0 = r 0 and r1 = r 1 in
-    {
-      bind =
-        (fun env key row ->
-          env.(v0) <- r0 key row;
-          env.(v1) <- r1 key row);
-      bind_specialized = true;
-    }
+    fun env key row ->
+      env.(v0) <- r0 key row;
+      env.(v1) <- r1 key row
   | 3 ->
     let v0 = vars.(0) and v1 = vars.(1) and v2 = vars.(2) in
     let r0 = r 0 and r1 = r 1 and r2 = r 2 in
-    {
-      bind =
-        (fun env key row ->
-          env.(v0) <- r0 key row;
-          env.(v1) <- r1 key row;
-          env.(v2) <- r2 key row);
-      bind_specialized = true;
-    }
+    fun env key row ->
+      env.(v0) <- r0 key row;
+      env.(v1) <- r1 key row;
+      env.(v2) <- r2 key row
   | 4 ->
     let v0 = vars.(0) and v1 = vars.(1) and v2 = vars.(2) and v3 = vars.(3) in
     let r0 = r 0 and r1 = r 1 and r2 = r 2 and r3 = r 3 in
-    {
-      bind =
-        (fun env key row ->
-          env.(v0) <- r0 key row;
-          env.(v1) <- r1 key row;
-          env.(v2) <- r2 key row;
-          env.(v3) <- r3 key row);
-      bind_specialized = true;
-    }
+    fun env key row ->
+      env.(v0) <- r0 key row;
+      env.(v1) <- r1 key row;
+      env.(v2) <- r2 key row;
+      env.(v3) <- r3 key row
   | n ->
     let readers = Array.init n r in
-    {
-      bind =
-        (fun env key row ->
-          for l = 0 to n - 1 do
-            env.(vars.(l)) <- readers.(l) key row
-          done);
-      bind_specialized = false;
-    }
+    fun env key row ->
+      for l = 0 to n - 1 do
+        env.(vars.(l)) <- readers.(l) key row
+      done
 
 (* ------------------------------------------------------------------ *)
 (* Primitive guards: impl pointers and bind-or-check pre-resolved      *)

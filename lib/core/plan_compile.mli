@@ -29,16 +29,18 @@ val compile_filter : Schema.func -> check list -> filter
     integer comparison for i64/bool/sort columns ({!Table.int_reader}),
     Unit-typed columns elided, 0/1/2-check cases composed directly. *)
 
-type binder = {
-  bind : Value.t array -> Value.t array -> Table.row -> unit;
-      (** [bind env key row] writes the atom's variables into [env] *)
-  bind_specialized : bool;  (** false on the arity-5+ generic fallback *)
-}
-
-val compile_binder : Schema.func -> vars:int array -> sources:int array -> binder
-(** Monomorphic binding loop, hand-specialized for 1-4 sources with every
-    column reader resolved at construction; arities above fall back to a
-    readers-array loop ([bind_specialized = false]). *)
+val compile_binder :
+  Schema.func ->
+  vars:int array ->
+  sources:int array ->
+  Value.t array ->
+  Value.t array ->
+  Table.row ->
+  unit
+(** [compile_binder f ~vars ~sources env key row] writes the atom's
+    variables into [env]. Monomorphic binding loop, hand-specialized for
+    1-4 sources with every column reader resolved at construction; arities
+    above fall back to a readers-array loop. *)
 
 val compile_prims : Compile.prim_app list -> unit -> Value.t array -> bool
 (** Compile a primitive checklist, in schedule order, for an environment

@@ -1,7 +1,6 @@
 type row = {
   mutable value : Value.t;
   mutable stamp : int;
-  mutable first_log : int;
   mutable born : int;
 }
 
@@ -23,11 +22,9 @@ type t = {
   mutable log_keys : Value.t array array;
   mutable log_stamps : int array;
   (* The row each entry logged. Removal tombstones the record (stamp goes
-     to min_int), so a log walk can test currency with two loads and no
-     hashing: entry [i] is current iff [log_rows.(i).stamp = log_stamps.(i)]
-     and [log_rows.(i).first_log = i] (the latter collapses the entries a
-     same-stamp remove/re-insert leaves behind to the first one, so each
-     surviving row is visited once). *)
+     to min_int) and a re-insert makes a fresh one, so a log walk can test
+     currency with two loads and no hashing: entry [i] is current iff
+     [log_rows.(i).stamp = log_stamps.(i)]. *)
   mutable log_rows : row array;
   mutable log_len : int;
   (* The retraction log: every version a write took away — a removed row,
@@ -44,21 +41,13 @@ type t = {
   mutable undone_at : int;  (* version right after the newest inverse *)
   mutable last_feed : feed option;  (* shared by consumers holding one mark *)
   mutable bytes : int;  (* modeled footprint, maintained incrementally *)
-  (* Keys removed while the log's newest stamp still equals their row's: a
-     re-insert at that same stamp inherits the removed row's [first_log]
-     (and its log slot), so a delta walk fires the revived row at the key's
-     first entry of that stamp. Entries are valid only for
-     [revivals_stamp]; a removal at a newer stamp starts a fresh hazard
-     window with a fresh table. *)
-  mutable revivals : int Value.Key_tbl.t;
-  mutable revivals_stamp : int;
   trail : Trail.t;  (* inverses of writes, while a transaction is open *)
   id_columns : int array;  (* columns whose type can hold an id *)
 }
 
 (* Shared sentinel for log slots whose entry can never be current again.
    Never mutated: [remove] tombstones only records that were in [data]. *)
-let dead_row = { value = Value.VUnit; stamp = min_int; first_log = -1; born = 0 }
+let dead_row = { value = Value.VUnit; stamp = min_int; born = 0 }
 
 (* Modeled byte accounting. Each row costs a fixed overhead (hashtable
    bucket, record, key array header) plus the modeled size of its key
@@ -108,8 +97,6 @@ let create ?(trail = Trail.create ()) func =
     undone_at = 0;
     last_feed = None;
     bytes = 0;
-    revivals = Value.Key_tbl.create 8;
-    revivals_stamp = min_int;
     trail;
     id_columns = id_columns_of func;
   }
@@ -199,27 +186,17 @@ let undone t =
   t.ret_base <- t.ret_len;
   t.last_feed <- None
 
-let record_insert t key ~revived =
+let record_insert t key =
   let log_len = t.log_len and bytes = t.bytes in
   let rec undo () =
     let row = Value.Key_tbl.find t.data key and bytes' = t.bytes in
     Value.Key_tbl.remove t.data key;
-    (match revived with
-     | Some (fl, tombstone) ->
-       t.log_rows.(fl) <- tombstone;
-       Value.Key_tbl.replace t.revivals key fl
-     | None -> ());
     truncate_log t log_len;
     t.bytes <- bytes;
     undone t;
     Trail.Entry
       (fun () ->
         Value.Key_tbl.replace t.data key row;
-        (match revived with
-         | Some (fl, _) ->
-           t.log_rows.(fl) <- row;
-           Value.Key_tbl.remove t.revivals key
-         | None -> ());
         log_append t key row row.stamp;
         t.bytes <- bytes';
         undone t;
@@ -228,14 +205,13 @@ let record_insert t key ~revived =
   Trail.push t.trail undo
 
 let record_update t row =
-  let value = row.value and stamp = row.stamp and first_log = row.first_log in
+  let value = row.value and stamp = row.stamp in
   let log_len = t.log_len and bytes = t.bytes in
   let rec undo () =
-    let value' = row.value and stamp' = row.stamp and first_log' = row.first_log in
+    let value' = row.value and stamp' = row.stamp in
     let bytes' = t.bytes and key = if t.log_len > log_len then Some t.log_keys.(log_len) else None in
     row.value <- value;
     row.stamp <- stamp;
-    row.first_log <- first_log;
     truncate_log t log_len;
     t.bytes <- bytes;
     undone t;
@@ -243,7 +219,6 @@ let record_update t row =
       (fun () ->
         row.value <- value';
         row.stamp <- stamp';
-        row.first_log <- first_log';
         Option.iter (fun key -> log_append t key row stamp') key;
         t.bytes <- bytes';
         undone t;
@@ -251,23 +226,10 @@ let record_update t row =
   in
   Trail.push t.trail undo
 
-(* When [remove] binds the key in the revival table of the row's own
-   window, the key was unbound there before (a same-stamp re-insert
-   consumes the binding), so unbinding it restores the table; a fresh
-   table for a new window is dropped whole. The reverse rebinds the key in
-   whichever table [remove] left current. *)
 let record_remove t key row =
   let stamp = row.stamp and bytes = t.bytes in
-  let revivals = t.revivals and revivals_stamp = t.revivals_stamp in
-  let bound_in_window =
-    revivals_stamp = stamp && t.log_len > 0 && t.log_stamps.(t.log_len - 1) = stamp
-  in
   let rec undo () =
-    let revivals' = t.revivals and revivals_stamp' = t.revivals_stamp and bytes' = t.bytes in
-    let binding = Value.Key_tbl.find_opt revivals' key in
-    if bound_in_window then Value.Key_tbl.remove revivals key;
-    t.revivals <- revivals;
-    t.revivals_stamp <- revivals_stamp;
+    let bytes' = t.bytes in
     row.stamp <- stamp;
     Value.Key_tbl.replace t.data key row;
     t.bytes <- bytes;
@@ -275,9 +237,6 @@ let record_remove t key row =
     Trail.Entry
       (fun () ->
         Value.Key_tbl.remove t.data key;
-        Option.iter (Value.Key_tbl.replace revivals' key) binding;
-        t.revivals <- revivals';
-        t.revivals_stamp <- revivals_stamp';
         row.stamp <- min_int;
         t.bytes <- bytes';
         undone t;
@@ -289,24 +248,8 @@ let set_raw t key value ~stamp =
   match Value.Key_tbl.find_opt t.data key with
   | None ->
     t.version <- t.version + 1;
-    let row = { value; stamp; first_log = t.log_len; born = t.version } in
-    (* Same-stamp revival: the key was removed at this stamp after being
-       logged; re-attach the fresh record to the original entry so delta
-       walks fire it there, once. *)
-    let revived =
-      if t.revivals_stamp = stamp && Value.Key_tbl.length t.revivals > 0 then begin
-        match Value.Key_tbl.find_opt t.revivals key with
-        | Some fl ->
-          let tombstone = t.log_rows.(fl) in
-          row.first_log <- fl;
-          t.log_rows.(fl) <- row;
-          Value.Key_tbl.remove t.revivals key;
-          Some (fl, tombstone)
-        | None -> None
-      end
-      else None
-    in
-    if Trail.recording t.trail then record_insert t key ~revived;
+    let row = { value; stamp; born = t.version } in
+    if Trail.recording t.trail then record_insert t key;
     Value.Key_tbl.replace t.data key row;
     t.bytes <- t.bytes + row_bytes key value;
     log_append t key row stamp;
@@ -321,10 +264,7 @@ let set_raw t key value ~stamp =
       t.version <- t.version + 1;
       row.value <- value;
       row.stamp <- stamp;
-      if restamped then begin
-        row.first_log <- t.log_len;
-        log_append t key row stamp
-      end;
+      if restamped then log_append t key row stamp;
       `Updated
     end
 
@@ -334,17 +274,6 @@ let remove t key =
     if Trail.recording t.trail then record_remove t key row;
     log_retraction t key row;
     Value.Key_tbl.remove t.data key;
-    (* A re-insert at the row's own stamp is still possible only while the
-       log's newest stamp equals it; remember where the row was first
-       logged so a revival keeps its emission position. The old window's
-       table is replaced, not reset, so an inverse can put it back whole. *)
-    if t.log_len > 0 && t.log_stamps.(t.log_len - 1) = row.stamp then begin
-      if t.revivals_stamp <> row.stamp then begin
-        t.revivals <- Value.Key_tbl.create 8;
-        t.revivals_stamp <- row.stamp
-      end;
-      Value.Key_tbl.replace t.revivals key row.first_log
-    end;
     row.stamp <- min_int;  (* tombstone: the row's log entries go dead *)
     (* The log entries the row left behind stay allocated, so only the row
        itself is subtracted; log cost is reclaimed never, like the arrays. *)
@@ -368,9 +297,9 @@ let entries_since t lo = t.log_len - log_lower_bound t lo
 (* A full window scans [data]; a delta window walks the log tail and
    tests each entry's currency through the logged row pointer, with no
    hashing. A key removed and re-inserted within one timestamp (rebuild
-   rounds) appears twice in the log with the same stamp; [first_log]
-   keeps only its first entry, so every surviving row is visited exactly
-   once. *)
+   rounds) appears twice in the log with the same stamp, but only the
+   newer entry points at a live record, so every surviving row is visited
+   exactly once. *)
 let iter_delta t ~lo ~hi f =
   if lo <= 0 then
     Value.Key_tbl.iter (fun key row -> if row.stamp < hi then f key row) t.data
@@ -380,7 +309,7 @@ let iter_delta t ~lo ~hi f =
       let s = t.log_stamps.(i) in
       if s < hi then begin
         let row = t.log_rows.(i) in
-        if row.stamp = s && row.first_log = i then f t.log_keys.(i) row
+        if row.stamp = s then f t.log_keys.(i) row
       end
     done
   end
@@ -400,8 +329,7 @@ let unchanged_since t m = t.version = m.m_seq
    present at the mark, i.e. if the retracted row was inserted no later
    than the mark ([born]; an overwrite after the mark is preceded by its
    own retraction, so only insertion matters). Log positions cannot tell
-   this: a same-stamp overwrite appends no stamp-log entry, and a
-   same-stamp revival re-attaches to an old one. *)
+   this: a same-stamp overwrite appends no stamp-log entry. *)
 let compute_changes t m =
   let n_ret = t.ret_len - m.m_ret in
   let changes =

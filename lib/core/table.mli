@@ -3,7 +3,10 @@
     modification, which drives semi-naïve evaluation (§4.3).
 
     A stamp-ordered append log makes "rows new since stamp s" iteration
-    O(delta) instead of O(table) — the point of semi-naïve delta atoms.
+    O(delta) instead of O(table) — the point of semi-naïve delta atoms. An
+    insert makes a fresh row record and a re-stamp appends a fresh log
+    entry, and a removal tombstones its record, so a log entry is current
+    iff its record's stamp still equals the entry's.
 
     Tables are pure storage; merge-aware insertion and canonicalization live
     in {!Database}, which owns the union-find.
@@ -14,19 +17,16 @@
     forward instead of rebuilding.
 
     While a transaction or scope is open on the table's {!Trail}, [set_raw]
-    and [remove] push the inverse of each write first (the row's old value,
-    stamp and [first_log], the stamp log's length, revival slots and the
-    byte, removal and update counters), so a rollback or pop restores the
-    table in place. An inverse also cuts the change feed: it drops the
+    and [remove] push the inverse of each write first (the row's old value
+    and stamp, the stamp log's length and the byte count), so a rollback or
+    pop restores the table in place. An inverse also cuts the change feed: it drops the
     retraction log, and older marks read [None]. *)
 
 type row = {
   mutable value : Value.t;
   mutable stamp : int;
-  mutable first_log : int;
-      (** Log position of the first entry carrying the row's current stamp —
-          the position where range walks report it. Maintained internally;
-          [min_int] stamps mark tombstoned (removed) records. *)
+      (** The stamp of the row's last insert or re-stamp; [min_int] marks a
+          tombstoned (removed) record. Maintained internally. *)
   mutable born : int;
       (** The table's {!version} right after the row's insert — its place in
           the write sequence, which the change feed compares against a mark
@@ -89,7 +89,7 @@ val iter_delta : t -> lo:int -> hi:int -> (Value.t array -> row -> unit) -> unit
 (** Visit rows whose current stamp s satisfies [lo <= s < hi], each
     exactly once. When [lo > 0] this walks only the stamp-ordered log tail,
     checking each entry's currency through the logged row pointer (two
-    loads and two compares per entry, no hashing); [lo <= 0] is a full scan
+    loads and one compare per entry, no hashing); [lo <= 0] is a full scan
     filtered by [hi]. The join scans every table through this walk. *)
 
 (** {2 The change feed}

@@ -281,8 +281,8 @@ let current_shard () = !(Domain.DLS.get shard_key)
 type counter = { c_name : string; c_slots : int array }
 
 (* The registry itself is cold (a handful of lookups per process, at
-   module-init or report time); a mutex keeps stray worker-side [add]
-   calls from racing table resizes. *)
+   module-init or report time); a mutex keeps stray worker-side lookups
+   from racing table resizes. *)
 let registry_lock = Mutex.create ()
 
 let find_or_add tbl name make =
@@ -305,8 +305,6 @@ let bump c n =
     let s = current_shard () * stride in
     c.c_slots.(s) <- c.c_slots.(s) + n
   end
-
-let add name n = if !enabled then bump (counter name) n
 
 (* Max-gauge for counters like [search.domains_used]: only ever written
    from the main domain, so it owns slot 0 outright. *)

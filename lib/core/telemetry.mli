@@ -97,9 +97,6 @@ type counter
 val counter : string -> counter
 val bump : counter -> int -> unit
 
-val add : string -> int -> unit
-(** Convenience for cold paths: [bump (counter name) n]. *)
-
 val record_max : counter -> int -> unit
 (** Max-gauge update: the counter's reported value becomes the largest
     [n] ever recorded (e.g. [search.domains_used]). Main domain only. *)

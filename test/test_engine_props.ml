@@ -621,8 +621,8 @@ let gen_rb_scenario =
 
 (* Op codes to commands. [depth] tracks the push depth so pops stay
    matched; [tag] makes definition names unique across segments. Facts of
-   [r] range over 3 x 3 pairs, so deletes and re-inserts of one row (the
-   same-stamp revivals of Table) are common. *)
+   [r] range over 3 x 3 pairs, so deletes and re-inserts of one row at
+   one stamp (a fresh record and a fresh log entry in Table) are common. *)
 let rb_commands ~depth ~tag ops =
   List.mapi
     (fun i (code, a, b) ->
@@ -800,11 +800,11 @@ let prop_rollback_differential =
 
 (* The same contract one layer down, where the log bookkeeping lives: a
    table's rolled-back history must leave its delta walks — which read the
-   log positions, [first_log] and the revival slots — exactly as a fresh
-   table that replayed only the history before the transaction has them,
-   and must keep them equal under any further history. Keys and stamps
-   repeat often, so same-stamp removes and re-inserts (revivals) and
-   re-stamped updates are common. *)
+   log positions and the logged row records — exactly as a fresh table
+   that replayed only the history before the transaction has them, and
+   must keep them equal under any further history. Keys and stamps repeat
+   often, so same-stamp removes and re-inserts and re-stamped updates are
+   common. *)
 let tbl_func =
   {
     E.Schema.name = E.Symbol.intern "t";
@@ -919,10 +919,33 @@ let prop_table_rollback =
       && observed = tbl_observe reference ~max_stamp
       && popped)
 
+(* One currency rule: a log entry is current iff its record's stamp
+   still equals the entry's. A key removed and re-inserted at one stamp is
+   walked once, at its new entry; rolling the re-insert and the remove
+   back puts it at its old entry again. *)
+let test_reinsert_walks_new_entry () =
+  let trail = Trail.create () in
+  let table = E.Table.create ~trail tbl_func in
+  let key k = [| E.Value.VInt k |] in
+  let set k = ignore (E.Table.set_raw table (key k) (E.Value.VInt 0) ~stamp:1) in
+  let walk () =
+    let acc = ref [] in
+    E.Table.iter_delta table ~lo:1 ~hi:2 (fun key _ -> acc := E.Value.to_string key.(0) :: !acc);
+    List.rev !acc
+  in
+  set 1;
+  set 2;
+  Trail.begin_txn trail;
+  E.Table.remove table (key 1);
+  set 1;
+  Alcotest.(check (list string)) "re-insert walks at its new entry, once" [ "2"; "1" ] (walk ());
+  ignore (Trail.rollback trail);
+  Alcotest.(check (list string)) "rollback walks the old entry again" [ "1"; "2" ] (walk ())
+
 (* The join cache's persistent structures follow their tables through the
    change feed instead of being rebuilt. A random history of raw writes —
    inserts, value overwrites at the row's own stamp and re-stamped,
-   removes, same-stamp revivals, unions followed by a rebuild, and
+   removes, same-stamp remove/re-inserts, unions followed by a rebuild, and
    transactions that fail partway — is driven through one long-lived
    cache; after every step each query must give, as a multiset, what a
    fresh cache and the naive reference give. Two-atom queries patch
@@ -953,7 +976,7 @@ let patch_queries =
   ]
 
 (* A history step: one write (op codes: 0 insert into r, 1 overwrite f,
-   2 new stamp, 3 remove, 4 same-stamp revival, 5 overwrite h, 6 union
+   2 new stamp, 3 remove, 4 same-stamp remove/re-insert, 5 overwrite h, 6 union
    then rebuild), or a transaction of writes that fails after them. *)
 type patch_step = Write of (int * int * int) | Failing of (int * int * int) list
 
@@ -1227,6 +1250,11 @@ let () =
           ] );
       ( "change feed",
         [ Alcotest.test_case "a trimmed feed rebuilds" `Quick test_trimmed_feed ] );
+      ( "stamp log",
+        [
+          Alcotest.test_case "a re-insert walks at its new entry" `Quick
+            test_reinsert_walks_new_entry;
+        ] );
       ( "scheduling",
         [ Alcotest.test_case "backoff unbans" `Quick test_backoff_unbans ] );
       ( "primitives",

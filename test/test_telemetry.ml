@@ -357,7 +357,7 @@ let test_disabled_records_nothing () =
   (* capture events while enabled, then disable and keep poking *)
   let live = ref 0 in
   T.enable ~sink:(fun _ -> incr live) ();
-  T.add "probe" 1;
+  T.bump (T.counter "probe") 1;
   T.flush_counters ();
   let while_enabled = !live in
   Alcotest.(check bool) "sink saw the flush" true (while_enabled > 0);
@@ -366,7 +366,6 @@ let test_disabled_records_nothing () =
   T.flightrec_clear ();
   let c = T.counter "test.disabled" in
   T.bump c 5;
-  T.add "test.disabled2" 7;
   T.hist_record (T.histogram "test.hist") 1.0;
   T.instant "test.instant" [ ("x", J.Int 1) ];
   T.span "test.span" (fun () -> ());
@@ -389,7 +388,7 @@ let test_disabled_records_nothing () =
 let test_snapshot_json () =
   fresh ();
   T.enable ();
-  T.add "alpha" 2;
+  T.bump (T.counter "alpha") 2;
   T.span "beta" (fun () -> ());
   T.disable ();
   let j = T.snapshot_to_json (T.snapshot ()) in
