@@ -148,6 +148,24 @@ let scope_simplify_bench (eng, _) =
   in
   Staged.stage (fun () -> ignore (Egglog.Engine.run_command eng cmd))
 
+(* A constant-key check on the same two engines: the equality of the
+   pointee classes of the two smallest pointer variables that have one,
+   as the daemon's reads ask it. Both keys are constants, so the check
+   reads two rows, whatever the table size; [check.const_key_40k] should
+   stay close to [check.const_key]. *)
+let check_const_key_bench (eng, _) =
+  let db = Egglog.Engine.database eng in
+  let keys =
+    Egglog.Table.fold
+      (fun key _ acc -> key.(0) :: acc)
+      (Option.get (Egglog.Database.find_func db (Egglog.Symbol.intern "vpt")))
+      []
+    |> List.sort Egglog.Value.compare
+  in
+  let vpt k = Egglog.Ast.Call ("vpt", [ Egglog.Ast.Lit k ]) in
+  let facts = [ Egglog.Ast.Eq (vpt (List.nth keys 0), vpt (List.nth keys 1)) ] in
+  Staged.stage (fun () -> ignore (Egglog.Engine.check_facts eng facts))
+
 (* A derived structure after a small rebuild, on a 40k-row table with an
    id column. Each run unions the id that the previous run gave four rows
    into id 0, so the rebuild takes those four rows out and re-inserts them
@@ -248,6 +266,8 @@ let tests () =
       Test.make ~name:"scope.push_pop_40k" (scope_push_pop_bench large);
       Test.make ~name:"scope.simplify" (scope_simplify_bench small);
       Test.make ~name:"scope.simplify_40k" (scope_simplify_bench large);
+      Test.make ~name:"check.const_key" (check_const_key_bench small);
+      Test.make ~name:"check.const_key_40k" (check_const_key_bench large);
       Test.make ~name:"join.patch_after_rebuild" (patch_after_rebuild_bench ());
       Test.make ~name:"bigint-mul-divmod" (bigint_bench ());
       Test.make ~name:"rat-arith" (rat_bench ());

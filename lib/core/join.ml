@@ -430,19 +430,29 @@ let cached_index cache plan range ~proj ~rest =
 
 (* The lowering class whose search never reads the plan's variable order:
    a single atom, or two atoms, each binding at least one variable. The
-   single-atom scan binds every variable from one row;
-   the two-atom driver is picked per search and its index is keyed by
-   column position (see [compile_two_orient]). Their primitives all run
-   once every variable is bound, so another order only permutes that
-   checklist: the matches and their order stay the same. *)
+   single-atom scan binds every variable from one row (an atom that binds
+   none is ground, so a lookup); the two-atom driver is picked per search
+   and its index is keyed by column position (see [compile_two_orient]).
+   Their primitives all run once every variable is bound, so another order
+   only permutes that checklist: the matches and their order stay the
+   same. *)
 let order_free (q : Compile.cquery) =
   let binds (a : Compile.atom) =
     Array.exists (function Compile.A_var _ -> true | Compile.A_const _ -> false) a.Compile.a_args
   in
   match q.Compile.atoms with
-  | [| a |] -> binds a
+  | [| _ |] -> true
   | [| a; b |] -> binds a && binds b
   | _ -> false
+
+(* A lookup's read: the row at [key], if any, counted as one scanned
+   tuple, and kept when its stamp lies in the atom's window. *)
+let lookup table key (range : stamp_range) scanned =
+  match Table.get table key with
+  | None -> None
+  | Some (row : Table.row) ->
+    incr scanned;
+    if range.lo <= row.stamp && row.stamp < range.hi then Some row else None
 
 (* Run a driver scan that counts its rows into [scanned], then record the
    count in [join.tuples_scanned] — also when the callback stops the scan
@@ -489,11 +499,30 @@ type compiled = {
    bind every join variable before any primitive runs. *)
 let flat_schedule (q : Compile.cquery) = List.concat (Array.to_list q.Compile.schedule)
 
-(* Single-atom scan: filter, binder and primitive checklist all compiled;
-   per-search state is just the environment and the prim runner's private
-   argument buffers. Caches nothing. *)
+(* How a driving atom's rows are read: a scan of its window, or, when
+   its key is all constants, one lookup. [visit] sees each row read, after
+   [scanned] counted it. *)
+type drive =
+  unit -> Table.t -> stamp_range -> int ref -> (Value.t array -> Table.row -> unit) -> unit
+
+let compile_drive (atom : Compile.atom) (sh : Plan_compile.shape) : drive =
+  if sh.Plan_compile.sh_lookup then fun () ->
+    (* an all-constant key reads no environment *)
+    let key = Plan_compile.compile_key atom () [||] in
+    fun table range scanned visit ->
+      Option.iter (visit key) (lookup table key range scanned)
+  else fun () table range scanned visit ->
+    Table.iter_delta table ~lo:range.lo ~hi:range.hi (fun key row ->
+        incr scanned;
+        visit key row)
+
+(* Single-atom scan, or lookup when the key is all constants: filter,
+   binder and primitive checklist all compiled; per-search state is just
+   the environment and the prim runner's private argument buffers.
+   Caches nothing. *)
 let compile_single (q : Compile.cquery) (sh : Plan_compile.shape) : compiled_run =
   let f = sh.Plan_compile.sh_func in
+  let drive = compile_drive q.Compile.atoms.(0) sh in
   let filter = Plan_compile.compile_filter f sh.Plan_compile.sh_checks in
   let bind =
     Plan_compile.compile_binder f ~vars:sh.Plan_compile.sh_vars
@@ -507,30 +536,50 @@ let compile_single (q : Compile.cquery) (sh : Plan_compile.shape) : compiled_run
     let run_prims = prims () in
     let scanned = ref 0 in
     counted_scan scanned (fun () ->
-        Table.iter_delta table ~lo:ranges.(0).lo ~hi:ranges.(0).hi (fun key row ->
-            incr scanned;
+        drive () table ranges.(0) scanned (fun key row ->
             if filter key row then begin
               bind env key row;
               if run_prims env then callback env
             end))
 
-(* One orientation (driver choice) of the two-atom path: scan the driver
-   atom, probe a hash index on the other atom keyed by the shared
-   variables. The driver is picked per search ([two_driver]), so both
-   orientations are compiled up front. *)
+(* One orientation (driver choice) of the two-atom path: read the driver
+   atom (scan, or lookup when its key is all constants), then probe the
+   other atom — by one lookup when the driver binds its whole key, else
+   through a hash index keyed by the shared variables. The driver is
+   picked per search ([two_driver]), so both orientations are compiled up
+   front. *)
+type probe =
+  | P_index of {
+      oshape : Plan_compile.shape;  (* the indexed atom, for its cache entry *)
+      proj : int array;  (* other-row positions of shared vars, sorted *)
+      rest_pos : int array;
+      shared_vars : int array;  (* env slot feeding each probe-key cell *)
+      rest_vars : int array;  (* env slot written from each index entry cell *)
+    }
+  | P_lookup of {
+      key : unit -> Value.t array -> Value.t array;
+      const_key : bool;  (* no key variable: one read serves every driver row *)
+      check : Value.t array -> Value.t array -> Table.row -> bool;  (* env key row *)
+      bind : Value.t array -> Value.t array -> Table.row -> unit;
+    }
+
 type two_orient = {
-  to_oshape : Plan_compile.shape;  (* the indexed atom, for its cache entry *)
+  to_drive : drive;
   to_filter_d : Plan_compile.filter;
   to_bind_d : Value.t array -> Value.t array -> Table.row -> unit;
-  to_proj : int array;  (* other-row positions of shared vars, sorted *)
-  to_rest_pos : int array;
-  to_shared_vars : int array;  (* env slot feeding each probe-key cell *)
-  to_rest_vars : int array;  (* env slot written from each index entry cell *)
+  to_probe : probe;
 }
+
+(* Whether the other atom is a lookup when [driver] drives: the driver
+   binds every variable of its key. *)
+let probe_shape (q : Compile.cquery) (shapes : Plan_compile.shape array) ~driver =
+  let dvars = shapes.(driver).Plan_compile.sh_vars in
+  Plan_compile.shape_atom ~bound:(fun v -> Array.mem v dvars) q q.Compile.atoms.(1 - driver)
 
 let compile_two_orient (q : Compile.cquery) (shapes : Plan_compile.shape array) ~driver :
     two_orient =
-  let dsh = shapes.(driver) and osh = shapes.(1 - driver) in
+  let dsh = shapes.(driver) and osh = probe_shape q shapes ~driver in
+  let of_ = osh.Plan_compile.sh_func in
   let in_driver = Array.make q.Compile.n_vars false in
   Array.iter (fun v -> in_driver.(v) <- true) dsh.Plan_compile.sh_vars;
   (* positions in the other atom's row for shared and private vars *)
@@ -546,16 +595,45 @@ let compile_two_orient (q : Compile.cquery) (shapes : Plan_compile.shape array) 
   let by_src (_, s1) (_, s2) = Int.compare s1 s2 in
   let shared = Array.of_list (List.sort by_src !shared)
   and rest = Array.of_list (List.sort by_src !rest) in
+  let probe =
+    if osh.Plan_compile.sh_lookup then begin
+      (* The key carries the shared key columns; a shared output column
+         is checked against its bound variable, a private one bound. *)
+      let out = Schema.arity of_ in
+      let filter = Plan_compile.compile_filter of_ osh.Plan_compile.sh_checks in
+      let check =
+        match List.find_opt (fun (_, src) -> src = out) (Array.to_list shared) with
+        | None -> fun _ key row -> filter key row
+        | Some (v, _) ->
+          fun env key (row : Table.row) -> filter key row && Value.equal env.(v) row.value
+      in
+      P_lookup
+        {
+          key = Plan_compile.compile_key q.Compile.atoms.(1 - driver);
+          const_key = shapes.(1 - driver).Plan_compile.sh_lookup;
+          check;
+          bind =
+            Plan_compile.compile_binder of_ ~vars:(Array.map fst rest)
+              ~sources:(Array.map snd rest);
+        }
+    end
+    else
+      P_index
+        {
+          oshape = osh;
+          proj = Array.map snd shared;
+          rest_pos = Array.map snd rest;
+          shared_vars = Array.map fst shared;
+          rest_vars = Array.map fst rest;
+        }
+  in
   {
-    to_oshape = osh;
+    to_drive = compile_drive q.Compile.atoms.(driver) dsh;
     to_filter_d = Plan_compile.compile_filter dsh.Plan_compile.sh_func dsh.Plan_compile.sh_checks;
     to_bind_d =
       Plan_compile.compile_binder dsh.Plan_compile.sh_func ~vars:dsh.Plan_compile.sh_vars
         ~sources:dsh.Plan_compile.sh_sources;
-    to_proj = Array.map snd shared;
-    to_rest_pos = Array.map snd rest;
-    to_shared_vars = Array.map fst shared;
-    to_rest_vars = Array.map fst rest;
+    to_probe = probe;
   }
 
 (* The driver of a two-atom search: the delta side (the later window
@@ -576,35 +654,68 @@ let compile_two (q : Compile.cquery) (shapes : Plan_compile.shape array) : compi
     let driver = two_driver ranges t0 t1 in
     let o = orients.(driver) in
     let dtable, otable = if driver = 0 then (t0, t1) else (t1, t0) in
-    let drange = ranges.(driver) in
-    let index =
-      cached_index cache (plan_over otable o.to_oshape) ranges.(1 - driver) ~proj:o.to_proj
-        ~rest:o.to_rest_pos
-    in
+    let orange = ranges.(1 - driver) in
     let env = Array.make n_vars Value.VUnit in
-    let probe_key = Array.make (Array.length o.to_proj) Value.VUnit in
     let run_prims = prims () in
-    let nshared = Array.length o.to_shared_vars and nrest = Array.length o.to_rest_vars in
     let scanned = ref 0 in
+    let emit () = if run_prims env then callback env in
+    (* The probe of the other atom, run once a driver row bound [env]; or
+       [None] when the other atom's constant key holds no row in its
+       window, so that no driver row can match. *)
+    let probe : (unit -> unit) option =
+      match o.to_probe with
+      | P_lookup p when p.const_key -> (
+        let key = p.key () env in
+        match lookup otable key orange scanned with
+        | None -> None
+        | Some row ->
+          Some
+            (fun () ->
+              if p.check env key row then begin
+                p.bind env key row;
+                emit ()
+              end))
+      | P_lookup p ->
+        let key = p.key () in
+        Some
+          (fun () ->
+            let key = key env in
+            match lookup otable key orange scanned with
+            | Some row when p.check env key row ->
+              p.bind env key row;
+              emit ()
+            | Some _ | None -> ())
+      | P_index p ->
+        let index =
+          cached_index cache (plan_over otable p.oshape) orange ~proj:p.proj ~rest:p.rest_pos
+        in
+        let probe_key = Array.make (Array.length p.proj) Value.VUnit in
+        let nshared = Array.length p.shared_vars and nrest = Array.length p.rest_vars in
+        Some
+          (fun () ->
+            for i = 0 to nshared - 1 do
+              probe_key.(i) <- env.(p.shared_vars.(i))
+            done;
+            match Value.Key_tbl.find_opt index probe_key with
+            | None -> ()
+            | Some entries ->
+              List.iter
+                (fun (rest_vals : Value.t array) ->
+                  for i = 0 to nrest - 1 do
+                    env.(p.rest_vars.(i)) <- rest_vals.(i)
+                  done;
+                  emit ())
+                entries)
+    in
     counted_scan scanned (fun () ->
-        Table.iter_delta dtable ~lo:drange.lo ~hi:drange.hi (fun key row ->
-            incr scanned;
-            if o.to_filter_d key row then begin
-              o.to_bind_d env key row;
-              for i = 0 to nshared - 1 do
-                probe_key.(i) <- env.(o.to_shared_vars.(i))
-              done;
-              match Value.Key_tbl.find_opt index probe_key with
-              | None -> ()
-              | Some entries ->
-                List.iter
-                  (fun (rest_vals : Value.t array) ->
-                    for i = 0 to nrest - 1 do
-                      env.(o.to_rest_vars.(i)) <- rest_vals.(i)
-                    done;
-                    if run_prims env then callback env)
-                  entries
-            end))
+        Option.iter
+          (fun probe ->
+            o.to_drive () dtable ranges.(driver) scanned (fun key row ->
+                if o.to_filter_d key row then begin
+                  o.to_bind_d env key row;
+                  probe ()
+                end))
+          probe)
 
 (* Generic trie join as a chain of per-depth closures built once: depth d's
    step captures its variable, participating-atom array and the next
@@ -718,14 +829,29 @@ let classify (q : Compile.cquery) =
   else if Array.length q.Compile.atoms = 1 then Single
   else Two
 
-let describe (shapes : Plan_compile.shape array) lowering =
+(* Lookups are named: a single atom's, and per atom of a two-atom plan
+   whether it is one wherever it sits (an all-constant key) or only when
+   probed (the other atom binds its key). *)
+let describe (q : Compile.cquery) (shapes : Plan_compile.shape array) lowering =
   let arity i = Array.length shapes.(i).Plan_compile.sh_sources in
   let binder i = if arity i <= 4 then "specialized" else "generic binder" in
   match lowering with
-  | Single -> Printf.sprintf "compiled single-atom (arity %d, %s)" (arity 0) (binder 0)
+  | Single ->
+    Printf.sprintf "compiled single-atom (arity %d, %s%s)" (arity 0) (binder 0)
+      (if shapes.(0).Plan_compile.sh_lookup then ", key lookup" else "")
   | Two ->
-    Printf.sprintf "compiled two-atom (arities %d+%d, %s/%s)" (arity 0) (arity 1) (binder 0)
+    let lookups =
+      List.filter_map
+        (fun i ->
+          if shapes.(i).Plan_compile.sh_lookup then Some (Printf.sprintf "atom %d" i)
+          else if (probe_shape q shapes ~driver:(1 - i)).Plan_compile.sh_lookup then
+            Some (Printf.sprintf "atom %d when probed" i)
+          else None)
+        [ 0; 1 ]
+    in
+    Printf.sprintf "compiled two-atom (arities %d+%d, %s/%s%s)" (arity 0) (arity 1) (binder 0)
       (binder 1)
+      (if lookups = [] then "" else ", key lookup: " ^ String.concat ", " lookups)
   | Generic -> Printf.sprintf "compiled generic (%d atoms)" (Array.length shapes)
 
 let shapes_of (q : Compile.cquery) = Array.map (Plan_compile.shape_atom q) q.Compile.atoms
@@ -739,12 +865,12 @@ let compile_plan (q : Compile.cquery) : compiled =
     | Two -> compile_two q shapes
     | Generic -> compile_generic q shapes
   in
-  { cp_n_atoms = Array.length shapes; cp_descr = describe shapes lowering; cp_run = run }
+  { cp_n_atoms = Array.length shapes; cp_descr = describe q shapes lowering; cp_run = run }
 
 let compiled_descr cp = cp.cp_descr
 
 let describe_lowering (q : Compile.cquery) : string =
-  describe (shapes_of q) (classify q)
+  describe q (shapes_of q) (classify q)
 
 let search_compiled db ?cache (cp : compiled) ~(ranges : stamp_range array) callback =
   if Array.length ranges <> cp.cp_n_atoms then

@@ -58,11 +58,14 @@ type compiled
 
 val compile_plan : Compile.cquery -> compiled
 (** Lower a plan; its shape alone picks the lowering: a single-atom scan,
-    or a two-atom hash join, when every atom binds at least one variable;
-    the generic trie join otherwise — including atomless (pure primitive)
-    queries, whose only step runs the primitives and emits. All three
-    bind into one reused environment and run the primitive checklist of
-    {!Plan_compile.compile_prims}. *)
+    or a two-atom hash join when both atoms bind a variable; the generic
+    trie join otherwise — including atomless (pure primitive) queries,
+    whose only step runs the primitives and emits. In the first two, an
+    atom whose key is all constants, or bound by the driving atom, is a
+    lookup ({!Plan_compile.shape}'s [sh_lookup]): one {!Table.get}, a
+    window test and an output check or bind, in place of a scan or an
+    index. All three bind into one reused environment and run the
+    primitive checklist of {!Plan_compile.compile_prims}. *)
 
 val search_compiled :
   Database.t ->
@@ -76,11 +79,13 @@ val search_compiled :
 
 val exists : Database.t -> Compile.cquery -> bool
 (** Any match at all (all rows considered, no cache)? Lowers the query
-    once for this one search. *)
+    once for this one search; a check whose atoms are all lookups reads
+    only the rows at their keys. *)
 
 val compiled_descr : compiled -> string
 (** One-line description of the chosen lowering, e.g.
-    ["compiled single-atom (arity 2, specialized)"]. *)
+    ["compiled single-atom (arity 2, specialized)"], naming its lookups
+    (["..., key lookup: atom 1 when probed)"]). *)
 
 val describe_lowering : Compile.cquery -> string
 (** The description {!compile_plan} would produce, without building

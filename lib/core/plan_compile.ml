@@ -28,13 +28,26 @@ type shape = {
   sh_checks : check list;
   sh_sources : int array;  (* row positions feeding the binding path, in order *)
   sh_vars : int array;  (* the query var bound at each path level *)
+  sh_lookup : bool;  (* every key column is a constant or a variable bound earlier *)
 }
+
+(* Whether an atom is a point query: its whole key is known before it is
+   read — every key column a constant, or a variable [bound] by an
+   earlier atom. A function maps a key to at most one row, so such an
+   atom is a [Table.get], never a scan or an index. *)
+let key_args (atom : Compile.atom) =
+  Array.sub atom.Compile.a_args 0 (Array.length atom.Compile.a_args - 1)
+
+let key_bound ~bound atom =
+  Array.for_all (function Compile.A_const _ -> true | Compile.A_var v -> bound v) (key_args atom)
 
 (* The per-atom analysis behind every lowering: which row positions must
    pass checks, and which feed variable bindings, in the plan's
-   variable-depth order. The join cache keys on it, so every lowering
-   that reads an atom asks for the same entry. *)
-let shape_atom (q : Compile.cquery) (atom : Compile.atom) : shape =
+   variable-depth order, and whether the atom is a lookup once the
+   variables [bound] (default: none) are known. The join cache keys on
+   checks and sources, so every lowering that reads an atom asks for the
+   same entry. *)
+let shape_atom ?(bound = fun _ -> false) (q : Compile.cquery) (atom : Compile.atom) : shape =
   let n = Array.length atom.Compile.a_args in
   let first_pos : (int, int) Hashtbl.t = Hashtbl.create 8 in
   let checks = ref [] in
@@ -58,6 +71,7 @@ let shape_atom (q : Compile.cquery) (atom : Compile.atom) : shape =
     sh_checks = List.rev !checks;
     sh_sources = Array.of_list (List.map snd sorted);
     sh_vars = Array.of_list (List.map fst sorted);
+    sh_lookup = key_bound ~bound atom;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -110,6 +124,28 @@ let compile_filter (f : Schema.func) (checks : check list) : filter =
         incr i
       done;
       !ok
+
+(* The key a lookup atom reads by, from its constants and the environment
+   slots of its bound variables. An all-constant key is built once, here;
+   otherwise each instantiation owns one buffer, refilled per read
+   ([Table.get] keeps no reference to it). *)
+let compile_key (atom : Compile.atom) : unit -> Value.t array -> Value.t array =
+  let args = key_args atom in
+  let template = Array.map (function Compile.A_const c -> c | Compile.A_var _ -> Value.VUnit) args in
+  let slots =
+    List.concat
+      (List.mapi
+         (fun i -> function Compile.A_var v -> [ (i, v) ] | Compile.A_const _ -> [])
+         (Array.to_list args))
+  in
+  match slots with
+  | [] -> fun () _ -> template
+  | _ ->
+    fun () ->
+      let key = Array.copy template in
+      fun env ->
+        List.iter (fun (i, v) -> key.(i) <- env.(v)) slots;
+        key
 
 (* ------------------------------------------------------------------ *)
 (* Binding loops: monomorphic per arity 1-4, generic above             *)

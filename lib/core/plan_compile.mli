@@ -15,12 +15,25 @@ type shape = {
   sh_sources : int array;
       (** row positions feeding the binding path, in variable-depth order *)
   sh_vars : int array;  (** the query var bound at each path level *)
+  sh_lookup : bool;
+      (** every key column is a constant or a variable bound by an earlier
+          atom: the atom is a point query, one {!Table.get} *)
 }
 
-val shape_atom : Compile.cquery -> Compile.atom -> shape
+val shape_atom : ?bound:(int -> bool) -> Compile.cquery -> Compile.atom -> shape
 (** The per-atom analysis behind every lowering: checks, binding sources
-    and bound variables. The join cache keys derive from it, so every
-    lowering that reads an atom asks for the same entry. *)
+    and bound variables, and whether the atom is a lookup once the
+    variables [bound] by earlier atoms (default: none) are known. The
+    join cache keys derive from checks and sources, so every lowering that
+    reads an atom asks for the same entry. *)
+
+val compile_key : Compile.atom -> unit -> Value.t array -> Value.t array
+(** [compile_key atom] builds a lookup atom's key from its constants and
+    the environment slots of its (bound) key variables. The outer [unit ->]
+    instantiates the key buffer, once per search; an all-constant key is
+    built once, at compile time. The atom's checks on key columns hold
+    for the row at that key, so a lookup can run the atom's whole
+    {!compile_filter}. *)
 
 type filter = Value.t array -> Table.row -> bool
 

@@ -205,23 +205,25 @@ let canonical_numbering (rows : (string * Value.t array * Value.t) list)
 
 (* ---- dump ---- *)
 
+(* Record in [sorts] the sort of every id [v] mentions. *)
+let rec note_sorts db sorts (v : Value.t) =
+  match v with
+  | Value.VId id ->
+    if not (Hashtbl.mem sorts id) then begin
+      match Database.sort_of_id db id with
+      | Ty.Sort s -> Hashtbl.replace sorts id (Symbol.name s)
+      | _ -> ()
+    end
+  | Value.VSet xs | Value.VVec xs -> List.iter (note_sorts db sorts) xs
+  | Value.VUnit | Value.VBool _ | Value.VInt _ | Value.VRat _ | Value.VStr _ -> ()
+
 (* Rebuild, then collect the rows of every non-empty table, in table order,
    and the sort of every id they mention. *)
 let collect (eng : Engine.t) =
   Engine.rebuild eng;
   let db = Engine.database eng in
   let sorts : (int, string) Hashtbl.t = Hashtbl.create 64 in
-  let rec note (v : Value.t) =
-    match v with
-    | Value.VId id ->
-      if not (Hashtbl.mem sorts id) then begin
-        match Database.sort_of_id db id with
-        | Ty.Sort s -> Hashtbl.replace sorts id (Symbol.name s)
-        | _ -> ()
-      end
-    | Value.VSet xs | Value.VVec xs -> List.iter note xs
-    | Value.VUnit | Value.VBool _ | Value.VInt _ | Value.VRat _ | Value.VStr _ -> ()
-  in
+  let note = note_sorts db sorts in
   let tables = ref [] in
   Database.iter_tables db (fun table ->
       let rows = ref [] in
@@ -295,15 +297,6 @@ let dump (eng : Engine.t) : Sexpr.t =
     Hashtbl.fold (fun old_id sort acc -> (Hashtbl.find numbering old_id, sort) :: acc) sorts []
     |> List.sort by_id
   in
-  database_sexp ~ids ~tables
-
-(* A checkpoint is read back only by {!load}, which gives every dumped id a
-   fresh one. So it needs neither the canonical numbering nor the row sort:
-   it carries the rebuilt database's own ids (canonical representatives), in
-   table order. *)
-let raw_dump (eng : Engine.t) : Sexpr.t =
-  let sorts, tables = collect eng in
-  let ids = Hashtbl.fold (fun id sort acc -> (id, sort) :: acc) sorts [] |> List.sort by_id in
   database_sexp ~ids ~tables
 
 let dump_string eng = Sexpr.to_string (dump eng)
@@ -475,21 +468,67 @@ type checkpoint = {
   ck_database : Sexpr.t;
 }
 
+(* A checkpoint is read back only by {!load}, which gives every dumped id a
+   fresh one. So it needs neither the canonical numbering nor the row sort:
+   it carries the rebuilt database's own ids (canonical representatives), in
+   table order. It is printed straight into one buffer, in two passes over
+   the tables — the sorts of the ids the rows mention, then the rows — in
+   {!dump}'s grammar, the bytes {!Sexpr.to_string} prints for that tree;
+   only one cell's s-expression exists at a time. *)
+let checkpoint_payload eng ~committed =
+  Engine.rebuild eng;
+  let db = Engine.database eng in
+  let sorts : (int, string) Hashtbl.t = Hashtbl.create 64 in
+  let note = note_sorts db sorts in
+  Database.iter_tables db (fun table ->
+      Table.iter
+        (fun key row ->
+          Array.iter note key;
+          note row.Table.value)
+        table);
+  let buf = Buffer.create ((32 * Database.total_rows db) + 256) in
+  Buffer.add_string buf "(checkpoint (committed ";
+  Buffer.add_string buf (Int.to_string committed);
+  Buffer.add_string buf ") (program";
+  List.iter
+    (fun cmd ->
+      Buffer.add_char buf ' ';
+      Sexpr.to_buffer buf (Frontend.sexp_of_command cmd))
+    (Engine.decl_commands eng);
+  Buffer.add_string buf ") (database (ids";
+  Hashtbl.fold (fun id sort acc -> (id, sort) :: acc) sorts []
+  |> List.sort by_id
+  |> List.iter (fun (id, sort) ->
+         Buffer.add_string buf " (";
+         Buffer.add_string buf (Int.to_string id);
+         Buffer.add_char buf ' ';
+         Buffer.add_string buf sort;
+         Buffer.add_char buf ')');
+  Buffer.add_char buf ')';
+  Database.iter_tables db (fun table ->
+      if Table.length table > 0 then begin
+        Buffer.add_string buf " (table ";
+        Buffer.add_string buf (Symbol.name (Table.func table).Schema.name);
+        Table.iter
+          (fun key row ->
+            Buffer.add_string buf " ((";
+            Array.iteri
+              (fun i v ->
+                if i > 0 then Buffer.add_char buf ' ';
+                Sexpr.to_buffer buf (sexp_of_value v))
+              key;
+            Buffer.add_string buf ") ";
+            Sexpr.to_buffer buf (sexp_of_value row.Table.value);
+            Buffer.add_char buf ')')
+          table;
+        Buffer.add_char buf ')'
+      end);
+  Buffer.add_string buf "))\n";
+  Buffer.contents buf
+
 let write_checkpoint eng ~path ~seq ~committed =
-  let program = List.map Frontend.sexp_of_command (Engine.decl_commands eng) in
-  let payload =
-    Sexpr.to_string
-      (Sexpr.List
-         [
-           Sexpr.Atom "checkpoint";
-           Sexpr.List [ Sexpr.Atom "committed"; Sexpr.Int committed ];
-           Sexpr.List (Sexpr.Atom "program" :: program);
-           raw_dump eng;
-         ])
-    ^ "\n"
-  in
   write_versioned ~kind:"checkpoint" ~magic:checkpoint_magic ~extra:(string_of_int seq) ~path
-    payload
+    (checkpoint_payload eng ~committed)
 
 let read_checkpoint path =
   let extra, payload = read_versioned ~magic:checkpoint_magic ~path in

@@ -78,6 +78,11 @@ type checkpoint = {
   ck_database : Sexpr.t;  (** a [(database ...)] for {!load} *)
 }
 
+val checkpoint_payload : Engine.t -> committed:int -> string
+(** Rebuilds, then prints the checkpoint payload {!write_checkpoint}
+    writes: [(checkpoint (committed N) (program ...) (database ...))] and a
+    newline, flat, straight into one buffer. *)
+
 val write_checkpoint : Engine.t -> path:string -> seq:int -> committed:int -> unit
 val read_checkpoint : string -> checkpoint
 (** @raise Load_error on any corruption or version mismatch. *)

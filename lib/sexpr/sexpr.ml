@@ -201,7 +201,7 @@ let rec pp fmt e =
 (* Machine formats (checkpoints, snapshots, journal records, the daemon's
    replies, error messages): one line, single spaces, the same tokens as
    [pp]. [String.escaped] is what [%S] prints, so no raw newline survives. *)
-let rec add_flat buf e =
+let rec to_buffer buf e =
   match e with
   | Atom s -> Buffer.add_string buf s
   | String s ->
@@ -215,13 +215,13 @@ let rec add_flat buf e =
     List.iteri
       (fun k x ->
         if k > 0 then Buffer.add_char buf ' ';
-        add_flat buf x)
+        to_buffer buf x)
       items;
     Buffer.add_char buf ')'
 
 let to_string e =
   let buf = Buffer.create 256 in
-  add_flat buf e;
+  to_buffer buf e;
   Buffer.contents buf
 
 let rec equal a b =

@@ -24,6 +24,10 @@ val to_string : t -> string
     single spaces, strings escaped as OCaml's [%S] does (so the output
     holds no raw newline). [parse_one (to_string e)] is [equal] to [e]. *)
 
+val to_buffer : Buffer.t -> t -> unit
+(** {!to_string}, appended to a buffer: for printers that write a large
+    payload piecewise instead of building one tree. *)
+
 val pp : Format.formatter -> t -> unit
 (** The same tokens as {!to_string}, laid out in [Format] boxes that break
     at the margin: for terms a person reads, such as extraction output. *)

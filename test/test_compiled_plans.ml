@@ -101,19 +101,26 @@ let test_two_atom_and_generic_lowering () =
         holds "r1" [ v "a"; v "b"; v "c"; v "d"; v "e" ];
       ]
   in
+  (* with r1 driving, r0's whole key is bound: r0 is probed by lookup *)
   Alcotest.(check string)
-    "mixed two-atom lowering" "compiled two-atom (arities 2+5, specialized/generic binder)"
+    "mixed two-atom lowering"
+    "compiled two-atom (arities 2+5, specialized/generic binder, key lookup: atom 0 when probed)"
     (E.Join.describe_lowering two);
   let three =
     query db [ holds "r0" [ v "a"; v "b" ]; holds "r2" [ v "a" ]; holds "r2" [ v "b" ] ]
   in
   Alcotest.(check string)
     "three atoms go generic" "compiled generic (3 atoms)" (E.Join.describe_lowering three);
-  (* an atom that binds no variable has no row to drive a scan *)
+  (* an atom that binds no variable is ground: its key is all constants *)
   let ground = query db [ holds "r0" [ lit 1; lit 2 ] ] in
   Alcotest.(check string)
-    "a one-atom query binding no variable goes generic" "compiled generic (1 atoms)"
-    (E.Join.describe_lowering ground)
+    "a ground one-atom query is a lookup" "compiled single-atom (arity 0, specialized, key lookup)"
+    (E.Join.describe_lowering ground);
+  (* two atoms, one of them ground, stay on the trie join *)
+  let ground_two = query db [ holds "r0" [ lit 1; lit 2 ]; holds "r2" [ v "a" ] ] in
+  Alcotest.(check string)
+    "a ground atom beside another goes generic" "compiled generic (2 atoms)"
+    (E.Join.describe_lowering ground_two)
 
 (* Atomless (pure primitive) queries lower to the generic join, whose
    only step runs the primitives and emits: a binding primitive yields its
@@ -287,6 +294,192 @@ let prop_shape_fuzz =
     ~count:300 gen_shape check_shape
 
 (* ------------------------------------------------------------------ *)
+(* Lookups: a bound key is one Table.get                               *)
+(* ------------------------------------------------------------------ *)
+
+let counter name =
+  let snap = E.Telemetry.snapshot () in
+  try List.assoc name snap.E.Telemetry.sn_counters with Not_found -> 0
+
+(* A check whose keys are constants reads the rows at those keys and
+   builds nothing; a deleted key is no longer there to read; and a row is
+   read only when its stamp lies in the atom's window, driving or
+   probed. *)
+let test_lookup_reads () =
+  let eng = E.Engine.create () in
+  ignore
+    (E.run_string eng
+       "(function f (i64) i64 :merge (max old new)) (set (f 1) 5) (set (f 2) 5) (set (f 3) 6)");
+  let f_eq a b = E.Ast.Eq (E.Ast.Call ("f", [ lit a ]), E.Ast.Call ("f", [ lit b ])) in
+  E.Telemetry.reset ();
+  E.Telemetry.enable ();
+  let builds = counter "join.index_builds" and scanned = counter "join.tuples_scanned" in
+  Alcotest.(check bool) "(f 1) = (f 2)" true (E.Engine.check_facts eng [ f_eq 1 2 ]);
+  Alcotest.(check bool) "(f 1) <> (f 3)" false (E.Engine.check_facts eng [ f_eq 1 3 ]);
+  Alcotest.(check int)
+    "a constant-key check builds no index" builds (counter "join.index_builds");
+  Alcotest.(check int)
+    "each check reads its two rows" (scanned + 4) (counter "join.tuples_scanned");
+  E.Telemetry.disable ();
+  E.Telemetry.reset ();
+  ignore (E.run_string eng "(delete (f 2))");
+  Alcotest.(check bool)
+    "a deleted key fails the check" false (E.Engine.check_facts eng [ f_eq 1 2 ]);
+  (match E.run_string eng "(check (= (f 1) (f 2)))" with
+  | exception E.Egglog_error _ -> ()
+  | _ -> Alcotest.fail "(check (= (f 1) (f 2))) passed after the delete");
+  (* (f 5) lands in a later stamp than (f 1) *)
+  let db = E.Engine.database eng in
+  E.Database.bump_timestamp db;
+  let t1 = E.Database.timestamp db in
+  ignore (E.run_string eng "(set (f 5) 1)");
+  E.Database.bump_timestamp db;
+  let old_rows = { E.Join.lo = 0; hi = t1 } and new_rows = { E.Join.lo = t1; hi = max_int } in
+  let one = query db [ E.Ast.Eq (v "x", E.Ast.Call ("f", [ lit 1 ])) ] in
+  Alcotest.(check string)
+    "one constant-key atom" "compiled single-atom (arity 1, specialized, key lookup)"
+    (E.Join.describe_lowering one);
+  Alcotest.(check (list string)) "old row, old window" [ "5" ]
+    (compiled_multiset db one ~ranges:[| old_rows |]);
+  Alcotest.(check (list string)) "old row outside a new window" []
+    (compiled_multiset db one ~ranges:[| new_rows |]);
+  (* (f 5) = 1 drives, then (f 1) = 5 is probed by the key the driver bound *)
+  let chain =
+    query db
+      [
+        E.Ast.Eq (v "y", E.Ast.Call ("f", [ lit 5 ]));
+        E.Ast.Eq (v "z", E.Ast.Call ("f", [ v "y" ]));
+      ]
+  in
+  Alcotest.(check string) "a chain of lookups"
+    ("compiled two-atom (arities 1+2, specialized/specialized, "
+    ^ "key lookup: atom 0, atom 1 when probed)")
+    (E.Join.describe_lowering chain);
+  List.iter
+    (fun (name, ranges, expected) ->
+      Alcotest.(check (list string)) name expected (compiled_multiset db chain ~ranges);
+      Alcotest.(check (list string)) (name ^ " (reference)") expected
+        (Ref_join.matches_multiset db chain ~ranges))
+    [
+      ("both windows hold their rows", [| new_rows; E.Join.all_rows |], [ "1,5" ]);
+      ("the probed row is outside its window", [| new_rows; new_rows |], []);
+      ("the driving row is outside its window", [| old_rows; E.Join.all_rows |], []);
+    ]
+
+(* The lookup fuzzer: queries of one to three atoms over functions with
+   an i64 output, whose key columns are constants or a few shared
+   variables (so keys are often all constants, or bound by the other
+   atom) and whose output is a variable, a constant, or left fresh; each
+   atom reads all rows, the newer batch or the older one. The rows land in
+   two stamped batches, and [:merge max] re-stamps a key the second batch
+   raises. *)
+type lshape = {
+  lp_rows : (int * int list * int) list;  (* function pick, key cells, output *)
+  lp_atoms : (int * [ `V of int | `C of int ] list * [ `V of int | `C of int | `Fresh ]) list;
+  lp_windows : int list;  (* per atom: 0-2 all rows, 3 the newer batch, 4 the older *)
+}
+
+let gen_lshape =
+  QCheck2.Gen.(
+    let var k = map (fun i -> `V i) (int_bound k) and const () = map (fun c -> `C c) (int_bound 3) in
+    let arg = frequency [ (1, var 2); (1, const ()) ] in
+    let out = frequency [ (2, var 3); (1, const ()); (1, return `Fresh) ] in
+    map
+      (fun (rows, (atoms, windows)) -> { lp_rows = rows; lp_atoms = atoms; lp_windows = windows })
+      (pair
+         (list_size (int_range 0 16)
+            (triple (int_bound 1) (list_repeat 2 (int_bound 3)) (int_bound 3)))
+         (pair
+            (list_size (int_range 1 3) (triple (int_bound 1) (list_repeat 2 arg) out))
+            (list_repeat 3 (int_bound 4)))))
+
+(* Lowerings the lookup fuzzer reached, for the coverage check below. *)
+let drawn = Hashtbl.create 8
+let note_drawn what = Hashtbl.replace drawn what ()
+
+let check_lshape sp =
+  let eng = E.Engine.create () in
+  ignore
+    (E.run_string eng
+       "(function g0 (i64) i64 :merge (max old new))\n\
+        (function g1 (i64 i64) i64 :merge (max old new))");
+  let db = E.Engine.database eng in
+  let arity pick = pick + 1 in
+  let first pick xs = List.filteri (fun i _ -> i < arity pick) xs in
+  let rows = List.map (fun (pick, key, out) -> (pick, first pick key, out)) sp.lp_rows in
+  let split = List.length rows / 2 in
+  let set (pick, key, out) =
+    E.Engine.set_fact eng (Printf.sprintf "g%d" pick)
+      (List.map (fun k -> E.Value.VInt k) key)
+      (E.Value.VInt out)
+  in
+  List.iteri (fun i r -> if i < split then set r) rows;
+  E.Database.bump_timestamp db;
+  let t1 = E.Database.timestamp db in
+  List.iteri (fun i r -> if i >= split then set r) rows;
+  E.Database.bump_timestamp db;
+  let expr_of = function `V i -> v (Printf.sprintf "x%d" i) | `C c -> lit c in
+  let facts =
+    List.map
+      (fun (pick, args, out) ->
+        let call = E.Ast.Call (Printf.sprintf "g%d" pick, List.map expr_of (first pick args)) in
+        match out with
+        | `Fresh -> E.Ast.Holds call
+        | (`V _ | `C _) as o -> E.Ast.Eq (expr_of o, call))
+      sp.lp_atoms
+  in
+  match query db facts with
+  | exception E.Compile.Unsat -> true
+  | exception E.Compile.Error _ -> true
+  | q ->
+    let n_atoms = Array.length q.E.Compile.atoms in
+    let picks =
+      Array.init n_atoms (fun i -> List.nth sp.lp_windows (i mod List.length sp.lp_windows))
+    in
+    let ranges =
+      Array.map
+        (function
+          | 3 -> { E.Join.lo = t1; hi = max_int }
+          | 4 -> { E.Join.lo = 0; hi = t1 }
+          | _ -> E.Join.all_rows)
+        picks
+    in
+    let descr = E.Join.describe_lowering q in
+    let has sub =
+      let n = String.length sub in
+      let rec go i = i + n <= String.length descr && (String.sub descr i n = sub || go (i + 1)) in
+      go 0
+    in
+    if has "key lookup" then begin
+      note_drawn "lookup";
+      if has "when probed" then note_drawn "bound key";
+      if Array.exists (fun p -> p >= 3) picks then note_drawn "windowed lookup";
+      let const_output (a : E.Compile.atom) =
+        match a.E.Compile.a_args.(Array.length a.E.Compile.a_args - 1) with
+        | E.Compile.A_const _ -> true
+        | E.Compile.A_var _ -> false
+      in
+      if Array.exists const_output q.E.Compile.atoms then note_drawn "constant output"
+    end;
+    let expected = Ref_join.matches_multiset db q ~ranges in
+    let cache = E.Join.new_cache () in
+    E.Join.compiled_descr (E.Join.compile_plan q) = descr
+    && compiled_multiset db q ~ranges = expected
+    && compiled_multiset db ~cache q ~ranges = expected
+    && compiled_multiset db ~cache q ~ranges = expected
+
+let prop_lookup_fuzz =
+  QCheck2.Test.make
+    ~name:"lookup fuzz: compiled == reference (constant and bound keys, windows)"
+    ~count:400 gen_lshape check_lshape
+
+let test_lookup_fuzz_coverage () =
+  List.iter
+    (fun what ->
+      Alcotest.(check bool) ("the lookup fuzz drew a " ^ what) true (Hashtbl.mem drawn what))
+    [ "lookup"; "bound key"; "windowed lookup"; "constant output" ]
+
+(* ------------------------------------------------------------------ *)
 (* A real workload plans through the lowering                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -324,7 +517,15 @@ let () =
             Alcotest.test_case "constant-check hoisting" `Quick test_constant_check_hoisting;
             Alcotest.test_case "primitive guard resolution" `Quick test_prim_guard_resolution;
           ] );
-        ("fuzz", [ to_alcotest prop_shape_fuzz ]);
+        ( "lookups",
+          [ Alcotest.test_case "check, delete and windows" `Quick test_lookup_reads ] );
+        ( "fuzz",
+          [
+            to_alcotest prop_shape_fuzz;
+            to_alcotest prop_lookup_fuzz;
+            Alcotest.test_case "the lookup fuzz covers every lookup shape" `Quick
+              test_lookup_fuzz_coverage;
+          ] );
         ( "workload",
           [ Alcotest.test_case "fig7 compiles its plans" `Quick test_fig7_compiles_plans ] );
       ]

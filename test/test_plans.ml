@@ -70,6 +70,40 @@ let test_triangle_with_guard () =
     \    prim@2 (< x 10) -> $6\n\
     \  lowering: compiled generic (3 atoms)\n"
 
+let test_lookup_rules () =
+  (* an atom whose key is all constants, or bound by the other atom, is
+     read by lookup; the lowering line names which *)
+  check_plans "lookup plans"
+    {|
+      (sort Alloc)
+      (function vpt (i64) Alloc)
+      (function pts (Alloc) Alloc)
+      (relation copyI (i64 i64))
+      (relation seen (i64))
+      (rule ((copyI d s) (= a (vpt s))) ((union (vpt d) a)))
+      (rule ((= a (vpt 0)) (= b (pts a))) ((seen 1)))
+      (rule ((seen 1)) ((seen 2)))
+    |}
+    "rule rule_1 (ruleset default)\n\
+    \  atoms:\n\
+    \    [0] (copyI d s) -> ()\n\
+    \    [1] (vpt s) -> $4\n\
+    \  order: s $4 d\n\
+    \  lowering: compiled two-atom (arities 2+2, specialized/specialized, \
+     key lookup: atom 1 when probed)\n\
+     rule rule_2 (ruleset default)\n\
+    \  atoms:\n\
+    \    [0] (vpt 0) -> $1\n\
+    \    [1] (pts $1) -> $3\n\
+    \  order: $1 $3\n\
+    \  lowering: compiled two-atom (arities 1+2, specialized/specialized, \
+     key lookup: atom 0, atom 1 when probed)\n\
+     rule rule_3 (ruleset default)\n\
+    \  atoms:\n\
+    \    [0] (seen 1) -> ()\n\
+    \  order: (none)\n\
+    \  lowering: compiled single-atom (arity 0, specialized, key lookup)\n"
+
 let test_atomless_rule () =
   check_plans "rule with no atoms"
     {|
@@ -270,6 +304,7 @@ let () =
           Alcotest.test_case "transitive closure" `Quick test_transitive_closure;
           Alcotest.test_case "rewrite rule" `Quick test_rewrite_rule;
           Alcotest.test_case "triangle with guard" `Quick test_triangle_with_guard;
+          Alcotest.test_case "lookup rules" `Quick test_lookup_rules;
           Alcotest.test_case "atomless rule" `Quick test_atomless_rule;
           Alcotest.test_case "no rules" `Quick test_no_rules;
         ] );

@@ -308,6 +308,144 @@ let prop_checkpoint_roundtrip =
           && String.equal (E.Serialize.dump_string eng)
                (E.Serialize.dump_string (engine_of_checkpoint ck))))
 
+(* The checkpoint printer writes straight into a buffer. Its oracle is the
+   tree it replaces: the (checkpoint ...) s-expression built value by
+   value, with the ids' sorts and the rows in table order, printed by
+   [Sexpr.to_string]. *)
+let rec oracle_value (v : E.Value.t) : Sexpr.t =
+  match v with
+  | E.Value.VUnit -> Sexpr.List [ Sexpr.Atom "unit" ]
+  | E.Value.VBool b -> Sexpr.Atom (string_of_bool b)
+  | E.Value.VInt i -> Sexpr.Int i
+  | E.Value.VRat r -> Sexpr.List [ Sexpr.Atom "rat"; Sexpr.String (Rat.to_string r) ]
+  | E.Value.VStr s -> Sexpr.String (E.Symbol.name s)
+  | E.Value.VId i -> Sexpr.List [ Sexpr.Atom "id"; Sexpr.Int i ]
+  | E.Value.VSet xs -> Sexpr.List (Sexpr.Atom "set" :: List.map oracle_value xs)
+  | E.Value.VVec xs -> Sexpr.List (Sexpr.Atom "vec" :: List.map oracle_value xs)
+
+let oracle_checkpoint eng ~committed =
+  E.Engine.rebuild eng;
+  let db = E.Engine.database eng in
+  let sorts = Hashtbl.create 16 and tables = ref [] in
+  let rec note = function
+    | E.Value.VId id -> (
+      match E.Database.sort_of_id db id with
+      | E.Ty.Sort s -> Hashtbl.replace sorts id (E.Symbol.name s)
+      | _ -> ())
+    | E.Value.VSet xs | E.Value.VVec xs -> List.iter note xs
+    | _ -> ()
+  in
+  E.Database.iter_tables db (fun table ->
+      let rows = ref [] in
+      E.Table.iter
+        (fun key row ->
+          Array.iter note key;
+          note row.E.Table.value;
+          rows :=
+            Sexpr.List
+              [
+                Sexpr.List (Array.to_list (Array.map oracle_value key));
+                oracle_value row.E.Table.value;
+              ]
+            :: !rows)
+        table;
+      if !rows <> [] then
+        tables :=
+          Sexpr.List
+            (Sexpr.Atom "table" :: Sexpr.Atom (E.Symbol.name (E.Table.func table).E.Schema.name)
+           :: List.rev !rows)
+          :: !tables);
+  let ids =
+    Hashtbl.fold (fun id sort acc -> (id, sort) :: acc) sorts []
+    |> List.sort compare
+    |> List.map (fun (id, sort) -> Sexpr.List [ Sexpr.Int id; Sexpr.Atom sort ])
+  in
+  Sexpr.to_string
+    (Sexpr.List
+       [
+         Sexpr.Atom "checkpoint";
+         Sexpr.List [ Sexpr.Atom "committed"; Sexpr.Int committed ];
+         Sexpr.List
+           (Sexpr.Atom "program"
+           :: List.map E.Frontend.sexp_of_command (E.Engine.decl_commands eng));
+         Sexpr.List
+           (Sexpr.Atom "database" :: Sexpr.List (Sexpr.Atom "ids" :: ids) :: List.rev !tables);
+       ])
+  ^ "\n"
+
+(* Every value kind a cell can hold, in keys and outputs: unit, bool,
+   i64 (negative, min_int, max_int), rational, a string with quotes,
+   a backslash and a newline, ids (merged, so representatives), sets and
+   vectors of ids. *)
+let every_kind_engine () =
+  let eng = E.Engine.create () in
+  ignore
+    (E.run_string eng
+       {|
+  (sort S)
+  (function mk (i64) S)
+  (function f_unit (i64) Unit)
+  (function f_bool (bool) bool)
+  (function f_int (i64) i64)
+  (function f_rat (Rational) Rational)
+  (function f_str (String) String)
+  (function f_set (i64) (Set S))
+  (function f_vec (S) (Vec S))
+  (function empty () i64)
+  (rewrite (mk 1) (mk 2))
+  |});
+  let i n = E.Value.VInt n and str x = E.Value.VStr (E.Symbol.intern x) in
+  let mk k = E.Engine.eval_call eng "mk" [ i k ] in
+  E.Engine.set_fact eng "f_unit" [ i (-1) ] E.Value.VUnit;
+  E.Engine.set_fact eng "f_bool" [ E.Value.VBool true ] (E.Value.VBool false);
+  E.Engine.set_fact eng "f_int" [ i min_int ] (i max_int);
+  E.Engine.set_fact eng "f_int" [ i (-42) ] (i 0);
+  let rat n d = E.Value.VRat (Rat.of_ints n d) in
+  E.Engine.set_fact eng "f_rat" [ rat (-3) 7 ] (rat 5 2);
+  E.Engine.set_fact eng "f_str" [ str "say \"hi\"\nback\\slash" ] (str "");
+  E.Engine.set_fact eng "f_set" [ i 0 ] (E.Value.mk_set [ mk 1; mk 3 ]);
+  E.Engine.set_fact eng "f_set" [ i 1 ] (E.Value.VSet []);
+  E.Engine.set_fact eng "f_vec" [ mk 4 ] (E.Value.VVec [ mk 3; mk 2; mk 3 ]);
+  ignore (E.Engine.union_values eng (mk 3) (mk 5));
+  ignore (E.run_string eng "(run 2)");
+  eng
+
+let test_checkpoint_bytes () =
+  let check name eng ~committed =
+    let expected = oracle_checkpoint eng ~committed in
+    Alcotest.(check string) name expected (E.Serialize.checkpoint_payload eng ~committed)
+  in
+  check "every value kind" (every_kind_engine ()) ~committed:7;
+  check "no data" (E.Engine.create ()) ~committed:0;
+  check "merged ids and rules"
+    (program_with
+       (List.init 12 (fun k -> OLink (k mod 8, k * 3 mod 8))
+       @ [ OUnion (1, 2); OStr ("a\nb", "\"q\""); ORat ((-3, 7), (5, 2)); OInt (4, -9); OUnit 3 ]))
+    ~committed:3
+
+(* The every-kind engine through the durable path: a checkpoint, then
+   recovery from it, dumps what the engine dumps. *)
+let test_checkpoint_recovers () =
+  let dir = Filename.temp_dir "egglog_ckpt" "" in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () ->
+      let journal_path = Filename.concat dir "journal" in
+      let eng = every_kind_engine () in
+      let d = E.Durable.attach eng ~journal_path ~checkpoint_every:None in
+      E.Durable.checkpoint d;
+      E.Durable.close d;
+      let expected = E.Serialize.dump_string eng in
+      let eng2 = E.Engine.create () in
+      let d2, report = E.Durable.recover eng2 ~journal_path ~checkpoint_every:None in
+      E.Durable.close d2;
+      Alcotest.(check bool)
+        "restored from a checkpoint" true
+        (Option.is_some report.E.Durable.rc_checkpoint);
+      Alcotest.(check string) "recovered dump" expected (E.Serialize.dump_string eng2))
+
 (* Files written before machine formats printed flat: the payload is the
    [Format] layout, line breaks included, of a canonically numbered dump.
    The container header is built by hand. *)
@@ -372,6 +510,10 @@ let () =
           Alcotest.test_case "corruption rejected" `Quick test_snapshot_rejects_corruption;
           Alcotest.test_case "load requires empty db" `Quick test_load_requires_empty;
           Alcotest.test_case "old layout still loads" `Quick test_old_layout_loads;
+          Alcotest.test_case "checkpoint bytes equal the tree printer's" `Quick
+            test_checkpoint_bytes;
+          Alcotest.test_case "a checkpoint of every value kind recovers" `Quick
+            test_checkpoint_recovers;
         ] );
       ( "properties",
         [
