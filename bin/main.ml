@@ -557,14 +557,15 @@ let () =
             write_all 0;
             let buf = Buffer.create 4096 in
             let chunk = Bytes.create 65536 in
+            (* the reply ends at its first newline; look for it only in the
+               chunk just read, so a long reply is scanned once *)
             let rec read_reply () =
-              if String.contains (Buffer.contents buf) '\n' then ()
-              else
-                match Unix.read fd chunk 0 (Bytes.length chunk) with
-                | 0 -> ()
-                | n ->
-                  Buffer.add_subbytes buf chunk 0 n;
-                  read_reply ()
+              match Unix.read fd chunk 0 (Bytes.length chunk) with
+              | 0 -> ()
+              | n ->
+                Buffer.add_subbytes buf chunk 0 n;
+                let rec ends i = i < n && (Bytes.get chunk i = '\n' || ends (i + 1)) in
+                if not (ends 0) then read_reply ()
             in
             read_reply ();
             let line =

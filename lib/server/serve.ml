@@ -47,7 +47,7 @@ type conn = {
   c_in : Unix.file_descr;
   c_out : Unix.file_descr;
   c_keep_fds : bool;  (* stdio: the fds belong to the process, never close *)
-  c_rbuf : Buffer.t;  (* read, not yet framed *)
+  c_rbuf : Buffer.t;  (* the unterminated tail of the frame being read *)
   c_wbuf : Buffer.t;  (* replies not yet written *)
   mutable c_woff : int;  (* prefix of c_wbuf already on the wire *)
   mutable c_skip : bool;  (* discarding an oversized frame up to its newline *)
@@ -63,6 +63,7 @@ type t = {
   conns : (int, conn) Hashtbl.t;
   mutable next_conn_id : int;
   listener : Unix.file_descr option;
+  rbuf : Bytes.t;  (* every read lands here; one per server, reused *)
   drain_flag : bool Atomic.t;
   mutable recovery : string list;
   mutable last_sweep : float;
@@ -157,6 +158,7 @@ let create cfg =
       conns = Hashtbl.create 16;
       next_conn_id = 0;
       listener;
+      rbuf = Bytes.create 65536;
       drain_flag = Atomic.make false;
       recovery;
       last_sweep = E.Telemetry.now ();
@@ -780,46 +782,57 @@ let handle_frame t conn line =
         end
   end
 
-(* Split off completed lines; keep the incomplete tail buffered. An
-   oversized tail gets its too-large reply immediately and is discarded up
-   to the next newline, so a hostile client cannot balloon the buffer. *)
-let extract_frames t conn =
-  let data = Buffer.contents conn.c_rbuf in
+let take_tail conn =
+  let line = Buffer.contents conn.c_rbuf in
   Buffer.clear conn.c_rbuf;
-  let n = String.length data in
-  let frames = ref [] in
-  let pos = ref 0 in
-  let continue = ref true in
-  while !continue do
-    match String.index_from_opt data !pos '\n' with
-    | Some nl ->
-      let line = String.sub data !pos (nl - !pos) in
-      pos := nl + 1;
-      if conn.c_skip then conn.c_skip <- false else frames := line :: !frames
-    | None ->
-      let rest = n - !pos in
-      if conn.c_skip then () (* still discarding the oversized frame *)
-      else if rest > t.cfg.max_input_bytes then begin
+  line
+
+(* Frames are split in the bytes just read, [0, n) of the server's one
+   read buffer: each byte is scanned once and copied at most twice (into
+   the connection's tail, then out as a frame). The search must stop at
+   [n]: past it lie stale bytes of an earlier read. An oversized tail gets
+   its too-large reply immediately and is discarded up to the next
+   newline, so a hostile client cannot balloon the buffer. *)
+let split_frames t conn n =
+  let buf = t.rbuf in
+  let rec newline i = if i >= n || Bytes.unsafe_get buf i = '\n' then i else newline (i + 1) in
+  let rec go pos =
+    let nl = newline pos in
+    if nl < n then begin
+      if conn.c_skip then conn.c_skip <- false
+      else if Buffer.length conn.c_rbuf = 0 then
+        handle_frame t conn (Bytes.sub_string buf pos (nl - pos))
+      else begin
+        Buffer.add_subbytes conn.c_rbuf buf pos (nl - pos);
+        handle_frame t conn (take_tail conn)
+      end;
+      go (nl + 1)
+    end
+    else if not conn.c_skip then begin
+      Buffer.add_subbytes conn.c_rbuf buf pos (n - pos);
+      if Buffer.length conn.c_rbuf > t.cfg.max_input_bytes then begin
+        Buffer.reset conn.c_rbuf;
         enqueue_error t conn ~id:Json.Null ~kind:Protocol.Too_large
           (Printf.sprintf "frame exceeds %d bytes" t.cfg.max_input_bytes);
         conn.c_skip <- true
       end
-      else Buffer.add_substring conn.c_rbuf data !pos rest;
-      continue := false
-  done;
-  List.rev !frames
+    end
+  in
+  go 0
 
 let read_conn t conn =
-  let buf = Bytes.create 65536 in
-  (match Unix.read conn.c_in buf 0 (Bytes.length buf) with
+  match Unix.read conn.c_in t.rbuf 0 (Bytes.length t.rbuf) with
   | 0 ->
     conn.c_eof <- true;
     (* at EOF an unterminated tail is the last frame: end it *)
-    if Buffer.length conn.c_rbuf > 0 then Buffer.add_char conn.c_rbuf '\n'
-  | n -> Buffer.add_subbytes conn.c_rbuf buf 0 n
+    if Buffer.length conn.c_rbuf > 0 then handle_frame t conn (take_tail conn)
+  | n -> split_frames t conn n
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
-  | exception Unix.Unix_error _ -> conn.c_eof <- true);
-  List.iter (handle_frame t conn) (extract_frames t conn)
+  | exception Unix.Unix_error _ ->
+    (* a broken connection: its tail is no frame, and the reaper waits for
+       an empty tail *)
+    Buffer.reset conn.c_rbuf;
+    conn.c_eof <- true
 
 let accept_new t listener =
   let continue = ref true in

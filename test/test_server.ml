@@ -231,6 +231,175 @@ let test_too_large_frame () =
       close_client c);
   cleanup_dir dir
 
+(* ---- framing over a real socket ----
+
+   The daemon reads into one buffer per server and splits frames only in
+   the bytes just read; these tests cut frames at every kind of write
+   boundary and check that each one is answered, in order. *)
+
+let write_all fd s =
+  let rec go off =
+    if off < String.length s then go (off + Unix.write_substring fd s off (String.length s - off))
+  in
+  go 0
+
+(* a ping frame of exactly [len] bytes, no newline *)
+let ping_frame ~id len =
+  let bare = obj [ ("id", Json.Int id); ("op", Json.Str "ping"); ("pad", Json.Str "") ] in
+  let pad = len - String.length bare in
+  if pad < 0 then invalid_arg "ping_frame: too short";
+  obj [ ("id", Json.Int id); ("op", Json.Str "ping"); ("pad", Json.Str (String.make pad 'p')) ]
+
+let recv_id c =
+  let r = recv c in
+  check_ok "framed ping" r;
+  match Json.member "id" r with
+  | Some (Json.Int i) -> i
+  | _ -> Alcotest.failf "reply carries no int id: %s" (Json.to_string r)
+
+(* Random frames, written in random pieces of 1 byte to 64 KB; some cuts
+   fall just before or just after a newline, so a write starts or ends
+   with one. A short pause after most writes lets the daemon read them
+   one by one. *)
+let test_random_pieces () =
+  let dir = fresh_dir () in
+  with_server dir (fun sv ->
+      let c = connect sv in
+      List.iter
+        (fun seed ->
+          let rng = Random.State.make [| seed |] in
+          let nframes = 12 in
+          let frames =
+            List.init nframes (fun i ->
+                let len =
+                  match Random.State.int rng 3 with
+                  | 0 -> 40 + Random.State.int rng 40
+                  | 1 -> 40 + Random.State.int rng 4000
+                  | _ -> 40 + Random.State.int rng 150_000
+                in
+                ping_frame ~id:((seed * 1000) + i) len)
+          in
+          let stream = String.concat "" (List.map (fun f -> f ^ "\n") frames) in
+          let total = String.length stream in
+          let cuts = ref [] in
+          String.iteri
+            (fun i ch ->
+              if ch = '\n' then
+                match Random.State.int rng 3 with
+                | 0 -> cuts := i :: !cuts
+                | 1 -> cuts := (i + 1) :: !cuts
+                | _ -> ())
+            stream;
+          let rec step pos =
+            if pos < total then begin
+              cuts := pos :: !cuts;
+              let size =
+                if Random.State.bool rng then 1 + Random.State.int rng 16
+                else 1 + Random.State.int rng 65536
+              in
+              step (pos + size)
+            end
+          in
+          step 0;
+          let cuts = List.sort_uniq compare (List.filter (fun p -> p > 0 && p < total) !cuts) in
+          let rec pieces from = function
+            | [] -> [ String.sub stream from (total - from) ]
+            | p :: rest -> String.sub stream from (p - from) :: pieces p rest
+          in
+          let pieces = pieces 0 cuts in
+          if not (List.exists (fun p -> p.[0] = '\n') pieces) then
+            Alcotest.failf "seed %d: no write starts with a newline" seed;
+          if not (List.exists (fun p -> p.[String.length p - 1] = '\n') pieces) then
+            Alcotest.failf "seed %d: no write ends with a newline" seed;
+          List.iter
+            (fun piece ->
+              write_all c.fd piece;
+              if Random.State.int rng 4 > 0 then Unix.sleepf 0.0005)
+            pieces;
+          List.iteri
+            (fun i _ ->
+              Alcotest.(check int)
+                (Printf.sprintf "seed %d: frame %d answered in order" seed i)
+                ((seed * 1000) + i) (recv_id c))
+            frames)
+        [ 1; 2; 3; 4 ];
+      close_client c);
+  cleanup_dir dir
+
+(* The server's read buffer is reused: after a long frame, bytes of it
+   (its newline included) lie past the end of the next short read. A
+   short frame whose newline comes in a later write must wait for that
+   write, not be split at a stale newline. *)
+let test_stale_newline_ignored () =
+  let dir = fresh_dir () in
+  with_server dir (fun sv ->
+      let c = connect sv in
+      List.iteri
+        (fun k long ->
+          let id = 10 * k in
+          write_all c.fd (ping_frame ~id long ^ "\n");
+          Alcotest.(check int) "long frame answered" id (recv_id c);
+          write_all c.fd (ping_frame ~id:(id + 1) 60);
+          Unix.sleepf 0.02;
+          write_all c.fd "\n";
+          Alcotest.(check int) "short frame answered once its newline arrives" (id + 1)
+            (recv_id c);
+          check_ok "connection still in sync"
+            (rpc c [ ("id", Json.Int (id + 2)); ("op", Json.Str "ping") ]))
+        [ 1_000; 30_000; 65_000 ];
+      close_client c);
+  cleanup_dir dir
+
+(* A frame of exactly max_input_bytes is a frame, however many writes
+   carry it; one byte more is too large, and the connection then
+   resynchronizes at the next newline. *)
+let test_frame_at_limit () =
+  let dir = fresh_dir () in
+  let limit = 100_000 in
+  with_server ~tune:(fun c -> { c with S.Serve.max_input_bytes = limit }) dir (fun sv ->
+      let c = connect sv in
+      let send_in_pieces frame =
+        let n = String.length frame in
+        let rec go off =
+          if off < n then begin
+            let len = min 4096 (n - off) in
+            write_all c.fd (String.sub frame off len);
+            Unix.sleepf 0.0005;
+            go (off + len)
+          end
+        in
+        go 0;
+        write_all c.fd "\n"
+      in
+      send_in_pieces (ping_frame ~id:1 limit);
+      Alcotest.(check int) "frame of exactly the limit is answered" 1 (recv_id c);
+      send_in_pieces (ping_frame ~id:2 (limit + 1));
+      check_err "one byte over the limit" "too-large" (recv c);
+      check_ok "resynchronized after the oversized frame"
+        (rpc c [ ("id", Json.Int 3); ("op", Json.Str "ping") ]);
+      close_client c);
+  cleanup_dir dir
+
+let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
+
+(* A peer that resets the connection mid-frame (it closed with a reply
+   still unread) leaves a tail that is no frame; the connection must still
+   be closed, not kept open waiting for a newline that cannot come. *)
+let test_reset_mid_frame_closes () =
+  let dir = fresh_dir () in
+  with_server dir (fun sv ->
+      let before = open_fds () in
+      let c = connect sv in
+      write_all c.fd (obj [ ("id", Json.Int 1); ("op", Json.Str "ping") ] ^ "\n");
+      Unix.sleepf 0.1;
+      write_all c.fd "{\"id\":2,";
+      Unix.sleepf 0.1;
+      close_client c;
+      let rec settle n = if open_fds () > before && n > 0 then (Unix.sleepf 0.05; settle (n - 1)) in
+      settle 40;
+      Alcotest.(check int) "the daemon closed its end" before (open_fds ()));
+  cleanup_dir dir
+
 (* ---- rollback and isolation ---- *)
 
 let test_failed_request_rolls_back () =
@@ -1033,6 +1202,15 @@ let () =
           Alcotest.test_case "basics" `Quick test_basics;
           Alcotest.test_case "error taxonomy" `Quick test_error_taxonomy;
           Alcotest.test_case "too-large frames" `Quick test_too_large_frame;
+        ] );
+      ( "framing",
+        [
+          Alcotest.test_case "random pieces answered in order" `Quick test_random_pieces;
+          Alcotest.test_case "stale newline past the read is ignored" `Quick
+            test_stale_newline_ignored;
+          Alcotest.test_case "frame at max_input_bytes in pieces" `Quick test_frame_at_limit;
+          Alcotest.test_case "reset mid-frame closes the connection" `Quick
+            test_reset_mid_frame_closes;
         ] );
       ( "containment",
         [
