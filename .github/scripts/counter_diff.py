@@ -9,11 +9,6 @@
       Print every exact metric that differs between the two directories,
       and fail unless each one is named on a line that CHANGES_DIFF (the
       output of `git diff <merge-base> -- CHANGES.md`) adds.
-  counter_diff.py domains DIR
-      DIR/pointsto.json and DIR/pointsto-j2.json, the same input on one and
-      two domains, report every exact metric equal except the pool's tasks
-      and the search-domain gauge; the second used two search domains and
-      ran pool tasks.
 
 The exact metrics are those with unit count, bytes or ratio, except the
 ones benchmark/metrics.ml does not mark exact: pool.steals,
@@ -90,25 +85,11 @@ def diff(base_dir, head_dir, changes_diff):
     print(f"{len(moves)} of {checked} exact metrics over {len(head)} workloads moved; CHANGES.md names each")
 
 
-def domains(d):
-    one, two = exact(os.path.join(d, "pointsto.json")), exact(os.path.join(d, "pointsto-j2.json"))
-    skip = {"pool.tasks", "search.domains_used"}
-    bad = [(w, n, a, b) for w, n, a, b in moved({"pointsto": one}, {"pointsto": two}) if n not in skip]
-    assert one, "no exact metric reported"
-    assert not bad, f"metrics differ between pointsto and pointsto-j2: {bad}"
-    assert two.get("search.domains_used") == 2, f"pointsto-j2 search.domains_used = {two.get('search.domains_used')}"
-    assert two.get("pool.tasks", 0) > 0, "pointsto-j2 ran no pool tasks"
-    print(f"{len(one) - len(skip)} exact metrics equal at one and two domains; "
-          f"pointsto-j2 searched on 2 domains in {two['pool.tasks']:.0f} pool tasks")
-
-
 if __name__ == "__main__":
     cmd, args = sys.argv[1], sys.argv[2:]
     if cmd == "collect":
         collect(args[0], args[1:])
     elif cmd == "diff":
         diff(*args)
-    elif cmd == "domains":
-        domains(*args)
     else:
-        sys.exit(f"unknown command {cmd!r}: want collect, diff or domains")
+        sys.exit(f"unknown command {cmd!r}: want collect or diff")

@@ -3,9 +3,9 @@
    journal with periodic checkpoints (--journal / --checkpoint-every) and
    crash recovery (--recover). *)
 
-let make_engine ~seminaive ~backoff ~node_limit ~time_limit ~memory_limit ~jobs =
+let make_engine ~seminaive ~backoff ~node_limit ~time_limit ~memory_limit =
   let scheduler = if backoff then Egglog.Engine.backoff_default else Egglog.Engine.Simple in
-  Egglog.Engine.create ~seminaive ~scheduler ?node_limit ?time_limit ?memory_limit ~jobs ()
+  Egglog.Engine.create ~seminaive ~scheduler ?node_limit ?time_limit ?memory_limit ()
 
 (* Every mode funnels through one exception ladder so each failure class
    has one message shape and one exit code. A simulated crash (fault
@@ -122,10 +122,10 @@ let run_commands ?durable eng cmds =
       cmds
   | None -> Egglog.Engine.run_program eng cmds
 
-let run_file ~seminaive ~backoff ~node_limit ~time_limit ~memory_limit ~jobs ~journal
+let run_file ~seminaive ~backoff ~node_limit ~time_limit ~memory_limit ~journal
     ~checkpoint_every ~load ~dump ~trace ~stats ~explain_plans path =
   with_errors ~where:path (fun () ->
-      let eng = make_engine ~seminaive ~backoff ~node_limit ~time_limit ~memory_limit ~jobs in
+      let eng = make_engine ~seminaive ~backoff ~node_limit ~time_limit ~memory_limit in
       let src = In_channel.with_open_text path In_channel.input_all in
       let cmds = Egglog.Frontend.parse_program src in
       let outputs =
@@ -184,12 +184,12 @@ let repl ?durable eng =
   in
   loop ""
 
-let repl_mode ~seminaive ~backoff ~node_limit ~time_limit ~memory_limit ~jobs ~journal
+let repl_mode ~seminaive ~backoff ~node_limit ~time_limit ~memory_limit ~journal
     ~checkpoint_every ~recover ~dump ~trace ~stats () =
   with_errors
     ~where:(match journal with Some j -> j | None -> "<repl>")
     (fun () ->
-      let eng = make_engine ~seminaive ~backoff ~node_limit ~time_limit ~memory_limit ~jobs in
+      let eng = make_engine ~seminaive ~backoff ~node_limit ~time_limit ~memory_limit in
       let session f =
         let code = with_telemetry ~trace ~stats f in
         if stats then print_stats ();
@@ -304,14 +304,7 @@ let () =
              ~doc:"Stop any run once the modeled database footprint exceeds BYTES \
                    (per-command :memory-limit overrides). Deterministic: enforced against \
                    the engine's modeled byte count, not allocator state, so the same \
-                   program stops at the same iteration at any --jobs value")
-  in
-  let jobs =
-    Arg.(value & opt int 1
-         & info [ "jobs" ] ~docv:"N"
-             ~doc:"Fan the search phase of every run across N domains; apply and rebuild \
-                   stay serial (0 = one per core; per-command :jobs overrides). Results are \
-                   byte-identical to --jobs 1 for any N; only wall-clock time changes")
+                   program stops at the same iteration on every run")
   in
   let journal =
     Arg.(value & opt (some string) None & info [ "journal" ] ~docv:"JOURNAL"
@@ -350,7 +343,7 @@ let () =
     Arg.(value & flag & info [ "explain-plans" ]
            ~doc:"After the program finishes, print each rule's join plan, the one its full query and every semi-naive delta variant run: atoms, the variable order (most-shared variables first), the primitive schedule, and the lowering")
   in
-  let main file no_seminaive backoff node_limit time_limit memory_limit jobs
+  let main file no_seminaive backoff node_limit time_limit memory_limit
       journal checkpoint_every recover fault load dump trace stats explain_plans =
     let seminaive = not no_seminaive in
     let usage_error msg =
@@ -358,10 +351,7 @@ let () =
       2
     in
     (match fault with Some (point, n) -> Egglog.Fault.arm_nth point n | None -> ());
-    if jobs < 0 then
-      usage_error
-        (Printf.sprintf "--jobs must be non-negative (0 = one domain per core), got %d" jobs)
-    else if journal = None && checkpoint_every <> None then
+    if journal = None && checkpoint_every <> None then
       usage_error "--checkpoint-every requires --journal"
     else if journal = None && recover then usage_error "--recover requires --journal"
     else if journal <> None && load <> None then
@@ -378,17 +368,17 @@ let () =
       match file with
       | Some path ->
         run_file ~seminaive ~backoff ~node_limit ~time_limit ~memory_limit
-          ~jobs ~journal ~checkpoint_every ~load ~dump ~trace ~stats ~explain_plans path
+          ~journal ~checkpoint_every ~load ~dump ~trace ~stats ~explain_plans path
       | None ->
         if explain_plans then usage_error "--explain-plans requires FILE"
         else
           repl_mode ~seminaive ~backoff ~node_limit ~time_limit ~memory_limit
-            ~jobs ~journal ~checkpoint_every ~recover ~dump ~trace ~stats ()
+            ~journal ~checkpoint_every ~recover ~dump ~trace ~stats ()
   in
   let term =
     Term.(
       const main $ file $ no_seminaive $ backoff $ node_limit
-      $ time_limit $ memory_limit $ jobs $ journal $ checkpoint_every $ recover $ fault
+      $ time_limit $ memory_limit $ journal $ checkpoint_every $ recover $ fault
       $ load $ dump $ trace $ stats $ explain_plans)
   in
   let serve_cmd =
@@ -431,11 +421,6 @@ let () =
       Arg.(value & opt (positive_float ~what:"--time-limit") 10.0
            & info [ "time-limit" ] ~docv:"SECONDS"
                ~doc:"Hard per-request wall-clock budget (and the default); client limits are clamped to it")
-    in
-    let max_jobs =
-      Arg.(value & opt (positive_int ~what:"--max-jobs") 4
-           & info [ "max-jobs" ] ~docv:"N"
-             ~doc:"Cap on per-request parallelism (the search phase)")
     in
     let session_quota =
       Arg.(value & opt (some (positive_int ~what:"--session-quota")) None
@@ -481,7 +466,7 @@ let () =
                      $(i,DIR)/slowlog.jsonl under --data-dir, or stderr without one")
     in
     let serve_main socket stdio data_dir max_sessions queue_limit retry_after max_input
-        node_cap time_cap max_jobs session_quota session_memory_quota memory_headroom
+        node_cap time_cap session_quota session_memory_quota memory_headroom
         idle_timeout checkpoint_every fault trace slow_log =
       if socket = None && not stdio then begin
         Printf.eprintf "egglog serve: need --socket PATH and/or --stdio\n";
@@ -500,7 +485,6 @@ let () =
             max_input_bytes = max_input;
             node_limit_cap = node_cap;
             time_limit_cap_ms = int_of_float (time_cap *. 1000.);
-            max_jobs;
             session_node_quota = session_quota;
             session_memory_quota;
             memory_headroom;
@@ -516,7 +500,7 @@ let () =
          ~doc:"Run the multi-session daemon (JSONL protocol over a Unix socket and/or stdio)")
       Term.(
         const serve_main $ socket $ stdio $ data_dir $ max_sessions $ queue_limit
-        $ retry_after $ max_input $ node_cap $ time_cap $ max_jobs $ session_quota
+        $ retry_after $ max_input $ node_cap $ time_cap $ session_quota
         $ session_memory_quota $ memory_headroom $ idle_timeout $ serve_checkpoint_every
         $ serve_fault $ serve_trace $ slow_log)
   in

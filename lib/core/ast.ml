@@ -49,13 +49,12 @@ type run_spec = {
   run_node_limit : int option;  (* stop once total tuples exceed this *)
   run_time_limit : float option;  (* stop after this many wall-clock seconds *)
   run_until : fact list;  (* stop as soon as all facts hold; [] = never *)
-  run_jobs : int option;  (* search-phase domains; 0 = one per core; None: session default *)
   run_memory_limit : int option;  (* stop once modeled database bytes exceed this *)
 }
 
 let plain_run limit =
   { run_limit = limit; run_node_limit = None; run_time_limit = None; run_until = [];
-    run_jobs = None; run_memory_limit = None }
+    run_memory_limit = None }
 
 (* Run schedules: compose rulesets into saturation strategies. *)
 type schedule =

@@ -290,7 +290,7 @@ let total_log_entries db =
 (* Modeled footprint: the incrementally-maintained table counters plus a
    fixed cost per allocated id (union-find slot, sort slot, proof-forest
    slot) and per proof edge. A pure function of the database contents, so
-   a byte budget trips at the same iteration at any jobs count. *)
+   a byte budget trips at the same iteration on every run. *)
 let id_cost = 40
 let proof_edge_cost = 24
 

@@ -93,7 +93,7 @@ val modeled_bytes : t -> int
     all tables plus fixed costs per allocated id and per proof-forest edge.
     O(#tables) to query. This — never [Gc] statistics — is what memory
     budgets are enforced against, so the same program hits the same budget
-    at the same iteration regardless of jobs count or allocator state. *)
+    at the same iteration regardless of allocator state. *)
 
 (** {1 Transactions and scopes}
 

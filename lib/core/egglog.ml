@@ -28,7 +28,6 @@ module Primitives = Primitives
 module Compile = Compile
 module Plan_compile = Plan_compile
 module Join = Join
-module Pool = Pool
 module Extract = Extract
 module Engine = Engine
 module Frontend = Frontend
@@ -46,7 +45,7 @@ let run_string (eng : Engine.t) (src : string) : string list =
   Engine.run_program eng (Frontend.parse_program src)
 
 (** Convenience: fresh engine, run a program, return outputs. *)
-let run_program_string ?seminaive ?scheduler ?node_limit ?time_limit ?memory_limit ?jobs
+let run_program_string ?seminaive ?scheduler ?node_limit ?time_limit ?memory_limit
     (src : string) : string list =
-  let eng = Engine.create ?seminaive ?scheduler ?node_limit ?time_limit ?memory_limit ?jobs () in
+  let eng = Engine.create ?seminaive ?scheduler ?node_limit ?time_limit ?memory_limit () in
   run_string eng src

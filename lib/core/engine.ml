@@ -11,7 +11,6 @@ let c_matches = Telemetry.counter "engine.matches_applied"
 let c_new = Telemetry.counter "engine.tuples_inserted"
 let c_dup = Telemetry.counter "engine.matches_deduplicated"
 let c_bans = Telemetry.counter "scheduler.bans"
-let c_domains = Telemetry.counter "search.domains_used"
 let c_pressure_bans = Telemetry.counter "scheduler.pressure_bans"
 
 (* Memory gauges (recorded as max-counters so the bench telemetry schema is
@@ -26,8 +25,8 @@ let c_mem_top_heap = Telemetry.counter "memory.top_heap_bytes"
    [engine.apply_s] and [engine.rebuild_s] (see Telemetry.span), and
    per-rule apply behaviour lands in log-bucketed histograms here, giving
    deterministic quantiles in bench envelopes. [engine.rule_matches] is
-   value-based (match-list lengths), so its buckets are byte-identical at
-   any --jobs count. *)
+   value-based (match-list lengths), so its buckets are byte-identical
+   from run to run. *)
 let h_rule_matches = Telemetry.histogram "engine.rule_matches"
 
 type scheduler = Simple | Backoff of { match_limit : int; ban_length : int }
@@ -72,7 +71,6 @@ type run_report = {
   stop_reason : stop_reason;
   rule_stats : rule_stat list;
   total_seconds : float;
-  jobs : int;  (* resolved domain count (>= 1) used by the search phase *)
   peak_memory_bytes : int;  (* max modeled database bytes observed during the run *)
 }
 
@@ -116,7 +114,6 @@ type t = {
   mutable default_node_limit : int option;  (* session-wide budget (CLI --node-limit) *)
   mutable default_time_limit : float option;  (* session-wide budget (CLI --time-limit) *)
   mutable default_memory_limit : int option;  (* session-wide budget (CLI --memory-limit) *)
-  mutable default_jobs : int;  (* search-phase domains (CLI --jobs); 0 = one per core *)
   join_cache : Join.cache;
   mutable current_reason : Proof_forest.reason;  (* justification for unions *)
   mutable rulesets : string list;  (* declared named rulesets *)
@@ -189,10 +186,7 @@ let table_of eng (f : Schema.func) =
 
 (* A rule's one plan: its compile-time variable order, lowered to
    closures the first time the rule runs and reused by the full query and
-   every delta variant after. Called only in the serial pre-phase, so
-   [join.plans_built] counts the same at any jobs count. Compiled
-   evaluators keep all mutable state per search, so one compiled plan may
-   serve concurrent variants. *)
+   every delta variant after. *)
 let rule_plan (r : rt_rule) : Join.compiled =
   match r.rr_plan with
   | Some cp -> cp
@@ -251,8 +245,7 @@ let exec_action eng (slots : Value.t array) (a : Compile.caction) =
     Database.remove eng.db (table_of eng f) vals
 
 let create ?(seminaive = true) ?(scheduler = Simple) ?node_limit ?time_limit ?memory_limit
-    ?(jobs = 1) () =
-  if jobs < 0 then error "jobs must be non-negative (0 = one per core), got %d" jobs;
+    ?jobs:(_ : int option) () =
   let trail = Trail.create () in
   let eng =
     {
@@ -269,7 +262,6 @@ let create ?(seminaive = true) ?(scheduler = Simple) ?node_limit ?time_limit ?me
       default_node_limit = node_limit;
       default_time_limit = time_limit;
       default_memory_limit = memory_limit;
-      default_jobs = jobs;
       join_cache = Join.new_cache ();
       current_reason = Proof_forest.Asserted;
       rulesets = [];
@@ -535,61 +527,17 @@ let rule_variants eng (r : rt_rule) : Join.stamp_range array list =
                  if i = j then { Join.lo = low; hi = max_int } else Join.all_rows)))
       (List.init n_atoms Fun.id)
 
-(* Search one variant; matches come back in reversed discovery order (the
-   natural cons order). Read-only over the database, and the join cache
-   serializes its own lookups, so variants can run on worker domains. *)
-let search_variant eng (cp : Join.compiled) (ranges : Join.stamp_range array) :
-    Value.t array list =
+(* Search every variant of a rule, in ascending variant order, into one
+   list: matches come back in reversed discovery order (the natural cons
+   order), the last variant's first. The plan is lowered on the first
+   variant searched, so a rule whose variants are all skipped builds none. *)
+let search_matches eng (r : rt_rule) : Value.t array list =
   let acc = ref [] in
   let emit b = acc := Array.copy b :: !acc in
-  Join.search_compiled eng.db ~cache:eng.join_cache cp ~ranges emit;
+  List.iter
+    (fun ranges -> Join.search_compiled eng.db ~cache:eng.join_cache (rule_plan r) ~ranges emit)
+    (rule_variants eng r);
   !acc
-
-(* Merge per-variant results (ascending variant order, each in reversed
-   discovery order) into one rule's match list. [vm @ acc] over ascending
-   variants reproduces exactly the order the old single-accumulator serial
-   loop produced — rev(last variant) ++ ... ++ rev(first variant) — which
-   is what keeps parallel runs bit-identical to serial ones. *)
-let merge_variant_matches per_variant =
-  List.fold_left (fun acc vm -> vm @ acc) [] per_variant
-
-(* Fresh symbols interned by primitives during the (read-only-database) search
-   phase carry provisional ids (see {!Symbol.begin_speculative}); rewrite
-   them to real ids in a canonical order — ascending variant, then row
-   discovery order, then within a row the primitive schedule order (the
-   order a serial evaluation first computes each value) — so id assignment
-   is identical at any jobs count. Buffers are freshly allocated per
-   variant, so in-place mutation is safe. *)
-let resolve_variant_matches (plan : Compile.cquery) (rows : Value.t array list) :
-    Value.t array list =
-  if not (Symbol.speculating ()) then rows
-  else begin
-    let prim_slots =
-      List.concat_map
-        (List.filter_map (fun (p : Compile.prim_app) ->
-             match p.Compile.p_out with
-             | Compile.A_var i -> Some i
-             | Compile.A_const _ -> None))
-        (Array.to_list plan.Compile.schedule)
-    in
-    let resolve_row row =
-      List.iter
-        (fun i ->
-          if i < Array.length row then row.(i) <- Value.map_symbols Symbol.resolve row.(i))
-        prim_slots;
-      Array.iteri (fun i v -> row.(i) <- Value.map_symbols Symbol.resolve v) row
-    in
-    (* buffers hold reversed discovery order; resolve in discovery order *)
-    List.iter resolve_row (List.rev rows);
-    rows
-  end
-
-let search_matches eng (r : rt_rule) : Value.t array list =
-  let q = r.rr_rule.Compile.cr_query in
-  merge_variant_matches
-    (List.map
-       (fun ranges -> resolve_variant_matches q (search_variant eng (rule_plan r) ranges))
-       (rule_variants eng r))
 
 let apply_match eng (r : rt_rule) (binding : Value.t array) =
   eng.current_reason <- Proof_forest.Rule r.rr_name;
@@ -698,52 +646,8 @@ let apply_rule eng ~budget_check ~rule_accs ~t0 (ph : phase_times) (r : rt_rule)
       (Telemetry.now () -. rule_t0)
   end
 
-(* Fan one iteration's rule×variant search tasks across [jobs] domains.
-   Serial pre-phase: variant selection and lowering each rule's plan on
-   its first run ([rule_plan] mutates the rule). The database is then
-   read-only for the whole fan-out and the tasks share the join cache
-   through its lock, taking the same path as the serial search; per-variant
-   buffers are merged back in (rule, ascending variant) order, making the
-   result — including match order — bit-identical to the serial path
-   regardless of scheduling. [budget_check] fires once per rule, like the
-   serial loop. *)
-let parallel_search eng ~jobs ~budget_check (eligible : rt_rule list) :
-    (rt_rule * Value.t array list) list =
-  let rules_variants =
-    List.map
-      (fun r ->
-        (r, List.map (fun ranges -> (rule_plan r, ranges)) (rule_variants eng r)))
-      eligible
-  in
-  let tasks =
-    Array.of_list
-      (List.concat_map (fun (r, vs) -> List.map (fun v -> (r, v)) vs) rules_variants)
-  in
-  let pool = Pool.global ~workers:(jobs - 1) in
-  Telemetry.record_max c_domains (min jobs (1 + Pool.size pool));
-  let results =
-    Pool.run ~participants:(jobs - 1) pool
-      (fun (r, (cp, ranges)) -> with_rule_context r (fun () -> search_variant eng cp ranges))
-      tasks
-  in
-  let idx = ref 0 in
-  List.map
-    (fun (r, vs) ->
-      let per_variant =
-        List.map
-          (fun _ ->
-            let vm = results.(!idx) in
-            incr idx;
-            resolve_variant_matches r.rr_rule.Compile.cr_query vm)
-          vs
-      in
-      let matches = merge_variant_matches per_variant in
-      budget_check ~within_iteration:true;
-      (r, matches))
-    rules_variants
-
 let run_one_iteration ?ruleset ?(budget_check = no_budget_check)
-    ?(rule_accs : (string, rule_acc) Hashtbl.t option) ?(jobs = 1) ?(pressure = 0) eng
+    ?(rule_accs : (string, rule_acc) Hashtbl.t option) ?(pressure = 0) eng
     (ph : phase_times) : bool =
   let in_scope r =
     match ruleset with None -> true | Some rs -> r.rr_ruleset = rs
@@ -801,24 +705,12 @@ let run_one_iteration ?ruleset ?(budget_check = no_budget_check)
             (fun r -> in_scope r && r.rr_banned_until <= eng.iteration)
             eng.rules
         in
-        (* The database is read-only for the whole search; the one global
-           mutation primitives can perform — interning a fresh string — is
-           made speculative so both the serial and the parallel path assign
-           real ids in the same canonical merge order. Provisional ids
-           never survive the phase: buffers are resolved as they merge, and
-           the pending table is dropped even on an abort. *)
-        Symbol.begin_speculative ();
-        Fun.protect ~finally:Symbol.clear_speculative (fun () ->
-            if jobs <= 1 then begin
-              Telemetry.record_max c_domains 1;
-              List.map
-                (fun r ->
-                  let matches = with_rule_context r (fun () -> search_matches eng r) in
-                  budget_check ~within_iteration:true;
-                  (r, matches))
-                eligible
-            end
-            else parallel_search eng ~jobs ~budget_check eligible))
+        List.map
+          (fun r ->
+            let matches = with_rule_context r (fun () -> search_matches eng r) in
+            budget_check ~within_iteration:true;
+            (r, matches))
+          eligible)
   in
   ph.ph_search <- ph.ph_search +. dt_search;
   let to_apply =
@@ -826,7 +718,7 @@ let run_one_iteration ?ruleset ?(budget_check = no_budget_check)
        shrink 8x per tier — and applies even when the configured scheduler
        is Simple, so runs degrade to slower-but-bounded before the hard
        memory stop. Pressure is computed from modeled bytes, so the
-       tightening is identical at any jobs count. *)
+       tightening is identical from run to run. *)
     let effective_scheduler =
       if pressure <= 0 then eng.scheduler
       else begin
@@ -880,17 +772,7 @@ let run_one_iteration ?ruleset ?(budget_check = no_budget_check)
   ph.ph_delta <- ph.ph_delta + (Database.total_log_entries db - log0);
   Database.change_counter db > changes0
 
-(* Resolve a requested jobs count: [None] falls back to the session
-   default, [0] means one domain per core, and the result is clamped to
-   the telemetry shard space (64). *)
-let effective_jobs eng jobs =
-  let j = Option.value jobs ~default:eng.default_jobs in
-  if j < 0 then error "jobs must be non-negative (0 = one per core), got %d" j;
-  let j = if j = 0 then Domain.recommended_domain_count () else j in
-  max 1 (min j 64)
-
-let run_iterations ?ruleset ?node_limit ?time_limit ?memory_limit ?(until = []) ?jobs eng n =
-  let jobs = effective_jobs eng jobs in
+let run_iterations ?ruleset ?node_limit ?time_limit ?memory_limit ?(until = []) eng n =
   let start_all = Telemetry.now () in
   let stats = ref [] in
   let total = ref 0.0 in
@@ -902,7 +784,7 @@ let run_iterations ?ruleset ?node_limit ?time_limit ?memory_limit ?(until = []) 
      read the telemetry clock (monotonic), so a wall-clock jump can neither
      fire a time budget early nor let a run outlive it. The memory budget
      reads the modeled footprint — a pure function of database contents, so
-     it trips at the same tick at any jobs count. *)
+     it trips at the same tick on every run. *)
   let peak_bytes = ref 0 in
   let note_bytes () =
     let b = modeled_bytes eng in
@@ -961,8 +843,8 @@ let run_iterations ?ruleset ?node_limit ?time_limit ?memory_limit ?(until = []) 
              let outcome =
                try
                  Ok
-                   (run_one_iteration ?ruleset ~budget_check ~rule_accs ~jobs
-                      ~pressure:!pressure eng ph)
+                   (run_one_iteration ?ruleset ~budget_check ~rule_accs ~pressure:!pressure eng
+                      ph)
                with Stop_run r -> Error r
              in
              (* A budget can trip mid-iteration; restore the canonical
@@ -1066,7 +948,6 @@ let run_iterations ?ruleset ?node_limit ?time_limit ?memory_limit ?(until = []) 
       stop_reason = !stop;
       rule_stats;
       total_seconds = !total;
-      jobs;
       peak_memory_bytes = !peak_bytes;
     }
   in
@@ -1079,11 +960,10 @@ let run_iterations ?ruleset ?node_limit ?time_limit ?memory_limit ?(until = []) 
 let pp_run_report fmt (r : run_report) =
   let sum f = List.fold_left (fun acc s -> acc +. f s) 0.0 r.iterations in
   let sum_i f = List.fold_left (fun acc s -> acc + f s) 0 r.iterations in
-  Format.fprintf fmt "%d iteration(s) in %.6fs (%s); %d match(es) applied%s@\n"
+  Format.fprintf fmt "%d iteration(s) in %.6fs (%s); %d match(es) applied@\n"
     (List.length r.iterations) r.total_seconds
     (describe_stop_reason r.stop_reason)
-    (sum_i (fun s -> s.it_matches))
-    (if r.jobs > 1 then Printf.sprintf "; %d jobs" r.jobs else "");
+    (sum_i (fun s -> s.it_matches));
   if r.iterations <> [] then begin
     let search = sum (fun s -> s.it_search_seconds) in
     let apply = sum (fun s -> s.it_apply_seconds) in
@@ -1252,7 +1132,7 @@ let rec run_command_inner eng (cmd : Ast.command) : string list =
     let memory_limit = first_some spec.Ast.run_memory_limit eng.default_memory_limit in
     let report =
       run_iterations ~ruleset:"" ?node_limit ?time_limit ?memory_limit
-        ~until:spec.Ast.run_until ?jobs:spec.Ast.run_jobs eng n
+        ~until:spec.Ast.run_until eng n
     in
     let stop_note =
       match report.stop_reason with
@@ -1467,11 +1347,7 @@ let collect_reports eng f =
   in
   (result, List.rev !sink)
 
-let set_session_limits ?node_limit ?time_limit ?memory_limit ?jobs eng () =
-  (match jobs with
-   | Some j when j < 0 -> error "jobs must be non-negative (0 = one per core), got %d" j
-   | _ -> ());
+let set_session_limits ?node_limit ?time_limit ?memory_limit eng () =
   eng.default_node_limit <- node_limit;
   eng.default_time_limit <- time_limit;
-  eng.default_memory_limit <- memory_limit;
-  Option.iter (fun j -> eng.default_jobs <- j) jobs
+  eng.default_memory_limit <- memory_limit

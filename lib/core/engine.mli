@@ -39,12 +39,8 @@ val create :
     tier 1 the backoff scheduler tightens (match limits shrink, and the
     backoff policy applies even under [Simple]); at tier 2 the rule with
     the highest modeled byte growth is additionally banned each
-    iteration. [jobs] (default 1) is the
-    session default for the number of domains the search phase fans out
-    across ([0] = one per core; the CLI's [--jobs]); a per-command [:jobs]
-    overrides it. Apply and rebuild always run serially. Results are
-    bit-identical to [jobs:1] for any value.
-    @raise Egglog_error on a negative [jobs]. *)
+    iteration. [jobs] is accepted and ignored: every phase of a run is
+    serial. *)
 
 val database : t -> Database.t
 
@@ -107,7 +103,7 @@ type stop_reason =
   | Memory_limit of int
       (** modeled byte budget tripped; payload = {!modeled_bytes} at
           stop. Deterministic: the same program trips at the same iteration
-          at any jobs count, with byte-identical database state. *)
+          on every run, with byte-identical database state. *)
   | Until_satisfied  (** the [until] facts became derivable *)
 
 val describe_stop_reason : stop_reason -> string
@@ -134,10 +130,6 @@ type run_report = {
   stop_reason : stop_reason;
   rule_stats : rule_stat list;  (** in declaration order, searched rules only *)
   total_seconds : float;
-  jobs : int;
-      (** resolved domain count the run's search phase used
-          ([>= 1]; the [0] = one-per-core request resolves before it lands
-          here) *)
   peak_memory_bytes : int;
       (** maximum {!modeled_bytes} observed during the run (at iteration
           boundaries and throttled budget checks) *)
@@ -154,7 +146,6 @@ val run_iterations :
   ?time_limit:float ->
   ?memory_limit:int ->
   ?until:Ast.fact list ->
-  ?jobs:int ->
   t ->
   int ->
   run_report
@@ -164,15 +155,9 @@ val run_iterations :
     footprint ({!modeled_bytes}) exceeds it, degrading
     through the pressure tiers first; [until] stops as soon as all its facts
     are derivable (checked before the first iteration and after each one).
-    [jobs] fans the search phase across that many domains ([0] = one per
-    core; default: the engine's session setting). The database is
-    read-only during the fan-out, the tasks share the engine's join cache
-    through its lock, and per-variant match buffers merge in a fixed
-    (rule, variant, discovery) order; apply and rebuild then run serially.
-    The resulting state, report counts and [join.*] work counters are
-    identical to [jobs:1] regardless of scheduling; only the timings and
-    the [pool.*] counters differ. @raise Egglog_error on a negative
-    [jobs]. *)
+    Each iteration searches every eligible rule against the database as
+    it stood at the iteration's start, then applies the matches rule by
+    rule, then rebuilds. *)
 
 (** {1 Commands (the textual language)} *)
 
@@ -215,12 +200,11 @@ val collect_reports : t -> (unit -> 'a) -> 'a * run_report list
     (and must be rolled back) without parsing output strings. Nests. *)
 
 val set_session_limits :
-  ?node_limit:int -> ?time_limit:float -> ?memory_limit:int -> ?jobs:int -> t -> unit -> unit
-(** Overwrite the session-wide budget and jobs defaults ({!create}'s
-    [node_limit]/[time_limit]/[memory_limit]/[jobs]) — the server resets
-    these to the request's (clamped) limits before executing it. Omitted
-    budgets are {e cleared}, not preserved. @raise Egglog_error on negative
-    [jobs]. *)
+  ?node_limit:int -> ?time_limit:float -> ?memory_limit:int -> t -> unit -> unit
+(** Overwrite the session-wide budget defaults ({!create}'s
+    [node_limit]/[time_limit]/[memory_limit]) — the server resets these to
+    the request's (clamped) limits before executing it. Omitted budgets
+    are {e cleared}, not preserved. *)
 
 val modeled_bytes : t -> int
 (** {!Database.modeled_bytes} of the engine's database, plus a fixed cost

@@ -146,7 +146,7 @@ let command_of_sexp (s : Sexpr.t) : Ast.command list =
       List.iter
         (fun (kw, _) ->
           match kw with
-          | ":until" | ":node-limit" | ":time-limit" | ":jobs" | ":memory-limit" -> ()
+          | ":until" | ":node-limit" | ":time-limit" | ":memory-limit" -> ()
           | other -> error "unknown run option %s" other)
         kws;
       let node_limit =
@@ -173,14 +173,6 @@ let command_of_sexp (s : Sexpr.t) : Ast.command list =
         | Some v -> error "malformed :until %s (want a fact or a list of facts)" (Sexpr.to_string v)
         | None -> []
       in
-      let jobs =
-        match List.assoc_opt ":jobs" kws with
-        | Some (Sexpr.Int j) when j >= 0 -> Some j
-        | Some v ->
-          error "malformed :jobs %s (want a non-negative integer; 0 = one per core)"
-            (Sexpr.to_string v)
-        | None -> None
-      in
       let memory_limit =
         match List.assoc_opt ":memory-limit" kws with
         | Some (Sexpr.Int b) when b >= 0 -> Some b
@@ -189,7 +181,7 @@ let command_of_sexp (s : Sexpr.t) : Ast.command list =
         | None -> None
       in
       [ Ast.Run { Ast.run_limit = limit; run_node_limit = node_limit;
-                  run_time_limit = time_limit; run_until = until; run_jobs = jobs;
+                  run_time_limit = time_limit; run_until = until;
                   run_memory_limit = memory_limit } ]
     | "run-schedule", scheds ->
       let rec sched_of_sexp (s : Sexpr.t) : Ast.schedule =
@@ -354,7 +346,7 @@ let sexp_of_command (cmd : Ast.command) : Sexpr.t =
     Sexpr.List (Sexpr.Atom "rewrite" :: sexp_of_expr lhs :: sexp_of_expr rhs :: kws)
   | Ast.Define (x, e) -> Sexpr.List [ Sexpr.Atom "define"; Sexpr.Atom x; sexp_of_expr e ]
   | Ast.Top_action a -> sexp_of_action a
-  | Ast.Run { run_limit; run_node_limit; run_time_limit; run_until; run_jobs; run_memory_limit }
+  | Ast.Run { run_limit; run_node_limit; run_time_limit; run_until; run_memory_limit }
     ->
     let limit = match run_limit with None -> [] | Some n -> [ Sexpr.Int n ] in
     let kws =
@@ -364,9 +356,6 @@ let sexp_of_command (cmd : Ast.command) : Sexpr.t =
       @ (match run_time_limit with
          | None -> []
          | Some s -> [ Sexpr.Atom ":time-limit"; sexp_of_seconds s ])
-      @ (match run_jobs with
-         | None -> []
-         | Some j -> [ Sexpr.Atom ":jobs"; Sexpr.Int j ])
       @ (match run_memory_limit with
          | None -> []
          | Some b -> [ Sexpr.Atom ":memory-limit"; Sexpr.Int b ])

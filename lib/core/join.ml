@@ -7,8 +7,7 @@ let c_scanned = Telemetry.counter "join.tuples_scanned"
 let c_trie_builds = Telemetry.counter "join.trie_builds"
 
 (* Value-based histogram (depths, not durations): buckets are
-   byte-identical at any --jobs count because the set of tries built is
-   scheduling-independent. *)
+   byte-identical from run to run. *)
 let h_trie_depth = Telemetry.histogram "join.trie_depth"
 let c_index_builds = Telemetry.counter "join.index_builds"
 let c_cache_hits = Telemetry.counter "join.cache_hits"
@@ -203,18 +202,11 @@ end)
 (* A persistent entry and the feed position of the table it holds. *)
 type pentry = { mutable pe_built : built; mutable pe_mark : Table.mark }
 
-(* One lock guards both tiers and every entry in them: a lookup takes it
-   for the whole probe, patch, build and store, so searches on several
-   domains share one path with the serial search. The change-feed memo
-   that [Table.changes_since] keeps on a table is written under it too.
-   Handing out an entry that another domain may then read without the
-   lock is safe because entries go stale only between phases: the
-   database is read-only while any search runs, so no entry is patched
-   while a search holds it. *)
-type cache = { lock : Mutex.t; persistent : pentry KTbl.t; scratch : built KTbl.t }
+(* Entries go stale only between phases: the database is read-only while
+   a search runs, so no entry is patched while a search holds it. *)
+type cache = { persistent : pentry KTbl.t; scratch : built KTbl.t }
 
-let new_cache () : cache =
-  { lock = Mutex.create (); persistent = KTbl.create 64; scratch = KTbl.create 64 }
+let new_cache () : cache = { persistent = KTbl.create 64; scratch = KTbl.create 64 }
 
 let clear_scratch cache = KTbl.reset cache.scratch
 
@@ -351,7 +343,7 @@ let patch_index (plan : atom_plan) index (changes : Table.change array) ~proj ~r
   Telemetry.bump c_scanned (Array.length changes);
   Telemetry.bump c_retracted !retracted
 
-(* One lookup through the cache, under its lock. Full-range structures
+(* One lookup through the cache. Full-range structures
    live in the persistent tier: a hit when the table is unchanged since
    the entry's mark, patched from the change feed when it changed, rebuilt
    when an inverse cut the feed or the feed touched at least as many keys
@@ -361,7 +353,6 @@ let cached cache kind (plan : atom_plan) range ~proj ~rest ~build ~patch =
   match cache with
   | None -> build ()
   | Some c ->
-    Mutex.protect c.lock @@ fun () ->
     Telemetry.bump c_cache_lookups 1;
     let table = plan.ap_table in
     let key = mk_key kind plan range ~proj ~rest in
@@ -482,9 +473,9 @@ let count_yields callback =
    readers, hoisted checks, binding loops, primitive impl pointers, the
    per-depth atom participation of the generic join — and leaves only
    table resolution, cache probes and per-search state to run time. Every
-   search and [check] query goes through one of these. Lowering happens
-   in the engine's serial pre-phase; each search instantiates its own
-   mutable state, so one compiled plan may serve several domains at once. *)
+   search and [check] query goes through one of these. Each search
+   instantiates its own mutable state, so one compiled plan serves every
+   search of its rule. *)
 
 type compiled_run =
   Database.t -> cache option -> stamp_range array -> (Value.t array -> unit) -> unit
@@ -720,8 +711,8 @@ let compile_two (q : Compile.cquery) (shapes : Plan_compile.shape array) : compi
 (* Generic trie join as a chain of per-depth closures built once: depth d's
    step captures its variable, participating-atom array and the next
    step. Per-search state (cursors, environment, the per-depth primitive
-   runners, the emit target) travels in a state record, so one compiled
-   plan is safe to search concurrently. The environment is the same
+   runners, the emit target) travels in a state record, so no two
+   searches of one compiled plan share state. The environment is the same
    reused array the single- and two-atom kernels bind into: the plan
    fixed which variables each depth has bound, so a slot is never read
    before it is written and a candidate's binding needs no undo. With no

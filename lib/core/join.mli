@@ -22,11 +22,9 @@ type cache
     searches: the engine keeps one for its lifetime and clears its scratch
     tier each iteration. Keyed by (function, projection signature, stamp
     window), so e.g. every rule whose pattern scans [Add] with the same
-    variable shape reuses one trie. One lock guards every lookup — probe,
-    patch, build and store — so searches on several domains take the same
-    path as a serial one, and each entry is built or patched once, by
-    whichever search asks first. The database must not change while any
-    search runs: an entry handed out is then read without the lock. *)
+    variable shape reuses one trie. Each entry is built or patched once,
+    by whichever search asks first. The database must not change while a
+    search runs: an entry handed out is read as it was when handed out. *)
 
 val new_cache : unit -> cache
 
@@ -48,11 +46,11 @@ val clear_all : cache -> unit
 
     Every search runs a plan lowered once to a tree of specialized OCaml
     closures (see {!Plan_compile}): typed column readers, hoisted constant
-    checks, per-arity binding loops, pre-resolved primitive guards. Lower
-    in the engine's serial pre-phase, once per rule; one compiled plan may
-    then be searched from several domains (each search instantiates its
-    own mutable state). Matches come out in the same order at any
-    [--jobs] count. *)
+    checks, per-arity binding loops, pre-resolved primitive guards. The
+    engine lowers each rule's plan once, when the rule first runs; each
+    search instantiates its own mutable state, so one compiled plan
+    serves the full query and every delta variant. Matches come out in
+    the same order on every run. *)
 
 type compiled
 

@@ -207,11 +207,10 @@ let always_true : Value.t array -> bool = fun _ -> true
    {!Compile} scheduled it, so one checklist serves every lowering: the
    whole schedule after a single- or two-atom kernel has bound its atoms'
    variables, one depth's entry inside the generic trie join. Returns a
-   maker: each instantiation owns private argument buffers, so one
-   compiled plan can be searched from several domains concurrently (each
-   search instantiates its own runner). The argument buffer is reused
-   from row to row — safe because primitive impls never retain their
-   argument array. *)
+   maker: each search instantiates its own runner with private argument
+   buffers, so one compiled plan serves every search. The argument buffer
+   is reused from row to row — safe because primitive impls never retain
+   their argument array. *)
 let compile_prims (prims : Compile.prim_app list) : unit -> Value.t array -> bool =
   match prims with
   | [] -> fun () -> always_true

@@ -61,5 +61,5 @@ val compile_prims : Compile.prim_app list -> unit -> Value.t array -> bool
     checks its output as its [p_binds] says. One checklist serves every
     lowering: a single- or two-atom kernel runs the whole schedule, the
     generic trie join one depth's entry. The outer [unit ->] instantiates
-    private argument buffers: instantiate once per search so concurrent
-    searches of one compiled plan never share state. *)
+    private argument buffers: instantiate once per search so no two
+    searches of one compiled plan share state. *)

@@ -265,24 +265,12 @@ let sink : (string -> unit) option ref = ref None
 let origin = ref 0.0
 let depth = ref 0
 
-(* Counters are sharded per domain so that pool workers can bump them
-   without locks: each counter holds [n_shards] slots, padded to a cache
-   line ([stride] words) to avoid false sharing, and a domain writes only
-   the slot registered for it via [set_shard] (0 = the main domain).
-   Reads (snapshot/value) sum over all shards and only ever run on the
-   main domain while no parallel phase is in flight. *)
-let n_shards = 64
-let stride = 8
-
-let shard_key = Domain.DLS.new_key (fun () -> ref 0)
-let set_shard i = Domain.DLS.get shard_key := max 0 (min (n_shards - 1) i)
-let current_shard () = !(Domain.DLS.get shard_key)
-
-type counter = { c_name : string; c_slots : int array }
+type counter = int ref
 
 (* The registry itself is cold (a handful of lookups per process, at
-   module-init or report time); a mutex keeps stray worker-side lookups
-   from racing table resizes. *)
+   module-init or report time). It is process-global and the daemon runs
+   on its own domain, so a mutex keeps two domains' lookups from racing
+   a table resize. *)
 let registry_lock = Mutex.create ()
 
 let find_or_add tbl name make =
@@ -297,26 +285,9 @@ let interned tbl name make = Mutex.protect registry_lock (fun () -> find_or_add 
 
 let counters : (string, counter) Hashtbl.t = Hashtbl.create 64
 
-let counter name =
-  interned counters name (fun () -> { c_name = name; c_slots = Array.make (n_shards * stride) 0 })
-
-let bump c n =
-  if !enabled then begin
-    let s = current_shard () * stride in
-    c.c_slots.(s) <- c.c_slots.(s) + n
-  end
-
-(* Max-gauge for counters like [search.domains_used]: only ever written
-   from the main domain, so it owns slot 0 outright. *)
-let record_max c n =
-  if !enabled then c.c_slots.(0) <- max c.c_slots.(0) n
-
-let counter_value c =
-  let total = ref 0 in
-  for i = 0 to n_shards - 1 do
-    total := !total + c.c_slots.(i * stride)
-  done;
-  !total
+let counter name = interned counters name (fun () -> ref 0)
+let bump c n = if !enabled then c := !c + n
+let record_max c n = if !enabled then c := max !c n
 
 (* ------------------------------------------------------------------ *)
 (* Log-bucketed histograms                                             *)
@@ -324,10 +295,8 @@ let counter_value c =
 
 (* Power-of-two buckets: bucket [b] (1..127) holds values in
    (2^(b-65), 2^(b-64)]; bucket 0 holds everything <= 0. Bucket counts
-   are integers, so merging shards is a plain array sum — associative
-   and commutative — and quantiles are pure functions of the merged
-   buckets: the same observations give byte-identical quantiles no
-   matter how they were split across domains. *)
+   are integers and quantiles are pure functions of them: the same
+   observations give byte-identical quantiles. *)
 let n_buckets = 128
 let bucket_origin = 64
 
@@ -344,16 +313,9 @@ let hist_bucket_of v =
 
 let hist_bucket_le b = if b <= 0 then 0.0 else Float.ldexp 1.0 (b - bucket_origin)
 
-type histogram = {
-  (* one row of bucket counts per domain shard, allocated on first record
-     from that shard (each domain writes only its own slot) *)
-  h_rows : int array option array;
-  (* running sum of recorded values, stride-padded like counter slots *)
-  h_sums : float array;
-}
+type histogram = { h_buckets : int array; mutable h_sum : float (* of finite values *) }
 
-let hist_create () =
-  { h_rows = Array.make n_shards None; h_sums = Array.make (n_shards * stride) 0.0 }
+let hist_create () = { h_buckets = Array.make n_buckets 0; h_sum = 0.0 }
 
 let hists : (string, histogram) Hashtbl.t = Hashtbl.create 16
 
@@ -363,47 +325,25 @@ let hist_record h v =
   (* NaN observations are dropped at the recording boundary so no
      downstream aggregate or JSON field can ever go non-finite. *)
   if !enabled && not (Float.is_nan v) then begin
-    let s = current_shard () in
-    let row =
-      match h.h_rows.(s) with
-      | Some r -> r
-      | None ->
-        let r = Array.make n_buckets 0 in
-        h.h_rows.(s) <- Some r;
-        r
-    in
     let b = hist_bucket_of v in
-    row.(b) <- row.(b) + 1;
-    if Float.is_finite v then h.h_sums.(s * stride) <- h.h_sums.(s * stride) +. v
+    h.h_buckets.(b) <- h.h_buckets.(b) + 1;
+    if Float.is_finite v then h.h_sum <- h.h_sum +. v
   end
 
 type hist_snap = { hs_count : int; hs_sum : float; hs_buckets : (int * int) list }
 
-(* Merge = sum each bucket over the shards (integer adds, so shard
-   partitioning is invisible) then keep the non-empty buckets. Sums run
-   in fixed shard order; reads only happen on the main domain while no
-   parallel phase is in flight, like counter reads. *)
+(* Keep the non-empty buckets. *)
 let hist_snap_of h =
-  let merged = Array.make n_buckets 0 in
-  let sum = ref 0.0 in
-  for s = 0 to n_shards - 1 do
-    (match h.h_rows.(s) with
-    | None -> ()
-    | Some row ->
-      for b = 0 to n_buckets - 1 do
-        merged.(b) <- merged.(b) + row.(b)
-      done);
-    sum := !sum +. h.h_sums.(s * stride)
-  done;
   let count = ref 0 in
   let buckets = ref [] in
   for b = n_buckets - 1 downto 0 do
-    if merged.(b) > 0 then begin
-      count := !count + merged.(b);
-      buckets := (b, merged.(b)) :: !buckets
+    let n = h.h_buckets.(b) in
+    if n > 0 then begin
+      count := !count + n;
+      buckets := (b, n) :: !buckets
     end
   done;
-  let sum = if Float.is_finite !sum then !sum else 0.0 in
+  let sum = if Float.is_finite h.h_sum then h.h_sum else 0.0 in
   { hs_count = !count; hs_sum = sum; hs_buckets = !buckets }
 
 let hist_snap_quantile hs p =
@@ -449,11 +389,11 @@ let span_hist name =
   interned span_hists name (fun () -> find_or_add hists (name ^ "_s") hist_create)
 
 let reset () =
-  Hashtbl.iter (fun _ c -> Array.fill c.c_slots 0 (Array.length c.c_slots) 0) counters;
+  Hashtbl.iter (fun _ c -> c := 0) counters;
   Hashtbl.iter
     (fun _ h ->
-      Array.fill h.h_rows 0 n_shards None;
-      Array.fill h.h_sums 0 (Array.length h.h_sums) 0.0)
+      Array.fill h.h_buckets 0 n_buckets 0;
+      h.h_sum <- 0.0)
     hists;
   depth := 0
 
@@ -481,8 +421,7 @@ let fr_pos = ref 0
 let fr_len = ref 0
 
 (* Ambient per-request trace id, set by the daemon around each request.
-   A plain atomic is enough: the daemon executes one request at a time,
-   and pool workers read the same global. *)
+   A plain atomic is enough: the daemon executes one request at a time. *)
 let trace_ctx : string option Atomic.t = Atomic.make None
 
 let current_trace_id () = Atomic.get trace_ctx
@@ -553,16 +492,11 @@ let emit_event t kind name fields =
      disabled path stays one branch at each span/instant call site. *)
   let want_sink = !sink <> None in
   if want_sink || Array.length !fr_slots > 0 then begin
-    (* Events from pool workers carry their domain shard so traces stay
-       attributable; main-domain events keep the historical schema. The
-       ambient trace id, when set, tags every event for its request. *)
+    (* The ambient trace id, when set, tags every event for its request. *)
     let fields =
       match current_trace_id () with
       | None -> fields
       | Some tid -> fields @ [ ("tid", Json.Str tid) ]
-    in
-    let fields =
-      match current_shard () with 0 -> fields | d -> fields @ [ ("dom", Json.Int d) ]
     in
     let line =
       Json.to_string
@@ -623,7 +557,7 @@ let snapshot () =
   let cs =
     Hashtbl.fold
       (fun name c acc ->
-        let v = counter_value c in
+        let v = !c in
         if v = 0 then acc else (name, v) :: acc)
       counters []
   in

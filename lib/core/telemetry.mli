@@ -99,31 +99,20 @@ val bump : counter -> int -> unit
 
 val record_max : counter -> int -> unit
 (** Max-gauge update: the counter's reported value becomes the largest
-    [n] ever recorded (e.g. [search.domains_used]). Main domain only. *)
-
-val set_shard : int -> unit
-(** Register the calling domain's counter shard. Counters are sharded per
-    domain so pool workers can {!bump} without locks; shard [0] is the
-    main domain (the default for every domain that never calls this), and
-    {!Pool} workers register shard [index + 1] once at domain start.
-    {!snapshot} sums the shards; it must only run on the main domain while
-    no parallel phase is in flight. Histograms are sharded the same way;
-    {!span}/{!instant} and the trace sink remain main-domain constructs
-    except that worker events, if any, are tagged with a ["dom"] field. *)
+    [n] ever recorded (e.g. [memory.modeled_bytes_peak]). *)
 
 (** {1 Log-bucketed histograms}
 
     Deterministic distribution sketches: values land in power-of-two
     buckets (bucket [b] covers [(2^(b-65), 2^(b-64)]]; everything [<= 0]
     lands in bucket 0, [+inf] in the top bucket, NaN is dropped). Bucket
-    counts are plain integers sharded per domain exactly like counters,
-    so merging shards is an integer array sum — associative and
-    commutative — and every quantile is a pure function of the merged
-    buckets: the same observations yield byte-identical buckets and
-    quantiles no matter how work was split across [--jobs N] domains. *)
+    counts are plain integers and every quantile is a pure function of
+    them: the same observations yield byte-identical buckets and
+    quantiles. *)
 
 type histogram
-(** A sharded histogram handle. Like {!counter} handles, registered ones
+(** A histogram handle: one row of bucket counts and one sum. Like
+    {!counter} handles, registered ones
     are interned by name; {!hist_create} makes a private, unregistered
     instance (per-session daemon latency, bench loops). *)
 
@@ -146,8 +135,7 @@ type hist_snap = {
 }
 
 val hist_snap_of : histogram -> hist_snap
-(** Merge the shards. Main domain only, no parallel phase in flight —
-    same contract as {!snapshot}. *)
+(** The histogram's non-empty buckets, count and sum. *)
 
 val hist_snap_quantile : hist_snap -> float -> float
 (** [hist_snap_quantile hs p] is the upper bound of the bucket holding
@@ -185,7 +173,7 @@ val flightrec_dump : path:string -> int
 
 val with_trace_id : string -> (unit -> 'a) -> 'a
 (** Run the thunk with an ambient trace id: every event emitted inside —
-    including from pool worker domains — carries a ["tid"] field. The
+    carries a ["tid"] field. The
     daemon wraps each request in one. Restores the previous id on exit
     (exceptions included). *)
 

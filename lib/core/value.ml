@@ -44,23 +44,6 @@ let rec hash = function
 
 let mk_set xs = VSet (List.sort_uniq compare xs)
 
-(* Physical identity is preserved when nothing maps, so callers can use
-   [v == map_symbols f v] as a cheap "contained no symbol of interest"
-   test. A set whose elements were rewritten is re-canonicalized: element
-   order is id order, and the mapping can change relative ids. *)
-let rec map_symbols f v =
-  match v with
-  | VUnit | VBool _ | VInt _ | VRat _ | VId _ -> v
-  | VStr s ->
-    let s' = f s in
-    if Symbol.equal s s' then v else VStr s'
-  | VSet xs ->
-    let xs' = List.map (map_symbols f) xs in
-    if List.for_all2 (fun a b -> a == b) xs xs' then v else mk_set xs'
-  | VVec xs ->
-    let xs' = List.map (map_symbols f) xs in
-    if List.for_all2 (fun a b -> a == b) xs xs' then v else VVec xs'
-
 (* Deterministic modeled size. The constants approximate the OCaml runtime
    representation (words on 64-bit) but the only property that matters is
    that the model is a pure function of the value — independent of the

@@ -20,15 +20,10 @@ val hash : t -> int
 val mk_set : t list -> t
 (** Sort and deduplicate. *)
 
-val map_symbols : (Symbol.t -> Symbol.t) -> t -> t
-(** Rewrite every {!VStr} through [f], re-canonicalizing any [VSet] whose
-    elements changed (the mapping may reorder ids). Returns the argument
-    physically unchanged when nothing maps. *)
-
 val modeled_bytes : t -> int
 (** Deterministic modeled size of the value in bytes. A pure function of the
     value's structure (never of allocator or GC state), so byte budgets built
-    on it are reproducible run-to-run and across [--jobs] settings. *)
+    on it are reproducible run-to-run. *)
 
 val type_of : sort_of_id:(int -> Ty.t) -> t -> Ty.t
 (** Runtime type; id sorts are resolved through the database callback. *)

@@ -48,7 +48,6 @@ type op =
       node_limit : int option;
       time_limit_ms : int option;
       memory_limit : int option;
-      jobs : int option;
     }
   | Dump
   | Stats
@@ -145,10 +144,6 @@ let parse_request line =
           node_limit = pos_field obj "node_limit";
           time_limit_ms = pos_field obj "time_limit_ms";
           memory_limit = pos_field obj "memory_limit";
-          jobs =
-            (match int_field obj "jobs" with
-             | Some j when j < 0 -> malformed "field \"jobs\" must be non-negative"
-             | v -> v);
         }
     | Some "dump" -> Dump
     | Some "stats" -> Stats

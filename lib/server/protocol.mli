@@ -60,7 +60,6 @@ type op =
       node_limit : int option;
       time_limit_ms : int option;
       memory_limit : int option;  (** modeled-byte budget for the request *)
-      jobs : int option;
     }
   | Dump
   | Stats

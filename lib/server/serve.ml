@@ -12,7 +12,6 @@ type config = {
   max_output_bytes : int;
   node_limit_cap : int;
   time_limit_cap_ms : int;
-  max_jobs : int;
   session_node_quota : int option;
   session_memory_quota : int option;
   memory_headroom : int option;
@@ -33,7 +32,6 @@ let default_config =
     max_output_bytes = 16 * 1024 * 1024;
     node_limit_cap = 1_000_000;
     time_limit_cap_ms = 10_000;
-    max_jobs = 4;
     session_node_quota = None;
     session_memory_quota = None;
     memory_headroom = None;
@@ -275,7 +273,6 @@ let hello_reply t ~id =
             ("max_input_bytes", Json.Int cfg.max_input_bytes);
             ("node_limit_cap", Json.Int cfg.node_limit_cap);
             ("time_limit_cap_ms", Json.Int cfg.time_limit_cap_ms);
-            ("max_jobs", Json.Int cfg.max_jobs);
             ("queue_limit", Json.Int cfg.queue_limit);
             ( "session_node_quota",
               match cfg.session_node_quota with Some q -> Json.Int q | None -> Json.Null );
@@ -287,8 +284,7 @@ let hello_reply t ~id =
       ("sessions", Json.List (List.map (fun n -> Json.Str n) (Session.live_names t.sessions)));
     ]
 
-let exec_run t (sess : Session.session) ~id ~program ~node_limit ~time_limit_ms ~memory_limit
-    ~jobs =
+let exec_run t (sess : Session.session) ~id ~program ~node_limit ~time_limit_ms ~memory_limit =
   let cfg = t.cfg in
   let node_budget = min (Option.value node_limit ~default:cfg.node_limit_cap) cfg.node_limit_cap in
   let time_ms = min (Option.value time_limit_ms ~default:cfg.time_limit_cap_ms) cfg.time_limit_cap_ms in
@@ -301,10 +297,6 @@ let exec_run t (sess : Session.session) ~id ~program ~node_limit ~time_limit_ms 
     | Some m, Some q -> Some (min m q)
     | Some m, None -> Some m
     | None, q -> q
-  in
-  (* [max_jobs] caps the search fan-out of every run in the request. *)
-  let jobs =
-    match jobs with None -> 1 | Some 0 -> cfg.max_jobs | Some j -> min j cfg.max_jobs
   in
   let cmds = E.Frontend.parse_program ~max_bytes:cfg.max_input_bytes program in
   let eng = sess.Session.s_engine in
@@ -326,11 +318,6 @@ let exec_run t (sess : Session.session) ~id ~program ~node_limit ~time_limit_ms 
          | Some m, Some b -> Some (min m b)
          | Some m, None -> Some m
          | None, b -> b);
-      run_jobs =
-        (match sp.E.Ast.run_jobs with
-         | None -> Some jobs
-         | Some 0 -> Some jobs
-         | Some j -> Some (min j jobs));
     }
   in
   let execute () =
@@ -346,7 +333,7 @@ let exec_run t (sess : Session.session) ~id ~program ~node_limit ~time_limit_ms 
                 Protocol.reject Protocol.Deadline
                   "request exceeded its %d ms deadline; rolled back" time_ms;
               E.Engine.set_session_limits ~node_limit:node_budget ~time_limit:remaining
-                ?memory_limit:mem_budget ~jobs eng ();
+                ?memory_limit:mem_budget eng ();
               let cmd =
                 match cmd with
                 | E.Ast.Run sp -> E.Ast.Run (clamp_spec sp remaining)
@@ -569,7 +556,7 @@ let slow_log_write t (rq : Protocol.request) ~tid ~dur_s =
   in
   let budgets_and_program =
     match rq.Protocol.rq_op with
-    | Protocol.Run { program; node_limit; time_limit_ms; memory_limit; jobs } ->
+    | Protocol.Run { program; node_limit; time_limit_ms; memory_limit } ->
       let opt = function Some v -> Json.Int v | None -> Json.Null in
       [
         ("program", Json.Str program);
@@ -579,7 +566,6 @@ let slow_log_write t (rq : Protocol.request) ~tid ~dur_s =
               ("node_limit", opt node_limit);
               ("time_limit_ms", opt time_limit_ms);
               ("memory_limit", opt memory_limit);
-              ("jobs", opt jobs);
             ] );
       ]
     | _ -> []
@@ -686,10 +672,10 @@ let execute t (rq : Protocol.request) =
         | Protocol.Open_session { durable } ->
           let sess = Session.lookup t.sessions ~name ~durable ~now:(now ()) in
           Protocol.ok_reply ~id (session_fields sess)
-        | Protocol.Run { program; node_limit; time_limit_ms; memory_limit; jobs } ->
+        | Protocol.Run { program; node_limit; time_limit_ms; memory_limit } ->
           enforce_headroom t ~keep:name;
           let sess = Session.lookup t.sessions ~name ~durable:false ~now:(now ()) in
-          exec_run t sess ~id ~program ~node_limit ~time_limit_ms ~memory_limit ~jobs
+          exec_run t sess ~id ~program ~node_limit ~time_limit_ms ~memory_limit
         | Protocol.Dump ->
           let sess = Session.lookup t.sessions ~name ~durable:false ~now:(now ()) in
           Protocol.ok_reply ~id

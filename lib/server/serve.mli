@@ -70,7 +70,6 @@ type config = {
   max_output_bytes : int;  (** per-connection pending-reply cap *)
   node_limit_cap : int;  (** hard per-request node budget (and default) *)
   time_limit_cap_ms : int;  (** hard per-request wall-clock budget (and default) *)
-  max_jobs : int;  (** cap on per-request search parallelism *)
   session_node_quota : int option;  (** max tuples a session may retain *)
   session_memory_quota : int option;
       (** max modeled bytes a session may retain; also clamps per-request

@@ -73,13 +73,6 @@ let err_kind r =
   | Some e -> (match Json.member "kind" e with Some (Json.Str s) -> s | _ -> "?")
   | None -> "?"
 
-(* Per-request parallelism (the jobs-4 CI job sets this to 4 via the
-   optional JOBS argv): every well-formed run request asks the daemon for
-   this fan-out, and every byte-identity check below still compares against
-   serial in-process reference runs — the determinism contract end to end
-   through the server. *)
-let req_jobs = ref 1
-
 let run_req ?(id = 1) ~session program =
   [
     ("id", Json.Int id);
@@ -87,7 +80,6 @@ let run_req ?(id = 1) ~session program =
     ("session", Json.Str session);
     ("program", Json.Str program);
   ]
-  @ (if !req_jobs > 1 then [ ("jobs", Json.Int !req_jobs) ] else [])
 
 let open_durable c session =
   rpc c
@@ -537,7 +529,7 @@ let phase_trace_balance dir =
 let () =
   let main_exe =
     if Array.length Sys.argv < 2 then (
-      prerr_endline "usage: server_harness MAIN_EXE [SCRATCH_DIR] [JOBS]";
+      prerr_endline "usage: server_harness MAIN_EXE [SCRATCH_DIR]";
       exit 2)
     else Sys.argv.(1)
   in
@@ -547,13 +539,6 @@ let () =
       Filename.concat (Filename.get_temp_dir_name ())
         (Printf.sprintf "egglog_harness_%d" (Unix.getpid ()))
   in
-  if Array.length Sys.argv > 3 then begin
-    match int_of_string_opt Sys.argv.(3) with
-    | Some j when j >= 1 -> req_jobs := j
-    | _ ->
-      prerr_endline "JOBS must be a positive integer";
-      exit 2
-  end;
   if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
   ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore);
   let sv = start_server main_exe dir in

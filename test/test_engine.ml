@@ -633,6 +633,122 @@ let test_merge_new_keeps_latest () =
   in
   Alcotest.(check string) "latest wins" "check passed: 3" (List.hd outputs)
 
+(* ------------------------------------------------------------------ *)
+(* Determinism                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* Rules whose primitives mint fresh strings (str-cat / to-string) while
+   the search phase runs. Search interns them directly, in discovery
+   order, so two engines running the program dump byte-identically,
+   including sets of strings, which sort by symbol id. *)
+let fresh_symbol_prog =
+  {|
+  (relation seed (i64))
+  (function tag (i64) String)
+  (function bag (i64) (Set String) :merge (set-union old new))
+  (rule ((seed x))
+        ((set (tag x) (str-cat "n-" (to-string x)))))
+  (rule ((seed x) (seed y) (< x y))
+        ((set (bag (+ x y))
+              (set-insert (set-singleton (str-cat (to-string x) (to-string y)))
+                          (str-cat "p-" (to-string (* x y)))))))
+  (seed 1) (seed 2) (seed 3) (seed 4) (seed 5) (seed 6)
+  (seed 7) (seed 8) (seed 9) (seed 10) (seed 11) (seed 12)
+  (run 4)
+  |}
+
+let test_fresh_interning_deterministic () =
+  let dump () =
+    let eng = Egglog.Engine.create () in
+    ignore (Egglog.run_string eng fresh_symbol_prog);
+    Alcotest.(check int) "every pair's bag is set" 21 (Egglog.Engine.table_size eng "bag");
+    Egglog.Serialize.dump_string eng
+  in
+  let first = dump () in
+  Alcotest.(check string) "second engine's dump == first" first (dump ())
+
+(* A deterministic 48-bit LCG (drawing from the high bits — the low bits
+   of a power-of-two LCG carry parity structure that would split the link
+   graph into disjoint components) so the "random" graph is identical on
+   every run and platform. *)
+let make_lcg seed =
+  let state = ref seed in
+  fun bound ->
+    state := ((!state * 25214903917) + 11) land 0xFFFF_FFFF_FFFF;
+    (!state lsr 16) mod bound
+
+let storm_nodes = 700
+
+let storm_links =
+  let rand = make_lcg 0x5EED in
+  List.init 900 (fun _ ->
+      let a = rand storm_nodes in
+      let b = rand storm_nodes in
+      (a, b))
+
+(* One constructor per linked node and a rule that unions across every
+   link: the Mk table ends up with several hundred rows, and the union
+   storm forces multi-round congruence repair. Every equality a textbook
+   union-find over the raw labels derives must hold in the engine, and
+   every inequality must fail to check. *)
+let test_merge_storm () =
+  let module T = Egglog.Telemetry in
+  let buf = Buffer.create 8192 in
+  Buffer.add_string buf
+    "(datatype N (Mk i64))\n\
+     (relation link (i64 i64))\n\
+     (rule ((link x y)) ((union (Mk x) (Mk y))))\n";
+  List.iter (fun (a, b) -> Buffer.add_string buf (Printf.sprintf "(link %d %d)\n" a b)) storm_links;
+  let eng = Egglog.Engine.create () in
+  let rounds =
+    Fun.protect
+      ~finally:(fun () ->
+        T.disable ();
+        T.reset ())
+      (fun () ->
+        T.reset ();
+        T.enable ();
+        ignore (Egglog.run_string eng (Buffer.contents buf));
+        ignore (Egglog.Engine.run_iterations eng 3);
+        T.disable ();
+        Option.value ~default:0 (List.assoc_opt "rebuild.rounds" (T.snapshot ()).T.sn_counters))
+  in
+  Alcotest.(check bool) "storm forces congruence repair" true (rounds > 0);
+  let parent = Array.init storm_nodes Fun.id in
+  let rec find i =
+    if parent.(i) = i then i
+    else begin
+      let r = find parent.(i) in
+      parent.(i) <- r;
+      r
+    end
+  in
+  let touched = Array.make storm_nodes false in
+  List.iter
+    (fun (a, b) ->
+      touched.(a) <- true;
+      touched.(b) <- true;
+      let ra = find a and rb = find b in
+      if ra <> rb then parent.(ra) <- rb)
+    storm_links;
+  let rand = make_lcg 0xCAFE in
+  let eq_probes = ref 0 and neq_probes = ref 0 in
+  for _ = 1 to 300 do
+    let a = rand storm_nodes in
+    let b = rand storm_nodes in
+    if touched.(a) && touched.(b) && a <> b then
+      if find a = find b then begin
+        incr eq_probes;
+        ignore (Egglog.run_string eng (Printf.sprintf "(check (= (Mk %d) (Mk %d)))" a b))
+      end
+      else begin
+        incr neq_probes;
+        ignore (Egglog.run_string eng (Printf.sprintf "(fail (check (= (Mk %d) (Mk %d))))" a b))
+      end
+  done;
+  Alcotest.(check bool) "probed equalities" true (!eq_probes > 10);
+  Alcotest.(check bool) "probed inequalities" true (!neq_probes > 10)
+
 let () =
   ignore count_path;
   ignore run;
@@ -695,6 +811,12 @@ let () =
         [
           Alcotest.test_case "backoff" `Quick test_backoff_bans;
           Alcotest.test_case "saturation" `Quick test_saturation_detection;
+        ] );
+      ( "determinism",
+        [
+          Alcotest.test_case "fresh strings interned in order" `Quick
+            test_fresh_interning_deterministic;
+          Alcotest.test_case "merge storm == naive union-find" `Quick test_merge_storm;
         ] );
       ("properties", props);
     ]

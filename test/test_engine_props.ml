@@ -446,15 +446,14 @@ let prop_diff_delta_ranges =
     ~name:"differential: compiled join == reference (delta stamp windows)" ~count:350
     gen_scenario (fun ds -> check_diff ds ~delta:true)
 
-(* Engine-level differential for parallel search: the scenario's query
-   becomes a rule writing its bindings into [out] — and, with two or more
-   variables, unioning sort members through [g2], so fresh-id defaults,
-   unions and rebuild rounds follow each parallel search — then the whole
-   engine runs at jobs 1, 2 and 4 and both the canonical dump and the
-   run-report fingerprint (per-iteration row/class/match counts, stop
-   reason, per-rule stats) must come out byte-identical, over random
-   schemas and primitives. Facts land in two batches with a run between, so the
-   semi-naïve delta variants fan out across domains too. *)
+(* Engine-level determinism: the scenario's query becomes a rule writing
+   its bindings into [out] — and, with two or more variables, unioning
+   sort members through [g2], so fresh-id defaults, unions and rebuild
+   rounds follow each search — then the whole engine runs twice and both
+   the canonical dump and the run-report fingerprint (per-iteration
+   row/class/match counts, stop reason, per-rule stats) must come out
+   byte-identical, over random schemas and primitives. Facts land in two
+   batches with a run between, so the semi-naïve delta variants run too. *)
 let report_fingerprint (r : E.Engine.run_report) =
   ( List.map
       (fun (s : E.Engine.iteration_stat) ->
@@ -463,7 +462,7 @@ let report_fingerprint (r : E.Engine.run_report) =
     r.stop_reason,
     r.rule_stats )
 
-let run_scenario_at_jobs ?node_limit ?memory_limit ds ~jobs =
+let run_scenario ?node_limit ?memory_limit ds =
   let n_rels = List.length ds.ds_arities in
   let facts, vars = scenario_facts ds in
   let eng = E.Engine.create () in
@@ -481,7 +480,7 @@ let run_scenario_at_jobs ?node_limit ?memory_limit ds ~jobs =
        (String.concat " " (List.init (1 + List.length vars) (fun _ -> "i64"))));
   ignore (E.run_string eng (Buffer.contents decls));
   let union_actions =
-    (* push unions and rebuilds behind the parallel search: merge the
+    (* push unions and rebuilds behind the search: merge the
        classes keyed by the first two bound variables (fresh g2 members on
        first touch) *)
     match vars with
@@ -511,35 +510,24 @@ let run_scenario_at_jobs ?node_limit ?memory_limit ds ~jobs =
   let n = List.length ds.ds_inserts in
   let split = if n = 0 then 0 else ds.ds_split mod (n + 1) in
   List.iteri (fun i ins -> if i < split then insert ins) ds.ds_inserts;
-  let rep1 = E.Engine.run_iterations ?node_limit ?memory_limit ~jobs eng 2 in
+  let rep1 = E.Engine.run_iterations ?node_limit ?memory_limit eng 2 in
   List.iteri (fun i ins -> if i >= split then insert ins) ds.ds_inserts;
-  let rep2 = E.Engine.run_iterations ?node_limit ?memory_limit ~jobs eng 3 in
+  let rep2 = E.Engine.run_iterations ?node_limit ?memory_limit eng 3 in
   (E.Serialize.dump_string eng, report_fingerprint rep1, report_fingerprint rep2)
 
-let prop_jobs_differential =
+(* Node and memory limits are modeled deterministically, so a run that a
+   budget stops mid-way stops at the same iteration, with the same dump,
+   on every run; so does an unbudgeted one. *)
+let prop_budget_stops_repeat =
   QCheck2.Test.make
-    ~name:"differential: parallel search (jobs 2, 4) dumps+reports == serial" ~count:60
-    gen_scenario (fun ds ->
-      match run_scenario_at_jobs ds ~jobs:1 with
-      | exception E.Engine.Egglog_error _ -> true
-      | serial -> List.for_all (fun jobs -> run_scenario_at_jobs ds ~jobs = serial) [ 2; 4 ])
-
-(* Same contract when a budget stops the run mid-way: node and memory
-   limits are modeled deterministically, so the stop reason, the stopped
-   iteration and the dump must be byte-identical at any jobs count. *)
-let prop_jobs_differential_limits =
-  QCheck2.Test.make
-    ~name:"differential: budget stops (node/memory limit) identical at jobs 2, 4" ~count:30
-    gen_scenario (fun ds ->
+    ~name:"differential: budget stops (node/memory limit) land at the same iteration on two runs"
+    ~count:30 gen_scenario (fun ds ->
       List.for_all
         (fun (node_limit, memory_limit) ->
-          match run_scenario_at_jobs ?node_limit ?memory_limit ds ~jobs:1 with
+          match run_scenario ?node_limit ?memory_limit ds with
           | exception E.Engine.Egglog_error _ -> true
-          | serial ->
-            List.for_all
-              (fun jobs -> run_scenario_at_jobs ?node_limit ?memory_limit ds ~jobs = serial)
-              [ 2; 4 ])
-        [ (Some 40, None); (None, Some 30_000) ])
+          | first -> run_scenario ?node_limit ?memory_limit ds = first)
+        [ (None, None); (Some 40, None); (None, Some 30_000) ])
 
 (* ------------------------------------------------------------------ *)
 (* Rollback differential: a failed transaction leaves no trace         *)
@@ -681,7 +669,7 @@ let raw_state db =
     (E.Database.timestamp db, E.Database.change_counter db, E.Database.n_classes db,
      E.Database.modeled_bytes db) )
 
-let check_rollback rb ~jobs =
+let check_rollback rb =
   let depth = ref 0 in
   let pre = rb_commands ~depth ~tag:"p" rb.rb_pre in
   let after_pre = !depth in
@@ -723,7 +711,7 @@ let check_rollback rb ~jobs =
   let failing = Printf.sprintf "(include %S)" file in
   (* Folding modulo 5 keeps the term space finite; the node limit is a
      second bound on any one run. *)
-  let eng = E.Engine.create ~jobs ~node_limit:5_000 () in
+  let eng = E.Engine.create ~node_limit:5_000 () in
   run_cmds eng [ rollback_schema ];
   run_cmds eng (pre @ scoped);
   if rb.rb_outer then dirty eng;
@@ -767,7 +755,7 @@ let check_rollback rb ~jobs =
     && E.Engine.scope_depth eng = ref_depth
   in
   (* the same committed history, replayed without any failure *)
-  let replay = E.Engine.create ~jobs ~node_limit:5_000 () in
+  let replay = E.Engine.create ~node_limit:5_000 () in
   run_cmds replay [ rollback_schema ];
   run_cmds replay (pre @ scoped);
   if not rb.rb_outer then run_cmds replay inner;
@@ -794,9 +782,8 @@ let print_rb rb =
 
 let prop_rollback_differential =
   QCheck2.Test.make
-    ~name:"rollback: a failed transaction restores the exact pre-transaction state (jobs 1, 4)"
-    ~count:300 ~print:print_rb gen_rb_scenario (fun rb ->
-      List.for_all (fun jobs -> check_rollback rb ~jobs) [ 1; 4 ])
+    ~name:"rollback: a failed transaction restores the exact pre-transaction state"
+    ~count:300 ~print:print_rb gen_rb_scenario check_rollback
 
 (* The same contract one layer down, where the log bookkeeping lives: a
    table's rolled-back history must leave its delta walks — which read the
@@ -1242,8 +1229,7 @@ let () =
           [
             prop_diff_full_ranges;
             prop_diff_delta_ranges;
-            prop_jobs_differential;
-            prop_jobs_differential_limits;
+            prop_budget_stops_repeat;
             prop_rollback_differential;
             prop_table_rollback;
             prop_patch_differential;

@@ -123,6 +123,17 @@ let test_numeric_edges () =
   | _ -> Alcotest.fail "plain numbers should parse"
   | exception e -> Alcotest.failf "plain numbers raised %s" (Printexc.to_string e)
 
+(* Search is serial: the run option that chose its domain count is gone
+   and rejected like any other unknown option. *)
+let test_jobs_option_rejected () =
+  match E.Frontend.parse_program "(run 5 :jobs 2)" with
+  | _ -> Alcotest.fail "(run 5 :jobs 2) should be rejected"
+  | exception E.Frontend.Syntax_error msg ->
+    let want = "unknown run option :jobs" in
+    let n = String.length want in
+    let rec has i = i + n <= String.length msg && (String.sub msg i n = want || has (i + 1)) in
+    Alcotest.(check bool) (Printf.sprintf "message names the option: %s" msg) true (has 0)
+
 let () =
   Alcotest.run "fuzz-frontend"
     [
@@ -136,5 +147,6 @@ let () =
           Alcotest.test_case "NUL bytes" `Quick test_nul_bytes;
           Alcotest.test_case "huge atoms" `Quick test_huge_atoms;
           Alcotest.test_case "numeric edges" `Quick test_numeric_edges;
+          Alcotest.test_case "unknown run option :jobs" `Quick test_jobs_option_rejected;
         ] );
     ]

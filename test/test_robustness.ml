@@ -210,16 +210,16 @@ let test_memory_limit () =
 (* The acceptance criterion for deterministic governance: the budget is
    enforced against modeled bytes (a pure function of database contents),
    so the same program trips at the same iteration with byte-identical
-   state at any jobs count — allocator and scheduling never leak in. *)
-let test_memory_limit_deterministic_across_jobs () =
-  let run jobs =
+   state on every run — allocator state never leaks in. *)
+let test_memory_limit_deterministic_across_runs () =
+  let run () =
     let eng = E.Engine.create () in
     ignore (expect_ok eng "setup" explosive_header);
-    let report = E.Engine.run_iterations ~memory_limit:50_000 ~jobs eng 1_000 in
+    let report = E.Engine.run_iterations ~memory_limit:50_000 eng 1_000 in
     (report, E.Serialize.dump_string eng)
   in
-  let r1, d1 = run 1 in
-  let r4, d4 = run 4 in
+  let r1, d1 = run () in
+  let r4, d4 = run () in
   Alcotest.check stop_reason_testable "same stop (same byte payload)" r1.E.Engine.stop_reason
     r4.E.Engine.stop_reason;
   Alcotest.(check int) "same iteration count"
@@ -464,24 +464,18 @@ let test_pop_on_empty_stack_is_safe () =
 
 (* A pop undoes the declarations made in its scope, rulesets included. *)
 let test_pop_forgets_scoped_ruleset () =
-  List.iter
-    (fun jobs ->
-      let eng = E.Engine.create ~jobs () in
-      ignore (expect_ok eng "declare again after the pop" "(push) (ruleset r) (pop) (ruleset r)"))
-    [ 1; 4 ]
+  let eng = E.Engine.create () in
+  ignore (expect_ok eng "declare again after the pop" "(push) (ruleset r) (pop) (ruleset r)")
 
 let test_pop_forgets_scoped_rules () =
-  List.iter
-    (fun jobs ->
-      let eng = E.Engine.create ~jobs () in
-      ignore
-        (expect_ok eng "setup"
-           "(relation p (i64)) (p 1) (push) (ruleset r) (rule ((p x)) ((p (+ x 1))) :ruleset r) \
-            (pop)");
-      let err = expect_error eng "the popped ruleset is gone" "(run-schedule (run r 3))" in
-      Alcotest.(check bool) "unknown ruleset" true (contains err "unknown ruleset r");
-      Alcotest.(check int) "no rule ran" 1 (E.Engine.table_size eng "p"))
-    [ 1; 4 ]
+  let eng = E.Engine.create () in
+  ignore
+    (expect_ok eng "setup"
+       "(relation p (i64)) (p 1) (push) (ruleset r) (rule ((p x)) ((p (+ x 1))) :ruleset r) \
+        (pop)");
+  let err = expect_error eng "the popped ruleset is gone" "(run-schedule (run r 3))" in
+  Alcotest.(check bool) "unknown ruleset" true (contains err "unknown ruleset r");
+  Alcotest.(check int) "no rule ran" 1 (E.Engine.table_size eng "p")
 
 (* A request pops a scope an earlier request opened, so the pop undoes the
    allocation of x's id; the request's next allocation reuses that id for
@@ -489,26 +483,23 @@ let test_pop_forgets_scoped_rules () =
    old sort back: the dump must equal one of an engine that never ran the
    request, before and after the reopened scope is popped. *)
 let test_rollback_restores_reused_id_sort () =
-  List.iter
-    (fun jobs ->
-      let setup = "(datatype A (a)) (datatype B (b)) (push) (let x (a))" in
-      let request = [ "(pop)"; "(let y (b))"; "(panic \"fail\")" ] in
-      let eng = E.Engine.create ~jobs () and replay = E.Engine.create ~jobs () in
-      E.Engine.with_transaction eng (fun () -> ignore (expect_ok eng "setup" setup));
-      ignore (expect_ok replay "setup" setup);
-      (match
-         E.Engine.with_transaction eng (fun () ->
-             List.iter (fun c -> ignore (E.run_string eng c)) request)
-       with
-       | () -> Alcotest.fail "the request should fail"
-       | exception E.Egglog_error _ -> ());
-      Alcotest.(check string) "dump after the rollback" (E.Serialize.dump_string replay)
-        (E.Serialize.dump_string eng);
-      ignore (expect_ok eng "pop" "(pop)");
-      ignore (expect_ok replay "pop" "(pop)");
-      Alcotest.(check string) "dump after the pop" (E.Serialize.dump_string replay)
-        (E.Serialize.dump_string eng))
-    [ 1; 4 ]
+  let setup = "(datatype A (a)) (datatype B (b)) (push) (let x (a))" in
+  let request = [ "(pop)"; "(let y (b))"; "(panic \"fail\")" ] in
+  let eng = E.Engine.create () and replay = E.Engine.create () in
+  E.Engine.with_transaction eng (fun () -> ignore (expect_ok eng "setup" setup));
+  ignore (expect_ok replay "setup" setup);
+  (match
+     E.Engine.with_transaction eng (fun () ->
+         List.iter (fun c -> ignore (E.run_string eng c)) request)
+   with
+   | () -> Alcotest.fail "the request should fail"
+   | exception E.Egglog_error _ -> ());
+  Alcotest.(check string) "dump after the rollback" (E.Serialize.dump_string replay)
+    (E.Serialize.dump_string eng);
+  ignore (expect_ok eng "pop" "(pop)");
+  ignore (expect_ok replay "pop" "(pop)");
+  Alcotest.(check string) "dump after the pop" (E.Serialize.dump_string replay)
+    (E.Serialize.dump_string eng)
 
 let test_failed_check_rolls_back_side_effects () =
   (* a check on a get-or-default function would otherwise insert fresh ids *)
@@ -597,8 +588,8 @@ let () =
       ( "memory",
         [
           Alcotest.test_case "memory limit stops an explosive ruleset" `Quick test_memory_limit;
-          Alcotest.test_case "memory stop is deterministic across jobs" `Quick
-            test_memory_limit_deterministic_across_jobs;
+          Alcotest.test_case "memory stop is deterministic across runs" `Quick
+            test_memory_limit_deterministic_across_runs;
           Alcotest.test_case "memory limit via (run :memory-limit)" `Quick
             test_memory_limit_syntax;
           Alcotest.test_case ":memory-limit round-trips through the printer" `Quick

@@ -180,6 +180,42 @@ let test_basics () =
       close_client c);
   cleanup_dir dir
 
+(* The daemon has no per-request parallelism: [hello] reports no
+   [max_jobs], and a run carrying the old ["jobs"] field gets the same
+   reply and leaves the same dump as one without it, since the protocol
+   ignores fields it does not know. *)
+let test_hello_has_no_max_jobs () =
+  let dir = fresh_dir () in
+  with_server dir (fun sv ->
+      let c = connect sv in
+      let hello = rpc c [ ("id", Json.Int 1); ("op", Json.Str "hello") ] in
+      check_ok "hello" hello;
+      (match Json.member "limits" hello with
+       | Some limits ->
+         Alcotest.(check bool) "limits has no max_jobs" true (Json.member "max_jobs" limits = None)
+       | None -> Alcotest.fail "hello carries no limits object");
+      close_client c);
+  cleanup_dir dir
+
+let test_jobs_field_ignored () =
+  let dir = fresh_dir () in
+  with_server dir (fun sv ->
+      let c = connect sv in
+      (* drop the per-request trace id, which differs between requests *)
+      let without_tid reply =
+        match reply with
+        | Json.Obj fields -> Json.to_string (Json.Obj (List.remove_assoc "trace_id" fields))
+        | j -> Json.to_string j
+      in
+      let plain = rpc c (run_req ~id:1 ~session:"plain" prog_base) in
+      let with_jobs = rpc c (run_req ~id:1 ~session:"jobs" prog_base @ [ ("jobs", Json.Int 4) ]) in
+      check_ok "run without jobs" plain;
+      check_ok "run with jobs" with_jobs;
+      Alcotest.(check string) "same reply" (without_tid plain) (without_tid with_jobs);
+      Alcotest.(check string) "same dump" (dump_of c "plain") (dump_of c "jobs");
+      close_client c);
+  cleanup_dir dir
+
 let test_error_taxonomy () =
   let dir = fresh_dir () in
   with_server dir (fun sv ->
@@ -1200,6 +1236,8 @@ let () =
       ( "protocol",
         [
           Alcotest.test_case "basics" `Quick test_basics;
+          Alcotest.test_case "hello reports no max_jobs" `Quick test_hello_has_no_max_jobs;
+          Alcotest.test_case "run ignores a jobs field" `Quick test_jobs_field_ignored;
           Alcotest.test_case "error taxonomy" `Quick test_error_taxonomy;
           Alcotest.test_case "too-large frames" `Quick test_too_large_frame;
         ] );
