@@ -515,19 +515,26 @@ let run_scenario ?node_limit ?memory_limit ds =
   let rep2 = E.Engine.run_iterations ?node_limit ?memory_limit eng 3 in
   (E.Serialize.dump_string eng, report_fingerprint rep1, report_fingerprint rep2)
 
+let runs_repeat ?node_limit ?memory_limit ds =
+  match run_scenario ?node_limit ?memory_limit ds with
+  | exception E.Engine.Egglog_error _ -> true
+  | first -> run_scenario ?node_limit ?memory_limit ds = first
+
+let prop_serial_repeat =
+  QCheck2.Test.make
+    ~name:"differential: serial search (two runs) dumps+reports identical" ~count:60
+    gen_scenario (fun ds -> runs_repeat ds)
+
 (* Node and memory limits are modeled deterministically, so a run that a
    budget stops mid-way stops at the same iteration, with the same dump,
-   on every run; so does an unbudgeted one. *)
+   on every run. *)
 let prop_budget_stops_repeat =
   QCheck2.Test.make
     ~name:"differential: budget stops (node/memory limit) land at the same iteration on two runs"
     ~count:30 gen_scenario (fun ds ->
       List.for_all
-        (fun (node_limit, memory_limit) ->
-          match run_scenario ?node_limit ?memory_limit ds with
-          | exception E.Engine.Egglog_error _ -> true
-          | first -> run_scenario ?node_limit ?memory_limit ds = first)
-        [ (None, None); (Some 40, None); (None, Some 30_000) ])
+        (fun (node_limit, memory_limit) -> runs_repeat ?node_limit ?memory_limit ds)
+        [ (Some 40, None); (None, Some 30_000) ])
 
 (* ------------------------------------------------------------------ *)
 (* Rollback differential: a failed transaction leaves no trace         *)
@@ -1229,6 +1236,7 @@ let () =
           [
             prop_diff_full_ranges;
             prop_diff_delta_ranges;
+            prop_serial_repeat;
             prop_budget_stops_repeat;
             prop_rollback_differential;
             prop_table_rollback;
