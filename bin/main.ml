@@ -104,13 +104,8 @@ let write_dump eng = function
   | None -> ()
 
 let print_report (r : Egglog.Durable.recovery_report) =
-  List.iter (fun w -> Printf.eprintf "warning: %s\n" w) r.rc_warnings;
-  Printf.printf "recovered %d committed request(s): %s, %d replayed from the journal%s\n"
-    r.rc_committed
-    (match r.rc_checkpoint with
-     | Some seq -> Printf.sprintf "checkpoint generation %d" seq
-     | None -> "no checkpoint")
-    r.rc_replayed
+  Printf.printf "recovered %d committed request(s): %d from the checkpoint, %d replayed%s\n"
+    r.rc_committed r.rc_from_checkpoint r.rc_replayed
     (if r.rc_torn then "; dropped a torn trailing record" else "")
 
 (* Under a journal every command is its own one-command request. *)

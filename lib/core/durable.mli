@@ -1,6 +1,6 @@
 (** The durability controller: ties an {!Engine} to a write-ahead
-    {!Journal} and periodic {!Serialize} checkpoints, and recovers the pair
-    after a crash.
+    {!Journal} whose first record is a checkpoint, and recovers the engine
+    from it after a crash.
 
     {2 Protocol}
 
@@ -13,51 +13,51 @@
     fails is rolled back and never journaled, and one made only of
     read-only commands appends nothing. A crash between commit and append
     loses at most that one request (it was never acknowledged as durable).
-    After [checkpoint_every] records, a checkpoint lands atomically and the
-    journal is reset to a new, empty generation, so a checkpoint always
-    sits on a request boundary.
+    {!attach} writes a journal holding a checkpoint of the engine's state;
+    after [checkpoint_every] records, one atomic rename replaces it with a
+    journal holding a new checkpoint, so a checkpoint always sits on a
+    request boundary. The replaced journal stays as [<journal>.prev].
 
     {2 Recovery guarantee}
 
-    {!recover} on a fresh engine — newest valid checkpoint, then journal
-    replay, each record parsed as a list of commands — reproduces a state
-    whose {!Serialize.dump} is byte-identical to an uninterrupted run of
-    the same committed request prefix. Journals written one command per
-    record read the same way. A torn trailing journal record (crash
-    mid-append) is dropped with a warning, never an error, and with it the
-    whole request it held. Caveats: [(include ...)] is journaled by name,
-    so the file must still exist at recovery; runs under a wall-clock
-    [:time-limit] or the Backoff scheduler stop at a time-dependent point,
-    so their replayed prefix is only guaranteed equivalent when the run
-    saturates or hits a deterministic limit. *)
+    {!recover} on a fresh engine — the journal's checkpoint, then the
+    replay of its records, each parsed as a list of commands — reproduces
+    a state whose {!Serialize.dump} is byte-identical to an uninterrupted
+    run of the same committed request prefix. Journals written one command
+    per record read the same way. A torn trailing journal record (crash
+    mid-append) is dropped, never an error, and with it the whole request
+    it held. Caveats: [(include ...)] is journaled by name, so the file
+    must still exist at recovery; runs under a wall-clock [:time-limit] or
+    the Backoff scheduler stop at a time-dependent point, so their
+    replayed prefix is only guaranteed equivalent when the run saturates or
+    hits a deterministic limit. *)
 
 type t
 
 val attach : Engine.t -> journal_path:string -> checkpoint_every:int option -> t
-(** Start journaling a (fresh or pre-loaded) engine to a {e new} journal.
-    Refuses (with {!Journal.Journal_error}) to overwrite an existing journal
-    file — recover it or remove it first. *)
+(** Start journaling a (fresh or pre-loaded) engine to a {e new} journal,
+    written with a checkpoint of the engine's state in one atomic write.
+    Refuses (with {!Journal.Journal_error}), before writing anything, to
+    overwrite an existing journal file — recover it or remove it first —
+    or to start inside an open [(push)] scope. *)
 
 type recovery_report = {
-  rc_checkpoint : int option;  (** checkpoint generation restored, if any *)
+  rc_from_checkpoint : int;  (** requests restored from the checkpoint *)
   rc_replayed : int;  (** journal records replayed on top of it *)
   rc_committed : int;  (** total journaled requests after recovery *)
   rc_torn : bool;  (** a torn trailing record was dropped *)
-  rc_warnings : string list;  (** human-readable recovery notes *)
 }
 
 val recover :
   Engine.t -> journal_path:string -> checkpoint_every:int option -> t * recovery_report
 (** Rebuild state into a {e fresh} engine: load the journal's checkpoint
-    generation (replaying its declaration program, then loading its data
-    dump), replay the journal tail, and return a controller ready for more
-    commands. Handles every crash window: a torn trailing record is
-    truncated; a checkpoint that landed whose journal reset did not is
-    detected by sequence number (the stale journal is discarded); a
-    checkpoint temp file that never renamed is simply ignored.
-    @raise Journal.Journal_error if the journal is unreadable or its
-    checkpoint generation is missing/corrupt (the journal alone cannot
-    reproduce state that was folded into a checkpoint). *)
+    (replaying its declaration program, then loading its data dump),
+    replay the journal's records, and return a controller ready for more
+    commands. A torn trailing record is truncated; a checkpoint temp file
+    that never renamed is simply ignored.
+    @raise Journal.Journal_error if the journal is unreadable, its
+    checkpoint record is missing or corrupt, or a record in its middle is
+    corrupt. *)
 
 val run_request : t -> Ast.command list -> (unit -> 'a) -> 'a
 (** [run_request t cmds exec] is the one journaling entry point. [exec]

@@ -12,9 +12,12 @@
     - ["journal.append.torn"] — half a record written, never synced
     - ["journal.append.synced"] — record durable, caller not yet notified
     - ["checkpoint.before"] — nothing written
-    - ["checkpoint.unrenamed"] — temp file durable, final name absent
-    - ["checkpoint.renamed"] — checkpoint durable, journal not yet reset
-    - ["checkpoint.before-reset"] — alias window before the journal reset
+    - ["checkpoint.unrenamed"] — new journal durable under its temp name,
+      the old journal still in place
+    - ["checkpoint.renamed"] — the new journal in place, appends not yet
+      reopened
+    - ["snapshot.before"], ["snapshot.unrenamed"], ["snapshot.renamed"] —
+      the same moments of a [--dump] snapshot write
     - ["engine.iteration"] — between rule-application iterations of a run
     - ["engine.top-action"] — before a top-level action executes
 

@@ -480,11 +480,7 @@ let count_yields callback =
 type compiled_run =
   Database.t -> cache option -> stamp_range array -> (Value.t array -> unit) -> unit
 
-type compiled = {
-  cp_n_atoms : int;
-  cp_descr : string;
-  cp_run : compiled_run;
-}
+type compiled = { cp_n_atoms : int; cp_run : compiled_run }
 
 (* The whole primitive schedule as one checklist, for the kernels that
    bind every join variable before any primitive runs. *)
@@ -849,16 +845,13 @@ let shapes_of (q : Compile.cquery) = Array.map (Plan_compile.shape_atom q) q.Com
 
 let compile_plan (q : Compile.cquery) : compiled =
   let shapes = shapes_of q in
-  let lowering = classify q in
   let run =
-    match lowering with
+    match classify q with
     | Single -> compile_single q shapes.(0)
     | Two -> compile_two q shapes
     | Generic -> compile_generic q shapes
   in
-  { cp_n_atoms = Array.length shapes; cp_descr = describe q shapes lowering; cp_run = run }
-
-let compiled_descr cp = cp.cp_descr
+  { cp_n_atoms = Array.length shapes; cp_run = run }
 
 let describe_lowering (q : Compile.cquery) : string =
   describe q (shapes_of q) (classify q)

@@ -80,11 +80,8 @@ val exists : Database.t -> Compile.cquery -> bool
     once for this one search; a check whose atoms are all lookups reads
     only the rows at their keys. *)
 
-val compiled_descr : compiled -> string
-(** One-line description of the chosen lowering, e.g.
-    ["compiled single-atom (arity 2, specialized)"], naming its lookups
-    (["..., key lookup: atom 1 when probed)"]). *)
-
 val describe_lowering : Compile.cquery -> string
-(** The description {!compile_plan} would produce, without building
-    closures — what [--explain-plans] prints. *)
+(** One-line description of the lowering {!compile_plan} chooses, e.g.
+    ["compiled single-atom (arity 2, specialized)"], naming its lookups
+    (["..., key lookup: atom 1 when probed)"]) — what [--explain-plans]
+    prints. Builds no closures. *)

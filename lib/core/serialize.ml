@@ -360,68 +360,50 @@ let load (eng : Engine.t) (s : Sexpr.t) : unit =
 
 let load_string eng src = load eng (Sexpr.parse_one src)
 
-(* ---- versioned on-disk containers ----
-
-   Snapshots and checkpoints share one container layout:
+(* ---- snapshot files (the CLI's --dump / --load) ----
 
    {v
-   <magic> <format-version>[ <extra>]\n
+   egglog-snapshot <format-version>\n
    <payload-length> <crc32-hex>\n
    <payload bytes>
    v}
 
-   Writes go to [path ^ ".tmp"], are fsync'd, and land with an atomic
-   rename, so a crash mid-write can never truncate or corrupt an existing
-   file. Reads verify magic, version, length and checksum, turning every
-   corruption mode into a clear {!Load_error}. *)
+   Written by {!Journal.atomic_write}, so a crash mid-write can never
+   truncate or corrupt an existing file. Reads verify magic, version,
+   length and checksum, turning every corruption mode into a clear
+   {!Load_error}. *)
 
 let format_version = 1
 let snapshot_magic = "egglog-snapshot"
-let checkpoint_magic = "egglog-checkpoint"
 
-let write_versioned ~kind ~magic ~extra ~path payload =
-  Fault.hit (kind ^ ".before");
-  let tmp = path ^ ".tmp" in
-  let header =
-    Printf.sprintf "%s %d%s\n%d %s\n" magic format_version
-      (if extra = "" then "" else " " ^ extra)
-      (String.length payload)
-      (Checksum.to_hex (Checksum.crc32 payload))
+let write_snapshot eng path =
+  let payload = dump_string eng ^ "\n" in
+  Journal.atomic_write ~kind:"snapshot" path
+    [
+      Printf.sprintf "%s %d\n%d %s\n" snapshot_magic format_version (String.length payload)
+        (Checksum.to_hex (Checksum.crc32 payload));
+      payload;
+    ]
+
+let read_snapshot path : string =
+  let contents =
+    try Journal.read_file path with Journal.Journal_error msg -> error "%s" msg
   in
-  let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      Journal.write_all fd header;
-      Journal.write_all fd payload;
-      Unix.fsync fd);
-  Fault.hit (kind ^ ".unrenamed");
-  Sys.rename tmp path;
-  Journal.fsync_dir path;
-  Fault.hit (kind ^ ".renamed")
-
-let read_file path =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | contents -> contents
-  | exception Sys_error msg -> error "%s" msg
-
-let read_versioned ~magic ~path : string * string =
-  let contents = read_file path in
   let fail_line () =
     error "%s is not a versioned %s file (magic mismatch; a pre-versioned snapshot?)" path
-      magic
+      snapshot_magic
   in
   match String.index_opt contents '\n' with
   | None -> fail_line ()
   | Some nl1 -> (
     let line1 = String.sub contents 0 nl1 in
     match String.split_on_char ' ' line1 with
-    | m :: version :: extra when String.equal m magic -> (
+    | m :: version :: _ when String.equal m snapshot_magic -> (
       (match int_of_string_opt version with
        | Some v when v = format_version -> ()
        | Some v ->
-         error "%s: unsupported %s format version %d (this build reads version %d)" path magic
-           v format_version
+         error "%s: unsupported %s format version %d (this build reads version %d)" path
+           snapshot_magic v format_version
        | None -> fail_line ());
       match String.index_from_opt contents (nl1 + 1) '\n' with
       | None -> error "%s: truncated header" path
@@ -440,29 +422,21 @@ let read_versioned ~magic ~path : string * string =
               if avail > len then error "%s: trailing garbage after payload" path;
               if Checksum.crc32 payload <> crc then
                 error "%s: payload checksum mismatch (corrupted file)" path;
-              (String.concat " " extra, payload)
+              payload
             end
           | _ -> error "%s: malformed payload header %S" path line2)
         | _ -> error "%s: malformed payload header %S" path line2))
     | _ -> fail_line ())
 
-(* ---- snapshot files (the CLI's --dump / --load) ---- *)
-
-let write_snapshot eng path =
-  write_versioned ~kind:"snapshot" ~magic:snapshot_magic ~extra:"" ~path
-    (dump_string eng ^ "\n")
-
 let load_snapshot eng path =
-  let _, payload = read_versioned ~magic:snapshot_magic ~path in
-  match Sexpr.parse_one payload with
+  match Sexpr.parse_one (read_snapshot path) with
   | s -> load eng s
   | exception Sexpr.Parse_error { message; _ } ->
     error "%s: unparsable snapshot payload: %s" path message
 
-(* ---- checkpoint files (durability) ---- *)
+(* ---- checkpoints (the first record of a journal) ---- *)
 
 type checkpoint = {
-  ck_seq : int;
   ck_committed : int;
   ck_program : Ast.command list;
   ck_database : Sexpr.t;
@@ -526,17 +500,7 @@ let checkpoint_payload eng ~committed =
   Buffer.add_string buf "))\n";
   Buffer.contents buf
 
-let write_checkpoint eng ~path ~seq ~committed =
-  write_versioned ~kind:"checkpoint" ~magic:checkpoint_magic ~extra:(string_of_int seq) ~path
-    (checkpoint_payload eng ~committed)
-
-let read_checkpoint path =
-  let extra, payload = read_versioned ~magic:checkpoint_magic ~path in
-  let seq =
-    match int_of_string_opt extra with
-    | Some s -> s
-    | None -> error "%s: malformed checkpoint sequence %S" path extra
-  in
+let parse_checkpoint payload =
   match Sexpr.parse_one payload with
   | Sexpr.List
       [
@@ -547,9 +511,9 @@ let read_checkpoint path =
       ] ->
     let commands =
       try List.concat_map Frontend.command_of_sexp program
-      with Frontend.Syntax_error msg -> error "%s: bad checkpoint program: %s" path msg
+      with Frontend.Syntax_error msg -> error "bad checkpoint program: %s" msg
     in
-    { ck_seq = seq; ck_committed = committed; ck_program = commands; ck_database = db }
-  | _ -> error "%s: malformed checkpoint payload" path
+    { ck_committed = committed; ck_program = commands; ck_database = db }
+  | _ -> error "malformed checkpoint payload"
   | exception Sexpr.Parse_error { message; _ } ->
-    error "%s: unparsable checkpoint payload: %s" path message
+    error "unparsable checkpoint payload: %s" message

@@ -1,5 +1,5 @@
-(** Canonical database serialization, versioned snapshot files, and
-    checkpoint files for the durability layer.
+(** Canonical database serialization, versioned snapshot files, and the
+    checkpoint payload of the durability layer's journal.
 
     {2 Canonical dumps}
 
@@ -16,14 +16,13 @@
     deterministically per-process; for such automorphic ids any choice
     yields the same bytes.)
 
-    {2 On-disk container}
+    {2 Snapshot files}
 
-    {!write_snapshot} / {!write_checkpoint} wrap the payload in a versioned
-    container — a [magic version] header line, a [length crc32] line, then
-    the payload — written to a temp file, fsync'd, and atomically renamed
-    into place. Readers verify magic, version, length and checksum and
-    raise {!Load_error} with a clear message on any mismatch (including
-    pre-versioned legacy files). *)
+    {!write_snapshot} wraps the dump in a versioned container — a
+    [magic version] header line, a [length crc32] line, then the payload —
+    written atomically by {!Journal.atomic_write}. Readers verify magic,
+    version, length and checksum and raise {!Load_error} with a clear
+    message on any mismatch (including pre-versioned legacy files). *)
 
 exception Load_error of string
 
@@ -56,33 +55,29 @@ val load_snapshot : Engine.t -> string -> unit
     magic/version mismatch (e.g. a pre-versioned snapshot), truncation,
     checksum failure, or any {!load} error. *)
 
-(** {1 Checkpoint files}
+(** {1 Checkpoints}
 
     A checkpoint persists everything needed to reconstruct an engine:
     the committed schema-shaping command history ({!Engine.decl_commands}),
-    the data, the count of commands committed so far, and a sequence number
-    tying it to the journal generation that follows it. The data is in
-    {!dump}'s grammar but not canonical: {!load} gives every dumped id a
-    fresh one anyway, so a checkpoint carries the rebuilt database's own ids
-    in table order and skips the renumbering and the sort. The payload is
-    printed flat ({!Sexpr.to_string}); the reader ignores layout, so
-    checkpoints printed with line breaks load too. *)
+    the data, and the count of requests committed so far. It is the first
+    record of a journal ({!Journal}). The data is in {!dump}'s grammar but
+    not canonical: {!load} gives every dumped id a fresh one anyway, so a
+    checkpoint carries the rebuilt database's own ids in table order and
+    skips the renumbering and the sort. The payload is printed flat
+    ({!Sexpr.to_string}); the reader ignores layout, so checkpoints printed
+    with line breaks load too. *)
 
 type checkpoint = {
-  ck_seq : int;
-      (** checkpoint sequence number; the journal generation that follows it
-          carries the same number *)
-  ck_committed : int;
-      (** journal-worthy commands committed before this checkpoint *)
+  ck_committed : int;  (** journaled requests committed before this checkpoint *)
   ck_program : Ast.command list;  (** replayable declarations, in order *)
   ck_database : Sexpr.t;  (** a [(database ...)] for {!load} *)
 }
 
 val checkpoint_payload : Engine.t -> committed:int -> string
-(** Rebuilds, then prints the checkpoint payload {!write_checkpoint}
-    writes: [(checkpoint (committed N) (program ...) (database ...))] and a
+(** Rebuilds, then prints the checkpoint payload:
+    [(checkpoint (committed N) (program ...) (database ...))] and a
     newline, flat, straight into one buffer. *)
 
-val write_checkpoint : Engine.t -> path:string -> seq:int -> committed:int -> unit
-val read_checkpoint : string -> checkpoint
-(** @raise Load_error on any corruption or version mismatch. *)
+val parse_checkpoint : string -> checkpoint
+(** Read a {!checkpoint_payload} back. @raise Load_error if it is
+    malformed. *)

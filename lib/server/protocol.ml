@@ -187,4 +187,5 @@ let reject_reply ~id e =
   match e with
   | Reject { kind; message; retry_after_ms } ->
     error_reply ~id ~kind ~message ?retry_after_ms ()
+  | Egglog.Journal.Journal_error message -> error_reply ~id ~kind:Internal ~message ()
   | e -> error_reply ~id ~kind:Internal ~message:(Printexc.to_string e) ()

@@ -96,5 +96,5 @@ val ok_reply : id:Json.t -> (string * Json.t) list -> string
 val error_reply : id:Json.t -> kind:error_kind -> message:string -> ?retry_after_ms:int -> unit -> string
 
 val reject_reply : id:Json.t -> exn -> string
-(** Render a {!Reject} (or any other exception, as [Internal]) as a reply
-    line. Never raises. *)
+(** Render a {!Reject} (or any other exception, as [Internal]; a
+    journal error with its own message) as a reply line. Never raises. *)

@@ -80,7 +80,11 @@ let recover_one t name path now =
   | exception
       (( E.Journal.Journal_error _ | E.Serialize.Load_error _ | E.Engine.Egglog_error _
        | Sys_error _ | Failure _ ) as e) ->
-    let msg = Printexc.to_string e in
+    let msg =
+      match e with
+      | E.Journal.Journal_error msg | E.Serialize.Load_error msg -> msg
+      | e -> Printexc.to_string e
+    in
     Hashtbl.replace t.table name (Quarantined msg);
     Error msg
 
@@ -101,20 +105,19 @@ let recover_existing t =
         (name, recover_one t name (Filename.concat dir (name ^ ".journal")) now))
       names
 
-(* Attach a journal to a session that already holds state: the journal
-   starts a fresh generation, so a checkpoint must land immediately —
-   recovery loads the checkpoint, then replays the (empty) tail. *)
+(* Attach a journal to a session that may already hold state: the journal
+   starts with a checkpoint of it. *)
 let make_durable t s =
   match journal_path t s.s_name with
   | None ->
     Protocol.reject Protocol.Unsupported
       "durable sessions need the daemon started with --data-dir"
+  | Some _ when E.Engine.scope_depth s.s_engine > 0 ->
+    Protocol.reject Protocol.Unsupported
+      "cannot make a session durable inside an open (push) scope; pop it first"
   | Some path ->
-    let durable =
-      E.Durable.attach s.s_engine ~journal_path:path ~checkpoint_every:t.checkpoint_every
-    in
-    E.Durable.checkpoint durable;
-    s.s_durable <- Some durable
+    s.s_durable <-
+      Some (E.Durable.attach s.s_engine ~journal_path:path ~checkpoint_every:t.checkpoint_every)
 
 let open_new t ~name ~durable ~now =
   if live_count t >= t.max_sessions then

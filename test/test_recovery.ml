@@ -15,7 +15,6 @@ let all_points =
     "checkpoint.before";
     "checkpoint.unrenamed";
     "checkpoint.renamed";
-    "checkpoint.before-reset";
     "engine.iteration";
     "engine.top-action";
   ]
@@ -33,6 +32,20 @@ let fresh_dir =
     in
     Unix.mkdir d 0o755;
     d
+
+(* A journal holding the checkpoint of an empty engine, open for appends. *)
+let empty_journal path =
+  E.Journal.create path
+    ~checkpoint:(E.Serialize.checkpoint_payload (E.Engine.create ()) ~committed:0)
+
+let contains s sub =
+  let n = String.length sub in
+  let rec has i =
+    i + n <= String.length s && (String.equal (String.sub s i n) sub || has (i + 1))
+  in
+  has 0
+
+let file_size path = (Unix.stat path).Unix.st_size
 
 let cleanup_dir d =
   Array.iter (fun f -> try Sys.remove (Filename.concat d f) with Sys_error _ -> ()) (Sys.readdir d);
@@ -463,7 +476,7 @@ let test_one_command_records_recover () =
         (E.Serialize.dump_string eng, report.E.Durable.rc_replayed)
       in
       let old_path = Filename.concat dir "old.journal" in
-      let j = E.Journal.create old_path ~ckpt_seq:0 in
+      let j = empty_journal old_path in
       List.iter (fun c -> E.Journal.append j (E.Frontend.command_to_string c)) cmds;
       E.Journal.close j;
       Alcotest.(check (pair string int))
@@ -535,7 +548,7 @@ let test_torn_tail_truncated () =
     ~finally:(fun () -> cleanup_dir dir)
     (fun () ->
       let path = Filename.concat dir "journal" in
-      let j = E.Journal.create path ~ckpt_seq:0 in
+      let j = empty_journal path in
       E.Journal.append j "(edge 1 2)";
       E.Journal.append j "(edge 2 3)";
       E.Journal.close j;
@@ -561,6 +574,53 @@ let test_torn_tail_truncated () =
         [ "(edge 1 2)"; "(edge 2 3)"; "(edge 3 4)" ]
         final.E.Journal.entries)
 
+(* Flip one payload byte of the [k]-th request record (0-based) of the
+   journal at [path]. *)
+let corrupt_record path k =
+  let data = Bytes.of_string (In_channel.with_open_bin path In_channel.input_all) in
+  let rec nth_record pos k =
+    let r = Bytes.index_from data pos 'r' in
+    if r > 0 && Bytes.get data (r - 1) = '\n' && Bytes.get data (r + 1) = ' ' then
+      if k = 0 then r else nth_record (r + 1) (k - 1)
+    else nth_record (r + 1) k
+  in
+  let r = nth_record (Bytes.index data '\n') k in
+  let payload = Bytes.index_from data r '\n' + 1 in
+  Bytes.set data payload (if Bytes.get data payload = '(' then '[' else '(');
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc data)
+
+(* A bad record with valid records after it was not torn by a crash: it is
+   corruption. Recovery refuses with the record's offset and leaves the
+   file as it found it; only a bad record at the very end is a torn tail. *)
+let test_mid_journal_corruption () =
+  let dir = fresh_dir () in
+  Fun.protect
+    ~finally:(fun () -> cleanup_dir dir)
+    (fun () ->
+      let path = Filename.concat dir "journal" in
+      let write () =
+        if Sys.file_exists path then Sys.remove path;
+        let j = empty_journal path in
+        List.iter (E.Journal.append j) [ "(edge 1 2)"; "(edge 2 3)"; "(edge 3 4)" ];
+        E.Journal.close j
+      in
+      write ();
+      corrupt_record path 1;
+      let size = file_size path in
+      (match E.Durable.recover (E.Engine.create ()) ~journal_path:path ~checkpoint_every:None with
+       | _ -> Alcotest.fail "recovery past a corrupt mid-journal record must fail"
+       | exception E.Journal.Journal_error msg ->
+         Alcotest.(check bool) ("error names the offset: " ^ msg) true (contains msg "at byte"));
+      Alcotest.(check int) "nothing truncated" size (file_size path);
+      write ();
+      corrupt_record path 2;
+      let j, contents = E.Journal.open_append path in
+      E.Journal.close j;
+      Alcotest.(check (pair bool (list string)))
+        "a bad last record is a torn tail"
+        (true, [ "(edge 1 2)"; "(edge 2 3)" ])
+        (contents.E.Journal.torn, contents.E.Journal.entries))
+
 let test_attach_refuses_existing () =
   let dir = fresh_dir () in
   Fun.protect
@@ -574,6 +634,22 @@ let test_attach_refuses_existing () =
       match E.Durable.attach (E.Engine.create ()) ~journal_path:path ~checkpoint_every:None with
       | _ -> Alcotest.fail "attach over an existing journal must be refused"
       | exception E.Journal.Journal_error _ -> ())
+
+(* The checkpoint would hold the scope's additions without the scope. *)
+let test_attach_refuses_inside_push () =
+  let dir = fresh_dir () in
+  Fun.protect
+    ~finally:(fun () -> cleanup_dir dir)
+    (fun () ->
+      let path = Filename.concat dir "journal" in
+      let eng = E.Engine.create () in
+      ignore (E.run_string eng "(relation e (i64)) (e 1) (push) (e 2)");
+      (match E.Durable.attach eng ~journal_path:path ~checkpoint_every:None with
+       | _ -> Alcotest.fail "attach inside a push scope must be refused"
+       | exception E.Journal.Journal_error _ -> ());
+      Alcotest.(check (list string)) "no file written" [] (Array.to_list (Sys.readdir dir));
+      ignore (E.run_string eng "(pop)");
+      E.Durable.close (E.Durable.attach eng ~journal_path:path ~checkpoint_every:None))
 
 let test_corrupt_checkpoint_is_clear_error () =
   let dir = fresh_dir () in
@@ -589,27 +665,20 @@ let test_corrupt_checkpoint_is_clear_error () =
       in
       List.iter (durable_run d eng) cmds;
       E.Durable.close d;
-      (* destroy the checkpoint generation the journal depends on *)
-      let ckpt =
-        Sys.readdir dir |> Array.to_list
-        |> List.filter (fun f -> not (String.equal f "journal"))
-        |> List.sort String.compare |> List.rev |> List.hd
-      in
-      let ckpt_path = Filename.concat dir ckpt in
-      let bytes = In_channel.with_open_bin ckpt_path In_channel.input_all in
-      let b = Bytes.of_string bytes in
-      Bytes.set b (Bytes.length b - 3) '\255';
-      Out_channel.with_open_bin ckpt_path (fun oc -> Out_channel.output_bytes oc b);
-      match E.Durable.recover (E.Engine.create ()) ~journal_path:path ~checkpoint_every:None with
-      | _ -> Alcotest.fail "recovery from a corrupt checkpoint must fail"
-      | exception E.Journal.Journal_error msg ->
-        Alcotest.(check bool)
-          "error names the missing generation" true
-          (let rec has i =
-             i + 10 <= String.length msg
-             && (String.equal (String.sub msg i 10) "checkpoint" || has (i + 1))
-           in
-           has 0))
+      (* flip a byte inside the checkpoint record's payload: the record
+         after the header line and the frame line *)
+      let bytes = Bytes.of_string (In_channel.with_open_bin path In_channel.input_all) in
+      let frame = Bytes.index bytes '\n' + 1 in
+      let payload = Bytes.index_from bytes frame '\n' + 1 in
+      Bytes.set bytes (payload + 5) '\255';
+      Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc bytes);
+      let size = file_size path in
+      (match E.Durable.recover (E.Engine.create ()) ~journal_path:path ~checkpoint_every:None with
+       | _ -> Alcotest.fail "recovery from a corrupt checkpoint must fail"
+       | exception E.Journal.Journal_error msg ->
+         Alcotest.(check bool) ("error names the checkpoint: " ^ msg) true
+           (contains msg "checkpoint"));
+      Alcotest.(check int) "nothing truncated" size (file_size path))
 
 let test_checkpoint_deferred_inside_push () =
   let dir = fresh_dir () in
@@ -622,17 +691,41 @@ let test_checkpoint_deferred_inside_push () =
       let run src =
         List.iter (durable_run d eng) (E.Frontend.parse_program src)
       in
-      let ckpts () =
-        Sys.readdir dir |> Array.to_list
-        |> List.filter (fun f -> not (String.equal f "journal"))
-        |> List.length
-      in
+      (* a checkpoint leaves the journal it replaced behind *)
+      let checkpointed () = Sys.file_exists (path ^ ".prev") in
       (* 6 commands cross the every-3 threshold, but inside the scope *)
       run "(relation edge (i64 i64)) (push) (edge 1 2) (edge 2 3) (edge 3 4) (edge 4 5)";
-      Alcotest.(check int) "no checkpoint inside push" 0 (ckpts ());
+      Alcotest.(check bool) "no checkpoint inside push" false (checkpointed ());
       run "(pop)";
-      Alcotest.(check bool) "checkpoint resumes after pop" true (ckpts () > 0);
+      Alcotest.(check bool) "checkpoint resumes after pop" true (checkpointed ());
       E.Durable.close d)
+
+(* The journal a checkpoint replaces is complete: after two checkpoints,
+   [journal.prev] holds the first one and the records after it, and
+   recovers to the state of the second. *)
+let test_prev_journal_recovers () =
+  let dir = fresh_dir () in
+  Fun.protect
+    ~finally:(fun () -> cleanup_dir dir)
+    (fun () ->
+      let path = Filename.concat dir "journal" in
+      let eng = E.Engine.create () in
+      let d = E.Durable.attach eng ~journal_path:path ~checkpoint_every:(Some 2) in
+      let run src = List.iter (durable_run d eng) (E.Frontend.parse_program src) in
+      run "(relation edge (i64 i64)) (edge 1 2)";
+      run "(edge 2 3) (edge 3 4)";
+      let at_second = E.Serialize.dump_string eng in
+      run "(edge 4 5)";
+      E.Durable.close d;
+      let eng2 = E.Engine.create () in
+      let d2, report =
+        E.Durable.recover eng2 ~journal_path:(path ^ ".prev") ~checkpoint_every:None
+      in
+      E.Durable.close d2;
+      Alcotest.(check (pair int int)) "the first checkpoint, then two records" (2, 2)
+        (report.E.Durable.rc_from_checkpoint, report.E.Durable.rc_replayed);
+      Alcotest.(check string) "the state at the second checkpoint" at_second
+        (E.Serialize.dump_string eng2))
 
 let test_recover_fresh_journal () =
   let dir = fresh_dir () in
@@ -653,17 +746,19 @@ let test_journal_version_rejected () =
     ~finally:(fun () -> cleanup_dir dir)
     (fun () ->
       let path = Filename.concat dir "journal" in
-      Out_channel.with_open_bin path (fun oc ->
-          Out_channel.output_string oc "egglog-journal 99 0\n");
-      match E.Journal.read path with
-      | _ -> Alcotest.fail "future journal version must be rejected"
-      | exception E.Journal.Journal_error msg ->
-        Alcotest.(check bool) "mentions version" true
-          (let rec has i =
-             i + 7 <= String.length msg
-             && (String.equal (String.sub msg i 7) "version" || has (i + 1))
-           in
-           has 0))
+      List.iter
+        (fun (header, expect) ->
+          Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc header);
+          match E.Journal.read path with
+          | _ -> Alcotest.failf "%S must be rejected" header
+          | exception E.Journal.Journal_error msg ->
+            Alcotest.(check bool) ("mentions the version: " ^ msg) true (contains msg expect))
+        [
+          ("egglog-journal 99 0\n", "version 99");
+          (* a journal of the format that kept checkpoints in their own files *)
+          ( "egglog-journal 1 3\nr 10 00000000\n(edge 1 2)\n",
+            "unsupported journal format version 1" );
+        ])
 
 let test_command_print_roundtrip () =
   (* the journal records commands as printed text; for every construct the
@@ -745,6 +840,10 @@ let () =
         [
           Alcotest.test_case "torn tail truncated" `Quick test_torn_tail_truncated;
           Alcotest.test_case "attach refuses existing journal" `Quick test_attach_refuses_existing;
+          Alcotest.test_case "attach refuses inside push" `Quick test_attach_refuses_inside_push;
+          Alcotest.test_case "mid-journal corruption is an error" `Quick
+            test_mid_journal_corruption;
+          Alcotest.test_case "the replaced journal recovers" `Quick test_prev_journal_recovers;
           Alcotest.test_case "corrupt checkpoint is a clear error" `Quick
             test_corrupt_checkpoint_is_clear_error;
           Alcotest.test_case "checkpoint deferred inside push" `Quick

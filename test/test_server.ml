@@ -845,6 +845,46 @@ let test_durable_upgrade_and_restart () =
       close_client c2);
   cleanup_dir dir
 
+(* A journal starts with a checkpoint, which cannot hold an open scope:
+   upgrading inside one is refused with a plain message and writes no
+   file, and the same upgrade after the pop succeeds. *)
+let test_durable_upgrade_inside_push () =
+  let dir = fresh_dir () in
+  let sv = start dir in
+  let c = connect sv in
+  let upgrade id =
+    rpc c
+      [
+        ("id", Json.Int id);
+        ("op", Json.Str "open-session");
+        ("session", Json.Str "p");
+        ("durable", Json.Bool true);
+      ]
+  in
+  check_ok "scoped work"
+    (rpc c (run_req ~id:1 ~session:"p" "(relation e (i64)) (e 1) (push) (e 2)"));
+  let refused = upgrade 2 in
+  check_err "upgrade inside push" "unsupported" refused;
+  let message =
+    match Json.member "error" refused with
+    | Some err -> Option.value (Option.map Json.to_string (Json.member "message" err)) ~default:""
+    | None -> ""
+  in
+  Alcotest.(check bool) ("plain message: " ^ message) false (String.contains message '_');
+  Alcotest.(check bool) "no journal written" false
+    (Sys.file_exists (Filename.concat (Filename.concat dir "data") "p.journal"));
+  check_ok "pop" (rpc c (run_req ~id:3 ~session:"p" "(pop)"));
+  check_ok "upgrade after pop" (upgrade 4);
+  ignore (stop sv);
+  close_client c;
+  with_server dir (fun sv2 ->
+      let c2 = connect sv2 in
+      Alcotest.(check string) "the popped state recovered"
+        (reference_dump [ "(relation e (i64)) (e 1)" ])
+        (dump_of c2 "p");
+      close_client c2);
+  cleanup_dir dir
+
 let crash_and_recover ~point ~expect_programs () =
   let dir = fresh_dir () in
   let sv = start dir in
@@ -1279,6 +1319,8 @@ let () =
             test_stdio_unterminated_last_frame;
           Alcotest.test_case "durable upgrade and restart" `Quick
             test_durable_upgrade_and_restart;
+          Alcotest.test_case "durable upgrade inside push is refused" `Quick
+            test_durable_upgrade_inside_push;
           Alcotest.test_case "crash before journal loses the request" `Quick
             test_crash_before_journal;
           Alcotest.test_case "crash after journal keeps the request" `Quick
