@@ -125,14 +125,38 @@ let fresh_id db sort =
 
 let sort_of_id db id = Ty.Sort db.id_sorts.(id)
 
+(* An id that is its own root comes back as it is, not boxed again: most
+   ids that actions and rebuild hand in are already roots. *)
 let rec canon db (v : Value.t) =
   match v with
-  | Value.VId i -> Value.VId (Union_find.find db.uf i)
+  | Value.VId i ->
+    let root = Union_find.find db.uf i in
+    if root = i then v else Value.VId root
   | Value.VSet xs -> Value.mk_set (List.map (canon db) xs)
   | Value.VVec xs -> Value.VVec (List.map (canon db) xs)
   | Value.VUnit | Value.VBool _ | Value.VInt _ | Value.VRat _ | Value.VStr _ -> v
 
-let canon_key db key = Array.map (canon db) key
+(* [key] itself when every cell is canonical, else a fresh array; [key] is
+   never written. So a table may keep the caller's array, which the
+   caller must not mutate afterwards. *)
+let canon_key db key =
+  let n = Array.length key in
+  let rec first_changed i =
+    if i = n then key
+    else
+      let c = canon db key.(i) in
+      if c == key.(i) then first_changed (i + 1)
+      else begin
+        let fresh = Array.copy key in
+        fresh.(i) <- c;
+        for j = i + 1 to n - 1 do
+          fresh.(j) <- canon db key.(j)
+        done;
+        fresh
+      end
+  in
+  first_changed 0
+
 let are_equal db a b = Value.equal (canon db a) (canon db b)
 
 let rec is_canon db (v : Value.t) =

@@ -40,7 +40,17 @@ val fresh_id : t -> Symbol.t -> Value.t
 
 val sort_of_id : t -> int -> Ty.t
 val canon : t -> Value.t -> Value.t
+(** The canonical form. An id that is its own root comes back physically
+    unchanged ([==]); a merged id comes back as its root. *)
+
 val canon_key : t -> Value.t array -> Value.t array
+(** The key with every cell canonical: the argument itself when every
+    cell is already canonical ([canon] returns each one physically
+    unchanged), a fresh array otherwise. The argument is never written.
+    {!set}, {!lookup} and {!remove} canonicalize their key this way, so a
+    table may keep the caller's array: a caller must not mutate a key
+    after handing it to them. *)
+
 val are_equal : t -> Value.t -> Value.t -> bool
 (** Structural equality modulo the union-find. *)
 

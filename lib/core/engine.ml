@@ -527,16 +527,28 @@ let rule_variants eng (r : rt_rule) : Join.stamp_range array list =
                  if i = j then { Join.lo = low; hi = max_int } else Join.all_rows)))
       (List.init n_atoms Fun.id)
 
+exception Limit_reached
+
 (* Search every variant of a rule, in ascending variant order, into one
    list: matches come back in reversed discovery order (the natural cons
    order), the last variant's first. The plan is lowered on the first
-   variant searched, so a rule whose variants are all skipped builds none. *)
-let search_matches eng (r : rt_rule) : Value.t array list =
-  let acc = ref [] in
-  let emit b = acc := Array.copy b :: !acc in
-  List.iter
-    (fun ranges -> Join.search_compiled eng.db ~cache:eng.join_cache (rule_plan r) ~ranges emit)
-    (rule_variants eng r);
+   variant searched, so a rule whose variants are all skipped builds none.
+   The search stops at its [threshold + 1]th match, counted across the
+   variants, as egg's [search_with_limit] does: a longer list only gets
+   the rule banned, so the ban test sees the same answer. *)
+let search_matches eng (r : rt_rule) ~threshold : Value.t array list =
+  let acc = ref [] and n = ref 0 in
+  let emit b =
+    acc := Array.copy b :: !acc;
+    incr n;
+    if !n > threshold then raise Limit_reached
+  in
+  (try
+     List.iter
+       (fun ranges ->
+         Join.search_compiled eng.db ~cache:eng.join_cache (rule_plan r) ~ranges emit)
+       (rule_variants eng r)
+   with Limit_reached -> ());
   !acc
 
 let apply_match eng (r : rt_rule) (binding : Value.t array) =
@@ -694,48 +706,61 @@ let run_one_iteration ?ruleset ?(budget_check = no_budget_check)
             ]
       | None -> ())
    | Some _ | None -> ());
+  (* Under memory pressure the backoff policy tightens — match limits
+     shrink 8x per tier — and applies even when the configured scheduler
+     is Simple, so runs degrade to slower-but-bounded before the hard
+     memory stop. Pressure is computed from modeled bytes, so the
+     tightening is identical from run to run. One policy sets both the
+     search cap and the ban. *)
+  let effective_scheduler =
+    if pressure <= 0 then eng.scheduler
+    else begin
+      let base = match eng.scheduler with Backoff _ as b -> b | Simple -> backoff_default in
+      match base with
+      | Backoff { match_limit; ban_length } ->
+        Backoff { match_limit = max 1 (match_limit lsr (3 * pressure)); ban_length }
+      | Simple -> Simple
+    end
+  in
+  let threshold r =
+    match effective_scheduler with
+    | Simple -> max_int
+    | Backoff { match_limit; _ } -> match_limit lsl r.rr_times_banned
+  in
   let t0 = Database.timestamp db in
   let changes0 = Database.change_counter db in
   let log0 = Database.total_log_entries db in
   Join.clear_scratch eng.join_cache;
+  (* The change feeds computed for the join cache serve this phase only. *)
   let dt_search, searched =
     Telemetry.timed_span "engine.search" (fun () ->
-        let eligible =
-          List.filter
-            (fun r -> in_scope r && r.rr_banned_until <= eng.iteration)
-            eng.rules
-        in
-        List.map
-          (fun r ->
-            let matches = with_rule_context r (fun () -> search_matches eng r) in
-            budget_check ~within_iteration:true;
-            (r, matches))
-          eligible)
+        Fun.protect
+          ~finally:(fun () -> Database.iter_tables db Table.drop_feed)
+          (fun () ->
+            let eligible =
+              List.filter
+                (fun r -> in_scope r && r.rr_banned_until <= eng.iteration)
+                eng.rules
+            in
+            List.map
+              (fun r ->
+                let threshold = threshold r in
+                let matches =
+                  with_rule_context r (fun () -> search_matches eng r ~threshold)
+                in
+                budget_check ~within_iteration:true;
+                (r, threshold, matches))
+              eligible))
   in
   ph.ph_search <- ph.ph_search +. dt_search;
   let to_apply =
-    (* Under memory pressure the backoff policy tightens — match limits
-       shrink 8x per tier — and applies even when the configured scheduler
-       is Simple, so runs degrade to slower-but-bounded before the hard
-       memory stop. Pressure is computed from modeled bytes, so the
-       tightening is identical from run to run. *)
-    let effective_scheduler =
-      if pressure <= 0 then eng.scheduler
-      else begin
-        let base = match eng.scheduler with Backoff _ as b -> b | Simple -> backoff_default in
-        match base with
-        | Backoff { match_limit; ban_length } ->
-          Backoff { match_limit = max 1 (match_limit lsr (3 * pressure)); ban_length }
-        | Simple -> Simple
-      end
-    in
     List.filter_map
-      (fun (r, matches) ->
+      (fun (r, threshold, matches) ->
         match effective_scheduler with
         | Simple -> Some (r, matches)
-        | Backoff { match_limit; ban_length } ->
-          let threshold = match_limit lsl r.rr_times_banned in
-          if List.length matches > threshold then begin
+        | Backoff { ban_length; _ } ->
+          let n_matches = List.length matches in
+          if n_matches > threshold then begin
             r.rr_banned_until <- eng.iteration + (ban_length lsl r.rr_times_banned);
             r.rr_times_banned <- r.rr_times_banned + 1;
             Telemetry.bump c_bans 1;
@@ -746,7 +771,7 @@ let run_one_iteration ?ruleset ?(budget_check = no_budget_check)
                   ( "reason",
                     Telemetry.Json.Str
                       (if pressure > 0 then "memory-pressure" else "match-limit-exceeded") );
-                  ("matches", Telemetry.Json.Int (List.length matches));
+                  ("matches", Telemetry.Json.Int n_matches);
                   ("threshold", Telemetry.Json.Int threshold);
                   ("banned_until", Telemetry.Json.Int r.rr_banned_until);
                   ("times_banned", Telemetry.Json.Int r.rr_times_banned);

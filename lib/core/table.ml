@@ -183,8 +183,7 @@ let undone t =
   t.ret_keys <- [||];
   t.ret_values <- [||];
   t.ret_born <- [||];
-  t.ret_base <- t.ret_len;
-  t.last_feed <- None
+  t.ret_base <- t.ret_len
 
 let record_insert t key =
   let log_len = t.log_len and bytes = t.bytes in
@@ -366,7 +365,7 @@ let compute_changes t m =
 
 (* Consumers that marked the table at the same moment (the join cache's
    structures over one table, patched in one search phase) share one
-   answer. *)
+   answer, kept until [drop_feed] ends the phase. *)
 let changes_since t m =
   if t.undone_at > m.m_seq || m.m_ret < t.ret_base then None
   else
@@ -376,6 +375,8 @@ let changes_since t m =
       let changes = compute_changes t m in
       t.last_feed <- Some { f_from = m; f_to = t.version; f_changes = changes };
       Some changes
+
+let drop_feed t = t.last_feed <- None
 
 (* ------------------------------------------------------------------ *)
 (* Typed column readers (compiled join plans)                          *)

@@ -127,7 +127,12 @@ val changes_since : t -> mark -> change array option
     has neither. [None] when an inverse ran since the mark, or the
     retraction log no longer reaches back to it: the consumer must
     rebuild. O(entries since the mark); consumers asking with the same
-    mark at the same version share one answer. *)
+    mark at the same version share one answer until {!drop_feed}. *)
+
+val drop_feed : t -> unit
+(** Forget the shared answer of {!changes_since}. The engine drops every
+    table's at the end of each search phase, the only phase whose
+    consumers share it. *)
 
 (** {2 Typed column readers}
 

@@ -259,18 +259,28 @@ let rec match_pattern eg (pat : pattern) (cls : int) (s : subst) : subst list =
         else [])
       cls.nodes
 
-let ematch eg pat =
+(* Stops once it holds [limit] matches, as egg's [search_with_limit]
+   does: the class that reaches the limit is matched whole, and its
+   matches past the limit are dropped. *)
+let ematch ?(limit = max_int) eg pat =
   match pat with
   | P_var _ -> invalid_arg "ematch: top-level pattern variable"
   | P_app _ ->
-    Hashtbl.fold
-      (fun id _cls acc ->
-        if Union_find.is_canonical eg.uf id then
-          List.rev_append
-            (List.map (fun s -> (id, s)) (match_pattern eg pat id []))
-            acc
-        else acc)
-      eg.classes []
+    let acc = ref [] and n = ref 0 in
+    (try
+       Hashtbl.iter
+         (fun id _cls ->
+           if Union_find.is_canonical eg.uf id then
+             List.iter
+               (fun s ->
+                 if !n >= limit then raise Exit;
+                 acc := (id, s) :: !acc;
+                 incr n)
+               (match_pattern eg pat id []);
+           if !n >= limit then raise Exit)
+         eg.classes
+     with Exit -> ());
+    !acc
 
 let rec instantiate eg (pat : pattern) (s : subst) : int =
   match pat with
@@ -309,11 +319,20 @@ let run eg ?(scheduler = Simple) ?(node_limit = max_int) rewrites n =
      for iter = 1 to n do
        let t_start = Unix.gettimeofday () in
        let nodes_before = n_nodes eg and classes_before = n_classes eg in
+       (* A rule banned at iteration i for b iterations is searched again
+          at i + b, as in egg's BackoffScheduler. Its search stops at
+          threshold + 1 matches, which is enough to decide the ban. *)
        let searched =
          List.map2
            (fun rw st ->
-             if st.banned_until >= iter then (rw, st, None)
-             else (rw, st, Some (ematch eg rw.lhs)))
+             if iter < st.banned_until then (rw, st, None)
+             else
+               let limit =
+                 match scheduler with
+                 | Backoff { match_limit; _ } -> (match_limit lsl st.times_banned) + 1
+                 | Simple -> max_int
+               in
+               (rw, st, Some (ematch ~limit eg rw.lhs)))
            rewrites states
        in
        let applied = ref 0 in

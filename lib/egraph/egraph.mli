@@ -51,8 +51,9 @@ val n_classes : t -> int
 val class_const : t -> int -> int option
 (** Constant-folding analysis data of a class, when enabled. *)
 
-val ematch : t -> pattern -> (int * subst) list
-(** All matches of the pattern, as (matched class, substitution). *)
+val ematch : ?limit:int -> t -> pattern -> (int * subst) list
+(** The matches of the pattern, as (matched class, substitution): all of
+    them, or [limit] of them when there are more. *)
 
 val instantiate : t -> pattern -> subst -> int
 

@@ -45,6 +45,13 @@ let test_ematch () =
   let matches = Egraph.ematch eg (p "(+ ?x ?y)") in
   Alcotest.(check int) "two linear matches" 2 (List.length matches)
 
+let test_ematch_limit () =
+  let eg = Egraph.create () in
+  List.iter (fun s -> ignore (Egraph.add_term eg (t s))) [ "(f 1)"; "(f 2)"; "(f 3)" ];
+  let count limit = List.length (Egraph.ematch ~limit eg (p "(f ?x)")) in
+  Alcotest.(check int) "stops at the limit" 2 (count 2);
+  Alcotest.(check int) "all when fewer" 3 (count 10)
+
 let test_ematch_modulo () =
   let eg = Egraph.create () in
   ignore (Egraph.add_term eg (t "(+ (g a) (g b))"));
@@ -112,6 +119,23 @@ let test_backoff_bans_explosive () =
   let last stats = (List.hd (List.rev stats.Egraph.iters)).Egraph.is_nodes in
   Alcotest.(check bool) "backoff grows less" true (last limited <= last unlimited)
 
+(* A rewrite banned at iteration i for ban_length b is searched again at
+   i + b, as in egg's BackoffScheduler: 3 matches over a limit of 2 ban
+   it at iteration 1, it is skipped at 2 and applied at 3 (the doubled
+   limit, 4, admits the same 3 matches), and iteration 4 saturates. *)
+let test_ban_length () =
+  let eg = Egraph.create () in
+  List.iter (fun s -> ignore (Egraph.add_term eg (t s))) [ "(f 1)"; "(f 2)"; "(f 3)" ];
+  let stats =
+    Egraph.run eg
+      ~scheduler:(Egraph.Backoff { match_limit = 2; ban_length = 2 })
+      [ Egraph.rewrite_of_strings ~name:"fg" "(f ?x)" "(g ?x)" ]
+      10
+  in
+  Alcotest.(check (list int)) "matches applied per iteration" [ 0; 0; 3; 3 ]
+    (List.map (fun s -> s.Egraph.is_applied) stats.Egraph.iters);
+  Alcotest.(check bool) "saturated" true stats.Egraph.saturated
+
 (* ---- parity: egg vs egglogNI on the Fig. 7 workload ---- *)
 
 let egglog_math_tuples eng =
@@ -176,12 +200,14 @@ let () =
         [
           Alcotest.test_case "patterns" `Quick test_ematch;
           Alcotest.test_case "modulo equality" `Quick test_ematch_modulo;
+          Alcotest.test_case "limit" `Quick test_ematch_limit;
         ] );
       ( "runner",
         [
           Alcotest.test_case "run+extract" `Quick test_run_and_extract;
           Alcotest.test_case "const folding" `Quick test_const_folding_analysis;
           Alcotest.test_case "backoff" `Quick test_backoff_bans_explosive;
+          Alcotest.test_case "ban length" `Quick test_ban_length;
         ] );
       ("parity", [ Alcotest.test_case "egg = egglogNI growth" `Quick test_parity_with_egglog ]);
       ("invariants", [ QCheck_alcotest.to_alcotest prop_audit_clean ]);

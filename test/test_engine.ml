@@ -542,6 +542,151 @@ let test_backoff_bans () =
   Alcotest.(check bool) "backoff explores less" true
     (Egglog.Engine.total_rows eng2 <= Egglog.Engine.total_rows eng1)
 
+(* ---- canonicalization: what is already canonical is not copied ---- *)
+
+let test_canon_contract () =
+  let module D = Egglog.Database in
+  let module V = Egglog.Value in
+  let db = D.create () in
+  let s = Egglog.Symbol.intern "S" in
+  D.declare_sort db s;
+  let a = D.fresh_id db s and b = D.fresh_id db s in
+  Alcotest.(check bool) "a root comes back as it is" true (D.canon db a == a);
+  let root = D.union db a b in
+  let merged = if V.equal root a then b else a in
+  Alcotest.(check bool) "the root is still itself" true (D.canon db root == root);
+  Alcotest.(check bool) "a merged id comes back as its root" true
+    (V.equal (D.canon db merged) root);
+  let canonical = [| V.VInt 1; root; V.VStr (Egglog.Symbol.intern "x") |] in
+  Alcotest.(check bool) "a canonical key comes back as it is" true
+    (D.canon_key db canonical == canonical);
+  let stale = [| V.VInt 1; merged; root |] in
+  let fixed = D.canon_key db stale in
+  Alcotest.(check bool) "a stale key comes back fresh" false (fixed == stale);
+  Alcotest.(check bool) "with its cells canonical" true
+    (Array.for_all2 V.equal fixed [| V.VInt 1; root; root |]);
+  Alcotest.(check bool) "and the argument untouched" true
+    (stale.(1) == merged && stale.(2) == root)
+
+(* ---- the search cap: a rule's search stops at threshold + 1 ---- *)
+
+module T = Egglog.Telemetry
+
+(* Run [f] traced; return its result, the trace's [scheduler.ban] events
+   and the [join.matches_yielded] count. Telemetry is global, so it is
+   reset before and after. *)
+let traced f =
+  T.disable ();
+  T.reset ();
+  let lines = ref [] in
+  T.enable ~sink:(fun line -> lines := line :: !lines) ();
+  let result = Fun.protect ~finally:T.disable f in
+  let yielded =
+    Option.value ~default:0 (List.assoc_opt "join.matches_yielded" (T.snapshot ()).T.sn_counters)
+  in
+  T.reset ();
+  let bans =
+    List.filter
+      (fun ev -> T.Json.member "name" ev = Some (T.Json.Str "scheduler.ban"))
+      (List.rev_map T.Json.parse !lines)
+  in
+  (result, bans, yielded)
+
+let int_member name ev =
+  match T.Json.member name ev with
+  | Some (T.Json.Int n) -> n
+  | _ -> Alcotest.failf "scheduler.ban lacks int field %s" name
+
+let backoff k = Egglog.Engine.Backoff { match_limit = k; ban_length = 2 }
+
+let bans (report : Egglog.Engine.run_report) =
+  List.fold_left (fun acc s -> acc + s.Egglog.Engine.rs_bans) 0 report.Egglog.Engine.rule_stats
+
+(* One single-atom rule over [facts] rows of [r]: [facts] matches. *)
+let single_atom_engine ~scheduler ~facts =
+  let eng = Egglog.Engine.create ~scheduler () in
+  ignore
+    (Egglog.run_string eng
+       "(relation r (i64)) (relation out (i64)) (rule ((r x)) ((out x)))");
+  for i = 1 to facts do
+    Egglog.Engine.set_fact eng "r" [ Egglog.Value.VInt i ] Egglog.Value.VUnit
+  done;
+  eng
+
+let k = 3
+
+let test_cap_exactly_k_applies () =
+  let eng = single_atom_engine ~scheduler:(backoff k) ~facts:k in
+  let report, ban_events, yielded = traced (fun () -> Egglog.Engine.run_iterations eng 1) in
+  Alcotest.(check int) "not banned" 0 (bans report);
+  Alcotest.(check int) "no ban event" 0 (List.length ban_events);
+  Alcotest.(check int) "every match applied" k (Egglog.Engine.table_size eng "out");
+  Alcotest.(check int) "searched to completion" k yielded
+
+(* k + 1 matches ban the rule; with more, the search still stops at the
+   k + 1th, and the ban reports k + 1. *)
+let test_cap_k_plus_one_bans () =
+  List.iter
+    (fun facts ->
+      let eng = single_atom_engine ~scheduler:(backoff k) ~facts in
+      let report, ban_events, yielded = traced (fun () -> Egglog.Engine.run_iterations eng 1) in
+      Alcotest.(check int) "banned" 1 (bans report);
+      Alcotest.(check int) "nothing applied" 0 (Egglog.Engine.table_size eng "out");
+      Alcotest.(check int) "the search stopped at k + 1" (k + 1) yielded;
+      match ban_events with
+      | [ ev ] ->
+        Alcotest.(check int) "ban reports k + 1 matches" (k + 1) (int_member "matches" ev);
+        Alcotest.(check int) "ban reports the threshold" k (int_member "threshold" ev)
+      | evs -> Alcotest.failf "expected one scheduler.ban, got %d" (List.length evs))
+    [ k + 1; k + 5 ]
+
+(* Two delta variants, each yielding at most k, together more than k:
+   the cap counts across variants, so the rule is banned, and its search
+   stops at k + 1 yields. *)
+let test_cap_counts_across_variants () =
+  let k = 2 in
+  let eng = Egglog.Engine.create ~scheduler:(backoff k) () in
+  ignore
+    (Egglog.run_string eng
+       {|
+       (relation a (i64)) (relation b (i64)) (relation out (i64))
+       (rule ((a x) (b x)) ((out x)))
+       (a 1) (b 1)
+     |});
+  let first = Egglog.Engine.run_iterations eng 1 in
+  Alcotest.(check int) "one match, applied" 0 (bans first);
+  List.iter
+    (fun (f, i) -> Egglog.Engine.set_fact eng f [ Egglog.Value.VInt i ] Egglog.Value.VUnit)
+    [ ("a", 2); ("a", 3); ("b", 2); ("b", 3) ];
+  (* variant 0 (new a, all b) and variant 1 (all a, new b) yield 2 each *)
+  let report, ban_events, yielded = traced (fun () -> Egglog.Engine.run_iterations eng 1) in
+  Alcotest.(check int) "banned" 1 (bans report);
+  Alcotest.(check int) "only the first run's match applied" 1 (Egglog.Engine.table_size eng "out");
+  Alcotest.(check int) "stopped at k + 1 yields" (k + 1) yielded;
+  match ban_events with
+  | [ ev ] -> Alcotest.(check int) "ban reports k + 1" (k + 1) (int_member "matches" ev)
+  | evs -> Alcotest.failf "expected one scheduler.ban, got %d" (List.length evs)
+
+(* Pressure tier 1 shrinks the match limit 8x, and the shrunk threshold is
+   the one that caps the search: k + 5 matches, under the configured
+   limit 8k, ban the rule at k + 1. *)
+let test_cap_under_pressure () =
+  let eng = single_atom_engine ~scheduler:(backoff (8 * k)) ~facts:(k + 5) in
+  (* modeled bytes at 75% of the limit: tier 1 (70%) but not tier 2 (85%) *)
+  let memory_limit = Egglog.Engine.modeled_bytes eng * 4 / 3 in
+  let report, ban_events, yielded =
+    traced (fun () -> Egglog.Engine.run_iterations ~memory_limit eng 1)
+  in
+  Alcotest.(check int) "banned" 1 (bans report);
+  Alcotest.(check int) "stopped at the shrunk k + 1" (k + 1) yielded;
+  match ban_events with
+  | [ ev ] ->
+    Alcotest.(check int) "shrunk threshold" k (int_member "threshold" ev);
+    Alcotest.(check int) "matches" (k + 1) (int_member "matches" ev);
+    Alcotest.(check bool) "reason" true
+      (T.Json.member "reason" ev = Some (T.Json.Str "memory-pressure"))
+  | evs -> Alcotest.failf "expected one scheduler.ban, got %d" (List.length evs)
+
 let test_saturation_detection () =
   let eng = Egglog.Engine.create () in
   ignore
@@ -811,7 +956,13 @@ let () =
         [
           Alcotest.test_case "backoff" `Quick test_backoff_bans;
           Alcotest.test_case "saturation" `Quick test_saturation_detection;
+          Alcotest.test_case "cap: k matches apply" `Quick test_cap_exactly_k_applies;
+          Alcotest.test_case "cap: k + 1 matches ban" `Quick test_cap_k_plus_one_bans;
+          Alcotest.test_case "cap: counted across delta variants" `Quick
+            test_cap_counts_across_variants;
+          Alcotest.test_case "cap: pressure's threshold" `Quick test_cap_under_pressure;
         ] );
+      ("canonical", [ Alcotest.test_case "canon and canon_key" `Quick test_canon_contract ]);
       ( "determinism",
         [
           Alcotest.test_case "fresh strings interned in order" `Quick

@@ -462,10 +462,10 @@ let report_fingerprint (r : E.Engine.run_report) =
     r.stop_reason,
     r.rule_stats )
 
-let run_scenario ?node_limit ?memory_limit ds =
+let run_scenario ?node_limit ?memory_limit ?scheduler ds =
   let n_rels = List.length ds.ds_arities in
   let facts, vars = scenario_facts ds in
-  let eng = E.Engine.create () in
+  let eng = E.Engine.create ?scheduler () in
   let decls = Buffer.create 64 in
   List.iteri
     (fun i a ->
@@ -515,15 +515,22 @@ let run_scenario ?node_limit ?memory_limit ds =
   let rep2 = E.Engine.run_iterations ?node_limit ?memory_limit eng 3 in
   (E.Serialize.dump_string eng, report_fingerprint rep1, report_fingerprint rep2)
 
-let runs_repeat ?node_limit ?memory_limit ds =
-  match run_scenario ?node_limit ?memory_limit ds with
+let runs_repeat ?node_limit ?memory_limit ?scheduler ds =
+  match run_scenario ?node_limit ?memory_limit ?scheduler ds with
   | exception E.Engine.Egglog_error _ -> true
-  | first -> run_scenario ?node_limit ?memory_limit ds = first
+  | first -> run_scenario ?node_limit ?memory_limit ?scheduler ds = first
 
+(* Each scenario runs uncapped and under BackOff with a limit of 1 to 4,
+   so random programs draw searches that the cap stops. Most scenarios
+   match nothing; at 300 about one in twenty bans a rule. *)
 let prop_serial_repeat =
   QCheck2.Test.make
-    ~name:"differential: serial search (two runs) dumps+reports identical" ~count:60
-    gen_scenario (fun ds -> runs_repeat ds)
+    ~name:"differential: serial search (two runs) dumps+reports identical" ~count:300
+    gen_scenario (fun ds ->
+      runs_repeat ds
+      && runs_repeat
+           ~scheduler:(E.Engine.Backoff { match_limit = 1 + (ds.ds_split mod 4); ban_length = 1 })
+           ds)
 
 (* Node and memory limits are modeled deterministically, so a run that a
    budget stops mid-way stops at the same iteration, with the same dump,
