@@ -6,6 +6,7 @@
 
      dune exec bench/main.exe            -- run everything (reduced sizes)
      dune exec bench/main.exe -- fig7    -- just one figure
+     dune exec bench/main.exe -- memory  -- live heap words by component
      dune exec bench/main.exe -- smoke   -- tiny parameters for CI
      dune exec bench/main.exe -- full    -- paper-scale parameters (slow)
 
@@ -15,7 +16,7 @@ let usage_error msg =
   Printf.eprintf "bench: %s\n" msg;
   exit 2
 
-let figures = [ "micro"; "fig7"; "fig8"; "fig11"; "fig12" ]
+let figures = [ "micro"; "fig7"; "fig8"; "fig11"; "fig12"; "memory" ]
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
@@ -32,7 +33,8 @@ let () =
     (* CI gate: exercise every figure's printing path in seconds, not minutes. *)
     Bench_micro.run ~quota:0.05 ();
     Bench_fig7.run ~iters:5 ~reps:1 ();
-    Bench_fig8.run_smoke ()
+    Bench_fig8.run_smoke ();
+    Bench_memory.run ()
   end
   else begin
     let want name = args = [] || List.mem name args || full in
@@ -41,6 +43,7 @@ let () =
       if full then Bench_fig7.run ~iters:60 ~reps:5 ()
       else Bench_fig7.run ~iters:35 ~reps:3 ();
     if want "fig8" then Bench_fig8.run ~full ();
-    if want "fig11" || want "fig12" then Bench_herbie.run ~full ()
+    if want "fig11" || want "fig12" then Bench_herbie.run ~full ();
+    if want "memory" then Bench_memory.run ()
   end;
   print_endline "\nAll requested benchmarks finished."

@@ -305,6 +305,8 @@ let class_history db v =
 
 let n_ids db = Union_find.size db.uf
 let n_classes db = Union_find.n_classes db.uf
+let union_find db = db.uf
+let proof_forest db = db.proofs
 
 let total_log_entries db =
   let n = ref 0 in

@@ -90,6 +90,12 @@ val rebuild : t -> unit
     stale scan reads only the columns that can hold an id
     ({!Table.id_columns}) and skips tables without any. *)
 
+val union_find : t -> Union_find.t
+val proof_forest : t -> Proof_forest.t
+(** The database's union-find and proof forest, for memory probes: a
+    database record reaches the whole engine through its merge hook, so a
+    probe measures its parts. *)
+
 val n_ids : t -> int
 val n_classes : t -> int
 val total_rows : t -> int

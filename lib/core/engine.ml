@@ -124,6 +124,7 @@ type t = {
 }
 
 let database eng = eng.db
+let join_cache eng = eng.join_cache
 
 let save eng =
   {

@@ -44,6 +44,9 @@ val create :
 
 val database : t -> Database.t
 
+val join_cache : t -> Join.cache
+(** The join cache the engine's searches share; read by memory probes. *)
+
 exception Egglog_error of string
 (** Any user-facing failure: static errors, panics, failed primitives in
     actions, merge conflicts. *)

@@ -24,7 +24,29 @@ module VTbl = Hashtbl.Make (struct
   let hash = Value.hash
 end)
 
-type trie = Leaf | Node of trie VTbl.t
+(* A trie level maps a value to the subtrie below it. Most nodes of a
+   full-table trie have one child, so a node holds its one child as a pair
+   and turns into a hash table on its second distinct child; it stays a
+   table after that, so a table's iteration order (its bucket count and
+   insertion history) is what it would be had every node been a table. *)
+type trie = Leaf | Node of trie VTbl.t | One of Value.t * trie
+
+(* The node with no children: an absent ground atom, and what a removal
+   that empties a one-child node leaves for its parent to prune. Shared,
+   so nothing is ever added to it: an add starts at a root, and a root is
+   a fresh table or a ground atom's Leaf or [empty]. *)
+let empty = Node (VTbl.create 0)
+
+(* The three reads every consumer of a node goes through. *)
+let node_length = function One _ -> 1 | Node t -> VTbl.length t | Leaf -> 0
+
+let node_find node v =
+  match node with
+  | One (w, child) -> if Value.equal v w then Some child else None
+  | Node t -> VTbl.find_opt t v
+  | Leaf -> None
+
+let node_iter f = function One (v, child) -> f v child | Node t -> VTbl.iter f t | Leaf -> ()
 
 type stamp_range = { lo : int; hi : int }
 
@@ -73,47 +95,84 @@ let row_passes (plan : atom_plan) key value =
       | Check_same (i, j) -> Value.equal (cell key value i) (cell key value j))
     plan.ap_checks
 
-(* Insert one passing version's path into a trie rooted at [root].
-   Idempotent: re-inserting walks the same path. *)
-let trie_add_row (plan : atom_plan) root ~depth key value =
-  let node = ref root in
-  for level = 0 to depth - 1 do
-    let v = cell key value plan.ap_sources.(level) in
-    if level = depth - 1 then VTbl.replace !node v Leaf
-    else begin
-      match VTbl.find_opt !node v with
-      | Some (Node t) -> node := t
-      | Some Leaf -> assert false
-      | None ->
-        let t = VTbl.create 8 in
-        VTbl.replace !node v (Node t);
-        node := t
-    end
-  done
+(* The chain of one-child nodes holding a version's path from [level] down. *)
+let rec trie_path (plan : atom_plan) ~depth key value level =
+  if level = depth then Leaf
+  else One (cell key value plan.ap_sources.(level), trie_path plan ~depth key value (level + 1))
 
-(* Remove one version's path, pruning the nodes it leaves empty so node
-   sizes (the join's smallest-cursor choice, the [unsat] test) are what a
-   fresh build would have. Paths are per row — every column is a source or
-   pinned by a check (Plan_compile.shape_atom) — so no other row shares the
-   leaf. Returns whether the path was there. *)
-let trie_remove_row (plan : atom_plan) root ~depth key value =
+(* Insert one passing version's path below [node]; returns the node to
+   store in its place. Idempotent: re-inserting walks the same path. *)
+let trie_add_row (plan : atom_plan) node ~depth key value =
   let rec go node level =
     let v = cell key value plan.ap_sources.(level) in
-    if level = depth - 1 then
-      VTbl.mem node v
-      && begin
-        VTbl.remove node v;
-        true
-      end
-    else
-      match VTbl.find_opt node v with
-      | Some (Node child) ->
-        let removed = go child (level + 1) in
-        if VTbl.length child = 0 then VTbl.remove node v;
-        removed
-      | Some Leaf | None -> false
+    match node with
+    | One (w, child) when Value.equal v w ->
+      if level = depth - 1 then node
+      else
+        let child' = go child (level + 1) in
+        if child' == child then node else One (w, child')
+    | One (w, child) ->
+      let t = VTbl.create 8 in
+      VTbl.add t w child;
+      VTbl.add t v (trie_path plan ~depth key value (level + 1));
+      Node t
+    | Node t ->
+      (match VTbl.find_opt t v with
+       | None -> VTbl.add t v (trie_path plan ~depth key value (level + 1))
+       | Some child ->
+         if level < depth - 1 then begin
+           let child' = go child (level + 1) in
+           if child' != child then VTbl.replace t v child'
+         end);
+      node
+    | Leaf -> assert false
   in
-  go root 0
+  if depth = 0 then Leaf else go node 0
+
+(* Remove one version's path below [node], pruning the nodes it leaves
+   empty so node sizes (the join's smallest-cursor choice, the [unsat]
+   test) are what a fresh build would have; returns the node to store in
+   its place, [empty] when a one-child node lost its child (a table stays
+   itself, so a root is never replaced). Paths are per row — every column
+   is a source or pinned by a check (Plan_compile.shape_atom) — so no other
+   row shares the leaf. Counts a path that was there in [retracted]. *)
+let trie_remove_row (plan : atom_plan) node ~depth ~retracted key value =
+  let rec go node level =
+    let v = cell key value plan.ap_sources.(level) in
+    match node with
+    | One (w, child) ->
+      if not (Value.equal v w) then node
+      else if level = depth - 1 then begin
+        incr retracted;
+        empty
+      end
+      else
+        let child' = go child (level + 1) in
+        if node_length child' = 0 then empty else if child' == child then node else One (w, child')
+    | Node t ->
+      (match VTbl.find_opt t v with
+       | None -> ()
+       | Some child ->
+         if level = depth - 1 then begin
+           incr retracted;
+           VTbl.remove t v
+         end
+         else begin
+           let child' = go child (level + 1) in
+           if node_length child' = 0 then VTbl.remove t v
+           else if child' != child then VTbl.replace t v child'
+         end);
+      node
+    | Leaf -> assert false
+  in
+  if depth > 0 then go node 0
+  else
+    match node with
+    | Leaf ->
+      (* a ground atom is passed by at most one row: Leaf iff it is present *)
+      incr retracted;
+      empty
+    | One _ | Node _ -> node
 
 let build_trie (plan : atom_plan) (range : stamp_range) : trie =
   let depth = Array.length plan.ap_sources in
@@ -132,14 +191,14 @@ let build_trie (plan : atom_plan) (range : stamp_range) : trie =
              raise Exit
            end)
      with Exit -> ());
-    if !found then Leaf else Node (VTbl.create 0)
+    if !found then Leaf else empty
   end
   else begin
-    let root = VTbl.create 64 in
+    let root = Node (VTbl.create 64) in
     Table.iter_delta plan.ap_table ~lo:range.lo ~hi:range.hi (fun key (row : Table.row) ->
         incr scanned;
-        if row_passes plan key row.value then trie_add_row plan root ~depth key row.value);
-    Node root
+        if row_passes plan key row.value then ignore (trie_add_row plan root ~depth key row.value));
+    root
   end
   in
   Telemetry.bump c_scanned !scanned;
@@ -210,6 +269,18 @@ let new_cache () : cache = { persistent = KTbl.create 64; scratch = KTbl.create 
 
 let clear_scratch cache = KTbl.reset cache.scratch
 
+type words = { cache_words : int; trie_words : int; index_words : int }
+
+let own_words cache ~shared =
+  let words x = Obj.reachable_words (Obj.repr x) in
+  (* the pair block is counted on both sides *)
+  let base = words (shared, ()) in
+  let own x = words (shared, x) - base in
+  let entries = KTbl.fold (fun _ pe acc -> pe.pe_built :: acc) cache.persistent [] in
+  let entries = KTbl.fold (fun _ built acc -> built :: acc) cache.scratch entries in
+  let tries, indexes = List.partition (function B_trie _ -> true | B_index _ -> false) entries in
+  { cache_words = own cache; trie_words = own tries; index_words = own indexes }
+
 let clear_all cache =
   KTbl.reset cache.persistent;
   KTbl.reset cache.scratch
@@ -248,32 +319,17 @@ let patch_trie (plan : atom_plan) (trie : trie) (changes : Table.change array) :
     | Some _ | None -> None
   in
   let result =
-    if depth = 0 then
-      (* A ground atom is passed by at most one row: Leaf iff it is present. *)
-      Array.fold_left
-        (fun trie ch ->
-          let trie =
-            match (old_version ch, trie) with
-            | Some _, Leaf ->
-              incr retracted;
-              Node (VTbl.create 0)
-            | _ -> trie
-          in
-          if Option.is_some (new_version ch) then Leaf else trie)
-        trie changes
-    else begin
-      match trie with
-      | Leaf -> assert false
-      | Node root ->
-        Array.iter
-          (fun (ch : Table.change) ->
-            Option.iter
-              (fun v -> if trie_remove_row plan root ~depth ch.key v then incr retracted)
-              (old_version ch);
-            Option.iter (trie_add_row plan root ~depth ch.key) (new_version ch))
-          changes;
-        trie
-    end
+    Array.fold_left
+      (fun trie (ch : Table.change) ->
+        let trie =
+          match old_version ch with
+          | Some v -> trie_remove_row plan trie ~depth ~retracted ch.key v
+          | None -> trie
+        in
+        match new_version ch with
+        | Some v -> trie_add_row plan trie ~depth ch.key v
+        | None -> trie)
+      trie changes
   in
   Telemetry.bump c_scanned (Array.length changes);
   Telemetry.bump c_retracted !retracted;
@@ -748,43 +804,35 @@ let compile_generic (q : Compile.cquery) (shapes : Plan_compile.shape array) : c
         let next = steps.(d + 1) in
         fun st ->
           let cursors = st.gs_cursors in
-          let node_table ai =
-            match cursors.(ai) with
-            | Node t -> t
-            | Leaf -> internal ~in_func "trie cursor exhausted"
-          in
+          let saved = Array.map (fun ai -> cursors.(ai)) parts in
           (* iterate the first strictly-smallest candidate set, probe the
              others *)
-          let smallest = ref parts.(0) in
-          for k = 1 to np - 1 do
-            if VTbl.length (node_table parts.(k)) < VTbl.length (node_table !smallest) then
-              smallest := parts.(k)
+          let smallest = ref 0 in
+          for k = 0 to np - 1 do
+            if saved.(k) == Leaf then internal ~in_func "trie cursor exhausted";
+            if node_length saved.(k) < node_length saved.(!smallest) then smallest := k
           done;
           let sm = !smallest in
-          let saved = Array.map (fun ai -> cursors.(ai)) parts in
-          VTbl.iter
-            (fun value _child ->
+          node_iter
+            (fun value child ->
               let ok = ref true and k = ref 0 in
               while !ok && !k < np do
-                let ai = parts.(!k) in
-                if ai <> sm && not (VTbl.mem (node_table ai) value) then ok := false;
+                (if !k = sm then cursors.(parts.(sm)) <- child
+                 else
+                   match node_find saved.(!k) value with
+                   | Some c -> cursors.(parts.(!k)) <- c
+                   | None -> ok := false);
                 incr k
               done;
               if !ok then begin
-                for k = 0 to np - 1 do
-                  let ai = parts.(k) in
-                  match VTbl.find_opt (node_table ai) value with
-                  | Some child -> cursors.(ai) <- child
-                  | None -> assert false
-                done;
                 st.gs_env.(v) <- value;
-                next st;
-                (* restore cursors before the next candidate *)
-                for k = 0 to np - 1 do
-                  cursors.(parts.(k)) <- saved.(k)
-                done
-              end)
-            (node_table sm)
+                next st
+              end;
+              (* restore cursors before the next candidate *)
+              for k = 0 to np - 1 do
+                cursors.(parts.(k)) <- saved.(k)
+              done)
+            saved.(sm)
       end
     in
     steps.(d) <-
@@ -797,7 +845,7 @@ let compile_generic (q : Compile.cquery) (shapes : Plan_compile.shape array) : c
     let tries =
       Array.mapi (fun i sh -> cached_trie cache (plan_of_shape db sh) ranges.(i)) shapes
     in
-    let unsat = Array.exists (function Node t -> VTbl.length t = 0 | Leaf -> false) tries in
+    let unsat = Array.exists (fun trie -> trie != Leaf && node_length trie = 0) tries in
     if not unsat then
       step0
         {

@@ -28,6 +28,15 @@ type cache
 
 val new_cache : unit -> cache
 
+type words = { cache_words : int; trie_words : int; index_words : int }
+
+val own_words : cache -> shared:'a -> words
+(** A memory probe: the words reachable from the whole cache, from its
+    tries and from its indexes (both tiers) that [shared] does not reach.
+    An entry holds the key cells of the rows it covers, so pass the tables
+    as [shared] to count what the cache adds. Call after a [Gc.compact] for
+    figures that repeat from run to run. *)
+
 val clear_scratch : cache -> unit
 (** Drop the per-iteration (delta/windowed) entries; persistent full-table
     entries stay and follow their tables: on the next lookup after a

@@ -267,7 +267,13 @@ let rec permutations = function
    atoms exercise the compiled generic-binder fallback) plus an i64-valued
    function [f], facts inserted in two stamped batches, a random
    conjunctive query of 1-3 atoms over them, and optionally a primitive
-   application (a binder, an always-true guard, or a never-true guard). *)
+   application (a binder, an always-true guard, or a never-true guard).
+   Random facts over 0-3 rarely line up with a random query, so most
+   scenarios also insert a witness: each atom instantiated with one value
+   per variable, which the join must find unless a guard or [f]'s output
+   rules it out. An atom whose delta window (see [diff_case]) reads only
+   the second batch gets its witness row after the random facts, the
+   others before them, so the batch split mostly honours the windows. *)
 type diff_scenario = {
   ds_arities : int list;  (* relation arities: r0, r1, ... *)
   ds_inserts : (int * int list) list;  (* (table pick, raw column values) *)
@@ -280,22 +286,36 @@ type diff_scenario = {
 let gen_scenario =
   QCheck2.Gen.(
     let arg = oneof [ map (fun i -> `V i) (int_bound 5); map (fun c -> `C c) (int_bound 3) ] in
+    let with_witness atoms ranges inserts = function
+      | None -> inserts
+      | Some values ->
+        let row (pick, specs) =
+          let cells = List.filteri (fun i _ -> i < 5) specs in
+          (pick, List.map (function `V i -> List.nth values i | `C c -> c) cells)
+        in
+        let second i = List.mem (List.nth ranges (i mod List.length ranges)) [ 3; 5 ] in
+        let last, first =
+          List.partition (fun (i, _) -> second i) (List.mapi (fun i a -> (i, row a)) atoms)
+        in
+        List.map snd first @ inserts @ List.map snd last
+    in
     map
-      (fun ((arities, inserts), (split, atoms), (prim, ranges)) ->
+      (fun ((arities, inserts), (split, atoms), (prim, ranges), witness) ->
         {
           ds_arities = arities;
-          ds_inserts = inserts;
+          ds_inserts = with_witness atoms ranges inserts witness;
           ds_split = split;
           ds_atoms = atoms;
           ds_prim = prim;
           ds_ranges = ranges;
         })
-      (triple
+      (quad
          (pair
             (list_size (int_range 1 2) (int_range 1 5))
             (list_size (int_range 0 16) (pair (int_bound 2) (list_repeat 5 (int_bound 3)))))
          (pair (int_bound 16) (list_size (int_range 1 3) (pair (int_bound 2) (list_repeat 6 arg))))
-         (pair (int_bound 3) (list_repeat 3 (int_bound 5)))))
+         (pair (int_bound 3) (list_repeat 3 (int_bound 5)))
+         (opt ~ratio:0.9 (list_repeat 6 (int_bound 3)))))
 
 (* Populate an engine for the scenario. Returns the database and the three
    stamp boundaries (start, between batches, end); batch 1 rows carry
@@ -392,18 +412,14 @@ let scenario_facts ds =
 let scenario_query ds db =
   E.Compile.compile_query (compile_env db) (fst (scenario_facts ds))
 
-(* One differential case: reference output vs the production join under
-   every configuration we ship — cached and uncached, and every variable
-   ordering (sampled once the order grows past 4
-   variables). The plans share one cache, which doubles as a regression
-   for the cache-key identity invariant: every lowering and every
-   ordering must request (and correctly answer from) the right
-   entries. *)
-let check_diff ds ~delta =
+(* The scenario's database, its query and the query's per-atom stamp
+   windows (all rows, or picked per atom in delta mode); [None] when the
+   query cannot match (it compiles to unsat or is rejected). *)
+let diff_case ds ~delta =
   let db, stamps = build_scenario ds in
   match scenario_query ds db with
-  | exception E.Compile.Unsat -> true
-  | exception E.Compile.Error _ -> true
+  | exception E.Compile.Unsat -> None
+  | exception E.Compile.Error _ -> None
   | q ->
     let n_atoms = Array.length q.E.Compile.atoms in
     let ranges =
@@ -416,6 +432,19 @@ let check_diff ds ~delta =
             | 5 -> { E.Join.lo = stamps.(1); hi = stamps.(2) }
             | _ -> E.Join.all_rows)
     in
+    Some (db, q, ranges)
+
+(* One differential case: reference output vs the production join under
+   every configuration we ship — cached and uncached, and every variable
+   ordering (sampled once the order grows past 4
+   variables). The plans share one cache, which doubles as a regression
+   for the cache-key identity invariant: every lowering and every
+   ordering must request (and correctly answer from) the right
+   entries. *)
+let check_diff ds ~delta =
+  match diff_case ds ~delta with
+  | None -> true
+  | Some (db, q, ranges) ->
     let expected = Ref_join.matches_multiset db q ~ranges in
     let agree ?cache q' = compiled_multiset db ?cache q' ~ranges = expected in
     let cache = E.Join.new_cache () in
@@ -445,6 +474,37 @@ let prop_diff_delta_ranges =
   QCheck2.Test.make
     ~name:"differential: compiled join == reference (delta stamp windows)" ~count:350
     gen_scenario (fun ds -> check_diff ds ~delta:true)
+
+(* The differential properties compare something only when the join
+   matches. Over a fixed seed, at least a third of the scenarios the
+   generator draws must match in each mode, and some of those must run
+   the generic trie join, so the generator cannot drift back to empty
+   joins unnoticed. *)
+let test_scenarios_match () =
+  let scenarios =
+    QCheck2.Gen.generate ~rand:(Random.State.make [| 2026 |]) ~n:350 gen_scenario
+  in
+  List.iter
+    (fun delta ->
+      let matching = ref 0 and generic = ref 0 in
+      List.iter
+        (fun ds ->
+          match diff_case ds ~delta with
+          | None -> ()
+          | Some (db, q, ranges) ->
+            if Ref_join.matches_multiset db q ~ranges <> [] then begin
+              incr matching;
+              if String.starts_with ~prefix:"compiled generic" (E.Join.describe_lowering q) then
+                incr generic
+            end)
+        scenarios;
+      let mode = if delta then "delta windows" else "full ranges" in
+      Printf.printf "%s: %d of 350 match, %d of them in the generic join\n" mode !matching !generic;
+      if 3 * !matching < 350 then
+        Alcotest.failf "%s: only %d of 350 scenarios match" mode !matching;
+      if !generic < 10 then
+        Alcotest.failf "%s: only %d matching scenarios run the generic join" mode !generic)
+    [ false; true ]
 
 (* Engine-level determinism: the scenario's query becomes a rule writing
    its bindings into [out] — and, with two or more variables, unioning
@@ -521,8 +581,8 @@ let runs_repeat ?node_limit ?memory_limit ?scheduler ds =
   | first -> run_scenario ?node_limit ?memory_limit ?scheduler ds = first
 
 (* Each scenario runs uncapped and under BackOff with a limit of 1 to 4,
-   so random programs draw searches that the cap stops. Most scenarios
-   match nothing; at 300 about one in twenty bans a rule. *)
+   so random programs draw searches that the cap stops. At the pinned
+   seed, about half the scenarios match and one in six bans a rule. *)
 let prop_serial_repeat =
   QCheck2.Test.make
     ~name:"differential: serial search (two runs) dumps+reports identical" ~count:300
@@ -1130,6 +1190,130 @@ let test_trimmed_feed () =
    | Some _ | None -> Alcotest.fail "a recent mark sees one overwrite");
   agree ()
 
+(* ------------------------------------------------------------------ *)
+(* Trie nodes: a node with one child is a pair                         *)
+(* ------------------------------------------------------------------ *)
+
+(* [q] replanned so its join variables run in the order of [names]. *)
+let ordered q names =
+  let rank v =
+    let rec go i = function
+      | [] -> max_int
+      | n :: rest -> if n = q.E.Compile.var_names.(v) then i else go (i + 1) rest
+    in
+    go 0 names
+  in
+  let order = Array.copy q.E.Compile.order in
+  Array.stable_sort (fun a b -> compare (rank a) (rank b)) order;
+  E.Compile.reorder q ~order
+
+let tables_of db =
+  let acc = ref [] in
+  E.Database.iter_tables db (fun t -> acc := t :: !acc);
+  !acc
+
+(* A full-table trie over rows that share no path prefix below the root
+   is one root entry and a chain of one-child nodes per row. The three
+   atoms of the chain query read [r] with one source layout, so they share
+   one cached trie. A hash table per node would cost two 16-bucket tables
+   per row, about 60 words. *)
+let test_trie_words_per_row () =
+  let eng = E.Engine.create () in
+  run_cmds eng [ "(relation r (i64 i64 i64))" ];
+  let db = E.Engine.database eng in
+  let n = 2000 in
+  for i = 0 to n - 1 do
+    E.Engine.set_fact eng "r" (List.map (fun d -> E.Value.VInt (i + d)) [ 0; 1; 2 ]) E.Value.VUnit
+  done;
+  let v s = E.Ast.Var s in
+  let r a b c = E.Ast.Holds (E.Ast.Call ("r", [ v a; v b; v c ])) in
+  let q =
+    ordered
+      (E.Compile.compile_query (compile_env db) [ r "x" "y" "z"; r "y" "z" "w"; r "z" "w" "u" ])
+      [ "x"; "y"; "z"; "w"; "u" ]
+  in
+  let cache = E.Join.new_cache () in
+  let ranges = Array.make 3 E.Join.all_rows in
+  Alcotest.(check int) "one match per row but the last two" (n - 2)
+    (List.length (compiled_multiset db ~cache q ~ranges));
+  let w = E.Join.own_words cache ~shared:(tables_of db) in
+  let per_row = float_of_int w.E.Join.cache_words /. float_of_int n in
+  if per_row > 16.0 then Alcotest.failf "the cache holds %.1f words per row (at most 16)" per_row
+
+(* One long-lived cache through every transition a trie node makes under
+   patching, over a table large enough that each step patches rather than
+   rebuilds: a one-child node gains a second child, loses it, then its
+   last; a one-child chain empties; a ground atom goes absent, present,
+   absent; a union and its rebuild move paths. After each step both
+   queries must give what the reference and a fresh cache give. *)
+let test_trie_node_transitions () =
+  let eng = E.Engine.create () in
+  run_cmds eng
+    [
+      "(datatype N (Mk i64)) (relation r (i64 i64 N)) (function f (i64) i64 :merge (max old new))";
+      String.concat " "
+        (List.init 12 (fun i ->
+             Printf.sprintf "(r %d %d (Mk 0)) (set (f %d) %d)" (10 + i) (10 + i) (10 + i) i));
+      "(r 1 1 (Mk 1))";
+    ];
+  let db = E.Engine.database eng in
+  let v s = E.Ast.Var s and int n = E.Ast.Lit (E.Value.VInt n) in
+  let r a b c = E.Ast.Holds (E.Ast.Call ("r", [ a; b; c ])) in
+  let triangle =
+    ordered
+      (E.Compile.compile_query (compile_env db)
+         [ r (v "x") (v "y") (v "n"); r (v "y") (v "z") (v "m"); r (v "x") (v "z") (v "k") ])
+      [ "x"; "y"; "z"; "n"; "m"; "k" ]
+  in
+  let ground =
+    E.Compile.compile_query (compile_env db)
+      [ E.Ast.Eq (E.Ast.Call ("f", [ int 1 ]), int 2); r (v "x") (v "y") (v "n") ]
+  in
+  let queries = [ ("triangle", triangle); ("ground", ground) ] in
+  let cache = E.Join.new_cache () in
+  let patched () =
+    match List.assoc_opt "join.index_patched" (E.Telemetry.snapshot ()).E.Telemetry.sn_counters with
+    | Some n -> n
+    | None -> 0
+  in
+  let agree step =
+    List.iter
+      (fun (name, q) ->
+        let ranges = Array.make (Array.length q.E.Compile.atoms) E.Join.all_rows in
+        let expected = Ref_join.matches_multiset db q ~ranges in
+        let label what = Printf.sprintf "%s: %s, %s" step name what in
+        Alcotest.(check (list string)) (label "fresh cache") expected
+          (compiled_multiset db ~cache:(E.Join.new_cache ()) q ~ranges);
+        Alcotest.(check (list string)) (label "long-lived cache") expected
+          (compiled_multiset db ~cache q ~ranges))
+      queries
+  in
+  agree "start";
+  E.Telemetry.reset ();
+  E.Telemetry.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      E.Telemetry.disable ();
+      E.Telemetry.reset ())
+    (fun () ->
+      List.iter
+        (fun (step, cmd) ->
+          let before = patched () in
+          run_cmds eng [ cmd ];
+          agree step;
+          if patched () = before then Alcotest.failf "%s: the long-lived cache did not patch" step)
+        [
+          ("a one-child node gains a second child", "(r 1 2 (Mk 2))");
+          ("back to one child", "(delete (r 1 2 (Mk 2)))");
+          ("then to none", "(delete (r 1 1 (Mk 1)))");
+          ("a one-child chain appears", "(r 2 5 (Mk 5))");
+          ("and empties", "(delete (r 2 5 (Mk 5)))");
+          ("a ground atom becomes present", "(set (f 1) 2)");
+          ("and absent again", "(delete (f 1))");
+          ("two rows, one to move", "(r 3 3 (Mk 3)) (r 4 4 (Mk 4))");
+          ("a union and rebuild move a path", "(union (Mk 3) (Mk 4))");
+        ])
+
 (* Regression for the cache-key representation: two distinct tables for
    one function (here, in two engines built separately) can reach the same
    version counter with different contents. A key that identified tables
@@ -1239,7 +1423,8 @@ let () =
             test_cache_key_structured_consts;
         ] );
       ( "differential",
-        List.map to_alcotest
+        Alcotest.test_case "the generator draws matching joins" `Quick test_scenarios_match
+        :: List.map to_alcotest
           [
             prop_diff_full_ranges;
             prop_diff_delta_ranges;
@@ -1251,6 +1436,11 @@ let () =
           ] );
       ( "change feed",
         [ Alcotest.test_case "a trimmed feed rebuilds" `Quick test_trimmed_feed ] );
+      ( "trie",
+        [
+          Alcotest.test_case "a few words per row" `Quick test_trie_words_per_row;
+          Alcotest.test_case "node transitions under patching" `Quick test_trie_node_transitions;
+        ] );
       ( "stamp log",
         [
           Alcotest.test_case "a re-insert walks at its new entry" `Quick
